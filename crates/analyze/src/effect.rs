@@ -20,7 +20,8 @@
 //! reports exactly which pair of concurrent shards would alias.
 //!
 //! Within a shard, group disjointness (the `AmpCell` argument in
-//! `atlas_statevec::parallel`) requires the op's qubit list to be
+//! `atlas_statevec`'s split-by-group primitive) requires the op's qubit
+//! list to be
 //! duplicate-free: distinct groups then differ in a non-gate bit and can
 //! never collide. [`effect_of`] checks that too.
 

@@ -25,9 +25,9 @@
 use atlas_circuit::Circuit;
 use atlas_machine::{CostModel, Machine, MachineSpec};
 use atlas_qmath::{Matrix, QubitPermutation};
+use atlas_statevec::reference::apply_matrix_generic;
 use atlas_statevec::{
-    apply_gate, apply_matrix_generic, apply_matrix_with, fuse_gates, scratch, simulate_reference,
-    Scratch, StateVector,
+    apply_gate, apply_matrix, fuse_gates, scratch, simulate_reference, Scratch, StateVector,
 };
 use criterion::{criterion_group, Criterion};
 use std::fmt::Write as _;
@@ -107,9 +107,9 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         .map(|(name, qs)| {
             let m = dense_unitary(n, &qs);
             // Warm the arena so the fast path is measured steady-state.
-            apply_matrix_with(&mut scratch, sv.amplitudes_mut(), &qs, &m);
+            apply_matrix(&mut scratch, sv.amplitudes_mut(), &qs, &m, 1);
             let fast_secs = best_of(reps, || {
-                apply_matrix_with(&mut scratch, sv.amplitudes_mut(), &qs, &m)
+                apply_matrix(&mut scratch, sv.amplitudes_mut(), &qs, &m, 1)
             });
             let generic_secs = best_of(reps, || apply_matrix_generic(sv.amplitudes_mut(), &qs, &m));
             let case = Case {
@@ -179,7 +179,7 @@ fn bench_hotpath(c: &mut Criterion) {
         let m = dense_unitary(n, &qs);
         g.bench_function(format!("fast_{name}_{n}q"), |b| {
             let mut sv = base.clone();
-            b.iter(|| scratch::with_thread(|s| apply_matrix_with(s, sv.amplitudes_mut(), &qs, &m)))
+            b.iter(|| scratch::with_thread(|s| apply_matrix(s, sv.amplitudes_mut(), &qs, &m, 1)))
         });
         g.bench_function(format!("generic_{name}_{n}q"), |b| {
             let mut sv = base.clone();

@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks backing the cost-model constants: the CPU
 //! analogues of the kernels the simulated machine charges for. These
 //! demonstrate the cost *structure* the model encodes — fusion kernels
-//! flat up to ~5 qubits then exponential, shared-memory batching
-//! amortizing memory traffic, permutation/all-to-all costs — and measure
+//! flat up to ~5 qubits then exponential, one state pass per gate when
+//! nothing is fused, permutation/all-to-all costs — and measure
 //! the planner's own throughput (staging + kernelization preprocessing).
 
 use atlas_circuit::generators::Family;
@@ -11,7 +11,7 @@ use atlas_core::config::AtlasConfig;
 use atlas_core::kernelize::{self, KGate, KernelCost};
 use atlas_machine::CostModel;
 use atlas_qmath::QubitPermutation;
-use atlas_statevec::{apply_batched, apply_gate, fuse_gates, StateVector};
+use atlas_statevec::{apply_gate, apply_matrix, fuse_gates, scratch, StateVector};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -71,25 +71,21 @@ fn bench_statevec(c: &mut Criterion) {
         g.bench_function(format!("fused_apply_k{k}"), |b| {
             b.iter_batched_ref(
                 || base.clone(),
-                |sv| atlas_statevec::apply_matrix(sv.amplitudes_mut(), &qubits, black_box(&fused)),
+                |sv| {
+                    scratch::with_thread(|s| {
+                        apply_matrix(s, sv.amplitudes_mut(), &qubits, black_box(&fused), 1)
+                    })
+                },
                 BatchSize::LargeInput,
             )
         });
     }
-    // Shared-memory style batching vs gate-by-gate.
+    // Gate-by-gate application of a 12-gate run (one state pass per gate).
     let mut shm_circ = Circuit::new(N);
     for i in 0..6 {
         shm_circ.cx(i, i + 6);
         shm_circ.t(i + 6);
     }
-    let active: Vec<u32> = (0..12).collect();
-    g.bench_function("shm_batched_12gates", |b| {
-        b.iter_batched_ref(
-            || base.clone(),
-            |sv| apply_batched(sv.amplitudes_mut(), &active, shm_circ.gates()),
-            BatchSize::LargeInput,
-        )
-    });
     g.bench_function("gate_by_gate_12gates", |b| {
         b.iter_batched_ref(
             || base.clone(),

@@ -4,7 +4,7 @@
 //! Two layers are measured, each at 1 thread vs 8 threads:
 //!
 //! * **kernel** — a dense 5-qubit fused unitary applied to a 24-qubit
-//!   amplitude array via `apply_matrix_parallel` (the intra-shard path);
+//!   amplitude array via `apply_matrix` (the intra-shard path);
 //! * **end-to-end** — a functional `simulate` of QAOA-24 on a 2×2-GPU
 //!   shape (8 shards), exercising the shard-parallel engine, the
 //!   `FastKernel` classification and the all-to-all barriers.
@@ -20,7 +20,7 @@ use atlas_core::config::AtlasConfig;
 use atlas_core::simulate::simulate;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_qmath::Complex64;
-use atlas_statevec::{apply_gate, apply_matrix_parallel, fuse_gates, StateVector};
+use atlas_statevec::{apply_gate, apply_matrix, fuse_gates, scratch, StateVector};
 use criterion::{criterion_group, Criterion};
 use std::time::Instant;
 
@@ -77,12 +77,18 @@ fn bench_parallel(c: &mut Criterion) {
         g.bench_function(format!("fused_k5_24q_t{threads}"), |b| {
             b.iter_batched_ref(
                 || base.clone(),
-                |sv| apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, threads),
+                |sv| apply_fused(sv, &qubits, &fused, threads),
                 criterion::BatchSize::LargeInput,
             )
         });
     }
     g.finish();
+}
+
+/// The dense fused apply on `threads` threads, with the calling thread's
+/// scratch arena.
+fn apply_fused(sv: &mut StateVector, qubits: &[u32], fused: &atlas_qmath::Matrix, threads: usize) {
+    scratch::with_thread(|s| apply_matrix(s, sv.amplitudes_mut(), qubits, fused, threads));
 }
 
 /// Best-of-`reps` wall time of `f`, in seconds.
@@ -102,12 +108,8 @@ fn emit_json() {
     // Kernel-level: dense k=5 fused apply over 2^24 amplitudes.
     let (qubits, fused) = fused_k5();
     let mut sv = dense_state();
-    let kernel_t1 = best_of(3, || {
-        apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, 1)
-    });
-    let kernel_t8 = best_of(3, || {
-        apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, 8)
-    });
+    let kernel_t1 = best_of(3, || apply_fused(&mut sv, &qubits, &fused, 1));
+    let kernel_t8 = best_of(3, || apply_fused(&mut sv, &qubits, &fused, 8));
     drop(sv);
 
     // End-to-end: functional QAOA-24 across 8 shards.

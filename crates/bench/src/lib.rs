@@ -5,7 +5,9 @@
 //! simulated machine. Absolute numbers come from the calibrated cost model
 //! (the substrate is a simulator, not Perlmutter); the *shape* — who wins,
 //! by what factor, where crossovers fall — is the reproduction target.
-//! `EXPERIMENTS.md` records paper-vs-measured for each experiment.
+//! Measured host time — end to end and per layer — comes from the separate
+//! `e2ebench` package; `e2ebench/README.md` describes its workloads and
+//! metrics.
 //!
 //! Grids default to a reduced-but-representative subset so `cargo bench`
 //! completes in minutes; set `ATLAS_BENCH_FULL=1` for the complete paper

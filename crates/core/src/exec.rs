@@ -519,9 +519,8 @@ fn execute_stage(
                 }
                 KernelKind::SharedMemory => {
                     let per_amp: f64 = kernel.gates.iter().map(|&t| sp.templates[t].shm_ns).sum();
-                    let active = shm_active_set(&kernel.qubits, l);
                     for s in 0..num_shards {
-                        machine.run_shm_kernel_parts(s, &active, &[], per_amp);
+                        machine.run_shm_kernel_dry(s, per_amp);
                     }
                 }
             }
@@ -684,18 +683,4 @@ fn build_fused(
         acc = &expanded * &acc;
     }
     acc
-}
-
-/// Shared-memory active set: the kernel's qubits plus the required three
-/// least significant local qubits (§VI-B footnote: 128-byte coalesced
-/// loads).
-fn shm_active_set(qubits: &[u32], l: u32) -> Vec<u32> {
-    let mut active: Vec<u32> = qubits.to_vec();
-    for q in 0..3u32.min(l) {
-        if !active.contains(&q) {
-            active.push(q);
-        }
-    }
-    active.sort_unstable();
-    active
 }

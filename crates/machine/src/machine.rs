@@ -4,11 +4,8 @@
 use crate::cost::{CostModel, AMP_BYTES};
 use crate::topology::MachineSpec;
 use crate::traffic::traffic_matrix;
-use atlas_circuit::Gate;
 use atlas_qmath::{Complex64, IndexPermuter, Matrix, QubitPermutation};
-use atlas_statevec::{
-    apply_batched, apply_matrix, measure, scratch, FastKernel, Pool, Scratch, StateVector,
-};
+use atlas_statevec::{measure, scratch, FastKernel, Pool, Scratch, StateVector};
 use atlas_telemetry::{secs_to_ns, Recorder};
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -310,19 +307,9 @@ impl Machine {
         debug_assert!(qubits.iter().all(|&q| q < self.spec.local_qubits));
         self.charge_fusion(s, qubits.len() as u32);
         if !self.dry {
-            apply_matrix(&mut self.shards[s], qubits, matrix);
-        }
-    }
-
-    /// Runs a shared-memory kernel: `gates` (with qubit indices already in
-    /// local physical positions `< L`) batched over `active` qubits.
-    pub fn run_shm_kernel(&mut self, s: usize, active: &[u32], gates: &[Gate]) {
-        debug_assert!(active.iter().all(|&q| q < self.spec.local_qubits));
-        let gpu = self.spec.gpu_of_shard(self.n, s);
-        self.pending[gpu] += self.cost.shm_kernel_secs(gates.iter(), self.shard_len());
-        self.kernels += 1;
-        if !self.dry {
-            apply_batched(&mut self.shards[s], active, gates);
+            scratch::with_thread(|scr| {
+                atlas_statevec::apply_matrix(scr, &mut self.shards[s], qubits, matrix, 1)
+            });
         }
     }
 
@@ -333,25 +320,13 @@ impl Machine {
         self.charge_fusion(s, k);
     }
 
-    /// Runs a shared-memory kernel from pre-specialized parts: each part is
-    /// a (local qubit positions, reduced unitary) pair, applied in order.
+    /// Charges a shared-memory kernel without executing anything.
     /// `per_amp_ns` is the kernel's gate-cost sum from the planner (the
     /// parts' shapes may differ per shard after insular specialization, but
-    /// the charged cost is the plan-level one, matching §VI-B).
-    pub fn run_shm_kernel_parts(
-        &mut self,
-        s: usize,
-        active: &[u32],
-        parts: &[(Vec<u32>, Matrix)],
-        per_amp_ns: f64,
-    ) {
-        debug_assert!(active.iter().all(|&q| q < self.spec.local_qubits));
+    /// the charged cost is the plan-level one, matching §VI-B). Functional
+    /// runs execute shared-memory kernels as [`ShardOp::ShmParts`].
+    pub fn run_shm_kernel_dry(&mut self, s: usize, per_amp_ns: f64) {
         self.charge_shm(s, per_amp_ns);
-        if !self.dry {
-            for (qs, m) in parts {
-                apply_matrix(&mut self.shards[s], qs, m);
-            }
-        }
     }
 
     /// Executes one compiled [`ShardProgram`] per shard — the parallel
@@ -364,12 +339,12 @@ impl Machine {
     /// * shards ≥ pool threads — one worker per shard, every simulated
     ///   GPU's kernels genuinely concurrent;
     /// * shards < pool threads — shards run in sequence, and each kernel
-    ///   falls back to intra-shard parallelism over its index groups
-    ///   (`atlas_statevec::parallel`).
+    ///   spends the threads on its own index groups
+    ///   (`atlas_statevec::apply`).
     ///
-    /// Both schedules produce bit-identical amplitudes: every kernel's
-    /// parallel form performs the same floating-point operations as its
-    /// serial form, only distributed differently.
+    /// Both schedules produce bit-identical amplitudes: a kernel's threads
+    /// run the serial kernel's body over disjoint group ranges — the same
+    /// floating-point operations, only distributed differently.
     pub fn run_shard_programs(&mut self, programs: &[ShardProgram], pool: &Pool) {
         assert_eq!(programs.len(), self.num_shards());
         for (s, prog) in programs.iter().enumerate() {
@@ -856,9 +831,7 @@ impl Machine {
 
     /// Per-shard probability masses `Σ|αᵢ|²`, in shard order.
     pub fn shard_norms(&self, pool: &Pool) -> Vec<f64> {
-        self.map_shards(pool, &|_, amps, t| {
-            measure::norm_sqr_slice_parallel(amps, t)
-        })
+        self.map_shards(pool, &|_, amps, t| measure::norm_sqr_slice(amps, t))
     }
 
     /// Total norm `Σ|αᵢ|²` over all shards (shard partials combined in
@@ -873,7 +846,7 @@ impl Machine {
     pub fn signed_norm_sum(&self, sign_mask: u64, pool: &Pool) -> f64 {
         let l = self.spec.local_qubits;
         self.map_shards(pool, &|s, amps, t| {
-            measure::signed_norm_parallel(amps, (s as u64) << l, sign_mask, t)
+            measure::signed_norm(amps, (s as u64) << l, sign_mask, t)
         })
         .iter()
         .sum()
@@ -892,14 +865,7 @@ impl Machine {
         self.map_shards(pool, &|s, amps, t| {
             let partner = &shards[s ^ (flip >> l) as usize];
             let local_flip = (flip as usize) & (shard_len - 1);
-            measure::signed_pair_sum_parallel(
-                amps,
-                partner,
-                local_flip,
-                (s as u64) << l,
-                sign_mask,
-                t,
-            )
+            measure::signed_pair_sum(amps, partner, local_flip, (s as u64) << l, sign_mask, t)
         })
         .iter()
         .fold(Complex64::ZERO, |acc, &v| acc + v)
@@ -1151,7 +1117,7 @@ impl Machine {
 /// Applies one shard's program to its amplitude buffer with up to
 /// `threads` threads of intra-shard parallelism, reusing `scratch` for
 /// every kernel. Bit-identical for any `threads` value (see
-/// [`atlas_statevec::parallel`]).
+/// [`atlas_statevec::apply`]).
 fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratch, threads: usize) {
     for op in prog {
         match op {
@@ -1159,16 +1125,16 @@ fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratc
                 qubits,
                 kernel,
                 scale,
-            } => atlas_statevec::apply_kernel_with(scratch, amps, qubits, kernel, *scale, threads),
+            } => atlas_statevec::apply_kernel(scratch, amps, qubits, kernel, *scale, threads),
             ShardOp::ShmParts { parts, scale, .. } => {
                 for (qs, m) in parts.iter() {
-                    atlas_statevec::parallel::apply_reduced_with(scratch, amps, qs, m, threads);
+                    atlas_statevec::apply_reduced(scratch, amps, qs, m, threads);
                 }
                 if !scale.approx_eq(Complex64::ONE, 0.0) {
-                    atlas_statevec::parallel::scale_parallel(amps, *scale, threads);
+                    atlas_statevec::scale(amps, *scale, threads);
                 }
             }
-            ShardOp::Scale(f) => atlas_statevec::parallel::scale_parallel(amps, *f, threads),
+            ShardOp::Scale(f) => atlas_statevec::scale(amps, *f, threads),
         }
     }
 }
@@ -1176,7 +1142,7 @@ fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_circuit::{Circuit, GateKind};
+    use atlas_circuit::{Circuit, Gate, GateKind};
     use atlas_statevec::simulate_reference;
 
     fn small_spec() -> MachineSpec {
@@ -1468,27 +1434,5 @@ mod tests {
             assert_eq!(gi, wi);
             assert!((gp - wp).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn shm_kernel_functional_and_charged() {
-        let mut prep = Circuit::new(5);
-        prep.h(0).h(1).h(2);
-        let reference = simulate_reference(&prep);
-        let mut m = Machine::with_state(small_spec(), CostModel::default(), &reference);
-        let gates = vec![
-            Gate::new(GateKind::CX, &[0, 1]),
-            Gate::new(GateKind::T, &[2]),
-        ];
-        for s in 0..m.num_shards() {
-            m.run_shm_kernel(s, &[0, 1, 2], &gates);
-        }
-        m.stage_barrier();
-        let mut want_c = Circuit::new(5);
-        want_c.h(0).h(1).h(2).cx(0, 1).t(2);
-        let want = simulate_reference(&want_c);
-        assert!(m.gather_state().approx_eq(&want, 1e-10));
-        let r = m.report();
-        assert!(r.compute_secs > 0.0);
     }
 }

@@ -59,21 +59,20 @@ pub fn traffic_matrix(
     let amps_per_edge = 1u64 << (l - f.min(l));
     let flip_shard = (flip >> l) & ((1u64 << shard_bits) - 1);
 
+    // Bits are deposited with shifts, not tests: the inner loop runs once
+    // per edge (millions per all-to-all) and a branch per bit would tie its
+    // speed to the predictor's luck at the address the linker gives it.
     let mut entries = Vec::with_capacity(num_shards << f);
     for s in 0..num_shards {
         let mut base = 0usize;
         for &(j, sb) in &from_shard {
-            if (s >> sb) & 1 == 1 {
-                base |= 1 << j;
-            }
+            base |= ((s >> sb) & 1) << j;
         }
         base ^= flip_shard as usize;
         for combo in 0..1usize << f {
             let mut dst = base;
             for (t, &j) in free_bits.iter().enumerate() {
-                if (combo >> t) & 1 == 1 {
-                    dst ^= 1 << j;
-                }
+                dst ^= ((combo >> t) & 1) << j;
             }
             entries.push(TrafficEntry {
                 src: s,

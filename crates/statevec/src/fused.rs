@@ -4,6 +4,8 @@
 //! of a kernel into a single `2^k × 2^k` unitary and apply it in one pass —
 //! the same thing cuQuantum's apply-matrix does on a real GPU.
 
+use crate::apply::{self, apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation};
+use crate::scratch::Scratch;
 use atlas_circuit::Gate;
 use atlas_qmath::{extract_bits, Complex64, Matrix};
 
@@ -81,8 +83,8 @@ pub const KERNEL_CLASSIFY_TOL: f64 = 1e-12;
 /// permutation-with-phases (X/CX/swap-like), and controlled blocks — for
 /// which the dense `O(4^k)`-per-group multiply is mostly wasted work.
 /// [`classify_kernel`] inspects the matrix once at plan-specialization
-/// time; [`apply_kernel`] then dispatches to the matching fast path in
-/// [`crate::apply`] / [`crate::parallel`].
+/// time; [`apply_kernel`] then dispatches to the matching family in
+/// [`crate::apply`].
 #[derive(Clone, Debug)]
 pub enum FastKernel {
     /// The identity — applying it is a no-op.
@@ -114,7 +116,7 @@ pub enum FastKernel {
     /// No exploitable *algebraic* structure — dense multiply. At apply
     /// time this still dispatches on **layout** (unrolled `k ≤ 2`,
     /// contiguous low-window chunks, generic gather; see
-    /// [`crate::apply::apply_matrix_with`]).
+    /// [`crate::apply::apply_matrix`]).
     Dense(Matrix),
 }
 
@@ -233,27 +235,15 @@ pub fn classify_kernel(m: &Matrix) -> FastKernel {
 
 /// Applies a compiled kernel over physical qubit positions `qubits`,
 /// folding the scalar `scale` in for free where the form allows it, with
-/// up to `threads` threads of intra-shard parallelism. Uses the calling
-/// thread's scratch arena.
+/// up to `threads` threads of intra-shard parallelism. Scaled diagonals,
+/// phases and matrices go into `scratch`'s pooled buffers instead of
+/// per-call allocations, and the sub-kernels reuse its offset tables.
 ///
-/// `scale != ONE` requires [`FastKernel::can_fold_scale`]; callers emit a
-/// separate scale pass for `Controlled` kernels.
+/// A `scale != ONE` on a [`FastKernel::Controlled`] kernel costs a real
+/// extra pass; callers that can emit a shared scale op elsewhere check
+/// [`FastKernel::can_fold_scale`] first.
 pub fn apply_kernel(
-    amps: &mut [Complex64],
-    qubits: &[u32],
-    kernel: &FastKernel,
-    scale: Complex64,
-    threads: usize,
-) {
-    crate::scratch::with_thread(|s| apply_kernel_with(s, amps, qubits, kernel, scale, threads));
-}
-
-/// [`apply_kernel`] with an explicit scratch arena: scaled diagonals,
-/// phases and matrices go into pooled buffers instead of per-call
-/// allocations, and the dense/permutation/controlled sub-kernels reuse
-/// the arena's offset tables.
-pub fn apply_kernel_with(
-    scratch: &mut crate::scratch::Scratch,
+    scratch: &mut Scratch,
     amps: &mut [Complex64],
     qubits: &[u32],
     kernel: &FastKernel,
@@ -264,31 +254,27 @@ pub fn apply_kernel_with(
     match kernel {
         FastKernel::Identity => {
             if fold {
-                crate::parallel::scale_parallel(amps, scale, threads);
+                apply::scale(amps, scale, threads);
             }
         }
         FastKernel::Diagonal(diag) => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(diag.iter().map(|&d| d * scale));
-                crate::parallel::apply_diag_parallel(amps, qubits, &scaled, threads);
+                apply_diag(amps, qubits, &scaled, threads);
                 scratch.put_amps(scaled);
             } else {
-                crate::parallel::apply_diag_parallel(amps, qubits, diag, threads);
+                apply_diag(amps, qubits, diag, threads);
             }
         }
         FastKernel::Permutation { dst, phase } => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(phase.iter().map(|&p| p * scale));
-                crate::parallel::apply_permutation_parallel_with(
-                    scratch, amps, qubits, dst, &scaled, threads,
-                );
+                apply_permutation(scratch, amps, qubits, dst, &scaled, threads);
                 scratch.put_amps(scaled);
             } else {
-                crate::parallel::apply_permutation_parallel_with(
-                    scratch, amps, qubits, dst, phase, threads,
-                );
+                apply_permutation(scratch, amps, qubits, dst, phase, threads);
             }
         }
         FastKernel::Controlled {
@@ -299,18 +285,15 @@ pub fn apply_kernel_with(
             if fold {
                 // A scalar cannot fold into the kernel entries (the
                 // untouched control-0 subspace must be scaled too), so it
-                // costs a real extra pass here — callers that can emit a
-                // shared scale op elsewhere should check can_fold_scale()
-                // first, but a fold request must never be dropped.
-                crate::parallel::scale_parallel(amps, scale, threads);
+                // costs a real extra pass here — a fold request must
+                // never be dropped.
+                apply::scale(amps, scale, threads);
             }
             let mut cphys = scratch.take_qubits();
             cphys.extend(controls.iter().map(|&p| qubits[p as usize]));
             let mut tphys = scratch.take_qubits();
             tphys.extend(targets.iter().map(|&p| qubits[p as usize]));
-            crate::parallel::apply_controlled_parallel_with(
-                scratch, amps, &cphys, &tphys, matrix, threads,
-            );
+            apply_controlled_matrix(scratch, amps, &cphys, &tphys, matrix, threads);
             scratch.put_qubits(tphys);
             scratch.put_qubits(cphys);
         }
@@ -318,21 +301,43 @@ pub fn apply_kernel_with(
             if fold {
                 let mut scaled = scratch.take_matrix();
                 scaled.clone_scaled_from(m, scale);
-                crate::parallel::apply_matrix_parallel_with(
-                    scratch, amps, qubits, &scaled, threads,
-                );
+                apply_matrix(scratch, amps, qubits, &scaled, threads);
                 scratch.put_matrix(scaled);
             } else {
-                crate::parallel::apply_matrix_parallel_with(scratch, amps, qubits, m, threads);
+                apply_matrix(scratch, amps, qubits, m, threads);
             }
         }
+    }
+}
+
+/// Applies a reduced shared-memory kernel part `m` over `qubits` with a
+/// cheap structure dispatch: `1×1` scalar → whole-slice scale, diagonal →
+/// diagonal pass (extracted into a pooled buffer), otherwise the dense
+/// path. Parts are tiny per-shard specializations, so full
+/// [`classify_kernel`] treatment would cost more than it saves.
+pub fn apply_reduced(
+    scratch: &mut Scratch,
+    amps: &mut [Complex64],
+    qubits: &[u32],
+    m: &Matrix,
+    threads: usize,
+) {
+    if m.rows() == 1 {
+        apply::scale(amps, m[(0, 0)], threads);
+    } else if m.is_diagonal(KERNEL_CLASSIFY_TOL) {
+        let mut diag = scratch.take_amps();
+        diag.extend((0..m.rows()).map(|i| m[(i, i)]));
+        apply_diag(amps, qubits, &diag, threads);
+        scratch.put_amps(diag);
+    } else {
+        apply_matrix(scratch, amps, qubits, m, threads);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::{apply_gate, apply_matrix};
+    use crate::reference::apply_gate;
     use crate::state::StateVector;
     use atlas_circuit::{Circuit, GateKind};
 
@@ -379,7 +384,13 @@ mod tests {
         for g in c.gates() {
             apply_gate(sv_seq.amplitudes_mut(), g);
         }
-        apply_matrix(sv_fused.amplitudes_mut(), &kernel_qubits, &fused);
+        apply_matrix(
+            &mut Scratch::new(),
+            sv_fused.amplitudes_mut(),
+            &kernel_qubits,
+            &fused,
+            1,
+        );
 
         assert!(
             sv_seq.approx_eq(&sv_fused, 1e-9),
@@ -491,8 +502,9 @@ mod tests {
                 apply_gate(a.amplitudes_mut(), g);
             }
             let mut b = a.clone();
-            apply_matrix(a.amplitudes_mut(), &kq, &fused);
-            apply_kernel(b.amplitudes_mut(), &kq, &fast, Complex64::ONE, 1);
+            let scratch = &mut Scratch::new();
+            apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, 1);
+            apply_kernel(scratch, b.amplitudes_mut(), &kq, &fast, Complex64::ONE, 1);
             assert!(
                 a.approx_eq(&b, 1e-10),
                 "{fast:?} diverged from dense apply: {}",
@@ -518,11 +530,12 @@ mod tests {
             apply_gate(a.amplitudes_mut(), g);
         }
         let mut b = a.clone();
-        apply_matrix(a.amplitudes_mut(), &kq, &fused);
+        let scratch = &mut Scratch::new();
+        apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, 1);
         for amp in a.amplitudes_mut() {
             *amp *= s;
         }
-        apply_kernel(b.amplitudes_mut(), &kq, &fast, s, 1);
+        apply_kernel(scratch, b.amplitudes_mut(), &kq, &fast, s, 1);
         assert!(a.approx_eq(&b, 1e-12));
     }
 }

@@ -1,16 +1,16 @@
 //! # atlas-statevec
 //!
 //! The Schrödinger-style state-vector engine: amplitude storage, gate
-//! application kernels (general `k`-qubit plus specialized single-qubit /
-//! diagonal / permutation / controlled paths), gate fusion into dense
-//! kernel matrices with structure-aware classification ([`FastKernel`]),
-//! shared-memory-style batched execution (the CPU analogue of HyQuas
-//! SHM-GROUPING that Atlas' shared-memory kernels model), a
-//! multi-threaded apply path, the per-worker [`scratch`] arena that makes
-//! steady-state kernel execution allocation-free, and the persistent
-//! worker [`pool`] the distributed executor schedules shard kernels on.
-//! See `docs/PERFORMANCE.md` for the kernel dispatch table and the
-//! scratch-arena lifecycle.
+//! application kernels — one function per family (general `k`-qubit dense,
+//! diagonal, permutation, controlled, whole-slice scale), each taking the
+//! per-worker [`scratch`] arena that makes steady-state execution
+//! allocation-free and a `threads` count ([`apply`]) — gate fusion into
+//! dense kernel matrices with structure-aware classification
+//! ([`FastKernel`]), measurement reductions ([`measure`]), the persistent
+//! worker [`pool`] the distributed executor schedules shard kernels on,
+//! and the [`mod@reference`] simulator and kernel oracles everything else is
+//! tested against. See `docs/PERFORMANCE.md` for the kernel dispatch
+//! table and the scratch-arena lifecycle.
 //!
 //! All apply functions operate on raw `&mut [Complex64]` amplitude slices so
 //! that `atlas-machine` device memories and `atlas-core` shards can reuse
@@ -20,34 +20,19 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod apply;
-pub mod batched;
 pub mod fused;
 pub mod measure;
-pub mod parallel;
 pub mod pool;
+pub mod reference;
 pub mod scratch;
+mod split;
 pub mod state;
 
-pub use apply::{apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_with};
-pub use batched::{apply_batched, apply_batched_with};
-pub use fused::{
-    apply_kernel, apply_kernel_with, classify_kernel, expand_to_kernel, fuse_gates, FastKernel,
-};
-pub use measure::{chunk_norms, norm_sqr_slice, signed_norm, signed_pair_sum, TopK, MEASURE_CHUNK};
-pub use parallel::{apply_matrix_parallel, apply_matrix_parallel_with, PARALLEL_GROUP_CUTOFF};
+pub use apply::{apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, scale};
+pub use fused::{apply_kernel, apply_reduced, FastKernel};
+pub use fused::{classify_kernel, expand_to_kernel, fuse_gates};
+pub use measure::{TopK, MEASURE_CHUNK};
 pub use pool::{with_pool, Pool};
+pub use reference::{apply_gate, simulate_reference};
 pub use scratch::Scratch;
 pub use state::StateVector;
-
-use atlas_circuit::Circuit;
-
-/// Reference simulation: applies every gate of `circuit` in order to the
-/// `|0…0⟩` state, single-threaded. This is the golden model the distributed
-/// executor is validated against.
-pub fn simulate_reference(circuit: &Circuit) -> StateVector {
-    let mut sv = StateVector::zero_state(circuit.num_qubits());
-    for g in circuit.gates() {
-        apply_gate(sv.amplitudes_mut(), g);
-    }
-    sv
-}

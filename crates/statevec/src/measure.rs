@@ -9,9 +9,10 @@
 //! [`MEASURE_CHUNK`]-amplitude chunks, each chunk is summed serially in
 //! index order, and the per-chunk partials are combined serially in chunk
 //! order. The chunk boundaries depend only on the slice length — never on
-//! the thread count — so each `*_parallel` twin is **bit-identical** to
-//! its serial twin (the same floating-point additions in the same order,
-//! mirroring the contract of [`crate::parallel`]). The chunked partials
+//! the thread count — so every reduction is **bit-identical** for every
+//! `threads` value (the same floating-point additions in the same order;
+//! `threads == 1` is the serial form, as for the kernels of
+//! [`crate::apply`]). The chunked partials
 //! are also exposed directly ([`chunk_norms`]) because they double as the
 //! coarse CDF ("probability prefix sum") that inverse-transform shot
 //! sampling binary-searches before scanning a single chunk.
@@ -83,25 +84,15 @@ fn map_chunks<T: Send>(
 /// Per-chunk probability masses `Σ|aᵢ|²` over fixed
 /// [`MEASURE_CHUNK`]-sized chunks — the coarse row of a probability
 /// prefix sum (its running total is the chunk-level CDF).
-pub fn chunk_norms(amps: &[Complex64]) -> Vec<f64> {
-    chunk_norms_parallel(amps, 1)
-}
-
-/// Parallel twin of [`chunk_norms`]; bit-identical for every `threads`.
-pub fn chunk_norms_parallel(amps: &[Complex64], threads: usize) -> Vec<f64> {
+pub fn chunk_norms(amps: &[Complex64], threads: usize) -> Vec<f64> {
     map_chunks(amps, threads, &|_, c| {
         c.iter().map(|a| a.norm_sqr()).sum::<f64>()
     })
 }
 
 /// Partial norm `Σ|aᵢ|²` of a slice, chunk-combined in index order.
-pub fn norm_sqr_slice(amps: &[Complex64]) -> f64 {
-    norm_sqr_slice_parallel(amps, 1)
-}
-
-/// Parallel twin of [`norm_sqr_slice`]; bit-identical for every `threads`.
-pub fn norm_sqr_slice_parallel(amps: &[Complex64], threads: usize) -> f64 {
-    chunk_norms_parallel(amps, threads).iter().sum()
+pub fn norm_sqr_slice(amps: &[Complex64], threads: usize) -> f64 {
+    chunk_norms(amps, threads).iter().sum()
 }
 
 /// Sign of `(-1)^{popcount(x & mask)}` as `+1.0` / `-1.0`.
@@ -118,12 +109,7 @@ fn sign(x: u64, mask: u64) -> f64 {
 /// `Σᵢ (-1)^{popcount((base|i) & sign_mask)} · |aᵢ|²`, where `base` is
 /// the shard's global index offset. With `sign_mask = 0` this degrades to
 /// the partial norm.
-pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64) -> f64 {
-    signed_norm_parallel(amps, base, sign_mask, 1)
-}
-
-/// Parallel twin of [`signed_norm`]; bit-identical for every `threads`.
-pub fn signed_norm_parallel(amps: &[Complex64], base: u64, sign_mask: u64, threads: usize) -> f64 {
+pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64, threads: usize) -> f64 {
     map_chunks(amps, threads, &|ci, c| {
         let chunk_base = base | (ci * MEASURE_CHUNK) as u64;
         c.iter()
@@ -141,18 +127,6 @@ pub fn signed_norm_parallel(amps: &[Complex64], base: u64, sign_mask: u64, threa
 /// flipped-index amplitudes (equal to `a` when the flip stays local), and
 /// `base` the shard's global index offset.
 pub fn signed_pair_sum(
-    a: &[Complex64],
-    b: &[Complex64],
-    local_flip: usize,
-    base: u64,
-    sign_mask: u64,
-) -> Complex64 {
-    signed_pair_sum_parallel(a, b, local_flip, base, sign_mask, 1)
-}
-
-/// Parallel twin of [`signed_pair_sum`]; bit-identical for every
-/// `threads`.
-pub fn signed_pair_sum_parallel(
     a: &[Complex64],
     b: &[Complex64],
     local_flip: usize,
@@ -274,30 +248,30 @@ mod tests {
         let amps = ramp(MEASURE_CHUNK * 3 + 17);
         for threads in [2usize, 5, 8] {
             assert_eq!(
-                norm_sqr_slice(&amps).to_bits(),
-                norm_sqr_slice_parallel(&amps, threads).to_bits()
+                norm_sqr_slice(&amps, 1).to_bits(),
+                norm_sqr_slice(&amps, threads).to_bits()
             );
             assert_eq!(
-                chunk_norms(&amps)
+                chunk_norms(&amps, 1)
                     .iter()
                     .map(|v| v.to_bits())
                     .collect::<Vec<_>>(),
-                chunk_norms_parallel(&amps, threads)
+                chunk_norms(&amps, threads)
                     .iter()
                     .map(|v| v.to_bits())
                     .collect::<Vec<_>>()
             );
             let (s1, s2) = (
-                signed_norm(&amps, 1 << 20, 0b1011),
-                signed_norm_parallel(&amps, 1 << 20, 0b1011, threads),
+                signed_norm(&amps, 1 << 20, 0b1011, 1),
+                signed_norm(&amps, 1 << 20, 0b1011, threads),
             );
             assert_eq!(s1.to_bits(), s2.to_bits());
             // Pair sums require a power-of-two (shard-shaped) slice.
             let pow2 = ramp(MEASURE_CHUNK * 4);
             let b = ramp(pow2.len());
             let (p1, p2) = (
-                signed_pair_sum(&pow2, &b, 3, 0, 0b110),
-                signed_pair_sum_parallel(&pow2, &b, 3, 0, 0b110, threads),
+                signed_pair_sum(&pow2, &b, 3, 0, 0b110, 1),
+                signed_pair_sum(&pow2, &b, 3, 0, 0b110, threads),
             );
             assert_eq!(p1.re.to_bits(), p2.re.to_bits());
             assert_eq!(p1.im.to_bits(), p2.im.to_bits());
@@ -308,9 +282,9 @@ mod tests {
     fn chunk_norms_sum_to_norm() {
         let amps = ramp(MEASURE_CHUNK + 100);
         let direct: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        let chunked: f64 = chunk_norms(&amps).iter().sum();
+        let chunked: f64 = chunk_norms(&amps, 1).iter().sum();
         assert!((direct - chunked).abs() < 1e-9);
-        assert_eq!(chunk_norms(&amps).len(), 2);
+        assert_eq!(chunk_norms(&amps, 1).len(), 2);
     }
 
     #[test]
@@ -318,9 +292,9 @@ mod tests {
         // Two amplitudes: |0⟩ weight 0.25, |1⟩ weight 0.75.
         let amps = vec![Complex64::real(0.5), Complex64::real(0.75f64.sqrt())];
         // Z on bit 0: 0.25 - 0.75 = -0.5.
-        assert!((signed_norm(&amps, 0, 1) + 0.5).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0, 1, 1) + 0.5).abs() < 1e-12);
         // Base offset with a masked high bit flips everything.
-        assert!((signed_norm(&amps, 0b100, 0b100) + 1.0).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0b100, 0b100, 1) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -328,7 +302,7 @@ mod tests {
         // |ψ⟩ = α|0⟩ + β|1⟩ ; ⟨X⟩ = 2·Re(α* β).
         let (alpha, beta) = (Complex64::new(0.6, 0.1), Complex64::new(0.2, -0.7));
         let amps = vec![alpha, beta];
-        let got = signed_pair_sum(&amps, &amps, 1, 0, 0);
+        let got = signed_pair_sum(&amps, &amps, 1, 0, 0, 1);
         let want = alpha.conj() * beta + beta.conj() * alpha;
         assert!((got - want).norm() < 1e-12);
     }

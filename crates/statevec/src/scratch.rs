@@ -15,7 +15,7 @@
 //!   the table also records the layout facts the dispatcher needs
 //!   (contiguous low window? identity order?);
 //! * **pools** hand out owned buffers (`take_*`/`put_*`) for callers that
-//!   nest scratch-using kernels (batched execution, scale folding) and
+//!   nest scratch-using kernels (scale folding in `apply_kernel`) and
 //!   therefore cannot share the flat buffers.
 //!
 //! The executor threads one `Scratch` per worker thread through the shard
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 /// `insert_bits` group enumeration), the in-group offsets (`deposit_bits`
 /// of every basis index over the qubit list *in gate order*), and the two
 /// layout facts the kernel dispatcher branches on.
-pub struct OffsetTable {
+pub(crate) struct OffsetTable {
     /// The qubit list sorted ascending — the `insert_bits` argument.
     pub sorted: Vec<u32>,
     /// `offsets[x] = deposit_bits(x, qubits)` for `x < 2^k` (gate order).
@@ -45,14 +45,26 @@ pub struct OffsetTable {
     pub low_window: bool,
 }
 
-/// Flat reusable buffers for the non-nesting apply kernels.
+/// The per-group working buffers of a kernel body. The arena's pair
+/// serves the calling thread; a threaded kernel gives every spawned
+/// thread a fresh pair (see [`crate::split`]).
+#[derive(Default)]
 pub(crate) struct Bufs {
     /// Gather buffer (one kernel group of amplitudes).
     pub inbuf: Vec<Complex64>,
     /// Output buffer for the dense multiply.
     pub outbuf: Vec<Complex64>,
-    /// Destination offsets for permutation kernels.
-    pub out_off: Vec<u64>,
+}
+
+impl Bufs {
+    /// Sizes both buffers to one `dim`-amplitude group. Never reallocates
+    /// once capacity covers the largest kernel seen.
+    pub(crate) fn resize(&mut self, dim: usize) {
+        for buf in [&mut self.inbuf, &mut self.outbuf] {
+            buf.clear();
+            buf.resize(dim, Complex64::ZERO);
+        }
+    }
 }
 
 /// Memo of [`OffsetTable`]s with hit/miss/eviction counters.
@@ -149,9 +161,11 @@ impl Tables {
 /// The per-worker scratch arena. See the module docs for the lifecycle.
 pub struct Scratch {
     pub(crate) bufs: Bufs,
+    /// Destination offsets of a permutation kernel (read-only during the
+    /// sweep, so shared by all of its threads).
+    pub(crate) out_off: Vec<u64>,
     pub(crate) tables: Tables,
     amp_pool: Vec<Vec<Complex64>>,
-    offset_pool: Vec<Vec<u64>>,
     qubit_pool: Vec<Vec<u32>>,
     mat_pool: Vec<Matrix>,
 }
@@ -161,11 +175,8 @@ impl Scratch {
     /// reused afterwards.
     pub fn new() -> Self {
         Scratch {
-            bufs: Bufs {
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                out_off: Vec::new(),
-            },
+            bufs: Bufs::default(),
+            out_off: Vec::new(),
             tables: Tables {
                 map: HashMap::new(),
                 transient: None,
@@ -175,16 +186,9 @@ impl Scratch {
                 evictions: 0,
             },
             amp_pool: Vec::new(),
-            offset_pool: Vec::new(),
             qubit_pool: Vec::new(),
             mat_pool: Vec::new(),
         }
-    }
-
-    /// Splits the arena into the flat buffers and the offset-table memo so
-    /// a kernel can hold both mutably at once.
-    pub(crate) fn split(&mut self) -> (&mut Bufs, &mut Tables) {
-        (&mut self.bufs, &mut self.tables)
     }
 
     /// Offset-table cache hits so far (one per kernel application whose
@@ -218,18 +222,6 @@ impl Scratch {
     /// Returns an amplitude buffer to the pool.
     pub fn put_amps(&mut self, v: Vec<Complex64>) {
         self.amp_pool.push(v);
-    }
-
-    /// Takes an owned offset buffer from the pool.
-    pub fn take_offsets(&mut self) -> Vec<u64> {
-        let mut v = self.offset_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns an offset buffer to the pool.
-    pub fn put_offsets(&mut self, v: Vec<u64>) {
-        self.offset_pool.push(v);
     }
 
     /// Takes an owned qubit-index buffer from the pool.
@@ -290,13 +282,13 @@ mod tests {
     #[test]
     fn tables_memoize_by_exact_qubit_order() {
         let mut s = Scratch::new();
-        let (_, tables) = s.split();
+        let tables = &mut s.tables;
         let a = tables.lookup(&[2, 0]).offsets.clone();
         let b = tables.lookup(&[0, 2]).offsets.clone();
         assert_eq!(a, vec![0, 4, 1, 5]);
         assert_eq!(b, vec![0, 1, 4, 5]);
         assert_eq!(s.table_misses(), 2);
-        let _ = s.split().1.lookup(&[2, 0]);
+        let _ = s.tables.lookup(&[2, 0]);
         assert_eq!(s.table_hits(), 1);
         assert_eq!(s.table_misses(), 2);
     }
@@ -304,7 +296,7 @@ mod tests {
     #[test]
     fn layout_flags_classify_windows() {
         let mut s = Scratch::new();
-        let (_, tables) = s.split();
+        let tables = &mut s.tables;
         assert!(tables.lookup(&[0, 1, 2]).identity_order);
         assert!(tables.lookup(&[0, 1, 2]).low_window);
         let t = tables.lookup(&[1, 0]);
@@ -318,7 +310,7 @@ mod tests {
     #[test]
     fn memo_is_bounded() {
         let mut s = Scratch::new();
-        let (_, tables) = s.split();
+        let tables = &mut s.tables;
         // Over-wide lists are served transiently, not retained.
         let wide: Vec<u32> = (0..(MEMO_MAX_QUBITS as u32 + 1)).collect();
         let t = tables.lookup(&wide);
@@ -341,7 +333,7 @@ mod tests {
         // must hit on every round — pre-fix, the memo was cleared
         // wholesale at capacity, rebuilding the hot table forever.
         let mut s = Scratch::new();
-        let (_, tables) = s.split();
+        let tables = &mut s.tables;
         let hot = [0u32, 1];
         tables.lookup(&hot);
         let rounds = (MEMO_MAX_ENTRIES as u32) * 2;
@@ -377,7 +369,7 @@ mod tests {
     #[test]
     fn with_thread_is_reentrancy_safe() {
         with_thread(|outer| {
-            outer.split().1.lookup(&[0]);
+            outer.tables.lookup(&[0]);
             with_thread(|inner| {
                 // The inner arena is fresh, not the borrowed outer one.
                 assert_eq!(inner.table_misses(), 0);

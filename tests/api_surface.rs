@@ -24,9 +24,11 @@ const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/api_surface.t
 const CRATES: &[&str] = &[
     "crates/analyze",
     "crates/core",
+    "crates/machine",
     "crates/sampler",
     "crates/serve",
     "crates/stabilizer",
+    "crates/statevec",
     "crates/telemetry",
 ];
 

@@ -4,8 +4,8 @@
 //!
 //! This is a stronger property than the differential harness's 1e-9
 //! tolerance — it holds because serial and parallel execution run the
-//! same compiled shard programs, and every parallel kernel in
-//! `atlas_statevec::parallel` performs the same floating-point operations
+//! same compiled shard programs, and every threaded kernel in
+//! `atlas_statevec::apply` performs the same floating-point operations
 //! as its serial twin, merely distributed across threads (no cross-group
 //! reductions anywhere in the engine).
 

@@ -5,18 +5,23 @@
 //! counter, repeats the identical work, and asserts the second pass
 //! allocated **nothing** (kernel level) or nothing amplitude-sized
 //! (machine level, where per-step clock bookkeeping may grow a tiny
-//! `Vec<StageTiming>`). This file is its own test binary on purpose: the
-//! counter is process-global, so no unrelated test may run concurrently.
+//! `Vec<StageTiming>`).
+//!
+//! The counters are **per thread**: the harness runs this binary's tests
+//! concurrently, and every measured region executes on the test's own
+//! thread (`Pool::SERIAL` and `threads == 1` kernels run inline), so a
+//! test counts exactly its own allocations however many neighbours are
+//! allocating at the same time.
 
 use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
-    apply_batched_with, apply_kernel_with, apply_matrix_with, classify_kernel, fuse_gates,
-    simulate_reference, Pool, Scratch, StateVector,
+    apply_kernel, apply_matrix, classify_kernel, fuse_gates, simulate_reference, Pool, Scratch,
+    StateVector,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Threshold above which an allocation counts as "large" (amplitude-buffer
@@ -25,40 +30,54 @@ const LARGE: usize = 4096;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializers and no destructors: reading or bumping these
+    // from inside the allocator never allocates and never touches
+    // torn-down thread-local state.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation of `size` bytes against the calling thread.
+fn count(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    if size >= LARGE {
+        LARGE_ALLOCS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= LARGE {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
+        count(layout.size());
+        // SAFETY: the caller's `alloc` contract, forwarded as is.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller's `dealloc` contract, forwarded as is.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if new_size >= LARGE {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
+        count(new_size);
+        // SAFETY: the caller's `realloc` contract, forwarded as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
+/// Amplitude-sized allocations made so far by the calling thread.
 fn large_allocs() -> u64 {
-    LARGE_ALLOCS.load(Ordering::SeqCst)
+    LARGE_ALLOCS.with(Cell::get)
 }
 
 fn dense_state(n: u32) -> StateVector {
@@ -116,9 +135,9 @@ fn warm_scratch_apply_layer_allocates_nothing() {
 
     let pass = |scratch: &mut Scratch, sv: &mut StateVector| {
         for (qs, m) in &mats {
-            apply_matrix_with(scratch, sv.amplitudes_mut(), qs, m);
+            apply_matrix(scratch, sv.amplitudes_mut(), qs, m, 1);
         }
-        apply_kernel_with(
+        apply_kernel(
             scratch,
             sv.amplitudes_mut(),
             &[1, 3],
@@ -126,7 +145,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             scale,
             1,
         );
-        apply_kernel_with(
+        apply_kernel(
             scratch,
             sv.amplitudes_mut(),
             &[2, 6, 9],
@@ -134,7 +153,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             scale,
             1,
         );
-        apply_kernel_with(
+        apply_kernel(
             scratch,
             sv.amplitudes_mut(),
             &[5, 10],
@@ -142,7 +161,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             scale,
             1,
         );
-        apply_kernel_with(
+        apply_kernel(
             scratch,
             sv.amplitudes_mut(),
             &[1, 4],
@@ -166,44 +185,6 @@ fn warm_scratch_apply_layer_allocates_nothing() {
     // Every qubit set was served from the memoized tables.
     assert_eq!(scratch.table_misses(), misses);
     assert!(scratch.table_hits() > 0);
-}
-
-#[test]
-fn batched_allocations_are_independent_of_group_count() {
-    // `apply_batched_with` compiles its gate list once per call (a
-    // bounded number of small allocations); the per-group sweep itself
-    // must allocate nothing. Compare a warm call over 2^3 groups with one
-    // over 2^9 groups: identical allocation counts ⇒ nothing allocates
-    // inside the group loop.
-    let mut shm = Circuit::new(6);
-    shm.cx(0, 2).t(2).h(1).cp(0.4, 1, 0);
-    let mut scratch = Scratch::new();
-    let mut small = dense_state(6);
-    let mut big = dense_state(12);
-    // Warm both state sizes once (pools, tables).
-    apply_batched_with(
-        &mut scratch,
-        small.amplitudes_mut(),
-        &[0, 1, 2],
-        shm.gates(),
-    );
-    apply_batched_with(&mut scratch, big.amplitudes_mut(), &[0, 1, 2], shm.gates());
-
-    let before = allocs();
-    apply_batched_with(
-        &mut scratch,
-        small.amplitudes_mut(),
-        &[0, 1, 2],
-        shm.gates(),
-    );
-    let small_delta = allocs() - before;
-    let before = allocs();
-    apply_batched_with(&mut scratch, big.amplitudes_mut(), &[0, 1, 2], shm.gates());
-    let big_delta = allocs() - before;
-    assert_eq!(
-        small_delta, big_delta,
-        "group sweep allocates: {small_delta} allocs over 8 groups vs {big_delta} over 512"
-    );
 }
 
 #[test]

@@ -1,24 +1,33 @@
 //! Byte-exactness of the specialized execution hot paths against their
 //! in-tree generic oracles.
 //!
-//! The layout-aware kernels in `atlas_statevec::apply` (unrolled `k ≤ 2`,
-//! contiguous low-window chunks, scratch-cached gather) and the
-//! block-copy relayout in `atlas_machine` are *replacements* for generic
-//! code on the innermost `2^n` sweep — they are only admissible because
-//! they perform the identical floating-point operations in the identical
-//! order. These properties pin that down to the bit: any rounding
-//! difference at all is a failure, not a tolerance question. That is also
-//! the property that keeps thread-count determinism intact, because the
-//! serial and parallel twins are free to take different forms.
+//! The kernels in `atlas_statevec::apply` (one function per family, each
+//! dispatching over layouts — unrolled `k ≤ 2`, contiguous low-window
+//! chunks, scratch-cached strided gather — and running the chosen layout's
+//! loop on one thread or split over several) and the block-copy relayout
+//! in `atlas_machine` are *replacements* for generic code on the innermost
+//! `2^n` sweep — they are only admissible because they perform the
+//! identical floating-point operations in the identical order. These
+//! properties pin that down to the bit: any rounding difference at all is
+//! a failure, not a tolerance question. Every family is checked at every
+//! row of the layout table, at 1, 2 and 3 threads, on slices on both sides
+//! of the work cutoffs below which a kernel stays on one thread — which is
+//! also what keeps thread-count determinism intact.
 
 use atlas::machine::{CostModel, Machine, MachineSpec};
 use atlas::prelude::*;
-use atlas::qmath::{Complex64, Matrix, QubitPermutation};
+use atlas::qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
+use atlas::statevec::apply::{PARALLEL_ELEMENT_CUTOFF, PARALLEL_GROUP_CUTOFF};
+use atlas::statevec::reference::{
+    apply_controlled_matrix_generic, apply_matrix_generic, apply_permutation_generic,
+};
 use atlas::statevec::{
-    apply_batched, apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_parallel,
-    fuse_gates, simulate_reference, StateVector,
+    apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, apply_reduced,
+    fuse_gates, scale, simulate_reference, Scratch, StateVector,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Deterministic dense state from a seed: H/RZ/T walls with seeded angles
 /// plus an entangling ladder.
@@ -72,12 +81,114 @@ fn assert_bits_eq(a: &StateVector, b: &StateVector, label: &str) {
     }
 }
 
+/// Thread counts every kernel runs at: the serial body, an even split and
+/// an uneven one.
+const THREADS: [usize; 3] = [1, 2, 3];
+
+/// Asserts that `kernel(scratch, amps, threads)` turns `base` into exactly
+/// the bits `oracle(amps)` does, at every thread count.
+fn assert_matches_oracle(
+    base: &StateVector,
+    label: &str,
+    oracle: impl Fn(&mut [Complex64]),
+    kernel: impl Fn(&mut Scratch, &mut [Complex64], usize),
+) {
+    let mut want = base.clone();
+    oracle(want.amplitudes_mut());
+    let mut scratch = Scratch::new();
+    for threads in THREADS {
+        let mut got = base.clone();
+        kernel(&mut scratch, got.amplitudes_mut(), threads);
+        assert_bits_eq(&got, &want, &format!("{label} threads={threads}"));
+    }
+}
+
+/// One qubit list per row of the dense dispatch table (module docs of
+/// `atlas_statevec::apply`) on an `n ≥ 10`-qubit slice, plus kernels on
+/// the slice's top qubit.
+fn layout_rows(n: u32) -> Vec<Vec<u32>> {
+    vec![
+        vec![0],           // unrolled k = 1, contiguous pairs
+        vec![n / 2],       // unrolled k = 1, strided
+        vec![n - 1],       // unrolled k = 1 on the top qubit
+        vec![0, 1],        // unrolled k = 2, contiguous
+        vec![n / 2, 1],    // unrolled k = 2, strided
+        vec![0, 1, 2],     // identity_order
+        vec![2, 0, 1],     // low_window
+        vec![1, n / 2, 4], // strided gather
+        vec![n - 1, 0, 3], // strided gather including the top qubit
+    ]
+}
+
+/// Slice sizes (in qubits) that put `k = 1, 2, 3` kernels one size below
+/// and exactly at [`PARALLEL_GROUP_CUTOFF`] groups (`2^{n-k}` of them).
+fn group_cutoff_sizes() -> RangeInclusive<u32> {
+    let bits = PARALLEL_GROUP_CUTOFF.trailing_zeros();
+    bits..=bits + 3
+}
+
+/// Slice sizes one below and exactly at [`PARALLEL_ELEMENT_CUTOFF`]
+/// amplitudes.
+fn element_cutoff_sizes() -> RangeInclusive<u32> {
+    let bits = PARALLEL_ELEMENT_CUTOFF.trailing_zeros();
+    bits - 1..=bits
+}
+
+/// The inputs a family is checked on: the proptest-drawn `(n, qubits)`
+/// case, then every [`layout_rows`] row at each of `sizes`, each paired
+/// with a seeded dense state of its size.
+fn inputs(
+    drawn: (u32, Vec<u32>),
+    sizes: RangeInclusive<u32>,
+    seed: u64,
+) -> Vec<(Vec<u32>, StateVector)> {
+    let mut cases = vec![drawn];
+    for n in sizes {
+        cases.extend(layout_rows(n).into_iter().map(|qs| (n, qs)));
+    }
+    let mut states = BTreeMap::new();
+    cases
+        .into_iter()
+        .map(|(n, qs)| {
+            let state = states.entry(n).or_insert_with(|| dense_state(n, seed));
+            (qs, state.clone())
+        })
+        .collect()
+}
+
+/// The proptest-drawn qubit list: `k` qubits of an `n`-qubit slice in
+/// seed-dependent order, either the low window `{0..k}` or any subset.
+fn drawn_qubits(n: u32, k: usize, seed: u64, contiguous: bool) -> Vec<u32> {
+    let k = k.min(n as usize);
+    if contiguous {
+        qubit_subset(k as u32, k, seed)
+    } else {
+        qubit_subset(n, k, seed)
+    }
+}
+
+/// Seeded unit phases, one per basis state of a `dim`-dimensional kernel.
+fn seeded_phases(dim: usize, seed: u64) -> Vec<Complex64> {
+    (0..dim)
+        .map(|x| Complex64::cis(0.2 * x as f64 + (seed % 31) as f64))
+        .collect()
+}
+
+/// The oracle of the element-wise passes: one multiply per amplitude, in
+/// index order (a whole-slice scale is the `qs = []` case).
+fn diag_oracle(amps: &mut [Complex64], qs: &[u32], diag: &[Complex64]) {
+    for (i, a) in amps.iter_mut().enumerate() {
+        *a *= diag[extract_bits(i as u64, qs) as usize];
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dispatched `apply_matrix` (and its thread-parallel twin) are
-    /// byte-identical to the generic oracle for every k = 1..=5, across
-    /// contiguous (low-window) and strided qubit subsets in random order.
+    /// `apply_matrix` is byte-identical to the generic oracle for every
+    /// k = 1..=5 across contiguous (low-window) and strided qubit subsets
+    /// in random order, and at every layout row on both sides of the
+    /// group cutoff.
     #[test]
     fn apply_matrix_fast_paths_match_generic_bitwise(
         n in 6u32..11,
@@ -85,29 +196,20 @@ proptest! {
         seed in any::<u64>(),
         contiguous in any::<bool>(),
     ) {
-        let k = k.min(n as usize);
-        let qs: Vec<u32> = if contiguous {
-            // Low window {0..k} in seed-dependent order.
-            qubit_subset(k as u32, k, seed)
-        } else {
-            qubit_subset(n, k, seed)
-        };
-        let m = seeded_unitary(n, &qs, seed);
-        let base = dense_state(n, seed);
-
-        let mut fast = base.clone();
-        apply_matrix(fast.amplitudes_mut(), &qs, &m);
-        let mut generic = base.clone();
-        apply_matrix_generic(generic.amplitudes_mut(), &qs, &m);
-        assert_bits_eq(&fast, &generic, &format!("serial qs={qs:?}"));
-
-        let mut par = base.clone();
-        apply_matrix_parallel(par.amplitudes_mut(), &qs, &m, 4);
-        assert_bits_eq(&par, &generic, &format!("parallel qs={qs:?}"));
+        let drawn = (n, drawn_qubits(n, k, seed, contiguous));
+        for (qs, base) in inputs(drawn, group_cutoff_sizes(), seed) {
+            let m = seeded_unitary(base.num_qubits(), &qs, seed);
+            assert_matches_oracle(
+                &base,
+                &format!("dense n={} qs={qs:?}", base.num_qubits()),
+                |amps| apply_matrix_generic(amps, &qs, &m),
+                |scratch, amps, threads| apply_matrix(scratch, amps, &qs, &m, threads),
+            );
+        }
     }
 
-    /// Dispatched `apply_permutation` matches its generic oracle bitwise
-    /// over random in-kernel permutations with random phases.
+    /// `apply_permutation` matches its generic oracle bitwise over random
+    /// in-kernel permutations with random phases.
     #[test]
     fn apply_permutation_fast_paths_match_generic_bitwise(
         n in 6u32..11,
@@ -115,31 +217,26 @@ proptest! {
         seed in any::<u64>(),
         contiguous in any::<bool>(),
     ) {
-        let k = k.min(n as usize);
-        let qs: Vec<u32> = if contiguous {
-            qubit_subset(k as u32, k, seed)
-        } else {
-            qubit_subset(n, k, seed)
-        };
-        let dim = 1usize << k;
-        // Seeded permutation of the kernel basis + seeded unit phases.
-        let dst: Vec<u32> = qubit_subset(dim as u32, dim, seed ^ 0xABCD);
-        let phase: Vec<Complex64> = (0..dim)
-            .map(|x| Complex64::cis(0.2 * x as f64 + (seed % 31) as f64))
-            .collect();
-        let base = dense_state(n, seed);
-
-        let mut fast = base.clone();
-        atlas::statevec::apply::apply_permutation(fast.amplitudes_mut(), &qs, &dst, &phase);
-        let mut generic = base.clone();
-        atlas::statevec::apply::apply_permutation_generic(
-            generic.amplitudes_mut(), &qs, &dst, &phase,
-        );
-        assert_bits_eq(&fast, &generic, &format!("perm qs={qs:?} dst={dst:?}"));
+        let drawn = (n, drawn_qubits(n, k, seed, contiguous));
+        for (qs, base) in inputs(drawn, group_cutoff_sizes(), seed) {
+            let dim = 1usize << qs.len();
+            // Seeded permutation of the kernel basis + seeded unit phases.
+            let dst: Vec<u32> = qubit_subset(dim as u32, dim, seed ^ 0xABCD);
+            let phase = seeded_phases(dim, seed);
+            assert_matches_oracle(
+                &base,
+                &format!("perm n={} qs={qs:?} dst={dst:?}", base.num_qubits()),
+                |amps| apply_permutation_generic(amps, &qs, &dst, &phase),
+                |scratch, amps, threads| {
+                    apply_permutation(scratch, amps, &qs, &dst, &phase, threads)
+                },
+            );
+        }
     }
 
-    /// Scratch-arena `apply_controlled_matrix` matches its generic oracle
-    /// bitwise.
+    /// `apply_controlled_matrix` matches its generic oracle bitwise; the
+    /// layout rows with at least two qubits split into one control and the
+    /// remaining targets.
     #[test]
     fn apply_controlled_matrix_matches_generic_bitwise(
         n in 6u32..11,
@@ -147,79 +244,78 @@ proptest! {
         kt in 1usize..3,
         seed in any::<u64>(),
     ) {
-        let all = qubit_subset(n, kc + kt, seed);
-        let (controls, targets) = all.split_at(kc);
-        let m = seeded_unitary(n, targets, seed);
-        let base = dense_state(n, seed);
-
-        let mut fast = base.clone();
-        atlas::statevec::apply::apply_controlled_matrix(
-            fast.amplitudes_mut(), controls, targets, &m,
-        );
-        let mut generic = base.clone();
-        atlas::statevec::apply::apply_controlled_matrix_generic(
-            generic.amplitudes_mut(), controls, targets, &m,
-        );
-        assert_bits_eq(&fast, &generic, &format!("ctrl {controls:?}->{targets:?}"));
+        let drawn = (n, qubit_subset(n, kc + kt, seed));
+        for (i, (all, base)) in inputs(drawn, group_cutoff_sizes(), seed).into_iter().enumerate() {
+            if all.len() < 2 {
+                continue;
+            }
+            let (controls, targets) = all.split_at(if i == 0 { kc } else { 1 });
+            let m = seeded_unitary(base.num_qubits(), targets, seed);
+            assert_matches_oracle(
+                &base,
+                &format!("ctrl n={} {controls:?}->{targets:?}", base.num_qubits()),
+                |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
+                |scratch, amps, threads| {
+                    apply_controlled_matrix(scratch, amps, controls, targets, &m, threads)
+                },
+            );
+        }
     }
 
-    /// The compiled batched path is byte-identical to gathering the batch
-    /// and applying each remapped gate through `apply_gate` (the shape of
-    /// the pre-refactor implementation).
+    /// The element-wise families (`apply_diag`, `scale`) and the three
+    /// branches of `apply_reduced` (1×1 scalar, diagonal, dense) match
+    /// their oracles bitwise on both sides of the cutoff that governs each.
     #[test]
-    fn apply_batched_matches_gatherwise_reference_bitwise(
-        n in 4u32..9,
+    fn elementwise_and_reduced_kernels_match_their_oracles_bitwise(
+        n in 6u32..11,
+        k in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let b = 3.min(n as usize);
-        let active = qubit_subset(n, b, seed);
-        let mut kernel = Circuit::new(n);
-        kernel
-            .h(active[0])
-            .rz(0.4 + (seed % 7) as f64, active[1 % b])
-            .cx(active[0], active[1 % b])
-            .t(active[b - 1])
-            .cp(0.9, active[b - 1], active[0]);
-        let base = dense_state(n, seed);
-
-        let mut fast = base.clone();
-        apply_batched(fast.amplitudes_mut(), &active, kernel.gates());
-
-        // Reference: explicit gather → per-gate apply_gate → scatter.
-        let mut reference = base.clone();
-        let mut sorted = active.clone();
-        sorted.sort_unstable();
-        let dim = 1usize << b;
-        let offsets: Vec<u64> = (0..dim as u64)
-            .map(|x| atlas::qmath::deposit_bits(x, &sorted))
-            .collect();
-        let remapped: Vec<Gate> = kernel
-            .gates()
-            .iter()
-            .map(|g| {
-                let local: Vec<u32> = g
-                    .qubits
-                    .iter()
-                    .map(|q| sorted.iter().position(|&aq| aq == q).unwrap() as u32)
-                    .collect();
-                Gate::new(g.kind, &local)
-            })
-            .collect();
-        let amps = reference.amplitudes_mut();
-        let mut buf = vec![Complex64::ZERO; dim];
-        for g in 0..(amps.len() >> b) as u64 {
-            let base_idx = atlas::qmath::insert_bits(g, &sorted);
-            for (x, off) in offsets.iter().enumerate() {
-                buf[x] = amps[(base_idx | off) as usize];
+        let drawn = (n, drawn_qubits(n, k, seed, false));
+        let factor = Complex64::cis(0.4 + (seed % 17) as f64);
+        let mut scalar = Matrix::zeros(1, 1);
+        scalar[(0, 0)] = factor;
+        for (qs, base) in inputs(drawn.clone(), element_cutoff_sizes(), seed) {
+            let n = base.num_qubits();
+            let diag = seeded_phases(1 << qs.len(), seed);
+            let mut diag_matrix = Matrix::zeros(diag.len(), diag.len());
+            for (x, &d) in diag.iter().enumerate() {
+                diag_matrix[(x, x)] = d;
             }
-            for gate in &remapped {
-                apply_gate(&mut buf, gate);
-            }
-            for (x, off) in offsets.iter().enumerate() {
-                amps[(base_idx | off) as usize] = buf[x];
-            }
+            assert_matches_oracle(
+                &base,
+                &format!("diag n={n} qs={qs:?}"),
+                |amps| diag_oracle(amps, &qs, &diag),
+                |_, amps, threads| apply_diag(amps, &qs, &diag, threads),
+            );
+            assert_matches_oracle(
+                &base,
+                &format!("reduced-diag n={n} qs={qs:?}"),
+                |amps| diag_oracle(amps, &qs, &diag),
+                |scratch, amps, threads| apply_reduced(scratch, amps, &qs, &diag_matrix, threads),
+            );
+            assert_matches_oracle(
+                &base,
+                &format!("scale n={n}"),
+                |amps| diag_oracle(amps, &[], &[factor]),
+                |_, amps, threads| scale(amps, factor, threads),
+            );
+            assert_matches_oracle(
+                &base,
+                &format!("reduced-scalar n={n}"),
+                |amps| diag_oracle(amps, &[], &[factor]),
+                |scratch, amps, threads| apply_reduced(scratch, amps, &[], &scalar, threads),
+            );
         }
-        assert_bits_eq(&fast, &reference, &format!("batched {active:?}"));
+        for (qs, base) in inputs(drawn, group_cutoff_sizes(), seed) {
+            let m = seeded_unitary(base.num_qubits(), &qs, seed);
+            assert_matches_oracle(
+                &base,
+                &format!("reduced-dense n={} qs={qs:?}", base.num_qubits()),
+                |amps| apply_matrix_generic(amps, &qs, &m),
+                |scratch, amps, threads| apply_reduced(scratch, amps, &qs, &m, threads),
+            );
+        }
     }
 
     /// The block-copy relayout engine is byte-identical to the
