@@ -732,8 +732,8 @@ fn cost_eq(a: f64, b: f64) -> bool {
 mod tests {
     use super::*;
     use atlas_circuit::{Gate, GateKind};
-    use atlas_core::config::AtlasConfig;
-    use atlas_core::exec;
+    use atlas_core::{AtlasConfig, Planner};
+    use atlas_machine::MachineSpec;
 
     fn ghz(n: u32) -> Circuit {
         let mut c = Circuit::new(n);
@@ -744,17 +744,23 @@ mod tests {
         c
     }
 
-    fn plan_of(circuit: &Circuit, l: u32, g: u32) -> (FullPlan, CostModel) {
-        let cost = CostModel::default();
-        let cfg = AtlasConfig::default();
-        let plan = exec::plan(circuit, l, g, &cost, &cfg).unwrap();
-        (plan, cost)
+    /// Plans `circuit` at L = 4, G = 1.
+    fn plan_of(circuit: &Circuit) -> (FullPlan, CostModel) {
+        let spec = MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 4,
+        };
+        let compiled = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+            .plan(circuit)
+            .unwrap();
+        (compiled.plan().clone(), compiled.cost().clone())
     }
 
     #[test]
     fn clean_plans_verify() {
         let circuit = ghz(8);
-        let (plan, cost) = plan_of(&circuit, 4, 1);
+        let (plan, cost) = plan_of(&circuit);
         let report = verify_plan(&circuit, &plan, &cost).unwrap();
         assert_eq!(report.stages, plan.stages.len());
         assert!(report.effects_materialized);
@@ -765,7 +771,7 @@ mod tests {
     #[test]
     fn wrong_circuit_is_rejected() {
         let circuit = ghz(8);
-        let (plan, cost) = plan_of(&circuit, 4, 1);
+        let (plan, cost) = plan_of(&circuit);
         let err = verify_plan(&ghz(9), &plan, &cost).unwrap_err();
         assert_eq!(err.invariant, Invariant::PlanShape);
     }

@@ -26,7 +26,7 @@ pub mod qdao;
 pub mod swap_based;
 
 use atlas_circuit::Circuit;
-use atlas_core::config::{AtlasConfig, StagingAlgo};
+use atlas_core::{AtlasConfig, Planner};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineReport, MachineSpec};
 use atlas_statevec::StateVector;
@@ -48,30 +48,21 @@ pub fn hyquas(
     cost: CostModel,
     dry: bool,
 ) -> Result<BaselineOutput, AtlasError> {
-    let mut cfg = AtlasConfig::hyquas_like();
-    cfg.final_unpermute = !dry;
-    let out = atlas_core::simulate(circuit, spec, cost, &cfg, dry)?;
+    let cfg = AtlasConfig {
+        final_unpermute: !dry,
+        ..AtlasConfig::hyquas_like()
+    };
+    let compiled = Planner::new(spec, cost, cfg).plan(circuit)?;
+    if dry {
+        return Ok(BaselineOutput {
+            report: compiled.dry_run(),
+            state: None,
+        });
+    }
+    let run = compiled.execute(circuit)?;
     Ok(BaselineOutput {
-        report: out.report,
-        state: out.state,
-    })
-}
-
-/// HyQuas-like with Atlas' ILP staging (ablation helper: isolates the
-/// kernelization difference).
-pub fn hyquas_with_ilp_staging(
-    circuit: &Circuit,
-    spec: MachineSpec,
-    cost: CostModel,
-    dry: bool,
-) -> Result<BaselineOutput, AtlasError> {
-    let mut cfg = AtlasConfig::hyquas_like();
-    cfg.staging = StagingAlgo::IlpSearch;
-    cfg.final_unpermute = !dry;
-    let out = atlas_core::simulate(circuit, spec, cost, &cfg, dry)?;
-    Ok(BaselineOutput {
-        report: out.report,
-        state: out.state,
+        report: run.report,
+        state: run.state,
     })
 }
 

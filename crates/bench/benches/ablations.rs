@@ -12,14 +12,8 @@
 
 use atlas_bench::{families, geomean, section, write_csv};
 use atlas_core::config::{AtlasConfig, KernelAlgo, StagingAlgo};
+use atlas_core::Planner;
 use atlas_machine::{CostModel, MachineSpec};
-
-fn model_time(circuit: &atlas_circuit::Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> f64 {
-    atlas_core::simulate(circuit, spec, CostModel::default(), cfg, true)
-        .expect("dry run")
-        .report
-        .total_secs
-}
 
 fn main() {
     let spec = MachineSpec {
@@ -72,7 +66,11 @@ fn main() {
             kernelizer: ka,
             ..Default::default()
         };
-        let times: Vec<f64> = circuits.iter().map(|c| model_time(c, spec, &cfg)).collect();
+        let planner = Planner::new(spec, CostModel::default(), cfg);
+        let times: Vec<f64> = circuits
+            .iter()
+            .map(|c| planner.plan(c).expect("plan").dry_run().total_secs)
+            .collect();
         let g = geomean(&times);
         if atlas_time == 0.0 {
             atlas_time = g;
@@ -88,12 +86,13 @@ fn main() {
             inter_node_cost_factor: c_factor,
             ..Default::default()
         };
+        let planner = Planner::new(spec, CostModel::default(), cfg);
         let mut times = Vec::new();
         let mut costs = Vec::new();
         for c in &circuits {
-            let out = atlas_core::simulate(c, spec, CostModel::default(), &cfg, true).unwrap();
-            times.push(out.report.total_secs);
-            costs.push(out.plan.staging_cost as f64 + 1.0);
+            let compiled = planner.plan(c).expect("plan");
+            times.push(compiled.dry_run().total_secs);
+            costs.push(compiled.plan().staging_cost as f64 + 1.0);
         }
         println!(
             "{c_factor:<8} {:>14.4} {:>18.2}",

@@ -9,7 +9,7 @@
 
 use atlas_baselines as baselines;
 use atlas_bench::{families, geomean, section, weak_scaling_ladder, write_csv};
-use atlas_core::config::AtlasConfig;
+use atlas_core::{AtlasConfig, Planner};
 use atlas_machine::CostModel;
 
 fn main() {
@@ -34,9 +34,11 @@ fn main() {
         );
         for (li, &(gpus, spec, n)) in ladder.iter().enumerate() {
             let circuit = fam.generate(n);
-            let atlas_out = atlas_core::simulate(&circuit, spec, cost.clone(), &cfg, true)
-                .expect("atlas dry run");
-            let t_atlas = atlas_out.report.total_secs;
+            let atlas_report = Planner::new(spec, cost.clone(), cfg.clone())
+                .plan(&circuit)
+                .expect("atlas plan")
+                .dry_run();
+            let t_atlas = atlas_report.total_secs;
             let t_hyq = baselines::hyquas(&circuit, spec, cost.clone(), true)
                 .expect("hyquas")
                 .report
@@ -59,8 +61,8 @@ fn main() {
                 "{},{gpus},{n},{t_atlas},{t_hyq},{t_cuq},{t_qis}",
                 fam.name()
             ));
-            per_gpu_breakdown[li].1.push(atlas_out.report.comm_secs);
-            per_gpu_breakdown[li].2.push(atlas_out.report.total_secs);
+            per_gpu_breakdown[li].1.push(atlas_report.comm_secs);
+            per_gpu_breakdown[li].2.push(atlas_report.total_secs);
         }
     }
     println!(

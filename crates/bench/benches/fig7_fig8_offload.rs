@@ -6,7 +6,7 @@
 use atlas_baselines as baselines;
 use atlas_bench::{section, write_csv};
 use atlas_circuit::generators::Family;
-use atlas_core::config::AtlasConfig;
+use atlas_core::{AtlasConfig, Planner};
 use atlas_machine::{CostModel, MachineSpec};
 
 fn main() {
@@ -19,9 +19,10 @@ fn main() {
     for n in 28..=32u32 {
         let circuit = Family::Qft.generate(n);
         let spec = MachineSpec::single_gpu(28);
-        let t_atlas = atlas_core::simulate(&circuit, spec, cost.clone(), &cfg, true)
+        let t_atlas = Planner::new(spec, cost.clone(), cfg.clone())
+            .plan(&circuit)
             .expect("atlas")
-            .report
+            .dry_run()
             .total_secs;
         // QDAO with the paper's fastest setting m=28, t=19.
         let t_qdao = baselines::qdao_run(&circuit, spec, cost.clone(), 28, 19)
@@ -49,9 +50,10 @@ fn main() {
             gpus_per_node: gpus,
             local_qubits: 28,
         };
-        let t_atlas = atlas_core::simulate(&circuit, spec, cost.clone(), &cfg, true)
+        let t_atlas = Planner::new(spec, cost.clone(), cfg.clone())
+            .plan(&circuit)
             .expect("atlas")
-            .report
+            .dry_run()
             .total_secs;
         let t_qdao = baselines::qdao_run(&circuit, spec, cost.clone(), 28, 19)
             .expect("qdao")

@@ -5,7 +5,7 @@
 //!
 //! * **kernel** — a dense 5-qubit fused unitary applied to a 24-qubit
 //!   amplitude array via `apply_matrix` (the intra-shard path);
-//! * **end-to-end** — a functional `simulate` of QAOA-24 on a 2×2-GPU
+//! * **end-to-end** — a functional plan + execute of QAOA-24 on a 2×2-GPU
 //!   shape (8 shards), exercising the shard-parallel engine, the
 //!   `FastKernel` classification and the all-to-all barriers.
 //!
@@ -17,7 +17,7 @@
 
 use atlas_circuit::Circuit;
 use atlas_core::config::AtlasConfig;
-use atlas_core::simulate::simulate;
+use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_qmath::Complex64;
 use atlas_statevec::{apply_gate, apply_matrix, fuse_gates, scratch, StateVector};
@@ -62,8 +62,11 @@ fn simulate_qaoa24(threads: usize) {
         threads,
         ..AtlasConfig::default()
     };
-    let out = simulate(&circuit, spec, CostModel::default(), &cfg, false).unwrap();
-    assert!(out.report.kernels > 0);
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .unwrap();
+    let run = compiled.execute(&circuit).unwrap();
+    assert!(run.report.kernels > 0);
 }
 
 fn bench_parallel(c: &mut Criterion) {

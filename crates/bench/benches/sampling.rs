@@ -20,7 +20,7 @@
 //! interpretable across hosts.
 
 use atlas_core::config::AtlasConfig;
-use atlas_core::simulate::simulate;
+use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_sampler::{Measurements, PauliString, SAMPLE_CHUNK_BITS};
 use criterion::{criterion_group, Criterion};
@@ -41,10 +41,10 @@ fn measurements_for(n: u32, l: u32, threads: usize) -> Measurements {
         final_unpermute: false,
         ..AtlasConfig::default()
     };
-    simulate(&circuit, spec, CostModel::default(), &cfg, false)
-        .expect("simulate")
-        .measurements
-        .expect("functional run")
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .expect("plan");
+    compiled.execute(&circuit).expect("execute").measurements
 }
 
 fn bench_sampling(c: &mut Criterion) {

@@ -6,16 +6,15 @@
 //! kernelize DP) runs once, then every sweep point pays EXECUTE only —
 //! per-point execute time is reported *excluding* planning, which is
 //! the property the API exists to provide. For contrast the JSON also
-//! records the one-shot `simulate()` cost per point (plan + execute
-//! fused, the pre-session behavior) and the resulting amortization
-//! factor.
+//! records the cost of one point that re-plans (`plan` + `execute`
+//! back to back, what a sweep that ignored the `CompiledPlan` would
+//! pay per point) and the resulting amortization factor.
 //!
 //! Single-core CI containers record `host_cpus` so wall-clock numbers
 //! stay interpretable across hosts.
 
 use atlas_core::config::AtlasConfig;
 use atlas_core::session::Planner;
-use atlas_core::simulate::simulate;
 use atlas_machine::{CostModel, MachineSpec};
 use criterion::{criterion_group, Criterion};
 use std::time::Instant;
@@ -67,11 +66,11 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
 fn sweep_shape_json(n: u32, host_cpus: usize) -> String {
     let base = atlas_circuit::generators::qaoa(n);
     let spec = spec_for(n);
-    let cfg = AtlasConfig::builder()
-        .threads(host_cpus.min(8))
-        .build()
-        .expect("valid config");
-    let planner = Planner::new(spec, CostModel::default(), cfg.clone());
+    let cfg = AtlasConfig {
+        threads: host_cpus.min(8),
+        ..AtlasConfig::default()
+    };
+    let planner = Planner::new(spec, CostModel::default(), cfg);
 
     // PARTITION once, timed.
     let t = Instant::now();
@@ -89,9 +88,10 @@ fn sweep_shape_json(n: u32, host_cpus: usize) -> String {
     }
     let mean_execute = execute_secs.iter().sum::<f64>() / POINTS as f64;
 
-    // The pre-session one-shot path for contrast: plan + execute fused.
+    // One re-planning point for contrast: plan + execute back to back.
     let one_shot_secs = best_of(1, || {
-        simulate(&base, spec, CostModel::default(), &cfg, false).expect("simulate");
+        let replanned = planner.plan(&base).expect("plan");
+        replanned.execute(&base).expect("execute");
     });
 
     let sweep_session = plan_secs + execute_secs.iter().sum::<f64>();

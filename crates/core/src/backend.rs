@@ -1,13 +1,13 @@
 //! Backend dispatch: one planning entry point
-//! ([`Planner::plan_backend`]), three engines behind a common
-//! [`SimulatorBackend`] trait.
+//! ([`Planner::plan_backend`]) returning a [`BackendPlan`] — a closed
+//! enum over three engines, dispatched by `match` — whose
+//! [`BackendPlan::run`] yields a [`BackendRun`].
 //!
 //! The session flow (plan once → execute many → sample/expect) is
 //! engine-agnostic: what varies is *how* a circuit runs, not how plans
 //! are keyed (the [`CircuitFingerprint`]) or how results are queried
 //! (shots, Pauli expectations, basis-state probabilities). This module
-//! factors that flow into a trait and adds two engines next to the
-//! sharded statevector:
+//! adds two engines next to the sharded statevector:
 //!
 //! * **Stabilizer** ([`StabilizerPlan`]): all-Clifford circuits replay
 //!   on the CHP tableau in polynomial time — thousands of qubits where
@@ -38,45 +38,6 @@ pub const HYBRID_MIN_PREFIX: usize = 4;
 /// conversion materializes `2^n` amplitudes.
 pub const HYBRID_MAX_QUBITS: u32 = 30;
 
-/// The engine-agnostic session flow: a compiled plan that fingerprints
-/// one circuit structure and executes any circuit matching it.
-///
-/// Implemented by [`CompiledPlan`] (statevector), [`StabilizerPlan`]
-/// (tableau), [`HybridPlan`] (tableau prefix + statevector suffix) and
-/// the [`BackendPlan`] dispatcher.
-pub trait SimulatorBackend {
-    /// The structural fingerprint this plan was compiled from.
-    fn fingerprint(&self) -> &CircuitFingerprint;
-
-    /// The CLI name of the engine that will run the circuit.
-    fn backend_name(&self) -> &'static str;
-
-    /// Whether `circuit` may run under this plan (same structure, any
-    /// gate parameters).
-    fn accepts(&self, circuit: &Circuit) -> bool {
-        CircuitFingerprint::of(circuit) == *self.fingerprint()
-    }
-
-    /// Executes a structure-matching circuit, returning the unified
-    /// query surface.
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError>;
-}
-
-impl SimulatorBackend for CompiledPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        CompiledPlan::fingerprint(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "statevec"
-    }
-
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        self.execute(circuit)
-            .map(|e| BackendRun::Statevec(Box::new(e)))
-    }
-}
-
 /// A compiled stabilizer-backend plan: the fingerprint plus the run
 /// configuration. There is no PARTITION stage — tableau replay needs no
 /// staging, kernelization or machine shape — so "planning" is
@@ -103,27 +64,9 @@ impl StabilizerPlan {
     pub fn config(&self) -> &AtlasConfig {
         &self.cfg
     }
-}
-
-impl SimulatorBackend for StabilizerPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        &self.fingerprint
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "stabilizer"
-    }
 
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        if !self.accepts(circuit) {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    CircuitFingerprint::of(circuit).hash(),
-                    self.fingerprint.hash(),
-                ),
-            });
-        }
+        self.fingerprint.check(circuit)?;
         let rec = &self.cfg.recorder;
         let t = rec.start();
         let tableau = Tableau::from_circuit(circuit)?;
@@ -172,36 +115,8 @@ pub struct HybridPlan {
 }
 
 impl HybridPlan {
-    /// Number of leading gates handled by the tableau.
-    pub fn prefix_len(&self) -> usize {
-        self.prefix_len
-    }
-
-    /// The statevector plan covering the non-Clifford suffix.
-    pub fn suffix_plan(&self) -> &CompiledPlan {
-        &self.suffix
-    }
-}
-
-impl SimulatorBackend for HybridPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        &self.fingerprint
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "hybrid"
-    }
-
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        if !self.accepts(circuit) {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    CircuitFingerprint::of(circuit).hash(),
-                    self.fingerprint.hash(),
-                ),
-            });
-        }
+        self.fingerprint.check(circuit)?;
         let (prefix, suffix) = split_circuit(circuit, self.prefix_len);
         let tableau = Tableau::from_circuit(&prefix)?;
         let state = tableau.to_statevector()?;
@@ -231,18 +146,18 @@ impl BackendPlan {
             BackendPlan::Hybrid(p) => p.suffix.config(),
         }
     }
-}
 
-impl SimulatorBackend for BackendPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
+    /// The structural fingerprint this plan was compiled from.
+    pub fn fingerprint(&self) -> &CircuitFingerprint {
         match self {
-            BackendPlan::Statevec(p) => SimulatorBackend::fingerprint(p),
-            BackendPlan::Stabilizer(p) => p.fingerprint(),
-            BackendPlan::Hybrid(p) => p.fingerprint(),
+            BackendPlan::Statevec(p) => p.fingerprint(),
+            BackendPlan::Stabilizer(p) => &p.fingerprint,
+            BackendPlan::Hybrid(p) => &p.fingerprint,
         }
     }
 
-    fn backend_name(&self) -> &'static str {
+    /// The CLI name of the engine that will run the circuit.
+    pub fn backend_name(&self) -> &'static str {
         match self {
             BackendPlan::Statevec(_) => "statevec",
             BackendPlan::Stabilizer(_) => "stabilizer",
@@ -250,9 +165,19 @@ impl SimulatorBackend for BackendPlan {
         }
     }
 
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
+    /// Whether `circuit` may run under this plan (same structure, any
+    /// gate parameters).
+    pub fn accepts(&self, circuit: &Circuit) -> bool {
+        CircuitFingerprint::of(circuit) == *self.fingerprint()
+    }
+
+    /// Executes a structure-matching circuit, returning the unified
+    /// query surface; [`AtlasError::PlanMismatch`] otherwise.
+    pub fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
         match self {
-            BackendPlan::Statevec(p) => p.run(circuit),
+            BackendPlan::Statevec(p) => p
+                .execute(circuit)
+                .map(|e| BackendRun::Statevec(Box::new(e))),
             BackendPlan::Stabilizer(p) => p.run(circuit),
             BackendPlan::Hybrid(p) => p.run(circuit),
         }
@@ -298,14 +223,6 @@ impl BackendRun {
         match self {
             BackendRun::Statevec(e) => e.measurements.num_qubits(),
             BackendRun::Stabilizer(r) => r.tableau.num_qubits() as u32,
-        }
-    }
-
-    /// The underlying statevector execution, when there is one.
-    pub fn as_execution(&self) -> Option<&Execution> {
-        match self {
-            BackendRun::Statevec(e) => Some(e),
-            BackendRun::Stabilizer(_) => None,
         }
     }
 

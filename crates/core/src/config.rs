@@ -1,10 +1,12 @@
-//! Tunable parameters of the Atlas pipeline, with the paper's defaults,
-//! and the validating [`AtlasConfig::builder`] that rejects incoherent
-//! combinations at construction time.
+//! Tunable parameters of the Atlas pipeline, with the paper's defaults.
+//!
+//! An [`AtlasConfig`] is a plain struct literal over [`Default`];
+//! [`AtlasConfig::validate`] is the one rule set, enforced at every door
+//! into the engine (`Planner::plan`, `Planner::plan_backend`, the serve
+//! pool's constructor).
 
 use atlas_error::AtlasError;
 use atlas_telemetry::Recorder;
-use std::time::Duration;
 
 /// Which algorithm picks the stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,16 +190,9 @@ pub struct AtlasConfig {
     /// operating point.
     pub max_stages: usize,
     /// Node budget for the generic ILP solver per `s` attempt — the
-    /// **sole default budget**. Node counts are a pure function of the
-    /// model, so the chosen plan is identical on every machine.
+    /// **sole budget**. Node counts are a pure function of the model, so
+    /// the chosen plan is identical on every machine.
     pub ilp_node_limit: u64,
-    /// Opt-in wall-clock budget for the generic ILP solver per `s`
-    /// attempt. `None` (the default) disables it. Setting a time limit
-    /// **breaks plan reproducibility**: the solver's incumbent at the
-    /// cutoff depends on machine speed and load, so the same circuit can
-    /// stage differently across hosts or runs — never rely on
-    /// byte-identical plans (or plan-cache determinism) with this set.
-    pub ilp_time_limit: Option<Duration>,
     /// Beam width of the staging search solver.
     pub staging_beam_width: usize,
     /// Staging algorithm.
@@ -218,10 +213,10 @@ pub struct AtlasConfig {
     pub threads: usize,
     /// Measurement shots to draw after a functional run (`0` = none).
     /// Sampling runs on the sharded state and the bitstrings land in
-    /// `SimulationOutput::samples`; with a fixed [`seed`] they are
+    /// `Execution::samples`; with a fixed [`seed`] they are
     /// byte-identical for every thread count and machine shape. (More
     /// shots can always be drawn later through
-    /// `SimulationOutput::measurements`.)
+    /// `Execution::measurements`.)
     ///
     /// [`seed`]: AtlasConfig::seed
     pub shots: usize,
@@ -264,7 +259,6 @@ impl Default for AtlasConfig {
             pruning_threshold: 500,
             max_stages: 512,
             ilp_node_limit: 2_000_000,
-            ilp_time_limit: None,
             staging_beam_width: 64,
             staging: StagingAlgo::IlpSearch,
             kernelizer: KernelAlgo::Dp,
@@ -282,34 +276,30 @@ impl Default for AtlasConfig {
 }
 
 impl AtlasConfig {
-    /// Starts a validating builder pre-loaded with the paper defaults.
+    /// Checks the configuration for incoherent combinations, so a bad
+    /// literal fails with a typed [`AtlasError::InvalidConfig`] at the
+    /// API boundary instead of deep inside the pipeline. `Planner::plan`,
+    /// `Planner::plan_backend` and the serve pool's constructor all call
+    /// this; nothing reaches the engine unvalidated.
     ///
-    /// Unlike struct-literal construction, [`AtlasConfigBuilder::build`]
-    /// rejects incoherent combinations (`threads = 0`, a sampling seed
-    /// without shots, a zero solver budget for the chosen staging
-    /// algorithm, …) with a typed [`AtlasError::InvalidConfig`] — so a
-    /// bad configuration fails at the API boundary instead of deep
-    /// inside the pipeline or via ad-hoc CLI checks.
+    /// Rejected (each with a message naming the offending field): zero
+    /// `threads`; a non-zero `seed` without `shots` or `noise`; a `noise`
+    /// probability outside `[0, 1]`; zero `trajectories` under noise;
+    /// zero `max_stages`; a negative Eq. 2 cost factor (zero stays legal
+    /// as the communication-cost-blind ablation); a zero beam width
+    /// under `IlpSearch`; a zero node budget under `GenericIlp`; a zero
+    /// memory budget; and a degenerate kernelizer (`Dp` with
+    /// `pruning_threshold = 0`, greedy packers with `max_qubits = 0`).
+    /// Only the final combination counts — a knob the chosen algorithms
+    /// never read (e.g. the beam width under `Snuqs`) may hold any value.
     ///
     /// ```
     /// use atlas_core::AtlasConfig;
-    /// let cfg = AtlasConfig::builder().threads(8).shots(1024).build().unwrap();
-    /// assert_eq!((cfg.threads, cfg.shots), (8, 1024));
-    /// assert!(AtlasConfig::builder().threads(0).build().is_err());
+    /// let cfg = AtlasConfig { threads: 8, shots: 1024, ..AtlasConfig::default() };
+    /// assert!(cfg.validate().is_ok());
+    /// let bad = AtlasConfig { threads: 0, ..AtlasConfig::default() };
+    /// assert!(bad.validate().is_err());
     /// ```
-    pub fn builder() -> AtlasConfigBuilder {
-        AtlasConfigBuilder {
-            cfg: AtlasConfig::default(),
-            seed_set: false,
-        }
-    }
-
-    /// Checks an assembled configuration for incoherent combinations —
-    /// the same rules [`AtlasConfigBuilder::build`] enforces. [`Planner`]
-    /// re-validates through this, so hand-built struct literals cannot
-    /// smuggle an invalid configuration past the builder.
-    ///
-    /// [`Planner`]: crate::session::Planner
     pub fn validate(&self) -> Result<(), AtlasError> {
         if self.threads == 0 {
             return Err(AtlasError::invalid_config(
@@ -355,11 +345,9 @@ impl AtlasConfig {
                 "staging_beam_width = 0: the staging search keeps no candidates",
             ));
         }
-        if self.staging == StagingAlgo::GenericIlp
-            && (self.ilp_node_limit == 0 || self.ilp_time_limit.is_some_and(|t| t.is_zero()))
-        {
+        if self.staging == StagingAlgo::GenericIlp && self.ilp_node_limit == 0 {
             return Err(AtlasError::invalid_config(
-                "GenericIlp staging with a zero node/time budget can never \
+                "GenericIlp staging with a zero node budget can never \
                  return a plan",
             ));
         }
@@ -408,287 +396,55 @@ impl AtlasConfig {
     }
 }
 
-/// Validating builder for [`AtlasConfig`], started by
-/// [`AtlasConfig::builder`].
-///
-/// Setters are chainable and loose (any value is accepted);
-/// [`AtlasConfigBuilder::build`] is where coherence is enforced, so one
-/// `Result` covers the whole construction.
-#[derive(Clone, Debug)]
-pub struct AtlasConfigBuilder {
-    cfg: AtlasConfig,
-    /// `seed()` was called — lets `build` reject an explicit seed (even
-    /// `0`) without shots, which the struct-level validate cannot see.
-    seed_set: bool,
-}
-
-impl AtlasConfigBuilder {
-    /// Sets the inter-node communication cost factor `c` (Eq. 2).
-    pub fn inter_node_cost_factor(mut self, c: i64) -> Self {
-        self.cfg.inter_node_cost_factor = c;
-        self
-    }
-
-    /// Sets the kernelization DP pruning threshold `T` (Appendix B-f).
-    pub fn pruning_threshold(mut self, t: usize) -> Self {
-        self.cfg.pruning_threshold = t;
-        self
-    }
-
-    /// Sets the maximum number of stages Algorithm 2 will try.
-    pub fn max_stages(mut self, s: usize) -> Self {
-        self.cfg.max_stages = s;
-        self
-    }
-
-    /// Sets the generic ILP solver's node budget per stage-count attempt.
-    pub fn ilp_node_limit(mut self, nodes: u64) -> Self {
-        self.cfg.ilp_node_limit = nodes;
-        self
-    }
-
-    /// Opts in to a wall-clock budget per stage-count attempt for the
-    /// generic ILP solver.
-    ///
-    /// **Breaks plan reproducibility**: the incumbent at a wall-clock
-    /// cutoff depends on machine speed and load, so the same circuit
-    /// can stage differently across hosts or runs. The deterministic
-    /// [`ilp_node_limit`](AtlasConfigBuilder::ilp_node_limit) is the
-    /// default budget; reach for this only when latency control
-    /// outweighs determinism (and never in front of a shared plan
-    /// cache).
-    pub fn ilp_time_limit(mut self, limit: Duration) -> Self {
-        self.cfg.ilp_time_limit = Some(limit);
-        self
-    }
-
-    /// Sets the beam width of the staging search solver.
-    pub fn staging_beam_width(mut self, w: usize) -> Self {
-        self.cfg.staging_beam_width = w;
-        self
-    }
-
-    /// Picks the staging algorithm.
-    pub fn staging(mut self, algo: StagingAlgo) -> Self {
-        self.cfg.staging = algo;
-        self
-    }
-
-    /// Picks the kernelization algorithm.
-    pub fn kernelizer(mut self, algo: KernelAlgo) -> Self {
-        self.cfg.kernelizer = algo;
-        self
-    }
-
-    /// Unpermute the final state back to the identity layout after the
-    /// last stage (validation-style runs).
-    pub fn final_unpermute(mut self, yes: bool) -> Self {
-        self.cfg.final_unpermute = yes;
-        self
-    }
-
-    /// Sets the host-thread budget of the functional executor.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Sets the number of measurement shots to pre-draw after a
-    /// functional run.
-    pub fn shots(mut self, shots: usize) -> Self {
-        self.cfg.shots = shots;
-        self
-    }
-
-    /// Sets the seed of the counter-based measurement RNG. Requires
-    /// [`shots`](AtlasConfigBuilder::shots) `> 0` or
-    /// [`noise`](AtlasConfigBuilder::noise) `> 0` at build time — a seed
-    /// with nothing to draw is an [`AtlasError::InvalidConfig`].
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self.seed_set = true;
-        self
-    }
-
-    /// Sets the per-qubit depolarizing error probability (Pauli-twirled
-    /// stochastic trajectories).
-    pub fn noise(mut self, p: f64) -> Self {
-        self.cfg.noise = p;
-        self
-    }
-
-    /// Sets the number of stochastic trajectories averaged under noise.
-    pub fn trajectories(mut self, k: usize) -> Self {
-        self.cfg.trajectories = k;
-        self
-    }
-
-    /// Picks the simulation backend.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Sets the peak-memory admission budget for functional EXECUTE
-    /// requests (checked before any amplitude allocation).
-    pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.cfg.memory_budget = budget;
-        self
-    }
-
-    /// Attaches a telemetry recorder (spans, counters, metrics). The
-    /// default — a disabled handle — records nothing at zero cost.
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.cfg.recorder = recorder;
-        self
-    }
-
-    /// Validates the assembled configuration and returns it.
-    ///
-    /// Rejected combinations (each a distinct
-    /// [`AtlasError::InvalidConfig`] message): zero threads, a seed
-    /// without shots or noise, a noise probability outside `[0, 1]`,
-    /// zero trajectories under noise, zero `max_stages`, a negative
-    /// Eq. 2 cost factor
-    /// (zero stays legal as the communication-cost-blind ablation), a
-    /// zero beam width under `IlpSearch`, a zero ILP budget
-    /// under `GenericIlp`, and a degenerate kernelizer (`Dp` with
-    /// `pruning_threshold = 0`, greedy packers with `max_qubits = 0`).
-    pub fn build(self) -> Result<AtlasConfig, AtlasError> {
-        if self.seed_set && self.cfg.shots == 0 && self.cfg.noise == 0.0 {
-            return Err(AtlasError::invalid_config(format!(
-                "seed {} set without shots or noise: the seed only affects \
-                 shot sampling and noise-trajectory draws",
-                self.cfg.seed
-            )));
-        }
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One row per rule of `validate()`: every incoherent literal must
+    /// be rejected with `AtlasError::InvalidConfig` (the variant the CLI
+    /// maps to a usage error), with a message naming the offending knob.
     #[test]
-    fn builder_defaults_match_struct_defaults() {
-        let built = AtlasConfig::builder().build().unwrap();
-        let default = AtlasConfig::default();
-        assert_eq!(built.inter_node_cost_factor, default.inter_node_cost_factor);
-        // The wall-clock ILP budget is opt-in: a default-on time limit
-        // would make the chosen plan depend on machine load.
-        assert_eq!(built.ilp_time_limit, None);
-        assert_eq!(default.ilp_time_limit, None);
-        assert_eq!(built.pruning_threshold, default.pruning_threshold);
-        assert_eq!(built.max_stages, default.max_stages);
-        assert_eq!(built.staging, default.staging);
-        assert_eq!(built.kernelizer, default.kernelizer);
-        assert_eq!(built.threads, default.threads);
-        assert_eq!(built.shots, default.shots);
-        assert_eq!(built.seed, default.seed);
-    }
-
-    #[test]
-    fn builder_sets_every_field() {
-        let cfg = AtlasConfig::builder()
-            .inter_node_cost_factor(5)
-            .pruning_threshold(100)
-            .max_stages(32)
-            .ilp_node_limit(1000)
-            .ilp_time_limit(Duration::from_secs(2))
-            .staging_beam_width(8)
-            .staging(StagingAlgo::Snuqs)
-            .kernelizer(KernelAlgo::Greedy(5))
-            .final_unpermute(true)
-            .threads(8)
-            .shots(1024)
-            .seed(7)
-            .memory_budget(MemoryBudget::bytes(1 << 20))
-            .recorder(Recorder::enabled())
-            .build()
-            .unwrap();
-        assert!(cfg.recorder.is_enabled());
-        assert_eq!(cfg.memory_budget, MemoryBudget::bytes(1 << 20));
-        assert_eq!(cfg.inter_node_cost_factor, 5);
-        assert_eq!(cfg.pruning_threshold, 100);
-        assert_eq!(cfg.max_stages, 32);
-        assert_eq!(cfg.ilp_node_limit, 1000);
-        assert_eq!(cfg.ilp_time_limit, Some(Duration::from_secs(2)));
-        assert_eq!(cfg.staging_beam_width, 8);
-        assert_eq!(cfg.staging, StagingAlgo::Snuqs);
-        assert_eq!(cfg.kernelizer, KernelAlgo::Greedy(5));
-        assert!(cfg.final_unpermute);
-        assert_eq!((cfg.threads, cfg.shots, cfg.seed), (8, 1024, 7));
-    }
-
-    /// Every invalid combination must be rejected with
-    /// `AtlasError::InvalidConfig` (the variant the CLI maps to a usage
-    /// error), each with a message naming the offending knob.
-    #[test]
-    fn builder_rejects_incoherent_combinations() {
-        use atlas_error::AtlasError;
-        let cases: Vec<(AtlasConfigBuilder, &str)> = vec![
-            (AtlasConfig::builder().threads(0), "threads"),
-            (AtlasConfig::builder().seed(3), "seed"),
-            // An explicit zero seed without shots is still incoherent.
-            (AtlasConfig::builder().seed(0), "seed"),
-            (AtlasConfig::builder().max_stages(0), "max_stages"),
-            (AtlasConfig::builder().noise(-0.1), "noise"),
-            (AtlasConfig::builder().noise(1.5), "noise"),
-            (AtlasConfig::builder().noise(f64::NAN), "noise"),
+    fn validate_rejects_incoherent_combinations() {
+        use KernelAlgo::{Dp, Greedy, GreedyHybrid};
+        use StagingAlgo::{GenericIlp, IlpSearch};
+        type Spoil = fn(&mut AtlasConfig);
+        let cases: [(Spoil, &str); 14] = [
+            (|c| c.threads = 0, "threads"),
+            (|c| c.seed = 3, "seed"),
+            (|c| c.noise = -0.1, "noise"),
+            (|c| c.noise = 1.5, "noise"),
+            (|c| c.noise = f64::NAN, "noise"),
+            (|c| (c.noise, c.trajectories) = (0.05, 0), "trajectories"),
+            (|c| c.max_stages = 0, "max_stages"),
+            (|c| c.inter_node_cost_factor = -1, "inter_node_cost_factor"),
             (
-                AtlasConfig::builder().noise(0.05).trajectories(0),
-                "trajectories",
-            ),
-            (
-                AtlasConfig::builder().inter_node_cost_factor(-1),
-                "inter_node_cost_factor",
-            ),
-            (
-                AtlasConfig::builder()
-                    .staging(StagingAlgo::IlpSearch)
-                    .staging_beam_width(0),
+                |c| (c.staging, c.staging_beam_width) = (IlpSearch, 0),
                 "staging_beam_width",
             ),
             (
-                AtlasConfig::builder()
-                    .staging(StagingAlgo::GenericIlp)
-                    .ilp_node_limit(0),
+                |c| (c.staging, c.ilp_node_limit) = (GenericIlp, 0),
                 "budget",
             ),
             (
-                AtlasConfig::builder()
-                    .staging(StagingAlgo::GenericIlp)
-                    .ilp_time_limit(Duration::ZERO),
-                "budget",
-            ),
-            (
-                AtlasConfig::builder()
-                    .kernelizer(KernelAlgo::Dp)
-                    .pruning_threshold(0),
-                "pruning_threshold",
-            ),
-            (
-                AtlasConfig::builder().kernelizer(KernelAlgo::Greedy(0)),
-                "max_qubits",
-            ),
-            (
-                AtlasConfig::builder().kernelizer(KernelAlgo::GreedyHybrid(0)),
-                "max_qubits",
-            ),
-            (
-                AtlasConfig::builder().memory_budget(MemoryBudget::bytes(0)),
+                |c| c.memory_budget = MemoryBudget::bytes(0),
                 "memory_budget",
             ),
+            (
+                |c| (c.kernelizer, c.pruning_threshold) = (Dp, 0),
+                "pruning_threshold",
+            ),
+            (|c| c.kernelizer = Greedy(0), "max_qubits"),
+            (|c| c.kernelizer = GreedyHybrid(0), "max_qubits"),
         ];
-        for (builder, needle) in cases {
-            match builder.clone().build() {
+        for (spoil, needle) in cases {
+            let mut cfg = AtlasConfig::default();
+            spoil(&mut cfg);
+            match cfg.validate() {
                 Err(AtlasError::InvalidConfig { reason }) => assert!(
                     reason.contains(needle),
                     "expected reason mentioning '{needle}', got: {reason}"
                 ),
-                other => panic!("{builder:?} should be rejected, got {other:?}"),
+                other => panic!("{cfg:?} should be rejected, got {other:?}"),
             }
         }
     }
@@ -696,17 +452,23 @@ mod tests {
     #[test]
     fn seed_is_coherent_with_noise_alone() {
         // A noisy run draws trajectory selectors from the seed even with
-        // zero shots, so seed + noise (no shots) must build.
-        let cfg = AtlasConfig::builder()
-            .seed(11)
-            .noise(0.02)
-            .trajectories(4)
-            .build()
-            .unwrap();
-        assert_eq!((cfg.seed, cfg.noise, cfg.trajectories), (11, 0.02, 4));
+        // zero shots, so seed + noise (no shots) must validate.
+        let d = AtlasConfig::default;
+        let cfg = AtlasConfig {
+            seed: 11,
+            noise: 0.02,
+            trajectories: 4,
+            ..d()
+        };
+        assert!(cfg.validate().is_ok());
         // Boundary probabilities are legal.
-        assert!(AtlasConfig::builder().noise(0.0).build().is_ok());
-        assert!(AtlasConfig::builder().noise(1.0).shots(1).build().is_ok());
+        assert!(AtlasConfig { noise: 0.0, ..d() }.validate().is_ok());
+        let certain = AtlasConfig {
+            noise: 1.0,
+            shots: 1,
+            ..d()
+        };
+        assert!(certain.validate().is_ok());
     }
 
     #[test]
@@ -727,23 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn incoherence_is_judged_at_build_not_per_setter() {
-        // seed-then-shots is fine: only the final combination counts.
-        let cfg = AtlasConfig::builder().seed(9).shots(16).build().unwrap();
-        assert_eq!((cfg.seed, cfg.shots), (9, 16));
+    fn only_the_knobs_the_chosen_algorithms_read_are_judged() {
+        let d = AtlasConfig::default;
+        let seeded = AtlasConfig {
+            seed: 9,
+            shots: 16,
+            ..d()
+        };
+        assert!(seeded.validate().is_ok());
         // Zero beam width is fine for solvers that don't use it.
-        let cfg = AtlasConfig::builder()
-            .staging(StagingAlgo::Snuqs)
-            .staging_beam_width(0)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.staging_beam_width, 0);
+        let snuqs = AtlasConfig {
+            staging: StagingAlgo::Snuqs,
+            staging_beam_width: 0,
+            ..d()
+        };
+        assert!(snuqs.validate().is_ok());
         // Zero pruning threshold is fine off the DP kernelizer.
-        assert!(AtlasConfig::builder()
-            .kernelizer(KernelAlgo::Ordered)
-            .pruning_threshold(0)
-            .build()
-            .is_ok());
+        let ordered = AtlasConfig {
+            kernelizer: KernelAlgo::Ordered,
+            pruning_threshold: 0,
+            ..d()
+        };
+        assert!(ordered.validate().is_ok());
     }
 
     /// The budget formula is the machine's actual allocation profile:

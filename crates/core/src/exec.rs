@@ -97,7 +97,7 @@ pub struct FullPlan {
     /// Whether staging proved stage-count minimality.
     pub staging_optimal: bool,
     /// The generic ILP's decisive solve status when that staging
-    /// algorithm produced the plan (`Feasible` = a node/time budget cut
+    /// algorithm produced the plan (`Feasible` = the node budget cut
     /// the optimality proof short — the plan is valid but possibly not
     /// cost-minimal). `None` under the search and SnuQS solvers.
     pub solve_status: Option<atlas_ilp::SolveStatus>,
@@ -118,9 +118,8 @@ impl FullPlan {
     /// (outstanding X/Y relabel flips are already applied by `execute`).
     ///
     /// The single source of truth for the post-EXECUTE layout — the
-    /// session API's [`Execution`](crate::session::Execution) and the
-    /// [`simulate`](crate::simulate::simulate) shim both hand this to
-    /// the measurement engine.
+    /// session API's [`Execution`](crate::session::Execution) hands this
+    /// to the measurement engine.
     pub fn final_mapping(&self, final_unpermute: bool) -> Vec<u32> {
         if final_unpermute {
             return (0..self.n).collect();
@@ -254,7 +253,7 @@ fn compile_stage(
 }
 
 /// PARTITION (Algorithm 1, lines 1–8): stage, map, reduce, kernelize.
-pub fn plan(
+pub(crate) fn plan(
     circuit: &Circuit,
     l: u32,
     g: u32,
@@ -265,7 +264,7 @@ pub fn plan(
     let StagingOutcome {
         stages,
         cost: staging_cost,
-        optimal,
+        optimal: staging_optimal,
         solve_status,
     } = staging::stage_circuit(circuit, l, g, cfg)?;
     cfg.recorder.span(
@@ -278,27 +277,9 @@ pub fn plan(
         &[
             ("stages", stages.len() as u64),
             ("cost", staging_cost.max(0) as u64),
-            ("optimal", optimal as u64),
+            ("optimal", staging_optimal as u64),
         ],
     );
-    let mut plan = plan_from_stages(circuit, stages, staging_cost, optimal, l, g, cost, cfg)?;
-    plan.solve_status = solve_status;
-    Ok(plan)
-}
-
-/// PARTITION from a pre-computed staging (used to plan with baseline
-/// staging algorithms for ablations).
-#[allow(clippy::too_many_arguments)]
-pub fn plan_from_stages(
-    circuit: &Circuit,
-    stages: Vec<Stage>,
-    staging_cost: i64,
-    staging_optimal: bool,
-    l: u32,
-    g: u32,
-    cost: &CostModel,
-    cfg: &AtlasConfig,
-) -> Result<FullPlan, AtlasError> {
     let n = circuit.num_qubits();
     let kc = KernelCost::from_machine(cost);
     let t = cfg.recorder.start();
@@ -327,9 +308,7 @@ pub fn plan_from_stages(
         stages: plans,
         staging_cost,
         staging_optimal,
-        // Pre-computed stagings carry no solver status; `plan` overwrites
-        // this for the GenericIlp path.
-        solve_status: None,
+        solve_status,
         kernel_cost,
         l,
         g,
@@ -352,11 +331,16 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
     m
 }
 
-/// EXECUTE (Algorithm 1, lines 9–17).
+/// EXECUTE (Algorithm 1, lines 9–17) — the one function that runs the
+/// stage loop, for functional and dry machines alike.
 ///
 /// The machine must have been initialized with the `|0…0⟩` state (any bit
 /// layout represents it identically) or pre-permuted into stage 0's
-/// layout by the caller.
+/// layout by the caller. `circuit` is only read on the functional path:
+/// a dry walk charges kernels and all-to-alls purely from the compiled
+/// [`FullPlan`] — gate matrices are never built — so a
+/// [`CompiledPlan`](crate::session::CompiledPlan) can replay its cost
+/// model without retaining the circuit it was planned from.
 ///
 /// In functional mode with `cfg.threads > 1`, a persistent worker pool is
 /// spawned for the whole run: each stage's independent shard kernels
@@ -364,25 +348,18 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 /// between stages act as barriers (they run on this thread while the
 /// workers are parked). Amplitudes are bit-identical for every thread
 /// count.
-pub fn execute(machine: &mut Machine, circuit: &Circuit, plan: &FullPlan, cfg: &AtlasConfig) {
-    let done = execute_with(machine, circuit, plan, cfg, &|| false);
-    debug_assert!(done, "a never-stop probe cannot interrupt EXECUTE");
-}
-
-/// EXECUTE with a cooperative interruption probe, polled at every stage
-/// barrier — the natural deterministic preemption point: a stage's
-/// kernels either all ran or none did, so abandoning between stages
-/// leaves no half-applied kernel group.
 ///
-/// Returns `true` when the run completed and `false` when the probe
-/// stopped it; an interrupted machine holds a partial state and must be
-/// dropped, not measured. A probe that always answers `false` makes this
-/// byte-identical to [`execute`] — the poll reads nothing from the state
-/// and writes nothing to it, so the presence of a (never-firing) probe
-/// can never perturb results.
-pub fn execute_with(
+/// `should_stop` is a cooperative interruption probe, polled at every
+/// stage barrier — the natural deterministic preemption point: a stage's
+/// kernels either all ran or none did, so abandoning between stages
+/// leaves no half-applied kernel group. Returns `true` when the run
+/// completed and `false` when the probe stopped it; an interrupted
+/// machine holds a partial state and must be dropped, not measured. The
+/// poll reads nothing from the state and writes nothing to it, so a
+/// never-firing probe cannot perturb results.
+pub(crate) fn execute(
     machine: &mut Machine,
-    circuit: &Circuit,
+    circuit: Option<&Circuit>,
     plan: &FullPlan,
     cfg: &AtlasConfig,
     should_stop: &dyn Fn() -> bool,
@@ -393,98 +370,66 @@ pub fn execute_with(
     } else {
         cfg.threads.max(1)
     };
-    if threads > 1 && machine.num_shards() >= threads {
+    let pooled = threads > 1 && machine.num_shards() >= threads;
+    let mut stage_loop = |pool: &Pool| -> bool {
+        let n = plan.n;
+        let l = plan.l;
+        let num_shards = machine.num_shards();
+        let mut carried_flips = 0u64;
+        let mut prev_mapping: Option<&[u32]> = None;
+
+        for sp in &plan.stages {
+            // Stage-barrier preemption point: between stages the state is a
+            // consistent (if partially evolved) vector, so an interrupted run
+            // simply stops before the next stage's relayout and kernels.
+            if should_stop() {
+                return false;
+            }
+            // Stage transition: relayout + fold pending flips.
+            if let Some(pm) = prev_mapping {
+                let mut perm_map = vec![0u32; n as usize];
+                for q in 0..n as usize {
+                    perm_map[pm[q] as usize] = sp.mapping[q];
+                }
+                let perm = QubitPermutation::from_map(perm_map);
+                let f = permute_mask(&perm, carried_flips);
+                machine.permute_state(&perm, f);
+                carried_flips = 0;
+            }
+
+            execute_stage(machine, circuit, sp, l, num_shards, pool);
+            carried_flips ^= sp.flips;
+            machine.stage_barrier();
+            prev_mapping = Some(&sp.mapping);
+        }
+
+        // Final unpermute to the identity layout (validation runs).
+        if cfg.final_unpermute {
+            if let Some(pm) = prev_mapping {
+                let mut perm_map = vec![0u32; n as usize];
+                for q in 0..n as usize {
+                    perm_map[pm[q] as usize] = q as u32;
+                }
+                let perm = QubitPermutation::from_map(perm_map);
+                let f = permute_mask(&perm, carried_flips);
+                machine.permute_state(&perm, f);
+            }
+        } else if carried_flips != 0 && !machine.is_dry() {
+            // Apply outstanding relabels so gathered state is consistent with
+            // the final mapping.
+            machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips);
+        }
+        true
+    };
+    if pooled {
         // Enough independent shards to keep every worker busy.
-        atlas_statevec::with_pool(threads, |pool| {
-            execute_on(machine, Some(circuit), plan, cfg, pool, should_stop)
-        })
+        atlas_statevec::with_pool(threads, stage_loop)
     } else {
         // Fewer shards than threads (or serial): no workers to park —
         // shards run inline and each kernel spends the budget on
         // intra-shard group parallelism instead.
-        execute_on(
-            machine,
-            Some(circuit),
-            plan,
-            cfg,
-            &Pool::inline(threads),
-            should_stop,
-        )
+        stage_loop(&Pool::inline(threads))
     }
-}
-
-/// EXECUTE in dry-run (clock model only) mode, without the circuit.
-///
-/// A dry walk charges kernels and all-to-alls purely from the compiled
-/// [`FullPlan`] — gate matrices are never built — so a
-/// [`CompiledPlan`](crate::session::CompiledPlan) can replay its cost
-/// model without retaining the circuit it was planned from. The machine
-/// must have been created with `dry = true`.
-pub fn execute_dry(machine: &mut Machine, plan: &FullPlan, cfg: &AtlasConfig) {
-    assert!(machine.is_dry(), "execute_dry needs a dry-mode machine");
-    execute_on(machine, None, plan, cfg, &Pool::inline(1), &|| false);
-}
-
-/// The body of [`execute`] / [`execute_dry`], parameterized on the
-/// worker pool. `circuit` is only read on the functional path (dry
-/// stages charge costs straight from the plan). Returns `false` when
-/// `should_stop` interrupted the run at a stage barrier.
-fn execute_on(
-    machine: &mut Machine,
-    circuit: Option<&Circuit>,
-    plan: &FullPlan,
-    cfg: &AtlasConfig,
-    pool: &Pool,
-    should_stop: &dyn Fn() -> bool,
-) -> bool {
-    let n = plan.n;
-    let l = plan.l;
-    let num_shards = machine.num_shards();
-    let mut carried_flips = 0u64;
-    let mut prev_mapping: Option<&[u32]> = None;
-
-    for sp in &plan.stages {
-        // Stage-barrier preemption point: between stages the state is a
-        // consistent (if partially evolved) vector, so an interrupted run
-        // simply stops before the next stage's relayout and kernels.
-        if should_stop() {
-            return false;
-        }
-        // Stage transition: relayout + fold pending flips.
-        if let Some(pm) = prev_mapping {
-            let mut perm_map = vec![0u32; n as usize];
-            for q in 0..n as usize {
-                perm_map[pm[q] as usize] = sp.mapping[q];
-            }
-            let perm = QubitPermutation::from_map(perm_map);
-            let f = permute_mask(&perm, carried_flips);
-            machine.permute_state(&perm, f);
-            carried_flips = 0;
-        }
-
-        execute_stage(machine, circuit, sp, l, num_shards, pool);
-        carried_flips ^= sp.flips;
-        machine.stage_barrier();
-        prev_mapping = Some(&sp.mapping);
-    }
-
-    // Final unpermute to the identity layout (validation runs).
-    if cfg.final_unpermute {
-        if let Some(pm) = prev_mapping {
-            let mut perm_map = vec![0u32; n as usize];
-            for q in 0..n as usize {
-                perm_map[pm[q] as usize] = q as u32;
-            }
-            let perm = QubitPermutation::from_map(perm_map);
-            let f = permute_mask(&perm, carried_flips);
-            machine.permute_state(&perm, f);
-        }
-    } else if carried_flips != 0 && !machine.is_dry() {
-        // Apply outstanding relabels so gathered state is consistent with
-        // the final mapping.
-        machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips);
-    }
-    true
 }
 
 /// Applies a bit permutation to a bitmask.

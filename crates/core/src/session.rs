@@ -176,6 +176,25 @@ impl CircuitFingerprint {
     pub fn num_gates(&self) -> usize {
         self.num_gates
     }
+
+    /// The acceptance test every engine's run applies before touching
+    /// any state: `Ok(())` when `circuit` has this fingerprint,
+    /// [`AtlasError::PlanMismatch`] otherwise.
+    pub(crate) fn check(&self, circuit: &Circuit) -> Result<(), AtlasError> {
+        let fp = CircuitFingerprint::of(circuit);
+        if fp == *self {
+            return Ok(());
+        }
+        Err(AtlasError::PlanMismatch {
+            reason: format!(
+                "circuit ({} qubits, {} gates, hash {:#018x}) does not match \
+                 the planned structure ({} qubits, {} gates, hash {:#018x}); \
+                 plans are reusable across same-structure circuits only — \
+                 re-plan for a structurally different circuit",
+                fp.num_qubits, fp.num_gates, fp.hash, self.num_qubits, self.num_gates, self.hash,
+            ),
+        })
+    }
 }
 
 /// Phase 1 of a session: captures the machine shape, cost model and
@@ -203,9 +222,10 @@ pub struct Planner {
 impl Planner {
     /// Creates a planner for one machine shape + cost model + config.
     ///
-    /// Construction is infallible; [`Planner::plan`] validates the
-    /// configuration (so a hand-built struct literal cannot bypass
-    /// [`AtlasConfig::builder`]'s rules) and the circuit/shape fit.
+    /// Construction is infallible; [`Planner::plan`] runs
+    /// [`AtlasConfig::validate`] (a config is a plain struct literal, so
+    /// the planning door is where its rules are enforced) and checks the
+    /// circuit/shape fit.
     pub fn new(spec: MachineSpec, cost: CostModel, cfg: AtlasConfig) -> Self {
         Planner { spec, cost, cfg }
     }
@@ -231,8 +251,7 @@ impl Planner {
     ///
     /// Errors: [`AtlasError::InvalidConfig`] for an incoherent
     /// configuration, [`AtlasError::CircuitTooSmall`] when
-    /// `n < L + G`, and the staging/kernelization failures of
-    /// [`exec::plan`].
+    /// `n < L + G`, and staging failures (e.g. `max_stages` exhausted).
     pub fn plan(&self, circuit: &Circuit) -> Result<CompiledPlan, AtlasError> {
         self.cfg.validate()?;
         let n = circuit.num_qubits();
@@ -319,13 +338,6 @@ impl CompiledPlan {
         self.plan.stages.len()
     }
 
-    /// Consumes the session wrapper and returns the bare [`FullPlan`]
-    /// (the [`simulate`](crate::simulate::simulate) shim's output keeps
-    /// exposing the plan this way).
-    pub fn into_plan(self) -> FullPlan {
-        self.plan
-    }
-
     /// Checks that `circuit` may run under this plan.
     pub fn accepts(&self, circuit: &Circuit) -> bool {
         CircuitFingerprint::of(circuit) == self.fingerprint
@@ -356,23 +368,7 @@ impl CompiledPlan {
         circuit: &Circuit,
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<Execution>, AtlasError> {
-        let fp = CircuitFingerprint::of(circuit);
-        if fp != self.fingerprint {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit ({} qubits, {} gates, hash {:#018x}) does not match \
-                     the planned structure ({} qubits, {} gates, hash {:#018x}); \
-                     plans are reusable across same-structure circuits only — \
-                     re-plan for a structurally different circuit",
-                    fp.num_qubits,
-                    fp.num_gates,
-                    fp.hash,
-                    self.fingerprint.num_qubits,
-                    self.fingerprint.num_gates,
-                    self.fingerprint.hash,
-                ),
-            });
-        }
+        self.fingerprint.check(circuit)?;
         // Admission control: compute the run's peak bytes (state +
         // ping-pong spare + scratch) *before* allocating anything.
         self.cfg
@@ -394,15 +390,7 @@ impl CompiledPlan {
         circuit: &Circuit,
         initial: &StateVector,
     ) -> Result<Execution, AtlasError> {
-        let fp = CircuitFingerprint::of(circuit);
-        if fp != self.fingerprint {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    fp.hash, self.fingerprint.hash,
-                ),
-            });
-        }
+        self.fingerprint.check(circuit)?;
         if initial.num_qubits() != self.plan.n {
             return Err(AtlasError::invalid_plan(format!(
                 "initial state has {} qubits, plan expects {}",
@@ -437,7 +425,13 @@ impl CompiledPlan {
                 }
             }
         }
-        if !exec::execute_with(&mut machine, circuit, &self.plan, &self.cfg, should_stop) {
+        if !exec::execute(
+            &mut machine,
+            Some(circuit),
+            &self.plan,
+            &self.cfg,
+            should_stop,
+        ) {
             // Interrupted at a stage barrier: the state is partial —
             // drop it unmeasured.
             return Ok(None);
@@ -476,7 +470,8 @@ impl CompiledPlan {
     pub fn dry_run(&self) -> MachineReport {
         let mut machine = Machine::new(self.spec, self.cost.clone(), self.plan.n, true);
         machine.set_recorder(self.cfg.recorder.clone());
-        exec::execute_dry(&mut machine, &self.plan, &self.cfg);
+        let done = exec::execute(&mut machine, None, &self.plan, &self.cfg, &|| false);
+        debug_assert!(done, "a never-stop probe cannot interrupt EXECUTE");
         machine.report()
     }
 }
@@ -507,7 +502,8 @@ pub struct Execution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_circuit::generators;
+    use atlas_circuit::generators::{self, Family};
+    use atlas_statevec::simulate_reference;
 
     fn small_spec() -> MachineSpec {
         MachineSpec {
@@ -652,24 +648,130 @@ mod tests {
         }
     }
 
+    // ---- engine tests: PARTITION + EXECUTE against the dense reference ----
+
+    fn check_family(fam: Family, n: u32, spec: MachineSpec) {
+        let circuit = fam.generate(n);
+        let cfg = AtlasConfig::for_validation();
+        let run = Planner::new(spec, CostModel::default(), cfg)
+            .plan(&circuit)
+            .and_then(|compiled| compiled.execute(&circuit))
+            .unwrap_or_else(|e| panic!("{fam:?} n={n}: {e}"));
+        let got = run.state.expect("final_unpermute gathers the state");
+        let want = simulate_reference(&circuit);
+        let diff = got.max_abs_diff(&want);
+        assert!(
+            diff < 1e-9,
+            "{fam:?} n={n} L={} G={}: distributed result diverged by {diff}",
+            spec.local_qubits,
+            spec.global_qubits()
+        );
+    }
+
     #[test]
-    fn dry_run_matches_simulate_dry_report() {
-        let circuit = generators::qaoa(10);
+    fn all_families_match_reference_on_multi_gpu() {
+        // 2 nodes × 2 GPUs, L = n-3: every family must agree with the
+        // reference amplitudes through staging, kernelization, insular
+        // specialization and the all-to-alls.
+        for fam in Family::table1() {
+            let n = 9;
+            let spec = MachineSpec {
+                nodes: 2,
+                gpus_per_node: 2,
+                local_qubits: n - 3,
+            };
+            check_family(fam, n, spec);
+        }
+    }
+
+    #[test]
+    fn qft_matches_on_many_small_shards() {
+        // Aggressive split: L = 5 on an 10-qubit circuit → 32 shards,
+        // multiple stages guaranteed.
+        let spec = MachineSpec {
+            nodes: 4,
+            gpus_per_node: 2,
+            local_qubits: 5,
+        };
+        check_family(Family::Qft, 10, spec);
+        check_family(Family::Su2Random, 10, spec);
+        check_family(Family::WState, 10, spec);
+    }
+
+    #[test]
+    fn offloaded_execution_matches() {
+        // More shards than GPUs: DRAM offload path.
+        let spec = MachineSpec {
+            nodes: 1,
+            gpus_per_node: 2,
+            local_qubits: 5,
+        };
+        check_family(Family::Ae, 10, spec);
+        check_family(Family::Ghz, 10, spec);
+    }
+
+    #[test]
+    fn single_gpu_no_staging() {
+        let spec = MachineSpec::single_gpu(8);
+        check_family(Family::Vqc, 8, spec);
+    }
+
+    #[test]
+    fn functional_run_hands_out_measurements_without_unpermute() {
+        // No final unpermute: the state stays in the last stage's layout,
+        // yet the measurement handle reports logical-order results that
+        // match the dense reference.
+        let circuit = Family::Qft.generate(9);
         let spec = MachineSpec {
             nodes: 2,
             gpus_per_node: 2,
-            local_qubits: 7,
+            local_qubits: 6,
         };
-        let cfg = AtlasConfig::default();
-        let compiled = Planner::new(spec, CostModel::default(), cfg.clone())
+        let cfg = AtlasConfig {
+            shots: 32,
+            seed: 11,
+            ..AtlasConfig::default() // final_unpermute = false
+        };
+        let run = Planner::new(spec, CostModel::default(), cfg)
             .plan(&circuit)
-            .unwrap();
-        let session = compiled.dry_run();
-        let shim = crate::simulate::simulate(&circuit, spec, CostModel::default(), &cfg, true)
             .unwrap()
-            .report;
-        assert_eq!(session.total_secs.to_bits(), shim.total_secs.to_bits());
-        assert_eq!(session.kernels, shim.kernels);
+            .execute(&circuit)
+            .unwrap();
+        assert!(run.state.is_none(), "no gather without final_unpermute");
+        let m = run.measurements;
+        // cfg.shots/cfg.seed drew the samples already.
+        let samples = run.samples.expect("cfg.shots > 0 pre-draws samples");
+        assert_eq!(samples.len(), 32);
+        assert_eq!(samples, m.sample(32, 11));
+        let want = simulate_reference(&circuit);
+        for x in [0u64, 1, 100, 511] {
+            assert!((m.probability(x) - want.probability(x)).abs() < 1e-9);
+        }
+        let top = m.top(4);
+        let dense = want.top_probabilities(4);
+        assert_eq!(
+            top.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            dense.iter().map(|&(i, _)| i).collect::<Vec<_>>()
+        );
+        assert!((m.total_norm() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dry_run_produces_report_without_state() {
+        // Paper scale: 2^30 amplitudes are never allocated — the dry walk
+        // charges the clock model straight from the plan.
+        let circuit = Family::Qft.generate(30);
+        let spec = MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 26,
+        };
+        let report = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+            .plan(&circuit)
+            .unwrap()
+            .dry_run();
+        assert!(report.total_secs > 0.0);
+        assert!(report.kernels > 0);
     }
 
     use atlas_circuit::Circuit;

@@ -220,7 +220,6 @@ fn stage_generic_ilp(
 ) -> Result<(RawStaging, bool, SolveStatus), AtlasError> {
     let solver_cfg = SolverConfig {
         node_limit: cfg.ilp_node_limit,
-        time_limit: cfg.ilp_time_limit,
     };
     let mut proof_intact = true;
     for s in 1..=cfg.max_stages {

@@ -64,9 +64,9 @@ pub enum AtlasError {
         /// Which invariant broke.
         reason: String,
     },
-    /// A configuration was rejected at construction time (the
-    /// `AtlasConfig` builder refuses incoherent combinations instead of
-    /// letting them fail deep inside the pipeline).
+    /// A configuration was rejected at a planning door
+    /// (`AtlasConfig::validate` refuses incoherent combinations instead
+    /// of letting them fail deep inside the pipeline).
     InvalidConfig {
         /// Which combination is incoherent.
         reason: String,

@@ -13,7 +13,7 @@
 //! * caller-supplied branching priorities (the staging model branches on
 //!   the qubit-partition variables `A`/`B` first and lets propagation fix
 //!   the derived `F`/`S`/`T` variables),
-//! * node and time budgets with a faithful status report
+//! * a deterministic node budget with a faithful status report
 //!   ([`SolveStatus::Optimal`] / [`Feasible`](SolveStatus::Feasible) /
 //!   [`Infeasible`](SolveStatus::Infeasible) /
 //!   [`Unknown`](SolveStatus::Unknown)).

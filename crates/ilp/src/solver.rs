@@ -2,28 +2,21 @@
 
 use crate::model::{CmpOp, Model, VarId};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// Search budget and reporting knobs.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     /// Maximum number of branch nodes explored before giving up. The
-    /// sole default budget: node counts are a pure function of the
-    /// model, so two runs on any two machines stop at the same node and
-    /// return the same incumbent.
+    /// sole budget: node counts are a pure function of the model, so
+    /// two runs on any two machines stop at the same node and return
+    /// the same incumbent.
     pub node_limit: u64,
-    /// Opt-in wall-clock budget. `None` (the default) disables it:
-    /// a wall-clock cutoff makes the returned incumbent depend on
-    /// machine speed and load, so enabling it trades reproducibility
-    /// for latency control.
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             node_limit: 20_000_000,
-            time_limit: None,
         }
     }
 }
@@ -273,11 +266,6 @@ impl<'m> Search<'m> {
 pub fn solve(model: &Model, config: &SolverConfig) -> Solution {
     let mut s = Search::new(model);
     s.in_queue = vec![false; s.cons.len()];
-    // Only touch the wall clock when a time limit was actually requested:
-    // the default deterministic path (`time_limit: None`) must not depend
-    // on — or even observe — real time.
-    // lint: allow(wall-clock) — gated on an explicit opt-in time budget.
-    let start = config.time_limit.map(|_| Instant::now());
 
     // Root propagation: seed every constraint once.
     for ci in 0..s.cons.len() as u32 {
@@ -305,13 +293,7 @@ pub fn solve(model: &Model, config: &SolverConfig) -> Solution {
                 // Forced backtrack to look for better solutions.
             } else {
                 s.nodes += 1;
-                if s.nodes >= config.node_limit
-                    || (s.nodes.is_multiple_of(1024)
-                        && config
-                            .time_limit
-                            .zip(start)
-                            .is_some_and(|(t, s0)| s0.elapsed() >= t))
-                {
+                if s.nodes >= config.node_limit {
                     budget_hit = true;
                     break 'search;
                 }
@@ -620,11 +602,11 @@ mod tests {
 
     #[test]
     fn default_budget_is_node_only() {
-        // The node limit is deterministic (a pure function of the model);
-        // a wall-clock limit makes the incumbent depend on machine load,
-        // so it must never be on by default.
-        assert!(SolverConfig::default().time_limit.is_none());
-        assert_eq!(SolverConfig::default().node_limit, 20_000_000);
+        // The node limit is deterministic (a pure function of the model)
+        // and the only budget there is: exhaustive destructuring fails
+        // to compile if a second (e.g. wall-clock) budget is ever added.
+        let SolverConfig { node_limit } = SolverConfig::default();
+        assert_eq!(node_limit, 20_000_000);
     }
 
     #[test]
@@ -636,13 +618,7 @@ mod tests {
         for (i, &v) in vs.iter().enumerate() {
             m.set_objective(v, ((i * 7) % 13) as i64 - 6);
         }
-        let sol = solve(
-            &m,
-            &SolverConfig {
-                node_limit: 4,
-                ..Default::default()
-            },
-        );
+        let sol = solve(&m, &SolverConfig { node_limit: 4 });
         assert!(matches!(
             sol.status,
             SolveStatus::Feasible | SolveStatus::Unknown

@@ -27,8 +27,8 @@
 //! byte-LUT [`atlas_qmath::IndexPermuter`] — not by re-laying-out
 //! amplitudes.
 //!
-//! Entry point: [`Measurements`], handed out by
-//! `atlas_core::simulate::SimulationOutput` for functional runs.
+//! Entry point: [`Measurements`], handed out as
+//! `atlas_core::session::Execution::measurements` by every functional run.
 //!
 //! [`Machine::logical_chunk_norms`]: atlas_machine::Machine::logical_chunk_norms
 //! [`Machine::resolve_targets`]: atlas_machine::Machine::resolve_targets

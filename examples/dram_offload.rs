@@ -31,16 +31,18 @@ fn main() {
     );
 
     let cfg = AtlasConfig::for_validation();
-    let out =
-        simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
-    let state = out.state.expect("functional run");
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .expect("planning failed");
+    let run = compiled.execute(&circuit).expect("execution failed");
+    let state = run.state.expect("final_unpermute gathers the state");
     let reference = simulate_reference(&circuit);
 
     println!("qft-{n} through a single simulated GPU holding 2^16 amplitudes");
     println!("  shards (DRAM)   : {}", spec.num_shards(n));
-    println!("  stages          : {}", out.plan.stages.len());
-    println!("  swap time       : {:.4} s", out.report.swap_secs);
-    println!("  total model time: {:.4} s", out.report.total_secs);
+    println!("  stages          : {}", compiled.num_stages());
+    println!("  swap time       : {:.4} s", run.report.swap_secs);
+    println!("  total model time: {:.4} s", run.report.total_secs);
     println!(
         "  max |Δamp| vs reference: {:.2e}",
         state.max_abs_diff(&reference)
@@ -51,22 +53,19 @@ fn main() {
     let n = 30;
     let circuit = atlas::circuit::generators::qft(n);
     let spec = MachineSpec::single_gpu(28);
-    let atlas_out = simulate(
-        &circuit,
-        spec,
-        CostModel::default(),
-        &AtlasConfig::default(),
-        true, // dry run: clock model only
-    )
-    .expect("dry run failed");
+    // Dry run: the clock model alone, no amplitudes.
+    let atlas = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+        .plan(&circuit)
+        .expect("planning failed")
+        .dry_run();
     let qdao = baselines::qdao_run(&circuit, spec, CostModel::default(), 28, 19)
         .expect("qdao model failed");
 
     println!("\nqft-{n} beyond GPU memory on 1 GPU (dry-run clock model):");
-    println!("  Atlas : {:8.2} s", atlas_out.report.total_secs);
+    println!("  Atlas : {:8.2} s", atlas.total_secs);
     println!("  QDAO  : {:8.2} s", qdao.report.total_secs);
     println!(
         "  speedup: {:.0}×",
-        qdao.report.total_secs / atlas_out.report.total_secs
+        qdao.report.total_secs / atlas.total_secs
     );
 }

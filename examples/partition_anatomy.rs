@@ -7,19 +7,24 @@
 //! cargo run --release --example partition_anatomy
 //! ```
 
-use atlas::core::exec;
 use atlas::core::plan::KernelKind;
 use atlas::prelude::*;
 
 fn main() {
     let n = 12;
-    let l = 7;
-    let g = 2;
     let circuit = atlas::circuit::generators::qft(n);
-    let cost = CostModel::default();
-    let cfg = AtlasConfig::default();
+    // 4 nodes × 8 GPUs holding 2^7 amplitudes each: L = 7, R = 3, G = 2.
+    let spec = MachineSpec {
+        nodes: 4,
+        gpus_per_node: 8,
+        local_qubits: 7,
+    };
+    let (l, g) = (spec.local_qubits, spec.global_qubits());
 
-    let plan = exec::plan(&circuit, l, g, &cost, &cfg).expect("planning failed");
+    let compiled = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+        .plan(&circuit)
+        .expect("planning failed");
+    let plan = compiled.plan();
 
     println!(
         "PARTITION(qft-{n}) with L={l} local, R={} regional, G={g} global qubits",

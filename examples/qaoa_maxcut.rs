@@ -56,9 +56,11 @@ fn main() {
         local_qubits: 9,
     };
     let cfg = AtlasConfig::for_validation();
-    let out =
-        simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
-    let state = out.state.expect("functional run");
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .expect("planning failed");
+    let run = compiled.execute(&circuit).expect("execution failed");
+    let state = run.state.expect("final_unpermute gathers the state");
 
     let expected_cut: f64 = state
         .amplitudes()
@@ -71,7 +73,7 @@ fn main() {
         "QAOA MaxCut, ring graph n={N}, p={}, {} gates, {} stages",
         gammas.len(),
         circuit.num_gates(),
-        out.plan.stages.len()
+        compiled.num_stages()
     );
     println!("max cut (exact)      : {N}");
     println!("⟨cut⟩ from QAOA state: {expected_cut:.3}");
@@ -83,12 +85,12 @@ fn main() {
     }
 
     println!("\nmachine profile:");
-    println!("  model time    : {:.6} s", out.report.total_secs);
+    println!("  model time    : {:.6} s", run.report.total_secs);
     println!(
         "  comm fraction : {:.1} %",
-        100.0 * out.report.comm_fraction()
+        100.0 * run.report.comm_fraction()
     );
-    println!("  kernels       : {}", out.report.kernels);
+    println!("  kernels       : {}", run.report.kernels);
 
     assert!(
         expected_cut / f64::from(N) > 0.74,

@@ -19,28 +19,28 @@ fn main() {
     };
     let cfg = AtlasConfig::for_validation();
 
-    let out =
-        simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
-    let state = out
+    // PARTITION once, EXECUTE on the compiled plan.
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .expect("planning failed");
+    let run = compiled.execute(&circuit).expect("execution failed");
+    let state = run
         .state
         .as_ref()
-        .expect("functional run returns the state");
+        .expect("final_unpermute gathers the state");
+    let plan = compiled.plan();
 
     println!("GHZ({n}) on {} simulated GPUs", spec.num_gpus());
-    println!("  stages            : {}", out.plan.stages.len());
-    println!("  staging cost (Eq2): {}", out.plan.staging_cost);
+    println!("  stages            : {}", plan.stages.len());
+    println!("  staging cost (Eq2): {}", plan.staging_cost);
     println!(
         "  kernels           : {}",
-        out.plan
-            .stages
-            .iter()
-            .map(|s| s.kernels.len())
-            .sum::<usize>()
+        plan.stages.iter().map(|s| s.kernels.len()).sum::<usize>()
     );
-    println!("  model time        : {:.6} s", out.report.total_secs);
+    println!("  model time        : {:.6} s", run.report.total_secs);
     println!(
         "  comm fraction     : {:.1} %",
-        100.0 * out.report.comm_fraction()
+        100.0 * run.report.comm_fraction()
     );
 
     println!("\ntop basis states:");

@@ -478,8 +478,7 @@ mod tests {
     /// Regression fixture for the lint's first real catch: the ILP
     /// branch-and-bound read the wall clock unconditionally, so the
     /// *default* deterministic path observed real time on every solve
-    /// (fixed in `crates/ilp/src/solver.rs:276` by gating the read on an
-    /// explicit `time_limit`).
+    /// (the solver now has a node budget only and reads no clock).
     #[test]
     fn catches_unconditional_wall_clock_read() {
         let src = "fn solve() {\n    let start = Instant::now();\n}\n";

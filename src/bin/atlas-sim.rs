@@ -32,7 +32,7 @@ use atlas::baselines;
 use atlas::circuit::qasm;
 use atlas::core::config::BackendKind;
 use atlas::core::session::Planner;
-use atlas::core::{noise, BackendRun, SimulatorBackend};
+use atlas::core::{noise, BackendRun};
 use atlas::prelude::*;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -228,7 +228,7 @@ fn parse_args() -> Result<Args, String> {
         top: 8,
         top_set: false,
         plan_only: false,
-        threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        threads: host_cpus(),
         shots: 0,
         seed: 0,
         seed_set: false,
@@ -236,7 +236,7 @@ fn parse_args() -> Result<Args, String> {
         sweep: 0,
         profile: false,
         serve: false,
-        workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        workers: host_cpus(),
         queue: 64,
         cache: 32,
         fault_seed: None,
@@ -415,10 +415,7 @@ fn check_flag_conflicts(args: &Args) -> Result<(), String> {
     }
     // `--workers/--queue/--cache` (and the fault harness) shape the
     // session pool only.
-    if args.workers != std::thread::available_parallelism().map_or(1, |p| p.get())
-        || args.queue != 64
-        || args.cache != 32
-    {
+    if args.workers != host_cpus() || args.queue != 64 || args.cache != 32 {
         return Err("--workers/--queue/--cache apply to the serve subcommand only".to_string());
     }
     if args.fault_seed.is_some() || args.fault_rate_set {
@@ -497,8 +494,15 @@ fn check_flag_conflicts(args: &Args) -> Result<(), String> {
     } else if args.trajectories_set {
         return Err("--trajectories applies to --noise runs only".to_string());
     }
-    // Note: --seed without --shots (or --noise) is rejected by the
-    // AtlasConfig builder (an InvalidConfig), not by a flag check here.
+    // Checked here rather than by `AtlasConfig::validate`, which cannot
+    // tell an explicit `--seed 0` from the default.
+    if args.seed_set && args.shots == 0 && args.noise == 0.0 {
+        return Err(
+            "--seed only affects shot sampling and noise-trajectory draws; \
+             it needs --shots or --noise"
+                .to_string(),
+        );
+    }
     Ok(())
 }
 
@@ -575,14 +579,12 @@ fn run_serve(args: &Args) -> ExitCode {
     } else {
         Recorder::default()
     };
-    let cfg = match AtlasConfig::builder()
-        .threads(threads)
-        .recorder(recorder.clone())
-        .memory_budget(MemoryBudget::bytes(MemoryBudget::SINGLE_HOST))
-        .build()
-    {
-        Ok(c) => c,
-        Err(e) => return error_exit(&e),
+    // `SessionPool::new` validates the config.
+    let cfg = AtlasConfig {
+        threads,
+        recorder: recorder.clone(),
+        memory_budget: MemoryBudget::bytes(MemoryBudget::SINGLE_HOST),
+        ..AtlasConfig::default()
     };
     let spec = MachineSpec {
         nodes: args.nodes,
@@ -724,7 +726,7 @@ fn main() -> ExitCode {
     // Build the config first: like the flag-conflict checks above, an
     // incoherent configuration (seed without shots, zero threads, …) is
     // a usage error that must reject before any banner reaches stdout.
-    // Coherence rules live in the AtlasConfig builder, not here.
+    // Coherence rules live in `AtlasConfig::validate`, not here.
     // The recorder is enabled iff `--trace` asked for it: disabled, every
     // instrumentation site is one branch; enabled, wall-clock rides the
     // trace channel only, so stdout stays byte-identical either way.
@@ -738,21 +740,20 @@ fn main() -> ExitCode {
     // the n ≤ 26 circuits the historical heuristic did) and rejected
     // with a typed ResourceExhausted instead of an allocator abort.
     let budget = MemoryBudget::bytes(MemoryBudget::SINGLE_HOST);
-    let mut builder = AtlasConfig::builder()
-        .threads(args.threads)
-        .shots(args.shots)
-        .backend(args.backend)
-        .noise(args.noise)
-        .trajectories(args.trajectories)
-        .memory_budget(budget)
-        .recorder(recorder.clone());
-    if args.seed_set {
-        builder = builder.seed(args.seed);
-    }
-    let cfg = match builder.build() {
-        Ok(c) => c,
-        Err(e) => return error_exit(&e),
+    let cfg = AtlasConfig {
+        threads: args.threads,
+        shots: args.shots,
+        seed: args.seed,
+        backend: args.backend,
+        noise: args.noise,
+        trajectories: args.trajectories,
+        memory_budget: budget,
+        recorder: recorder.clone(),
+        ..AtlasConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        return error_exit(&e);
+    }
     // Validate --expect widths before spending any simulation time.
     let mut paulis: Vec<PauliString> = Vec::new();
     for s in &args.expect {
@@ -1185,8 +1186,8 @@ fn count_word_samples(samples: Vec<Vec<u64>>) -> Vec<(Vec<u64>, u64)> {
     counts
 }
 
-/// Prints word-packed shot counts in the statevector path's
-/// `print_measurements` format.
+/// The one shot-table printer: word-packed counts, capped at 32 lines
+/// with a summary of the rest.
 fn print_word_counts(counts: &[(Vec<u64>, u64)], shots: usize, n: u32) {
     const MAX_LINES: usize = 32;
     for (bits, count) in counts.iter().take(MAX_LINES) {
@@ -1290,7 +1291,7 @@ fn print_profile(report: &atlas::machine::MachineReport, backend: &str) {
 }
 
 /// Functional-run output through the sharded measurement engine.
-/// `samples` are the shots `simulate` already drew from
+/// `samples` are the shots the run already drew from
 /// `cfg.shots`/`cfg.seed`.
 fn print_measurements(
     m: &Measurements,
@@ -1305,22 +1306,8 @@ fn print_measurements(
     }
     if let Some(samples) = samples {
         println!("shots   : {} (seed {})", samples.len(), args.seed);
-        let counts = atlas::sampler::count_samples(samples);
-        const MAX_LINES: usize = 32;
-        for &(bits, count) in counts.iter().take(MAX_LINES) {
-            println!(
-                "  |{bits:0width$b}>  x {count}  (p^ = {:.6})",
-                count as f64 / args.shots as f64
-            );
-        }
-        if counts.len() > MAX_LINES {
-            let rest: u64 = counts[MAX_LINES..].iter().map(|&(_, c)| c).sum();
-            println!(
-                "  ... {} more outcomes ({} shots)",
-                counts.len() - MAX_LINES,
-                rest
-            );
-        }
+        let words = samples.into_iter().map(|bits| vec![bits]).collect();
+        print_word_counts(&count_word_samples(words), args.shots, n);
     }
     // Top outcomes stay the default readout; once the user asked for
     // shots or expectations they appear only on explicit request.

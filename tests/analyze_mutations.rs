@@ -30,8 +30,7 @@ fn compiled() -> (Circuit, CompiledPlan) {
 
 fn plan_and_cost() -> (Circuit, FullPlan, CostModel) {
     let (circuit, compiled) = compiled();
-    let cost = compiled.cost().clone();
-    (circuit, compiled.into_plan(), cost)
+    (circuit, compiled.plan().clone(), compiled.cost().clone())
 }
 
 /// Every mutation must produce a typed rejection, and the rejection must

@@ -155,9 +155,8 @@ fn snapshot_contains_session_api() {
         "pub struct Execution",
         "pub struct CircuitFingerprint",
         "pub fn staging_invocations",
-        "pub struct AtlasConfigBuilder",
-        "pub fn simulate",
-        "pub trait SimulatorBackend",
+        "pub enum BackendPlan",
+        "pub enum BackendRun",
         "pub struct Tableau",
         "pub enum BackendKind",
         // The telemetry layer's load-bearing exports: the recorder handle

@@ -39,9 +39,10 @@ fn atlas_beats_baselines_at_scale() {
     for fam in [Family::Qft, Family::Su2Random, Family::QpeExact] {
         let c = fam.generate(20);
         let cost = CostModel::default();
-        let atlas_t = simulate(&c, spec, cost.clone(), &AtlasConfig::default(), true)
+        let atlas_t = Planner::new(spec, cost.clone(), AtlasConfig::default())
+            .plan(&c)
             .unwrap()
-            .report
+            .dry_run()
             .total_secs;
         let hyquas_t = baselines::hyquas(&c, spec, cost.clone(), true)
             .unwrap()
@@ -81,9 +82,10 @@ fn atlas_beats_qdao_beyond_gpu_memory() {
     let spec = MachineSpec::single_gpu(24);
     let c = Family::Qft.generate(30);
     let cost = CostModel::default();
-    let atlas_t = simulate(&c, spec, cost.clone(), &AtlasConfig::default(), true)
+    let atlas_t = Planner::new(spec, cost.clone(), AtlasConfig::default())
+        .plan(&c)
         .unwrap()
-        .report
+        .dry_run()
         .total_secs;
     let qdao_t = baselines::qdao_run(&c, spec, cost, 24, 19)
         .unwrap()

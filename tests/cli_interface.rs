@@ -89,9 +89,14 @@ fn contradictory_flags_are_rejected_with_exit_2() {
             "--baseline",
         ),
         (
-            // Seed without shots is now the config builder's InvalidConfig
-            // (still a usage error at the CLI boundary).
+            // A seed with nothing to draw is a usage error...
             vec!["--family", "qft", "-n", "8", "--seed", "3"],
+            "shots",
+        ),
+        (
+            // ...even an explicit zero, which only the CLI can tell from
+            // the default (`AtlasConfig::validate` sees `seed != 0`).
+            vec!["--family", "qft", "-n", "8", "--seed", "0"],
             "shots",
         ),
         (

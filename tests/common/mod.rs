@@ -236,12 +236,20 @@ pub fn regression_circuits() -> Vec<Circuit> {
     ]
 }
 
+/// Plans `circuit` under `cfg` and executes it once (SIMULATE,
+/// Algorithm 1 lines 18–20).
+pub fn run_session(circuit: &Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> Execution {
+    Planner::new(spec, CostModel::default(), cfg.clone())
+        .plan(circuit)
+        .and_then(|compiled| compiled.execute(circuit))
+        .expect("simulation failed")
+}
+
 /// Runs the full Atlas pipeline under `cfg` and returns the final state.
 pub fn run_atlas_with(circuit: &Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> StateVector {
-    simulate(circuit, spec, CostModel::default(), cfg, false)
-        .expect("simulation failed")
+    run_session(circuit, spec, cfg)
         .state
-        .expect("functional run returns the state")
+        .expect("final_unpermute gathers the state")
 }
 
 /// Runs the pipeline with the validation defaults.

@@ -73,12 +73,11 @@ fn all_staging_algorithms_agree_functionally() {
         StagingAlgo::GenericIlp,
         StagingAlgo::Snuqs,
     ] {
-        let mut cfg = AtlasConfig::for_validation();
-        cfg.staging = algo;
-        let got = simulate(&circuit, spec, CostModel::default(), &cfg, false)
-            .unwrap()
-            .state
-            .unwrap();
+        let cfg = AtlasConfig {
+            staging: algo,
+            ..AtlasConfig::for_validation()
+        };
+        let got = common::run_atlas_with(&circuit, spec, &cfg);
         assert!(got.max_abs_diff(&want) < 1e-9, "{algo:?} diverged");
     }
 }
@@ -99,12 +98,11 @@ fn all_kernelizers_agree_functionally() {
         KernelAlgo::Greedy(5),
         KernelAlgo::GreedyHybrid(6),
     ] {
-        let mut cfg = AtlasConfig::for_validation();
-        cfg.kernelizer = algo;
-        let got = simulate(&circuit, spec, CostModel::default(), &cfg, false)
-            .unwrap()
-            .state
-            .unwrap();
+        let cfg = AtlasConfig {
+            kernelizer: algo,
+            ..AtlasConfig::for_validation()
+        };
+        let got = common::run_atlas_with(&circuit, spec, &cfg);
         assert!(got.max_abs_diff(&want) < 1e-9, "{algo:?} diverged");
     }
 }

@@ -199,36 +199,38 @@ fn planner_surfaces_typed_errors() {
     }
 }
 
-/// The shim and the session API agree bit-for-bit on the same run.
+/// A config is a plain struct literal, so every door into the engine
+/// must run `AtlasConfig::validate()` itself: the same bad literal is
+/// turned away with `InvalidConfig` at each of the three.
 #[test]
-fn shim_and_session_agree() {
-    let circuit = atlas::circuit::generators::qaoa(8);
-    let spec = MachineSpec {
-        nodes: 2,
-        gpus_per_node: 2,
-        local_qubits: 5,
+fn every_door_rejects_an_invalid_config_literal() {
+    use atlas::serve::{ServeConfig, SessionPool};
+    let bad = AtlasConfig {
+        threads: 0,
+        ..AtlasConfig::default()
     };
-    let cfg = AtlasConfig {
-        shots: 32,
-        seed: 11,
-        ..AtlasConfig::for_validation()
-    };
-    let shim = simulate(&circuit, spec, CostModel::default(), &cfg, false).unwrap();
-    let compiled = Planner::new(spec, CostModel::default(), cfg)
-        .plan(&circuit)
-        .unwrap();
-    let session = compiled.execute(&circuit).unwrap();
-    let (a, b) = (shim.state.unwrap(), session.state.unwrap());
-    assert!(a
-        .amplitudes()
-        .iter()
-        .zip(b.amplitudes())
-        .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
-    assert_eq!(shim.samples.unwrap(), session.samples.unwrap());
-    assert_eq!(
-        shim.plan.final_mapping(false),
-        compiled.plan().final_mapping(false)
-    );
+    let spec = MachineSpec::single_gpu(8);
+    let circuit = atlas::circuit::generators::ghz(8);
+    let planner = Planner::new(spec, CostModel::default(), bad.clone());
+    let doors: [(&str, Option<AtlasError>); 3] = [
+        ("Planner::plan", planner.plan(&circuit).err()),
+        (
+            "Planner::plan_backend",
+            planner.plan_backend(&circuit).err(),
+        ),
+        (
+            "SessionPool::new",
+            SessionPool::new(spec, CostModel::default(), bad, ServeConfig::default()).err(),
+        ),
+    ];
+    for (door, err) in doors {
+        match err {
+            Some(AtlasError::InvalidConfig { reason }) => {
+                assert!(reason.contains("threads"), "{door}: {reason}")
+            }
+            other => panic!("{door}: expected InvalidConfig, got {other:?}"),
+        }
+    }
 }
 
 /// `FullPlan::final_mapping` is the single source of truth for the

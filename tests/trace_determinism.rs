@@ -12,9 +12,12 @@
 //!    by model-level coordinates (stage, shard, submission order), never
 //!    by which OS thread happened to record it.
 
+mod common;
+
 use atlas::prelude::*;
 use atlas::serve::{JobOutcome, JobRequest, ServeConfig, SessionPool};
 use atlas::telemetry::det_signature;
+use common::run_session;
 
 fn spec() -> MachineSpec {
     MachineSpec {
@@ -35,11 +38,11 @@ fn traced_run(circuit: &Circuit, threads: usize) -> (String, StateVector, Vec<u6
         recorder: recorder.clone(),
         ..AtlasConfig::for_validation()
     };
-    let out = simulate(circuit, spec(), CostModel::default(), &cfg, false).expect("simulate");
+    let out = run_session(circuit, spec(), &cfg);
     assert_eq!(recorder.dropped(), 0, "trace overflowed its sink");
     (
         det_signature(&recorder.drain()),
-        out.state.expect("functional run returns the state"),
+        out.state.expect("final_unpermute gathers the state"),
         out.samples.expect("shots > 0 returns samples"),
     )
 }
@@ -92,8 +95,7 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
         seed: 11,
         ..AtlasConfig::for_validation()
     };
-    let untraced =
-        simulate(&circuit, spec(), CostModel::default(), &untraced_cfg, false).expect("simulate");
+    let untraced = run_session(&circuit, spec(), &untraced_cfg);
     let (_, traced_state, traced_samples) = traced_run(&circuit, 2);
     assert_byte_identical(
         &untraced.state.expect("state"),
@@ -105,17 +107,11 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
         traced_samples,
         "samples differ with tracing enabled"
     );
-    let retraced = simulate(
-        &circuit,
-        spec(),
-        CostModel::default(),
-        &AtlasConfig {
-            recorder: Recorder::enabled(),
-            ..untraced_cfg
-        },
-        false,
-    )
-    .expect("simulate");
+    let retraced_cfg = AtlasConfig {
+        recorder: Recorder::enabled(),
+        ..untraced_cfg
+    };
+    let retraced = run_session(&circuit, spec(), &retraced_cfg);
     assert_eq!(
         untraced.report.total_secs.to_bits(),
         retraced.report.total_secs.to_bits(),
