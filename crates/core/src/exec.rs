@@ -22,7 +22,7 @@
 
 use crate::config::AtlasConfig;
 use crate::detmap::DetMap;
-use crate::kernelize::{self, KGate, KernelCost, Kernelization};
+use crate::kernelize::{self, KGate, KernelCost, Kernelization, SearchEffort};
 use crate::plan::{Kernel, KernelKind, Stage};
 use crate::staging::{self, StagingOutcome};
 use atlas_circuit::{insular, Circuit, Gate};
@@ -184,7 +184,7 @@ fn compile_stage(
     cost: &CostModel,
     kc: &KernelCost,
     cfg: &AtlasConfig,
-) -> StagePlan {
+) -> (StagePlan, SearchEffort) {
     let mut templates = Vec::new();
     let mut scalars = Vec::new();
     let mut flips = 0u64;
@@ -240,8 +240,9 @@ fn compile_stage(
     let Kernelization {
         kernels,
         cost: kernel_cost,
+        search,
     } = kernelize::kernelize_with(cfg.kernelizer, cfg.pruning_threshold, &kgates, kc);
-    StagePlan {
+    let plan = StagePlan {
         stage,
         mapping,
         templates,
@@ -249,7 +250,8 @@ fn compile_stage(
         flips,
         kernels,
         kernel_cost,
-    }
+    };
+    (plan, search)
 }
 
 /// PARTITION (Algorithm 1, lines 1–8): stage, map, reduce, kernelize.
@@ -286,9 +288,11 @@ pub(crate) fn plan(
     let mut plans = Vec::with_capacity(stages.len());
     let mut prev_mapping: Option<Vec<u32>> = None;
     let mut kernel_cost = 0.0;
+    let mut search = SearchEffort::default();
     for stage in stages {
         let mapping = build_mapping(&stage.partition, prev_mapping.as_deref(), n, l, g);
-        let sp = compile_stage(circuit, stage, mapping, l, cost, &kc, cfg);
+        let (sp, stage_search) = compile_stage(circuit, stage, mapping, l, cost, &kc, cfg);
+        search += stage_search;
         kernel_cost += sp.kernel_cost;
         prev_mapping = Some(sp.mapping.clone());
         plans.push(sp);
@@ -301,7 +305,13 @@ pub(crate) fn plan(
         0,
         0,
         0,
-        &[("stages", plans.len() as u64), ("kernels", kernels)],
+        &[
+            ("stages", plans.len() as u64),
+            ("kernels", kernels),
+            ("dp_items", search.items),
+            ("dp_children", search.children),
+            ("dp_kept", search.kept),
+        ],
     );
     cfg.recorder.flush();
     Ok(FullPlan {

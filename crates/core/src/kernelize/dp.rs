@@ -5,7 +5,7 @@
 //! (fusion / shared-memory, §VI-B), qubit set, extensible qubit set
 //! (Definition 3, maintained per Algorithm 4), and accumulated
 //! shared-memory gate cost. Closed kernels live in a shared persistent
-//! arena so states clone in O(|open|).
+//! arena, so a state is its open kernels plus one index.
 //!
 //! Per item, placements follow Algorithm 3 refined by Appendix B:
 //! * **subsumption fast path** (B-b): when the gate subsumes or is
@@ -24,25 +24,50 @@
 //! * at the end, remaining open kernels are greedily packed — fusion
 //!   kernels toward the most cost-efficient size, shared-memory kernels
 //!   toward capacity (B-e) — and the cheapest state wins.
+//!
+//! # The order contract
+//!
+//! Equal-cost ties — which state wins a key, which states survive the
+//! `T/2` cut, which minimum is returned — are decided by the iteration
+//! order of the per-item map `next`, and that order is a function of the
+//! key bytes, the hasher, the capacity history and the insert sequence,
+//! nothing else. So these **may not change** without re-recording
+//! `tests/plan_digest.rs`: the key type `Vec<u64>` and its contents, the
+//! fixed-key SipHash of `DetMap`, `with_capacity_and_hasher(parents *
+//! 2, …)` with no further `reserve`, and the insert sequence (parents in
+//! iteration order × placements × kinds × merge alternatives; insert when
+//! the key is absent, overwrite the value only when strictly cheaper).
+//! Everything else **may**: the map's value type, where states are
+//! stored, how children are built. (Measured: a multiply-rotate hasher
+//! instead of SipHash gained nothing and changed 43 of 61 plans of the
+//! benchmark corpus — hashing is not the cost, and the order is
+//! load-bearing. An explicit tie-break would retire this contract; that
+//! is a plan-changing change of its own.)
+//!
+//! # Where the time goes
+//!
+//! The loop allocates nothing in steady state (`docs/PERFORMANCE.md`,
+//! "The planner's hot loop"): populations are flat arenas, children are
+//! built in reusable buffers and copied into the arena only when their
+//! key is new or they are strictly cheaper, key vectors are recycled
+//! from item to item, and pruning ranks positions instead of cloned keys.
 
 use super::{
     attach_single_qubit_gates, mask_to_qubits, toposort_kernels, DpItem, KGate, KernelCost,
-    Kernelization,
+    Kernelization, SearchEffort,
 };
 use crate::plan::{Kernel, KernelKind};
 
-// Deterministically-seeded hash containers for the DP state population.
+// Deterministically-seeded hash map for the DP state population.
 //
 // The std `RandomState` hasher randomizes iteration order per map
-// instance, and this DP breaks cost *ties* by iteration order (snapshot
-// order decides which equal-cost state reaches `next` first, and
-// `min_by` returns the first minimum) — with random seeds, two identical
-// `kernelize` calls could return different equally-optimal
-// kernelizations, making end-to-end amplitudes differ at the ulp level
-// between runs. A fixed-key hasher makes tie-breaking reproducible,
-// which the executor's bit-identical-across-thread-counts guarantee
-// relies on.
-use crate::detmap::{DetMap, DetSet};
+// instance, and this DP breaks cost *ties* by iteration order (see "The
+// order contract" above) — with random seeds, two identical `kernelize`
+// calls could return different equally-optimal kernelizations, making
+// end-to-end amplitudes differ at the ulp level between runs. A
+// fixed-key hasher makes tie-breaking reproducible, which the executor's
+// bit-identical-across-thread-counts guarantee relies on.
+use crate::detmap::DetMap;
 
 /// Sentinel for "extensible set = all qubits".
 const ALL: u64 = u64::MAX;
@@ -57,7 +82,7 @@ enum Link {
     Join { a: u32, b: u32 },
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 struct OpenKernel {
     kind: KernelKind,
     qubits: u64,
@@ -74,42 +99,486 @@ struct ClosedKernel {
     prev: u32,
 }
 
-#[derive(Clone)]
-struct State {
-    open: Vec<OpenKernel>,
+/// What a state holds beside its open kernels.
+#[derive(Clone, Copy)]
+struct Tail {
+    /// Head of the state's closed-kernel list in `Dp::closed`.
     closed_head: u32,
+    /// Cost of the closed kernels.
     cost: f64,
 }
 
-struct Ctx<'a> {
-    items: &'a [DpItem],
-    cost: &'a KernelCost,
-    links: Vec<Link>,
-    closed: Vec<ClosedKernel>,
-    /// Most cost-efficient fusion packing size (cost/qubit minimizer).
-    fusion_pack_size: u32,
+/// A state population in two flat vectors: state `s` owns
+/// `open[spans[s].0..][..spans[s].1]`. Clearing keeps both buffers, so a
+/// warm population takes states in without allocating.
+#[derive(Default)]
+struct Population {
+    spans: Vec<(u32, u32, Tail)>,
+    open: Vec<OpenKernel>,
 }
 
-impl Ctx<'_> {
-    fn push_link(&mut self, item: u32, prev: u32) -> u32 {
-        self.links.push(Link::Gate { item, prev });
-        (self.links.len() - 1) as u32
+impl Population {
+    fn len(&self) -> usize {
+        self.spans.len()
     }
 
-    fn join_chains(&mut self, a: u32, b: u32) -> u32 {
-        self.links.push(Link::Join { a, b });
-        (self.links.len() - 1) as u32
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.open.clear();
     }
 
-    fn close_kernel(&mut self, st: &mut State, k: OpenKernel) {
-        st.cost += self.cost.of_kind(k.kind, k.qubits.count_ones(), k.shm);
-        self.closed.push(ClosedKernel {
-            kind: k.kind,
-            qubits: k.qubits,
-            chain: k.chain,
-            prev: st.closed_head,
+    fn get(&self, slot: usize) -> (&[OpenKernel], Tail) {
+        let (start, len, tail) = self.spans[slot];
+        (&self.open[start as usize..][..len as usize], tail)
+    }
+
+    fn push(&mut self, open: &[OpenKernel], tail: Tail) -> u32 {
+        self.spans
+            .push((self.open.len() as u32, open.len() as u32, tail));
+        self.open.extend_from_slice(open);
+        (self.spans.len() - 1) as u32
+    }
+
+    /// Replaces state `slot` by one with equally many open kernels.
+    fn overwrite(&mut self, slot: usize, open: &[OpenKernel], tail: Tail) {
+        let (start, len, old) = &mut self.spans[slot];
+        debug_assert_eq!(*len as usize, open.len(), "same key, same kernel count");
+        *old = tail;
+        self.open[*start as usize..][..open.len()].copy_from_slice(open);
+    }
+}
+
+/// One packed kernel of the post-processing step.
+struct Bin {
+    kind: KernelKind,
+    qubits: u64,
+    extq: u64,
+    shm: f64,
+}
+
+/// One level of the merge walk: the open kernels after the merges chosen
+/// so far, and where each kernel of the base child sits among them.
+#[derive(Default)]
+struct Frame {
+    open: Vec<OpenKernel>,
+    remap: Vec<u32>,
+}
+
+/// Where the current item goes in the parent state.
+#[derive(Clone, Copy)]
+enum Placement {
+    Into(usize),
+    New(KernelKind),
+}
+
+/// The search: inputs, the persistent link/closed arenas, the population
+/// under construction, and every buffer the hot loop reuses.
+struct Dp<'a> {
+    items: &'a [DpItem],
+    cost: &'a KernelCost,
+    /// Most cost-efficient fusion packing size (cost/qubit minimizer).
+    fusion_pack_size: u32,
+    links: Vec<Link>,
+    closed: Vec<ClosedKernel>,
+    /// Canonical key → slot in `children`. Built afresh per item: its
+    /// iteration order is the tie-break (module docs).
+    next: DetMap<Vec<u64>, u32>,
+    children: Population,
+    effort: SearchEffort,
+    // --- the child being expanded ---
+    /// Qubit mask of the current item.
+    m: u64,
+    /// Closed list and cost the parent hands down.
+    parent: Tail,
+    /// Base-child position of the kernel that received the item.
+    receiver: usize,
+    /// Base-child positions of the kernels the item restricts for the
+    /// first time (Algorithm 4's merge events), ascending.
+    events: Vec<u32>,
+    /// Merge-walk stack; `frames[0]` is the base child.
+    frames: Vec<Frame>,
+    // --- reused buffers ---
+    child: Vec<OpenKernel>,
+    key: Vec<u64>,
+    /// Key vectors of past items, handed out again on insert.
+    spare_keys: Vec<Vec<u64>>,
+    bins: Vec<Bin>,
+    /// Slots of `next` in iteration order; after pruning, the survivors'.
+    order: Vec<u32>,
+    /// (post-processed cost, position in `order`) per state, for pruning.
+    scored: Vec<(f64, u32)>,
+}
+
+#[inline]
+fn ext_contains(extq: u64, m: u64) -> bool {
+    extq == ALL || m & !extq == 0
+}
+
+#[inline]
+fn ext_and(a: u64, b: u64) -> u64 {
+    match (a == ALL, b == ALL) {
+        (true, true) => ALL,
+        (true, false) => b,
+        (false, true) => a,
+        (false, false) => a & b,
+    }
+}
+
+fn push_link(links: &mut Vec<Link>, link: Link) -> u32 {
+    links.push(link);
+    (links.len() - 1) as u32
+}
+
+/// Greedy post-processing packing (Appendix B-e): first-fit merge of
+/// compatible open kernels into `bins`; `placed(kernel, bin)` is told
+/// where each kernel went. Allocates only while `bins` is growing.
+fn pack_open(
+    cost: &KernelCost,
+    fusion_pack_size: u32,
+    open: &[OpenKernel],
+    bins: &mut Vec<Bin>,
+    mut placed: impl FnMut(usize, usize),
+) {
+    bins.clear();
+    for (j, k) in open.iter().enumerate() {
+        let cap = match k.kind {
+            KernelKind::Fusion => fusion_pack_size,
+            KernelKind::SharedMemory => cost.max_shm,
+        };
+        // Mutual extensibility: each side's qubits inside the other's
+        // extensible set.
+        let fit = bins.iter().position(|bin| {
+            bin.kind == k.kind
+                && (bin.qubits | k.qubits).count_ones() <= cap
+                && ext_contains(bin.extq, k.qubits)
+                && ext_contains(k.extq, bin.qubits)
         });
-        st.closed_head = (self.closed.len() - 1) as u32;
+        match fit {
+            Some(b) => {
+                let bin = &mut bins[b];
+                bin.qubits |= k.qubits;
+                bin.extq = ext_and(bin.extq, k.extq);
+                bin.shm += k.shm;
+                placed(j, b);
+            }
+            None => {
+                bins.push(Bin {
+                    kind: k.kind,
+                    qubits: k.qubits,
+                    extq: k.extq,
+                    shm: k.shm,
+                });
+                placed(j, bins.len() - 1);
+            }
+        }
+    }
+}
+
+/// Post-processed cost of a state (used for pruning and final selection).
+fn finalized_cost(
+    cost: &KernelCost,
+    fusion_pack_size: u32,
+    open: &[OpenKernel],
+    tail: Tail,
+    bins: &mut Vec<Bin>,
+) -> f64 {
+    pack_open(cost, fusion_pack_size, open, bins, |_, _| {});
+    tail.cost
+        + bins
+            .iter()
+            .map(|b| cost.of_kind(b.kind, b.qubits.count_ones(), b.shm))
+            .sum::<f64>()
+}
+
+impl<'a> Dp<'a> {
+    fn new(items: &'a [DpItem], cost: &'a KernelCost) -> Self {
+        let fusion_pack_size = (1..=cost.max_fusion)
+            .min_by(|&a, &b| {
+                (cost.fusion(a) / a as f64)
+                    .partial_cmp(&(cost.fusion(b) / b as f64))
+                    .unwrap()
+            })
+            .unwrap();
+        Dp {
+            items,
+            cost,
+            fusion_pack_size,
+            links: Vec::new(),
+            closed: Vec::new(),
+            next: DetMap::default(),
+            children: Population::default(),
+            effort: SearchEffort {
+                items: items.len() as u64,
+                ..SearchEffort::default()
+            },
+            m: 0,
+            parent: Tail {
+                closed_head: NONE,
+                cost: 0.0,
+            },
+            receiver: 0,
+            events: Vec::new(),
+            frames: vec![Frame::default()],
+            child: Vec::new(),
+            key: Vec::new(),
+            spare_keys: Vec::new(),
+            bins: Vec::new(),
+            order: Vec::new(),
+            scored: Vec::new(),
+        }
+    }
+
+    /// Offers every child of one parent state under item `i` to `next`.
+    fn expand(&mut self, i: u32, open: &[OpenKernel], tail: Tail) {
+        let (m, cost) = (self.items[i as usize].mask, self.cost);
+        self.m = m;
+        self.parent = tail;
+        let joinable = |k: &OpenKernel| {
+            ext_contains(k.extq, m) && (k.qubits | m).count_ones() <= cost.capacity(k.kind)
+        };
+        let subsume = open
+            .iter()
+            .position(|k| (m & !k.qubits == 0 || k.qubits & !m == 0) && joinable(k));
+        if let Some(idx) = subsume {
+            return self.place(i, open, Placement::Into(idx));
+        }
+        for (idx, k) in open.iter().enumerate() {
+            if joinable(k) {
+                self.place(i, open, Placement::Into(idx));
+            }
+        }
+        for kind in [KernelKind::Fusion, KernelKind::SharedMemory] {
+            if m.count_ones() <= cost.capacity(kind) {
+                self.place(i, open, Placement::New(kind));
+            }
+        }
+    }
+
+    /// Builds the base child (receiver updated, the others pending) and
+    /// offers it under every combination of deferred merges.
+    fn place(&mut self, i: u32, open: &[OpenKernel], placement: Placement) {
+        let (m, shm_ns) = (self.m, self.items[i as usize].shm_ns);
+        let base = &mut self.frames[0];
+        base.open.clear();
+        base.open.extend_from_slice(open);
+        self.receiver = match placement {
+            Placement::Into(idx) => {
+                let k = &mut base.open[idx];
+                k.qubits |= m;
+                k.shm += shm_ns;
+                k.chain = push_link(
+                    &mut self.links,
+                    Link::Gate {
+                        item: i,
+                        prev: k.chain,
+                    },
+                );
+                idx
+            }
+            Placement::New(kind) => {
+                let chain = push_link(
+                    &mut self.links,
+                    Link::Gate {
+                        item: i,
+                        prev: NONE,
+                    },
+                );
+                base.open.push(OpenKernel {
+                    kind,
+                    qubits: m,
+                    extq: ALL,
+                    shm: shm_ns,
+                    chain,
+                });
+                base.open.len() - 1
+            }
+        };
+        // Restriction events (Algorithm 4): unrestricted kernels hit by
+        // m; restricted kernels just shrink.
+        self.events.clear();
+        for (idx, k) in base.open.iter().enumerate() {
+            if idx != self.receiver && k.extq == ALL && k.qubits & m != 0 {
+                self.events.push(idx as u32);
+            }
+        }
+        if self.events.is_empty() {
+            return self.finish(0, self.receiver);
+        }
+        base.remap.clear();
+        base.remap.extend(0..base.open.len() as u32);
+        self.walk(0, 0);
+    }
+
+    /// Merge branching per event: leave the kernel to be restricted, or
+    /// merge it into any still-unrestricted kernel of the same kind.
+    /// Depth-first over `frames`, which yields the alternatives in
+    /// lexicographic order of (choice at event 1, choice at event 2, …),
+    /// leave first, then targets ascending — the insert sequence of the
+    /// order contract. `frames[at]` holds the merges chosen so far.
+    fn walk(&mut self, depth: usize, at: usize) {
+        let Some(&ev) = self.events.get(depth) else {
+            // The receiver (the kernel holding C[i]) is exempt from
+            // restriction this round; merges tracked it through `remap`.
+            let receiver = self.frames[at].remap[self.receiver] as usize;
+            return self.finish(at, receiver);
+        };
+        self.walk(depth + 1, at);
+        if self.frames.len() == at + 1 {
+            self.frames.push(Frame::default());
+        }
+        let ev_idx = self.frames[at].remap[ev as usize] as usize;
+        let a = self.frames[at].open[ev_idx];
+        for tgt in 0..self.frames[at].open.len() {
+            let b = self.frames[at].open[tgt];
+            let union = a.qubits | b.qubits;
+            if tgt == ev_idx
+                || b.extq != ALL
+                || b.kind != a.kind
+                || union.count_ones() > self.cost.capacity(a.kind)
+            {
+                continue;
+            }
+            let merged = OpenKernel {
+                kind: a.kind,
+                qubits: union,
+                extq: ALL,
+                shm: a.shm + b.shm,
+                chain: push_link(
+                    &mut self.links,
+                    Link::Join {
+                        a: a.chain,
+                        b: b.chain,
+                    },
+                ),
+            };
+            let (upper, lower) = self.frames.split_at_mut(at + 1);
+            let (from, to) = (&upper[at], &mut lower[0]);
+            to.open.clear();
+            to.open.extend_from_slice(&from.open);
+            to.open[tgt] = merged;
+            to.open.remove(ev_idx);
+            let (ev_idx, tgt) = (ev_idx as u32, tgt as u32);
+            to.remap.clear();
+            to.remap.extend(from.remap.iter().map(|&r| {
+                let r = if r == ev_idx { tgt } else { r };
+                r - u32::from(r > ev_idx)
+            }));
+            self.walk(depth + 1, at + 1);
+        }
+    }
+
+    /// Applies restrictions and closures to `frames[at]`, canonicalizes
+    /// the result and offers it to `next`.
+    fn finish(&mut self, at: usize, receiver: usize) {
+        let m = self.m;
+        let mut tail = self.parent;
+        let mark = self.closed.len();
+        self.child.clear();
+        for (idx, &k) in self.frames[at].open.iter().enumerate() {
+            if idx == receiver {
+                self.child.push(k);
+                continue;
+            }
+            let extq = if k.extq != ALL {
+                k.extq & !m
+            } else if k.qubits & m != 0 {
+                k.qubits & !m
+            } else {
+                ALL
+            };
+            if extq == 0 {
+                // Nothing can extend it any more: close it and pay.
+                tail.cost += self.cost.of_kind(k.kind, k.qubits.count_ones(), k.shm);
+                self.closed.push(ClosedKernel {
+                    kind: k.kind,
+                    qubits: k.qubits,
+                    chain: k.chain,
+                    prev: tail.closed_head,
+                });
+                tail.closed_head = (self.closed.len() - 1) as u32;
+            } else {
+                self.child.push(OpenKernel { extq, ..k });
+            }
+        }
+        if !self.offer(tail) {
+            // Nobody holds the kernels this child closed.
+            self.closed.truncate(mark);
+        }
+    }
+
+    /// Inserts `child` under its canonical key (the sorted multiset of
+    /// its open kernels) unless an equal-or-cheaper state holds the key;
+    /// `false` if it was dropped.
+    fn offer(&mut self, tail: Tail) -> bool {
+        self.effort.children += 1;
+        self.key.clear();
+        self.key.extend(self.child.iter().flat_map(|k| {
+            let kind = match k.kind {
+                KernelKind::Fusion => 0u64,
+                KernelKind::SharedMemory => 1u64,
+            };
+            [kind, k.qubits, k.extq, k.shm.to_bits()]
+        }));
+        self.key.as_chunks_mut::<4>().0.sort_unstable();
+        match self.next.get(self.key.as_slice()) {
+            Some(&slot) => {
+                let slot = slot as usize;
+                let cheaper = tail.cost < self.children.get(slot).1.cost;
+                if cheaper {
+                    self.children.overwrite(slot, &self.child, tail);
+                }
+                cheaper
+            }
+            None => {
+                let mut key = self.spare_keys.pop().unwrap_or_default();
+                key.clear();
+                key.extend_from_slice(&self.key);
+                let slot = self.children.push(&self.child, tail);
+                self.next.insert(key, slot);
+                true
+            }
+        }
+    }
+
+    /// Ends an item: prunes `next` if it reached `threshold` (Appendix
+    /// B-f), moves the survivors into `parents` in `next`'s iteration
+    /// order and recycles the map's keys.
+    fn settle(&mut self, parents: &mut Population, threshold: usize) {
+        self.order.clear();
+        self.order.extend(self.next.values());
+        if self.order.len() >= threshold {
+            self.effort.prunes += 1;
+            self.scored.clear();
+            for (pos, &slot) in self.order.iter().enumerate() {
+                let (open, tail) = self.children.get(slot as usize);
+                let cost =
+                    finalized_cost(self.cost, self.fusion_pack_size, open, tail, &mut self.bins);
+                self.scored.push((cost, pos as u32));
+            }
+            // A stable sort by cost orders by (cost, position); only the
+            // set of the `keep` smallest matters, back in position order.
+            let keep = (threshold / 2).max(1).min(self.scored.len());
+            if keep < self.scored.len() {
+                self.scored.select_nth_unstable_by(keep - 1, |a, b| {
+                    a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
+                });
+            }
+            let kept = &mut self.scored[..keep];
+            kept.sort_unstable_by_key(|&(_, pos)| pos);
+            for (i, &(_, pos)) in kept.iter().enumerate() {
+                self.order[i] = self.order[pos as usize]; // pos >= i
+            }
+            self.order.truncate(keep);
+        }
+        parents.clear();
+        for &slot in &self.order {
+            let (open, tail) = self.children.get(slot as usize);
+            parents.push(open, tail);
+        }
+        self.effort.kept += parents.len() as u64;
+        self.spare_keys
+            .extend(self.next.drain().map(|(key, _)| key));
+        self.children.clear();
     }
 
     fn chain_items(&self, mut head: u32, out: &mut Vec<u32>) {
@@ -136,95 +605,24 @@ impl Ctx<'_> {
             }
         }
     }
-}
 
-#[inline]
-fn ext_contains(extq: u64, m: u64) -> bool {
-    extq == ALL || m & !extq == 0
-}
-
-/// Greedy post-processing packing (Appendix B-e): first-fit merge of
-/// compatible open kernels. Returns the packed kernel summaries.
-fn pack_open(ctx: &Ctx, open: &[OpenKernel]) -> Vec<(KernelKind, u64, f64, Vec<u32>)> {
-    // (kind, qubits, shm_sum, chains)
-    let mut bins: Vec<(KernelKind, u64, u64, f64, Vec<u32>)> = Vec::new(); // +extq intersection
-    for k in open {
-        let cap = match k.kind {
-            KernelKind::Fusion => ctx.fusion_pack_size,
-            KernelKind::SharedMemory => ctx.cost.max_shm,
-        };
-        let mut placed = false;
-        for bin in &mut bins {
-            if bin.0 != k.kind {
-                continue;
-            }
-            let union = bin.1 | k.qubits;
-            if union.count_ones() > cap {
-                continue;
-            }
-            // Mutual extensibility: each side's qubits inside the other's
-            // extensible set.
-            if !ext_contains(bin.2, k.qubits) || !ext_contains(k.extq, bin.1) {
-                continue;
-            }
-            bin.1 = union;
-            bin.2 = if bin.2 == ALL && k.extq == ALL {
-                ALL
-            } else {
-                ext_and(bin.2, k.extq)
-            };
-            bin.3 += k.shm;
-            bin.4.push(k.chain);
-            placed = true;
-            break;
+    /// The kernel over `qubits` made of the items on `chains`.
+    fn kernel(&self, kind: KernelKind, qubits: u64, chains: &[u32]) -> Kernel {
+        let mut item_ids: Vec<u32> = Vec::new();
+        for &c in chains {
+            self.chain_items(c, &mut item_ids);
         }
-        if !placed {
-            bins.push((k.kind, k.qubits, k.extq, k.shm, vec![k.chain]));
-        }
-    }
-    bins.into_iter()
-        .map(|(kind, q, _, s, chains)| (kind, q, s, chains))
-        .collect()
-}
-
-#[inline]
-fn ext_and(a: u64, b: u64) -> u64 {
-    match (a == ALL, b == ALL) {
-        (true, true) => ALL,
-        (true, false) => b,
-        (false, true) => a,
-        (false, false) => a & b,
-    }
-}
-
-/// Post-processed cost of a state (used for pruning and final selection).
-fn finalized_cost(ctx: &Ctx, st: &State) -> f64 {
-    let packed = pack_open(ctx, &st.open);
-    st.cost
-        + packed
+        let mut gates: Vec<usize> = item_ids
             .iter()
-            .map(|(kind, q, s, _)| ctx.cost.of_kind(*kind, q.count_ones(), *s))
-            .sum::<f64>()
-}
-
-fn canon_key(st: &State) -> Vec<u64> {
-    let mut parts: Vec<[u64; 4]> = st
-        .open
-        .iter()
-        .map(|k| {
-            [
-                match k.kind {
-                    KernelKind::Fusion => 0u64,
-                    KernelKind::SharedMemory => 1u64,
-                },
-                k.qubits,
-                k.extq,
-                k.shm.to_bits(),
-            ]
-        })
-        .collect();
-    parts.sort_unstable();
-    parts.into_iter().flatten().collect()
+            .flat_map(|&it| self.items[it as usize].gates.iter().copied())
+            .collect();
+        gates.sort_unstable();
+        Kernel {
+            gates,
+            kind,
+            qubits: mask_to_qubits(qubits),
+        }
+    }
 }
 
 /// Runs the DP. See module docs.
@@ -233,265 +631,64 @@ pub fn run(gates: &[KGate], cost: &KernelCost, threshold: usize) -> Kernelizatio
         return Kernelization {
             kernels: Vec::new(),
             cost: 0.0,
+            search: SearchEffort::default(),
         };
     }
     let items = attach_single_qubit_gates(gates, cost.max_fusion.max(cost.max_shm));
-    let fusion_pack_size = (1..=cost.max_fusion)
-        .min_by(|&a, &b| {
-            (cost.fusion(a) / a as f64)
-                .partial_cmp(&(cost.fusion(b) / b as f64))
-                .unwrap()
-        })
-        .unwrap();
-    let mut ctx = Ctx {
-        items: &items,
-        cost,
-        links: Vec::new(),
-        closed: Vec::new(),
-        fusion_pack_size,
-    };
+    let mut dp = Dp::new(&items, cost);
 
-    let mut states: DetMap<Vec<u64>, State> = DetMap::default();
-    states.insert(
-        Vec::new(),
-        State {
-            open: Vec::new(),
+    let mut parents = Population::default();
+    parents.push(
+        &[],
+        Tail {
             closed_head: NONE,
             cost: 0.0,
         },
     );
-
-    for (i, item) in items.iter().enumerate() {
-        let m = item.mask;
-        let snapshot: Vec<State> = states.values().cloned().collect();
-        let mut next: DetMap<Vec<u64>, State> =
-            DetMap::with_capacity_and_hasher(snapshot.len() * 2, Default::default());
-        for st in &snapshot {
-            // ----- placement options -----
-            let subsume = st.open.iter().position(|k| {
-                (m & !k.qubits == 0 || k.qubits & !m == 0)
-                    && ext_contains(k.extq, m)
-                    && (k.qubits | m).count_ones() <= ctx.cost.capacity(k.kind)
-            });
-            let mut placements: Vec<Option<usize>> = Vec::new(); // Some(idx) = into kernel, None×2 = new
-            match subsume {
-                Some(idx) => placements.push(Some(idx)),
-                None => {
-                    for (idx, k) in st.open.iter().enumerate() {
-                        if ext_contains(k.extq, m)
-                            && (k.qubits | m).count_ones() <= ctx.cost.capacity(k.kind)
-                        {
-                            placements.push(Some(idx));
-                        }
-                    }
-                    placements.push(None);
-                }
-            }
-            for placement in placements {
-                let new_kinds: &[Option<KernelKind>] = match placement {
-                    Some(_) => &[None],
-                    None => &[Some(KernelKind::Fusion), Some(KernelKind::SharedMemory)],
-                };
-                for &new_kind in new_kinds {
-                    if let Some(kind) = new_kind {
-                        if m.count_ones() > ctx.cost.capacity(kind) {
-                            continue;
-                        }
-                    }
-                    // Build the base child: receiver updated, others pending.
-                    let mut base = st.clone();
-                    let receiver = match placement {
-                        Some(idx) => {
-                            let k = &mut base.open[idx];
-                            k.qubits |= m;
-                            k.shm += item.shm_ns;
-                            k.chain = ctx.push_link(i as u32, k.chain);
-                            idx
-                        }
-                        None => {
-                            let chain = ctx.push_link(i as u32, NONE);
-                            base.open.push(OpenKernel {
-                                kind: new_kind.unwrap(),
-                                qubits: m,
-                                extq: ALL,
-                                shm: item.shm_ns,
-                                chain,
-                            });
-                            base.open.len() - 1
-                        }
-                    };
-                    // Restriction events (Algorithm 4): unrestricted
-                    // kernels hit by m; restricted kernels just shrink.
-                    let mut events: Vec<usize> = Vec::new();
-                    for (idx, k) in base.open.iter().enumerate() {
-                        if idx == receiver {
-                            continue;
-                        }
-                        if k.extq == ALL && k.qubits & m != 0 {
-                            events.push(idx);
-                        }
-                    }
-                    // Merge branching per event: leave, or merge into any
-                    // still-unrestricted kernel of the same kind.
-                    // Enumerate combinations depth-first.
-                    struct Alt {
-                        state: State,
-                        remap: Vec<usize>, // current index per original position
-                    }
-                    let mut alts = vec![Alt {
-                        state: base.clone(),
-                        remap: (0..base.open.len()).collect(),
-                    }];
-                    for &ev in &events {
-                        let mut grown: Vec<Alt> = Vec::new();
-                        for alt in &alts {
-                            let ev_idx = alt.remap[ev];
-                            // Option 1: leave — restrict below.
-                            grown.push(Alt {
-                                state: alt.state.clone(),
-                                remap: alt.remap.clone(),
-                            });
-                            // Option 2..: merge with another ALL-extq kernel.
-                            for tgt in 0..alt.state.open.len() {
-                                if tgt == ev_idx {
-                                    continue;
-                                }
-                                let a = alt.state.open[ev_idx];
-                                let b = alt.state.open[tgt];
-                                if b.extq != ALL || b.kind != a.kind {
-                                    continue;
-                                }
-                                let union = a.qubits | b.qubits;
-                                if union.count_ones() > ctx.cost.capacity(a.kind) {
-                                    continue;
-                                }
-                                let mut s2 = alt.state.clone();
-                                let joined = ctx.join_chains(a.chain, b.chain);
-                                s2.open[tgt] = OpenKernel {
-                                    kind: a.kind,
-                                    qubits: union,
-                                    extq: ALL,
-                                    shm: a.shm + b.shm,
-                                    chain: joined,
-                                };
-                                s2.open.remove(ev_idx);
-                                let mut remap2 = alt.remap.clone();
-                                for r in remap2.iter_mut() {
-                                    if *r == ev_idx {
-                                        *r = if tgt > ev_idx { tgt - 1 } else { tgt };
-                                    } else if *r != usize::MAX && *r > ev_idx {
-                                        *r -= 1;
-                                    }
-                                }
-                                grown.push(Alt {
-                                    state: s2,
-                                    remap: remap2,
-                                });
-                            }
-                        }
-                        alts = grown;
-                    }
-                    // Apply restrictions & closures to every alternative.
-                    for alt in alts {
-                        let mut child = alt.state;
-                        // The receiver (the kernel holding C[i]) is exempt
-                        // from restriction this round; merges tracked it
-                        // through `remap`.
-                        let mut recv_idx = alt.remap[receiver];
-                        let mut idx = 0;
-                        while idx < child.open.len() {
-                            if idx == recv_idx {
-                                idx += 1;
-                                continue;
-                            }
-                            let k = child.open[idx];
-                            let new_extq = if k.extq == ALL {
-                                if k.qubits & m != 0 {
-                                    k.qubits & !m
-                                } else {
-                                    ALL
-                                }
-                            } else {
-                                k.extq & !m
-                            };
-                            if new_extq == 0 {
-                                let closed = child.open.remove(idx);
-                                ctx.close_kernel(&mut child, closed);
-                                if recv_idx > idx {
-                                    recv_idx -= 1;
-                                }
-                                continue;
-                            }
-                            child.open[idx].extq = new_extq;
-                            idx += 1;
-                        }
-                        let key = canon_key(&child);
-                        match next.get_mut(&key) {
-                            Some(existing) if existing.cost <= child.cost => {}
-                            _ => {
-                                next.insert(key, child);
-                            }
-                        }
-                    }
-                }
-            }
+    for i in 0..items.len() {
+        dp.next = DetMap::with_capacity_and_hasher(parents.len() * 2, Default::default());
+        for slot in 0..parents.len() {
+            let (open, tail) = parents.get(slot);
+            dp.expand(i as u32, open, tail);
         }
-        // Pruning (Appendix B-f).
-        if next.len() >= threshold {
-            let mut scored: Vec<(f64, Vec<u64>)> = next
-                .iter()
-                .map(|(key, st)| (finalized_cost(&ctx, st), key.clone()))
-                .collect();
-            scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let keep = (threshold / 2).max(1);
-            let keys: DetSet<Vec<u64>> = scored.into_iter().take(keep).map(|(_, k)| k).collect();
-            next.retain(|k, _| keys.contains(k));
-        }
-        states = next;
+        dp.settle(&mut parents, threshold);
     }
 
-    // Final selection + reconstruction.
-    let best = states
-        .values()
-        .min_by(|a, b| {
-            finalized_cost(&ctx, a)
-                .partial_cmp(&finalized_cost(&ctx, b))
-                .unwrap()
-        })
-        .expect("at least one DP state must survive")
-        .clone();
-    let total = finalized_cost(&ctx, &best);
-
-    let mut kernels: Vec<Kernel> = Vec::new();
-    let mut emit = |ctx: &Ctx, kind: KernelKind, qubits: u64, chains: &[u32]| {
-        let mut item_ids: Vec<u32> = Vec::new();
-        for &c in chains {
-            ctx.chain_items(c, &mut item_ids);
+    // Final selection: the first minimum in iteration order.
+    let mut best: Option<(f64, usize)> = None;
+    for slot in 0..parents.len() {
+        let (open, tail) = parents.get(slot);
+        let total = finalized_cost(cost, dp.fusion_pack_size, open, tail, &mut dp.bins);
+        if best.is_none_or(|(least, _)| total < least) {
+            best = Some((total, slot));
         }
-        let mut gate_ids: Vec<usize> = item_ids
-            .iter()
-            .flat_map(|&it| ctx.items[it as usize].gates.iter().copied())
-            .collect();
-        gate_ids.sort_unstable();
-        kernels.push(Kernel {
-            gates: gate_ids,
-            kind,
-            qubits: mask_to_qubits(qubits),
-        });
-    };
-    let mut head = best.closed_head;
+    }
+    let (total, slot) = best.expect("at least one DP state must survive");
+    let (open, tail) = parents.get(slot);
+
+    // Reconstruction: closed kernels, then the packed open ones.
+    let mut kernels: Vec<Kernel> = Vec::new();
+    let mut head = tail.closed_head;
     while head != NONE {
-        let ck = ctx.closed[head as usize];
-        emit(&ctx, ck.kind, ck.qubits, &[ck.chain]);
+        let ck = dp.closed[head as usize];
+        kernels.push(dp.kernel(ck.kind, ck.qubits, &[ck.chain]));
         head = ck.prev;
     }
-    for (kind, qubits, _shm, chains) in pack_open(&ctx, &best.open) {
-        emit(&ctx, kind, qubits, &chains);
+    let mut chains: Vec<Vec<u32>> = Vec::new();
+    let mut bins = Vec::new();
+    pack_open(cost, dp.fusion_pack_size, open, &mut bins, |k, bin| {
+        if bin == chains.len() {
+            chains.push(Vec::new());
+        }
+        chains[bin].push(open[k].chain);
+    });
+    for (bin, chains) in bins.iter().zip(&chains) {
+        kernels.push(dp.kernel(bin.kind, bin.qubits, chains));
     }
-    let kernels = toposort_kernels(gates, kernels);
     Kernelization {
-        kernels,
+        kernels: toposort_kernels(gates, kernels),
         cost: total,
+        search: dp.effort,
     }
 }
 
@@ -607,6 +804,24 @@ mod tests {
         let out = run(&[], &kc(), 500);
         assert!(out.kernels.is_empty());
         assert_eq!(out.cost, 0.0);
+        assert_eq!(out.search, SearchEffort::default());
+    }
+
+    #[test]
+    fn two_runs_agree_on_kernels_and_on_search_effort() {
+        // Both cases prune: that tie-break is the part of the order
+        // contract most easily broken.
+        use atlas_circuit::generators::Family;
+        for (fam, threshold) in [(Family::Su2Random, 500), (Family::Qft, 40)] {
+            let gates = circuit_kgates(fam, 12);
+            let (a, b) = (run(&gates, &kc(), threshold), run(&gates, &kc(), threshold));
+            assert_eq!(a.kernels, b.kernels, "{fam:?}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{fam:?}");
+            assert_eq!(a.search, b.search, "{fam:?}");
+            let s = a.search;
+            assert!(s.children >= s.items && s.kept >= s.items, "{fam:?}: {s:?}");
+            assert!(s.items > 0 && s.prunes > 0, "{fam:?}: {s:?}");
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub fn run_hybrid(gates: &[KGate], cost: &KernelCost, max_qubits: u32) -> Kernel
     Kernelization {
         kernels,
         cost: total,
+        search: Default::default(),
     }
 }
 
@@ -80,6 +81,7 @@ pub fn run(gates: &[KGate], cost: &KernelCost, max_qubits: u32) -> Kernelization
     Kernelization {
         kernels,
         cost: total,
+        search: Default::default(),
     }
 }
 

@@ -40,6 +40,35 @@ pub struct Kernelization {
     pub kernels: Vec<Kernel>,
     /// Total cost (Eq. 12) in per-amplitude nanoseconds.
     pub cost: f64,
+    /// What the DP search spent to get here (all zero off the DP).
+    pub search: SearchEffort,
+}
+
+/// Search effort of one or more KERNELIZE DP runs, as exact counts.
+///
+/// Every field is a pure function of the gate sequence, the cost model
+/// and the pruning threshold — never of the host or the clock — so two
+/// implementations that explore the same search report the same numbers,
+/// and "same search, less time" can be shown as a count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchEffort {
+    /// DP items processed (multi-qubit hosts with their attachments).
+    pub items: u64,
+    /// Child states generated, i.e. keys offered to the next population.
+    pub children: u64,
+    /// States alive after pruning, summed over items.
+    pub kept: u64,
+    /// Items at whose end the population reached `T` and was halved.
+    pub prunes: u64,
+}
+
+impl std::ops::AddAssign for SearchEffort {
+    fn add_assign(&mut self, rhs: Self) {
+        self.items += rhs.items;
+        self.children += rhs.children;
+        self.kept += rhs.kept;
+        self.prunes += rhs.prunes;
+    }
 }
 
 /// Cost parameters the kernelizer needs, extracted from the machine model.
@@ -82,6 +111,7 @@ impl KernelCost {
     }
 
     /// Cost of a kernel of the given kind.
+    #[inline]
     pub fn of_kind(&self, kind: KernelKind, qubits: u32, shm_sum: f64) -> f64 {
         match kind {
             KernelKind::Fusion => self.fusion(qubits),
@@ -90,6 +120,7 @@ impl KernelCost {
     }
 
     /// Capacity of a kernel kind in qubits.
+    #[inline]
     pub fn capacity(&self, kind: KernelKind) -> u32 {
         match kind {
             KernelKind::Fusion => self.max_fusion,
@@ -294,7 +325,10 @@ pub fn kernelize(gates: &[KGate], cost: &KernelCost, threshold: usize) -> Kernel
     let dp = dp::run(gates, cost, threshold);
     let certificate = ordered::run(gates, cost);
     if certificate.cost + 1e-12 < dp.cost {
-        certificate
+        Kernelization {
+            search: dp.search,
+            ..certificate
+        }
     } else {
         dp
     }

@@ -26,6 +26,7 @@ pub fn run(gates: &[KGate], cost: &KernelCost) -> Kernelization {
         return Kernelization {
             kernels: Vec::new(),
             cost: 0.0,
+            search: Default::default(),
         };
     }
     let mut dp = vec![f64::INFINITY; n + 1];
@@ -66,6 +67,7 @@ pub fn run(gates: &[KGate], cost: &KernelCost) -> Kernelization {
     Kernelization {
         kernels,
         cost: dp[n],
+        search: Default::default(),
     }
 }
 
