@@ -1,14 +1,16 @@
-//! Hot-path benchmarks + the `BENCH_hotpath.json` emitter: specialized
-//! layout-aware kernels vs. the in-tree generic oracles, measured in the
-//! same process so the comparison is apples-to-apples on a single core.
+//! Hot-path benchmarks + the `BENCH_hotpath.json` emitter: the production
+//! kernels vs. the in-tree generic oracles, measured in the same process on
+//! one thread so the comparison is apples-to-apples.
 //!
 //! Two layers:
 //!
-//! * **apply** — dense `k`-qubit unitaries over a `2^N`-amplitude state:
-//!   the dispatched fast path (`apply_matrix`, warm scratch arena) vs.
-//!   the generic gather/multiply/scatter oracle (`apply_matrix_generic`)
-//!   for unrolled contiguous k=1/k=2, a strided k=1, and a contiguous
-//!   k=5 window;
+//! * **apply** — kernels over a `2^N`-amplitude state, production (warm
+//!   scratch arena, `threads = 1`) vs. the family's `reference` oracle:
+//!   dense unrolled contiguous k=1/k=2 and a strided k=1; the lane-blocked
+//!   dense sweep on a contiguous k=5 window and strided at k=3..6; a
+//!   controlled kernel (2 controls, 3 targets); a strided k=5 permutation;
+//!   and a k=5 diagonal against the per-amplitude `extract_bits` loop
+//!   written out below;
 //! * **reshuffle** — `Machine` stage transitions: the block-copy
 //!   ping-pong relayout (`permute_state`) vs. the per-amplitude scatter
 //!   oracle (`permute_state_scatter`) for a cross-shard permutation with
@@ -18,16 +20,20 @@
 //!
 //! `ATLAS_BENCH_QUICK=1` shrinks the state and repetition counts for the
 //! CI perf-smoke step (the JSON schema is identical and gains
-//! `"quick": true`). `host_cpus` is recorded because this container is
-//! single-core; these speedups are *single-thread* gains by construction,
-//! which is exactly the point — they do not depend on parallel hardware.
+//! `"quick": true`). `host_cpus` and `isa` — the widest of the vector
+//! extensions the dense sweep is compiled for that this CPU has — are
+//! recorded because the dense rows depend on the latter and a reader
+//! should know both; every number here is a *single-thread* one.
 
 use atlas_circuit::Circuit;
 use atlas_machine::{CostModel, Machine, MachineSpec};
-use atlas_qmath::{Matrix, QubitPermutation};
-use atlas_statevec::reference::apply_matrix_generic;
+use atlas_qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
+use atlas_statevec::reference::{
+    apply_controlled_matrix_generic, apply_matrix_generic, apply_permutation_generic,
+};
 use atlas_statevec::{
-    apply_gate, apply_matrix, fuse_gates, scratch, simulate_reference, Scratch, StateVector,
+    apply_controlled_matrix, apply_diag, apply_gate, apply_matrix, apply_permutation, fuse_gates,
+    scratch, simulate_reference, Scratch, StateVector,
 };
 use criterion::{criterion_group, Criterion};
 use std::fmt::Write as _;
@@ -92,39 +98,92 @@ impl Case {
     }
 }
 
+/// Times `fast` — after one untimed call, so the arena is warm — and
+/// `generic` on the same state.
+fn apply_case(
+    name: &'static str,
+    reps: usize,
+    amps: &mut [Complex64],
+    mut fast: impl FnMut(&mut [Complex64]),
+    mut generic: impl FnMut(&mut [Complex64]),
+) -> Case {
+    fast(amps);
+    let fast_secs = best_of(reps, || fast(amps));
+    let generic_secs = best_of(reps, || generic(amps));
+    let case = Case {
+        name,
+        generic_secs,
+        fast_secs,
+    };
+    println!(
+        "apply/{name:<16} generic {generic_secs:.4}s  fast {fast_secs:.4}s  speedup {:.2}x",
+        case.speedup()
+    );
+    case
+}
+
 fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
     let mut sv = dense_state(n);
-    let mut scratch = Scratch::new();
-    let shapes: Vec<(&'static str, Vec<u32>)> = vec![
+    let amps = sv.amplitudes_mut();
+    let scratch = &mut Scratch::new();
+    // `k` qubits spread evenly over the slice, lowest qubit 1.
+    let strided = |k: u32| -> Vec<u32> { (0..k).map(|i| i * ((n - 2) / k) + 1).collect() };
+    let dense: Vec<(&'static str, Vec<u32>)> = vec![
         ("k1_contiguous", vec![0]),
         ("k1_strided", vec![n / 2]),
         ("k2_contiguous", vec![0, 1]),
         ("k5_contiguous", vec![0, 1, 2, 3, 4]),
-        ("k5_strided", (0..5).map(|i| i * 3 + 1).collect()),
+        ("k3_strided", strided(3)),
+        ("k4_strided", strided(4)),
+        ("k5_strided", strided(5)),
+        ("k6_strided", strided(6)),
     ];
-    shapes
+    let mut cases: Vec<Case> = dense
         .into_iter()
         .map(|(name, qs)| {
             let m = dense_unitary(n, &qs);
-            // Warm the arena so the fast path is measured steady-state.
-            apply_matrix(&mut scratch, sv.amplitudes_mut(), &qs, &m, 1);
-            let fast_secs = best_of(reps, || {
-                apply_matrix(&mut scratch, sv.amplitudes_mut(), &qs, &m, 1)
-            });
-            let generic_secs = best_of(reps, || apply_matrix_generic(sv.amplitudes_mut(), &qs, &m));
-            let case = Case {
+            apply_case(
                 name,
-                generic_secs,
-                fast_secs,
-            };
-            println!(
-                "apply/{name:<14} generic {generic_secs:.4}s  fast {fast_secs:.4}s  \
-                 speedup {:.2}x",
-                case.speedup()
-            );
-            case
+                reps,
+                amps,
+                |amps| apply_matrix(scratch, amps, &qs, &m, 1),
+                |amps| apply_matrix_generic(amps, &qs, &m),
+            )
         })
-        .collect()
+        .collect();
+
+    let qs = strided(5);
+    let (controls, targets) = qs.split_at(2);
+    let m = dense_unitary(n, targets);
+    cases.push(apply_case(
+        "k5_controlled",
+        reps,
+        amps,
+        |amps| apply_controlled_matrix(scratch, amps, controls, targets, &m, 1),
+        |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
+    ));
+    // x → 5x + 3 (mod 32) is a bijection of the kernel basis.
+    let dst: Vec<u32> = (0..32).map(|x| (5 * x + 3) % 32).collect();
+    let phases: Vec<Complex64> = (0..32).map(|x| Complex64::cis(0.2 * x as f64)).collect();
+    cases.push(apply_case(
+        "perm_k5_strided",
+        reps,
+        amps,
+        |amps| apply_permutation(scratch, amps, &qs, &dst, &phases, 1),
+        |amps| apply_permutation_generic(amps, &qs, &dst, &phases),
+    ));
+    cases.push(apply_case(
+        "diag_k5",
+        reps,
+        amps,
+        |amps| apply_diag(amps, &qs, &phases, 1),
+        |amps| {
+            for (i, a) in amps.iter_mut().enumerate() {
+                *a *= phases[extract_bits(i as u64, &qs) as usize];
+            }
+        },
+    ));
+    cases
 }
 
 fn reshuffle_cases(n: u32, l: u32, reps: usize) -> Vec<Case> {
@@ -189,6 +248,21 @@ fn bench_hotpath(c: &mut Criterion) {
     g.finish();
 }
 
+/// The widest vector extension this CPU has among those the lane-blocked
+/// dense sweep is compiled for — the copy `atlas-statevec` selects.
+fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    "portable"
+}
+
 fn emit_json() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let (n_apply, n_shuffle, l_shuffle, reps) = if quick() {
@@ -216,10 +290,11 @@ fn emit_json() {
     };
     let json = format!(
         "{{\n  \"bench\": \"hotpath_specialized_vs_generic\",\n  \"quick\": {},\n  \
-         \"host_cpus\": {host_cpus},\n  \"apply_qubits\": {n_apply},\n  \
+         \"host_cpus\": {host_cpus},\n  \"isa\": \"{}\",\n  \"apply_qubits\": {n_apply},\n  \
          \"reshuffle_qubits\": {n_shuffle},\n  \"reshuffle_local_qubits\": {l_shuffle},\n  \
          \"apply\": {{\n{}  }},\n  \"reshuffle\": {{\n{}  }}\n}}\n",
         quick(),
+        isa(),
         fmt_cases(&apply),
         fmt_cases(&shuffle),
     );

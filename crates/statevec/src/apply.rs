@@ -17,9 +17,9 @@
 //! |--------------------------------|:-----:|:-----------:|:----------:|
 //! | unrolled `k = 1` (`q = 0` contiguous pairs, else strided) | ✓ | | |
 //! | unrolled `k = 2` (`{0,1}` in order contiguous, else strided) | ✓ | | |
-//! | `identity_order` (`qubits == [0..k)`): multiply straight on each contiguous `2^k` chunk | ✓ | | |
-//! | `low_window` (qubit *set* `{0..k)`): gather/scatter inside each contiguous chunk | ✓ | ✓ | |
-//! | strided gather with a memoized offset table | ✓ | ✓ | ✓ |
+//! | `low_window` (qubit *set* `{0..k)`): gather/scatter inside each contiguous chunk | | ✓ | |
+//! | strided runs of adjacent groups with a memoized offset table | | ✓ | |
+//! | the lane-blocked sweep, `k ≥ 3` (below) | ✓ | | ✓ |
 //!
 //! — and writes that layout's loop once, as the body of a split from the
 //! crate's private `split` module: contiguous layouts (and the
@@ -36,16 +36,30 @@
 //! no body reduces across groups, so every layout and every thread count
 //! produces byte-identical amplitudes (pinned by
 //! `tests/hotpath_exactness.rs`).
+//!
+//! ## The lane-blocked sweep
+//!
+//! Every dense multiply of `k ≥ 3` — whatever the qubit layout, and the
+//! target block of a controlled kernel — goes through one body,
+//! `lane_sweep`: it gathers `LANES = 8` consecutive groups into split
+//! re/im planes, keeps one accumulator per output row *per lane*, and lets
+//! the compiler turn the lane dimension into vector registers. The body is
+//! compiled three times (baseline, AVX2, AVX-512F) and the widest copy the
+//! CPU supports is picked once per process; the copies differ in
+//! instruction selection only, and none is built with `fma`, whose single
+//! rounding would break the contract above. `docs/PERFORMANCE.md` has the
+//! layout, the order argument and the measurements.
 
-use crate::scratch::{Bufs, Scratch};
-use crate::split::{for_chunk_ranges, for_group_ranges};
+use crate::scratch::{Bufs, OffsetTable, Scratch};
+use crate::split::{for_chunk_ranges, for_group_ranges, AmpCell};
 use atlas_qmath::{extract_bits, insert_bit, insert_bits, Complex64, Matrix};
+use std::sync::OnceLock;
 
 pub use crate::split::{PARALLEL_ELEMENT_CUTOFF, PARALLEL_GROUP_CUTOFF};
 
 /// Applies an arbitrary unitary `m` over `qubits` (matrix bit `t` =
-/// `qubits[t]`) with up to `threads` threads, dispatching to the cheapest
-/// layout-matched body (module docs). Byte-identical to
+/// `qubits[t]`) with up to `threads` threads: unrolled for `k ≤ 2`, the
+/// lane-blocked sweep (module docs) from `k = 3` up. Byte-identical to
 /// [`crate::reference::apply_matrix_generic`] on every path.
 ///
 /// Complexity: `O(4^k)` complex MACs per group × `2^{n-k}` groups, i.e.
@@ -64,81 +78,181 @@ pub fn apply_matrix(
         2 => return apply_matrix_2q(amps, qubits[0], qubits[1], m, threads),
         _ => {}
     }
-    let dim = 1usize << k;
     let table = scratch.tables.lookup(qubits);
-    let bufs = &mut scratch.bufs;
-    if table.identity_order {
-        // The group *is* a contiguous slice and the matrix basis order
-        // matches the memory order: no gather, no offset table — a
-        // straight `chunks_exact_mut` sweep the compiler can vectorize.
-        for_chunk_ranges(
-            amps,
-            dim,
-            threads,
-            PARALLEL_GROUP_CUTOFF,
-            bufs,
-            |_, sub, bufs| {
-                bufs.resize(dim);
-                for chunk in sub.chunks_exact_mut(dim) {
-                    m.mul_vec_into(chunk, &mut bufs.outbuf);
-                    chunk.copy_from_slice(&bufs.outbuf);
-                }
-            },
-        );
-    } else if table.low_window {
-        // Contiguous chunks, but the matrix basis order is a permutation
-        // of the memory order: gather stays chunk-local.
-        for_chunk_ranges(
-            amps,
-            dim,
-            threads,
-            PARALLEL_GROUP_CUTOFF,
-            bufs,
-            |_, sub, bufs| {
-                bufs.resize(dim);
-                for chunk in sub.chunks_exact_mut(dim) {
-                    for (x, &off) in table.offsets.iter().enumerate() {
-                        bufs.inbuf[x] = chunk[off as usize];
-                    }
-                    m.mul_vec_into(&bufs.inbuf, &mut bufs.outbuf);
-                    for (x, &off) in table.offsets.iter().enumerate() {
-                        chunk[off as usize] = bufs.outbuf[x];
-                    }
-                }
-            },
-        );
-    } else {
-        gather_multiply_scatter(amps, &table.sorted, 0, &table.offsets, m, threads, bufs);
-    }
+    let dense = Dense {
+        sorted: &table.sorted,
+        fixed: 0,
+        offsets: &table.offsets,
+        m,
+    };
+    gather_multiply_scatter(selected_sweep(), amps, &dense, threads, &mut scratch.bufs);
 }
 
-/// The strided gather → dense multiply → scatter sweep shared by the dense
-/// and controlled families: groups enumerate the bits outside `sorted`
-/// (ascending), every bit of `fixed` is forced to 1, and `m` acts on the
-/// in-group `offsets`.
-fn gather_multiply_scatter(
-    amps: &mut [Complex64],
-    sorted: &[u32],
+/// Groups gathered per block of the dense multiply — the vector width the
+/// body is written for: one AVX-512 register of `f64`, two AVX2, four SSE2.
+pub(crate) const LANES: usize = 8;
+
+/// Matrix rows accumulated per pass over a gathered block: `RB × LANES`
+/// real and as many imaginary accumulators — 8 of the 32 registers of
+/// AVX-512, all 16 of AVX2.
+const RB: usize = 4;
+
+/// What one dense sweep applies: groups enumerate the bits outside
+/// `sorted` (ascending), every bit of `fixed` is forced to 1 (the controls
+/// of a controlled kernel), and `m` acts on the in-group `offsets`.
+struct Dense<'a> {
+    sorted: &'a [u32],
     fixed: u64,
-    offsets: &[u64],
-    m: &Matrix,
+    offsets: &'a [u64],
+    m: &'a Matrix,
+}
+
+/// A compiled copy of [`lane_sweep`].
+///
+/// # Safety
+/// The CPU must have the feature the copy was compiled for, which is what
+/// [`supported_sweeps`] checks before handing one out.
+type Sweep = unsafe fn(&AmpCell<'_>, u64, u64, &Dense<'_>, &mut Bufs);
+
+/// The strided gather → dense multiply → scatter sweep shared by the dense
+/// and controlled families, through `sweep` — [`selected_sweep`] everywhere
+/// outside the test that compares the copies.
+fn gather_multiply_scatter(
+    sweep: Sweep,
+    amps: &mut [Complex64],
+    dense: &Dense<'_>,
     threads: usize,
     bufs: &mut Bufs,
 ) {
-    let groups = amps.len() >> sorted.len();
+    let groups = amps.len() >> dense.sorted.len();
     for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, bufs| {
-        bufs.resize(offsets.len());
-        for g in lo..hi {
-            let base = insert_bits(g, sorted) | fixed;
-            for (x, off) in offsets.iter().enumerate() {
-                bufs.inbuf[x] = view.read((base | off) as usize);
-            }
-            m.mul_vec_into(&bufs.inbuf, &mut bufs.outbuf);
-            for (x, off) in offsets.iter().enumerate() {
-                view.write((base | off) as usize, bufs.outbuf[x]);
+        // SAFETY: `sweep` comes from `supported_sweeps`, which hands out a
+        // feature-compiled copy only after detecting that feature here.
+        unsafe { sweep(view, lo, hi, dense, bufs) }
+    });
+}
+
+/// The one dense body: applies `d` to the groups `lo..hi` of `view`,
+/// [`LANES`] groups per multiply.
+///
+/// A block of `LANES` consecutive groups is gathered into split re/im
+/// planes laid out `[basis index][lane]`; each output row is then one
+/// accumulator *per lane*, started at `+0.0` and updated column by column
+/// with the expression tree of `Complex64::mul_add` — so every amplitude
+/// sees exactly the operations, in exactly the order, of the oracle's
+/// `Matrix::mul_vec_into`, and the vector unit works *across* groups,
+/// never inside a row sum. The `(hi - lo) % LANES` groups left over go
+/// through that scalar multiply itself.
+#[inline(always)]
+fn lane_sweep(view: &AmpCell<'_>, lo: u64, hi: u64, d: &Dense<'_>, bufs: &mut Bufs) {
+    let dim = d.offsets.len();
+    bufs.resize(dim);
+    bufs.load_planes(d.m);
+    let mut g = lo;
+    while g + LANES as u64 <= hi {
+        let bases: [u64; LANES] =
+            std::array::from_fn(|l| insert_bits(g + l as u64, d.sorted) | d.fixed);
+        for ((xr, xi), off) in bufs.xre.iter_mut().zip(&mut bufs.xim).zip(d.offsets) {
+            for (l, base) in bases.iter().enumerate() {
+                let a = view.read((base | off) as usize);
+                (xr[l], xi[l]) = (a.re, a.im);
             }
         }
+        let mut r = 0;
+        while r + RB <= dim {
+            multiply_rows::<RB>(r, bufs);
+            r += RB;
+        }
+        while r < dim {
+            multiply_rows::<1>(r, bufs);
+            r += 1;
+        }
+        for ((yr, yi), off) in bufs.yre.iter().zip(&bufs.yim).zip(d.offsets) {
+            for (l, base) in bases.iter().enumerate() {
+                view.write((base | off) as usize, Complex64::new(yr[l], yi[l]));
+            }
+        }
+        g += LANES as u64;
+    }
+    for g in g..hi {
+        let base = insert_bits(g, d.sorted) | d.fixed;
+        for (x, off) in d.offsets.iter().enumerate() {
+            bufs.inbuf[x] = view.read((base | off) as usize);
+        }
+        d.m.mul_vec_into(&bufs.inbuf, &mut bufs.outbuf);
+        for (x, off) in d.offsets.iter().enumerate() {
+            view.write((base | off) as usize, bufs.outbuf[x]);
+        }
+    }
+}
+
+/// Rows `r..r + R` of the matrix planes times the gathered block, into the
+/// output planes.
+#[inline(always)]
+fn multiply_rows<const R: usize>(r: usize, bufs: &mut Bufs) {
+    let dim = bufs.xre.len();
+    let mut acc_re = [[0.0f64; LANES]; R];
+    let mut acc_im = [[0.0f64; LANES]; R];
+    let rows: [(&[f64], &[f64]); R] = std::array::from_fn(|i| {
+        let row = (r + i) * dim..(r + i + 1) * dim;
+        (&bufs.mre[row.clone()], &bufs.mim[row])
     });
+    for (c, (xr, xi)) in bufs.xre.iter().zip(&bufs.xim).enumerate() {
+        for i in 0..R {
+            let (mr, mi) = (rows[i].0[c], rows[i].1[c]);
+            for l in 0..LANES {
+                acc_re[i][l] = (acc_re[i][l] + mr * xr[l]) - mi * xi[l];
+                acc_im[i][l] = (acc_im[i][l] + mr * xi[l]) + mi * xr[l];
+            }
+        }
+    }
+    bufs.yre[r..r + R].copy_from_slice(&acc_re);
+    bufs.yim[r..r + R].copy_from_slice(&acc_im);
+}
+
+fn sweep_portable(view: &AmpCell<'_>, lo: u64, hi: u64, d: &Dense<'_>, bufs: &mut Bufs) {
+    lane_sweep(view, lo, hi, d, bufs)
+}
+
+// Never `fma`: a contracted multiply-add rounds once where the oracle
+// rounds twice, which would break byte identity.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(view: &AmpCell<'_>, lo: u64, hi: u64, d: &Dense<'_>, bufs: &mut Bufs) {
+    lane_sweep(view, lo, hi, d, bufs)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512f(view: &AmpCell<'_>, lo: u64, hi: u64, d: &Dense<'_>, bufs: &mut Bufs) {
+    lane_sweep(view, lo, hi, d, bufs)
+}
+
+/// The compiled copies of [`lane_sweep`] this host can run, narrowest
+/// first. They differ in instruction selection only: no output may depend
+/// on which one ran.
+fn supported_sweeps() -> impl Iterator<Item = Sweep> {
+    let mut sweeps: [Option<Sweep>; 3] = [Some(sweep_portable), None, None];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx2") {
+            sweeps[1] = Some(sweep_avx2);
+        }
+        if is_x86_feature_detected!("avx512f") {
+            sweeps[2] = Some(sweep_avx512f);
+        }
+    }
+    sweeps.into_iter().flatten()
+}
+
+/// The widest supported copy, picked once per process.
+fn selected_sweep() -> Sweep {
+    static SELECTED: OnceLock<Sweep> = OnceLock::new();
+    *SELECTED.get_or_init(|| {
+        supported_sweeps()
+            .last()
+            .expect("the portable copy always runs")
+    })
 }
 
 /// Unrolled dense single-qubit kernel, byte-identical to the generic
@@ -232,6 +346,10 @@ fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, threads
     });
 }
 
+/// Amplitudes per run of [`apply_diag`]: the index bits below `log2` of it
+/// go through a table, the bits above are extracted once per run.
+const DIAG_RUN: usize = 256;
+
 /// Applies a general diagonal gate over `qubits` with up to `threads`
 /// threads: amplitude `i` is scaled by `diag[extract_bits(i, qubits)]`.
 ///
@@ -239,15 +357,27 @@ fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, threads
 /// pass — memory-bandwidth bound, no gather/scatter.
 pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], threads: usize) {
     assert_eq!(diag.len(), 1 << qubits.len());
+    if amps.len() < DIAG_RUN || qubits.len() > u16::BITS as usize {
+        for (i, a) in amps.iter_mut().enumerate() {
+            *a *= diag[extract_bits(i as u64, qubits) as usize];
+        }
+        return;
+    }
+    // What the low index bits contribute to the kernel index, tabulated
+    // once per call instead of extracted once per amplitude.
+    let low: [u16; DIAG_RUN] = std::array::from_fn(|i| extract_bits(i as u64, qubits) as u16);
     for_chunk_ranges(
         amps,
-        1,
+        DIAG_RUN,
         threads,
-        PARALLEL_ELEMENT_CUTOFF,
+        PARALLEL_ELEMENT_CUTOFF / DIAG_RUN,
         &mut Bufs::default(),
         |offset, sub, _| {
-            for (i, a) in sub.iter_mut().enumerate() {
-                *a *= diag[extract_bits((offset + i) as u64, qubits) as usize];
+            for (r, run) in sub.chunks_mut(DIAG_RUN).enumerate() {
+                let high = extract_bits((offset + r * DIAG_RUN) as u64, qubits) as usize;
+                for (a, &x) in run.iter_mut().zip(&low) {
+                    *a *= diag[high | x as usize];
+                }
             }
         },
     );
@@ -317,26 +447,76 @@ pub fn apply_permutation(
     out_off.extend(dst.iter().map(|&d| table.offsets[d as usize]));
     let out_off = &*out_off;
     let groups = amps.len() >> k;
+    // Groups that differ only below the lowest kernel qubit are adjacent in
+    // memory: move them as contiguous runs, not amplitude by amplitude.
+    let sweep = match table.sorted[0] {
+        0 => permutation_sweep::<1>,
+        1 => permutation_sweep::<2>,
+        2 => permutation_sweep::<4>,
+        3 => permutation_sweep::<8>,
+        _ => permutation_sweep::<16>,
+    };
     for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, bufs| {
-        bufs.resize(dim);
-        for g in lo..hi {
-            let base = insert_bits(g, &table.sorted);
-            for (x, off) in table.offsets.iter().enumerate() {
-                bufs.inbuf[x] = view.read((base | off) as usize);
-            }
-            for (x, off) in out_off.iter().enumerate() {
-                view.write((base | off) as usize, phase[x] * bufs.inbuf[x]);
-            }
-        }
+        sweep(view, lo, hi, table, out_off, phase, bufs)
     });
+}
+
+/// The strided permutation sweep over the groups `lo..hi`, `RUN` adjacent
+/// groups at a time where the range holds a whole aligned run of them and
+/// one at a time at its ragged ends.
+fn permutation_sweep<const RUN: usize>(
+    view: &AmpCell<'_>,
+    lo: u64,
+    hi: u64,
+    table: &OffsetTable,
+    out_off: &[u64],
+    phase: &[Complex64],
+    bufs: &mut Bufs,
+) {
+    bufs.resize(table.offsets.len() * RUN);
+    let inbuf = &mut bufs.inbuf;
+    let mut g = lo;
+    while g < hi {
+        let base = insert_bits(g, &table.sorted) as usize;
+        if g.is_multiple_of(RUN as u64) && g + RUN as u64 <= hi {
+            permute_run::<RUN>(view, base, &table.offsets, out_off, phase, inbuf);
+            g += RUN as u64;
+        } else {
+            permute_run::<1>(view, base, &table.offsets, out_off, phase, inbuf);
+            g += 1;
+        }
+    }
+}
+
+/// Gathers the `RUN` adjacent groups starting at `base` — contiguous in
+/// memory at every offset — and scatters them back permuted and scaled.
+#[inline(always)]
+fn permute_run<const RUN: usize>(
+    view: &AmpCell<'_>,
+    base: usize,
+    offsets: &[u64],
+    out_off: &[u64],
+    phase: &[Complex64],
+    inbuf: &mut [Complex64],
+) {
+    for (buf, off) in inbuf.chunks_exact_mut(RUN).zip(offsets) {
+        for (b, a) in buf.iter_mut().zip(view.run(base | *off as usize, RUN)) {
+            *b = a.get();
+        }
+    }
+    for ((buf, off), &p) in inbuf.chunks_exact(RUN).zip(out_off).zip(phase) {
+        for (a, &b) in view.run(base | *off as usize, RUN).iter().zip(buf) {
+            a.set(p * b);
+        }
+    }
 }
 
 /// Applies unitary `m` over `targets`, controlled on every qubit in
 /// `controls` being 1, with up to `threads` threads. Groups whose control
 /// bits are not all set are untouched, so the dense multiply runs on a
 /// `2^|controls|`-times smaller subspace than the equivalent full
-/// `expand_to_kernel` matrix; that skip already makes this kernel cheap,
-/// so there is no further layout specialization. Byte-identical to
+/// `expand_to_kernel` matrix — the lane-blocked sweep (module docs) with
+/// the control bits forced. Byte-identical to
 /// [`crate::reference::apply_controlled_matrix_generic`].
 pub fn apply_controlled_matrix(
     scratch: &mut Scratch,
@@ -357,17 +537,52 @@ pub fn apply_controlled_matrix(
     let mut all = scratch.take_qubits();
     all.extend(controls.iter().chain(targets).copied());
     all.sort_unstable();
-    let offsets = &scratch.tables.lookup(targets).offsets;
-    gather_multiply_scatter(amps, &all, cmask, offsets, m, threads, &mut scratch.bufs);
+    let dense = Dense {
+        sorted: &all,
+        fixed: cmask,
+        offsets: &scratch.tables.lookup(targets).offsets,
+        m,
+    };
+    gather_multiply_scatter(selected_sweep(), amps, &dense, threads, &mut scratch.bufs);
     scratch.put_qubits(all);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{apply_matrix_generic, simulate_reference};
+    use crate::reference::{
+        apply_controlled_matrix_generic, apply_matrix_generic, simulate_reference,
+    };
     use crate::state::StateVector;
     use atlas_circuit::{Circuit, Gate, GateKind};
+
+    fn assert_bits_eq(a: &StateVector, b: &StateVector, label: &str) {
+        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{label}");
+            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{label}");
+        }
+    }
+
+    /// A dense `n`-qubit state: an H/RZ/T wall on every qubit.
+    fn dense_state(n: u32) -> StateVector {
+        let mut prep = Circuit::new(n);
+        for q in 0..n {
+            prep.h(q).rz(0.13 * (q + 1) as f64, q).t(q);
+        }
+        simulate_reference(&prep)
+    }
+
+    /// A dense unitary over `qs`: an H/RZ/CX ladder, fused.
+    fn ladder_unitary(n: u32, qs: &[u32]) -> Matrix {
+        let mut kc = Circuit::new(n);
+        for (i, &q) in qs.iter().enumerate() {
+            kc.h(q).rz(0.3 + i as f64, q);
+            if i > 0 {
+                kc.cx(qs[i - 1], q);
+            }
+        }
+        crate::fused::fuse_gates(qs, kc.gates())
+    }
 
     /// Serial dense apply with a throwaway arena.
     fn dense(sv: &mut StateVector, qs: &[u32], m: &Matrix) {
@@ -449,15 +664,58 @@ mod tests {
     }
 
     #[test]
+    fn every_compiled_sweep_is_bitwise_equal_to_the_portable_one() {
+        // Lane width is an execution detail: the copies of `lane_sweep`
+        // this host can run must agree to the bit with the portable one —
+        // and it with the oracle — on whole blocks, the scalar tail
+        // (4 groups), thread ranges that start mid-block (1024 groups over
+        // 3 threads), a single-row kernel and forced control bits.
+        let cases: [(u32, &[u32], &[u32]); 6] = [
+            (13, &[], &[0, 1, 2]),
+            (13, &[], &[4, 0, 9]),
+            (9, &[], &[3, 8, 5, 6, 4]),
+            (7, &[], &[6, 2, 0, 3, 1]),
+            (13, &[5], &[2, 11]),
+            (13, &[7, 0], &[3]),
+        ];
+        for (n, controls, targets) in cases {
+            let base = dense_state(n);
+            let m = ladder_unitary(n, targets);
+            let mut sorted: Vec<u32> = controls.iter().chain(targets).copied().collect();
+            sorted.sort_unstable();
+            let run = |sweep: Sweep, threads: usize| {
+                let mut scratch = Scratch::new();
+                let mut sv = base.clone();
+                let dense = Dense {
+                    sorted: &sorted,
+                    fixed: controls.iter().fold(0, |acc, &c| acc | (1u64 << c)),
+                    offsets: &scratch.tables.lookup(targets).offsets,
+                    m: &m,
+                };
+                let amps = sv.amplitudes_mut();
+                gather_multiply_scatter(sweep, amps, &dense, threads, &mut scratch.bufs);
+                sv
+            };
+            let mut oracle = base.clone();
+            apply_controlled_matrix_generic(oracle.amplitudes_mut(), controls, targets, &m);
+            for threads in [1, 3] {
+                let label = format!("{controls:?}->{targets:?} threads={threads}");
+                let want = run(sweep_portable, threads);
+                assert_bits_eq(&want, &oracle, &label);
+                for (i, sweep) in supported_sweeps().enumerate() {
+                    assert_bits_eq(&run(sweep, threads), &want, &format!("copy {i} {label}"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dispatched_apply_matrix_is_bitwise_equal_to_generic() {
         // One case per dispatch branch: unrolled k=1 (contiguous and
-        // strided), unrolled k=2 (both orders), identity-order window,
-        // permuted low window, and the strided generic fallback.
-        let mut prep = Circuit::new(8);
-        for q in 0..8 {
-            prep.h(q).rz(0.13 * (q + 1) as f64, q).t(q);
-        }
-        let base = simulate_reference(&prep);
+        // strided), unrolled k=2 (both orders), and the lane-blocked sweep
+        // over an identity-order window, a permuted low window and strided
+        // qubit sets.
+        let base = dense_state(8);
         let cases: Vec<Vec<u32>> = vec![
             vec![0],
             vec![5],
@@ -470,22 +728,12 @@ mod tests {
             vec![6, 2, 4, 0],
         ];
         for qs in cases {
-            let mut kc = Circuit::new(8);
-            for (i, &q) in qs.iter().enumerate() {
-                kc.h(q).rz(0.3 + i as f64, q);
-                if i > 0 {
-                    kc.cx(qs[i - 1], q);
-                }
-            }
-            let m = crate::fused::fuse_gates(&qs, kc.gates());
+            let m = ladder_unitary(8, &qs);
             let mut fast = base.clone();
             let mut gen = base.clone();
             dense(&mut fast, &qs, &m);
             apply_matrix_generic(gen.amplitudes_mut(), &qs, &m);
-            for (a, b) in fast.amplitudes().iter().zip(gen.amplitudes()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{qs:?}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{qs:?}");
-            }
+            assert_bits_eq(&fast, &gen, &format!("{qs:?}"));
         }
     }
 }

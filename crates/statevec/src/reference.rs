@@ -10,17 +10,12 @@
 //!   layout and thread count is pinned byte-identical to them by
 //!   `tests/hotpath_exactness.rs`, and the hotpath bench measures the gap.
 //!
-//! The oracles share no code with the production kernels. [`apply_gate`]
-//! is not yet as independent: its dense fall-through (`CSwap` and
-//! non-diagonal multi-qubit gates) and its multi-qubit diagonal case call
-//! the production [`crate::apply::apply_matrix`] /
-//! [`crate::apply::apply_diag`] with one thread.
+//! Nothing in this module calls into [`crate::apply`]: a bug in a
+//! production kernel can never be on both sides of a differential.
 
-use crate::apply::{apply_diag, apply_matrix};
-use crate::scratch;
 use crate::state::StateVector;
 use atlas_circuit::{Circuit, Gate, GateKind};
-use atlas_qmath::{deposit_bits, insert_bit, insert_bits, Complex64, Matrix};
+use atlas_qmath::{deposit_bits, extract_bits, insert_bit, insert_bits, Complex64, Matrix};
 
 /// Reference simulation: applies every gate of `circuit` in order to the
 /// `|0…0⟩` state, single-threaded. This is the golden model the distributed
@@ -45,22 +40,20 @@ pub fn apply_gate(amps: &mut [Complex64], gate: &Gate) {
         CRX(t) => apply_controlled_1q(amps, 1 << qs[0], qs[1], &RX(t).matrix()),
         CRY(t) => apply_controlled_1q(amps, 1 << qs[0], qs[1], &RY(t).matrix()),
         CCX => apply_controlled_1q(amps, (1 << qs[0]) | (1 << qs[1]), qs[2], &X.matrix()),
-        CSwap => {
-            // Fredkin: swap conditioned on control — use the general path.
-            scratch::with_thread(|s| apply_matrix(s, amps, qs, &gate.matrix(), 1));
-        }
+        // Fredkin: swap conditioned on control — use the general path.
+        CSwap => apply_matrix_generic(amps, qs, &gate.matrix()),
         _ => {
             let m = gate.matrix();
             if let Some(diag) = diagonal_of(&m) {
                 if qs.len() == 1 {
                     apply_1q_diag(amps, qs[0], diag[0], diag[1]);
                 } else {
-                    apply_diag(amps, qs, &diag, 1);
+                    apply_diag(amps, qs, &diag);
                 }
             } else if qs.len() == 1 {
                 apply_1q(amps, qs[0], &m);
             } else {
-                scratch::with_thread(|s| apply_matrix(s, amps, qs, &m, 1));
+                apply_matrix_generic(amps, qs, &m);
             }
         }
     }
@@ -102,6 +95,14 @@ fn apply_1q_diag(amps: &mut [Complex64], q: u32, d0: Complex64, d1: Complex64) {
         } else if !trivial0 {
             *a *= d0;
         }
+    }
+}
+
+/// Applies a diagonal gate over `qubits`: amplitude `i` is scaled by
+/// `diag[extract_bits(i, qubits)]`.
+fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64]) {
+    for (i, a) in amps.iter_mut().enumerate() {
+        *a *= diag[extract_bits(i as u64, qubits) as usize];
     }
 }
 

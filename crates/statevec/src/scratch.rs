@@ -7,13 +7,15 @@
 //! a steady-state `EXECUTE` applies thousands of kernels whose qubit sets
 //! repeat stage after stage. A [`Scratch`] owns all of it:
 //!
-//! * **buffers** (`inbuf`/`outbuf`/`out_off`) are `clear()` + `resize()`d
-//!   per call, which never reallocates once capacity covers the largest
-//!   kernel seen (kernels are ≤ 7 qubits, so ≤ 128 entries);
+//! * **buffers** (`inbuf`/`outbuf`/`out_off`, and the re/im planes of the
+//!   lane-blocked dense sweep) are `resize()`d per call, which never
+//!   reallocates once capacity covers the largest kernel seen
+//!   (kernels are ≤ 7 qubits: ≤ 2048 buffer entries, ≤ 32 KiB of vector
+//!   planes and ≤ 256 KiB of matrix planes);
 //! * **offset tables** are memoized per distinct qubit list in a map, so
 //!   the `deposit_bits` scatter arithmetic runs once per (qubit set) and
-//!   the table also records the layout facts the dispatcher needs
-//!   (contiguous low window? identity order?);
+//!   the table also records the layout fact the permutation kernel
+//!   branches on (contiguous low window?);
 //! * **pools** hand out owned buffers (`take_*`/`put_*`) for callers that
 //!   nest scratch-using kernels (scale folding in `apply_kernel`) and
 //!   therefore cannot share the flat buffers.
@@ -24,46 +26,70 @@
 //! execution performs **zero heap allocations per gate** — asserted by the
 //! counting-allocator test in `tests/hotpath_alloc.rs`.
 
+use crate::apply::LANES;
 use atlas_qmath::{deposit_bits, Complex64, Matrix};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Memoized per-qubit-set addressing: the sorted qubit list (for
 /// `insert_bits` group enumeration), the in-group offsets (`deposit_bits`
-/// of every basis index over the qubit list *in gate order*), and the two
-/// layout facts the kernel dispatcher branches on.
+/// of every basis index over the qubit list *in gate order*), and the
+/// layout fact the permutation kernel branches on.
 pub(crate) struct OffsetTable {
     /// The qubit list sorted ascending — the `insert_bits` argument.
     pub sorted: Vec<u32>,
     /// `offsets[x] = deposit_bits(x, qubits)` for `x < 2^k` (gate order).
     pub offsets: Vec<u64>,
-    /// `qubits == [0, 1, …, k-1]` exactly: every group is a contiguous
-    /// `2^k` chunk **and** `offsets[x] == x` — no gather at all.
-    pub identity_order: bool,
     /// The qubit *set* is `{0, …, k-1}` (any order): groups are contiguous
     /// `2^k` chunks and every offset stays inside the chunk.
     pub low_window: bool,
 }
 
-/// The per-group working buffers of a kernel body. The arena's pair
-/// serves the calling thread; a threaded kernel gives every spawned
-/// thread a fresh pair (see [`crate::split`]).
+/// The working buffers of a kernel body. The arena's set serves the
+/// calling thread; a threaded kernel gives every spawned thread a fresh
+/// set (see [`crate::split`]).
 #[derive(Default)]
 pub(crate) struct Bufs {
-    /// Gather buffer (one kernel group of amplitudes).
+    /// Gather buffer (one kernel group of amplitudes, or one run of
+    /// adjacent groups of a permutation kernel).
     pub inbuf: Vec<Complex64>,
     /// Output buffer for the dense multiply.
     pub outbuf: Vec<Complex64>,
+    /// Real parts of one gathered lane block, `[basis index][lane]`.
+    pub xre: Vec<[f64; LANES]>,
+    /// Imaginary parts of one gathered lane block.
+    pub xim: Vec<[f64; LANES]>,
+    /// Real parts of the block's outputs, `[basis index][lane]`.
+    pub yre: Vec<[f64; LANES]>,
+    /// Imaginary parts of the block's outputs.
+    pub yim: Vec<[f64; LANES]>,
+    /// Real parts of the kernel matrix, row-major.
+    pub mre: Vec<f64>,
+    /// Imaginary parts of the kernel matrix, row-major.
+    pub mim: Vec<f64>,
 }
 
 impl Bufs {
-    /// Sizes both buffers to one `dim`-amplitude group. Never reallocates
-    /// once capacity covers the largest kernel seen.
-    pub(crate) fn resize(&mut self, dim: usize) {
+    /// Sizes both amplitude buffers to `len` entries, whose contents are
+    /// unspecified (bodies write before they read). Never reallocates once
+    /// capacity covers the largest kernel seen.
+    pub(crate) fn resize(&mut self, len: usize) {
         for buf in [&mut self.inbuf, &mut self.outbuf] {
-            buf.clear();
-            buf.resize(dim, Complex64::ZERO);
+            buf.resize(len, Complex64::ZERO);
         }
+    }
+
+    /// Splits `m` into the matrix planes and sizes the vector planes to
+    /// one lane block of `m.cols()`-amplitude groups. Like
+    /// [`Bufs::resize`], allocation-free once warm.
+    pub(crate) fn load_planes(&mut self, m: &Matrix) {
+        for plane in [&mut self.xre, &mut self.xim, &mut self.yre, &mut self.yim] {
+            plane.resize(m.cols(), [0.0; LANES]);
+        }
+        self.mre.clear();
+        self.mre.extend(m.as_slice().iter().map(|v| v.re));
+        self.mim.clear();
+        self.mim.extend(m.as_slice().iter().map(|v| v.im));
     }
 }
 
@@ -104,11 +130,9 @@ fn build_table(qubits: &[u32]) -> OffsetTable {
     sorted.sort_unstable();
     let offsets: Vec<u64> = (0..1u64 << k).map(|x| deposit_bits(x, qubits)).collect();
     let low_window = sorted.iter().enumerate().all(|(i, &q)| q == i as u32);
-    let identity_order = low_window && qubits.iter().enumerate().all(|(i, &q)| q == i as u32);
     OffsetTable {
         sorted,
         offsets,
-        identity_order,
         low_window,
     }
 }
@@ -297,14 +321,9 @@ mod tests {
     fn layout_flags_classify_windows() {
         let mut s = Scratch::new();
         let tables = &mut s.tables;
-        assert!(tables.lookup(&[0, 1, 2]).identity_order);
         assert!(tables.lookup(&[0, 1, 2]).low_window);
-        let t = tables.lookup(&[1, 0]);
-        assert!(!t.identity_order);
-        assert!(t.low_window);
-        let t = tables.lookup(&[0, 2]);
-        assert!(!t.identity_order);
-        assert!(!t.low_window);
+        assert!(tables.lookup(&[1, 0]).low_window);
+        assert!(!tables.lookup(&[0, 2]).low_window);
     }
 
     #[test]
@@ -314,7 +333,7 @@ mod tests {
         // Over-wide lists are served transiently, not retained.
         let wide: Vec<u32> = (0..(MEMO_MAX_QUBITS as u32 + 1)).collect();
         let t = tables.lookup(&wide);
-        assert!(t.identity_order);
+        assert!(t.low_window);
         assert!(tables.map.is_empty());
         // Exceeding the entry cap evicts per insert instead of growing
         // (distinct 2-qubit lists, all positions < 64).

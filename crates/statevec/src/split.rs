@@ -29,7 +29,7 @@
 
 use crate::scratch::Bufs;
 use atlas_qmath::Complex64;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 
 /// Minimum number of independent groups before a kernel is worth
 /// multi-threading.
@@ -100,6 +100,16 @@ impl<'a> AmpCell<'a> {
     pub(crate) fn write(&self, idx: usize, v: Complex64) {
         // SAFETY: no other thread accesses `idx` (module docs).
         unsafe { *self.0[idx].get() = v }
+    }
+
+    /// The `len` amplitudes from `idx` on as one contiguous run, every one
+    /// of which must belong to a group of the calling body's range.
+    #[inline(always)]
+    pub(crate) fn run(&self, idx: usize, len: usize) -> &[Cell<Complex64>] {
+        let run: *const [UnsafeCell<Complex64>] = &self.0[idx..idx + len];
+        // SAFETY: `Cell<T>` has the layout of `UnsafeCell<T>`, and no other
+        // thread accesses the indices of the run (module docs).
+        unsafe { &*(run as *const [Cell<Complex64>]) }
     }
 }
 

@@ -18,8 +18,8 @@ use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
-    apply_kernel, apply_matrix, classify_kernel, fuse_gates, simulate_reference, Pool, Scratch,
-    StateVector,
+    apply_controlled_matrix, apply_kernel, apply_matrix, classify_kernel, fuse_gates,
+    simulate_reference, FastKernel, Pool, Scratch, StateVector,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,7 +96,8 @@ fn warm_scratch_apply_layer_allocates_nothing() {
     let mut scratch = Scratch::new();
 
     // One fused kernel per structural class, plus raw dense applies over
-    // every dispatch layout (unrolled 1q/2q, low window, strided generic).
+    // every dispatch layout (unrolled 1q/2q; the lane-blocked sweep on a
+    // low window, strided, and at k = 6, its widest planes here).
     let dense_qs: Vec<Vec<u32>> = vec![
         vec![0],
         vec![7],
@@ -106,6 +107,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
         vec![2, 0, 1],
         vec![1, 5, 9],
         vec![8, 3, 6, 11],
+        vec![10, 0, 4, 7, 2, 9],
     ];
     let mats: Vec<(Vec<u32>, atlas::qmath::Matrix)> = dense_qs
         .iter()
@@ -128,6 +130,18 @@ fn warm_scratch_apply_layer_allocates_nothing() {
     perm_c.cx(2, 6).x(6).swap(2, 9);
     let perm_kernel = classify_kernel(&fuse_gates(&[2, 6, 9], perm_c.gates()));
     let ctrl_kernel = classify_kernel(&GateKind::CRY(0.8).matrix());
+    // A controlled kernel whose two-target block goes through the sweep,
+    // and a k = 5 diagonal (scaled into a pooled buffer).
+    let ctrl2_matrix = GateKind::RXX(0.8).matrix();
+    let mut diag5_c = Circuit::new(n);
+    diag5_c
+        .cp(0.4, 0, 3)
+        .rz(0.9, 5)
+        .cp(1.1, 5, 8)
+        .t(11)
+        .cp(0.2, 8, 11);
+    let diag5_kernel = classify_kernel(&fuse_gates(&[0, 3, 5, 8, 11], diag5_c.gates()));
+    assert!(matches!(diag5_kernel, FastKernel::Diagonal(_)));
     let mut dense_c = Circuit::new(n);
     dense_c.h(1).cx(1, 4).h(4);
     let dense_kernel = classify_kernel(&fuse_gates(&[1, 4], dense_c.gates()));
@@ -167,6 +181,22 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             sv.amplitudes_mut(),
             &[1, 4],
             &dense_kernel,
+            scale,
+            1,
+        );
+        apply_controlled_matrix(
+            scratch,
+            sv.amplitudes_mut(),
+            &[3],
+            &[9, 6],
+            &ctrl2_matrix,
+            1,
+        );
+        apply_kernel(
+            scratch,
+            sv.amplitudes_mut(),
+            &[0, 3, 5, 8, 11],
+            &diag5_kernel,
             scale,
             1,
         );

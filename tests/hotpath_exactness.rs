@@ -2,17 +2,18 @@
 //! in-tree generic oracles.
 //!
 //! The kernels in `atlas_statevec::apply` (one function per family, each
-//! dispatching over layouts — unrolled `k ≤ 2`, contiguous low-window
-//! chunks, scratch-cached strided gather — and running the chosen layout's
-//! loop on one thread or split over several) and the block-copy relayout
-//! in `atlas_machine` are *replacements* for generic code on the innermost
-//! `2^n` sweep — they are only admissible because they perform the
-//! identical floating-point operations in the identical order. These
-//! properties pin that down to the bit: any rounding difference at all is
-//! a failure, not a tolerance question. Every family is checked at every
-//! row of the layout table, at 1, 2 and 3 threads, on slices on both sides
-//! of the work cutoffs below which a kernel stays on one thread — which is
-//! also what keeps thread-count determinism intact.
+//! dispatching over layouts — unrolled `k ≤ 2`, the lane-blocked dense
+//! sweep, contiguous low-window chunks, strided runs — and running the
+//! chosen layout's loop on one thread or split over several) and the
+//! block-copy relayout in `atlas_machine` are *replacements* for generic
+//! code on the innermost `2^n` sweep — they are only admissible because
+//! they perform the identical floating-point operations in the identical
+//! order. These properties pin that down to the bit: any rounding
+//! difference at all is a failure, not a tolerance question. Every family
+//! is checked at every row of the layout table, at 1, 2 and 3 threads, on
+//! slices on both sides of the work cutoffs below which a kernel stays on
+//! one thread — which is also what keeps thread-count determinism intact —
+//! and the kernels that block adjacent groups at the edges of their blocks.
 
 use atlas::machine::{CostModel, Machine, MachineSpec};
 use atlas::prelude::*;
@@ -113,10 +114,10 @@ fn layout_rows(n: u32) -> Vec<Vec<u32>> {
         vec![n - 1],       // unrolled k = 1 on the top qubit
         vec![0, 1],        // unrolled k = 2, contiguous
         vec![n / 2, 1],    // unrolled k = 2, strided
-        vec![0, 1, 2],     // identity_order
+        vec![0, 1, 2],     // lane-blocked sweep, identity order
         vec![2, 0, 1],     // low_window
-        vec![1, n / 2, 4], // strided gather
-        vec![n - 1, 0, 3], // strided gather including the top qubit
+        vec![1, n / 2, 4], // strided
+        vec![n - 1, 0, 3], // strided including the top qubit
     ]
 }
 
@@ -179,6 +180,107 @@ fn seeded_phases(dim: usize, seed: u64) -> Vec<Complex64> {
 fn diag_oracle(amps: &mut [Complex64], qs: &[u32], diag: &[Complex64]) {
     for (i, a) in amps.iter_mut().enumerate() {
         *a *= diag[extract_bits(i as u64, qs) as usize];
+    }
+}
+
+/// The layouts the lane-blocked sweep sees for a `k`-qubit kernel on an
+/// `n`-qubit slice, as far as `n` has room for them: identity order, a
+/// permuted low window, strided including qubit 0 (adjacent groups never
+/// adjacent in memory), strided with every qubit ≥ 3 (eight adjacent
+/// groups contiguous in memory).
+fn lane_layouts(n: u32, k: u32) -> Vec<Vec<u32>> {
+    let mut rows = vec![(0..k).collect(), (1..k).chain([0]).collect()];
+    if n > k {
+        rows.push([n - 1].into_iter().chain(0..k - 1).collect());
+    }
+    if n > k + 2 {
+        rows.push([n - 1].into_iter().chain(3..k + 2).collect());
+    }
+    rows
+}
+
+/// Slice sizes that give a `k`-qubit kernel 1, 2, 4, 8 and 16 groups —
+/// below, at and above one lane block of 8 — and exactly
+/// [`PARALLEL_GROUP_CUTOFF`] groups, which three threads cut into ranges
+/// that start and end inside a block.
+fn block_edge_sizes(k: u32) -> impl Iterator<Item = u32> {
+    (k..=k + 4).chain([k + PARALLEL_GROUP_CUTOFF.trailing_zeros()])
+}
+
+/// The lane-blocked dense sweep at its block edges, for every kernel
+/// width it serves.
+#[test]
+fn lane_blocked_dense_matches_generic_at_block_edges() {
+    for k in 3..=7u32 {
+        for n in block_edge_sizes(k) {
+            let base = dense_state(n, 11 * k as u64 + n as u64);
+            for qs in lane_layouts(n, k) {
+                let m = seeded_unitary(n, &qs, k as u64);
+                assert_matches_oracle(
+                    &base,
+                    &format!("dense n={n} qs={qs:?}"),
+                    |amps| apply_matrix_generic(amps, &qs, &m),
+                    |scratch, amps, threads| apply_matrix(scratch, amps, &qs, &m, threads),
+                );
+            }
+        }
+    }
+}
+
+/// Controlled kernels with two targets and one or two controls go through
+/// the same sweep with the control bits forced: same block edges.
+#[test]
+fn lane_blocked_controlled_matches_generic_at_block_edges() {
+    for kc in 1..=2u32 {
+        for n in block_edge_sizes(kc + 2) {
+            let base = dense_state(n, 7 * kc as u64 + n as u64);
+            // Controls first: a window rotated by one, and — where the
+            // slice has room — the same with the top qubit as a control.
+            let mut rows: Vec<Vec<u32>> = vec![(1..kc + 2).chain([0]).collect()];
+            if n > kc + 2 {
+                rows.push([n - 1].into_iter().chain(2..kc + 2).chain([0]).collect());
+            }
+            for all in rows {
+                let (controls, targets) = all.split_at(kc as usize);
+                let m = seeded_unitary(n, targets, n as u64);
+                assert_matches_oracle(
+                    &base,
+                    &format!("ctrl n={n} {controls:?}->{targets:?}"),
+                    |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
+                    |scratch, amps, threads| {
+                        apply_controlled_matrix(scratch, amps, controls, targets, &m, threads)
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Strided permutation kernels move runs of `2^min(q, 4)` adjacent groups,
+/// `q` the lowest kernel qubit: every run length, on slices of a few runs
+/// and on one that three threads cut mid-run.
+#[test]
+fn permutation_runs_match_generic_at_run_edges() {
+    for q in 0..=5u32 {
+        for n in [
+            q + 4,
+            q + 5,
+            q + 6,
+            3 + PARALLEL_GROUP_CUTOFF.trailing_zeros(),
+        ] {
+            let qs = vec![n - 1, q, q + 2];
+            let base = dense_state(n, 5 * q as u64 + n as u64);
+            let dst: Vec<u32> = qubit_subset(8, 8, 0xABCD + q as u64);
+            let phase = seeded_phases(8, q as u64);
+            assert_matches_oracle(
+                &base,
+                &format!("perm n={n} qs={qs:?} dst={dst:?}"),
+                |amps| apply_permutation_generic(amps, &qs, &dst, &phase),
+                |scratch, amps, threads| {
+                    apply_permutation(scratch, amps, &qs, &dst, &phase, threads)
+                },
+            );
+        }
     }
 }
 
