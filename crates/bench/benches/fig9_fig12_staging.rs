@@ -7,11 +7,15 @@
 //! its L=23→24 regression).
 
 use atlas_bench::{families, full_grid, geomean, section, write_csv};
-use atlas_core::config::AtlasConfig;
+use atlas_core::config::{AtlasConfig, StagingAlgo};
 use atlas_core::staging;
 
 fn sweep(n: u32, l_range: std::ops::RangeInclusive<u32>, csv: &str) {
     let cfg = AtlasConfig::default();
+    let snuqs_cfg = AtlasConfig {
+        staging: StagingAlgo::Snuqs,
+        ..AtlasConfig::default()
+    };
     println!("{:>4} {:>12} {:>12}", "L", "atlas", "snuqs");
     let mut rows = Vec::new();
     let mut atlas_prev = f64::INFINITY;
@@ -25,7 +29,7 @@ fn sweep(n: u32, l_range: std::ops::RangeInclusive<u32>, csv: &str) {
             let c = fam.generate(n);
             let a = staging::stage_circuit(&c, l, g, &cfg)
                 .unwrap_or_else(|e| panic!("{} L={l}: {e}", fam.name()));
-            let s = staging::stage_circuit_snuqs(&c, l, g, &cfg).unwrap();
+            let s = staging::stage_circuit(&c, l, g, &snuqs_cfg).unwrap();
             assert!(
                 a.num_stages() <= s.num_stages(),
                 "{} L={l}: atlas {} > snuqs {}",

@@ -157,14 +157,6 @@ fn bench_planner(c: &mut Criterion) {
     g.bench_function("staging_search_su2random_31_L15", |b| {
         b.iter(|| atlas_core::staging::stage_circuit(black_box(&circ), 15, 2, &cfg).unwrap())
     });
-    let small = Family::Qft.generate(10);
-    g.bench_function("staging_generic_ilp_qft_10_L6", |b| {
-        let icfg = AtlasConfig {
-            staging: atlas_core::config::StagingAlgo::GenericIlp,
-            ..AtlasConfig::default()
-        };
-        b.iter(|| atlas_core::staging::stage_circuit(black_box(&small), 6, 1, &icfg).unwrap())
-    });
     g.finish();
 }
 

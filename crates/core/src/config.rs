@@ -12,11 +12,10 @@ use atlas_telemetry::Recorder;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StagingAlgo {
     /// Atlas: the ILP model solved by the structure-exploiting search
-    /// (default — see `staging::search`).
+    /// (default — see `staging::search`). The generic branch-and-bound
+    /// over the same model is not selectable: it is the test oracle the
+    /// search is checked against (`staging::ilp_model`, tests only).
     IlpSearch,
-    /// Atlas: the ILP model solved by the generic `atlas-ilp`
-    /// branch-and-bound. Exact but only tractable for small circuits.
-    GenericIlp,
     /// The SnuQS greedy heuristic (§VII-D baseline).
     Snuqs,
 }
@@ -183,18 +182,6 @@ pub struct AtlasConfig {
     /// Kernelization DP pruning threshold `T` (Appendix B-f). The paper
     /// sets 500.
     pub pruning_threshold: usize,
-    /// Maximum number of stages Algorithm 2 will try before giving up.
-    /// Deep circuits genuinely need many stages — a 20-qubit Grover's
-    /// repeated multi-controlled-Z sweeps demand one or two per
-    /// amplification round — so this is a runaway bound, not a typical
-    /// operating point.
-    pub max_stages: usize,
-    /// Node budget for the generic ILP solver per `s` attempt — the
-    /// **sole budget**. Node counts are a pure function of the model, so
-    /// the chosen plan is identical on every machine.
-    pub ilp_node_limit: u64,
-    /// Beam width of the staging search solver.
-    pub staging_beam_width: usize,
     /// Staging algorithm.
     pub staging: StagingAlgo,
     /// Kernelization algorithm.
@@ -257,9 +244,6 @@ impl Default for AtlasConfig {
         AtlasConfig {
             inter_node_cost_factor: 3,
             pruning_threshold: 500,
-            max_stages: 512,
-            ilp_node_limit: 2_000_000,
-            staging_beam_width: 64,
             staging: StagingAlgo::IlpSearch,
             kernelizer: KernelAlgo::Dp,
             final_unpermute: false,
@@ -285,13 +269,12 @@ impl AtlasConfig {
     /// Rejected (each with a message naming the offending field): zero
     /// `threads`; a non-zero `seed` without `shots` or `noise`; a `noise`
     /// probability outside `[0, 1]`; zero `trajectories` under noise;
-    /// zero `max_stages`; a negative Eq. 2 cost factor (zero stays legal
-    /// as the communication-cost-blind ablation); a zero beam width
-    /// under `IlpSearch`; a zero node budget under `GenericIlp`; a zero
-    /// memory budget; and a degenerate kernelizer (`Dp` with
-    /// `pruning_threshold = 0`, greedy packers with `max_qubits = 0`).
-    /// Only the final combination counts — a knob the chosen algorithms
-    /// never read (e.g. the beam width under `Snuqs`) may hold any value.
+    /// a negative Eq. 2 cost factor (zero stays legal as the
+    /// communication-cost-blind ablation); a zero memory budget; and a
+    /// degenerate kernelizer (`Dp` with `pruning_threshold = 0`, greedy
+    /// packers with `max_qubits = 0`). Only the final combination counts
+    /// — a knob the chosen algorithms never read (e.g. the pruning
+    /// threshold under `Ordered`) may hold any value.
     ///
     /// ```
     /// use atlas_core::AtlasConfig;
@@ -325,11 +308,6 @@ impl AtlasConfig {
                  one stochastic trajectory",
             ));
         }
-        if self.max_stages == 0 {
-            return Err(AtlasError::invalid_config(
-                "max_stages = 0: staging needs room for at least one stage",
-            ));
-        }
         // `inter_node_cost_factor = 0` is a legitimate ablation
         // (communication-cost-blind staging); negative factors would make
         // the Eq. 2 objective reward extra communication.
@@ -339,17 +317,6 @@ impl AtlasConfig {
                  communication",
                 self.inter_node_cost_factor
             )));
-        }
-        if self.staging == StagingAlgo::IlpSearch && self.staging_beam_width == 0 {
-            return Err(AtlasError::invalid_config(
-                "staging_beam_width = 0: the staging search keeps no candidates",
-            ));
-        }
-        if self.staging == StagingAlgo::GenericIlp && self.ilp_node_limit == 0 {
-            return Err(AtlasError::invalid_config(
-                "GenericIlp staging with a zero node budget can never \
-                 return a plan",
-            ));
         }
         if self.memory_budget.limit() == 0 {
             return Err(AtlasError::invalid_config(
@@ -374,9 +341,9 @@ impl AtlasConfig {
         Ok(())
     }
 
-    /// Configuration for functional-correctness runs: exact solvers where
-    /// affordable and a final unpermute so amplitudes are directly
-    /// comparable to the reference simulator.
+    /// Configuration for functional-correctness runs: the defaults plus a
+    /// final unpermute so amplitudes are directly comparable to the
+    /// reference simulator.
     pub fn for_validation() -> Self {
         AtlasConfig {
             final_unpermute: true,
@@ -406,25 +373,15 @@ mod tests {
     #[test]
     fn validate_rejects_incoherent_combinations() {
         use KernelAlgo::{Dp, Greedy, GreedyHybrid};
-        use StagingAlgo::{GenericIlp, IlpSearch};
         type Spoil = fn(&mut AtlasConfig);
-        let cases: [(Spoil, &str); 14] = [
+        let cases: [(Spoil, &str); 11] = [
             (|c| c.threads = 0, "threads"),
             (|c| c.seed = 3, "seed"),
             (|c| c.noise = -0.1, "noise"),
             (|c| c.noise = 1.5, "noise"),
             (|c| c.noise = f64::NAN, "noise"),
             (|c| (c.noise, c.trajectories) = (0.05, 0), "trajectories"),
-            (|c| c.max_stages = 0, "max_stages"),
             (|c| c.inter_node_cost_factor = -1, "inter_node_cost_factor"),
-            (
-                |c| (c.staging, c.staging_beam_width) = (IlpSearch, 0),
-                "staging_beam_width",
-            ),
-            (
-                |c| (c.staging, c.ilp_node_limit) = (GenericIlp, 0),
-                "budget",
-            ),
             (
                 |c| c.memory_budget = MemoryBudget::bytes(0),
                 "memory_budget",
@@ -497,13 +454,6 @@ mod tests {
             ..d()
         };
         assert!(seeded.validate().is_ok());
-        // Zero beam width is fine for solvers that don't use it.
-        let snuqs = AtlasConfig {
-            staging: StagingAlgo::Snuqs,
-            staging_beam_width: 0,
-            ..d()
-        };
-        assert!(snuqs.validate().is_ok());
         // Zero pruning threshold is fine off the DP kernelizer.
         let ordered = AtlasConfig {
             kernelizer: KernelAlgo::Ordered,

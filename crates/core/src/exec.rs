@@ -96,11 +96,6 @@ pub struct FullPlan {
     pub staging_cost: i64,
     /// Whether staging proved stage-count minimality.
     pub staging_optimal: bool,
-    /// The generic ILP's decisive solve status when that staging
-    /// algorithm produced the plan (`Feasible` = the node budget cut
-    /// the optimality proof short — the plan is valid but possibly not
-    /// cost-minimal). `None` under the search and SnuQS solvers.
-    pub solve_status: Option<atlas_ilp::SolveStatus>,
     /// Σ kernel cost over stages.
     pub kernel_cost: f64,
     /// L and G used.
@@ -267,7 +262,6 @@ pub(crate) fn plan(
         stages,
         cost: staging_cost,
         optimal: staging_optimal,
-        solve_status,
     } = staging::stage_circuit(circuit, l, g, cfg)?;
     cfg.recorder.span(
         "plan.stage",
@@ -318,7 +312,6 @@ pub(crate) fn plan(
         stages: plans,
         staging_cost,
         staging_optimal,
-        solve_status,
         kernel_cost,
         l,
         g,

@@ -251,7 +251,8 @@ impl Planner {
     ///
     /// Errors: [`AtlasError::InvalidConfig`] for an incoherent
     /// configuration, [`AtlasError::CircuitTooSmall`] when
-    /// `n < L + G`, and staging failures (e.g. `max_stages` exhausted).
+    /// `n < L + G`, and staging failures (the search's runaway stage
+    /// bound exhausted).
     pub fn plan(&self, circuit: &Circuit) -> Result<CompiledPlan, AtlasError> {
         self.cfg.validate()?;
         let n = circuit.num_qubits();

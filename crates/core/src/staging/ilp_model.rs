@@ -11,7 +11,7 @@ use super::RawStaging;
 use atlas_ilp::{Model, Solution, SolveStatus, SolverConfig, VarId};
 
 /// Variable handles of the built model.
-pub struct IlpVars {
+struct IlpVars {
     /// `a[k][q]`: logical qubit `q` is local in stage `k`.
     pub a: Vec<Vec<VarId>>,
     /// `b[k][q]`: logical qubit `q` is global in stage `k`.
@@ -25,7 +25,7 @@ pub struct IlpVars {
 }
 
 /// Builds the ILP for exactly `s` stages.
-pub fn build_ilp(p: &StagingProblem, s: usize) -> (Model, IlpVars) {
+fn build_ilp(p: &StagingProblem, s: usize) -> (Model, IlpVars) {
     let n = p.n as usize;
     let ng = p.items.len();
     let mut m = Model::new();
@@ -118,7 +118,7 @@ pub fn build_ilp(p: &StagingProblem, s: usize) -> (Model, IlpVars) {
 }
 
 /// Extracts a staging from an ILP solution.
-pub fn extract_raw(p: &StagingProblem, s: usize, vars: &IlpVars, sol: &Solution) -> RawStaging {
+fn extract_raw(p: &StagingProblem, s: usize, vars: &IlpVars, sol: &Solution) -> RawStaging {
     let n = p.n as usize;
     let mut partitions = Vec::with_capacity(s);
     for k in 0..s {
@@ -150,7 +150,7 @@ pub fn extract_raw(p: &StagingProblem, s: usize, vars: &IlpVars, sol: &Solution)
 
 /// Solves the `s`-stage model. Returns the status plus the staging when
 /// feasible.
-pub fn solve_ilp(
+pub(super) fn solve_ilp(
     p: &StagingProblem,
     s: usize,
     cfg: &SolverConfig,

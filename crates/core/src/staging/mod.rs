@@ -3,7 +3,12 @@
 //! qubits are local in its stage, minimizing the stage count first
 //! (Theorem 1) and then the communication cost of Eq. 2.
 
-pub mod ilp_model;
+// The exact formulation, kept as the test oracle the search is checked
+// against; no configuration can reach it. Its `S`/`T` variable handles
+// mirror the paper's model and are read by the solver only.
+#[cfg(test)]
+#[allow(dead_code)]
+mod ilp_model;
 pub mod prep;
 pub mod search;
 pub mod snuqs;
@@ -12,12 +17,11 @@ use crate::config::AtlasConfig;
 use crate::plan::{QubitPartition, Stage};
 use atlas_circuit::Circuit;
 use atlas_error::AtlasError;
-use atlas_ilp::{SolveStatus, SolverConfig};
 use prep::StagingProblem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Global count of staging-solver invocations (every
-/// [`stage_circuit`] / [`stage_circuit_snuqs`] call increments it).
+/// [`stage_circuit`] call increments it).
 ///
 /// This is the observability hook behind the session API's
 /// plan-once/run-many guarantee: PARTITION is the expensive phase, so
@@ -54,14 +58,9 @@ pub struct StagingOutcome {
     pub stages: Vec<Stage>,
     /// Total communication cost (Eq. 2).
     pub cost: i64,
-    /// Whether the stage count is provably minimal.
+    /// Whether the stage count is provably minimal (a single stage; the
+    /// search proves nothing beyond that — see [`search`]).
     pub optimal: bool,
-    /// The generic ILP solver's decisive [`SolveStatus`] (`Optimal`, or
-    /// `Feasible` when a budget cut the optimality proof short), so a
-    /// budget-hit plan is visible instead of silent. `None` for the
-    /// search and SnuQS solvers, which report through
-    /// [`optimal`](StagingOutcome::optimal) alone.
-    pub solve_status: Option<SolveStatus>,
 }
 
 impl StagingOutcome {
@@ -142,11 +141,25 @@ pub fn masks_to_partition(n: u32, lmask: u64, gmask: u64) -> QubitPartition {
     }
 }
 
+/// Beam width of the staging search. Widths 4, 64 and 1024 give the
+/// same (stages, cost) on an 11-family × 8-shape sweep, and no width up
+/// to 16 384 closes a gap to the exact ILP (see the `KNOWN_GAPS` test
+/// below): what the search misses is missing from its candidate set,
+/// not pruned from its beam.
+const BEAM_WIDTH: usize = 64;
+
+/// Runaway bound on the stage count. Deep circuits genuinely need many
+/// stages — a 20-qubit Grover's repeated multi-controlled-Z sweeps
+/// demand one or two per amplification round — so this is far above any
+/// operating point, not a tuning knob.
+const MAX_STAGES: usize = 512;
+
 /// Atlas staging (Algorithm 2): minimize the number of stages, then the
 /// communication cost. `l` local and `g` global qubits; `R = n - l - g`.
 ///
 /// Dispatches on [`AtlasConfig::staging`]: the structure-exploiting search
-/// (default), the generic ILP, or the SnuQS heuristic.
+/// (default) or the SnuQS heuristic (the §VII-D baseline), both on the
+/// same problem reduction and cost accounting.
 pub fn stage_circuit(
     circuit: &Circuit,
     l: u32,
@@ -156,117 +169,31 @@ pub fn stage_circuit(
     use crate::config::StagingAlgo;
     STAGING_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
     let p = StagingProblem::build(circuit, l, g, cfg.inter_node_cost_factor);
-    match cfg.staging {
-        StagingAlgo::GenericIlp => {
-            let (raw, optimal, status) = stage_generic_ilp(&p, cfg)?;
-            finish(circuit, &p, raw, optimal, Some(status), l, g)
-        }
+    let raw = match cfg.staging {
         StagingAlgo::IlpSearch => {
-            let raw = search::solve_search(&p, cfg.staging_beam_width, cfg.max_stages).ok_or_else(
-                || AtlasError::StagingFailed {
+            search::solve_search(&p, BEAM_WIDTH, MAX_STAGES).ok_or_else(|| {
+                AtlasError::StagingFailed {
                     algo: "IlpSearch",
-                    reason: format!("search exhausted max_stages = {}", cfg.max_stages),
-                },
-            )?;
-            let optimal = raw.partitions.len() == 1;
-            finish(circuit, &p, raw, optimal, None, l, g)
+                    reason: format!("search exhausted max_stages = {MAX_STAGES}"),
+                }
+            })?
         }
-        StagingAlgo::Snuqs => {
-            let raw = snuqs::solve_snuqs(&p);
-            finish(circuit, &p, raw, false, None, l, g)
-        }
-    }
-}
-
-/// SnuQS-heuristic staging (the §VII-D baseline), on the same problem
-/// reduction and cost accounting.
-pub fn stage_circuit_snuqs(
-    circuit: &Circuit,
-    l: u32,
-    g: u32,
-    cfg: &AtlasConfig,
-) -> Result<StagingOutcome, AtlasError> {
-    STAGING_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-    let p = StagingProblem::build(circuit, l, g, cfg.inter_node_cost_factor);
-    let raw = snuqs::solve_snuqs(&p);
-    finish(circuit, &p, raw, false, None, l, g)
-}
-
-fn finish(
-    circuit: &Circuit,
-    p: &StagingProblem,
-    raw: RawStaging,
-    optimal: bool,
-    solve_status: Option<SolveStatus>,
-    l: u32,
-    g: u32,
-) -> Result<StagingOutcome, AtlasError> {
-    let stages = extract_stages(circuit, p, &raw);
+        StagingAlgo::Snuqs => snuqs::solve_snuqs(&p),
+    };
+    let stages = extract_stages(circuit, &p, &raw);
     crate::plan::validate_stages(circuit, &stages, l, g)?;
     Ok(StagingOutcome {
         stages,
         cost: raw.cost,
-        optimal,
-        solve_status,
+        optimal: cfg.staging == StagingAlgo::IlpSearch && raw.partitions.len() == 1,
     })
-}
-
-/// Algorithm 2 with the generic ILP: try `s = 1, 2, …` until feasible.
-/// Returns the raw staging, whether the stage-count minimality proof is
-/// intact, and the decisive solver status at the accepted `s`.
-fn stage_generic_ilp(
-    p: &StagingProblem,
-    cfg: &AtlasConfig,
-) -> Result<(RawStaging, bool, SolveStatus), AtlasError> {
-    let solver_cfg = SolverConfig {
-        node_limit: cfg.ilp_node_limit,
-    };
-    let mut proof_intact = true;
-    for s in 1..=cfg.max_stages {
-        let (status, raw) = ilp_model::solve_ilp(p, s, &solver_cfg);
-        match status {
-            SolveStatus::Optimal => {
-                return Ok((
-                    raw.expect("optimal without plan"),
-                    proof_intact,
-                    SolveStatus::Optimal,
-                ))
-            }
-            SolveStatus::Feasible => {
-                return Ok((
-                    raw.expect("feasible without plan"),
-                    false,
-                    SolveStatus::Feasible,
-                ))
-            }
-            SolveStatus::Infeasible => continue,
-            SolveStatus::Unknown => {
-                // Can't prove infeasibility at this s: minimality proof lost.
-                proof_intact = false;
-                continue;
-            }
-        }
-    }
-    // Exhaustion after an Unknown means the per-attempt budget is what
-    // stopped us (a bigger budget might find a plan); exhaustion on pure
-    // Infeasible answers means the model genuinely has no plan within
-    // max_stages.
-    if proof_intact {
-        Err(AtlasError::StagingFailed {
-            algo: "GenericIlp",
-            reason: format!("no feasible staging within max_stages = {}", cfg.max_stages),
-        })
-    } else {
-        Err(AtlasError::IlpBudgetExceeded {
-            max_stages: cfg.max_stages,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atlas_circuit::generators::{self, Family};
+    use atlas_ilp::{SolveStatus, SolverConfig};
 
     fn cfg() -> AtlasConfig {
         AtlasConfig::default()
@@ -279,8 +206,6 @@ mod tests {
         assert_eq!(out.num_stages(), 1);
         assert_eq!(out.cost, 0);
         assert!(out.optimal);
-        // The search solver reports through `optimal` alone.
-        assert_eq!(out.solve_status, None);
     }
 
     #[test]
@@ -292,10 +217,54 @@ mod tests {
         assert_eq!(out.num_stages(), 2);
     }
 
+    /// The test oracle: Algorithm 2 over the paper's ILP (Eqs. 3–11,
+    /// `ilp_model`) on the generic `atlas-ilp` branch-and-bound — try
+    /// `s = 1, 2, …` until a plan exists. `status` is `Optimal` only
+    /// when every smaller `s` was proven infeasible and the cost at the
+    /// accepted `s` was proven minimal; anything the node budget cut
+    /// short comes back `Feasible`. Exact, independent of the search,
+    /// and tractable only on small instances.
+    fn oracle(p: &StagingProblem) -> (RawStaging, SolveStatus) {
+        let budget = SolverConfig {
+            node_limit: 2_000_000,
+        };
+        let mut proof_intact = true;
+        for s in 1..=MAX_STAGES {
+            match ilp_model::solve_ilp(p, s, &budget) {
+                (SolveStatus::Optimal, Some(raw)) if proof_intact => {
+                    return (raw, SolveStatus::Optimal)
+                }
+                (SolveStatus::Optimal | SolveStatus::Feasible, Some(raw)) => {
+                    return (raw, SolveStatus::Feasible)
+                }
+                (SolveStatus::Infeasible, _) => {}
+                _ => proof_intact = false,
+            }
+        }
+        panic!("oracle found no staging within {MAX_STAGES} stages");
+    }
+
+    /// What a solver answered on one instance: (stages, Eq. 2 cost).
+    type Answer = (usize, i64);
+
+    /// The production search's answer and the oracle's on one instance,
+    /// plus the oracle's status.
+    fn search_vs_oracle(fam: Family, n: u32, l: u32, g: u32) -> (Answer, Answer, SolveStatus) {
+        let c = fam.generate(n);
+        let search = stage_circuit(&c, l, g, &cfg()).unwrap();
+        let p = StagingProblem::build(&c, l, g, cfg().inter_node_cost_factor);
+        let (raw, status) = oracle(&p);
+        (
+            (search.num_stages(), search.cost),
+            (raw.partitions.len(), raw.cost),
+            status,
+        )
+    }
+
     #[test]
     fn search_matches_generic_ilp_stage_count_on_small_circuits() {
-        // Theorem 1 cross-check: the search solver must find the same
-        // minimal stage count as the exact ILP.
+        // Theorem 1 cross-check: on these instances the search solver
+        // finds the same minimal stage count as the exact ILP.
         for fam in [
             Family::Ghz,
             Family::Dj,
@@ -305,38 +274,91 @@ mod tests {
         ] {
             for n in [6u32, 8] {
                 for l in [3u32, 4, 5] {
-                    let c = fam.generate(n);
                     let g = 1.min(n - l);
-                    let search = stage_circuit(&c, l, g, &cfg()).unwrap();
-                    let mut icfg = cfg();
-                    icfg.staging = crate::config::StagingAlgo::GenericIlp;
-                    let ilp = stage_circuit(&c, l, g, &icfg).unwrap();
-                    assert_eq!(
-                        search.num_stages(),
-                        ilp.num_stages(),
-                        "{fam:?} n={n} L={l}: search {} vs ILP {}",
-                        search.num_stages(),
-                        ilp.num_stages()
-                    );
+                    let (search, ilp, _) = search_vs_oracle(fam, n, l, g);
+                    assert_eq!(search.0, ilp.0, "{fam:?} n={n} L={l}: stage counts");
                     assert!(
-                        search.cost <= ilp.cost || search.num_stages() == 1,
-                        "{fam:?} n={n} L={l}: search cost {} worse than ILP optimal {}",
-                        search.cost,
-                        ilp.cost
+                        search.1 <= ilp.1 || search.0 == 1,
+                        "{fam:?} n={n} L={l}: search {search:?} costs more than ILP {ilp:?}"
                     );
                 }
             }
         }
     }
 
+    /// Instances on which the oracle proves a staging the search does
+    /// not reach: (family, n, the search's answer, the oracle's). The
+    /// search fix that closes one of these must delete its row to land.
+    const KNOWN_GAPS: [(Family, u32, Answer, Answer); 4] = [
+        (Family::Ae, 8, (4, 30), (3, 20)),
+        (Family::Ising, 8, (4, 12), (3, 10)),
+        (Family::Qsvm, 8, (4, 12), (3, 10)),
+        (Family::Ae, 10, (4, 22), (3, 20)),
+    ];
+
+    #[test]
+    fn search_gaps_to_the_oracle_are_exactly_the_known_ones() {
+        // Every Table I family the oracle returns on (not `su2random`),
+        // at two shapes with G = 2. Where the oracle proves optimality
+        // the search can only tie or lose; where it loses a stage, the
+        // row must be listed — and a listed row must still lose.
+        for fam in Family::table1() {
+            if fam == Family::Su2Random {
+                continue;
+            }
+            for (n, l) in [(8u32, 4u32), (10, 6)] {
+                let (search, ilp, status) = search_vs_oracle(fam, n, l, 2);
+                let at = format!("{} n={n} L={l} G=2", fam.name());
+                let listed = KNOWN_GAPS.iter().find(|r| (r.0, r.1) == (fam, n));
+                if status != SolveStatus::Optimal {
+                    assert!(listed.is_none(), "{at}: listed gap is no longer proven");
+                    continue;
+                }
+                match listed {
+                    Some(&(_, _, s, o)) => assert_eq!(
+                        (search, ilp),
+                        (s, o),
+                        "{at}: listed gap moved — update or delete its KNOWN_GAPS row"
+                    ),
+                    None => {
+                        assert_eq!(
+                            search.0, ilp.0,
+                            "{at}: unlisted gap, search {search:?} vs oracle {ilp:?}"
+                        );
+                        assert!(
+                            search.1 >= ilp.1,
+                            "{at}: search {search:?} beats proven optimum {ilp:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The widest measured gap; the oracle needs ~5 s and its node
+    /// budget runs out before any proof (`Feasible`), so the row only
+    /// pins that a 3-stage plan exists.
+    #[test]
+    #[ignore = "slow: ~5 s in the oracle"]
+    fn search_gap_on_ae_16_slow() {
+        assert_eq!(
+            search_vs_oracle(Family::Ae, 16, 8, 2),
+            ((4, 42), (3, 28), SolveStatus::Feasible)
+        );
+    }
+
     #[test]
     fn atlas_never_worse_than_snuqs() {
         // §VII-D: the ILP "always outperforms SnuQS' approach".
+        let snuqs_cfg = AtlasConfig {
+            staging: crate::config::StagingAlgo::Snuqs,
+            ..cfg()
+        };
         for fam in Family::table1() {
             let c = fam.generate(10);
             for l in [4u32, 6, 8] {
                 let atlas = stage_circuit(&c, l, 1, &cfg()).unwrap();
-                let snuqs = stage_circuit_snuqs(&c, l, 1, &cfg()).unwrap();
+                let snuqs = stage_circuit(&c, l, 1, &snuqs_cfg).unwrap();
                 assert!(
                     atlas.num_stages() <= snuqs.num_stages(),
                     "{fam:?} L={l}: atlas {} > snuqs {}",
@@ -387,24 +409,23 @@ mod tests {
         let mut c = Circuit::new(4);
         // Stage A needs {0,1}, stage B needs {2,3} — with L=2, 2 stages.
         c.h(0).h(1).cx(0, 1).h(2).h(3).cx(2, 3);
-        let mut icfg = cfg();
-        icfg.staging = crate::config::StagingAlgo::GenericIlp;
-        let out = stage_circuit(&c, 2, 1, &icfg).unwrap();
-        assert_eq!(out.num_stages(), 2);
-        assert!(out.optimal);
-        assert_eq!(out.solve_status, Some(SolveStatus::Optimal));
+        let solve = |g: u32| {
+            let p = StagingProblem::build(&c, 2, g, cfg().inter_node_cost_factor);
+            let (raw, status) = oracle(&p);
+            assert_eq!(status, SolveStatus::Optimal);
+            // An ILP staging is a valid staging.
+            let stages = extract_stages(&c, &p, &raw);
+            crate::plan::validate_stages(&c, &stages, 2, g).unwrap();
+            (stages.len(), raw.cost)
+        };
         // Transition: both locals change (cost 2). With G=1 the global is
         // forced to move too — stage 1's global must be a former local —
         // adding c=3. Total 5.
-        assert_eq!(out.cost, 5);
+        assert_eq!(solve(1), (2, 5));
         // With G=0 no global exists, so the optimum drops to 2.
-        let out0 = stage_circuit(&c, 2, 0, &icfg).unwrap();
-        assert_eq!(out0.num_stages(), 2);
-        assert_eq!(out0.cost, 2, "ILP must avoid any avoidable cost");
+        assert_eq!(solve(0), (2, 2), "ILP must avoid any avoidable cost");
         // The search solver must find the same optimum here.
         let sr = stage_circuit(&c, 2, 0, &cfg()).unwrap();
         assert_eq!((sr.num_stages(), sr.cost), (2, 2));
     }
-
-    use atlas_circuit::Circuit;
 }

@@ -9,7 +9,7 @@
 //! adversarial circuits).
 
 use super::prep::{bit, zero_bits, StagingProblem};
-use super::search::transition_cost;
+use super::search::{choose_global, transition_cost};
 use super::RawStaging;
 
 /// Runs the SnuQS-style greedy staging.
@@ -78,7 +78,7 @@ pub fn solve_snuqs(p: &StagingProblem) -> RawStaging {
         // Global choice: same policy as the Atlas executor (keep old
         // globals, then furthest-need) so the comparison isolates the
         // *local-set* selection strategy.
-        let gmask = super::search::choose_global_pub(p, &done, lmask, prev.map_or(0, |x| x.1));
+        let gmask = choose_global(p, &done, lmask, prev.map_or(0, |x| x.1));
         if let Some((ol, og)) = prev {
             cost += transition_cost(ol, og, lmask, gmask, p.c_factor);
         }

@@ -5,8 +5,8 @@
 //!
 //! Before this crate existed, failures crossed crate boundaries as bare
 //! `String`s, so a caller could not tell "this circuit is too small for
-//! the requested machine split" (fix the shape and retry) from "the ILP
-//! solver ran out of budget" (raise the budget or switch solvers)
+//! the requested machine split" (fix the shape and retry) from "the
+//! request does not fit the memory budget" (shrink it or run dry)
 //! without parsing prose. The enum below gives each failure family an
 //! identity that `match` can dispatch on — the `atlas-sim` CLI maps
 //! variants to distinct process exit codes, and tests assert on
@@ -46,17 +46,6 @@ pub enum AtlasError {
         algo: &'static str,
         /// What went wrong.
         reason: String,
-    },
-    /// The generic ILP solver exhausted its budget (the deterministic
-    /// node limit, or the opt-in wall-clock limit) before proving
-    /// feasibility or infeasibility at every admissible stage count —
-    /// raising [`ilp_node_limit`] (or switching to `IlpSearch`) may
-    /// succeed.
-    ///
-    /// [`ilp_node_limit`]: https://docs.rs/atlas-core
-    IlpBudgetExceeded {
-        /// Highest stage count attempted before giving up.
-        max_stages: usize,
     },
     /// A plan-level invariant is violated: a stage cover, kernel cover
     /// or qubit partition failed validation.
@@ -157,7 +146,6 @@ impl AtlasError {
         match self {
             AtlasError::CircuitTooSmall { .. } => "circuit-too-small",
             AtlasError::StagingFailed { .. } => "staging-failed",
-            AtlasError::IlpBudgetExceeded { .. } => "ilp-budget-exceeded",
             AtlasError::InvalidPlan { .. } => "invalid-plan",
             AtlasError::InvalidConfig { .. } => "invalid-config",
             AtlasError::ParseError { .. } => "parse-error",
@@ -184,12 +172,6 @@ impl fmt::Display for AtlasError {
             AtlasError::StagingFailed { algo, reason } => {
                 write!(f, "staging ({algo}) failed: {reason}")
             }
-            AtlasError::IlpBudgetExceeded { max_stages } => write!(
-                f,
-                "generic ILP exhausted its budget without a proof \
-                 through {max_stages} stage(s); raise ilp_node_limit \
-                 or use IlpSearch"
-            ),
             AtlasError::InvalidPlan { reason } => write!(f, "invalid plan: {reason}"),
             AtlasError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
             AtlasError::ParseError {
@@ -300,7 +282,6 @@ mod tests {
                 algo: "IlpSearch",
                 reason: String::new(),
             },
-            AtlasError::IlpBudgetExceeded { max_stages: 1 },
             AtlasError::invalid_plan(""),
             AtlasError::invalid_config(""),
             AtlasError::ParseError {

@@ -67,7 +67,6 @@ use atlas_circuit::Circuit;
 use atlas_core::config::{AtlasConfig, MemoryBudget};
 use atlas_core::session::{CircuitFingerprint, CompiledPlan, Planner};
 use atlas_error::AtlasError;
-use atlas_ilp::SolveStatus;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_sampler::PauliString;
 use atlas_statevec::{scratch, StateVector};
@@ -175,9 +174,6 @@ pub enum JobOutput {
         staging_cost: i64,
         /// Whether staging is provably optimal.
         optimal: bool,
-        /// The generic ILP's solver verdict (`None` for the other
-        /// staging algorithms) — surfaces budget-limited plans.
-        solve_status: Option<SolveStatus>,
     },
     /// Result of [`JobRequest::Execute`].
     Executed {
@@ -909,7 +905,6 @@ fn run_job(
                 stages: p.stages.len(),
                 staging_cost: p.staging_cost,
                 optimal: p.staging_optimal,
-                solve_status: p.solve_status,
             }))
         }
         JobRequest::Execute => match plan.execute_with(circuit, &probe)? {

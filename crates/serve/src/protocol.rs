@@ -57,7 +57,6 @@ use crate::pool::{JobOutcome, JobOutput, JobRequest};
 use atlas_circuit::generators::{self, Family};
 use atlas_circuit::{qasm, Circuit};
 use atlas_error::AtlasError;
-use atlas_ilp::SolveStatus;
 use atlas_sampler::PauliString;
 use std::fmt::Write as _;
 
@@ -184,16 +183,6 @@ pub fn parse_job(line: &str) -> Result<JobSpec, String> {
     })
 }
 
-fn status_str(s: Option<SolveStatus>) -> &'static str {
-    match s {
-        None => "n/a",
-        Some(SolveStatus::Optimal) => "optimal",
-        Some(SolveStatus::Feasible) => "feasible",
-        Some(SolveStatus::Infeasible) => "infeasible",
-        Some(SolveStatus::Unknown) => "unknown",
-    }
-}
-
 /// Renders a terminal job state as one NDJSON response line (no
 /// trailing newline).
 pub fn render_response(id: &str, result: &Result<JobOutcome, AtlasError>) -> String {
@@ -215,10 +204,8 @@ pub fn render_response(id: &str, result: &Result<JobOutcome, AtlasError>) -> Str
                 stages,
                 staging_cost,
                 optimal,
-                solve_status,
             } => format!(
-                r#"{{"id":"{id}","ok":true,"op":"plan","stages":{stages},"staging_cost":{staging_cost},"optimal":{optimal},"status":"{}"}}"#,
-                status_str(*solve_status)
+                r#"{{"id":"{id}","ok":true,"op":"plan","stages":{stages},"staging_cost":{staging_cost},"optimal":{optimal}}}"#
             ),
             JobOutput::Executed {
                 model_secs,
@@ -456,13 +443,27 @@ mod tests {
     }
 
     #[test]
+    fn plan_response_bytes_are_pinned() {
+        // The wire format clients parse: exactly these fields, in this
+        // order, and nothing about a solver budget.
+        let planned = Ok(JobOutcome::Output(JobOutput::Planned {
+            stages: 2,
+            staging_cost: 5,
+            optimal: false,
+        }));
+        assert_eq!(
+            render_response("p1", &planned),
+            r#"{"id":"p1","ok":true,"op":"plan","stages":2,"staging_cost":5,"optimal":false}"#
+        );
+    }
+
+    #[test]
     fn responses_are_single_json_lines() {
         let cases = [
             Ok(JobOutcome::Output(JobOutput::Planned {
                 stages: 2,
                 staging_cost: 5,
                 optimal: true,
-                solve_status: Some(SolveStatus::Optimal),
             })),
             Ok(JobOutcome::Output(JobOutput::Sampled {
                 counts: vec![(0, 17), (255, 15)],

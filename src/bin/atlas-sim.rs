@@ -24,7 +24,7 @@
 //! Exit codes map [`AtlasError`] variants so scripts can dispatch on the
 //! failure family: `0` success, `1` generic runtime failure, `2` usage
 //! error / invalid configuration, `3` circuit too small for the machine,
-//! `4` staging failed, `5` ILP budget exceeded, `6` invalid plan / plan
+//! `4` staging failed, `5` retired (never reused), `6` invalid plan / plan
 //! mismatch, `7` parse error, `8` session pool overloaded, `9` job
 //! panicked, `10` resource budget exceeded.
 
@@ -210,7 +210,7 @@ rejected with exit code 2.
 
 EXIT CODES:
     0 success                 4 staging failed    8 pool overloaded
-    1 runtime failure         5 ILP budget hit    9 job panicked
+    1 runtime failure         5 (retired)         9 job panicked
     2 usage / invalid config  6 invalid plan     10 resource budget
     3 circuit too small       7 parse error         exceeded
 ";
@@ -516,7 +516,7 @@ fn error_exit(e: &atlas::core::AtlasError) -> ExitCode {
         InvalidConfig { .. } => 2,
         CircuitTooSmall { .. } => 3,
         StagingFailed { .. } => 4,
-        IlpBudgetExceeded { .. } => 5,
+        // 5 is retired with the solver budget it reported; never reuse it.
         InvalidPlan { .. } | PlanMismatch { .. } => 6,
         ParseError { .. } => 7,
         Overloaded { .. } => 8,
@@ -902,18 +902,10 @@ fn main() -> ExitCode {
         }
     }
     let plan = compiled.plan();
-    // Budget-limited plans must be visible, not silent: the generic
-    // ILP's verdict rides on the plan (`None` for the other stagers).
-    let status_note = match plan.solve_status {
-        Some(atlas::ilp::SolveStatus::Feasible) => {
-            " (ILP budget hit: best incumbent, not proven optimal)"
-        }
-        _ => "",
-    };
 
     if args.plan_only {
         println!(
-            "plan    : {} stage(s), staging cost {}, kernel cost {:.4} ns/amp{status_note}",
+            "plan    : {} stage(s), staging cost {}, kernel cost {:.4} ns/amp",
             plan.stages.len(),
             plan.staging_cost,
             plan.kernel_cost
@@ -930,7 +922,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "plan    : {} stage(s), staging cost {}{status_note}",
+        "plan    : {} stage(s), staging cost {}",
         plan.stages.len(),
         plan.staging_cost
     );

@@ -9,7 +9,6 @@ pub use atlas_analyze as analyze;
 pub use atlas_baselines as baselines;
 pub use atlas_circuit as circuit;
 pub use atlas_core as core;
-pub use atlas_ilp as ilp;
 pub use atlas_machine as machine;
 pub use atlas_qmath as qmath;
 pub use atlas_sampler as sampler;

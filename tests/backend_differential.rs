@@ -28,7 +28,7 @@ fn clifford_families_agree_across_staging_kernel_and_shape_sweep() {
     for circuit in common::clifford_regression_circuits() {
         for staging in common::all_staging_algos() {
             for kernelizer in common::all_kernel_algos() {
-                for spec in common::shapes_for(staging, circuit.num_qubits()) {
+                for spec in common::machine_shapes(circuit.num_qubits()) {
                     common::assert_backends_agree(&circuit, spec, staging, kernelizer);
                 }
             }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `atlas-sim` binary: the documented exit-code
 //! map (0 success, 1 runtime failure, 2 usage/invalid config, 3 circuit
-//! too small, 4 staging failed, 5 ILP budget exceeded, 6 invalid
+//! too small, 4 staging failed, 5 retired, 6 invalid
 //! plan/plan mismatch, 7 parse error), rejection of contradictory flag
 //! combinations, plan-once `--sweep` runs, and determinism of the
 //! measurement output across thread counts.

@@ -138,12 +138,8 @@ pub fn arb_clifford_circuit_sized(
 }
 
 /// Every staging algorithm `AtlasConfig` accepts.
-pub fn all_staging_algos() -> [StagingAlgo; 3] {
-    [
-        StagingAlgo::IlpSearch,
-        StagingAlgo::GenericIlp,
-        StagingAlgo::Snuqs,
-    ]
+pub fn all_staging_algos() -> [StagingAlgo; 2] {
+    [StagingAlgo::IlpSearch, StagingAlgo::Snuqs]
 }
 
 /// Every kernelization algorithm `AtlasConfig` accepts (the parameterized
@@ -185,35 +181,6 @@ pub fn machine_shapes(n: u32) -> Vec<MachineSpec> {
         });
     }
     shapes
-}
-
-/// Machine shapes for the exact `GenericIlp` staging: the from-scratch
-/// branch-and-bound is only tractable on mild splits (its documented
-/// contract), so it gets its own three-shape ladder — single GPU,
-/// intra-node, inter-node — with one non-local qubit each.
-pub fn generic_ilp_shapes(n: u32) -> Vec<MachineSpec> {
-    vec![
-        MachineSpec::single_gpu(n),
-        MachineSpec {
-            nodes: 1,
-            gpus_per_node: 4,
-            local_qubits: n - 1,
-        },
-        MachineSpec {
-            nodes: 2,
-            gpus_per_node: 2,
-            local_qubits: n - 1,
-        },
-    ]
-}
-
-/// The shape ladder appropriate for a staging algorithm: deep splits for
-/// the scalable algorithms, the mild ladder for the exact ILP.
-pub fn shapes_for(staging: StagingAlgo, n: u32) -> Vec<MachineSpec> {
-    match staging {
-        StagingAlgo::GenericIlp => generic_ilp_shapes(n),
-        _ => machine_shapes(n),
-    }
 }
 
 /// Compact human-readable shape label for assertion messages.
@@ -308,7 +275,6 @@ pub fn assert_backends_agree(
     let mut cfg = AtlasConfig::for_validation();
     cfg.staging = staging;
     cfg.kernelizer = kernelizer;
-    cfg.ilp_node_limit = 200_000;
     let label = format!(
         "{} under {staging:?} x {kernelizer:?} on {}",
         circuit.name(),
@@ -359,13 +325,6 @@ pub fn assert_matches_reference(
     let mut cfg = AtlasConfig::for_validation();
     cfg.staging = staging;
     cfg.kernelizer = kernelizer;
-    // Keep GenericIlp combinations fast: a tight *node* budget makes the
-    // solver return its incumbent as `Feasible` instead of grinding for
-    // the optimality proof — the staging is still valid, which is all
-    // the differential check needs. (Node budgets are deterministic;
-    // the wall-clock limit is opt-in and load-dependent, so tests avoid
-    // it.)
-    cfg.ilp_node_limit = 200_000;
     let got = run_atlas_with(circuit, spec, &cfg);
     let want = simulate_reference(circuit);
     let diff = got.max_abs_diff(&want);

@@ -9,11 +9,9 @@
 //! amplitude-exact under *every* planner configuration, not just the
 //! defaults.
 //!
-//! Shape ladders are per-algorithm: the scalable staging algorithms
-//! (`IlpSearch`, `Snuqs`) sweep deep splits down to `L = n - 4`, while
-//! the exact `GenericIlp` — tractable only on small models, per its
-//! contract — sweeps a milder single-GPU / intra-node / inter-node
-//! ladder. Every algorithm is differentially validated on ≥ 3 shapes.
+//! Both staging algorithms (`IlpSearch`, `Snuqs`) sweep the same shape
+//! ladder, down to deep splits at `L = n - 4`; every algorithm is
+//! differentially validated on ≥ 3 shapes.
 
 mod common;
 
@@ -25,7 +23,7 @@ use proptest::prelude::*;
 /// regression circuit.
 fn sweep_cross_product(circuit: &Circuit) {
     for staging in common::all_staging_algos() {
-        for spec in common::shapes_for(staging, circuit.num_qubits()) {
+        for spec in common::machine_shapes(circuit.num_qubits()) {
             for kernelizer in common::all_kernel_algos() {
                 common::assert_matches_reference(circuit, spec, staging, kernelizer);
             }
@@ -138,13 +136,13 @@ proptest! {
     #[test]
     fn random_circuits_under_every_algorithm_combination(
         circuit in common::arb_circuit(7, 30),
-        staging_idx in 0usize..3,
+        staging_idx in 0usize..2,
         kernel_idx in 0usize..4,
         shape_idx in 0usize..4,
     ) {
         let staging = common::all_staging_algos()[staging_idx];
         let kernelizer = common::all_kernel_algos()[kernel_idx];
-        let shapes = common::shapes_for(staging, 7);
+        let shapes = common::machine_shapes(7);
         let spec = shapes[shape_idx % shapes.len()];
         common::assert_matches_reference(&circuit, spec, staging, kernelizer);
     }

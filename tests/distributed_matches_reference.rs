@@ -68,11 +68,7 @@ fn all_staging_algorithms_agree_functionally() {
         local_qubits: 6,
     };
     let want = simulate_reference(&circuit);
-    for algo in [
-        StagingAlgo::IlpSearch,
-        StagingAlgo::GenericIlp,
-        StagingAlgo::Snuqs,
-    ] {
+    for algo in [StagingAlgo::IlpSearch, StagingAlgo::Snuqs] {
         let cfg = AtlasConfig {
             staging: algo,
             ..AtlasConfig::for_validation()

@@ -47,8 +47,9 @@ proptest! {
         l in 3u32..8,
     ) {
         let cfg = AtlasConfig::default();
+        let snuqs_cfg = AtlasConfig { staging: StagingAlgo::Snuqs, ..AtlasConfig::default() };
         let atlas = staging::stage_circuit(&circuit, l, 1.min(8 - l), &cfg).unwrap();
-        let snuqs = staging::stage_circuit_snuqs(&circuit, l, 1.min(8 - l), &cfg).unwrap();
+        let snuqs = staging::stage_circuit(&circuit, l, 1.min(8 - l), &snuqs_cfg).unwrap();
         prop_assert!(atlas.num_stages() <= snuqs.num_stages());
     }
 

@@ -23,7 +23,6 @@ fn measurement_cfg(staging: StagingAlgo, kernelizer: KernelAlgo, threads: usize)
         kernelizer,
         threads,
         final_unpermute: false,
-        ilp_node_limit: 200_000,
         ..AtlasConfig::default()
     }
 }
@@ -90,7 +89,7 @@ fn expectations_match_dense_across_algos_and_shapes() {
         .collect();
     for staging in all_staging_algos() {
         for kernelizer in all_kernel_algos() {
-            for spec in shapes_for(staging, 8) {
+            for spec in machine_shapes(8) {
                 let cfg = measurement_cfg(staging, kernelizer, 1);
                 let m = run_measurements(&circuit, spec, &cfg);
                 for (p, &w) in suite.iter().zip(&want) {

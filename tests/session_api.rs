@@ -10,7 +10,7 @@
 mod common;
 
 use atlas::prelude::*;
-use common::{all_kernel_algos, all_staging_algos, shape_label, shapes_for};
+use common::{all_kernel_algos, all_staging_algos, machine_shapes, shape_label};
 
 /// Deterministic sweep point `i` of a circuit: every gate parameter
 /// shifted by `0.17 · i` (structure unchanged; generic angles stay
@@ -32,15 +32,11 @@ fn sweep_points_match_reference_across_algorithm_grid() {
         for kernelizer in all_kernel_algos() {
             // The inter-node shape of the ladder: communication on every
             // class of physical link.
-            let spec = shapes_for(staging, 8)[2];
+            let spec = machine_shapes(8)[2];
             let cfg = AtlasConfig {
                 staging,
                 kernelizer,
                 final_unpermute: true,
-                // Tight deterministic GenericIlp node budget: a feasible
-                // incumbent is all the differential check needs (same
-                // convention as `assert_matches_reference`).
-                ilp_node_limit: 200_000,
                 ..AtlasConfig::default()
             };
             let planner = Planner::new(spec, CostModel::default(), cfg);
