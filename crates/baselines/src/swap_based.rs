@@ -14,7 +14,7 @@ use atlas_circuit::{Circuit, Gate};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, Machine, MachineSpec};
 use atlas_qmath::QubitPermutation;
-use atlas_statevec::fuse_gates;
+use atlas_statevec::{fuse_gates, Pool};
 
 /// Knobs distinguishing the family members.
 pub struct SwapSimConfig {
@@ -113,7 +113,7 @@ pub fn run(
                 }
                 mapping[q as usize] = v;
             }
-            machine.permute_state(&QubitPermutation::from_map(perm_map), 0);
+            machine.permute_state(&QubitPermutation::from_map(perm_map), 0, &Pool::SERIAL);
         }
         // Apply the group as one fused kernel on every shard.
         let phys_qubits: Vec<u32> = need.iter().map(|&q| mapping[q as usize]).collect();
@@ -148,7 +148,7 @@ pub fn run(
             for q in 0..n as usize {
                 perm_map[mapping[q] as usize] = q as u32;
             }
-            machine.permute_state(&QubitPermutation::from_map(perm_map), 0);
+            machine.permute_state(&QubitPermutation::from_map(perm_map), 0, &Pool::SERIAL);
         }
         Some(machine.gather_state())
     } else {

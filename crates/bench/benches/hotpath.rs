@@ -11,19 +11,22 @@
 //!   controlled kernel (2 controls, 3 targets); a strided k=5 permutation;
 //!   and a k=5 diagonal against the per-amplitude `extract_bits` loop
 //!   written out below;
-//! * **reshuffle** — `Machine` stage transitions: the block-copy
+//! * **reshuffle** — `Machine` stage transitions: the table-driven
 //!   ping-pong relayout (`permute_state`) vs. the per-amplitude scatter
 //!   oracle (`permute_state_scatter`) for a cross-shard permutation with
 //!   long runs (swap of a mid local bit with a global bit), one with
-//!   short runs (low local bit ↔ global bit), and a pure shard relabel
-//!   (handle shuffle, no amplitude traffic at all).
+//!   short runs (low local bit ↔ global bit), a pure shard relabel
+//!   (handle shuffle, no amplitude traffic at all), and a field swap that
+//!   trades every local bit for a shard bit (runs of one amplitude, the
+//!   tiled case) on one and on two pool threads.
 //!
 //! `ATLAS_BENCH_QUICK=1` shrinks the state and repetition counts for the
 //! CI perf-smoke step (the JSON schema is identical and gains
 //! `"quick": true`). `host_cpus` and `isa` — the widest of the vector
 //! extensions the dense sweep is compiled for that this CPU has — are
 //! recorded because the dense rows depend on the latter and a reader
-//! should know both; every number here is a *single-thread* one.
+//! should know both; every number here is a *single-thread* one except
+//! `field_swap_t0_threads2`'s `fast_secs`.
 
 use atlas_circuit::Circuit;
 use atlas_machine::{CostModel, Machine, MachineSpec};
@@ -186,7 +189,38 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
     cases
 }
 
-fn reshuffle_cases(n: u32, l: u32, reps: usize) -> Vec<Case> {
+/// Times `permute_state` on a pool of `threads` against the serial
+/// scatter oracle. `perm` must be self-inverse: applying it repeatedly
+/// round-trips the layout, so repetitions measure the steady state.
+fn reshuffle_case(
+    name: &'static str,
+    spec: MachineSpec,
+    state: &StateVector,
+    perm: &QubitPermutation,
+    threads: usize,
+    reps: usize,
+) -> Case {
+    let mut machine = Machine::with_state(spec, CostModel::default(), state);
+    let fast_secs = atlas_statevec::with_pool(threads, |pool| {
+        machine.permute_state(perm, 0, pool); // warm the ping-pong spare
+        best_of(reps, || machine.permute_state(perm, 0, pool))
+    });
+    let mut machine = Machine::with_state(spec, CostModel::default(), state);
+    let generic_secs = best_of(reps, || machine.permute_state_scatter(perm, 0));
+    let case = Case {
+        name,
+        generic_secs,
+        fast_secs,
+    };
+    println!(
+        "reshuffle/{name:<30} scatter {generic_secs:.4}s  blocks {fast_secs:.4}s  \
+         speedup {:.2}x",
+        case.speedup()
+    );
+    case
+}
+
+fn reshuffle_cases(n: u32, l: u32, field: (u32, u32), reps: usize) -> Vec<Case> {
     let spec = MachineSpec {
         nodes: 1,
         gpus_per_node: 4,
@@ -199,32 +233,35 @@ fn reshuffle_cases(n: u32, l: u32, reps: usize) -> Vec<Case> {
         ("short_runs_low_local_x_global", 1, n - 1),
         ("relabel_global_only", n - 2, n - 1),
     ];
-    shapes
+    let mut cases: Vec<Case> = shapes
         .into_iter()
         .map(|(name, a, b)| {
             let mut map: Vec<u32> = (0..n).collect();
             map.swap(a as usize, b as usize);
             let perm = QubitPermutation::from_map(map);
-            // Self-inverse swap: applying it repeatedly round-trips the
-            // layout, so repetitions measure the steady state.
-            let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
-            machine.permute_state(&perm, 0); // warm the ping-pong spare
-            let fast_secs = best_of(reps, || machine.permute_state(&perm, 0));
-            let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
-            let generic_secs = best_of(reps, || machine.permute_state_scatter(&perm, 0));
-            let case = Case {
-                name,
-                generic_secs,
-                fast_secs,
-            };
-            println!(
-                "reshuffle/{name:<30} scatter {generic_secs:.4}s  blocks {fast_secs:.4}s  \
-                 speedup {:.2}x",
-                case.speedup()
-            );
-            case
+            reshuffle_case(name, spec, &reference, &perm, 1, reps)
         })
-        .collect()
+        .collect();
+
+    // Field swap: every local bit trades places with a shard bit, so no
+    // run is longer than one amplitude (t = 0) and every shard feeds
+    // 2^L others — the all-to-all the relayout tiles, serial and pooled.
+    let (n, l) = field;
+    let spec = MachineSpec {
+        nodes: 1,
+        gpus_per_node: 4,
+        local_qubits: l,
+    };
+    let state = dense_state(n);
+    let mut map: Vec<u32> = (0..n).collect();
+    for b in 0..l.min(n - l) {
+        map.swap(b as usize, (b + l) as usize);
+    }
+    let perm = QubitPermutation::from_map(map);
+    for (name, threads) in [("field_swap_t0_threads1", 1), ("field_swap_t0_threads2", 2)] {
+        cases.push(reshuffle_case(name, spec, &state, &perm, threads, reps));
+    }
+    cases
 }
 
 fn bench_hotpath(c: &mut Criterion) {
@@ -265,13 +302,13 @@ fn isa() -> &'static str {
 
 fn emit_json() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let (n_apply, n_shuffle, l_shuffle, reps) = if quick() {
-        (16u32, 16u32, 14u32, 2usize)
+    let (n_apply, n_shuffle, l_shuffle, (n_field, l_field), reps) = if quick() {
+        (16u32, 16u32, 14u32, (16u32, 8u32), 2usize)
     } else {
-        (20, 22, 20, 5)
+        (20, 22, 20, (20, 10), 5)
     };
     let apply = apply_cases(n_apply, reps);
-    let shuffle = reshuffle_cases(n_shuffle, l_shuffle, reps);
+    let shuffle = reshuffle_cases(n_shuffle, l_shuffle, (n_field, l_field), reps);
 
     let fmt_cases = |cases: &[Case]| -> String {
         let mut s = String::new();
@@ -292,6 +329,7 @@ fn emit_json() {
         "{{\n  \"bench\": \"hotpath_specialized_vs_generic\",\n  \"quick\": {},\n  \
          \"host_cpus\": {host_cpus},\n  \"isa\": \"{}\",\n  \"apply_qubits\": {n_apply},\n  \
          \"reshuffle_qubits\": {n_shuffle},\n  \"reshuffle_local_qubits\": {l_shuffle},\n  \
+         \"field_swap_qubits\": {n_field},\n  \"field_swap_local_qubits\": {l_field},\n  \
          \"apply\": {{\n{}  }},\n  \"reshuffle\": {{\n{}  }}\n}}\n",
         quick(),
         isa(),

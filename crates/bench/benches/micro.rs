@@ -11,7 +11,7 @@ use atlas_core::config::AtlasConfig;
 use atlas_core::kernelize::{self, KGate, KernelCost};
 use atlas_machine::CostModel;
 use atlas_qmath::QubitPermutation;
-use atlas_statevec::{apply_gate, apply_matrix, fuse_gates, scratch, StateVector};
+use atlas_statevec::{apply_gate, apply_matrix, fuse_gates, scratch, Pool, StateVector};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -118,15 +118,20 @@ fn bench_machine(c: &mut Criterion) {
         let perm = QubitPermutation::from_map(map);
         b.iter_batched(
             || Machine::with_state(spec, CostModel::default(), &state),
-            |mut m| m.permute_state(black_box(&perm), 0),
+            |mut m| m.permute_state(black_box(&perm), 0, &Pool::SERIAL),
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("traffic_matrix_36q_256gpus", |b| {
+    // The interconnect charge alone: a dry machine moves no amplitudes.
+    g.bench_function("charge_permute_36q_256gpus", |b| {
         let mut map: Vec<u32> = (0..36).collect();
         map.rotate_left(7);
         let perm = QubitPermutation::from_map(map);
-        b.iter(|| atlas_machine::traffic_matrix(black_box(&perm), 0, 36, 28))
+        b.iter_batched(
+            || Machine::new(MachineSpec::perlmutter(64), CostModel::default(), 36, true),
+            |mut m| m.permute_state(black_box(&perm), 0, &Pool::SERIAL),
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }

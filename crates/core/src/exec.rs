@@ -347,10 +347,10 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 ///
 /// In functional mode with `cfg.threads > 1`, a persistent worker pool is
 /// spawned for the whole run: each stage's independent shard kernels
-/// execute concurrently across the workers, and the all-to-all reshuffles
-/// between stages act as barriers (they run on this thread while the
-/// workers are parked). Amplitudes are bit-identical for every thread
-/// count.
+/// execute concurrently across the workers, and so does the all-to-all
+/// reshuffle between stages (each worker filling whole destination
+/// shards); both end in a barrier. Amplitudes are bit-identical for every
+/// thread count.
 ///
 /// `should_stop` is a cooperative interruption probe, polled at every
 /// stage barrier — the natural deterministic preemption point: a stage's
@@ -396,7 +396,7 @@ pub(crate) fn execute(
                 }
                 let perm = QubitPermutation::from_map(perm_map);
                 let f = permute_mask(&perm, carried_flips);
-                machine.permute_state(&perm, f);
+                machine.permute_state(&perm, f, pool);
                 carried_flips = 0;
             }
 
@@ -415,12 +415,12 @@ pub(crate) fn execute(
                 }
                 let perm = QubitPermutation::from_map(perm_map);
                 let f = permute_mask(&perm, carried_flips);
-                machine.permute_state(&perm, f);
+                machine.permute_state(&perm, f, pool);
             }
         } else if carried_flips != 0 && !machine.is_dry() {
             // Apply outstanding relabels so gathered state is consistent with
             // the final mapping.
-            machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips);
+            machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips, pool);
         }
         true
     };

@@ -45,7 +45,7 @@ use atlas_circuit::{insular, Circuit};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, Machine, MachineReport, MachineSpec};
 use atlas_sampler::Measurements;
-use atlas_statevec::StateVector;
+use atlas_statevec::{Pool, StateVector};
 
 /// Structural fingerprint of a circuit: everything PARTITION's output
 /// depends on, and nothing it doesn't.
@@ -422,7 +422,7 @@ impl CompiledPlan {
             if let Some(sp0) = self.plan.stages.first() {
                 let perm = atlas_qmath::QubitPermutation::from_map(sp0.mapping.clone());
                 if !perm.is_identity() {
-                    machine.permute_state(&perm, 0);
+                    machine.permute_state(&perm, 0, &Pool::SERIAL);
                 }
             }
         }

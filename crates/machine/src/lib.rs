@@ -15,8 +15,11 @@
 //!
 //! Time accounting is bulk-synchronous: kernel costs accumulate per device
 //! and fold into the ledger at stage barriers; stage-transition all-to-alls
-//! are charged from an exact per-(source, destination)-shard traffic matrix
-//! (see [`traffic`]).
+//! are charged exactly, from per-source-shard counts of how many of its
+//! equal-sized destination blocks stay on its GPU, stay on its node, or
+//! leave it (see [`Machine::permute_state`]). In functional mode the
+//! all-to-all itself runs on the executor's worker pool, each worker
+//! filling whole destination shards.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -24,9 +27,8 @@
 pub mod cost;
 pub mod machine;
 pub mod topology;
-pub mod traffic;
+mod traffic;
 
 pub use cost::CostModel;
 pub use machine::{Machine, MachineReport, ShardOp, ShardProgram, ShmPartList, StageTiming};
 pub use topology::MachineSpec;
-pub use traffic::{traffic_matrix, TrafficEntry};

@@ -1,9 +1,9 @@
 //! The simulated cluster: shard storage, kernel execution, collective
 //! communication, and the bulk-synchronous clock.
 
-use crate::cost::{CostModel, AMP_BYTES};
+use crate::cost::CostModel;
 use crate::topology::MachineSpec;
-use crate::traffic::traffic_matrix;
+use crate::traffic::transition_traffic;
 use atlas_qmath::{Complex64, IndexPermuter, Matrix, QubitPermutation};
 use atlas_statevec::{measure, scratch, FastKernel, Pool, Scratch, StateVector};
 use atlas_telemetry::{secs_to_ns, Recorder};
@@ -58,24 +58,278 @@ pub enum ShardOp {
 /// The compiled instruction sequence one shard executes within a stage.
 pub type ShardProgram = Vec<ShardOp>;
 
-/// Shared mutable view of the shard buffers for provably disjoint
-/// per-shard writes (worker `s` only touches `shards[s]`).
+/// Amplitudes per 128-byte block — the pair of 64-byte cache lines the L2
+/// prefetcher fetches together — as a power of two. A relayout tile
+/// consumes one such source block whole per step: on a `n = 22, L = 10`
+/// field swap (every local bit trades places with a shard bit), one
+/// thread of a 2-vCPU AMD EPYC host moves the state in 5.9 ms with tiles
+/// of 8 shards, 9.2 ms with tiles of 4, and no faster with 16.
+const BLOCK_BITS: u32 = 3;
+/// The most shards one [`ShardGroups`] group holds: a relayout tile writes
+/// one destination shard per amplitude of a source block.
+const MAX_GROUP: usize = 1 << BLOCK_BITS;
+
+/// A partition of the shard indices into equal groups whose members differ
+/// only in the `members` bits: group `g` holds `first(g) | member(m)` for
+/// every `m` below `size()`. With no member bits every group is one shard.
+#[derive(Clone, Copy)]
+struct ShardGroups {
+    num_shards: usize,
+    members: usize,
+}
+
+impl ShardGroups {
+    fn count(&self) -> usize {
+        self.num_shards >> self.members.count_ones()
+    }
+
+    fn size(&self) -> usize {
+        1 << self.members.count_ones()
+    }
+
+    /// Group `g`'s lowest shard: `g` with a zero inserted at every member
+    /// bit, lowest first.
+    fn first(&self, g: usize) -> usize {
+        let mut s = g;
+        let mut bits = self.members;
+        while bits != 0 {
+            let below = (bits & bits.wrapping_neg()) - 1;
+            s = (s & below) | ((s & !below) << 1);
+            bits &= bits - 1;
+        }
+        s
+    }
+
+    /// The shard-index offset of member `m`: `m`'s bits deposited into
+    /// the member bits, lowest first.
+    fn member(&self, m: usize) -> usize {
+        let mut out = 0;
+        let mut bits = self.members;
+        let mut k = 0;
+        while bits != 0 {
+            out |= ((m >> k) & 1) * (bits & bits.wrapping_neg());
+            bits &= bits - 1;
+            k += 1;
+        }
+        out
+    }
+}
+
+/// One group's exclusive shard views, in member order; slots past the
+/// group's size are empty.
+type GroupViews<'a> = (usize, [&'a mut [Complex64]; MAX_GROUP]);
+
+/// Shared mutable view of the shard buffers for provably disjoint writes:
+/// every pool item owns a contiguous range of [`ShardGroups`] groups, and
+/// the groups partition the shards (see [`ShardCell::run_groups`]).
 struct ShardCell<'a>(&'a [UnsafeCell<Vec<Complex64>>]);
 // SAFETY: sharing is sound because every access goes through `shard_mut`,
-// whose contract confines worker `s` to `shards[s]` — per-shard write sets
-// are pairwise disjoint. `atlas-analyze` discharges that argument
-// statically: `verify_stage_programs` effect-types every `ShardOp` and
-// proves the programs' footprints never cross a shard boundary.
+// whose contract confines each pool item to the shards of its own groups —
+// per-item write sets are pairwise disjoint. `atlas-analyze` discharges
+// that argument statically for shard programs: `verify_stage_programs`
+// effect-types every `ShardOp` and proves the programs' footprints never
+// cross a shard boundary.
 unsafe impl Sync for ShardCell<'_> {}
 
-impl ShardCell<'_> {
+impl<'a> ShardCell<'a> {
+    fn new(shards: &'a mut [Vec<Complex64>]) -> Self {
+        // SAFETY: Vec<Complex64> and UnsafeCell<Vec<Complex64>> have
+        // identical layout, and the exclusive borrow keeps every other
+        // access to the buffers out for `'a`.
+        ShardCell(unsafe {
+            std::slice::from_raw_parts(
+                shards.as_mut_ptr() as *const UnsafeCell<Vec<Complex64>>,
+                shards.len(),
+            )
+        })
+    }
+
+    /// Shard `s`, first zero-filled to `len` amplitudes if it holds
+    /// another length: a ping-pong twin's first use, whose buffers the
+    /// owner reserved, so their pages are faulted in by the worker that
+    /// fills them.
+    ///
     /// # Safety
     /// Caller must guarantee shard `s` is not accessed concurrently.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn shard_mut(&self, s: usize) -> &mut Vec<Complex64> {
+    unsafe fn shard_mut(&self, s: usize, len: usize) -> &mut [Complex64] {
         // SAFETY: caller contract — no concurrent access to shard `s` —
         // makes this the only live reference to the buffer.
-        unsafe { &mut *self.0[s].get() }
+        let shard = unsafe { &mut *self.0[s].get() };
+        shard.resize(len, Complex64::ZERO);
+        shard
+    }
+
+    /// Runs `items` pool items; item `i` walks its contiguous share of
+    /// `groups`' groups in order, each yielded once as `(first shard,
+    /// views)` of `shard_len` amplitudes per shard. The views cannot
+    /// outlive the item.
+    fn run_groups(
+        &self,
+        pool: &Pool,
+        items: usize,
+        groups: ShardGroups,
+        shard_len: usize,
+        body: &(dyn for<'v> Fn(&mut dyn Iterator<Item = GroupViews<'v>>) + Sync),
+    ) {
+        let count = groups.count();
+        pool.run(items, &|item| {
+            let mut views = (item * count / items..(item + 1) * count / items).map(|g| {
+                let first = groups.first(g);
+                let mut views: [&mut [Complex64]; MAX_GROUP] = Default::default();
+                for (m, view) in views[..groups.size()].iter_mut().enumerate() {
+                    // SAFETY: `(g, m) ↦ first(g) | member(m)` is a bijection
+                    // onto the shard indices and the items' group ranges
+                    // are disjoint, so no other item — and no other view of
+                    // this one — reaches this shard.
+                    *view = unsafe { self.shard_mut(first | groups.member(m), shard_len) };
+                }
+                (first, views)
+            });
+            body(&mut views);
+        });
+    }
+}
+
+/// The lookup tables of one relayout `new = perm(old) ^ flip`, rebuilt in
+/// place per transition (machine-owned, so a warm transition allocates
+/// nothing).
+///
+/// Destination index `(D << L) | (r << t) | i` — shard `D`, run `r`,
+/// offset `i` inside a run of `2^t` — reads its source at
+/// `base(D) ^ run_src(r) ^ i`, where `base` and `run_src` are the inverse
+/// permutation applied to the shard and run bits (plus the flip's
+/// preimage): linear over GF(2), so each is a XOR of table entries.
+#[derive(Default)]
+struct RelayoutTables {
+    /// `t`: the low bits the transition leaves in place (the run length is
+    /// `2^t`).
+    run_bits: u32,
+    /// `shard_bytes[k][v]`: preimage of destination shard bits `8k..8k+8`
+    /// holding `v`.
+    shard_bytes: Vec<[u64; 256]>,
+    /// Preimage of `flip`, folded into every base.
+    flip_src: u64,
+    /// Preimages of the low / high half of a run index (at most
+    /// `2^⌈L/2⌉` entries each).
+    runs_lo: Vec<u64>,
+    runs_hi: Vec<u64>,
+    /// The tile: destination shard bits fed by the source bits `t..3` of
+    /// one 128-byte source block — the group members written together.
+    tile: usize,
+    /// Preimage of each tile member's shard offset (an offset inside the
+    /// source block).
+    tile_src: [u64; MAX_GROUP],
+}
+
+impl RelayoutTables {
+    fn build(&mut self, perm: &QubitPermutation, flip: u64, n: u32, l: u32) {
+        let mut inv = [0u32; 64];
+        for b in 0..n {
+            inv[perm.dst(b) as usize] = b;
+        }
+        let preimage = |bits: u64| -> u64 {
+            let mut out = 0;
+            let mut rest = bits;
+            while rest != 0 {
+                out |= 1 << inv[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            out
+        };
+        // Table of the preimages of the `len` index bits starting at bit
+        // `at`, every entry one lookup from a smaller one.
+        let fill = |table: &mut [u64], at: u32| {
+            table[0] = 0;
+            for v in 1..table.len() {
+                table[v] = table[v & (v - 1)] | preimage(1 << (at + v.trailing_zeros()));
+            }
+        };
+
+        let mut t = 0u32;
+        while t < l && perm.dst(t) == t && (flip >> t) & 1 == 0 {
+            t += 1;
+        }
+        self.run_bits = t;
+        self.flip_src = preimage(flip);
+
+        let shard_bits = n - l;
+        self.shard_bytes
+            .resize(shard_bits.div_ceil(8) as usize, [0; 256]);
+        for (k, table) in self.shard_bytes.iter_mut().enumerate() {
+            let len = 1 << (shard_bits - 8 * k as u32).min(8);
+            fill(&mut table[..len], l + 8 * k as u32);
+        }
+
+        let lo_bits = (l - t).div_ceil(2);
+        let hi_bits = l - t - lo_bits;
+        self.runs_lo.resize(1 << lo_bits, 0);
+        fill(&mut self.runs_lo, t);
+        self.runs_hi.resize(1 << hi_bits, 0);
+        fill(&mut self.runs_hi, t + lo_bits);
+
+        self.tile = (t..BLOCK_BITS.min(l))
+            .map(|b| perm.dst(b))
+            .filter(|&d| d >= l)
+            .fold(0, |tile, d| tile | 1 << (d - l));
+        let groups = ShardGroups {
+            num_shards: 1 << shard_bits,
+            members: self.tile,
+        };
+        for m in 0..groups.size() {
+            self.tile_src[m] = preimage((groups.member(m) as u64) << l);
+        }
+    }
+
+    /// Source index of destination shard `d`'s first amplitude.
+    fn base(&self, d: usize) -> u64 {
+        self.shard_bytes
+            .iter()
+            .enumerate()
+            .fold(self.flip_src, |acc, (k, table)| {
+                acc ^ table[(d >> (8 * k)) & 0xFF]
+            })
+    }
+
+    /// Fills the destination shards `dst` — one tile, in member order —
+    /// from `src`, the first member's first amplitude reading source
+    /// index `base`. Each step reads one run of every member from the same
+    /// source block.
+    fn gather(&self, dst: &mut [&mut [Complex64]], src: &[Vec<Complex64>], base: u64, l: u32) {
+        // Single amplitudes are assigned, not `memcpy`ed.
+        match 1usize << self.run_bits {
+            1 => self.gather_runs(dst, src, base, l, 1, |d, at, s, o| d[at] = s[o]),
+            run => self.gather_runs(dst, src, base, l, run, |d, at, s, o| {
+                d[at..at + run].copy_from_slice(&s[o..o + run])
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn gather_runs(
+        &self,
+        dst: &mut [&mut [Complex64]],
+        src: &[Vec<Complex64>],
+        base: u64,
+        l: u32,
+        run: usize,
+        copy: impl Fn(&mut [Complex64], usize, &[Complex64], usize),
+    ) {
+        let low_mask = (1u64 << l) - 1;
+        let tile_src = &self.tile_src[..dst.len()];
+        let mut at = 0;
+        for &hi in &self.runs_hi {
+            let hi = base ^ hi;
+            for &lo in &self.runs_lo {
+                let from = hi ^ lo;
+                let shard = &src[(from >> l) as usize];
+                let off = from & low_mask;
+                for (d, &m) in dst.iter_mut().zip(tile_src) {
+                    copy(d, at, shard, (off ^ m) as usize);
+                }
+                at += run;
+            }
+        }
     }
 }
 
@@ -165,6 +419,12 @@ pub struct Machine {
     /// transition (its buffers are never filled — only `mem::swap`ped),
     /// so even the handle shuffle allocates nothing in steady state.
     handles: Vec<Vec<Complex64>>,
+    /// The current transition's relayout tables, rebuilt in place.
+    relayout: RelayoutTables,
+    /// Per-GPU then per-node outgoing bytes of the transition being
+    /// charged (scratch of [`transition_traffic`]); the stage barrier
+    /// reuses its per-GPU part to count shards.
+    link_bytes: Vec<u64>,
     /// Per-GPU compute seconds accumulated since the last barrier.
     pending: Vec<f64>,
     steps: Vec<StageTiming>,
@@ -207,6 +467,8 @@ impl Machine {
             spare: Vec::new(),
             local_scratch: Vec::new(),
             handles: Vec::new(),
+            relayout: RelayoutTables::default(),
+            link_bytes: vec![0; spec.num_gpus() + spec.nodes],
             pending,
             steps: Vec::new(),
             bytes_intra: 0,
@@ -379,7 +641,8 @@ impl Machine {
         // Step index the in-flight kernels belong to (their barrier has
         // not pushed yet).
         let stage = self.steps.len() as u32;
-        let shard_amps = self.shard_len() as u64;
+        let shard_len = self.shard_len();
+        let shard_amps = shard_len as u64;
         // Fewer shards than workers: keep shards sequential and spend the
         // threads inside each kernel instead.
         let within = if num_shards < pool.threads() {
@@ -406,46 +669,39 @@ impl Machine {
                 }
             });
         } else {
-            // Clone the handle out of `self` before the raw-pointer view
-            // of the shard buffers exists: the worker closure must not
-            // hold any borrow of `self`.
-            let rec = self.recorder.clone();
-            // SAFETY: Vec<Complex64> and UnsafeCell<Vec<Complex64>> have
-            // identical layout; each pool item `s` only touches shard `s`.
-            let cell = ShardCell(unsafe {
-                std::slice::from_raw_parts(
-                    self.shards.as_mut_ptr() as *const UnsafeCell<Vec<Complex64>>,
-                    num_shards,
-                )
-            });
-            let cell = &cell;
-            let rec = &rec;
-            pool.run(num_shards, &|s| {
-                // Per-worker idle gap since the previous stage (barrier +
-                // reshuffle wait) — scheduling detail, never deterministic.
-                rec.wait_span("worker.wait", stage);
-                let t = rec.start();
-                // SAFETY: disjoint indices per item, see above.
-                let amps = unsafe { cell.shard_mut(s) };
-                // One scratch arena per pool worker; workers persist
-                // across stages, so the arenas stay warm for the whole
-                // EXECUTE and kernel execution allocates nothing.
-                scratch::with_thread(|scr| {
-                    run_program(amps, &programs[s], scr, 1);
-                    publish_scratch_counters(rec, scr);
-                });
-                rec.span(
-                    "kernel.apply",
-                    t,
-                    true,
-                    stage,
-                    s as u32,
-                    0,
-                    &[("ops", programs[s].len() as u64), ("amps", shard_amps)],
-                );
-                // Workers only live for the enclosing `with_pool` scope:
-                // drain their fixed-capacity buffers while they exist.
-                rec.flush();
+            let rec = &self.recorder;
+            // One pool item per shard, each owning just that shard.
+            let groups = ShardGroups {
+                num_shards,
+                members: 0,
+            };
+            let cell = ShardCell::new(&mut self.shards);
+            cell.run_groups(pool, num_shards, groups, shard_len, &|shards| {
+                for (s, [amps, ..]) in shards {
+                    // Per-worker idle gap since the previous stage (barrier +
+                    // reshuffle wait) — scheduling detail, never deterministic.
+                    rec.wait_span("worker.wait", stage);
+                    let t = rec.start();
+                    // One scratch arena per pool worker; workers persist
+                    // across stages, so the arenas stay warm for the whole
+                    // EXECUTE and kernel execution allocates nothing.
+                    scratch::with_thread(|scr| {
+                        run_program(amps, &programs[s], scr, 1);
+                        publish_scratch_counters(rec, scr);
+                    });
+                    rec.span(
+                        "kernel.apply",
+                        t,
+                        true,
+                        stage,
+                        s as u32,
+                        0,
+                        &[("ops", programs[s].len() as u64), ("amps", shard_amps)],
+                    );
+                    // Workers only live for the enclosing `with_pool` scope:
+                    // drain their fixed-capacity buffers while they exist.
+                    rec.flush();
+                }
             });
         }
     }
@@ -484,12 +740,14 @@ impl Machine {
         let mut swap = 0.0;
         if self.spec.offloading(self.n) {
             // Every shard crosses PCIe twice per stage (in + out),
-            // serialized per owning GPU.
-            let mut per_gpu = vec![0usize; self.spec.num_gpus()];
-            for s in 0..self.num_shards() {
+            // serialized per owning GPU. Shards are counted per GPU in the
+            // charge's scratch, so a warm barrier allocates nothing.
+            let per_gpu = &mut self.link_bytes[..self.spec.num_gpus()];
+            per_gpu.fill(0);
+            for s in 0..self.shards.len() {
                 per_gpu[self.spec.gpu_of_shard(self.n, s)] += 1;
             }
-            let max_shards = per_gpu.into_iter().max().unwrap_or(0) as f64;
+            let max_shards = per_gpu.iter().copied().max().unwrap_or(0) as f64;
             swap = max_shards * 2.0 * self.cost.pcie_transfer_secs(self.shard_len());
         }
         let step = if self.overlap_io {
@@ -532,50 +790,19 @@ impl Machine {
     /// Shared by [`Machine::permute_state`] and the scatter oracle so the
     /// two relayout engines can never desynchronize on cost.
     fn charge_permute(&mut self, perm: &QubitPermutation, flip: u64) -> bool {
-        assert_eq!(perm.len() as u32, self.n);
         let l = self.spec.local_qubits;
-        let entries = traffic_matrix(perm, flip, self.n, l);
-        let shard_bytes_per_amp = AMP_BYTES;
-
-        // Charge: per-GPU outgoing intra-node bytes, per-node outgoing
-        // inter-node bytes; overlapped collectives → take the max path.
-        let mut intra_out = vec![0u64; self.spec.num_gpus()];
-        let mut inter_out = vec![0u64; self.spec.nodes];
-        let mut moved_any = false;
-        let mut step_intra = 0u64;
-        let mut step_inter = 0u64;
-        for e in &entries {
-            if e.src == e.dst {
-                continue;
-            }
-            moved_any = true;
-            let bytes = (e.amps as f64 * shard_bytes_per_amp) as u64;
-            let src_node = self.spec.node_of_shard(self.n, e.src);
-            let dst_node = self.spec.node_of_shard(self.n, e.dst);
-            if src_node == dst_node {
-                let src_gpu = self.spec.gpu_of_shard(self.n, e.src);
-                let dst_gpu = self.spec.gpu_of_shard(self.n, e.dst);
-                if src_gpu != dst_gpu {
-                    intra_out[src_gpu] += bytes;
-                    step_intra += bytes;
-                }
-                // Same GPU (offloaded siblings): host-memory shuffle,
-                // folded into the repack pass below.
-            } else {
-                inter_out[src_node] += bytes;
-                step_inter += bytes;
-            }
-        }
+        let traffic = transition_traffic(&self.spec, self.n, perm, flip, &mut self.link_bytes);
+        let moved_any = traffic.moved;
+        let step_intra = traffic.bytes_intra;
+        let step_inter = traffic.bytes_inter;
         self.bytes_intra += step_intra;
         self.bytes_inter += step_inter;
-        let t_intra = intra_out
-            .iter()
-            .map(|&b| b as f64 / self.cost.intra_node_bw)
-            .fold(0.0, f64::max);
-        let t_inter = inter_out
-            .iter()
-            .map(|&b| b as f64 / self.cost.inter_node_bw)
-            .fold(0.0, f64::max);
+        // Overlapped collectives: the busiest sender sets each link class's
+        // time (bytes to seconds is monotone, so the slowest GPU or node is
+        // the one sending the most). Same-GPU blocks (offloaded siblings)
+        // are a host-memory shuffle, folded into the repack pass below.
+        let t_intra = traffic.max_gpu_intra as f64 / self.cost.intra_node_bw;
+        let t_inter = traffic.max_node_inter as f64 / self.cost.inter_node_bw;
         // Local repack pass (gather/scatter through device memory) whenever
         // the permutation moves anything, including purely-local bits.
         let local_change = !perm.is_identity() || flip & ((1 << l) - 1) != 0;
@@ -615,26 +842,35 @@ impl Machine {
     /// `new_index = perm(old_index) ^ flip`, moving amplitudes between
     /// devices and charging the interconnect model.
     ///
-    /// The functional relayout is block-structured, not per-amplitude:
+    /// The functional relayout is a table-driven gather, owned by the
+    /// destination:
     ///
-    /// * when the permutation fixes (and `flip` spares) the low `t` bits,
-    ///   amplitudes move in runs of `2^t` via `copy_from_slice` — one
-    ///   index computation per run instead of per element;
-    /// * shard-local permutations (low bits closed under `perm`) run
-    ///   fully in place through a single reusable shard-sized scratch —
-    ///   and a pure shard-*relabel* (only bits `≥ L` move) degenerates to
-    ///   swapping buffer handles without touching any amplitude;
-    /// * everything else ping-pongs between `shards` and the lazily
-    ///   allocated `spare` twin, so steady-state transitions allocate and
-    ///   zero-fill nothing.
+    /// * every destination amplitude reads its source at
+    ///   `base(shard) ^ run_src(run)`, both parts XORs of entries of tables
+    ///   built once per transition (see `RelayoutTables`); when the
+    ///   permutation fixes (and `flip` spares) the low `t` bits, whole runs
+    ///   of `2^t` amplitudes move per lookup;
+    /// * cross-boundary transitions fill the lazily allocated `spare` twin
+    ///   on `pool`: each item owns whole destination shards (a contiguous
+    ///   range of tiles, below), so writes are disjoint by construction,
+    ///   and the spare is swapped in afterwards — steady-state transitions
+    ///   allocate and zero-fill nothing. When runs are shorter than 128 bytes, the
+    ///   destination shards fed by one 128-byte source block (two cache
+    ///   lines) are filled together — a tile — so each source block is
+    ///   consumed whole;
+    /// * shard-local permutations (low bits closed under `perm`) run in
+    ///   place through a single reusable shard-sized scratch on the
+    ///   calling thread — and a pure shard-*relabel* (only bits `≥ L`
+    ///   move) degenerates to swapping buffer handles without touching any
+    ///   amplitude.
     ///
-    /// Byte-identical to [`Machine::permute_state_scatter`] (pinned by
-    /// `tests/hotpath_exactness.rs`).
-    pub fn permute_state(&mut self, perm: &QubitPermutation, flip: u64) {
+    /// Byte-identical to [`Machine::permute_state_scatter`] for every pool
+    /// (pinned by `tests/hotpath_exactness.rs`).
+    pub fn permute_state(&mut self, perm: &QubitPermutation, flip: u64, pool: &Pool) {
         let t = self.recorder.start();
         let needs_move = self.charge_permute(perm, flip);
         if !self.dry && needs_move {
-            self.relayout_blocks(perm, flip);
+            self.relayout_blocks(perm, flip, pool);
         }
         // `charge_permute` just pushed this transition's step.
         let step = self.steps.last().copied().unwrap_or_default();
@@ -657,39 +893,32 @@ impl Machine {
 
     /// The functional relayout engine behind [`Machine::permute_state`]
     /// (cost already charged; `dry` and no-op transitions filtered out).
-    fn relayout_blocks(&mut self, perm: &QubitPermutation, flip: u64) {
+    fn relayout_blocks(&mut self, perm: &QubitPermutation, flip: u64, pool: &Pool) {
         let l = self.spec.local_qubits;
         let n = self.n;
         let shard_len = self.shard_len();
         let low_mask = (shard_len as u64) - 1;
-        // Run length: low bits the transition leaves untouched.
-        let mut t = 0u32;
-        while t < l && perm.dst(t) == t && (flip >> t) & 1 == 0 {
-            t += 1;
-        }
-        let run = 1usize << t;
-
         let low_closed = (0..l).all(|b| perm.dst(b) < l);
+        let local_identity = (0..l).all(|b| perm.dst(b) == b) && flip & low_mask == 0;
+        if !local_identity {
+            self.relayout.build(perm, flip, n, l);
+        }
         if low_closed {
-            // Shard-local content change (if any), in place per shard.
-            let local_identity = (0..l).all(|b| perm.dst(b) == b) && flip & low_mask == 0;
+            // Shard-local content change (if any), in place per shard: the
+            // preimage of a local index is local, so each shard is its own
+            // (only) source.
             if !local_identity {
                 if self.local_scratch.len() != shard_len {
                     self.local_scratch = vec![Complex64::ZERO; shard_len];
                 }
-                let local_flip = flip & low_mask;
+                let base = self.relayout.flip_src & low_mask;
                 for shard in &mut self.shards {
-                    if run == 1 {
-                        for (i, &a) in shard.iter().enumerate() {
-                            let dst = (perm.apply_index(i as u64) ^ local_flip) as usize;
-                            self.local_scratch[dst] = a;
-                        }
-                    } else {
-                        for r in (0..shard_len).step_by(run) {
-                            let dst = (perm.apply_index(r as u64) ^ local_flip) as usize;
-                            self.local_scratch[dst..dst + run].copy_from_slice(&shard[r..r + run]);
-                        }
-                    }
+                    self.relayout.gather(
+                        &mut [&mut self.local_scratch[..]],
+                        std::slice::from_ref(shard),
+                        base,
+                        l,
+                    );
                     std::mem::swap(shard, &mut self.local_scratch);
                 }
             }
@@ -711,30 +940,55 @@ impl Machine {
             return;
         }
 
-        // General cross-boundary relayout: ping-pong into the spare twin,
-        // moving whole runs. Every destination index is written exactly
-        // once (the transition is a bijection), so the spare is never
-        // zero-filled after its one-time allocation.
-        if self.spare.len() != self.shards.len() || self.spare.iter().any(|v| v.len() != shard_len)
-        {
-            self.spare = vec![vec![Complex64::ZERO; shard_len]; self.shards.len()];
+        // General cross-boundary relayout: gather into the spare twin, each
+        // pool item filling its own destination tiles. Every destination
+        // index is written exactly once (the transition is a bijection), so
+        // the spare is never zero-filled after its one-time allocation.
+        let num_shards = self.shards.len();
+        if self.spare.len() != num_shards {
+            // First use: reserve the twin on this thread, as the state's own
+            // buffers were (allocated from the workers' heaps instead, the
+            // peak RSS of a run came to depend on the schedule); the items
+            // zero-fill it as they reach each shard.
+            self.spare = (0..num_shards)
+                .map(|_| Vec::with_capacity(shard_len))
+                .collect();
         }
-        for (s, shard) in self.shards.iter().enumerate() {
-            let base = (s as u64) << l;
-            if run == 1 {
-                for (i, &a) in shard.iter().enumerate() {
-                    let new = perm.apply_index(base | i as u64) ^ flip;
-                    self.spare[(new >> l) as usize][(new & low_mask) as usize] = a;
-                }
-            } else {
-                for r in (0..shard_len).step_by(run) {
-                    let new = perm.apply_index(base | r as u64) ^ flip;
-                    let dst = &mut self.spare[(new >> l) as usize];
-                    let off = (new & low_mask) as usize;
-                    dst[off..off + run].copy_from_slice(&shard[r..r + run]);
-                }
+        let groups = ShardGroups {
+            num_shards,
+            members: self.relayout.tile,
+        };
+        // One contiguous range per thread: every group is the same work.
+        // (Four items per thread measured no faster on the traced shuffle22
+        // and dense22 reshuffles at 2 threads, within run-to-run spread.)
+        let items = groups.count().min(pool.threads());
+        let (src, tables, rec) = (&self.shards, &self.relayout, &self.recorder);
+        // `charge_permute` already pushed this transition's step.
+        let stage = self.steps.len() as u32 - 1;
+        let cell = ShardCell::new(&mut self.spare);
+        cell.run_groups(pool, items, groups, shard_len, &|tiles| {
+            // Idle time since this worker's previous event, then the move
+            // itself on the same lane: neither is deterministic, and with
+            // both recorded `worker.wait` stays idle time only.
+            rec.wait_span("worker.wait", stage);
+            let t = rec.start();
+            let mut shards = 0;
+            for (first, mut tile) in tiles {
+                let tile = &mut tile[..groups.size()];
+                tables.gather(tile, src, tables.base(first), l);
+                shards += tile.len() as u64;
             }
-        }
+            rec.span(
+                "machine.relayout",
+                t,
+                false,
+                stage,
+                0,
+                0,
+                &[("shards", shards)],
+            );
+            rec.flush();
+        });
         std::mem::swap(&mut self.shards, &mut self.spare);
     }
 
@@ -742,7 +996,7 @@ impl Machine {
     /// allocates and fills a fresh shard set, computing every element's
     /// destination independently. Charged identically; kept in-tree as the
     /// differential reference and the baseline the hotpath bench measures
-    /// the block-copy engine against.
+    /// the relayout engine against.
     pub fn permute_state_scatter(&mut self, perm: &QubitPermutation, flip: u64) {
         let needs_move = self.charge_permute(perm, flip);
         if self.dry || !needs_move {
@@ -1188,7 +1442,7 @@ mod tests {
         let mut map: Vec<u32> = (0..5).collect();
         map.swap(1, 4);
         let perm = atlas_qmath::QubitPermutation::from_map(map);
-        m.permute_state(&perm, 0);
+        m.permute_state(&perm, 0, &Pool::SERIAL);
         let got = m.gather_state();
         for old in 0..32u64 {
             let new = perm.apply_index(old);
@@ -1207,7 +1461,11 @@ mod tests {
     #[test]
     fn identity_permutation_charges_nothing() {
         let mut m = Machine::new(small_spec(), CostModel::default(), 5, true);
-        m.permute_state(&atlas_qmath::QubitPermutation::identity(5), 0);
+        m.permute_state(
+            &atlas_qmath::QubitPermutation::identity(5),
+            0,
+            &Pool::SERIAL,
+        );
         let r = m.report();
         assert_eq!(r.bytes_inter, 0);
         assert_eq!(r.bytes_intra, 0);
@@ -1221,7 +1479,11 @@ mod tests {
         prep.h(2).cx(2, 4);
         let reference = simulate_reference(&prep);
         let mut m = Machine::with_state(small_spec(), CostModel::default(), &reference);
-        m.permute_state(&atlas_qmath::QubitPermutation::identity(5), 1 << 4);
+        m.permute_state(
+            &atlas_qmath::QubitPermutation::identity(5),
+            1 << 4,
+            &Pool::SERIAL,
+        );
         let got = m.gather_state();
         for old in 0..32u64 {
             assert!(got.amplitudes()[(old ^ 16) as usize]
@@ -1243,6 +1505,40 @@ mod tests {
         let expect = CostModel::default().fusion_kernel_secs(5, 1 << 28);
         assert!((r.compute_secs - expect).abs() < 1e-9);
         assert_eq!(r.kernels, 16);
+    }
+
+    #[test]
+    fn dry_paper_scale_field_swap_charges_the_closed_form() {
+        // n = 31, L = 15 on 64 nodes × 4 GPUs: 2^16 shards, 1024 per node
+        // (offloaded). Swapping local bits 0..15 with shard bits 0..15
+        // sends every shard's 2^15 amplitudes one each to the 2^15 shards
+        // that agree with it on shard bit 15 — 2^31 edges, which an edge
+        // list cannot hold. Of those destinations, 2^10 share the sender's
+        // node (shard bits 10..15 agree) and 2^8 of them its GPU (bits 0–1
+        // too).
+        let spec = MachineSpec {
+            nodes: 64,
+            gpus_per_node: 4,
+            local_qubits: 15,
+        };
+        let mut map: Vec<u32> = (0..31).collect();
+        for b in 0..15 {
+            map.swap(b, b + 15);
+        }
+        let mut m = Machine::new(spec, CostModel::default(), 31, true);
+        m.permute_state(&QubitPermutation::from_map(map), 0, &Pool::SERIAL);
+        let r = m.report();
+        let edge = 16u64;
+        assert_eq!(r.bytes_intra, (1 << 16) * (1024 - 256) * edge);
+        assert_eq!(r.bytes_inter, (1 << 16) * ((1 << 15) - 1024) * edge);
+        // 256 shards per GPU and 1024 per node send in parallel.
+        let c = CostModel::default();
+        let busiest = f64::max(
+            (256 * (1024 - 256) * edge) as f64 / c.intra_node_bw,
+            (1024 * ((1 << 15) - 1024) * edge) as f64 / c.inter_node_bw,
+        );
+        let repack = 2.0 * (1u64 << 15) as f64 * c.mem_pass_ns * 1e-9;
+        assert_eq!(r.comm_secs, busiest + c.comm_latency_us * 1e-6 + repack);
     }
 
     #[test]
@@ -1379,7 +1675,7 @@ mod tests {
         map.swap(1, 3);
         let perm = atlas_qmath::QubitPermutation::from_map(map);
         let mut permuted = Machine::with_state(small_spec(), CostModel::default(), &reference);
-        permuted.permute_state(&perm, 0);
+        permuted.permute_state(&perm, 0, &pool);
         // State now holds logical x at physical perm(x): l2p = perm.
         let l2p = IndexPermuter::new(&perm);
         let chunks = permuted.logical_chunk_norms(&l2p, 2, &pool);

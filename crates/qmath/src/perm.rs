@@ -75,13 +75,16 @@ impl QubitPermutation {
         }
     }
 
-    /// Applies the permutation to an amplitude index.
+    /// Applies the permutation to an amplitude index, one bit at a time
+    /// (`O(n)`): for bulk index work compile the permutation into tables
+    /// instead, as [`IndexPermuter`] and the machine's relayout do. The
+    /// per-amplitude scatter oracle of the relayout still calls this once
+    /// per amplitude.
     ///
-    /// Branch-free on purpose: the relayout engine calls this once per
-    /// amplitude, and with a data-dependent branch per index bit the cost
-    /// of that loop follows the branch predictor's luck at whatever address
-    /// the linker places it (the same machine code measured 10 % apart in
-    /// two builds that differed only elsewhere).
+    /// Branch-free on purpose: with a data-dependent branch per index bit
+    /// the cost of a per-amplitude loop follows the branch predictor's luck
+    /// at whatever address the linker places it (the same machine code
+    /// measured 10 % apart in two builds that differed only elsewhere).
     #[inline]
     pub fn apply_index(&self, idx: u64) -> u64 {
         let mut out = 0u64;

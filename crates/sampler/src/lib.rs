@@ -72,7 +72,7 @@ mod tests {
         // Final layout: logical q at physical mapping[q].
         let mapping: Vec<u32> = vec![2, 4, 0, 3, 1];
         let perm = atlas_qmath::QubitPermutation::from_map(mapping.clone());
-        machine.permute_state(&perm, 0);
+        machine.permute_state(&perm, 0, &atlas_statevec::Pool::SERIAL);
         (
             Measurements::new(machine, mapping.clone(), 1),
             reference,

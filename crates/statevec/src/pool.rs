@@ -6,9 +6,8 @@
 //! `EXECUTE` call (inside [`with_pool`]) and keeps them parked on a
 //! condition variable between stages; each [`Pool::run`] call is a
 //! dispatch + barrier, which is exactly the bulk-synchronous shape of
-//! Algorithm 1 — the all-to-all reshuffle between stages runs on the
-//! submitting thread while the workers are parked, acting as the stage
-//! barrier.
+//! Algorithm 1 — a stage's kernels are one `run`, the all-to-all
+//! reshuffle before the next stage another.
 //!
 //! No dependencies beyond `std`: the registry is offline, so this is a
 //! deliberately small `Mutex` + `Condvar` work queue rather than a rayon

@@ -31,6 +31,11 @@ fn successful_runs_exit_zero() {
     for args in [
         vec!["--family", "ghz", "-n", "8"],
         vec!["--family", "qft", "-n", "8", "--dry"],
+        // 2^16 shards on 64×4 GPUs, each all-to-all fanning every shard
+        // out to 2^15 others: the charge is per shard, not per edge.
+        vec![
+            "--family", "vqc", "-n", "31", "-L", "15", "--nodes", "64", "--gpus", "4", "--dry",
+        ],
         vec!["--family", "qft", "-n", "8", "--plan"],
         vec![
             "--family", "qaoa", "-n", "8", "--shots", "32", "--seed", "7",

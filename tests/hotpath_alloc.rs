@@ -3,31 +3,32 @@
 //! A counting global allocator wraps the system allocator; each test warms
 //! the relevant scratch state with one pass, snapshots the allocation
 //! counter, repeats the identical work, and asserts the second pass
-//! allocated **nothing** (kernel level) or nothing amplitude-sized
-//! (machine level, where per-step clock bookkeeping may grow a tiny
-//! `Vec<StageTiming>`). PARTITION gets a budget instead of a zero: a whole
-//! `plan` call may allocate at most once per two DP child states.
+//! allocated **nothing** — kernels, shard programs, stage transitions
+//! with their interconnect charge, and stage barriers with their offload
+//! charge. (The machine's per-step clock ledger is a growing
+//! `Vec<StageTiming>`; the machine tests warm it past the steps they
+//! measure, so only a capacity doubling could show up there.)
+//! PARTITION gets a budget instead of a zero: a whole `plan` call may
+//! allocate at most once per two DP child states.
 //!
 //! The counters are **per thread**: the harness runs this binary's tests
 //! concurrently, and every measured region executes on the test's own
 //! thread (`Pool::SERIAL` and `threads == 1` kernels run inline), so a
 //! test counts exactly its own allocations however many neighbours are
-//! allocating at the same time.
+//! allocating at the same time. The one pooled test marks its two workers
+//! and reads their allocations from a counter only marked threads feed.
 
 use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
     apply_controlled_matrix, apply_kernel, apply_matrix, classify_kernel, fuse_gates,
-    simulate_reference, FastKernel, Pool, Scratch, StateVector,
+    simulate_reference, with_pool, FastKernel, Pool, Scratch, StateVector,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
-
-/// Threshold above which an allocation counts as "large" (amplitude-buffer
-/// sized, as opposed to clock-bookkeeping noise).
-const LARGE: usize = 4096;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 struct CountingAlloc;
 
@@ -36,14 +37,17 @@ thread_local! {
     // from inside the allocator never allocates and never touches
     // torn-down thread-local state.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static MARKED_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counts one allocation of `size` bytes against the calling thread.
-fn count(size: usize) {
+/// Allocations made by threads marked with [`mark_pool_workers`].
+static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation against the calling thread.
+fn count() {
     ALLOCS.with(|c| c.set(c.get() + 1));
-    if size >= LARGE {
-        LARGE_ALLOCS.with(|c| c.set(c.get() + 1));
+    if MARKED_WORKER.with(Cell::get) {
+        WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -51,7 +55,7 @@ fn count(size: usize) {
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count();
         // SAFETY: the caller's `alloc` contract, forwarded as is.
         unsafe { System.alloc(layout) }
     }
@@ -62,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count();
         // SAFETY: the caller's `realloc` contract, forwarded as is.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,9 +80,15 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Amplitude-sized allocations made so far by the calling thread.
-fn large_allocs() -> u64 {
-    LARGE_ALLOCS.with(Cell::get)
+/// Marks every worker of a two-thread `pool`: its two items wait for each
+/// other, so each worker must take exactly one.
+fn mark_pool_workers(pool: &Pool) {
+    assert_eq!(pool.threads(), 2);
+    let both = Barrier::new(2);
+    pool.run(2, &|_| {
+        MARKED_WORKER.with(|m| m.set(true));
+        both.wait();
+    });
 }
 
 fn dense_state(n: u32) -> StateVector {
@@ -218,6 +228,28 @@ fn warm_scratch_apply_layer_allocates_nothing() {
     assert!(scratch.table_hits() > 0);
 }
 
+/// Self-inverse transitions on a 10-qubit, L = 7 machine, one per relayout
+/// path: cross-boundary with runs of 4, cross-boundary with single
+/// amplitudes (tiled), shard-local (in place), and a pure shard relabel.
+fn relayout_perms(n: u32) -> Vec<QubitPermutation> {
+    [(2, 8), (0, 8), (0, 3), (8, 9)]
+        .into_iter()
+        .map(|(a, b)| {
+            let mut map: Vec<u32> = (0..n).collect();
+            map.swap(a, b);
+            QubitPermutation::from_map(map)
+        })
+        .collect()
+}
+
+/// Applies every transition of `perms` twice, restoring the layout.
+fn relayout_round(machine: &mut Machine, perms: &[QubitPermutation], pool: &Pool) {
+    for perm in perms {
+        machine.permute_state(perm, 0, pool);
+        machine.permute_state(perm, 0, pool);
+    }
+}
+
 #[test]
 fn warm_machine_execute_and_relayout_allocate_no_buffers() {
     let n = 10u32;
@@ -258,31 +290,36 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
         })
         .collect();
 
-    let mut map: Vec<u32> = (0..n).collect();
-    map.swap(2, 8); // crosses the shard boundary → general ping-pong path
-    let perm = QubitPermutation::from_map(map);
-
-    // Warm-up: first program run builds the thread-local arena, first
-    // permute allocates the ping-pong spare.
+    let perms = relayout_perms(n);
+    // 8 shards on 4 GPUs: the barrier charges DRAM-offload swaps, so its
+    // per-GPU shard count runs.
+    assert!(spec.offloading(n));
+    // Warm-up: the first program run builds the thread-local arena, the
+    // first rounds allocate the ping-pong spare, the shard scratch, the
+    // handle vector and the relayout tables at their largest. Four rounds
+    // of 8 transitions and a barrier leave 36 steps in the clock ledger
+    // (capacity 64), so the measured round's 9 fit without growing it.
     machine.run_shard_programs(&programs, &Pool::SERIAL);
-    machine.permute_state(&perm, 0);
-    machine.permute_state(&perm, 0); // back to the original layout
+    for _ in 0..4 {
+        relayout_round(&mut machine, &perms, &Pool::SERIAL);
+        machine.stage_barrier();
+    }
 
-    let before_large = large_allocs();
-    let before_all = allocs();
+    let before = allocs();
     machine.run_shard_programs(&programs, &Pool::SERIAL);
-    let kernel_delta = allocs() - before_all;
-    machine.permute_state(&perm, 0);
-    machine.permute_state(&perm, 0);
+    let kernel_delta = allocs() - before;
+    let before = allocs();
+    relayout_round(&mut machine, &perms, &Pool::SERIAL);
     machine.stage_barrier();
-    let large_delta = large_allocs() - before_large;
+    let relayout_delta = allocs() - before;
     assert_eq!(
         kernel_delta, 0,
         "steady-state shard-program execution performed {kernel_delta} heap allocations"
     );
     assert_eq!(
-        large_delta, 0,
-        "steady-state relayout allocated {large_delta} amplitude-sized buffers"
+        relayout_delta, 0,
+        "steady-state relayout, its charge and the stage barrier performed \
+         {relayout_delta} heap allocations"
     );
 
     // And the engine still computes the right amplitudes.
@@ -295,8 +332,7 @@ fn enabled_recorder_steady_state_records_without_allocating() {
     // execution hot path at ZERO heap allocations — events go into
     // fixed-capacity thread-local buffers and drain into a pre-reserved
     // sink, and metric republication only updates counter slots the
-    // warm-up pass created. Relayout keeps the same bar as the
-    // recorder-off test above: no amplitude-sized buffers.
+    // warm-up pass created; relayout records its spans the same way.
     let n = 10u32;
     let spec = MachineSpec {
         nodes: 2,
@@ -318,31 +354,25 @@ fn enabled_recorder_steady_state_records_without_allocating() {
             }]
         })
         .collect();
-    let mut map: Vec<u32> = (0..n).collect();
-    map.swap(2, 8);
-    let perm = QubitPermutation::from_map(map);
+    let perms = relayout_perms(n);
 
     // Warm-up: builds the scratch arena, the recorder's thread-local
-    // event buffer, and the metric registry's counter slots.
+    // event buffer, the metric registry's counter slots, the relayout
+    // buffers, and a clock ledger with room for the measured round.
     machine.run_shard_programs(&programs, &Pool::SERIAL);
-    machine.permute_state(&perm, 0);
-    machine.permute_state(&perm, 0);
-    machine.stage_barrier();
+    for _ in 0..4 {
+        relayout_round(&mut machine, &perms, &Pool::SERIAL);
+        machine.stage_barrier();
+    }
 
-    let before_large = large_allocs();
     let before = allocs();
     machine.run_shard_programs(&programs, &Pool::SERIAL);
-    let kernel_delta = allocs() - before;
-    machine.permute_state(&perm, 0);
-    machine.permute_state(&perm, 0);
-    let large_delta = large_allocs() - before_large;
+    relayout_round(&mut machine, &perms, &Pool::SERIAL);
+    machine.stage_barrier();
+    let delta = allocs() - before;
     assert_eq!(
-        kernel_delta, 0,
-        "recording-enabled steady state performed {kernel_delta} heap allocations"
-    );
-    assert_eq!(
-        large_delta, 0,
-        "recording-enabled relayout allocated {large_delta} amplitude-sized buffers"
+        delta, 0,
+        "recording-enabled steady state performed {delta} heap allocations"
     );
 
     // The measured region really recorded: every second-pass event is in
@@ -355,7 +385,39 @@ fn enabled_recorder_steady_state_records_without_allocating() {
         .filter(|e| e.name == "machine.reshuffle")
         .count();
     assert_eq!(kernel_spans, 2 * machine.num_shards());
-    assert_eq!(reshuffles, 4);
+    assert_eq!(reshuffles, 5 * 2 * perms.len());
+}
+
+#[test]
+fn warm_pooled_relayout_allocates_nothing() {
+    // Inside one pool scope the move runs on the workers, so their
+    // allocations count as well as the submitting thread's.
+    let n = 10u32;
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 7,
+    };
+    let reference = dense_state(n);
+    let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
+    let perms = relayout_perms(n);
+    with_pool(2, |pool| {
+        mark_pool_workers(pool);
+        for _ in 0..3 {
+            relayout_round(&mut machine, &perms, pool);
+        }
+        let before = (allocs(), WORKER_ALLOCS.load(Ordering::Relaxed));
+        relayout_round(&mut machine, &perms, pool);
+        let main = allocs() - before.0;
+        let workers = WORKER_ALLOCS.load(Ordering::Relaxed) - before.1;
+        assert_eq!(
+            (main, workers),
+            (0, 0),
+            "warm pooled relayout: allocations on the (submitting thread, workers)"
+        );
+    });
+    let want = Machine::with_state(spec, CostModel::default(), &reference);
+    assert_eq!(machine.gather_state(), want.gather_state());
 }
 
 #[test]

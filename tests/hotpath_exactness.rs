@@ -5,7 +5,7 @@
 //! dispatching over layouts — unrolled `k ≤ 2`, the lane-blocked dense
 //! sweep, contiguous low-window chunks, strided runs — and running the
 //! chosen layout's loop on one thread or split over several) and the
-//! block-copy relayout in `atlas_machine` are *replacements* for generic
+//! table-driven relayout in `atlas_machine` are *replacements* for generic
 //! code on the innermost `2^n` sweep — they are only admissible because
 //! they perform the identical floating-point operations in the identical
 //! order. These properties pin that down to the bit: any rounding
@@ -14,7 +14,11 @@
 //! slices on both sides of the work cutoffs below which a kernel stays on
 //! one thread — which is also what keeps thread-count determinism intact —
 //! and the kernels that block adjacent groups at the edges of their blocks.
+//! The relayout runs through pools of 1, 2 and 3 threads too, and its
+//! closed-form interconnect charge is checked against a walk over every
+//! amplitude.
 
+use atlas::machine::cost::AMP_BYTES;
 use atlas::machine::{CostModel, Machine, MachineSpec};
 use atlas::prelude::*;
 use atlas::qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
@@ -24,7 +28,7 @@ use atlas::statevec::reference::{
 };
 use atlas::statevec::{
     apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, apply_reduced,
-    fuse_gates, scale, simulate_reference, Scratch, StateVector,
+    fuse_gates, scale, simulate_reference, with_pool, Pool, Scratch, StateVector,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -61,13 +65,7 @@ fn seeded_unitary(n: u32, qs: &[u32], seed: u64) -> Matrix {
 /// (not necessarily sorted) order.
 fn qubit_subset(n: u32, k: usize, seed: u64) -> Vec<u32> {
     let mut all: Vec<u32> = (0..n).collect();
-    let mut s = seed | 1;
-    for i in (1..all.len()).rev() {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        all.swap(i, (s >> 33) as usize % (i + 1));
-    }
+    shuffle(&mut all, &mut (seed | 1));
     all.truncate(k);
     all
 }
@@ -284,6 +282,97 @@ fn permutation_runs_match_generic_at_run_edges() {
     }
 }
 
+/// The `(n, spec)` shapes every relayout property runs on: the general
+/// one; L = 2 and L = 1, where runs and tiles are narrower than a cache
+/// line (the L = 1 one offloads 8 shards onto each GPU); and 2 shards,
+/// fewer than the largest pool has threads.
+fn relayout_shapes() -> [(u32, MachineSpec); 4] {
+    let spec = |nodes, gpus_per_node, local_qubits| MachineSpec {
+        nodes,
+        gpus_per_node,
+        local_qubits,
+    };
+    [
+        (8, spec(2, 2, 5)),
+        (6, spec(2, 2, 2)),
+        (5, spec(1, 2, 1)),
+        (7, spec(2, 1, 6)),
+    ]
+}
+
+/// Seeded Fisher–Yates shuffle (LCG state in `s`).
+fn shuffle(items: &mut [u32], s: &mut u64) {
+    for i in (1..items.len()).rev() {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        items.swap(i, (*s >> 33) as usize % (i + 1));
+    }
+}
+
+/// A transition's model-clock charge, re-derived amplitude by amplitude.
+struct WalkedCharge {
+    comm: f64,
+    bytes_intra: u64,
+    bytes_inter: u64,
+}
+
+/// The interconnect charge of `new = perm(old) ^ flip` from first
+/// principles: count every amplitude's (source, destination) shard pair,
+/// charge each cross-GPU block to its sender's GPU (same node) or node
+/// (cross node), and let the busiest sender of each class set its time,
+/// plus a collective latency and a local repack pass.
+fn walked_charge(
+    spec: &MachineSpec,
+    n: u32,
+    perm: &QubitPermutation,
+    flip: u64,
+    cost: &CostModel,
+) -> WalkedCharge {
+    let l = spec.local_qubits;
+    let mut blocks: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for old in 0..1u64 << n {
+        let new = perm.apply_index(old) ^ flip;
+        *blocks
+            .entry(((old >> l) as usize, (new >> l) as usize))
+            .or_default() += 1;
+    }
+    let mut gpu_out = vec![0u64; spec.num_gpus()];
+    let mut node_out = vec![0u64; spec.nodes];
+    let (mut bytes_intra, mut bytes_inter, mut moved) = (0, 0, false);
+    for (&(src, dst), &amps) in &blocks {
+        if src == dst {
+            continue;
+        }
+        moved = true;
+        let bytes = (amps as f64 * AMP_BYTES) as u64;
+        if spec.node_of_shard(n, src) != spec.node_of_shard(n, dst) {
+            node_out[spec.node_of_shard(n, src)] += bytes;
+            bytes_inter += bytes;
+        } else if spec.gpu_of_shard(n, src) != spec.gpu_of_shard(n, dst) {
+            gpu_out[spec.gpu_of_shard(n, src)] += bytes;
+            bytes_intra += bytes;
+        }
+    }
+    let busiest = |out: &[u64], bw: f64| out.iter().map(|&b| b as f64 / bw).fold(0.0, f64::max);
+    let t_links = busiest(&gpu_out, cost.intra_node_bw).max(busiest(&node_out, cost.inter_node_bw));
+    let t_local = if !perm.is_identity() || flip & ((1 << l) - 1) != 0 {
+        2.0 * (1u64 << l) as f64 * cost.mem_pass_ns * 1e-9
+    } else {
+        0.0
+    };
+    let comm = if moved {
+        t_links + cost.comm_latency_us * 1e-6 + t_local
+    } else {
+        t_local
+    };
+    WalkedCharge {
+        comm,
+        bytes_intra,
+        bytes_inter,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -420,86 +509,129 @@ proptest! {
         }
     }
 
-    /// The block-copy relayout engine is byte-identical to the
-    /// per-amplitude scatter oracle for arbitrary permutations and flips —
-    /// covering the shard-local in-place path, the pure relabel
-    /// (handle-shuffle) path, and the general ping-pong path.
+    /// The relayout engine is byte-identical to the per-amplitude scatter
+    /// oracle for arbitrary permutations and flips — covering the
+    /// shard-local in-place path, the pure relabel (handle-shuffle) path
+    /// and the general pooled path — on every relayout shape, through
+    /// pools of 1, 2 and 3 threads, and it charges the same model clock.
     #[test]
     fn permute_state_blocks_match_scatter_bitwise(
         seed in any::<u64>(),
         flip_seed in any::<u64>(),
         steps in 1usize..4,
     ) {
-        let n = 8u32;
-        let spec = MachineSpec { nodes: 2, gpus_per_node: 2, local_qubits: 5 };
-        let reference = dense_state(n, seed);
-        let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
-        let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
-        // Chain several transitions so ping-pong reuse (not just the
-        // first, freshly-allocated pass) is exercised.
-        let mut s = seed | 1;
-        for step in 0..steps {
-            let mut map: Vec<u32> = (0..n).collect();
-            for i in (1..map.len()).rev() {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                map.swap(i, (s >> 33) as usize % (i + 1));
+        for (n, spec) in relayout_shapes() {
+            let reference = dense_state(n, seed);
+            // Chain several transitions so ping-pong reuse (not just the
+            // first, freshly-allocated pass) is exercised.
+            let mut s = seed | 1;
+            let transitions: Vec<(QubitPermutation, u64)> = (0..steps)
+                .map(|step| {
+                    let mut map: Vec<u32> = (0..n).collect();
+                    shuffle(&mut map, &mut s);
+                    let flip = flip_seed.rotate_left(step as u32 * 13) & ((1u64 << n) - 1);
+                    (QubitPermutation::from_map(map), flip)
+                })
+                .collect();
+            let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
+            for (perm, flip) in &transitions {
+                scatter.permute_state_scatter(perm, *flip);
             }
-            let perm = QubitPermutation::from_map(map);
-            let flip = (flip_seed.rotate_left(step as u32 * 13)) & ((1u64 << n) - 1);
-            blocks.permute_state(&perm, flip);
-            scatter.permute_state_scatter(&perm, flip);
+            let want = scatter.report();
+            for threads in THREADS {
+                let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
+                with_pool(threads, |pool| {
+                    for (perm, flip) in &transitions {
+                        blocks.permute_state(perm, *flip, pool);
+                    }
+                });
+                let label = format!("relayout n={n} L={} threads={threads}", spec.local_qubits);
+                assert_bits_eq(&blocks.gather_state(), &scatter.gather_state(), &label);
+                // Cost accounting must agree too (shared charge helper).
+                let got = blocks.report();
+                prop_assert_eq!(got.bytes_intra, want.bytes_intra);
+                prop_assert_eq!(got.bytes_inter, want.bytes_inter);
+                prop_assert_eq!(got.comm_secs.to_bits(), want.comm_secs.to_bits());
+            }
         }
-        let a = blocks.gather_state();
-        let b = scatter.gather_state();
-        assert_bits_eq(&a, &b, "relayout");
-        // Cost accounting must agree too (shared charge helper).
-        let (ra, rb) = (blocks.report(), scatter.report());
-        prop_assert_eq!(ra.bytes_intra, rb.bytes_intra);
-        prop_assert_eq!(ra.bytes_inter, rb.bytes_inter);
-        prop_assert!((ra.comm_secs - rb.comm_secs).abs() < 1e-15);
     }
 
     /// Shard-local and relabel-only transitions (the in-place and
-    /// handle-shuffle fast paths) also match the scatter oracle.
+    /// handle-shuffle fast paths) also match the scatter oracle, on every
+    /// relayout shape and pool size.
     #[test]
     fn local_and_relabel_permutations_match_scatter_bitwise(
         seed in any::<u64>(),
         local_flip in any::<u64>(),
         high_flip in any::<u64>(),
     ) {
-        let n = 8u32;
-        let l = 5u32;
-        let spec = MachineSpec { nodes: 2, gpus_per_node: 2, local_qubits: l };
-        let reference = dense_state(n, seed);
+        for (n, spec) in relayout_shapes() {
+            let l = spec.local_qubits;
+            let reference = dense_state(n, seed);
 
-        // Low-closed permutation: shuffle bits 0..l and l..n separately.
-        let mut map: Vec<u32> = (0..n).collect();
-        let mut s = seed | 1;
-        for range in [0..l as usize, l as usize..n as usize] {
-            let lo = range.start;
-            for i in (lo + 1..range.end).rev() {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                map.swap(i, lo + (s >> 33) as usize % (i - lo + 1));
+            // Low-closed permutation: shuffle bits 0..l and l..n separately.
+            let mut map: Vec<u32> = (0..n).collect();
+            let mut s = seed | 1;
+            shuffle(&mut map[..l as usize], &mut s);
+            shuffle(&mut map[l as usize..], &mut s);
+            let low_closed = QubitPermutation::from_map(map);
+            let low_mask = (1u64 << l) - 1;
+            let high_mask = ((1u64 << n) - 1) & !low_mask;
+            let identity = QubitPermutation::identity(n as usize);
+            let cases = [
+                ("low-closed", &low_closed, (local_flip & low_mask) | (high_flip & high_mask)),
+                // Pure relabel: identity permutation, only high flip bits.
+                ("relabel", &identity, high_flip & high_mask),
+            ];
+            for (name, perm, flip) in cases {
+                let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
+                scatter.permute_state_scatter(perm, flip);
+                for threads in THREADS {
+                    let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
+                    with_pool(threads, |pool| blocks.permute_state(perm, flip, pool));
+                    assert_bits_eq(
+                        &blocks.gather_state(),
+                        &scatter.gather_state(),
+                        &format!("{name} n={n} L={l} threads={threads}"),
+                    );
+                }
             }
         }
-        let perm = QubitPermutation::from_map(map);
-        let flip = (local_flip & ((1 << l) - 1)) | (high_flip & ((1 << n) - (1 << l)));
-        let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
-        let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
-        blocks.permute_state(&perm, flip);
-        scatter.permute_state_scatter(&perm, flip);
-        assert_bits_eq(&blocks.gather_state(), &scatter.gather_state(), "low-closed");
+    }
 
-        // Pure relabel: identity permutation, only high flip bits.
-        let relabel_flip = high_flip & ((1 << n) - (1 << l));
-        let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
-        let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
-        blocks.permute_state(&QubitPermutation::identity(n as usize), relabel_flip);
-        scatter.permute_state_scatter(&QubitPermutation::identity(n as usize), relabel_flip);
-        assert_bits_eq(&blocks.gather_state(), &scatter.gather_state(), "relabel");
+    /// The closed-form interconnect charge equals the one re-derived from
+    /// a walk over every amplitude, bit for bit, on random machine shapes
+    /// (DRAM-offloading ones included), permutations and flips.
+    #[test]
+    fn closed_form_charge_matches_per_amplitude_walk(
+        n in 1u32..11,
+        shape in any::<u64>(),
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        let l = 1 + (shape % n as u64) as u32;
+        let g = ((shape >> 8) % (n - l + 1) as u64) as u32;
+        let spec = MachineSpec {
+            nodes: 1 << g,
+            gpus_per_node: 1 << ((shape >> 16) % 4),
+            local_qubits: l,
+        };
+        let mut map: Vec<u32> = (0..n).collect();
+        let mut s = seed | 1;
+        shuffle(&mut map, &mut s);
+        let perm = QubitPermutation::from_map(map);
+        let flip = flip & ((1u64 << n) - 1);
+
+        let cost = CostModel::default();
+        let mut dry = Machine::new(spec, cost.clone(), n, true);
+        dry.permute_state(&perm, flip, &Pool::SERIAL);
+        let got = dry.report();
+        let want = walked_charge(&spec, n, &perm, flip, &cost);
+        let shape = format!("n={n} L={l} {}x{}", spec.nodes, spec.gpus_per_node);
+        prop_assert_eq!(got.per_step.len(), 1);
+        prop_assert_eq!(
+            (&shape, got.bytes_intra, got.bytes_inter, got.comm_secs.to_bits()),
+            (&shape, want.bytes_intra, want.bytes_inter, want.comm.to_bits())
+        );
     }
 }
