@@ -18,7 +18,12 @@
 //!   short runs (low local bit ↔ global bit), a pure shard relabel
 //!   (handle shuffle, no amplitude traffic at all), and a field swap that
 //!   trades every local bit for a shard bit (runs of one amplitude, the
-//!   tiled case) on one and on two pool threads.
+//!   tiled case) on one and on two pool threads;
+//! * **build** — one execution's shard programs, every stage of a planned
+//!   `serve16` structure (vqc n = 16 and qft n = 18 on 2×2 GPUs, L = 11):
+//!   `build_stage_programs` (prefix-shared row-update fusion) vs. the
+//!   per-pattern expand-and-multiply oracle in
+//!   `tests/common/build_oracle.rs`.
 //!
 //! `ATLAS_BENCH_QUICK=1` shrinks the state and repetition counts for the
 //! CI perf-smoke step (the JSON schema is identical and gains
@@ -28,7 +33,13 @@
 //! should know both; every number here is a *single-thread* one except
 //! `field_swap_t0_threads2`'s `fast_secs`.
 
-use atlas_circuit::Circuit;
+#[path = "../../../tests/common/build_oracle.rs"]
+mod build_oracle;
+
+use atlas_circuit::{generators, Circuit};
+use atlas_core::exec::build_stage_programs;
+use atlas_core::session::Planner;
+use atlas_core::AtlasConfig;
 use atlas_machine::{CostModel, Machine, MachineSpec};
 use atlas_qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
 use atlas_statevec::reference::{
@@ -264,6 +275,50 @@ fn reshuffle_cases(n: u32, l: u32, field: (u32, u32), reps: usize) -> Vec<Case> 
     cases
 }
 
+/// Times building every stage's programs for `circuit` on the `serve16`
+/// pool shape: production vs. the per-pattern oracle.
+fn build_case(name: &'static str, circuit: &Circuit, reps: usize) -> Case {
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 11,
+    };
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let compiled = planner.plan(circuit).expect("serve16 structures plan");
+    let plan = compiled.plan();
+    let shards = spec.num_shards(circuit.num_qubits());
+    let fast_secs = best_of(reps, || {
+        for sp in &plan.stages {
+            drop(build_stage_programs(circuit, sp, plan.l, shards));
+        }
+    });
+    let generic_secs = best_of(reps, || {
+        for sp in &plan.stages {
+            drop(build_oracle::oracle_stage_programs(
+                circuit, sp, plan.l, shards,
+            ));
+        }
+    });
+    let case = Case {
+        name,
+        generic_secs,
+        fast_secs,
+    };
+    println!(
+        "build/{name:<8} per-pattern {generic_secs:.4}s  prefix-shared {fast_secs:.4}s  \
+         speedup {:.2}x",
+        case.speedup()
+    );
+    case
+}
+
+fn build_cases(reps: usize) -> Vec<Case> {
+    vec![
+        build_case("vqc16", &generators::vqc(16), reps),
+        build_case("qft18", &generators::qft(18), reps),
+    ]
+}
+
 fn bench_hotpath(c: &mut Criterion) {
     let n = if quick() { 16 } else { 20 };
     let mut g = c.benchmark_group("hotpath");
@@ -309,6 +364,7 @@ fn emit_json() {
     };
     let apply = apply_cases(n_apply, reps);
     let shuffle = reshuffle_cases(n_shuffle, l_shuffle, (n_field, l_field), reps);
+    let build = build_cases(reps);
 
     let fmt_cases = |cases: &[Case]| -> String {
         let mut s = String::new();
@@ -330,11 +386,12 @@ fn emit_json() {
          \"host_cpus\": {host_cpus},\n  \"isa\": \"{}\",\n  \"apply_qubits\": {n_apply},\n  \
          \"reshuffle_qubits\": {n_shuffle},\n  \"reshuffle_local_qubits\": {l_shuffle},\n  \
          \"field_swap_qubits\": {n_field},\n  \"field_swap_local_qubits\": {l_field},\n  \
-         \"apply\": {{\n{}  }},\n  \"reshuffle\": {{\n{}  }}\n}}\n",
+         \"apply\": {{\n{}  }},\n  \"reshuffle\": {{\n{}  }},\n  \"build\": {{\n{}  }}\n}}\n",
         quick(),
         isa(),
         fmt_cases(&apply),
         fmt_cases(&shuffle),
+        fmt_cases(&build),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     std::fs::write(path, &json).expect("write BENCH_hotpath.json");

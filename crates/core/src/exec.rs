@@ -29,7 +29,7 @@ use atlas_circuit::{insular, Circuit, Gate};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, Machine, ShardOp, ShardProgram};
 use atlas_qmath::{Complex64, Matrix, QubitPermutation};
-use atlas_statevec::{classify_kernel, FastKernel, Pool};
+use atlas_statevec::{classify_kernel, fuse_gate_into, FastKernel, Pool};
 use std::sync::Arc;
 
 /// One non-local (insular) qubit of a gate, read per shard.
@@ -377,11 +377,10 @@ pub(crate) fn execute(
     let mut stage_loop = |pool: &Pool| -> bool {
         let n = plan.n;
         let l = plan.l;
-        let num_shards = machine.num_shards();
         let mut carried_flips = 0u64;
         let mut prev_mapping: Option<&[u32]> = None;
 
-        for sp in &plan.stages {
+        for (si, sp) in plan.stages.iter().enumerate() {
             // Stage-barrier preemption point: between stages the state is a
             // consistent (if partially evolved) vector, so an interrupted run
             // simply stops before the next stage's relayout and kernels.
@@ -400,7 +399,7 @@ pub(crate) fn execute(
                 carried_flips = 0;
             }
 
-            execute_stage(machine, circuit, sp, l, num_shards, pool);
+            execute_stage(machine, circuit, sp, si as u32, l, cfg, pool);
             carried_flips ^= sp.flips;
             machine.stage_barrier();
             prev_mapping = Some(&sp.mapping);
@@ -451,10 +450,12 @@ fn execute_stage(
     machine: &mut Machine,
     circuit: Option<&Circuit>,
     sp: &StagePlan,
+    stage: u32,
     l: u32,
-    num_shards: usize,
+    cfg: &AtlasConfig,
     pool: &Pool,
 ) {
+    let num_shards = machine.num_shards();
     if machine.is_dry() {
         // Dry runs only need the clock charges — skip matrix construction
         // entirely (paper-scale shapes have millions of shard-kernels).
@@ -476,7 +477,21 @@ fn execute_stage(
         return;
     }
     let circuit = circuit.expect("functional execution needs the circuit");
-    let programs = build_stage_programs(circuit, sp, l, num_shards);
+    let t = cfg.recorder.start();
+    let (programs, counts) = build_programs(circuit, sp, l, num_shards);
+    cfg.recorder.span(
+        "exec.build_programs",
+        t,
+        true,
+        stage,
+        0,
+        0,
+        &[
+            ("kernels", counts.kernels),
+            ("fused", counts.fused),
+            ("gate_apps", counts.gate_apps),
+        ],
+    );
     machine.run_shard_programs(&programs, pool);
 }
 
@@ -484,6 +499,14 @@ fn execute_stage(
 /// specialization per shard pattern, fused-matrix structure classification
 /// ([`classify_kernel`]) shared across shards with equal patterns, and the
 /// per-shard scalar folded into the first kernel that accepts it.
+///
+/// A fusion kernel is fused once per *gate prefix* its shard patterns
+/// share, not once per pattern (see `PrefixFuser`), and each gate is
+/// applied to the rows of the product so far ([`fuse_gate_into`]). Every
+/// fused matrix, and so every [`FastKernel`], is bit for bit the
+/// per-pattern expand-and-multiply product of the reduced gates
+/// (`atlas_statevec::reference::fuse_by_expansion`);
+/// `tests/hotpath_exactness.rs` pins that op by op.
 ///
 /// This is deliberately independent of the thread count — serial and
 /// parallel execution run the *same* programs, which is what makes the
@@ -499,6 +522,28 @@ pub fn build_stage_programs(
     l: u32,
     num_shards: usize,
 ) -> Vec<ShardProgram> {
+    build_programs(circuit, sp, l, num_shards).0
+}
+
+/// Exact work counts of one stage's program build, recorded on the
+/// `exec.build_programs` span.
+#[derive(Default)]
+struct BuildCounts {
+    /// Fusion kernels built.
+    kernels: u64,
+    /// Fused matrices classified: one per distinct (kernel, shard pattern).
+    fused: u64,
+    /// Gates applied to an accumulator ([`fuse_gate_into`] calls).
+    gate_apps: u64,
+}
+
+/// [`build_stage_programs`] plus its work counts.
+fn build_programs(
+    circuit: &Circuit,
+    sp: &StagePlan,
+    l: u32,
+    num_shards: usize,
+) -> (Vec<ShardProgram>, BuildCounts) {
     // Per-shard scalar from the fully-reduced gates.
     let mut shard_scalars: Vec<Complex64> = vec![Complex64::ONE; num_shards];
     let mut cache: DetMap<(usize, u64), Complex64> = DetMap::default();
@@ -520,21 +565,17 @@ pub fn build_stage_programs(
         .collect();
 
     let mut programs: Vec<ShardProgram> = vec![Vec::new(); num_shards];
+    let mut fuser = PrefixFuser::new(circuit, sp, l);
+    let mut shard_keys: Vec<u64> = Vec::with_capacity(num_shards);
     for kernel in &sp.kernels {
         match kernel.kind {
             KernelKind::Fusion => {
                 let qubits = Arc::new(kernel.qubits.clone());
-                let mut compiled: DetMap<u64, Arc<FastKernel>> = DetMap::default();
-                for (s, prog) in programs.iter_mut().enumerate() {
-                    let key = kernel_pattern(sp, kernel, s as u64, l);
-                    let fk = compiled
-                        .entry(key)
-                        .or_insert_with(|| {
-                            Arc::new(classify_kernel(&build_fused(
-                                circuit, sp, kernel, s as u64, l,
-                            )))
-                        })
-                        .clone();
+                shard_keys.clear();
+                shard_keys.extend((0..num_shards as u64).map(|s| kernel_pattern(sp, kernel, s, l)));
+                fuser.fuse_kernel(kernel, &shard_keys);
+                for (s, (prog, key)) in programs.iter_mut().zip(&shard_keys).enumerate() {
+                    let fk = fuser.kernel_for(*key);
                     // Fold the shard scalar into the first kernel whose
                     // fast form accepts it for free.
                     let mut scale = Complex64::ONE;
@@ -593,7 +634,7 @@ pub fn build_stage_programs(
             prog.push(ShardOp::Scale(shard_scalars[s]));
         }
     }
-    programs
+    (programs, fuser.counts)
 }
 
 /// The pattern key of a kernel for one shard: the raw shard bits of every
@@ -607,28 +648,128 @@ fn kernel_pattern(sp: &StagePlan, kernel: &Kernel, shard_bits: u64, l: u32) -> u
 }
 
 fn pattern_bits(reads: &[ReadBit], shard_bits: u64, l: u32) -> u64 {
-    let mut key = 0u64;
-    for rb in reads {
-        key |= ((shard_bits >> (rb.phys - l)) & 1) << (rb.phys - l);
-    }
-    key
+    reads
+        .iter()
+        .fold(0, |key, rb| key | (shard_bits & read_mask(rb, l)))
 }
 
-/// Builds the fused matrix of a fusion kernel for one shard.
-fn build_fused(
-    circuit: &Circuit,
-    sp: &StagePlan,
-    kernel: &Kernel,
-    shard_bits: u64,
+/// The pattern-key bit of one non-local read.
+fn read_mask(rb: &ReadBit, l: u32) -> u64 {
+    1 << (rb.phys - l)
+}
+
+/// Fuses the fusion kernels of one stage, each for all of its shard
+/// patterns at once, sharing every gate prefix the patterns share.
+///
+/// Gate `t` of a kernel reduces to the same matrix for two patterns
+/// exactly when they agree on the non-local bits `t` reads, so the walk
+/// goes depth first over the gates with the set of patterns that still
+/// share one product, and splits that set only at a gate that reads a bit
+/// on which its patterns disagree. Each group of a split continues from
+/// its own copy of the product — the split gate is applied from the
+/// parent's accumulator into a buffer reused at the child's depth, so the
+/// parent stays intact for its next group. At a leaf the product is
+/// classified at once and every pattern of the leaf gets the same
+/// `Arc<FastKernel>`, so the buffers hold one product per split depth and
+/// a kernel's pattern matrices are never all alive together.
+///
+/// Each pattern's product is still built by the same gate applications in
+/// the same order as fusing that pattern alone, so sharing changes the
+/// amount of work, never a bit of the result.
+struct PrefixFuser<'a> {
+    circuit: &'a Circuit,
+    sp: &'a StagePlan,
     l: u32,
-) -> Matrix {
-    let mut acc = Matrix::identity(1 << kernel.qubits.len());
-    for &t in &kernel.gates {
-        let tp = &sp.templates[t];
-        let gate = &circuit.gates()[tp.circuit_gate];
-        let m = reduce_for_pattern(gate, &tp.reads, shard_bits, l);
-        let expanded = atlas_statevec::expand_to_kernel(&kernel.qubits, &tp.local_phys, &m);
-        acc = &expanded * &acc;
+    /// `acc[d]`: the product so far of the group being walked at split
+    /// depth `d`.
+    acc: Vec<Matrix>,
+    /// The ping-pong twin of an in-place (non-splitting) gate step.
+    spare: Matrix,
+    /// The current kernel's distinct patterns (the walk reorders them).
+    patterns: Vec<u64>,
+    /// The current kernel's `(pattern, kernel)` leaves, sorted by pattern.
+    leaves: Vec<(u64, Arc<FastKernel>)>,
+    counts: BuildCounts,
+}
+
+impl<'a> PrefixFuser<'a> {
+    fn new(circuit: &'a Circuit, sp: &'a StagePlan, l: u32) -> Self {
+        PrefixFuser {
+            circuit,
+            sp,
+            l,
+            acc: vec![Matrix::zeros(0, 0)],
+            spare: Matrix::zeros(0, 0),
+            patterns: Vec::new(),
+            leaves: Vec::new(),
+            counts: BuildCounts::default(),
+        }
     }
-    acc
+
+    /// Fuses `kernel` for the distinct patterns among `shard_keys`; look
+    /// each up with [`PrefixFuser::kernel_for`] until the next call.
+    fn fuse_kernel(&mut self, kernel: &Kernel, shard_keys: &[u64]) {
+        let mut patterns = std::mem::take(&mut self.patterns);
+        patterns.clear();
+        patterns.extend_from_slice(shard_keys);
+        patterns.sort_unstable();
+        patterns.dedup();
+        self.acc[0].set_identity(1 << kernel.qubits.len());
+        self.leaves.clear();
+        self.walk(kernel, 0, 0, &mut patterns);
+        self.leaves.sort_unstable_by_key(|&(p, _)| p);
+        self.patterns = patterns;
+        self.counts.kernels += 1;
+    }
+
+    /// The fused kernel of pattern `key` of the last fused kernel.
+    fn kernel_for(&self, key: u64) -> Arc<FastKernel> {
+        let leaf = self
+            .leaves
+            .binary_search_by_key(&key, |&(p, _)| p)
+            .expect("every shard pattern is a leaf of the walk");
+        self.leaves[leaf].1.clone()
+    }
+
+    /// Continues the walk of `kernel` at gate `t` for `patterns`, whose
+    /// shared product of the earlier gates is `acc[depth]`.
+    fn walk(&mut self, kernel: &Kernel, mut t: usize, depth: usize, patterns: &mut [u64]) {
+        while let Some(&gi) = kernel.gates.get(t) {
+            let tp = &self.sp.templates[gi];
+            let gate = &self.circuit.gates()[tp.circuit_gate];
+            let mask = tp.reads.iter().fold(0, |m, rb| m | read_mask(rb, self.l));
+            let first = patterns[0] & mask;
+            if patterns.iter().all(|&p| p & mask == first) {
+                let m = reduce_for_pattern(gate, &tp.reads, first, self.l);
+                let acc = &mut self.acc[depth];
+                fuse_gate_into(&mut self.spare, acc, &kernel.qubits, &tp.local_phys, &m);
+                std::mem::swap(&mut self.spare, acc);
+                self.counts.gate_apps += 1;
+                t += 1;
+                continue;
+            }
+            if self.acc.len() == depth + 1 {
+                self.acc.push(Matrix::zeros(0, 0));
+            }
+            patterns.sort_unstable_by_key(|&p| p & mask);
+            for group in patterns.chunk_by_mut(|a, b| a & mask == b & mask) {
+                let m = reduce_for_pattern(gate, &tp.reads, group[0], self.l);
+                let (parent, child) = self.acc.split_at_mut(depth + 1);
+                fuse_gate_into(
+                    &mut child[0],
+                    &parent[depth],
+                    &kernel.qubits,
+                    &tp.local_phys,
+                    &m,
+                );
+                self.counts.gate_apps += 1;
+                self.walk(kernel, t + 1, depth + 1, group);
+            }
+            return;
+        }
+        let fk = Arc::new(classify_kernel(&self.acc[depth]));
+        self.counts.fused += 1;
+        self.leaves
+            .extend(patterns.iter().map(|&p| (p, fk.clone())));
+    }
 }

@@ -29,11 +29,27 @@ impl Matrix {
 
     /// Creates the `n × n` identity.
     pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Complex64::ONE;
-        }
+        let mut m = Matrix::zeros(0, 0);
+        m.set_identity(n);
         m
+    }
+
+    /// Overwrites `self` with the `rows × cols` zero matrix, reusing the
+    /// existing allocation when its capacity suffices.
+    pub fn set_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, Complex64::ZERO);
+    }
+
+    /// Overwrites `self` with the `n × n` identity, reusing the existing
+    /// allocation when its capacity suffices.
+    pub fn set_identity(&mut self, n: usize) {
+        self.set_zeros(n, n);
+        for i in 0..n {
+            self[(i, i)] = Complex64::ONE;
+        }
     }
 
     /// Creates a matrix from row-major data. Panics if the length is not
@@ -76,6 +92,12 @@ impl Matrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[Complex64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Returns row `r` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [Complex64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Conjugate transpose (dagger).

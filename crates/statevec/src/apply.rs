@@ -514,8 +514,8 @@ fn permute_run<const RUN: usize>(
 /// Applies unitary `m` over `targets`, controlled on every qubit in
 /// `controls` being 1, with up to `threads` threads. Groups whose control
 /// bits are not all set are untouched, so the dense multiply runs on a
-/// `2^|controls|`-times smaller subspace than the equivalent full
-/// `expand_to_kernel` matrix — the lane-blocked sweep (module docs) with
+/// `2^|controls|`-times smaller subspace than the equivalent matrix over
+/// `controls ∪ targets` — the lane-blocked sweep (module docs) with
 /// the control bits forced. Byte-identical to
 /// [`crate::reference::apply_controlled_matrix_generic`].
 pub fn apply_controlled_matrix(

@@ -1,69 +1,119 @@
-//! Gate fusion: combining a kernel's gate list into one dense unitary.
+//! Gate fusion and the compiled forms of a fused kernel.
 //!
-//! Atlas fusion kernels (§VI-B, approach 1) pre-multiply the gate matrices
-//! of a kernel into a single `2^k × 2^k` unitary and apply it in one pass —
-//! the same thing cuQuantum's apply-matrix does on a real GPU.
+//! Atlas fusion kernels (§VI-B, approach 1) multiply the gates of a kernel
+//! into one `2^k × 2^k` unitary and apply it in one pass — the same thing
+//! cuQuantum's apply-matrix does on a real GPU. This module owns the three
+//! steps of that life cycle:
+//!
+//! * **Fuse.** [`fuse_gate_into`] is the one fusion primitive: it applies a
+//!   gate to the *rows* of the product so far, so no gate is ever expanded
+//!   to `2^k × 2^k` and nothing is allocated per gate. [`fuse_gates`] folds
+//!   a gate list through it; the executor's per-shard build
+//!   (`atlas_core::exec::build_stage_programs`) calls it on insular-reduced
+//!   gates, once per gate prefix its shard patterns share. Both are bit for
+//!   bit the expand-and-multiply oracle,
+//!   [`crate::reference::fuse_by_expansion`] (the argument is on
+//!   [`fuse_gate_into`]).
+//! * **Classify.** [`classify_kernel`] inspects a fused matrix once and
+//!   compiles it into its cheapest [`FastKernel`] form.
+//! * **Apply.** [`apply_kernel`] dispatches a compiled kernel to the
+//!   matching family in [`crate::apply`]; [`apply_reduced`] does the same,
+//!   cheaply, for the small per-shard parts of shared-memory kernels.
 
 use crate::apply::{self, apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation};
 use crate::scratch::Scratch;
 use atlas_circuit::Gate;
-use atlas_qmath::{extract_bits, Complex64, Matrix};
+use atlas_qmath::{deposit_bits, extract_bits, Complex64, Matrix};
 
-/// Embeds a gate unitary `m` (over `gate_qubits`, matrix bit `t` =
-/// `gate_qubits[t]`) into the space of `kernel_qubits` (kernel bit `t` =
-/// `kernel_qubits[t]`). Every gate qubit must appear in the kernel set.
-pub fn expand_to_kernel(kernel_qubits: &[u32], gate_qubits: &[u32], m: &Matrix) -> Matrix {
-    let kk = kernel_qubits.len();
-    let kg = gate_qubits.len();
-    assert_eq!(m.rows(), 1 << kg);
+/// Most qubits one gate acts on (the capacity of `atlas_circuit::Qubits`).
+const MAX_GATE_QUBITS: usize = 4;
+
+/// One row-update fusion step: overwrites `out` with `E · acc`, where `acc`
+/// is a `2^k × 2^k` product over `kernel_qubits` (kernel bit `t` =
+/// `kernel_qubits[t]`) and `E` is the gate unitary `m` (matrix bit `t` =
+/// `gate_qubits[t]`) embedded into that space. Every gate qubit must appear
+/// in the kernel set. `out` is reshaped in place and allocates only when
+/// it has never held a matrix this large.
+///
+/// Row `i` of the result is `Σ_c m[r(i)][c] · acc[src(c)]`, where `r(i)`
+/// is `i`'s gate bits and the sum runs over the `2^g` rows `src(c)` that
+/// share `i`'s non-gate bits.
+///
+/// **Bit identity.** Multiplying by the expansion, `&expanded * &acc`,
+/// skips the exact zeros of row `i` of `expanded` and accumulates one
+/// `mul_add` per remaining entry in ascending column order, starting from
+/// `+0`. The nonzero entries of that row are exactly the nonzero entries of
+/// `m`'s row `r(i)`, at columns `src(c)`. So visiting `c` in ascending
+/// *kernel-index* order of `src(c)` — which differs from `c` order when the
+/// gate qubits are not monotone in the kernel, e.g. `[5, 1]`; hence the
+/// offsets are sorted once per call — and skipping exact (`±0`) zeros of
+/// `m` performs the same operations in the same order.
+pub fn fuse_gate_into(
+    out: &mut Matrix,
+    acc: &Matrix,
+    kernel_qubits: &[u32],
+    gate_qubits: &[u32],
+    m: &Matrix,
+) {
+    let g = gate_qubits.len();
+    assert!(
+        g <= MAX_GATE_QUBITS,
+        "gates have at most {MAX_GATE_QUBITS} qubits"
+    );
+    assert_eq!(m.rows(), 1 << g);
+    let dim = 1usize << kernel_qubits.len();
+    assert_eq!(acc.rows(), dim);
     // Position of each gate qubit inside the kernel index.
-    let pos: Vec<u32> = gate_qubits
-        .iter()
-        .map(|q| {
-            kernel_qubits
-                .iter()
-                .position(|kq| kq == q)
-                .expect("gate qubit not in kernel") as u32
-        })
-        .collect();
-    let dim = 1usize << kk;
-    let mut out = Matrix::zeros(dim, dim);
+    let mut pos = [0u32; MAX_GATE_QUBITS];
+    for (p, q) in pos.iter_mut().zip(gate_qubits) {
+        *p = kernel_qubits
+            .iter()
+            .position(|kq| kq == q)
+            .expect("gate qubit not in kernel") as u32;
+    }
+    let pos = &pos[..g];
     let gate_mask: u64 = pos.iter().fold(0, |acc, &p| acc | (1u64 << p));
-    for row in 0..dim as u64 {
-        let r_sub = extract_bits(row, &pos) as usize;
-        let fixed = row & !gate_mask;
-        for c_sub in 0..1u64 << kg {
-            // Scatter c_sub back onto the gate bit positions.
-            let mut col = fixed;
-            for (t, &p) in pos.iter().enumerate() {
-                col |= ((c_sub >> t) & 1) << p;
+    // (kernel-index offset, gate column) in ascending offset order.
+    let mut cols = [(0u64, 0usize); 1 << MAX_GATE_QUBITS];
+    let cols = &mut cols[..1 << g];
+    for (c, col) in cols.iter_mut().enumerate() {
+        *col = (deposit_bits(c as u64, pos), c);
+    }
+    cols.sort_unstable();
+
+    out.set_zeros(dim, dim);
+    for i in 0..dim {
+        let fixed = i as u64 & !gate_mask;
+        let mrow = m.row(extract_bits(i as u64, pos) as usize);
+        let orow = out.row_mut(i);
+        for &(off, c) in cols.iter() {
+            let a = mrow[c];
+            if a.is_zero(0.0) {
+                continue;
             }
-            out[(row as usize, col as usize)] = m[(r_sub, c_sub as usize)];
+            for (o, b) in orow.iter_mut().zip(acc.row((fixed | off) as usize)) {
+                *o = a.mul_add(*b, *o);
+            }
         }
     }
-    out
 }
 
 /// Multiplies the gates of a kernel (in program order) into a single
-/// unitary over `kernel_qubits`. Applying the result is equivalent to
+/// unitary over `kernel_qubits`, one [`fuse_gate_into`] step per gate
+/// through two reused buffers. Applying the result is equivalent to
 /// applying the gates in sequence.
 pub fn fuse_gates(kernel_qubits: &[u32], gates: &[Gate]) -> Matrix {
     let mut acc = Matrix::identity(1 << kernel_qubits.len());
+    let mut next = Matrix::zeros(0, 0);
     for g in gates {
-        let expanded = expand_to_kernel(kernel_qubits, g.qubits.as_slice(), &g.matrix());
-        acc = &expanded * &acc;
-    }
-    acc
-}
-
-/// Fuses pre-expanded/reduced unitaries (already paired with their qubit
-/// lists) — used by the executor when insular specialization has replaced
-/// gates with reduced matrices.
-pub fn fuse_matrices(kernel_qubits: &[u32], parts: &[(Vec<u32>, Matrix)]) -> Matrix {
-    let mut acc = Matrix::identity(1 << kernel_qubits.len());
-    for (qs, m) in parts {
-        let expanded = expand_to_kernel(kernel_qubits, qs, m);
-        acc = &expanded * &acc;
+        fuse_gate_into(
+            &mut next,
+            &acc,
+            kernel_qubits,
+            g.qubits.as_slice(),
+            &g.matrix(),
+        );
+        std::mem::swap(&mut acc, &mut next);
     }
     acc
 }
@@ -342,20 +392,6 @@ mod tests {
     use atlas_circuit::{Circuit, GateKind};
 
     #[test]
-    fn expand_identity_gate() {
-        let id = Matrix::identity(2);
-        let big = expand_to_kernel(&[4, 7, 9], &[7], &id);
-        assert!(big.approx_eq(&Matrix::identity(8), 1e-12));
-    }
-
-    #[test]
-    fn expanded_gate_is_unitary() {
-        let m = GateKind::CRY(0.7).matrix();
-        let big = expand_to_kernel(&[1, 3, 5, 8], &[5, 1], &m);
-        assert!(big.is_unitary(1e-9));
-    }
-
-    #[test]
     fn fused_application_matches_sequential() {
         // A 3-qubit kernel from a realistic gate mix.
         let mut c = Circuit::new(5);
@@ -400,25 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn fuse_matrices_matches_fuse_gates() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 2).cp(0.4, 2, 0);
-        let kq = [0u32, 2];
-        let a = fuse_gates(&kq, c.gates());
-        let parts: Vec<(Vec<u32>, Matrix)> = c
-            .gates()
-            .iter()
-            .map(|g| (g.qubits.as_slice().to_vec(), g.matrix()))
-            .collect();
-        let b = fuse_matrices(&kq, &parts);
-        assert!(a.approx_eq(&b, 1e-12));
-    }
-
-    #[test]
     #[should_panic(expected = "not in kernel")]
     fn gate_outside_kernel_panics() {
         let m = GateKind::H.matrix();
-        let _ = expand_to_kernel(&[0, 1], &[2], &m);
+        let acc = Matrix::identity(4);
+        fuse_gate_into(&mut Matrix::zeros(0, 0), &acc, &[0, 1], &[2], &m);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod state;
 
 pub use apply::{apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, scale};
 pub use fused::{apply_kernel, apply_reduced, FastKernel};
-pub use fused::{classify_kernel, expand_to_kernel, fuse_gates};
+pub use fused::{classify_kernel, fuse_gate_into, fuse_gates};
 pub use measure::{TopK, MEASURE_CHUNK};
 pub use pool::{with_pool, Pool};
 pub use reference::{apply_gate, simulate_reference};

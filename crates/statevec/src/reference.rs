@@ -9,6 +9,10 @@
 //!   They never dispatch on layout and never thread; every production
 //!   layout and thread count is pinned byte-identical to them by
 //!   `tests/hotpath_exactness.rs`, and the hotpath bench measures the gap.
+//! * [`fuse_by_expansion`] — the expand-and-multiply oracle of gate
+//!   fusion: each gate embedded into a full `2^k × 2^k` matrix and
+//!   multiplied onto the product so far. [`crate::fused::fuse_gates`] and
+//!   the executor's per-shard program build are pinned bit-identical to it.
 //!
 //! Nothing in this module calls into [`crate::apply`]: a bug in a
 //! production kernel can never be on both sides of a differential.
@@ -133,6 +137,58 @@ fn apply_swap(amps: &mut [Complex64], a: u32, b: u32) {
             amps.swap(i, (i & !abit) | bbit);
         }
     }
+}
+
+/// Embeds a gate unitary `m` (over `gate_qubits`, matrix bit `t` =
+/// `gate_qubits[t]`) into the space of `kernel_qubits` (kernel bit `t` =
+/// `kernel_qubits[t]`). Every gate qubit must appear in the kernel set.
+fn expand_to_kernel(kernel_qubits: &[u32], gate_qubits: &[u32], m: &Matrix) -> Matrix {
+    let kk = kernel_qubits.len();
+    let kg = gate_qubits.len();
+    assert_eq!(m.rows(), 1 << kg);
+    // Position of each gate qubit inside the kernel index.
+    let pos: Vec<u32> = gate_qubits
+        .iter()
+        .map(|q| {
+            kernel_qubits
+                .iter()
+                .position(|kq| kq == q)
+                .expect("gate qubit not in kernel") as u32
+        })
+        .collect();
+    let dim = 1usize << kk;
+    let mut out = Matrix::zeros(dim, dim);
+    let gate_mask: u64 = pos.iter().fold(0, |acc, &p| acc | (1u64 << p));
+    for row in 0..dim as u64 {
+        let r_sub = extract_bits(row, &pos) as usize;
+        let fixed = row & !gate_mask;
+        for c_sub in 0..1u64 << kg {
+            // Scatter c_sub back onto the gate bit positions.
+            let mut col = fixed;
+            for (t, &p) in pos.iter().enumerate() {
+                col |= ((c_sub >> t) & 1) << p;
+            }
+            out[(row as usize, col as usize)] = m[(r_sub, c_sub as usize)];
+        }
+    }
+    out
+}
+
+/// The expand-and-multiply fusion oracle: multiplies `parts` — gate
+/// unitaries paired with their qubits, in program order — into one
+/// unitary over `kernel_qubits` by embedding each into a full
+/// `2^k × 2^k` matrix and multiplying it onto the product so far.
+/// Allocates two matrices per part; the production path
+/// ([`crate::fused::fuse_gate_into`]) does neither.
+pub fn fuse_by_expansion<'a>(
+    kernel_qubits: &[u32],
+    parts: impl IntoIterator<Item = (&'a [u32], Matrix)>,
+) -> Matrix {
+    let mut acc = Matrix::identity(1 << kernel_qubits.len());
+    for (qs, m) in parts {
+        acc = &expand_to_kernel(kernel_qubits, qs, &m) * &acc;
+    }
+    acc
 }
 
 /// The generic gather → dense multiply → scatter oracle for
@@ -307,6 +363,26 @@ mod tests {
             fast.max_abs_diff(&gen)
         );
         assert!(fast.is_normalized(1e-9));
+    }
+
+    #[test]
+    fn expand_identity_gate() {
+        let id = Matrix::identity(2);
+        let big = expand_to_kernel(&[4, 7, 9], &[7], &id);
+        assert!(big.approx_eq(&Matrix::identity(8), 1e-12));
+    }
+
+    #[test]
+    fn expanded_gate_is_unitary() {
+        let m = GateKind::CRY(0.7).matrix();
+        let big = expand_to_kernel(&[1, 3, 5, 8], &[5, 1], &m);
+        assert!(big.is_unitary(1e-9));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in kernel")]
+    fn gate_outside_kernel_panics() {
+        let _ = expand_to_kernel(&[0, 1], &[2], &GateKind::H.matrix());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! `Vec<StageTiming>`; the machine tests warm it past the steps they
 //! measure, so only a capacity doubling could show up there.)
 //! PARTITION gets a budget instead of a zero: a whole `plan` call may
-//! allocate at most once per two DP child states.
+//! allocate at most once per two DP child states. So does building a
+//! stage's shard programs, which allocates its output: a warm build may
+//! allocate at most half as often as the per-pattern fusion it replaced.
 //!
 //! The counters are **per thread**: the harness runs this binary's tests
 //! concurrently, and every measured region executes on the test's own
@@ -18,6 +20,7 @@
 //! allocating at the same time. The one pooled test marks its two workers
 //! and reads their allocations from a counter only marked threads feed.
 
+use atlas::core::exec::build_stage_programs;
 use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
@@ -458,5 +461,40 @@ fn planning_allocates_less_than_once_per_two_dp_children() {
     assert!(
         2 * spent <= children,
         "planning performed {spent} heap allocations for {children} DP children"
+    );
+}
+
+#[test]
+fn warm_program_build_allocates_half_as_often_as_per_pattern_fusion() {
+    // A `serve16` cache hit: vqc n = 16 on 2×2 GPUs, L = 11 (32 shards,
+    // 3 stages). Fusing once per pattern by expand-and-multiply made
+    // 36 321 allocations for one build of all stages: an expansion, its
+    // position list and a product per gate per pattern. Prefix sharing and
+    // row updates into reused buffers leave the reduced gate matrices, the
+    // classified kernels and the programs themselves: 9 452.
+    const PER_PATTERN_FUSION: u64 = 36_321;
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 11,
+    };
+    let circuit = Family::Vqc.generate(16);
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let compiled = planner.plan(&circuit).expect("vqc plans");
+    let plan = compiled.plan();
+    let shards = spec.num_shards(circuit.num_qubits());
+    let build = || {
+        for sp in &plan.stages {
+            drop(build_stage_programs(&circuit, sp, plan.l, shards));
+        }
+    };
+    build();
+    let before = allocs();
+    build();
+    let spent = allocs() - before;
+    assert!(
+        2 * spent <= PER_PATTERN_FUSION,
+        "a warm build of vqc n=16 performed {spent} heap allocations \
+         (per-pattern fusion: {PER_PATTERN_FUSION})"
     );
 }

@@ -17,22 +17,37 @@
 //! The relayout runs through pools of 1, 2 and 3 threads too, and its
 //! closed-form interconnect charge is checked against a walk over every
 //! amplitude.
+//!
+//! Gate fusion is held to the same standard one level up: the row-update
+//! primitive (`fuse_gate_into`, behind `fuse_gates`) against the
+//! expand-and-multiply oracle, and every shard program
+//! `build_stage_programs` emits — it shares gate prefixes between shard
+//! patterns — against a per-pattern build over that oracle, op by op,
+//! including which shards share one `Arc`'d kernel.
 
+#[path = "common/build_oracle.rs"]
+mod build_oracle;
+
+use atlas::core::exec::build_stage_programs;
 use atlas::machine::cost::AMP_BYTES;
-use atlas::machine::{CostModel, Machine, MachineSpec};
+use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
 use atlas::statevec::apply::{PARALLEL_ELEMENT_CUTOFF, PARALLEL_GROUP_CUTOFF};
 use atlas::statevec::reference::{
     apply_controlled_matrix_generic, apply_matrix_generic, apply_permutation_generic,
+    fuse_by_expansion,
 };
 use atlas::statevec::{
     apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, apply_reduced,
-    fuse_gates, scale, simulate_reference, with_pool, Pool, Scratch, StateVector,
+    fuse_gate_into, fuse_gates, scale, simulate_reference, with_pool, FastKernel, Pool, Scratch,
+    StateVector,
 };
+use build_oracle::oracle_stage_programs;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Deterministic dense state from a seed: H/RZ/T walls with seeded angles
 /// plus an entangling ladder.
@@ -370,6 +385,317 @@ fn walked_charge(
         comm,
         bytes_intra,
         bytes_inter,
+    }
+}
+
+/// The bits of a complex number.
+fn cbits(z: &Complex64) -> [u64; 2] {
+    [z.re.to_bits(), z.im.to_bits()]
+}
+
+/// A matrix as plain bits, shape first.
+fn matrix_bits(m: &Matrix) -> Vec<u64> {
+    let mut v = vec![m.rows() as u64, m.cols() as u64];
+    v.extend(m.as_slice().iter().flat_map(cbits));
+    v
+}
+
+/// One shard op as plain bits: its kind, every qubit list and every
+/// number in it, a compiled kernel's form and entries included.
+fn op_bits(op: &ShardOp) -> Vec<u64> {
+    let list = |v: &mut Vec<u64>, qs: &[u32]| {
+        v.push(qs.len() as u64);
+        v.extend(qs.iter().map(|&q| u64::from(q)));
+    };
+    let amps = |v: &mut Vec<u64>, zs: &[Complex64]| {
+        v.push(zs.len() as u64);
+        v.extend(zs.iter().flat_map(cbits));
+    };
+    let mut v = Vec::new();
+    match op {
+        ShardOp::Fusion {
+            qubits,
+            kernel,
+            scale,
+        } => {
+            v.push(0);
+            list(&mut v, qubits);
+            v.extend(cbits(scale));
+            match &**kernel {
+                FastKernel::Identity => v.push(10),
+                FastKernel::Diagonal(diag) => {
+                    v.push(11);
+                    amps(&mut v, diag);
+                }
+                FastKernel::Permutation { dst, phase } => {
+                    v.push(12);
+                    list(&mut v, dst);
+                    amps(&mut v, phase);
+                }
+                FastKernel::Controlled {
+                    controls,
+                    targets,
+                    matrix,
+                } => {
+                    v.push(13);
+                    list(&mut v, controls);
+                    list(&mut v, targets);
+                    v.extend(matrix_bits(matrix));
+                }
+                FastKernel::Dense(m) => {
+                    v.push(14);
+                    v.extend(matrix_bits(m));
+                }
+            }
+        }
+        ShardOp::ShmParts {
+            parts,
+            per_amp_ns,
+            scale,
+        } => {
+            v.extend([1, per_amp_ns.to_bits()]);
+            v.extend(cbits(scale));
+            for (qs, m) in parts.iter() {
+                list(&mut v, qs);
+                v.extend(matrix_bits(m));
+            }
+        }
+        ShardOp::Scale(f) => {
+            v.push(2);
+            v.extend(cbits(f));
+        }
+    }
+    v
+}
+
+/// Which shards share one `Arc` at op `j`: for every shard, the first
+/// shard whose op `j` points at the same kernel or part list (`None` for
+/// a scale op or no op).
+fn arc_sharing(programs: &[ShardProgram], j: usize) -> Vec<Option<usize>> {
+    let mut first: BTreeMap<*const (), usize> = BTreeMap::new();
+    programs
+        .iter()
+        .enumerate()
+        .map(|(s, prog)| {
+            let ptr = match prog.get(j)? {
+                ShardOp::Fusion { kernel, .. } => Arc::as_ptr(kernel).cast::<()>(),
+                ShardOp::ShmParts { parts, .. } => Arc::as_ptr(parts).cast::<()>(),
+                ShardOp::Scale(_) => return None,
+            };
+            Some(*first.entry(ptr).or_insert(s))
+        })
+        .collect()
+}
+
+/// Asserts that two stages' programs are the same ops, bit for bit, with
+/// the same shards sharing one `Arc` at every op.
+fn assert_same_programs(got: &[ShardProgram], want: &[ShardProgram], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: shard count");
+    for (s, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.len(), w.len(), "{label}: shard {s}: op count");
+        for (j, (a, b)) in g.iter().zip(w).enumerate() {
+            assert!(
+                op_bits(a) == op_bits(b),
+                "{label}: shard {s} op {j} differs:\n{a:?}\nvs\n{b:?}"
+            );
+        }
+    }
+    let ops = want.iter().map(Vec::len).max().unwrap_or(0);
+    for j in 0..ops {
+        assert_eq!(
+            arc_sharing(got, j),
+            arc_sharing(want, j),
+            "{label}: op {j}: Arc sharing differs"
+        );
+    }
+}
+
+/// A circuit most of whose gates read their upper-half qubits insularly —
+/// controls, phases, X/Y relabels, three-qubit gates — so the staging
+/// keeps those qubits non-local and every kernel has many shard patterns.
+fn insular_heavy(n: u32, seed: u64) -> Circuit {
+    use GateKind::*;
+    let half = n / 2;
+    let mut s = seed | 1;
+    let mut draw = |m: u32| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((s >> 33) % u64::from(m)) as u32
+    };
+    let mut c = Circuit::new(n);
+    for q in 0..half {
+        c.h(q);
+    }
+    for i in 0..12 * n {
+        let hi = half + draw(n - half);
+        let hi2 = half + (hi - half + 1 + draw(n - half - 1)) % (n - half);
+        let lo = draw(half);
+        let th = 0.1 + 0.37 * f64::from(i);
+        let (kind, qs): (GateKind, Vec<u32>) = match draw(11) {
+            0 => (CP(th), vec![hi, lo]),
+            1 => (CX, vec![hi, lo]),
+            2 => (CZ, vec![lo, hi]),
+            3 => (RZ(th), vec![hi]),
+            4 => (CRY(th), vec![hi, lo]),
+            5 => (X, vec![hi]),
+            6 => (Y, vec![hi]),
+            7 => (CCX, vec![hi, hi2, lo]),
+            8 => (RZZ(th), vec![hi, lo]),
+            9 => (U3(th, 0.5, 0.3 * th), vec![lo]),
+            _ => (CX, vec![lo, (lo + 1) % half]),
+        };
+        c.add(kind, &qs);
+    }
+    c
+}
+
+/// `build_stage_programs` — prefix-shared, row-update fusion — emits the
+/// per-pattern expand-and-multiply oracle's programs op by op and bit for
+/// bit, with the same `Arc` sharing, on every stage of: the 18 `serve16`
+/// structures (n = 14/16/18 on 2×2, L = 11), shrunk `dense22` and
+/// `shuffle22` shapes, and an insular-heavy circuit at several L.
+#[test]
+fn build_stage_programs_matches_the_per_pattern_oracle_bitwise() {
+    use atlas::circuit::generators;
+    let spec = |nodes, gpus_per_node, local_qubits| MachineSpec {
+        nodes,
+        gpus_per_node,
+        local_qubits,
+    };
+    let families: [fn(u32) -> Circuit; 6] = [
+        generators::qaoa,
+        generators::vqc,
+        generators::qft,
+        generators::ising,
+        generators::su2random,
+        generators::ae,
+    ];
+    let mut cases: Vec<(String, Circuit, MachineSpec)> = Vec::new();
+    for (f, family) in families.iter().enumerate() {
+        for n in [14, 16, 18] {
+            cases.push((format!("serve16 #{f} n={n}"), family(n), spec(2, 2, 11)));
+        }
+    }
+    cases.push((
+        "dense22 n=14".into(),
+        generators::su2random(14),
+        spec(2, 2, 11),
+    ));
+    for (n, l) in [(12, 4), (14, 6)] {
+        cases.push((
+            format!("shuffle22 n={n}"),
+            generators::wstate(n),
+            spec(4, 4, l),
+        ));
+    }
+    for l in [4, 5, 6, 7] {
+        let name = format!("insular-heavy L={l}");
+        cases.push((name, insular_heavy(10, u64::from(l)), spec(2, 2, l)));
+    }
+    for (label, circuit, spec) in cases {
+        let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+        let compiled = planner.plan(&circuit).expect("plans");
+        let plan = compiled.plan();
+        let shards = spec.num_shards(circuit.num_qubits());
+        for (i, sp) in plan.stages.iter().enumerate() {
+            assert_same_programs(
+                &build_stage_programs(&circuit, sp, plan.l, shards),
+                &oracle_stage_programs(&circuit, sp, plan.l, shards),
+                &format!("{label} stage {i}"),
+            );
+        }
+    }
+}
+
+/// A gate over `qs` drawn from a seed: kinds whose matrices hold exact
+/// zeros (X, Y, CX, CZ, CP, RZ, RZZ, Swap, CCX, CCZ, CSwap) and dense
+/// ones (H, U3, CRY, RXX).
+fn drawn_gate(qs: &[u32], seed: u64) -> Gate {
+    use GateKind::*;
+    let th = 0.1 + (seed % 1000) as f64 * 0.0137;
+    let kinds: &[GateKind] = match qs.len() {
+        1 => &[X, Y, H, T, RZ(th), U3(th, 0.7 * th, 1.3)],
+        2 => &[CX, CZ, CP(th), CRY(th), Swap, RXX(th), RZZ(th)],
+        _ => &[CCX, CCZ, CSwap],
+    };
+    Gate::new(kinds[(seed >> 20) as usize % kinds.len()], qs)
+}
+
+/// A dense unitary over `qs`, fused by the oracle (U3 wall, CX ladder).
+fn dense_part(qs: &[u32], seed: u64) -> Matrix {
+    let th = 0.2 + (seed % 97) as f64 * 0.05;
+    let mut gates: Vec<Gate> = qs
+        .iter()
+        .map(|&q| Gate::new(GateKind::U3(th, 0.4 + th, 1.1), &[q]))
+        .collect();
+    gates.extend(qs.windows(2).map(|w| Gate::new(GateKind::CX, w)));
+    fuse_by_expansion(qs, gates.iter().map(|g| (g.qubits.as_slice(), g.matrix())))
+}
+
+/// Flips the sign of every exactly-zero component of `m` that `seed`
+/// selects, so that both `+0` and `-0` entries occur.
+fn sign_zeros(m: &mut Matrix, seed: u64) {
+    let dim = m.rows();
+    for r in 0..dim {
+        for c in 0..dim {
+            let bit = (r * dim + c) % 63;
+            let z = &mut m[(r, c)];
+            if z.re == 0.0 && (seed >> bit) & 1 == 1 {
+                z.re = -z.re;
+            }
+            if z.im == 0.0 && (seed >> (62 - bit)) & 1 == 1 {
+                z.im = -z.im;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Fusion by row updates is the expand-and-multiply product, bit for
+    /// bit: `fuse_gates` over random gates of arity 1..=3, and
+    /// `fuse_gate_into` steps over the same gates' matrices with random
+    /// `±0` signs or dense unitaries in their place, on kernels of
+    /// k = 1..=7 qubits in random (non-monotone) order.
+    #[test]
+    fn fusion_matches_the_expansion_oracle_bitwise(
+        k in 1usize..8,
+        count in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let kq = qubit_subset(12, k, seed);
+        let mut s = seed | 1;
+        let mut circuit = Circuit::new(12);
+        let mut parts: Vec<(Vec<u32>, Matrix)> = Vec::new();
+        for _ in 0..count {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let mut qs = kq.clone();
+            shuffle(&mut qs, &mut s.clone());
+            qs.truncate(1 + (s >> 40) as usize % k.min(3));
+            let gate = drawn_gate(&qs, s);
+            circuit.push(gate);
+            let mut m = if (s >> 50) % 4 == 0 { dense_part(&qs, s) } else { gate.matrix() };
+            sign_zeros(&mut m, s.rotate_left(17));
+            parts.push((qs, m));
+        }
+        let want = fuse_by_expansion(
+            &kq,
+            circuit.gates().iter().map(|g| (g.qubits.as_slice(), g.matrix())),
+        );
+        prop_assert_eq!(matrix_bits(&fuse_gates(&kq, circuit.gates())), matrix_bits(&want));
+
+        let mut acc = Matrix::identity(1 << k);
+        let mut next = Matrix::zeros(0, 0);
+        for (qs, m) in &parts {
+            fuse_gate_into(&mut next, &acc, &kq, qs, m);
+            std::mem::swap(&mut acc, &mut next);
+        }
+        let want = fuse_by_expansion(&kq, parts.iter().map(|(qs, m)| (qs.as_slice(), m.clone())));
+        prop_assert_eq!(matrix_bits(&acc), matrix_bits(&want));
     }
 }
 

@@ -69,6 +69,7 @@ fn det_signature_is_identical_across_thread_counts() {
     for name in [
         "plan.stage",
         "plan.kernelize",
+        "exec.build_programs",
         "kernel.apply",
         "machine.reshuffle",
         "machine.step",
