@@ -47,7 +47,7 @@ use atlas_statevec::reference::{
 };
 use atlas_statevec::{
     apply_controlled_matrix, apply_diag, apply_gate, apply_matrix, apply_permutation, fuse_gates,
-    scratch, simulate_reference, Scratch, StateVector,
+    scratch, simulate_reference, Pool, Scratch, StateVector,
 };
 use criterion::{criterion_group, Criterion};
 use std::fmt::Write as _;
@@ -160,7 +160,7 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
                 name,
                 reps,
                 amps,
-                |amps| apply_matrix(scratch, amps, &qs, &m, 1),
+                |amps| apply_matrix(scratch, amps, &qs, &m, &Pool::SERIAL),
                 |amps| apply_matrix_generic(amps, &qs, &m),
             )
         })
@@ -173,7 +173,7 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         "k5_controlled",
         reps,
         amps,
-        |amps| apply_controlled_matrix(scratch, amps, controls, targets, &m, 1),
+        |amps| apply_controlled_matrix(scratch, amps, controls, targets, &m, &Pool::SERIAL),
         |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
     ));
     // x → 5x + 3 (mod 32) is a bijection of the kernel basis.
@@ -183,14 +183,14 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         "perm_k5_strided",
         reps,
         amps,
-        |amps| apply_permutation(scratch, amps, &qs, &dst, &phases, 1),
+        |amps| apply_permutation(scratch, amps, &qs, &dst, &phases, &Pool::SERIAL),
         |amps| apply_permutation_generic(amps, &qs, &dst, &phases),
     ));
     cases.push(apply_case(
         "diag_k5",
         reps,
         amps,
-        |amps| apply_diag(amps, &qs, &phases, 1),
+        |amps| apply_diag(amps, &qs, &phases, &Pool::SERIAL),
         |amps| {
             for (i, a) in amps.iter_mut().enumerate() {
                 *a *= phases[extract_bits(i as u64, &qs) as usize];
@@ -330,7 +330,11 @@ fn bench_hotpath(c: &mut Criterion) {
         let m = dense_unitary(n, &qs);
         g.bench_function(format!("fast_{name}_{n}q"), |b| {
             let mut sv = base.clone();
-            b.iter(|| scratch::with_thread(|s| apply_matrix(s, sv.amplitudes_mut(), &qs, &m, 1)))
+            b.iter(|| {
+                scratch::with_thread(|s| {
+                    apply_matrix(s, sv.amplitudes_mut(), &qs, &m, &Pool::SERIAL)
+                })
+            })
         });
         g.bench_function(format!("generic_{name}_{n}q"), |b| {
             let mut sv = base.clone();

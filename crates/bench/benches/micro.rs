@@ -73,7 +73,13 @@ fn bench_statevec(c: &mut Criterion) {
                 || base.clone(),
                 |sv| {
                     scratch::with_thread(|s| {
-                        apply_matrix(s, sv.amplitudes_mut(), &qubits, black_box(&fused), 1)
+                        apply_matrix(
+                            s,
+                            sv.amplitudes_mut(),
+                            &qubits,
+                            black_box(&fused),
+                            &Pool::SERIAL,
+                        )
                     })
                 },
                 BatchSize::LargeInput,

@@ -191,10 +191,12 @@ pub struct AtlasConfig {
     /// reproduce the paper's timing leave it off, as the paper reports the
     /// simulation time with the final layout in place).
     pub final_unpermute: bool,
-    /// Host threads the functional executor may use: independent shard
-    /// kernels run concurrently across this many workers (one per
-    /// simulated GPU), falling back to intra-shard group parallelism when
-    /// shards are fewer than threads. `1` (the default) is fully serial.
+    /// Host threads the functional executor may use: above `1`, one
+    /// worker pool of this many threads runs the whole execution — shard
+    /// programs one per worker (one per simulated GPU), or, when shards
+    /// are fewer than threads, each kernel's index groups split across
+    /// the workers — and the all-to-alls and measurement reductions run on
+    /// a pool of the same size. `1` (the default) is fully serial.
     /// Amplitudes are bit-identical for every value — only wall-clock
     /// changes. Dry-run mode ignores it (the clock model is not threaded).
     pub threads: usize,

@@ -347,10 +347,11 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 ///
 /// In functional mode with `cfg.threads > 1`, a persistent worker pool is
 /// spawned for the whole run: each stage's independent shard kernels
-/// execute concurrently across the workers, and so does the all-to-all
-/// reshuffle between stages (each worker filling whole destination
-/// shards); both end in a barrier. Amplitudes are bit-identical for every
-/// thread count.
+/// execute concurrently across the workers (or, with fewer shards than
+/// workers, each kernel splits its index groups across them), and so does
+/// the all-to-all reshuffle between stages (each worker filling whole
+/// destination shards); both end in a barrier. Amplitudes are
+/// bit-identical for every thread count.
 ///
 /// `should_stop` is a cooperative interruption probe, polled at every
 /// stage barrier — the natural deterministic preemption point: a stage's
@@ -373,8 +374,7 @@ pub(crate) fn execute(
     } else {
         cfg.threads.max(1)
     };
-    let pooled = threads > 1 && machine.num_shards() >= threads;
-    let mut stage_loop = |pool: &Pool| -> bool {
+    atlas_statevec::with_pool(threads, |pool| {
         let n = plan.n;
         let l = plan.l;
         let mut carried_flips = 0u64;
@@ -422,16 +422,7 @@ pub(crate) fn execute(
             machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips, pool);
         }
         true
-    };
-    if pooled {
-        // Enough independent shards to keep every worker busy.
-        atlas_statevec::with_pool(threads, stage_loop)
-    } else {
-        // Fewer shards than threads (or serial): no workers to park —
-        // shards run inline and each kernel spends the budget on
-        // intra-shard group parallelism instead.
-        stage_loop(&Pool::inline(threads))
-    }
+    })
 }
 
 /// Applies a bit permutation to a bitmask.

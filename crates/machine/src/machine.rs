@@ -570,7 +570,13 @@ impl Machine {
         self.charge_fusion(s, qubits.len() as u32);
         if !self.dry {
             scratch::with_thread(|scr| {
-                atlas_statevec::apply_matrix(scr, &mut self.shards[s], qubits, matrix, 1)
+                atlas_statevec::apply_matrix(
+                    scr,
+                    &mut self.shards[s],
+                    qubits,
+                    matrix,
+                    &Pool::SERIAL,
+                )
             });
         }
     }
@@ -598,15 +604,16 @@ impl Machine {
     /// (identical regardless of thread count); the functional amplitude
     /// work then runs on `pool`:
     ///
-    /// * shards ≥ pool threads — one worker per shard, every simulated
-    ///   GPU's kernels genuinely concurrent;
-    /// * shards < pool threads — shards run in sequence, and each kernel
-    ///   spends the threads on its own index groups
-    ///   (`atlas_statevec::apply`).
+    /// * shards ≥ pool threads — one pool item per shard, every simulated
+    ///   GPU's kernels genuinely concurrent, each kernel serial inside its
+    ///   item;
+    /// * shards < pool threads — shards run in sequence on the calling
+    ///   thread, and each kernel splits its own index groups over the
+    ///   pool (`atlas_statevec::apply`).
     ///
-    /// Both schedules produce bit-identical amplitudes: a kernel's threads
-    /// run the serial kernel's body over disjoint group ranges — the same
-    /// floating-point operations, only distributed differently.
+    /// Both schedules produce bit-identical amplitudes: a split kernel's
+    /// items run the serial kernel's body over disjoint group ranges — the
+    /// same floating-point operations, only distributed differently.
     pub fn run_shard_programs(&mut self, programs: &[ShardProgram], pool: &Pool) {
         assert_eq!(programs.len(), self.num_shards());
         for (s, prog) in programs.iter().enumerate() {
@@ -643,19 +650,14 @@ impl Machine {
         let stage = self.steps.len() as u32;
         let shard_len = self.shard_len();
         let shard_amps = shard_len as u64;
-        // Fewer shards than workers: keep shards sequential and spend the
-        // threads inside each kernel instead.
-        let within = if num_shards < pool.threads() {
-            pool.threads()
-        } else {
-            1
-        };
-        if within > 1 {
+        if num_shards < pool.threads() {
+            // Fewer shards than workers: keep shards sequential and split
+            // each kernel over the pool instead.
             let rec = self.recorder.clone();
             scratch::with_thread(|scr| {
                 for (s, prog) in programs.iter().enumerate() {
                     let t = rec.start();
-                    run_program(&mut self.shards[s], prog, scr, within);
+                    run_program(&mut self.shards[s], prog, scr, pool);
                     rec.span(
                         "kernel.apply",
                         t,
@@ -686,7 +688,7 @@ impl Machine {
                     // across stages, so the arenas stay warm for the whole
                     // EXECUTE and kernel execution allocates nothing.
                     scratch::with_thread(|scr| {
-                        run_program(amps, &programs[s], scr, 1);
+                        run_program(amps, &programs[s], scr, &Pool::SERIAL);
                         publish_scratch_counters(rec, scr);
                     });
                     rec.span(
@@ -1050,42 +1052,30 @@ impl Machine {
     // every reduction runs on the sharded, still-permuted buffers — the
     // full 2^n vector is never materialized. Parallelism mirrors
     // `run_shard_programs`: one pool item per shard when shards cover the
-    // workers, intra-shard chunk parallelism otherwise, and results are
+    // workers, the shard's chunks as pool items otherwise, and results are
     // combined in shard/chunk order so every value is bit-identical for
-    // every thread count (see `atlas_statevec::measure`).
+    // every pool (see `atlas_statevec::measure`).
 
-    /// Runs `f(shard, amps, within_threads)` over every shard on `pool`,
-    /// returning results in shard order.
-    fn map_shards<T: Send + Sync>(
+    /// Runs `f(shard, amps, inner)` over every shard on `pool`, returning
+    /// results in shard order; `inner` is the pool a shard's own
+    /// reduction may split over.
+    fn map_shards<T: Send>(
         &self,
         pool: &Pool,
-        f: &(dyn Fn(usize, &[Complex64], usize) -> T + Sync),
+        f: &(dyn Fn(usize, &[Complex64], &Pool) -> T + Sync),
     ) -> Vec<T> {
         assert!(!self.dry, "measurement reductions need amplitudes");
-        let num_shards = self.shards.len();
-        if num_shards < pool.threads() {
-            // Spend the thread budget inside each shard's reduction.
-            return (0..num_shards)
-                .map(|s| f(s, &self.shards[s], pool.threads()))
-                .collect();
+        let shards = &self.shards;
+        if shards.len() < pool.threads() {
+            // Spend the pool inside each shard's reduction.
+            return (0..shards.len()).map(|s| f(s, &shards[s], pool)).collect();
         }
-        let slots: Vec<std::sync::OnceLock<T>> = (0..num_shards)
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        pool.run(num_shards, &|s| {
-            slots[s]
-                .set(f(s, &self.shards[s], 1))
-                .unwrap_or_else(|_| unreachable!("shard visited twice"));
-        });
-        slots
-            .into_iter()
-            .map(|c| c.into_inner().expect("shard computed"))
-            .collect()
+        pool.map(shards.len(), &|s| f(s, &shards[s], &Pool::SERIAL))
     }
 
     /// Per-shard probability masses `Σ|αᵢ|²`, in shard order.
     pub fn shard_norms(&self, pool: &Pool) -> Vec<f64> {
-        self.map_shards(pool, &|_, amps, t| measure::norm_sqr_slice(amps, t))
+        self.map_shards(pool, &|_, amps, inner| measure::norm_sqr_slice(amps, inner))
     }
 
     /// Total norm `Σ|αᵢ|²` over all shards (shard partials combined in
@@ -1099,8 +1089,8 @@ impl Machine {
     /// string of `Z`s on the physical bits of `sign_mask`.
     pub fn signed_norm_sum(&self, sign_mask: u64, pool: &Pool) -> f64 {
         let l = self.spec.local_qubits;
-        self.map_shards(pool, &|s, amps, t| {
-            measure::signed_norm(amps, (s as u64) << l, sign_mask, t)
+        self.map_shards(pool, &|s, amps, inner| {
+            measure::signed_norm(amps, (s as u64) << l, sign_mask, inner)
         })
         .iter()
         .sum()
@@ -1116,10 +1106,10 @@ impl Machine {
         let l = self.spec.local_qubits;
         let shard_len = self.shard_len();
         let shards = &self.shards;
-        self.map_shards(pool, &|s, amps, t| {
+        self.map_shards(pool, &|s, amps, inner| {
             let partner = &shards[s ^ (flip >> l) as usize];
             let local_flip = (flip as usize) & (shard_len - 1);
-            measure::signed_pair_sum(amps, partner, local_flip, (s as u64) << l, sign_mask, t)
+            measure::signed_pair_sum(amps, partner, local_flip, (s as u64) << l, sign_mask, inner)
         })
         .iter()
         .fold(Complex64::ZERO, |acc, &v| acc + v)
@@ -1151,24 +1141,14 @@ impl Machine {
         assert!(!self.dry, "measurement reductions need amplitudes");
         let c = chunk_bits.min(self.n);
         let chunk_len = 1u64 << c;
-        let num_chunks = 1usize << (self.n - c);
-        let slots: Vec<std::sync::OnceLock<f64>> = (0..num_chunks)
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        pool.run(num_chunks, &|j| {
+        pool.map(1 << (self.n - c), &|j| {
             let base = (j as u64) << c;
             let mut acc = 0.0;
             for t in 0..chunk_len {
                 acc += self.amp_at_physical(l2p.apply(base | t)).norm_sqr();
             }
-            slots[j]
-                .set(acc)
-                .unwrap_or_else(|_| unreachable!("chunk visited twice"));
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("chunk computed"))
-            .collect()
+            acc
+        })
     }
 
     /// Shard-aware inverse-CDF resolution: maps ascending cumulative
@@ -1214,42 +1194,26 @@ impl Machine {
                 _ => groups.push((j, ti..ti + 1)),
             }
         }
-        let slots: Vec<std::sync::OnceLock<u64>> = (0..targets.len())
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        let groups = &groups;
-        let prefix = &prefix;
-        let slots_ref = &slots;
-        pool.run(groups.len(), &|g| {
+        let resolved = pool.map(groups.len(), &|g| {
             let (j, ref range) = groups[g];
             let base = (j as u64) << c;
             let mut acc = prefix[j];
-            let mut ti = range.start;
+            let mut out = Vec::with_capacity(range.len());
             for t in 0..chunk_len {
                 acc += self.amp_at_physical(l2p.apply(base | t)).norm_sqr();
-                while ti < range.end && targets[ti] < acc {
-                    slots_ref[ti]
-                        .set(base | t)
-                        .unwrap_or_else(|_| unreachable!("target resolved twice"));
-                    ti += 1;
+                while out.len() < range.len() && targets[range.start + out.len()] < acc {
+                    out.push(base | t);
                 }
-                if ti == range.end {
+                if out.len() == range.len() {
                     break;
                 }
             }
             // Floating-point slack at the chunk boundary: clamp to the
             // chunk's last index.
-            while ti < range.end {
-                slots_ref[ti]
-                    .set(base | (chunk_len - 1))
-                    .unwrap_or_else(|_| unreachable!("target resolved twice"));
-                ti += 1;
-            }
+            out.resize(range.len(), base | (chunk_len - 1));
+            out
         });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("target resolved"))
-            .collect()
+        resolved.concat()
     }
 
     /// Marginal probability distribution over the given **physical** bits:
@@ -1368,27 +1332,26 @@ impl Machine {
     }
 }
 
-/// Applies one shard's program to its amplitude buffer with up to
-/// `threads` threads of intra-shard parallelism, reusing `scratch` for
-/// every kernel. Bit-identical for any `threads` value (see
-/// [`atlas_statevec::apply`]).
-fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratch, threads: usize) {
+/// Applies one shard's program to its amplitude buffer, splitting each
+/// kernel over `pool` and reusing `scratch` for every kernel.
+/// Bit-identical for any pool (see [`atlas_statevec::apply`]).
+fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratch, pool: &Pool) {
     for op in prog {
         match op {
             ShardOp::Fusion {
                 qubits,
                 kernel,
                 scale,
-            } => atlas_statevec::apply_kernel(scratch, amps, qubits, kernel, *scale, threads),
+            } => atlas_statevec::apply_kernel(scratch, amps, qubits, kernel, *scale, pool),
             ShardOp::ShmParts { parts, scale, .. } => {
                 for (qs, m) in parts.iter() {
-                    atlas_statevec::apply_reduced(scratch, amps, qs, m, threads);
+                    atlas_statevec::apply_reduced(scratch, amps, qs, m, pool);
                 }
                 if !scale.approx_eq(Complex64::ONE, 0.0) {
-                    atlas_statevec::scale(amps, *scale, threads);
+                    atlas_statevec::scale(amps, *scale, pool);
                 }
             }
-            ShardOp::Scale(f) => atlas_statevec::scale(amps, *f, threads),
+            ShardOp::Scale(f) => atlas_statevec::scale(amps, *f, pool),
         }
     }
 }

@@ -83,12 +83,6 @@ impl Measurements {
         self.machine.num_qubits()
     }
 
-    /// Changes the measurement thread budget. Results are bit-identical
-    /// for every value; only wall-clock changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Read access to the underlying machine (shards stay borrowed).
     pub fn machine(&self) -> &Machine {
         &self.machine

@@ -2,12 +2,10 @@
 //!
 //! The workspace is offline (no serde), and the protocol is a flat
 //! one-object-per-line schema, so a small recursive-descent parser and
-//! a string escaper cover everything `atlas-serve` needs. The parser
-//! accepts strict JSON (RFC 8259) values; numbers are held as `f64`,
-//! which is exact for every integer the protocol carries (qubit counts,
-//! shot counts, seeds below 2^53).
-
-use std::fmt::Write as _;
+//! the workspace's string escaper cover everything `atlas-serve` needs.
+//! The parser accepts strict JSON (RFC 8259) values; numbers are held as
+//! `f64`, which is exact for every integer the protocol carries (qubit
+//! counts, shot counts, seeds below 2^53).
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -228,25 +226,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number '{text}' at byte {start}"))
 }
 
-/// Escapes a string for embedding in a JSON document (no surrounding
-/// quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The string escaper every JSON writer in the workspace shares (it lives
+/// in `atlas-telemetry`, below the trace writers that need it too).
+pub use atlas_telemetry::escape;
 
 #[cfg(test)]
 mod tests {
@@ -305,5 +287,33 @@ mod tests {
         let nasty = "line1\nline2\t\"quoted\" \\back\u{7}";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn trace_headers_escape_caller_strings() {
+        use atlas_telemetry::{write_chrome, write_ndjson, TraceMeta};
+        let meta = TraceMeta {
+            source: "a \"quoted\" \\path\\".into(),
+            backend: "state\"vec\\".into(),
+            host_cpus: 2,
+            threads: 1,
+        };
+        let mut ndjson = Vec::new();
+        write_ndjson(&mut ndjson, &meta, &[], &[], 0).unwrap();
+        let ndjson = String::from_utf8(ndjson).unwrap();
+        let header = parse(ndjson.lines().next().unwrap()).unwrap();
+        let mut chrome = Vec::new();
+        write_chrome(&mut chrome, &meta, &[], &[], 0).unwrap();
+        let chrome = parse(std::str::from_utf8(&chrome).unwrap().trim_end()).unwrap();
+        for doc in [&header, chrome.get("otherData").unwrap()] {
+            assert_eq!(
+                doc.get("source").unwrap().as_str(),
+                Some(meta.source.as_str())
+            );
+            assert_eq!(
+                doc.get("backend").unwrap().as_str(),
+                Some(meta.backend.as_str())
+            );
+        }
     }
 }

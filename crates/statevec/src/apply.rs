@@ -10,8 +10,8 @@
 //! ## One kernel per family
 //!
 //! Each family is **one** function taking the [`Scratch`] arena (where it
-//! needs buffers or offset tables) and a `threads` count; `threads == 1`
-//! is the serial kernel. The function picks a layout —
+//! needs buffers or offset tables) and the [`Pool`] its ranges run on;
+//! [`Pool::SERIAL`] gives the serial kernel. The function picks a layout —
 //!
 //! | layout                         | dense | permutation | controlled |
 //! |--------------------------------|:-----:|:-----------:|:----------:|
@@ -23,17 +23,18 @@
 //!
 //! — and writes that layout's loop once, as the body of a split from the
 //! crate's private `split` module: contiguous layouts (and the
-//! element-wise diagonal and scale passes) over safe `chunks_mut` sub-slices,
-//! strided ones over disjoint group ranges of a shared view. With one
-//! thread — or below the [`PARALLEL_GROUP_CUTOFF`] /
+//! element-wise diagonal and scale passes) over safe `&mut` sub-slices,
+//! strided ones over disjoint group ranges of a shared view. On a
+//! one-thread pool — or below the [`PARALLEL_GROUP_CUTOFF`] /
 //! [`PARALLEL_ELEMENT_CUTOFF`] work cutoffs — the body runs once over the
-//! whole slice on the calling thread with the arena's buffers (zero
-//! steady-state allocations); otherwise each scoped thread runs the same
-//! body over its share with buffers of its own.
+//! whole slice on the calling thread with the arena's buffers; otherwise
+//! the slice is cut into one share per pool thread, and each share runs
+//! the same body as a [`Pool::run`] item with its worker's arena buffers.
+//! Either way a warm kernel allocates nothing.
 //!
 //! Every layout performs **the same floating-point operations in the same
 //! order** as the family's `*_generic` oracle in [`crate::reference`], and
-//! no body reduces across groups, so every layout and every thread count
+//! no body reduces across groups, so every layout and every pool size
 //! produces byte-identical amplitudes (pinned by
 //! `tests/hotpath_exactness.rs`).
 //!
@@ -50,6 +51,7 @@
 //! rounding would break the contract above. `docs/PERFORMANCE.md` has the
 //! layout, the order argument and the measurements.
 
+use crate::pool::Pool;
 use crate::scratch::{Bufs, OffsetTable, Scratch};
 use crate::split::{for_chunk_ranges, for_group_ranges, AmpCell};
 use atlas_qmath::{extract_bits, insert_bit, insert_bits, Complex64, Matrix};
@@ -58,8 +60,8 @@ use std::sync::OnceLock;
 pub use crate::split::{PARALLEL_ELEMENT_CUTOFF, PARALLEL_GROUP_CUTOFF};
 
 /// Applies an arbitrary unitary `m` over `qubits` (matrix bit `t` =
-/// `qubits[t]`) with up to `threads` threads: unrolled for `k ≤ 2`, the
-/// lane-blocked sweep (module docs) from `k = 3` up. Byte-identical to
+/// `qubits[t]`) on `pool`: unrolled for `k ≤ 2`, the lane-blocked sweep
+/// (module docs) from `k = 3` up. Byte-identical to
 /// [`crate::reference::apply_matrix_generic`] on every path.
 ///
 /// Complexity: `O(4^k)` complex MACs per group × `2^{n-k}` groups, i.e.
@@ -69,13 +71,13 @@ pub fn apply_matrix(
     amps: &mut [Complex64],
     qubits: &[u32],
     m: &Matrix,
-    threads: usize,
+    pool: &Pool,
 ) {
     let k = qubits.len();
     assert_eq!(m.rows(), 1 << k, "matrix size does not match qubit count");
     match k {
-        1 => return apply_matrix_1q(amps, qubits[0], m, threads),
-        2 => return apply_matrix_2q(amps, qubits[0], qubits[1], m, threads),
+        1 => return apply_matrix_1q(amps, qubits[0], m, pool),
+        2 => return apply_matrix_2q(amps, qubits[0], qubits[1], m, pool),
         _ => {}
     }
     let table = scratch.tables.lookup(qubits);
@@ -85,7 +87,7 @@ pub fn apply_matrix(
         offsets: &table.offsets,
         m,
     };
-    gather_multiply_scatter(selected_sweep(), amps, &dense, threads, &mut scratch.bufs);
+    gather_multiply_scatter(selected_sweep(), amps, &dense, pool, &mut scratch.bufs);
 }
 
 /// Groups gathered per block of the dense multiply — the vector width the
@@ -121,11 +123,11 @@ fn gather_multiply_scatter(
     sweep: Sweep,
     amps: &mut [Complex64],
     dense: &Dense<'_>,
-    threads: usize,
+    pool: &Pool,
     bufs: &mut Bufs,
 ) {
     let groups = amps.len() >> dense.sorted.len();
-    for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, bufs| {
+    for_group_ranges(amps, groups, pool, bufs, |view, lo, hi, bufs| {
         // SAFETY: `sweep` comes from `supported_sweeps`, which hands out a
         // feature-compiled copy only after detecting that feature here.
         unsafe { sweep(view, lo, hi, dense, bufs) }
@@ -258,30 +260,23 @@ fn selected_sweep() -> Sweep {
 /// Unrolled dense single-qubit kernel, byte-identical to the generic
 /// path: each output is accumulated `ZERO → +m·a` in matrix-column order,
 /// exactly like `Matrix::mul_vec_into`.
-fn apply_matrix_1q(amps: &mut [Complex64], q: u32, m: &Matrix, threads: usize) {
+fn apply_matrix_1q(amps: &mut [Complex64], q: u32, m: &Matrix, pool: &Pool) {
     let (m00, m01) = (m[(0, 0)], m[(0, 1)]);
     let (m10, m11) = (m[(1, 0)], m[(1, 1)]);
     let bufs = &mut Bufs::default();
     if q == 0 {
-        for_chunk_ranges(
-            amps,
-            2,
-            threads,
-            PARALLEL_GROUP_CUTOFF,
-            bufs,
-            |_, sub, _| {
-                for pair in sub.chunks_exact_mut(2) {
-                    let (a0, a1) = (pair[0], pair[1]);
-                    pair[0] = m01.mul_add(a1, m00.mul_add(a0, Complex64::ZERO));
-                    pair[1] = m11.mul_add(a1, m10.mul_add(a0, Complex64::ZERO));
-                }
-            },
-        );
+        for_chunk_ranges(amps, 2, pool, PARALLEL_GROUP_CUTOFF, bufs, |_, sub, _| {
+            for pair in sub.chunks_exact_mut(2) {
+                let (a0, a1) = (pair[0], pair[1]);
+                pair[0] = m01.mul_add(a1, m00.mul_add(a0, Complex64::ZERO));
+                pair[1] = m11.mul_add(a1, m10.mul_add(a0, Complex64::ZERO));
+            }
+        });
         return;
     }
     let stride = 1usize << q;
     let groups = amps.len() / 2;
-    for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, _| {
+    for_group_ranges(amps, groups, pool, bufs, |view, lo, hi, _| {
         for g in lo..hi {
             let i0 = insert_bit(g, q) as usize;
             let i1 = i0 | stride;
@@ -294,7 +289,7 @@ fn apply_matrix_1q(amps: &mut [Complex64], q: u32, m: &Matrix, threads: usize) {
 
 /// Unrolled dense two-qubit kernel (matrix bit 0 = `q0`, bit 1 = `q1`),
 /// byte-identical to the generic path.
-fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, threads: usize) {
+fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, pool: &Pool) {
     let s0 = 1usize << q0;
     let s1 = 1usize << q1;
     let sorted = if q0 < q1 { [q0, q1] } else { [q1, q0] };
@@ -316,25 +311,18 @@ fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, threads
     let bufs = &mut Bufs::default();
     if q0 == 0 && q1 == 1 {
         // Contiguous group in memory order: no index math at all.
-        for_chunk_ranges(
-            amps,
-            4,
-            threads,
-            PARALLEL_GROUP_CUTOFF,
-            bufs,
-            |_, sub, _| {
-                for chunk in sub.chunks_exact_mut(4) {
-                    let a = [chunk[0], chunk[1], chunk[2], chunk[3]];
-                    for (r, row) in mm.iter().enumerate() {
-                        chunk[r] = row_dot(row, &a);
-                    }
+        for_chunk_ranges(amps, 4, pool, PARALLEL_GROUP_CUTOFF, bufs, |_, sub, _| {
+            for chunk in sub.chunks_exact_mut(4) {
+                let a = [chunk[0], chunk[1], chunk[2], chunk[3]];
+                for (r, row) in mm.iter().enumerate() {
+                    chunk[r] = row_dot(row, &a);
                 }
-            },
-        );
+            }
+        });
         return;
     }
     let groups = amps.len() >> 2;
-    for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, _| {
+    for_group_ranges(amps, groups, pool, bufs, |view, lo, hi, _| {
         for g in lo..hi {
             let b = insert_bits(g, &sorted) as usize;
             let idx = [b, b | s0, b | s1, b | s0 | s1];
@@ -350,12 +338,12 @@ fn apply_matrix_2q(amps: &mut [Complex64], q0: u32, q1: u32, m: &Matrix, threads
 /// go through a table, the bits above are extracted once per run.
 const DIAG_RUN: usize = 256;
 
-/// Applies a general diagonal gate over `qubits` with up to `threads`
-/// threads: amplitude `i` is scaled by `diag[extract_bits(i, qubits)]`.
+/// Applies a general diagonal gate over `qubits` on `pool`: amplitude `i`
+/// is scaled by `diag[extract_bits(i, qubits)]`.
 ///
 /// Complexity: one complex multiply per amplitude, a single sequential
 /// pass — memory-bandwidth bound, no gather/scatter.
-pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], threads: usize) {
+pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], pool: &Pool) {
     assert_eq!(diag.len(), 1 << qubits.len());
     if amps.len() < DIAG_RUN || qubits.len() > u16::BITS as usize {
         for (i, a) in amps.iter_mut().enumerate() {
@@ -369,7 +357,7 @@ pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], th
     for_chunk_ranges(
         amps,
         DIAG_RUN,
-        threads,
+        pool,
         PARALLEL_ELEMENT_CUTOFF / DIAG_RUN,
         &mut Bufs::default(),
         |offset, sub, _| {
@@ -383,12 +371,12 @@ pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], th
     );
 }
 
-/// Multiplies every amplitude by `factor` using up to `threads` threads.
-pub fn scale(amps: &mut [Complex64], factor: Complex64, threads: usize) {
+/// Multiplies every amplitude by `factor` on `pool`.
+pub fn scale(amps: &mut [Complex64], factor: Complex64, pool: &Pool) {
     for_chunk_ranges(
         amps,
         1,
-        threads,
+        pool,
         PARALLEL_ELEMENT_CUTOFF,
         &mut Bufs::default(),
         |_, sub, _| {
@@ -399,9 +387,9 @@ pub fn scale(amps: &mut [Complex64], factor: Complex64, threads: usize) {
     );
 }
 
-/// Applies a `k`-qubit permutation-with-phases kernel over `qubits` with
-/// up to `threads` threads: for every group, `out[dst[x]] = phase[x] *
-/// in[x]` over the matrix basis indices `x`. This is the fast path for
+/// Applies a `k`-qubit permutation-with-phases kernel over `qubits` on
+/// `pool`: for every group, `out[dst[x]] = phase[x] * in[x]` over the
+/// matrix basis indices `x`. This is the fast path for
 /// X-like / CX-like / swap-like fused kernels, replacing the dense
 /// `O(4^k)` multiply per group with an `O(2^k)` gather + scaled scatter.
 /// Byte-identical to [`crate::reference::apply_permutation_generic`].
@@ -411,7 +399,7 @@ pub fn apply_permutation(
     qubits: &[u32],
     dst: &[u32],
     phase: &[Complex64],
-    threads: usize,
+    pool: &Pool,
 ) {
     let k = qubits.len();
     let dim = 1usize << k;
@@ -424,7 +412,7 @@ pub fn apply_permutation(
         for_chunk_ranges(
             amps,
             dim,
-            threads,
+            pool,
             PARALLEL_GROUP_CUTOFF,
             bufs,
             |_, sub, bufs| {
@@ -456,7 +444,7 @@ pub fn apply_permutation(
         3 => permutation_sweep::<8>,
         _ => permutation_sweep::<16>,
     };
-    for_group_ranges(amps, groups, threads, bufs, |view, lo, hi, bufs| {
+    for_group_ranges(amps, groups, pool, bufs, |view, lo, hi, bufs| {
         sweep(view, lo, hi, table, out_off, phase, bufs)
     });
 }
@@ -512,7 +500,7 @@ fn permute_run<const RUN: usize>(
 }
 
 /// Applies unitary `m` over `targets`, controlled on every qubit in
-/// `controls` being 1, with up to `threads` threads. Groups whose control
+/// `controls` being 1, on `pool`. Groups whose control
 /// bits are not all set are untouched, so the dense multiply runs on a
 /// `2^|controls|`-times smaller subspace than the equivalent matrix over
 /// `controls ∪ targets` — the lane-blocked sweep (module docs) with
@@ -524,7 +512,7 @@ pub fn apply_controlled_matrix(
     controls: &[u32],
     targets: &[u32],
     m: &Matrix,
-    threads: usize,
+    pool: &Pool,
 ) {
     assert_eq!(
         m.rows(),
@@ -543,13 +531,14 @@ pub fn apply_controlled_matrix(
         offsets: &scratch.tables.lookup(targets).offsets,
         m,
     };
-    gather_multiply_scatter(selected_sweep(), amps, &dense, threads, &mut scratch.bufs);
+    gather_multiply_scatter(selected_sweep(), amps, &dense, pool, &mut scratch.bufs);
     scratch.put_qubits(all);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::with_pool;
     use crate::reference::{
         apply_controlled_matrix_generic, apply_matrix_generic, simulate_reference,
     };
@@ -586,7 +575,13 @@ mod tests {
 
     /// Serial dense apply with a throwaway arena.
     fn dense(sv: &mut StateVector, qs: &[u32], m: &Matrix) {
-        apply_matrix(&mut Scratch::new(), sv.amplitudes_mut(), qs, m, 1);
+        apply_matrix(
+            &mut Scratch::new(),
+            sv.amplitudes_mut(),
+            qs,
+            m,
+            &Pool::SERIAL,
+        );
     }
 
     #[test]
@@ -626,7 +621,7 @@ mod tests {
             &[2, 5],
             &dst,
             &phase,
-            1,
+            &Pool::SERIAL,
         );
         assert!(a.approx_eq(&b, 1e-12));
     }
@@ -658,7 +653,7 @@ mod tests {
             &[0, 4],
             &[1],
             &ry,
-            1,
+            &Pool::SERIAL,
         );
         assert!(a.approx_eq(&b, 1e-12));
     }
@@ -683,7 +678,7 @@ mod tests {
             let m = ladder_unitary(n, targets);
             let mut sorted: Vec<u32> = controls.iter().chain(targets).copied().collect();
             sorted.sort_unstable();
-            let run = |sweep: Sweep, threads: usize| {
+            let run = |sweep: Sweep, pool: &Pool| {
                 let mut scratch = Scratch::new();
                 let mut sv = base.clone();
                 let dense = Dense {
@@ -693,18 +688,20 @@ mod tests {
                     m: &m,
                 };
                 let amps = sv.amplitudes_mut();
-                gather_multiply_scatter(sweep, amps, &dense, threads, &mut scratch.bufs);
+                gather_multiply_scatter(sweep, amps, &dense, pool, &mut scratch.bufs);
                 sv
             };
             let mut oracle = base.clone();
             apply_controlled_matrix_generic(oracle.amplitudes_mut(), controls, targets, &m);
             for threads in [1, 3] {
-                let label = format!("{controls:?}->{targets:?} threads={threads}");
-                let want = run(sweep_portable, threads);
-                assert_bits_eq(&want, &oracle, &label);
-                for (i, sweep) in supported_sweeps().enumerate() {
-                    assert_bits_eq(&run(sweep, threads), &want, &format!("copy {i} {label}"));
-                }
+                with_pool(threads, |pool| {
+                    let label = format!("{controls:?}->{targets:?} threads={threads}");
+                    let want = run(sweep_portable, pool);
+                    assert_bits_eq(&want, &oracle, &label);
+                    for (i, sweep) in supported_sweeps().enumerate() {
+                        assert_bits_eq(&run(sweep, pool), &want, &format!("copy {i} {label}"));
+                    }
+                });
             }
         }
     }

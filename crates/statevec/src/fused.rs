@@ -21,6 +21,7 @@
 //!   cheaply, for the small per-shard parts of shared-memory kernels.
 
 use crate::apply::{self, apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation};
+use crate::pool::Pool;
 use crate::scratch::Scratch;
 use atlas_circuit::Gate;
 use atlas_qmath::{deposit_bits, extract_bits, Complex64, Matrix};
@@ -284,8 +285,8 @@ pub fn classify_kernel(m: &Matrix) -> FastKernel {
 }
 
 /// Applies a compiled kernel over physical qubit positions `qubits`,
-/// folding the scalar `scale` in for free where the form allows it, with
-/// up to `threads` threads of intra-shard parallelism. Scaled diagonals,
+/// folding the scalar `scale` in for free where the form allows it, its
+/// passes split over `pool` (see [`crate::apply`]). Scaled diagonals,
 /// phases and matrices go into `scratch`'s pooled buffers instead of
 /// per-call allocations, and the sub-kernels reuse its offset tables.
 ///
@@ -298,33 +299,33 @@ pub fn apply_kernel(
     qubits: &[u32],
     kernel: &FastKernel,
     scale: Complex64,
-    threads: usize,
+    pool: &Pool,
 ) {
     let fold = !scale.approx_eq(Complex64::ONE, 0.0);
     match kernel {
         FastKernel::Identity => {
             if fold {
-                apply::scale(amps, scale, threads);
+                apply::scale(amps, scale, pool);
             }
         }
         FastKernel::Diagonal(diag) => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(diag.iter().map(|&d| d * scale));
-                apply_diag(amps, qubits, &scaled, threads);
+                apply_diag(amps, qubits, &scaled, pool);
                 scratch.put_amps(scaled);
             } else {
-                apply_diag(amps, qubits, diag, threads);
+                apply_diag(amps, qubits, diag, pool);
             }
         }
         FastKernel::Permutation { dst, phase } => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(phase.iter().map(|&p| p * scale));
-                apply_permutation(scratch, amps, qubits, dst, &scaled, threads);
+                apply_permutation(scratch, amps, qubits, dst, &scaled, pool);
                 scratch.put_amps(scaled);
             } else {
-                apply_permutation(scratch, amps, qubits, dst, phase, threads);
+                apply_permutation(scratch, amps, qubits, dst, phase, pool);
             }
         }
         FastKernel::Controlled {
@@ -337,13 +338,13 @@ pub fn apply_kernel(
                 // untouched control-0 subspace must be scaled too), so it
                 // costs a real extra pass here — a fold request must
                 // never be dropped.
-                apply::scale(amps, scale, threads);
+                apply::scale(amps, scale, pool);
             }
             let mut cphys = scratch.take_qubits();
             cphys.extend(controls.iter().map(|&p| qubits[p as usize]));
             let mut tphys = scratch.take_qubits();
             tphys.extend(targets.iter().map(|&p| qubits[p as usize]));
-            apply_controlled_matrix(scratch, amps, &cphys, &tphys, matrix, threads);
+            apply_controlled_matrix(scratch, amps, &cphys, &tphys, matrix, pool);
             scratch.put_qubits(tphys);
             scratch.put_qubits(cphys);
         }
@@ -351,10 +352,10 @@ pub fn apply_kernel(
             if fold {
                 let mut scaled = scratch.take_matrix();
                 scaled.clone_scaled_from(m, scale);
-                apply_matrix(scratch, amps, qubits, &scaled, threads);
+                apply_matrix(scratch, amps, qubits, &scaled, pool);
                 scratch.put_matrix(scaled);
             } else {
-                apply_matrix(scratch, amps, qubits, m, threads);
+                apply_matrix(scratch, amps, qubits, m, pool);
             }
         }
     }
@@ -370,17 +371,17 @@ pub fn apply_reduced(
     amps: &mut [Complex64],
     qubits: &[u32],
     m: &Matrix,
-    threads: usize,
+    pool: &Pool,
 ) {
     if m.rows() == 1 {
-        apply::scale(amps, m[(0, 0)], threads);
+        apply::scale(amps, m[(0, 0)], pool);
     } else if m.is_diagonal(KERNEL_CLASSIFY_TOL) {
         let mut diag = scratch.take_amps();
         diag.extend((0..m.rows()).map(|i| m[(i, i)]));
-        apply_diag(amps, qubits, &diag, threads);
+        apply_diag(amps, qubits, &diag, pool);
         scratch.put_amps(diag);
     } else {
-        apply_matrix(scratch, amps, qubits, m, threads);
+        apply_matrix(scratch, amps, qubits, m, pool);
     }
 }
 
@@ -425,7 +426,7 @@ mod tests {
             sv_fused.amplitudes_mut(),
             &kernel_qubits,
             &fused,
-            1,
+            &Pool::SERIAL,
         );
 
         assert!(
@@ -525,8 +526,15 @@ mod tests {
             }
             let mut b = a.clone();
             let scratch = &mut Scratch::new();
-            apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, 1);
-            apply_kernel(scratch, b.amplitudes_mut(), &kq, &fast, Complex64::ONE, 1);
+            apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, &Pool::SERIAL);
+            apply_kernel(
+                scratch,
+                b.amplitudes_mut(),
+                &kq,
+                &fast,
+                Complex64::ONE,
+                &Pool::SERIAL,
+            );
             assert!(
                 a.approx_eq(&b, 1e-10),
                 "{fast:?} diverged from dense apply: {}",
@@ -553,11 +561,11 @@ mod tests {
         }
         let mut b = a.clone();
         let scratch = &mut Scratch::new();
-        apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, 1);
+        apply_matrix(scratch, a.amplitudes_mut(), &kq, &fused, &Pool::SERIAL);
         for amp in a.amplitudes_mut() {
             *amp *= s;
         }
-        apply_kernel(scratch, b.amplitudes_mut(), &kq, &fast, s, 1);
+        apply_kernel(scratch, b.amplitudes_mut(), &kq, &fast, s, &Pool::SERIAL);
         assert!(a.approx_eq(&b, 1e-12));
     }
 }

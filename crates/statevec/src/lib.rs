@@ -4,11 +4,11 @@
 //! application kernels — one function per family (general `k`-qubit dense,
 //! diagonal, permutation, controlled, whole-slice scale), each taking the
 //! per-worker [`scratch`] arena that makes steady-state execution
-//! allocation-free and a `threads` count ([`apply`]) — gate fusion into
-//! dense kernel matrices with structure-aware classification
+//! allocation-free and the [`Pool`] their passes run on ([`apply`]) — gate
+//! fusion into dense kernel matrices with structure-aware classification
 //! ([`FastKernel`]), measurement reductions ([`measure`]), the persistent
-//! worker [`pool`] the distributed executor schedules shard kernels on,
-//! and the [`mod@reference`] simulator and kernel oracles everything else is
+//! worker [`pool`] every threaded kernel, reduction and shard program runs
+//! on, and the [`mod@reference`] simulator and kernel oracles everything else is
 //! tested against. See `docs/PERFORMANCE.md` for the kernel dispatch
 //! table and the scratch-arena lifecycle.
 //!

@@ -8,15 +8,17 @@
 //! Every reduction here is **chunked**: the input is cut into fixed
 //! [`MEASURE_CHUNK`]-amplitude chunks, each chunk is summed serially in
 //! index order, and the per-chunk partials are combined serially in chunk
-//! order. The chunk boundaries depend only on the slice length — never on
-//! the thread count — so every reduction is **bit-identical** for every
-//! `threads` value (the same floating-point additions in the same order;
-//! `threads == 1` is the serial form, as for the kernels of
-//! [`crate::apply`]). The chunked partials
-//! are also exposed directly ([`chunk_norms`]) because they double as the
-//! coarse CDF ("probability prefix sum") that inverse-transform shot
-//! sampling binary-searches before scanning a single chunk.
+//! order. The chunks run as items of the [`Pool`] passed in
+//! ([`Pool::map`]); their boundaries depend only on the slice length —
+//! never on the pool — so every reduction is **bit-identical** for every
+//! pool (the same floating-point additions in the same order;
+//! [`Pool::SERIAL`] is the serial form, as for the kernels of
+//! [`crate::apply`]). The chunked partials are also exposed directly
+//! ([`chunk_norms`]) because they double as the coarse CDF ("probability
+//! prefix sum") that inverse-transform shot sampling binary-searches
+//! before scanning a single chunk.
 
+use crate::pool::Pool;
 use atlas_qmath::Complex64;
 
 /// Fixed reduction granularity (amplitudes per chunk).
@@ -29,70 +31,36 @@ use atlas_qmath::Complex64;
 /// can never disagree.
 pub const MEASURE_CHUNK: usize = 1 << 12;
 
-/// Number of chunks a slice of `len` amplitudes reduces to.
-#[inline]
-pub fn num_chunks(len: usize) -> usize {
-    len.div_ceil(MEASURE_CHUNK).max(1)
-}
-
 /// Computes per-chunk values `eval(chunk_index, chunk_slice)` for every
-/// [`MEASURE_CHUNK`]-sized chunk of `amps`, on up to `threads` threads.
-/// The output order (and each value, for a deterministic `eval`) is
-/// independent of `threads`.
+/// [`MEASURE_CHUNK`]-sized chunk of `amps` (one empty chunk for an empty
+/// slice), one pool item per chunk when there are at least two. The
+/// output order, and each value for a deterministic `eval`, is
+/// independent of the pool.
 fn map_chunks<T: Send>(
     amps: &[Complex64],
-    threads: usize,
+    pool: &Pool,
     eval: &(dyn Fn(usize, &[Complex64]) -> T + Sync),
 ) -> Vec<T> {
-    let chunks: Vec<&[Complex64]> = if amps.is_empty() {
-        vec![amps]
-    } else {
-        amps.chunks(MEASURE_CHUNK).collect()
-    };
-    let n = chunks.len();
-    let threads = if n < 2 { 1 } else { threads.clamp(1, n) };
-    if threads == 1 {
-        return chunks.iter().enumerate().map(|(i, c)| eval(i, c)).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let span = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        // Split the output into disjoint per-thread windows — safe
-        // parallel writes without interior mutability.
-        let mut rest: &mut [Option<T>] = &mut out;
-        for t in 0..threads {
-            let lo = t * span;
-            let hi = ((t + 1) * span).min(n);
-            if lo >= hi {
-                break;
-            }
-            let (window, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let chunks = &chunks;
-            scope.spawn(move || {
-                for (w, slot) in window.iter_mut().enumerate() {
-                    *slot = Some(eval(lo + w, chunks[lo + w]));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("chunk computed"))
-        .collect()
+    let n = amps.len().div_ceil(MEASURE_CHUNK).max(1);
+    let pool = if n < 2 { &Pool::SERIAL } else { pool };
+    pool.map(n, &|i| {
+        let start = i * MEASURE_CHUNK;
+        eval(i, &amps[start..(start + MEASURE_CHUNK).min(amps.len())])
+    })
 }
 
 /// Per-chunk probability masses `Σ|aᵢ|²` over fixed
 /// [`MEASURE_CHUNK`]-sized chunks — the coarse row of a probability
 /// prefix sum (its running total is the chunk-level CDF).
-pub fn chunk_norms(amps: &[Complex64], threads: usize) -> Vec<f64> {
-    map_chunks(amps, threads, &|_, c| {
+pub fn chunk_norms(amps: &[Complex64], pool: &Pool) -> Vec<f64> {
+    map_chunks(amps, pool, &|_, c| {
         c.iter().map(|a| a.norm_sqr()).sum::<f64>()
     })
 }
 
 /// Partial norm `Σ|aᵢ|²` of a slice, chunk-combined in index order.
-pub fn norm_sqr_slice(amps: &[Complex64], threads: usize) -> f64 {
-    chunk_norms(amps, threads).iter().sum()
+pub fn norm_sqr_slice(amps: &[Complex64], pool: &Pool) -> f64 {
+    chunk_norms(amps, pool).iter().sum()
 }
 
 /// Sign of `(-1)^{popcount(x & mask)}` as `+1.0` / `-1.0`.
@@ -109,8 +77,8 @@ fn sign(x: u64, mask: u64) -> f64 {
 /// `Σᵢ (-1)^{popcount((base|i) & sign_mask)} · |aᵢ|²`, where `base` is
 /// the shard's global index offset. With `sign_mask = 0` this degrades to
 /// the partial norm.
-pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64, threads: usize) -> f64 {
-    map_chunks(amps, threads, &|ci, c| {
+pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64, pool: &Pool) -> f64 {
+    map_chunks(amps, pool, &|ci, c| {
         let chunk_base = base | (ci * MEASURE_CHUNK) as u64;
         c.iter()
             .enumerate()
@@ -132,14 +100,14 @@ pub fn signed_pair_sum(
     local_flip: usize,
     base: u64,
     sign_mask: u64,
-    threads: usize,
+    pool: &Pool,
 ) -> Complex64 {
     assert_eq!(a.len(), b.len());
     // `i ^ local_flip` only stays in range on power-of-two shards, which
     // is the only shape `atlas-machine` allocates.
     assert!(a.len().is_power_of_two(), "shard length must be 2^L");
     assert!(local_flip < a.len(), "flip must stay in the shard");
-    map_chunks(a, threads, &|ci, c| {
+    map_chunks(a, pool, &|ci, c| {
         let start = ci * MEASURE_CHUNK;
         let chunk_base = base | start as u64;
         let mut acc = Complex64::ZERO;
@@ -246,35 +214,26 @@ mod tests {
     fn parallel_reductions_are_bit_identical() {
         // Longer than one chunk so the parallel split is real.
         let amps = ramp(MEASURE_CHUNK * 3 + 17);
+        // Pair sums require a power-of-two (shard-shaped) slice.
+        let pow2 = ramp(MEASURE_CHUNK * 4);
+        let b = ramp(pow2.len());
+        let bits = |pool: &Pool| {
+            let pair = signed_pair_sum(&pow2, &b, 3, 0, 0b110, pool);
+            let mut bits: Vec<u64> = chunk_norms(&amps, pool)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            bits.extend([
+                norm_sqr_slice(&amps, pool).to_bits(),
+                signed_norm(&amps, 1 << 20, 0b1011, pool).to_bits(),
+                pair.re.to_bits(),
+                pair.im.to_bits(),
+            ]);
+            bits
+        };
+        let serial = bits(&Pool::SERIAL);
         for threads in [2usize, 5, 8] {
-            assert_eq!(
-                norm_sqr_slice(&amps, 1).to_bits(),
-                norm_sqr_slice(&amps, threads).to_bits()
-            );
-            assert_eq!(
-                chunk_norms(&amps, 1)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                chunk_norms(&amps, threads)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            let (s1, s2) = (
-                signed_norm(&amps, 1 << 20, 0b1011, 1),
-                signed_norm(&amps, 1 << 20, 0b1011, threads),
-            );
-            assert_eq!(s1.to_bits(), s2.to_bits());
-            // Pair sums require a power-of-two (shard-shaped) slice.
-            let pow2 = ramp(MEASURE_CHUNK * 4);
-            let b = ramp(pow2.len());
-            let (p1, p2) = (
-                signed_pair_sum(&pow2, &b, 3, 0, 0b110, 1),
-                signed_pair_sum(&pow2, &b, 3, 0, 0b110, threads),
-            );
-            assert_eq!(p1.re.to_bits(), p2.re.to_bits());
-            assert_eq!(p1.im.to_bits(), p2.im.to_bits());
+            crate::pool::with_pool(threads, |pool| assert_eq!(bits(pool), serial));
         }
     }
 
@@ -282,9 +241,9 @@ mod tests {
     fn chunk_norms_sum_to_norm() {
         let amps = ramp(MEASURE_CHUNK + 100);
         let direct: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        let chunked: f64 = chunk_norms(&amps, 1).iter().sum();
+        let chunked: f64 = chunk_norms(&amps, &Pool::SERIAL).iter().sum();
         assert!((direct - chunked).abs() < 1e-9);
-        assert_eq!(chunk_norms(&amps, 1).len(), 2);
+        assert_eq!(chunk_norms(&amps, &Pool::SERIAL).len(), 2);
     }
 
     #[test]
@@ -292,9 +251,9 @@ mod tests {
         // Two amplitudes: |0⟩ weight 0.25, |1⟩ weight 0.75.
         let amps = vec![Complex64::real(0.5), Complex64::real(0.75f64.sqrt())];
         // Z on bit 0: 0.25 - 0.75 = -0.5.
-        assert!((signed_norm(&amps, 0, 1, 1) + 0.5).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0, 1, &Pool::SERIAL) + 0.5).abs() < 1e-12);
         // Base offset with a masked high bit flips everything.
-        assert!((signed_norm(&amps, 0b100, 0b100, 1) + 1.0).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0b100, 0b100, &Pool::SERIAL) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -302,7 +261,7 @@ mod tests {
         // |ψ⟩ = α|0⟩ + β|1⟩ ; ⟨X⟩ = 2·Re(α* β).
         let (alpha, beta) = (Complex64::new(0.6, 0.1), Complex64::new(0.2, -0.7));
         let amps = vec![alpha, beta];
-        let got = signed_pair_sum(&amps, &amps, 1, 0, 0, 1);
+        let got = signed_pair_sum(&amps, &amps, 1, 0, 0, &Pool::SERIAL);
         let want = alpha.conj() * beta + beta.conj() * alpha;
         assert!((got - want).norm() < 1e-12);
     }

@@ -1,13 +1,19 @@
-//! A persistent scoped worker pool for shard-parallel execution.
+//! The persistent worker pool: the one way work reaches a thread.
 //!
-//! The executor in `atlas-core` runs every simulated GPU's shard kernels
-//! concurrently. Spawning OS threads per stage would cost ~10–50 µs per
-//! spawn × shards × stages, so the pool spawns its workers **once** per
-//! `EXECUTE` call (inside [`with_pool`]) and keeps them parked on a
-//! condition variable between stages; each [`Pool::run`] call is a
-//! dispatch + barrier, which is exactly the bulk-synchronous shape of
-//! Algorithm 1 — a stage's kernels are one `run`, the all-to-all
-//! reshuffle before the next stage another.
+//! `EXECUTE` is bulk-synchronous (Algorithm 1): a stage's kernels run on
+//! every GPU at once, then one all-to-all runs. Every threaded step of the
+//! engine is a [`Pool::run`] on this pool — a stage's shard programs (one
+//! item per shard), the all-to-all (one item per range of destination
+//! shards), the group ranges of one intra-shard kernel
+//! ([`crate::apply`]) and the chunks of a measurement reduction
+//! ([`crate::measure`]). Nothing else spawns a thread.
+//!
+//! The pool spawns its workers **once** per scope (inside [`with_pool`];
+//! for `EXECUTE`, once per run) and keeps them parked on a condition
+//! variable between jobs, so each `run` call is a dispatch + barrier:
+//! about 18 µs for two workers on a 2-vCPU AMD EPYC host (the `parallel`
+//! bench's `pool_dispatch_x1000_t2` row), against about 33 µs there to
+//! spawn and join two scoped threads.
 //!
 //! No dependencies beyond `std`: the registry is offline, so this is a
 //! deliberately small `Mutex` + `Condvar` work queue rather than a rayon
@@ -18,9 +24,10 @@
 //!
 //! Worker persistence is also what makes the per-thread
 //! [`crate::scratch`] arenas effective: each worker's arena (gather
-//! buffers, memoized offset tables) is populated during the first stage
+//! buffers, memoized offset tables) is populated during the first job
 //! it executes and reused for every later `run` barrier of the same
-//! `with_pool` scope, so steady-state kernel execution allocates nothing.
+//! `with_pool` scope, so steady-state kernel execution allocates nothing
+//! — whether a worker runs a whole shard or one range of a kernel.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
@@ -64,32 +71,23 @@ struct Shared {
 /// A pool created with `threads == 1` has no workers: [`Pool::run`]
 /// executes items inline on the calling thread, so serial and parallel
 /// callers share one code path.
+///
+/// A pool's jobs do not nest: an item must not submit to the pool it
+/// runs on, so work inside an item takes [`Pool::SERIAL`].
 pub struct Pool<'a> {
     shared: Option<&'a Shared>,
     threads: usize,
 }
 
 impl Pool<'_> {
-    /// A pool with no workers: `run` executes inline. Useful as a default
-    /// argument for APIs that accept a pool.
+    /// A pool with no workers: `run` executes inline. The pool of serial
+    /// callers, and of work inside another pool's items.
     pub const SERIAL: Pool<'static> = Pool {
         shared: None,
         threads: 1,
     };
 
-    /// A workerless pool advertising a thread budget: `run` executes
-    /// inline, but [`Pool::threads`] reports `threads` so callers that
-    /// parallelize *inside* items (intra-shard kernels) know their
-    /// budget. Used when there are fewer independent items than threads —
-    /// spawning parked workers would only waste a thread per core.
-    pub const fn inline(threads: usize) -> Pool<'static> {
-        Pool {
-            shared: None,
-            threads: if threads == 0 { 1 } else { threads },
-        }
-    }
-
-    /// Number of threads available to this pool (1 for the serial pool).
+    /// Number of worker threads (1 for the serial pool).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -135,6 +133,28 @@ impl Pool<'_> {
             drop(slot);
             std::panic::resume_unwind(payload);
         }
+    }
+
+    /// [`Pool::run`] for items with a result: returns `f(i)` for every `i`
+    /// in `0..count`, in index order whatever order the items ran in. The
+    /// result slots are allocated on the calling thread, none per item.
+    pub fn map<T: Send>(&self, count: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+        if self.shared.is_none() {
+            return (0..count).map(f).collect();
+        }
+        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+        // `f(i)` runs before its slot is locked, so a panicking item
+        // poisons no slot (and `run` re-raises its panic anyway).
+        self.run(count, &|i| {
+            *slots[i].lock().expect("slots are never poisoned") = Some(f(i))
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let slot = slot.into_inner().expect("slots are never poisoned");
+                slot.expect("`run` returns after every item ran")
+            })
+            .collect()
     }
 }
 
@@ -256,6 +276,13 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 70);
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order() {
+        let want: Vec<usize> = (0..50).map(|i| i * i).collect();
+        assert_eq!(Pool::SERIAL.map(50, &|i| i * i), want);
+        with_pool(3, |pool| assert_eq!(pool.map(50, &|i| i * i), want));
     }
 
     #[test]

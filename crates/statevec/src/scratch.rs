@@ -46,8 +46,8 @@ pub(crate) struct OffsetTable {
 }
 
 /// The working buffers of a kernel body. The arena's set serves the
-/// calling thread; a threaded kernel gives every spawned thread a fresh
-/// set (see [`crate::split`]).
+/// calling thread; each range of a threaded kernel uses the set of the
+/// pool worker it runs on (see [`crate::split`]).
 #[derive(Default)]
 pub(crate) struct Bufs {
     /// Gather buffer (one kernel group of amplitudes, or one run of

@@ -10,37 +10,45 @@
 //! kernel's positions, so their index sets are disjoint, and together the
 //! groups cover every index the kernel touches.
 //!
-//! **The aliasing argument, once:** [`for_group_ranges`] hands each thread
-//! a contiguous, pairwise-disjoint range of group numbers and the shared
-//! [`AmpCell`]; a kernel body reads and writes only indices of the groups
-//! in its range, so no amplitude is ever accessed by two threads. Every
-//! `unsafe` below leans on exactly that. Duplicate-freedom of the qubit
-//! set — the one precondition — is checked on every compiled op by
+//! **The aliasing argument, once:** [`for_group_ranges`] hands each pool
+//! item a contiguous, pairwise-disjoint range of group numbers and the
+//! shared [`AmpCell`]; a kernel body reads and writes only indices of the
+//! groups in its range, so no amplitude is ever accessed by two threads.
+//! Every `unsafe` below leans on exactly that. Duplicate-freedom of the
+//! qubit set — the one precondition — is checked on every compiled op by
 //! `atlas-analyze` (`effect_of`).
 //!
 //! Layouts whose groups are contiguous in memory do not need the shared
-//! view at all: [`for_chunk_ranges`] splits the slice with safe `chunks_mut`.
+//! view at all: [`for_chunk_ranges`] hands out sub-slices split off with
+//! safe `split_at_mut`.
 //!
-//! With one effective thread both functions call the body once, directly,
-//! over the whole slice on the calling thread — the serial kernel *is*
-//! the threaded kernel's body. No result depends on how ranges are cut:
-//! bodies perform no cross-group reduction, so every thread count yields
+//! Both split a kernel into one range per pool thread and run the ranges
+//! as [`Pool::run`] items, each body on its worker's own
+//! [`scratch::with_thread`] buffers. With a one-thread pool, or below the
+//! work cutoffs, they call the body once, directly, over the whole slice
+//! on the calling thread with the caller's buffers — the serial kernel
+//! *is* the threaded kernel's body. No result depends on how ranges are
+//! cut: bodies perform no cross-group reduction, so every pool yields
 //! byte-identical amplitudes.
 
-use crate::scratch::Bufs;
+use crate::pool::Pool;
+use crate::scratch::{self, Bufs};
 use atlas_qmath::Complex64;
 use std::cell::{Cell, UnsafeCell};
+use std::sync::Mutex;
 
 /// Minimum number of independent groups before a kernel is worth
 /// multi-threading.
 ///
-/// Rationale: the scoped spawn + join of a parallel region costs on the
-/// order of 10–50 µs, while a group of a small-`k` kernel costs tens of
-/// nanoseconds; at fewer than ~2^10 groups the dispatch overhead rivals
-/// the whole serial kernel, so small problems stay on one thread. The
-/// constant is deliberately conservative — crossing it early only wastes
-/// microseconds, crossing it late leaves real parallelism unused on big
-/// shards (2^20+ amplitudes), which sit far above the cutoff anyway.
+/// Rationale: one [`Pool::run`] — waking the parked workers of a pool and
+/// waiting for the last one — costs about 18 µs (two workers on a 2-vCPU
+/// AMD EPYC host; the `parallel` bench's `pool_dispatch_x1000_t2` row),
+/// while a group of a small-`k` kernel costs tens of nanoseconds; at fewer
+/// than ~2^10 groups the dispatch rivals the whole serial kernel, so
+/// small problems stay on one thread. The constant is deliberately
+/// conservative — crossing it early only wastes microseconds, crossing it
+/// late leaves real parallelism unused on big shards (2^20+ amplitudes),
+/// which sit far above the cutoff anyway.
 pub const PARALLEL_GROUP_CUTOFF: usize = 1024;
 
 /// Minimum element count before a purely element-wise pass (diagonal
@@ -49,17 +57,17 @@ pub const PARALLEL_GROUP_CUTOFF: usize = 1024;
 /// Much higher than [`PARALLEL_GROUP_CUTOFF`] because the unit of work
 /// differs: a dense kernel's group costs `O(4^k)` complex MACs, while an
 /// element-wise "group" is a single complex multiply (~1 ns). At 2^16
-/// elements the serial pass costs ~100 µs, comfortably above the scoped
-/// spawn + join overhead; below it, threading is a net loss.
+/// elements the serial pass costs ~100 µs, several times the pool's
+/// dispatch; below it, threading is a net loss.
 pub const PARALLEL_ELEMENT_CUTOFF: usize = 1 << 16;
 
-/// Clamps a requested thread count to what `units` of work can keep busy,
+/// Clamps the pool's thread count to what `units` of work can keep busy,
 /// and to 1 below `cutoff`.
-fn effective_threads(threads: usize, units: usize, cutoff: usize) -> usize {
+fn effective_threads(pool: &Pool, units: usize, cutoff: usize) -> usize {
     if units < cutoff {
         1
     } else {
-        threads.clamp(1, units)
+        pool.threads().clamp(1, units)
     }
 }
 
@@ -115,58 +123,65 @@ impl<'a> AmpCell<'a> {
 
 /// Runs `body(view, lo, hi, bufs)` over the group numbers `0..groups` of
 /// `amps`: once over the whole range on the calling thread with the
-/// caller's `bufs`, or — from [`PARALLEL_GROUP_CUTOFF`] groups up, when
-/// `threads > 1` — over contiguous disjoint sub-ranges on scoped threads
-/// (joined before returning), each with fresh `bufs` of its own.
+/// caller's `bufs`, or — from [`PARALLEL_GROUP_CUTOFF`] groups up, on a
+/// pool of several threads — over one contiguous disjoint sub-range per
+/// thread, as pool items with their workers' buffers.
 ///
 /// `body` must touch only amplitudes owned by the groups in `lo..hi`.
 #[inline]
 pub(crate) fn for_group_ranges(
     amps: &mut [Complex64],
     groups: usize,
-    threads: usize,
+    pool: &Pool,
     bufs: &mut Bufs,
     body: impl Fn(&AmpCell<'_>, u64, u64, &mut Bufs) + Sync,
 ) {
     let view = AmpCell::new(amps);
-    let threads = effective_threads(threads, groups, PARALLEL_GROUP_CUTOFF);
+    let threads = effective_threads(pool, groups, PARALLEL_GROUP_CUTOFF);
     if threads == 1 {
         return body(&view, 0, groups as u64, bufs);
     }
     let span = groups.div_ceil(threads);
-    let (view, body) = (&view, &body);
-    std::thread::scope(|scope| {
-        for lo in (0..groups).step_by(span) {
-            let hi = (lo + span).min(groups);
-            scope.spawn(move || body(view, lo as u64, hi as u64, &mut Bufs::default()));
-        }
+    pool.run(groups.div_ceil(span), &|i| {
+        let (lo, hi) = (i * span, ((i + 1) * span).min(groups));
+        scratch::with_thread(|s| body(&view, lo as u64, hi as u64, &mut s.bufs));
     });
 }
 
 /// Runs `body(offset, sub, bufs)` over `amps` cut into contiguous
 /// sub-slices of whole `unit`-amplitude groups (`offset` = index of
 /// `sub[0]` in `amps`): once over the whole slice on the calling thread
-/// with the caller's `bufs`, or — from `cutoff` units up, when
-/// `threads > 1` — one sub-slice per scoped thread, each with fresh `bufs`.
+/// with the caller's `bufs`, or — from `cutoff` units up, on a pool of
+/// several threads — one sub-slice per thread, as pool items with their
+/// workers' buffers.
 #[inline]
 pub(crate) fn for_chunk_ranges(
     amps: &mut [Complex64],
     unit: usize,
-    threads: usize,
+    pool: &Pool,
     cutoff: usize,
     bufs: &mut Bufs,
     body: impl Fn(usize, &mut [Complex64], &mut Bufs) + Sync,
 ) {
     let units = amps.len() / unit;
-    let threads = effective_threads(threads, units, cutoff);
+    let threads = effective_threads(pool, units, cutoff);
     if threads == 1 {
         return body(0, amps, bufs);
     }
     let span = units.div_ceil(threads) * unit;
-    let body = &body;
-    std::thread::scope(|scope| {
-        for (i, sub) in amps.chunks_mut(span).enumerate() {
-            scope.spawn(move || body(i * span, sub, &mut Bufs::default()));
-        }
+    let items = amps.len().div_ceil(span);
+    // Each item splits the next sub-slice off the rest, whichever order
+    // the items run in; `offset` tells the body where it landed.
+    let rest = Mutex::new((0, amps));
+    pool.run(items, &|_| {
+        let (offset, sub) = {
+            // Held only to split: a panicking body cannot poison it.
+            let mut rest = rest.lock().expect("no body runs under the lock");
+            let (offset, tail) = std::mem::take(&mut *rest);
+            let (sub, tail) = tail.split_at_mut(span.min(tail.len()));
+            *rest = (offset + sub.len(), tail);
+            (offset, sub)
+        };
+        scratch::with_thread(|s| body(offset, sub, &mut s.bufs));
     });
 }

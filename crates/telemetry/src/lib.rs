@@ -32,7 +32,9 @@
 //! Chrome `trace_event` JSON loadable in Perfetto / `chrome://tracing`,
 //! with one track per recording lane. The [`MetricsRegistry`] snapshot
 //! (monotonic counters such as the Scratch offset-table memo hits and
-//! the serve pool totals) is appended to both.
+//! the serve pool totals) is appended to both. Caller-supplied strings
+//! ([`TraceMeta`]) go through [`escape`], the workspace's one JSON string
+//! escaper.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -660,6 +662,24 @@ pub struct TraceMeta {
     pub threads: usize,
 }
 
+/// Escapes a string for embedding in a JSON document (no surrounding
+/// quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn write_args_object(out: &mut String, args: &[(&'static str, u64)]) {
     out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
@@ -686,8 +706,8 @@ pub fn write_ndjson(
         w,
         "{{\"schema\":\"atlas-trace/1\",\"source\":\"{}\",\"backend\":\"{}\",\
          \"host_cpus\":{},\"threads\":{},\"events\":{},\"dropped\":{dropped}}}",
-        meta.source,
-        meta.backend,
+        escape(&meta.source),
+        escape(&meta.backend),
         meta.host_cpus,
         meta.threads,
         events.len()
@@ -739,7 +759,10 @@ pub fn write_chrome(
         w,
         "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"source\":\"{}\",\"backend\":\"{}\",\
          \"host_cpus\":{},\"threads\":{},\"dropped\":{dropped},\"metrics\":{{",
-        meta.source, meta.backend, meta.host_cpus, meta.threads
+        escape(&meta.source),
+        escape(&meta.backend),
+        meta.host_cpus,
+        meta.threads
     )?;
     for (i, (k, v)) in metrics.iter().enumerate() {
         if i > 0 {

@@ -97,24 +97,31 @@ fn noisy_trajectories_are_identical_across_threads_and_shapes() {
 
 #[test]
 fn intermediate_thread_counts_are_byte_identical() {
-    // Shard-parallel (shards ≥ threads) and intra-shard fallback
-    // (shards < threads) must agree with each other as well: 16 shards at
-    // t = 2 exercises the first, a single shard at t = 8 the second.
-    let circuit = atlas::circuit::generators::qaoa(9);
+    // Shard-parallel (shards ≥ threads) and intra-shard (shards < threads)
+    // execution must agree with the serial run as well: 16 shards of
+    // qaoa(9) exercise the first, and one 2^16-amplitude shard of
+    // qaoa(16) the second — large enough that its kernels cross their
+    // work cutoffs and really split over the pool.
     let many_shards = MachineSpec {
         nodes: 4,
         gpus_per_node: 2,
         local_qubits: 5,
     };
-    let single_shard = MachineSpec::single_gpu(9);
-    for spec in [many_shards, single_shard] {
+    let cases = [
+        (atlas::circuit::generators::qaoa(9), many_shards),
+        (
+            atlas::circuit::generators::qaoa(16),
+            MachineSpec::single_gpu(16),
+        ),
+    ];
+    for (circuit, spec) in cases {
         let baseline = run_with_threads(&circuit, spec, 1);
         for t in [2, 3, 8] {
             let got = run_with_threads(&circuit, spec, t);
             assert_byte_identical(
                 &baseline,
                 &got,
-                &format!("qaoa(9) t={t} on {}", common::shape_label(&spec)),
+                &format!("{} t={t} on {}", circuit.name(), common::shape_label(&spec)),
             );
         }
     }

@@ -14,24 +14,25 @@
 //! allocate at most half as often as the per-pattern fusion it replaced.
 //!
 //! The counters are **per thread**: the harness runs this binary's tests
-//! concurrently, and every measured region executes on the test's own
-//! thread (`Pool::SERIAL` and `threads == 1` kernels run inline), so a
-//! test counts exactly its own allocations however many neighbours are
-//! allocating at the same time. The one pooled test marks its two workers
-//! and reads their allocations from a counter only marked threads feed.
+//! concurrently, and a measured region on `Pool::SERIAL` executes on the
+//! test's own thread, so a test counts exactly its own allocations however
+//! many neighbours are allocating at the same time. The pooled tests mark
+//! their two workers and read the workers' allocations from a counter only
+//! marked threads feed; they take turns on [`POOLED`], so that counter
+//! holds one test's workers at a time.
 
 use atlas::core::exec::build_stage_programs;
 use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
-    apply_controlled_matrix, apply_kernel, apply_matrix, classify_kernel, fuse_gates,
-    simulate_reference, with_pool, FastKernel, Pool, Scratch, StateVector,
+    apply_controlled_matrix, apply_kernel, apply_matrix, classify_kernel, fuse_gates, measure,
+    scratch, simulate_reference, with_pool, FastKernel, Pool, Scratch, StateVector,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -45,6 +46,15 @@ thread_local! {
 
 /// Allocations made by threads marked with [`mark_pool_workers`].
 static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by a test while it counts [`WORKER_ALLOCS`].
+static POOLED: Mutex<()> = Mutex::new(());
+
+/// Waits for this test's turn on [`POOLED`]; a neighbour that failed while
+/// holding it does not fail this test too.
+fn take_turn() -> MutexGuard<'static, ()> {
+    POOLED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Counts one allocation against the calling thread.
 fn count() {
@@ -83,15 +93,20 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Marks every worker of a two-thread `pool`: its two items wait for each
-/// other, so each worker must take exactly one.
-fn mark_pool_workers(pool: &Pool) {
+/// Runs `f` once on each worker of a two-thread `pool`: its two items wait
+/// for each other, so each worker must take exactly one.
+fn on_each_worker(pool: &Pool, f: &(dyn Fn() + Sync)) {
     assert_eq!(pool.threads(), 2);
     let both = Barrier::new(2);
     pool.run(2, &|_| {
-        MARKED_WORKER.with(|m| m.set(true));
+        f();
         both.wait();
     });
+}
+
+/// Marks every worker of a two-thread `pool`.
+fn mark_pool_workers(pool: &Pool) {
+    on_each_worker(pool, &|| MARKED_WORKER.with(|m| m.set(true)));
 }
 
 fn dense_state(n: u32) -> StateVector {
@@ -163,7 +178,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
 
     let pass = |scratch: &mut Scratch, sv: &mut StateVector| {
         for (qs, m) in &mats {
-            apply_matrix(scratch, sv.amplitudes_mut(), qs, m, 1);
+            apply_matrix(scratch, sv.amplitudes_mut(), qs, m, &Pool::SERIAL);
         }
         apply_kernel(
             scratch,
@@ -171,7 +186,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[1, 3],
             &diag_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel(
             scratch,
@@ -179,7 +194,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[2, 6, 9],
             &perm_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel(
             scratch,
@@ -187,7 +202,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[5, 10],
             &ctrl_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel(
             scratch,
@@ -195,7 +210,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[1, 4],
             &dense_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_controlled_matrix(
             scratch,
@@ -203,7 +218,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[3],
             &[9, 6],
             &ctrl2_matrix,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel(
             scratch,
@@ -211,7 +226,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[0, 3, 5, 8, 11],
             &diag5_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
     };
 
@@ -404,6 +419,7 @@ fn warm_pooled_relayout_allocates_nothing() {
     let reference = dense_state(n);
     let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
     let perms = relayout_perms(n);
+    let _turn = take_turn();
     with_pool(2, |pool| {
         mark_pool_workers(pool);
         for _ in 0..3 {
@@ -421,6 +437,88 @@ fn warm_pooled_relayout_allocates_nothing() {
     });
     let want = Machine::with_state(spec, CostModel::default(), &reference);
     assert_eq!(machine.gather_state(), want.gather_state());
+}
+
+#[test]
+fn warm_pooled_kernels_and_reduction_allocate_nothing() {
+    // The intra-shard path: one 2^16-amplitude shard, above both work
+    // cutoffs, so each kernel below splits its groups (or elements) over
+    // the pool's workers, and a reduction runs its 16 chunks on them.
+    let n = 16u32;
+    let mut sv = dense_state(n);
+    let dense_qs = [1u32, 5, 9];
+    let mut dense_c = Circuit::new(n);
+    dense_c.h(1).cx(1, 5).h(5).cx(5, 9).rz(0.4, 9).h(9);
+    let dense_m = fuse_gates(&dense_qs, dense_c.gates());
+    let perm_qs = [2u32, 6, 9];
+    let mut perm_c = Circuit::new(n);
+    perm_c.cx(2, 6).x(6).swap(2, 9);
+    let perm_kernel = classify_kernel(&fuse_gates(&perm_qs, perm_c.gates()));
+    assert!(matches!(perm_kernel, FastKernel::Permutation { .. }));
+    let diag_qs = [0u32, 3, 5, 8, 11];
+    let mut diag_c = Circuit::new(n);
+    diag_c.cp(0.4, 0, 3).rz(0.9, 5).cp(1.1, 5, 8).t(11);
+    let diag_kernel = classify_kernel(&fuse_gates(&diag_qs, diag_c.gates()));
+    assert!(matches!(diag_kernel, FastKernel::Diagonal(_)));
+    let scale = Complex64::cis(0.37);
+
+    // A dense k = 3 sweep, a strided permutation (runs of 4 groups) and a
+    // scaled diagonal.
+    let pass = |scratch: &mut Scratch, sv: &mut StateVector, pool: &Pool| {
+        apply_matrix(scratch, sv.amplitudes_mut(), &dense_qs, &dense_m, pool);
+        let one = Complex64::ONE;
+        apply_kernel(
+            scratch,
+            sv.amplitudes_mut(),
+            &perm_qs,
+            &perm_kernel,
+            one,
+            pool,
+        );
+        apply_kernel(
+            scratch,
+            sv.amplitudes_mut(),
+            &diag_qs,
+            &diag_kernel,
+            scale,
+            pool,
+        );
+    };
+
+    let _turn = take_turn();
+    with_pool(2, |pool| {
+        mark_pool_workers(pool);
+        // Warm-up: the caller's tables and pooled buffers, then each
+        // worker's buffers, whichever ranges it draws later.
+        let mut scratch = Scratch::new();
+        pass(&mut scratch, &mut sv, pool);
+        on_each_worker(pool, &|| {
+            scratch::with_thread(|s| pass(s, &mut sv.clone(), &Pool::SERIAL));
+        });
+        let before = (allocs(), WORKER_ALLOCS.load(Ordering::Relaxed));
+        pass(&mut scratch, &mut sv, pool);
+        let kernels = (
+            allocs() - before.0,
+            WORKER_ALLOCS.load(Ordering::Relaxed) - before.1,
+        );
+        assert_eq!(
+            kernels,
+            (0, 0),
+            "warm pooled kernels: allocations on the (submitting thread, workers)"
+        );
+
+        // The result vector is the caller's; the chunks allocate nothing.
+        let serial = measure::chunk_norms(sv.amplitudes(), &Pool::SERIAL);
+        assert_eq!(measure::chunk_norms(sv.amplitudes(), pool), serial);
+        let before = WORKER_ALLOCS.load(Ordering::Relaxed);
+        let norms = measure::chunk_norms(sv.amplitudes(), pool);
+        let workers = WORKER_ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            workers, 0,
+            "a warm pooled reduction allocated on the workers"
+        );
+        assert_eq!(norms.len(), 16);
+    });
 }
 
 #[test]

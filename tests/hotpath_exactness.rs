@@ -95,24 +95,26 @@ fn assert_bits_eq(a: &StateVector, b: &StateVector, label: &str) {
     }
 }
 
-/// Thread counts every kernel runs at: the serial body, an even split and
+/// Pool sizes every kernel runs on: the serial body, an even split and
 /// an uneven one.
 const THREADS: [usize; 3] = [1, 2, 3];
 
-/// Asserts that `kernel(scratch, amps, threads)` turns `base` into exactly
-/// the bits `oracle(amps)` does, at every thread count.
+/// Asserts that `kernel(scratch, amps, pool)` turns `base` into exactly
+/// the bits `oracle(amps)` does, on a pool of every size.
 fn assert_matches_oracle(
     base: &StateVector,
     label: &str,
     oracle: impl Fn(&mut [Complex64]),
-    kernel: impl Fn(&mut Scratch, &mut [Complex64], usize),
+    kernel: impl Fn(&mut Scratch, &mut [Complex64], &Pool),
 ) {
     let mut want = base.clone();
     oracle(want.amplitudes_mut());
     let mut scratch = Scratch::new();
     for threads in THREADS {
         let mut got = base.clone();
-        kernel(&mut scratch, got.amplitudes_mut(), threads);
+        with_pool(threads, |pool| {
+            kernel(&mut scratch, got.amplitudes_mut(), pool)
+        });
         assert_bits_eq(&got, &want, &format!("{label} threads={threads}"));
     }
 }
@@ -233,7 +235,7 @@ fn lane_blocked_dense_matches_generic_at_block_edges() {
                     &base,
                     &format!("dense n={n} qs={qs:?}"),
                     |amps| apply_matrix_generic(amps, &qs, &m),
-                    |scratch, amps, threads| apply_matrix(scratch, amps, &qs, &m, threads),
+                    |scratch, amps, pool| apply_matrix(scratch, amps, &qs, &m, pool),
                 );
             }
         }
@@ -260,8 +262,8 @@ fn lane_blocked_controlled_matches_generic_at_block_edges() {
                     &base,
                     &format!("ctrl n={n} {controls:?}->{targets:?}"),
                     |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
-                    |scratch, amps, threads| {
-                        apply_controlled_matrix(scratch, amps, controls, targets, &m, threads)
+                    |scratch, amps, pool| {
+                        apply_controlled_matrix(scratch, amps, controls, targets, &m, pool)
                     },
                 );
             }
@@ -289,9 +291,7 @@ fn permutation_runs_match_generic_at_run_edges() {
                 &base,
                 &format!("perm n={n} qs={qs:?} dst={dst:?}"),
                 |amps| apply_permutation_generic(amps, &qs, &dst, &phase),
-                |scratch, amps, threads| {
-                    apply_permutation(scratch, amps, &qs, &dst, &phase, threads)
-                },
+                |scratch, amps, pool| apply_permutation(scratch, amps, &qs, &dst, &phase, pool),
             );
         }
     }
@@ -720,7 +720,7 @@ proptest! {
                 &base,
                 &format!("dense n={} qs={qs:?}", base.num_qubits()),
                 |amps| apply_matrix_generic(amps, &qs, &m),
-                |scratch, amps, threads| apply_matrix(scratch, amps, &qs, &m, threads),
+                |scratch, amps, pool| apply_matrix(scratch, amps, &qs, &m, pool),
             );
         }
     }
@@ -744,8 +744,8 @@ proptest! {
                 &base,
                 &format!("perm n={} qs={qs:?} dst={dst:?}", base.num_qubits()),
                 |amps| apply_permutation_generic(amps, &qs, &dst, &phase),
-                |scratch, amps, threads| {
-                    apply_permutation(scratch, amps, &qs, &dst, &phase, threads)
+                |scratch, amps, pool| {
+                    apply_permutation(scratch, amps, &qs, &dst, &phase, pool)
                 },
             );
         }
@@ -772,8 +772,8 @@ proptest! {
                 &base,
                 &format!("ctrl n={} {controls:?}->{targets:?}", base.num_qubits()),
                 |amps| apply_controlled_matrix_generic(amps, controls, targets, &m),
-                |scratch, amps, threads| {
-                    apply_controlled_matrix(scratch, amps, controls, targets, &m, threads)
+                |scratch, amps, pool| {
+                    apply_controlled_matrix(scratch, amps, controls, targets, &m, pool)
                 },
             );
         }
@@ -803,25 +803,25 @@ proptest! {
                 &base,
                 &format!("diag n={n} qs={qs:?}"),
                 |amps| diag_oracle(amps, &qs, &diag),
-                |_, amps, threads| apply_diag(amps, &qs, &diag, threads),
+                |_, amps, pool| apply_diag(amps, &qs, &diag, pool),
             );
             assert_matches_oracle(
                 &base,
                 &format!("reduced-diag n={n} qs={qs:?}"),
                 |amps| diag_oracle(amps, &qs, &diag),
-                |scratch, amps, threads| apply_reduced(scratch, amps, &qs, &diag_matrix, threads),
+                |scratch, amps, pool| apply_reduced(scratch, amps, &qs, &diag_matrix, pool),
             );
             assert_matches_oracle(
                 &base,
                 &format!("scale n={n}"),
                 |amps| diag_oracle(amps, &[], &[factor]),
-                |_, amps, threads| scale(amps, factor, threads),
+                |_, amps, pool| scale(amps, factor, pool),
             );
             assert_matches_oracle(
                 &base,
                 &format!("reduced-scalar n={n}"),
                 |amps| diag_oracle(amps, &[], &[factor]),
-                |scratch, amps, threads| apply_reduced(scratch, amps, &[], &scalar, threads),
+                |scratch, amps, pool| apply_reduced(scratch, amps, &[], &scalar, pool),
             );
         }
         for (qs, base) in inputs(drawn, group_cutoff_sizes(), seed) {
@@ -830,7 +830,7 @@ proptest! {
                 &base,
                 &format!("reduced-dense n={} qs={qs:?}", base.num_qubits()),
                 |amps| apply_matrix_generic(amps, &qs, &m),
-                |scratch, amps, threads| apply_reduced(scratch, amps, &qs, &m, threads),
+                |scratch, amps, pool| apply_reduced(scratch, amps, &qs, &m, pool),
             );
         }
     }
