@@ -138,12 +138,8 @@ pub fn effect_of(op: &ShardOp, shard: u64, l: u32) -> Result<OpEffect, EffectErr
             }
             (collect_mask(qubits)?, 2u64 << qubits.len())
         }
-        ShardOp::ShmParts {
-            parts,
-            per_amp_ns,
-            scale,
-        } => {
-            if !per_amp_ns.is_finite() || !scale.re.is_finite() || !scale.im.is_finite() {
+        ShardOp::ShmParts { parts, scale } => {
+            if !scale.re.is_finite() || !scale.im.is_finite() {
                 return Err(EffectError::NonFinite);
             }
             let mut mask = 0u64;
@@ -237,7 +233,6 @@ mod tests {
     fn duplicate_qubits_are_rejected() {
         let op = ShardOp::ShmParts {
             parts: std::sync::Arc::new(vec![(vec![2, 2], atlas_qmath::Matrix::identity(4))]),
-            per_amp_ns: 1.0,
             scale: Complex64::ONE,
         };
         assert_eq!(

@@ -29,6 +29,7 @@ use atlas_circuit::Circuit;
 use atlas_core::{AtlasConfig, Planner};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineReport, MachineSpec};
+use atlas_qmath::{IndexPermuter, QubitPermutation};
 use atlas_statevec::StateVector;
 
 /// A baseline run's output.
@@ -41,18 +42,16 @@ pub struct BaselineOutput {
 }
 
 /// HyQuas-like: SnuQS-style greedy staging + greedy hybrid grouping on the
-/// Atlas executor (§VII-B comparison).
+/// Atlas executor (§VII-B comparison). A functional run reports the dry
+/// run's clock: the state is left in its last stage's layout, as the model
+/// times it, and read back in logical order.
 pub fn hyquas(
     circuit: &Circuit,
     spec: MachineSpec,
     cost: CostModel,
     dry: bool,
 ) -> Result<BaselineOutput, AtlasError> {
-    let cfg = AtlasConfig {
-        final_unpermute: !dry,
-        ..AtlasConfig::hyquas_like()
-    };
-    let compiled = Planner::new(spec, cost, cfg).plan(circuit)?;
+    let compiled = Planner::new(spec, cost, AtlasConfig::hyquas_like()).plan(circuit)?;
     if dry {
         return Ok(BaselineOutput {
             report: compiled.dry_run(),
@@ -60,9 +59,15 @@ pub fn hyquas(
         });
     }
     let run = compiled.execute(circuit)?;
+    let physical = run.measurements.machine().gather_state();
+    let mapping = QubitPermutation::from_map(run.measurements.mapping().to_vec());
+    let l2p = IndexPermuter::new(&mapping);
+    let amps = (0..1u64 << circuit.num_qubits())
+        .map(|x| physical.amplitudes()[l2p.apply(x) as usize])
+        .collect();
     Ok(BaselineOutput {
         report: run.report,
-        state: run.state,
+        state: Some(StateVector::from_amplitudes(amps)),
     })
 }
 

@@ -15,7 +15,7 @@
 
 use atlas_circuit::Circuit;
 use atlas_error::AtlasError;
-use atlas_machine::{CostModel, Machine, MachineReport, MachineSpec};
+use atlas_machine::{Clock, CostModel, MachineReport, MachineSpec};
 
 /// Greedy `t`-qubit gate grouping (QDAO §IV-B style).
 pub fn groups(circuit: &Circuit, t: u32) -> Vec<Vec<usize>> {
@@ -53,17 +53,17 @@ pub fn run(
             "QDAO requires t ≤ m (got t = {t}, m = {m})"
         )));
     }
-    // The ledger machine is a single logical device holding the whole
-    // state: QDAO's own charges below replace the Atlas-side offload swap
-    // model (`spec` only tells us the GPU count, which QDAO cannot use).
+    // The clock models a single logical device holding the whole state:
+    // QDAO's own charges below replace the Atlas-side offload swap model
+    // (`spec` only tells us the GPU count, which QDAO cannot use).
     let _ = spec;
     let ledger_spec = MachineSpec {
         nodes: 1,
         gpus_per_node: 1,
         local_qubits: n,
     };
-    let mut machine = Machine::new(ledger_spec, cost.clone(), n, true);
-    machine.overlap_io = false; // QDAO does not overlap IO with compute
+    let mut clock = Clock::new(ledger_spec, cost.clone(), n);
+    clock.overlap_io = false; // QDAO does not overlap IO with compute
     let groups = groups(circuit, t.min(n));
     let block_amps = 1u64 << m.min(n);
     let num_blocks = 1u64 << n.saturating_sub(m.min(n));
@@ -79,11 +79,11 @@ pub fn run(
         let compute =
             num_blocks as f64 * fused_kernels * cost.fusion_kernel_secs(5, block_amps as usize);
         // Serialized IO + compute, bulk-synchronous per group.
-        machine.charge_comm(io, 0, 0);
-        machine.charge_shard_compute(0, compute);
-        machine.stage_barrier();
+        clock.charge_comm(io, 0, 0);
+        clock.charge_shard_compute(0, compute);
+        clock.stage_barrier();
     }
-    Ok(machine.report())
+    Ok(clock.report())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use crate::BaselineOutput;
 use atlas_circuit::{Circuit, Gate};
 use atlas_error::AtlasError;
-use atlas_machine::{CostModel, Machine, MachineSpec};
+use atlas_machine::{Clock, CostModel, Machine, MachineSpec};
 use atlas_qmath::QubitPermutation;
 use atlas_statevec::{fuse_gates, Pool};
 
@@ -46,7 +46,18 @@ fn fusion_groups(circuit: &Circuit, max_qubits: u32) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Runs the swap-based simulator.
+/// Charges the all-to-all `perm` and, on a functional run, moves the
+/// amplitudes.
+fn swap_bits(clock: &mut Clock, machine: Option<&mut Machine>, perm: &QubitPermutation) {
+    let step = clock.num_steps();
+    clock.charge_permute(perm, 0);
+    if let Some(machine) = machine {
+        machine.permute_state(perm, 0, step, &Pool::SERIAL);
+    }
+}
+
+/// Runs the swap-based simulator: a clock, plus a machine holding the
+/// amplitudes unless `dry`.
 pub fn run(
     circuit: &Circuit,
     spec: MachineSpec,
@@ -63,8 +74,9 @@ pub fn run(
             global: spec.global_qubits(),
         });
     }
-    let mut machine = Machine::new(spec, cost, n, dry);
-    let num_shards = machine.num_shards();
+    let mut clock = Clock::new(spec, cost, n);
+    let mut machine = (!dry).then(|| Machine::new(spec, n));
+    let num_shards = clock.num_shards();
     // mapping[q] = physical bit of logical qubit q.
     let mut mapping: Vec<u32> = (0..n).collect();
     let groups = fusion_groups(circuit, cfg.fusion_max_qubits);
@@ -113,16 +125,16 @@ pub fn run(
                 }
                 mapping[q as usize] = v;
             }
-            machine.permute_state(&QubitPermutation::from_map(perm_map), 0, &Pool::SERIAL);
+            let perm = QubitPermutation::from_map(perm_map);
+            swap_bits(&mut clock, machine.as_mut(), &perm);
         }
         // Apply the group as one fused kernel on every shard.
         let phys_qubits: Vec<u32> = need.iter().map(|&q| mapping[q as usize]).collect();
         debug_assert!(phys_qubits.iter().all(|&p| p < l));
-        if dry {
-            for s in 0..num_shards {
-                machine.run_fusion_kernel_dry(s, phys_qubits.len() as u32);
-            }
-        } else {
+        for s in 0..num_shards {
+            clock.charge_fusion(s, phys_qubits.len() as u32);
+        }
+        if let Some(machine) = machine.as_mut() {
             let gates: Vec<Gate> = group
                 .iter()
                 .map(|&gi| {
@@ -137,25 +149,24 @@ pub fn run(
             }
         }
         // Host dispatch overhead: serializes the launch round.
-        machine.charge_comm(cfg.dispatch_overhead_s, 0, 0);
+        clock.charge_comm(cfg.dispatch_overhead_s, 0, 0);
     }
-    machine.stage_barrier();
+    clock.stage_barrier();
 
     // Restore the identity layout for functional comparison.
-    let state = if !dry {
+    let state = machine.map(|mut machine| {
         if mapping.iter().enumerate().any(|(q, &p)| q as u32 != p) {
             let mut perm_map = vec![0u32; n as usize];
             for q in 0..n as usize {
                 perm_map[mapping[q] as usize] = q as u32;
             }
-            machine.permute_state(&QubitPermutation::from_map(perm_map), 0, &Pool::SERIAL);
+            let perm = QubitPermutation::from_map(perm_map);
+            swap_bits(&mut clock, Some(&mut machine), &perm);
         }
-        Some(machine.gather_state())
-    } else {
-        None
-    };
+        machine.gather_state()
+    });
     Ok(BaselineOutput {
-        report: machine.report(),
+        report: clock.report(),
         state,
     })
 }

@@ -211,12 +211,12 @@ fn reshuffle_case(
     threads: usize,
     reps: usize,
 ) -> Case {
-    let mut machine = Machine::with_state(spec, CostModel::default(), state);
+    let mut machine = Machine::with_state(spec, state);
     let fast_secs = atlas_statevec::with_pool(threads, |pool| {
-        machine.permute_state(perm, 0, pool); // warm the ping-pong spare
-        best_of(reps, || machine.permute_state(perm, 0, pool))
+        machine.permute_state(perm, 0, 0, pool); // warm the ping-pong spare
+        best_of(reps, || machine.permute_state(perm, 0, 0, pool))
     });
-    let mut machine = Machine::with_state(spec, CostModel::default(), state);
+    let mut machine = Machine::with_state(spec, state);
     let generic_secs = best_of(reps, || machine.permute_state_scatter(perm, 0));
     let case = Case {
         name,

@@ -107,7 +107,7 @@ fn bench_statevec(c: &mut Criterion) {
 }
 
 fn bench_machine(c: &mut Criterion) {
-    use atlas_machine::{Machine, MachineSpec};
+    use atlas_machine::{Clock, Machine, MachineSpec};
     let mut g = c.benchmark_group("machine");
     g.sample_size(20)
         .measurement_time(std::time::Duration::from_secs(1))
@@ -123,19 +123,19 @@ fn bench_machine(c: &mut Criterion) {
         map.rotate_left(5);
         let perm = QubitPermutation::from_map(map);
         b.iter_batched(
-            || Machine::with_state(spec, CostModel::default(), &state),
-            |mut m| m.permute_state(black_box(&perm), 0, &Pool::SERIAL),
+            || Machine::with_state(spec, &state),
+            |mut m| m.permute_state(black_box(&perm), 0, 0, &Pool::SERIAL),
             BatchSize::LargeInput,
         )
     });
-    // The interconnect charge alone: a dry machine moves no amplitudes.
+    // The interconnect charge alone: a clock holds no amplitudes.
     g.bench_function("charge_permute_36q_256gpus", |b| {
         let mut map: Vec<u32> = (0..36).collect();
         map.rotate_left(7);
         let perm = QubitPermutation::from_map(map);
         b.iter_batched(
-            || Machine::new(MachineSpec::perlmutter(64), CostModel::default(), 36, true),
-            |mut m| m.permute_state(black_box(&perm), 0, &Pool::SERIAL),
+            || Clock::new(MachineSpec::perlmutter(64), CostModel::default(), 36),
+            |mut c| c.charge_permute(black_box(&perm), 0),
             BatchSize::SmallInput,
         )
     });

@@ -7,8 +7,8 @@
 //! A stage maps logical qubit `q` to physical bit `mapping[q]`: local
 //! qubits to bits `0..L`, regional to `L..L+R`, global to `L+R..n`.
 //! Between stages the state is re-laid-out with one all-to-all
-//! (`Machine::permute_state`), the only communication in the whole run —
-//! the paper's central property.
+//! (charged by `Clock::charge_permute`, moved by `Machine::permute_state`),
+//! the only communication in the whole run — the paper's central property.
 //!
 //! ## Insular specialization (Appendix B-a)
 //!
@@ -27,9 +27,10 @@ use crate::plan::{Kernel, KernelKind, Stage};
 use crate::staging::{self, StagingOutcome};
 use atlas_circuit::{insular, Circuit, Gate};
 use atlas_error::AtlasError;
-use atlas_machine::{CostModel, Machine, ShardOp, ShardProgram};
+use atlas_machine::{Clock, CostModel, Machine, ShardOp, ShardProgram};
 use atlas_qmath::{Complex64, Matrix, QubitPermutation};
 use atlas_statevec::{classify_kernel, fuse_gate_into, FastKernel, Pool};
+use atlas_telemetry::{secs_to_ns, Recorder};
 use std::sync::Arc;
 
 /// One non-local (insular) qubit of a gate, read per shard.
@@ -335,23 +336,29 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 }
 
 /// EXECUTE (Algorithm 1, lines 9–17) — the one function that runs the
-/// stage loop, for functional and dry machines alike.
+/// stage loop, for functional and dry runs alike.
 ///
-/// The machine must have been initialized with the `|0…0⟩` state (any bit
-/// layout represents it identically) or pre-permuted into stage 0's
-/// layout by the caller. `circuit` is only read on the functional path:
-/// a dry walk charges kernels and all-to-alls purely from the compiled
-/// [`FullPlan`] — gate matrices are never built — so a
-/// [`CompiledPlan`](crate::session::CompiledPlan) can replay its cost
-/// model without retaining the circuit it was planned from.
+/// Every stage is charged to `clock` by the same walk over the compiled
+/// [`FullPlan`] — each all-to-all, then each shard's kernels in plan order
+/// (the order its program holds them), then the barrier — so a dry run
+/// (`run` = `None`) and a functional run of one plan report the same
+/// numbers. Gate matrices are never built for the charge: a
+/// [`CompiledPlan`](crate::session::CompiledPlan) replays its cost model
+/// without retaining the circuit it was planned from.
 ///
-/// In functional mode with `cfg.threads > 1`, a persistent worker pool is
-/// spawned for the whole run: each stage's independent shard kernels
-/// execute concurrently across the workers (or, with fewer shards than
-/// workers, each kernel splits its index groups across them), and so does
-/// the all-to-all reshuffle between stages (each worker filling whole
-/// destination shards); both end in a barrier. Amplitudes are
-/// bit-identical for every thread count.
+/// With `run` = `Some((machine, circuit))` the stages also build their
+/// shard programs from `circuit` and run them on `machine`, which must
+/// hold the `|0…0⟩` state (any bit layout represents it identically) or
+/// have been pre-permuted into stage 0's layout by the caller. With
+/// `cfg.threads > 1` a persistent worker pool is spawned for the whole
+/// run: each stage's independent shard kernels execute concurrently
+/// across the workers (or, with fewer shards than workers, each kernel
+/// splits its index groups across them), and so does the all-to-all
+/// reshuffle between stages (each worker filling whole destination
+/// shards); both end in a barrier. Amplitudes are bit-identical for every
+/// thread count. X/Y relabel flips still pending after the last stage are
+/// applied to the amplitudes but charged nothing: the model folds flips
+/// into the next all-to-all for free, and there is none.
 ///
 /// `should_stop` is a cooperative interruption probe, polled at every
 /// stage barrier — the natural deterministic preemption point: a stage's
@@ -362,21 +369,16 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 /// poll reads nothing from the state and writes nothing to it, so a
 /// never-firing probe cannot perturb results.
 pub(crate) fn execute(
-    machine: &mut Machine,
-    circuit: Option<&Circuit>,
+    clock: &mut Clock,
+    mut run: Option<(&mut Machine, &Circuit)>,
     plan: &FullPlan,
     cfg: &AtlasConfig,
     should_stop: &dyn Fn() -> bool,
 ) -> bool {
     // Dry runs never touch amplitudes, so the pool would only idle.
-    let threads = if machine.is_dry() {
-        1
-    } else {
-        cfg.threads.max(1)
-    };
+    let threads = if run.is_some() { cfg.threads.max(1) } else { 1 };
     atlas_statevec::with_pool(threads, |pool| {
         let n = plan.n;
-        let l = plan.l;
         let mut carried_flips = 0u64;
         let mut prev_mapping: Option<&[u32]> = None;
 
@@ -389,40 +391,82 @@ pub(crate) fn execute(
             }
             // Stage transition: relayout + fold pending flips.
             if let Some(pm) = prev_mapping {
-                let mut perm_map = vec![0u32; n as usize];
-                for q in 0..n as usize {
-                    perm_map[pm[q] as usize] = sp.mapping[q];
-                }
-                let perm = QubitPermutation::from_map(perm_map);
+                let perm = transition(pm, |q| sp.mapping[q]);
                 let f = permute_mask(&perm, carried_flips);
-                machine.permute_state(&perm, f, pool);
+                let machine = run.as_mut().map(|(m, _)| &mut **m);
+                reshuffle(clock, machine, &perm, f, &cfg.recorder, pool);
                 carried_flips = 0;
             }
 
-            execute_stage(machine, circuit, sp, si as u32, l, cfg, pool);
+            let step = clock.num_steps();
+            charge_stage(clock, sp);
+            if let Some((machine, circuit)) = run.as_mut() {
+                run_stage(machine, circuit, sp, si as u32, step, cfg, pool);
+            }
             carried_flips ^= sp.flips;
-            machine.stage_barrier();
+            clock.stage_barrier();
             prev_mapping = Some(&sp.mapping);
         }
 
         // Final unpermute to the identity layout (validation runs).
         if cfg.final_unpermute {
             if let Some(pm) = prev_mapping {
-                let mut perm_map = vec![0u32; n as usize];
-                for q in 0..n as usize {
-                    perm_map[pm[q] as usize] = q as u32;
-                }
-                let perm = QubitPermutation::from_map(perm_map);
+                let perm = transition(pm, |q| q as u32);
                 let f = permute_mask(&perm, carried_flips);
-                machine.permute_state(&perm, f, pool);
+                let machine = run.as_mut().map(|(m, _)| &mut **m);
+                reshuffle(clock, machine, &perm, f, &cfg.recorder, pool);
             }
-        } else if carried_flips != 0 && !machine.is_dry() {
-            // Apply outstanding relabels so gathered state is consistent with
-            // the final mapping.
-            machine.permute_state(&QubitPermutation::identity(n as usize), carried_flips, pool);
+        } else if let Some((machine, _)) = run.as_mut() {
+            // Apply outstanding relabels so the gathered state is consistent
+            // with the final mapping (a no-op without any).
+            let identity = QubitPermutation::identity(n as usize);
+            machine.permute_state(&identity, carried_flips, clock.num_steps(), pool);
         }
         true
     })
+}
+
+/// The transition from the layout `from` (logical qubit → physical bit)
+/// to the one that puts logical qubit `q` at physical bit `to(q)`.
+fn transition(from: &[u32], to: impl Fn(usize) -> u32) -> QubitPermutation {
+    let mut perm_map = vec![0u32; from.len()];
+    for (q, &p) in from.iter().enumerate() {
+        perm_map[p as usize] = to(q);
+    }
+    QubitPermutation::from_map(perm_map)
+}
+
+/// One all-to-all `new = perm(old) ^ flip`: charged to `clock`, and with a
+/// machine its amplitudes moved, inside one `machine.reshuffle` span.
+pub(crate) fn reshuffle(
+    clock: &mut Clock,
+    machine: Option<&mut Machine>,
+    perm: &QubitPermutation,
+    flip: u64,
+    rec: &Recorder,
+    pool: &Pool,
+) {
+    let t = rec.start();
+    let step = clock.num_steps();
+    let charged = clock.charge_permute(perm, flip);
+    if let Some(machine) = machine {
+        machine.permute_state(perm, flip, step, pool);
+    }
+    rec.span(
+        "machine.reshuffle",
+        t,
+        true,
+        step,
+        0,
+        0,
+        &[
+            ("bytes_intra", charged.bytes_intra),
+            ("bytes_inter", charged.bytes_inter),
+            ("comm_ns", secs_to_ns(charged.comm)),
+            ("moved", !(perm.is_identity() && flip == 0) as u64),
+        ],
+    );
+    rec.flush();
 }
 
 /// Applies a bit permutation to a bitmask.
@@ -437,39 +481,41 @@ fn permute_mask(perm: &QubitPermutation, mask: u64) -> u64 {
     out
 }
 
-fn execute_stage(
+/// Charges one stage's kernels: shard by shard, each shard's kernels in
+/// plan order — the order its program holds them, so every GPU's pending
+/// time is summed in the order a functional run executes its shards.
+fn charge_stage(clock: &mut Clock, sp: &StagePlan) {
+    // A shared-memory kernel's plan-level gate cost: the per-amplitude ns
+    // of its gates, summed in kernel order.
+    let per_amp: Vec<f64> = sp
+        .kernels
+        .iter()
+        .map(|k| k.gates.iter().map(|&t| sp.templates[t].shm_ns).sum())
+        .collect();
+    for s in 0..clock.num_shards() {
+        for (kernel, &per_amp) in sp.kernels.iter().zip(&per_amp) {
+            match kernel.kind {
+                KernelKind::Fusion => clock.charge_fusion(s, kernel.qubits.len() as u32),
+                KernelKind::SharedMemory => clock.charge_shm(s, per_amp),
+            }
+        }
+    }
+}
+
+/// Builds stage `stage`'s shard programs from `circuit` and runs them on
+/// `machine` as clock step `step`.
+fn run_stage(
     machine: &mut Machine,
-    circuit: Option<&Circuit>,
+    circuit: &Circuit,
     sp: &StagePlan,
     stage: u32,
-    l: u32,
+    step: u32,
     cfg: &AtlasConfig,
     pool: &Pool,
 ) {
-    let num_shards = machine.num_shards();
-    if machine.is_dry() {
-        // Dry runs only need the clock charges — skip matrix construction
-        // entirely (paper-scale shapes have millions of shard-kernels).
-        for kernel in &sp.kernels {
-            match kernel.kind {
-                KernelKind::Fusion => {
-                    for s in 0..num_shards {
-                        machine.run_fusion_kernel_dry(s, kernel.qubits.len() as u32);
-                    }
-                }
-                KernelKind::SharedMemory => {
-                    let per_amp: f64 = kernel.gates.iter().map(|&t| sp.templates[t].shm_ns).sum();
-                    for s in 0..num_shards {
-                        machine.run_shm_kernel_dry(s, per_amp);
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let circuit = circuit.expect("functional execution needs the circuit");
     let t = cfg.recorder.start();
-    let (programs, counts) = build_programs(circuit, sp, l, num_shards);
+    let l = machine.spec().local_qubits;
+    let (programs, counts) = build_programs(circuit, sp, l, machine.num_shards());
     cfg.recorder.span(
         "exec.build_programs",
         t,
@@ -483,7 +529,7 @@ fn execute_stage(
             ("gate_apps", counts.gate_apps),
         ],
     );
-    machine.run_shard_programs(&programs, pool);
+    machine.run_shard_programs(&programs, step, pool);
 }
 
 /// Compiles one stage into a per-shard instruction sequence: insular
@@ -582,7 +628,6 @@ fn build_programs(
                 }
             }
             KernelKind::SharedMemory => {
-                let per_amp: f64 = kernel.gates.iter().map(|&t| sp.templates[t].shm_ns).sum();
                 // Shards with equal insular bit patterns specialize to the
                 // same part list — build each distinct list once and share
                 // it by Arc (the per-shard scalar stays a separate field
@@ -609,11 +654,7 @@ fn build_programs(
                         scale = shard_scalars[s];
                         scalar_pending[s] = false;
                     }
-                    prog.push(ShardOp::ShmParts {
-                        parts,
-                        per_amp_ns: per_amp,
-                        scale,
-                    });
+                    prog.push(ShardOp::ShmParts { parts, scale });
                 }
             }
         }

@@ -43,7 +43,7 @@ use crate::config::AtlasConfig;
 use crate::exec::{self, FullPlan};
 use atlas_circuit::{insular, Circuit};
 use atlas_error::AtlasError;
-use atlas_machine::{CostModel, Machine, MachineReport, MachineSpec};
+use atlas_machine::{Clock, CostModel, Machine, MachineReport, MachineSpec};
 use atlas_sampler::Measurements;
 use atlas_statevec::{Pool, StateVector};
 
@@ -375,7 +375,7 @@ impl CompiledPlan {
         self.cfg
             .memory_budget
             .admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::new(self.spec, self.cost.clone(), self.plan.n, false);
+        let machine = Machine::new(self.spec, self.plan.n);
         self.run_on(machine, circuit, false, should_stop)
     }
 
@@ -402,7 +402,7 @@ impl CompiledPlan {
         self.cfg
             .memory_budget
             .admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::with_state(self.spec, self.cost.clone(), initial);
+        let machine = Machine::with_state(self.spec, initial);
         let run = self.run_on(machine, circuit, true, &|| false)?;
         Ok(run.expect("a never-stop probe cannot interrupt EXECUTE"))
     }
@@ -417,28 +417,25 @@ impl CompiledPlan {
         permute_in: bool,
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<Execution>, AtlasError> {
-        machine.set_recorder(self.cfg.recorder.clone());
+        let rec = &self.cfg.recorder;
+        machine.set_recorder(rec.clone());
+        let mut clock = self.clock();
         if permute_in {
             if let Some(sp0) = self.plan.stages.first() {
                 let perm = atlas_qmath::QubitPermutation::from_map(sp0.mapping.clone());
                 if !perm.is_identity() {
-                    machine.permute_state(&perm, 0, &Pool::SERIAL);
+                    exec::reshuffle(&mut clock, Some(&mut machine), &perm, 0, rec, &Pool::SERIAL);
                 }
             }
         }
-        if !exec::execute(
-            &mut machine,
-            Some(circuit),
-            &self.plan,
-            &self.cfg,
-            should_stop,
-        ) {
+        let run = Some((&mut machine, circuit));
+        if !exec::execute(&mut clock, run, &self.plan, &self.cfg, should_stop) {
             // Interrupted at a stage barrier: the state is partial —
             // drop it unmeasured.
             return Ok(None);
         }
         let state = self.cfg.final_unpermute.then(|| machine.gather_state());
-        let report = machine.report();
+        let report = clock.report();
         let mapping = self.plan.final_mapping(self.cfg.final_unpermute);
         let measurements = Measurements::new(machine, mapping, self.cfg.threads.max(1));
         let samples = (self.cfg.shots > 0).then(|| {
@@ -466,14 +463,22 @@ impl CompiledPlan {
     }
 
     /// Replays the clock model alone (no amplitudes, any qubit count) —
-    /// the paper-scale dry-run mode. Needs no circuit: dry costs are
-    /// charged straight from the plan.
+    /// the paper-scale dry run. Needs no circuit: costs are charged
+    /// straight from the plan, by the walk a functional run charges too, so
+    /// the report equals [`execute`](CompiledPlan::execute)'s.
     pub fn dry_run(&self) -> MachineReport {
-        let mut machine = Machine::new(self.spec, self.cost.clone(), self.plan.n, true);
-        machine.set_recorder(self.cfg.recorder.clone());
-        let done = exec::execute(&mut machine, None, &self.plan, &self.cfg, &|| false);
+        let mut clock = self.clock();
+        let done = exec::execute(&mut clock, None, &self.plan, &self.cfg, &|| false);
         debug_assert!(done, "a never-stop probe cannot interrupt EXECUTE");
-        machine.report()
+        clock.report()
+    }
+
+    /// A fresh clock for one run of this plan, recording to the config's
+    /// recorder.
+    fn clock(&self) -> Clock {
+        let mut clock = Clock::new(self.spec, self.cost.clone(), self.plan.n);
+        clock.set_recorder(self.cfg.recorder.clone());
+        clock
     }
 }
 

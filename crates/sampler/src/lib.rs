@@ -48,7 +48,7 @@ pub use rng::CounterRng;
 mod tests {
     use super::*;
     use atlas_circuit::Circuit;
-    use atlas_machine::{CostModel, Machine, MachineSpec};
+    use atlas_machine::{Machine, MachineSpec};
     use atlas_statevec::simulate_reference;
 
     fn spec() -> MachineSpec {
@@ -68,11 +68,11 @@ mod tests {
         }
         prep.cx(0, 4).cp(0.8, 2, 3).cx(1, 3);
         let reference = simulate_reference(&prep);
-        let mut machine = Machine::with_state(spec(), CostModel::default(), &reference);
+        let mut machine = Machine::with_state(spec(), &reference);
         // Final layout: logical q at physical mapping[q].
         let mapping: Vec<u32> = vec![2, 4, 0, 3, 1];
         let perm = atlas_qmath::QubitPermutation::from_map(mapping.clone());
-        machine.permute_state(&perm, 0, &atlas_statevec::Pool::SERIAL);
+        machine.permute_state(&perm, 0, 0, &atlas_statevec::Pool::SERIAL);
         (
             Measurements::new(machine, mapping.clone(), 1),
             reference,
@@ -151,7 +151,7 @@ mod tests {
         let alpha = atlas_qmath::Complex64::new(0.6, 0.1);
         let beta = atlas_qmath::Complex64::new(0.2, -0.7);
         let sv = atlas_statevec::StateVector::from_amplitudes(vec![alpha, beta]);
-        let machine = Machine::with_state(MachineSpec::single_gpu(1), CostModel::default(), &sv);
+        let machine = Machine::with_state(MachineSpec::single_gpu(1), &sv);
         let m = Measurements::new(machine, vec![0], 1);
         for (s, kind) in [("X", GateKind::X), ("Y", GateKind::Y), ("Z", GateKind::Z)] {
             let mat = Gate::new(kind, &[0]).matrix();

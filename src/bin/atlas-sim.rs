@@ -70,6 +70,9 @@ struct Args {
     queue: usize,
     /// `--cache` (serve): plan-cache capacity.
     cache: usize,
+    /// `--workers`, `--queue` or `--cache` appeared explicitly (conflict
+    /// checks).
+    pool_set: bool,
     /// `--fault-seed` (serve): arm the deterministic fault-injection
     /// harness with this RNG seed.
     fault_seed: Option<u64>,
@@ -239,6 +242,7 @@ fn parse_args() -> Result<Args, String> {
         workers: host_cpus(),
         queue: 64,
         cache: 32,
+        pool_set: false,
         fault_seed: None,
         fault_rate: 250_000,
         fault_rate_set: false,
@@ -293,10 +297,17 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 args.workers = take(&mut i)?
                     .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
+                    .map_err(|e| format!("--workers: {e}"))?;
+                args.pool_set = true;
             }
-            "--queue" => args.queue = take(&mut i)?.parse().map_err(|e| format!("--queue: {e}"))?,
-            "--cache" => args.cache = take(&mut i)?.parse().map_err(|e| format!("--cache: {e}"))?,
+            "--queue" => {
+                args.queue = take(&mut i)?.parse().map_err(|e| format!("--queue: {e}"))?;
+                args.pool_set = true;
+            }
+            "--cache" => {
+                args.cache = take(&mut i)?.parse().map_err(|e| format!("--cache: {e}"))?;
+                args.pool_set = true;
+            }
             "--fault-seed" => {
                 args.fault_seed = Some(
                     take(&mut i)?
@@ -415,7 +426,7 @@ fn check_flag_conflicts(args: &Args) -> Result<(), String> {
     }
     // `--workers/--queue/--cache` (and the fault harness) shape the
     // session pool only.
-    if args.workers != host_cpus() || args.queue != 64 || args.cache != 32 {
+    if args.pool_set {
         return Err("--workers/--queue/--cache apply to the serve subcommand only".to_string());
     }
     if args.fault_seed.is_some() || args.fault_rate_set {

@@ -60,6 +60,9 @@ fn successful_runs_exit_zero() {
 
 #[test]
 fn contradictory_flags_are_rejected_with_exit_2() {
+    let host_cpus = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .to_string();
     // Each case: (args, substring the error must mention).
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (
@@ -171,6 +174,13 @@ fn contradictory_flags_are_rejected_with_exit_2() {
                 "--family", "ghz", "-n", "8", "--noise", "1.5", "--shots", "4",
             ],
             "noise",
+        ),
+        // The session-pool flags belong to serve even at their defaults.
+        (vec!["--family", "qft", "-n", "6", "--queue", "64"], "serve"),
+        (vec!["--family", "qft", "-n", "6", "--cache", "32"], "serve"),
+        (
+            vec!["--family", "qft", "-n", "6", "--workers", &host_cpus],
+            "serve",
         ),
     ];
     for (args, needle) in cases {

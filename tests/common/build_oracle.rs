@@ -69,7 +69,6 @@ pub fn oracle_stage_programs(
     let mut programs: Vec<ShardProgram> = vec![Vec::new(); num_shards];
     for kernel in &sp.kernels {
         let qubits = Arc::new(kernel.qubits.clone());
-        let per_amp: f64 = kernel.gates.iter().map(|&t| sp.templates[t].shm_ns).sum();
         let mut fused = BTreeMap::new();
         let mut parts: BTreeMap<u64, Arc<ShmPartList>> = BTreeMap::new();
         for (s, prog) in programs.iter_mut().enumerate() {
@@ -117,11 +116,7 @@ pub fn oracle_stage_programs(
                         scale = scalars[s];
                         pending[s] = false;
                     }
-                    prog.push(ShardOp::ShmParts {
-                        parts,
-                        per_amp_ns: per_amp,
-                        scale,
-                    });
+                    prog.push(ShardOp::ShmParts { parts, scale });
                 }
             }
         }

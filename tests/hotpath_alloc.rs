@@ -5,9 +5,9 @@
 //! counter, repeats the identical work, and asserts the second pass
 //! allocated **nothing** — kernels, shard programs, stage transitions
 //! with their interconnect charge, and stage barriers with their offload
-//! charge. (The machine's per-step clock ledger is a growing
-//! `Vec<StageTiming>`; the machine tests warm it past the steps they
-//! measure, so only a capacity doubling could show up there.)
+//! charge. (The clock's per-step ledger is a growing `Vec<StageTiming>`;
+//! the machine tests warm it past the steps they measure, so only a
+//! capacity doubling could show up there.)
 //! PARTITION gets a budget instead of a zero: a whole `plan` call may
 //! allocate at most once per two DP child states. So does building a
 //! stage's shard programs, which allocates its output: a warm build may
@@ -22,7 +22,7 @@
 //! holds one test's workers at a time.
 
 use atlas::core::exec::build_stage_programs;
-use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
+use atlas::machine::{Clock, CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
@@ -260,12 +260,40 @@ fn relayout_perms(n: u32) -> Vec<QubitPermutation> {
         .collect()
 }
 
-/// Applies every transition of `perms` twice, restoring the layout.
-fn relayout_round(machine: &mut Machine, perms: &[QubitPermutation], pool: &Pool) {
+/// Applies every transition of `perms` twice, restoring the layout: each
+/// one charged to `clock` and moved on `machine`, as the executor does.
+fn relayout_round(
+    clock: &mut Clock,
+    machine: &mut Machine,
+    perms: &[QubitPermutation],
+    pool: &Pool,
+) {
     for perm in perms {
-        machine.permute_state(perm, 0, pool);
-        machine.permute_state(perm, 0, pool);
+        for _ in 0..2 {
+            let step = clock.num_steps();
+            clock.charge_permute(perm, 0);
+            machine.permute_state(perm, 0, step, pool);
+        }
     }
+}
+
+/// Charges `programs`' kernels to `clock`, shard by shard.
+fn charge_programs(clock: &mut Clock, programs: &[ShardProgram]) {
+    for (s, prog) in programs.iter().enumerate() {
+        for op in prog {
+            match op {
+                ShardOp::Fusion { qubits, .. } => clock.charge_fusion(s, qubits.len() as u32),
+                ShardOp::ShmParts { .. } => clock.charge_shm(s, 1.0),
+                ShardOp::Scale(_) => {}
+            }
+        }
+    }
+}
+
+/// A clock and a machine holding `state` on `spec`.
+fn clock_and_machine(spec: MachineSpec, state: &StateVector) -> (Clock, Machine) {
+    let clock = Clock::new(spec, CostModel::default(), state.num_qubits());
+    (clock, Machine::with_state(spec, state))
 }
 
 #[test]
@@ -277,7 +305,7 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
         local_qubits: 7,
     };
     let reference = dense_state(n);
-    let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
+    let (mut clock, mut machine) = clock_and_machine(spec, &reference);
 
     let h = Gate::new(GateKind::H, &[1]).matrix();
     let cp = Gate::new(GateKind::CP(0.6), &[0, 2]).matrix();
@@ -300,7 +328,6 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
                 },
                 ShardOp::ShmParts {
                     parts: shm_parts.clone(),
-                    per_amp_ns: 1.0,
                     scale: Complex64::cis(0.11),
                 },
                 ShardOp::Scale(Complex64::cis(0.05)),
@@ -317,22 +344,25 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
     // handle vector and the relayout tables at their largest. Four rounds
     // of 8 transitions and a barrier leave 36 steps in the clock ledger
     // (capacity 64), so the measured round's 9 fit without growing it.
-    machine.run_shard_programs(&programs, &Pool::SERIAL);
+    charge_programs(&mut clock, &programs);
+    machine.run_shard_programs(&programs, 0, &Pool::SERIAL);
     for _ in 0..4 {
-        relayout_round(&mut machine, &perms, &Pool::SERIAL);
-        machine.stage_barrier();
+        relayout_round(&mut clock, &mut machine, &perms, &Pool::SERIAL);
+        clock.stage_barrier();
     }
 
     let before = allocs();
-    machine.run_shard_programs(&programs, &Pool::SERIAL);
+    charge_programs(&mut clock, &programs);
+    machine.run_shard_programs(&programs, clock.num_steps(), &Pool::SERIAL);
     let kernel_delta = allocs() - before;
     let before = allocs();
-    relayout_round(&mut machine, &perms, &Pool::SERIAL);
-    machine.stage_barrier();
+    relayout_round(&mut clock, &mut machine, &perms, &Pool::SERIAL);
+    clock.stage_barrier();
     let relayout_delta = allocs() - before;
     assert_eq!(
         kernel_delta, 0,
-        "steady-state shard-program execution performed {kernel_delta} heap allocations"
+        "steady-state shard-program execution and its charge performed \
+         {kernel_delta} heap allocations"
     );
     assert_eq!(
         relayout_delta, 0,
@@ -358,8 +388,9 @@ fn enabled_recorder_steady_state_records_without_allocating() {
         local_qubits: 7,
     };
     let reference = dense_state(n);
-    let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
+    let (mut clock, mut machine) = clock_and_machine(spec, &reference);
     let recorder = Recorder::enabled();
+    clock.set_recorder(recorder.clone());
     machine.set_recorder(recorder.clone());
 
     let h = Gate::new(GateKind::H, &[1]).matrix();
@@ -377,16 +408,16 @@ fn enabled_recorder_steady_state_records_without_allocating() {
     // Warm-up: builds the scratch arena, the recorder's thread-local
     // event buffer, the metric registry's counter slots, the relayout
     // buffers, and a clock ledger with room for the measured round.
-    machine.run_shard_programs(&programs, &Pool::SERIAL);
+    machine.run_shard_programs(&programs, 0, &Pool::SERIAL);
     for _ in 0..4 {
-        relayout_round(&mut machine, &perms, &Pool::SERIAL);
-        machine.stage_barrier();
+        relayout_round(&mut clock, &mut machine, &perms, &Pool::SERIAL);
+        clock.stage_barrier();
     }
 
     let before = allocs();
-    machine.run_shard_programs(&programs, &Pool::SERIAL);
-    relayout_round(&mut machine, &perms, &Pool::SERIAL);
-    machine.stage_barrier();
+    machine.run_shard_programs(&programs, clock.num_steps(), &Pool::SERIAL);
+    relayout_round(&mut clock, &mut machine, &perms, &Pool::SERIAL);
+    clock.stage_barrier();
     let delta = allocs() - before;
     assert_eq!(
         delta, 0,
@@ -398,12 +429,10 @@ fn enabled_recorder_steady_state_records_without_allocating() {
     assert_eq!(recorder.dropped(), 0);
     let events = recorder.drain();
     let kernel_spans = events.iter().filter(|e| e.name == "kernel.apply").count();
-    let reshuffles = events
-        .iter()
-        .filter(|e| e.name == "machine.reshuffle")
-        .count();
+    let steps = events.iter().filter(|e| e.name == "machine.step").count();
     assert_eq!(kernel_spans, 2 * machine.num_shards());
-    assert_eq!(reshuffles, 5 * 2 * perms.len());
+    // Every round: two transitions per permutation, then a barrier.
+    assert_eq!(steps, 5 * (2 * perms.len() + 1));
 }
 
 #[test]
@@ -417,16 +446,16 @@ fn warm_pooled_relayout_allocates_nothing() {
         local_qubits: 7,
     };
     let reference = dense_state(n);
-    let mut machine = Machine::with_state(spec, CostModel::default(), &reference);
+    let (mut clock, mut machine) = clock_and_machine(spec, &reference);
     let perms = relayout_perms(n);
     let _turn = take_turn();
     with_pool(2, |pool| {
         mark_pool_workers(pool);
         for _ in 0..3 {
-            relayout_round(&mut machine, &perms, pool);
+            relayout_round(&mut clock, &mut machine, &perms, pool);
         }
         let before = (allocs(), WORKER_ALLOCS.load(Ordering::Relaxed));
-        relayout_round(&mut machine, &perms, pool);
+        relayout_round(&mut clock, &mut machine, &perms, pool);
         let main = allocs() - before.0;
         let workers = WORKER_ALLOCS.load(Ordering::Relaxed) - before.1;
         assert_eq!(
@@ -435,7 +464,7 @@ fn warm_pooled_relayout_allocates_nothing() {
             "warm pooled relayout: allocations on the (submitting thread, workers)"
         );
     });
-    let want = Machine::with_state(spec, CostModel::default(), &reference);
+    let want = Machine::with_state(spec, &reference);
     assert_eq!(machine.gather_state(), want.gather_state());
 }
 

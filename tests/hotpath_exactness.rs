@@ -30,7 +30,7 @@ mod build_oracle;
 
 use atlas::core::exec::build_stage_programs;
 use atlas::machine::cost::AMP_BYTES;
-use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
+use atlas::machine::{Clock, CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
 use atlas::statevec::apply::{PARALLEL_ELEMENT_CUTOFF, PARALLEL_GROUP_CUTOFF};
@@ -448,12 +448,8 @@ fn op_bits(op: &ShardOp) -> Vec<u64> {
                 }
             }
         }
-        ShardOp::ShmParts {
-            parts,
-            per_amp_ns,
-            scale,
-        } => {
-            v.extend([1, per_amp_ns.to_bits()]);
+        ShardOp::ShmParts { parts, scale } => {
+            v.push(1);
             v.extend(cbits(scale));
             for (qs, m) in parts.iter() {
                 list(&mut v, qs);
@@ -839,7 +835,7 @@ proptest! {
     /// oracle for arbitrary permutations and flips — covering the
     /// shard-local in-place path, the pure relabel (handle-shuffle) path
     /// and the general pooled path — on every relayout shape, through
-    /// pools of 1, 2 and 3 threads, and it charges the same model clock.
+    /// pools of 1, 2 and 3 threads.
     #[test]
     fn permute_state_blocks_match_scatter_bitwise(
         seed in any::<u64>(),
@@ -859,25 +855,19 @@ proptest! {
                     (QubitPermutation::from_map(map), flip)
                 })
                 .collect();
-            let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
+            let mut scatter = Machine::with_state(spec, &reference);
             for (perm, flip) in &transitions {
                 scatter.permute_state_scatter(perm, *flip);
             }
-            let want = scatter.report();
             for threads in THREADS {
-                let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
+                let mut blocks = Machine::with_state(spec, &reference);
                 with_pool(threads, |pool| {
-                    for (perm, flip) in &transitions {
-                        blocks.permute_state(perm, *flip, pool);
+                    for (step, (perm, flip)) in transitions.iter().enumerate() {
+                        blocks.permute_state(perm, *flip, step as u32, pool);
                     }
                 });
                 let label = format!("relayout n={n} L={} threads={threads}", spec.local_qubits);
                 assert_bits_eq(&blocks.gather_state(), &scatter.gather_state(), &label);
-                // Cost accounting must agree too (shared charge helper).
-                let got = blocks.report();
-                prop_assert_eq!(got.bytes_intra, want.bytes_intra);
-                prop_assert_eq!(got.bytes_inter, want.bytes_inter);
-                prop_assert_eq!(got.comm_secs.to_bits(), want.comm_secs.to_bits());
             }
         }
     }
@@ -910,11 +900,11 @@ proptest! {
                 ("relabel", &identity, high_flip & high_mask),
             ];
             for (name, perm, flip) in cases {
-                let mut scatter = Machine::with_state(spec, CostModel::default(), &reference);
+                let mut scatter = Machine::with_state(spec, &reference);
                 scatter.permute_state_scatter(perm, flip);
                 for threads in THREADS {
-                    let mut blocks = Machine::with_state(spec, CostModel::default(), &reference);
-                    with_pool(threads, |pool| blocks.permute_state(perm, flip, pool));
+                    let mut blocks = Machine::with_state(spec, &reference);
+                    with_pool(threads, |pool| blocks.permute_state(perm, flip, 0, pool));
                     assert_bits_eq(
                         &blocks.gather_state(),
                         &scatter.gather_state(),
@@ -949,9 +939,9 @@ proptest! {
         let flip = flip & ((1u64 << n) - 1);
 
         let cost = CostModel::default();
-        let mut dry = Machine::new(spec, cost.clone(), n, true);
-        dry.permute_state(&perm, flip, &Pool::SERIAL);
-        let got = dry.report();
+        let mut clock = Clock::new(spec, cost.clone(), n);
+        clock.charge_permute(&perm, flip);
+        let got = clock.report();
         let want = walked_charge(&spec, n, &perm, flip, &cost);
         let shape = format!("n={n} L={l} {}x{}", spec.nodes, spec.gpus_per_node);
         prop_assert_eq!(got.per_step.len(), 1);
