@@ -10,7 +10,12 @@
 //!   dense sweep on a contiguous k=5 window and strided at k=3..6; a
 //!   controlled kernel (2 controls, 3 targets); a strided k=5 permutation;
 //!   and a k=5 diagonal against the per-amplitude `extract_bits` loop
-//!   written out below;
+//!   written out below; and `perm_run_dense22`, the stage-0 shard-0
+//!   program of su2random at `dense22`'s shape (n = 22 on 2×2 GPUs,
+//!   L = 19), run as the per-kernel program of
+//!   `tests/common/build_oracle.rs` (`generic_secs`) and as the program
+//!   `build_stage_programs` emits, its permutation runs coalesced
+//!   (`fast_secs`);
 //! * **reshuffle** — `Machine` stage transitions: the table-driven
 //!   ping-pong relayout (`permute_state`) vs. the per-amplitude scatter
 //!   oracle (`permute_state_scatter`) for a cross-shard permutation with
@@ -33,6 +38,8 @@
 //! should know both; every number here is a *single-thread* one except
 //! `field_swap_t0_threads2`'s `fast_secs`.
 
+// The coalescing oracle serves the exactness tests only.
+#[allow(dead_code)]
 #[path = "../../../tests/common/build_oracle.rs"]
 mod build_oracle;
 
@@ -40,7 +47,7 @@ use atlas_circuit::{generators, Circuit};
 use atlas_core::exec::build_stage_programs;
 use atlas_core::session::Planner;
 use atlas_core::AtlasConfig;
-use atlas_machine::{CostModel, Machine, MachineSpec};
+use atlas_machine::{CostModel, Machine, MachineSpec, ShardProgram};
 use atlas_qmath::{extract_bits, Complex64, Matrix, QubitPermutation};
 use atlas_statevec::reference::{
     apply_controlled_matrix_generic, apply_matrix_generic, apply_permutation_generic,
@@ -198,6 +205,57 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         },
     ));
     cases
+}
+
+/// Times the stage-0 shard-0 program of su2random at `dense22`'s shape
+/// (quick: its n = 14, L = 11 shape) on a one-shard machine: the oracle's
+/// per-kernel program against the coalesced one.
+fn perm_run_case(reps: usize) -> Case {
+    let (n, l) = if quick() { (14, 11) } else { (22, 19) };
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: l,
+    };
+    let circuit = generators::su2random(n);
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let compiled = planner.plan(&circuit).expect("su2random plans");
+    let plan = compiled.plan();
+    let (stage, shards) = (&plan.stages[0], spec.num_shards(n));
+    let programs = |build: fn(&Circuit, &_, u32, usize) -> Vec<ShardProgram>| {
+        let mut programs = build(&circuit, stage, plan.l, shards);
+        programs.truncate(1);
+        programs
+    };
+    let per_kernel = programs(build_oracle::oracle_stage_programs);
+    let coalesced = programs(build_stage_programs);
+    let one_shard = MachineSpec {
+        nodes: 1,
+        gpus_per_node: 1,
+        local_qubits: l,
+    };
+    let mut machine = Machine::with_state(one_shard, &dense_state(l));
+    let mut time = |programs: &[ShardProgram]| {
+        machine.run_shard_programs(programs, 0, &Pool::SERIAL);
+        best_of(reps, || {
+            machine.run_shard_programs(programs, 0, &Pool::SERIAL)
+        })
+    };
+    let case = Case {
+        name: "perm_run_dense22",
+        generic_secs: time(&per_kernel),
+        fast_secs: time(&coalesced),
+    };
+    println!(
+        "apply/{:<16} per-kernel {:.4}s ({} ops)  coalesced {:.4}s ({} ops)  speedup {:.2}x",
+        case.name,
+        case.generic_secs,
+        per_kernel[0].len(),
+        case.fast_secs,
+        coalesced[0].len(),
+        case.speedup()
+    );
+    case
 }
 
 /// Times `permute_state` on a pool of `threads` against the serial
@@ -366,7 +424,8 @@ fn emit_json() {
     } else {
         (20, 22, 20, (20, 10), 5)
     };
-    let apply = apply_cases(n_apply, reps);
+    let mut apply = apply_cases(n_apply, reps);
+    apply.push(perm_run_case(reps));
     let shuffle = reshuffle_cases(n_shuffle, l_shuffle, (n_field, l_field), reps);
     let build = build_cases(reps);
 

@@ -17,14 +17,20 @@ pub struct Circuit {
 }
 
 impl Circuit {
+    /// The widest circuit the container accepts.
+    pub const MAX_QUBITS: u32 = 4096;
+
     /// Creates an empty circuit over `n` qubits.
     ///
-    /// The container itself is backend-agnostic and accepts up to 4096
-    /// qubits (the stabilizer tableau runs in polynomial space). The
-    /// statevector planner enforces its own n ≤ 63 bound — bitmask
-    /// shard arithmetic — with a typed error at plan time.
+    /// The container itself is backend-agnostic and accepts up to
+    /// [`Circuit::MAX_QUBITS`] qubits (the stabilizer tableau runs in
+    /// polynomial space). The statevector planner enforces its own n ≤ 63
+    /// bound — bitmask shard arithmetic — with a typed error at plan time.
     pub fn new(n: u32) -> Self {
-        assert!((1..=4096).contains(&n), "supported qubit range is 1..=4096");
+        assert!(
+            (1..=Self::MAX_QUBITS).contains(&n),
+            "supported qubit range is 1..=4096"
+        );
         Circuit {
             n,
             gates: Vec::new(),

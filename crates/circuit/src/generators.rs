@@ -93,7 +93,27 @@ impl Family {
         })
     }
 
-    /// Generates the family's circuit on `n` qubits.
+    /// Smallest `n` [`Family::generate`] accepts: the minimum its
+    /// generator asserts, or a [`Circuit`]'s one qubit.
+    pub fn min_qubits(self) -> u32 {
+        use Family::*;
+        match self {
+            Ae => AE_MIN,
+            Dj => DJ_MIN,
+            Ghz | Qft => 1,
+            GraphState => GRAPHSTATE_MIN,
+            Ising => ISING_MIN,
+            QpeExact => QPEEXACT_MIN,
+            Qsvm => QSVM_MIN,
+            Su2Random => SU2RANDOM_MIN,
+            Vqc => VQC_MIN,
+            WState => WSTATE_MIN,
+            Hhl => HHL_MIN,
+        }
+    }
+
+    /// Generates the family's circuit on `n` qubits. Panics outside the
+    /// family's domain; [`generate`] is the fallible door.
     pub fn generate(self, n: u32) -> Circuit {
         use Family::*;
         match self {
@@ -111,6 +131,80 @@ impl Family {
             Hhl => hhl(n),
         }
     }
+}
+
+/// Why [`generate`] could not build a circuit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GenerateError {
+    /// No generator has this name.
+    UnknownFamily(String),
+    /// The generator exists but not at this size.
+    OutOfDomain {
+        /// The family name asked for.
+        family: String,
+        /// The size asked for.
+        n: u32,
+        /// The smallest size the family accepts.
+        min: u32,
+        /// The largest size the family accepts.
+        max: u32,
+    },
+}
+
+impl std::fmt::Display for GenerateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GenerateError::UnknownFamily(name) => write!(f, "unknown family '{name}'"),
+            GenerateError::OutOfDomain {
+                family,
+                n,
+                min,
+                max,
+            } => write!(
+                f,
+                "family '{family}' needs {min} <= n <= {max} qubits, got n = {n}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GenerateError {}
+
+/// The one fallible door to the generators: the circuit of family `name`
+/// — a [`Family`] name or one of the regression generators `qaoa`,
+/// `grover` and `clifford` — on `n` qubits, or why there is none. It
+/// checks `n` against the family's minimum (the constant its generator
+/// asserts) and [`Circuit::MAX_QUBITS`] before calling the generator, so
+/// no input makes it panic.
+pub fn generate(name: &str, n: u32) -> Result<Circuit, GenerateError> {
+    let family = match name {
+        "qaoa" | "grover" | "clifford" => None,
+        _ => Some(
+            Family::from_name(name)
+                .ok_or_else(|| GenerateError::UnknownFamily(name.to_string()))?,
+        ),
+    };
+    let min = match (name, family) {
+        (_, Some(family)) => family.min_qubits(),
+        ("qaoa", _) => QAOA_MIN,
+        ("grover", _) => GROVER_MIN,
+        _ => CLIFFORD_MIN,
+    };
+    let max = Circuit::MAX_QUBITS;
+    if !(min..=max).contains(&n) {
+        return Err(GenerateError::OutOfDomain {
+            family: name.to_string(),
+            n,
+            min,
+            max,
+        });
+    }
+    Ok(match (name, family) {
+        (_, Some(family)) => family.generate(n),
+        ("qaoa", _) => qaoa(n),
+        ("grover", _) => grover(n),
+        _ => clifford(n),
+    })
 }
 
 fn seeded_rng(family: &str, n: u32) -> StdRng {
@@ -132,10 +226,13 @@ pub fn ghz(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`dj`] accepts.
+const DJ_MIN: u32 = 2;
+
 /// Deutsch–Jozsa with a balanced oracle on the last qubit. Exactly `3n - 2`
 /// gates: `n` H, `n-1` oracle CX, `n-1` closing H.
 pub fn dj(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= DJ_MIN);
     let mut c = Circuit::named(n, format!("dj_{n}"));
     for q in 0..n {
         c.h(q);
@@ -149,9 +246,12 @@ pub fn dj(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`graphstate`] accepts.
+const GRAPHSTATE_MIN: u32 = 3;
+
 /// Ring graph state: `n` H + `n` CZ. Exactly `2n` gates.
 pub fn graphstate(n: u32) -> Circuit {
-    assert!(n >= 3);
+    assert!(n >= GRAPHSTATE_MIN);
     let mut c = Circuit::named(n, format!("graphstate_{n}"));
     for q in 0..n {
         c.h(q);
@@ -162,11 +262,14 @@ pub fn graphstate(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`ising`] accepts.
+const ISING_MIN: u32 = 2;
+
 /// Transverse-field Ising Trotterization: an H layer then two steps of
 /// [RX layer, RZ layer, nearest-neighbour ZZ couplers as CX·RZ·CX].
 /// Exactly `11n - 6` gates.
 pub fn ising(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= ISING_MIN);
     let mut rng = seeded_rng("ising", n);
     let mut c = Circuit::named(n, format!("ising_{n}"));
     for q in 0..n {
@@ -219,11 +322,14 @@ pub fn append_qft(c: &mut Circuit, qs: &[u32], inverse: bool) {
     }
 }
 
+/// Smallest `n` [`qpeexact`] accepts.
+const QPEEXACT_MIN: u32 = 2;
+
 /// Exact quantum phase estimation: eigenstate qubit `q0` (prepared with X),
 /// `n-1` counting qubits, controlled-phase powers, inverse QFT.
 /// `(n-1)n/2 + 2n - 1` gates — within ±2 of Table I for all sizes.
 pub fn qpeexact(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= QPEEXACT_MIN);
     let mut c = Circuit::named(n, format!("qpeexact_{n}"));
     c.x(0);
     let counting: Vec<u32> = (1..n).collect();
@@ -238,10 +344,13 @@ pub fn qpeexact(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`qsvm`] accepts.
+const QSVM_MIN: u32 = 2;
+
 /// QSVM ZZ-feature-map with two repetitions and linear entanglement.
 /// Exactly `10n - 6` gates.
 pub fn qsvm(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= QSVM_MIN);
     let mut rng = seeded_rng("qsvm", n);
     let mut c = Circuit::named(n, format!("qsvm_{n}"));
     for _rep in 0..2 {
@@ -260,11 +369,14 @@ pub fn qsvm(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`su2random`] accepts.
+const SU2RANDOM_MIN: u32 = 2;
+
 /// EfficientSU2 ansatz with random parameters: four single-qubit rotation
 /// layers (RY/RZ alternating) and three full-entanglement CX layers.
 /// Exactly `n(3n+5)/2` gates.
 pub fn su2random(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= SU2RANDOM_MIN);
     let mut rng = seeded_rng("su2random", n);
     let mut c = Circuit::named(n, format!("su2random_{n}"));
     for layer in 0..4u32 {
@@ -287,11 +399,14 @@ pub fn su2random(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`vqc`] accepts.
+const VQC_MIN: u32 = 4;
+
 /// Variational quantum classifier: ZZ feature map (full entanglement), a
 /// full CZ entangler, five RY+RZ rotation layers and a truncated final RY
 /// layer. Exactly `2n² + 11n - 3` gates.
 pub fn vqc(n: u32) -> Circuit {
-    assert!(n >= 4);
+    assert!(n >= VQC_MIN);
     let mut rng = seeded_rng("vqc", n);
     let mut c = Circuit::named(n, format!("vqc_{n}"));
     // Feature map: n H + n P + 3·C(n,2).
@@ -329,10 +444,13 @@ pub fn vqc(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`wstate`] accepts.
+const WSTATE_MIN: u32 = 2;
+
 /// W state preparation: X seed, an RY·CZ·RY cascade, and a CX chain.
 /// Exactly `4n - 3` gates.
 pub fn wstate(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= WSTATE_MIN);
     let mut c = Circuit::named(n, format!("wstate_{n}"));
     c.x(n - 1);
     for i in (0..n - 1).rev() {
@@ -348,11 +466,14 @@ pub fn wstate(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`ae`] accepts.
+const AE_MIN: u32 = 2;
+
 /// Amplitude estimation: one state-preparation qubit (`q0`), `n-1`
 /// evaluation qubits, one 4-gate controlled-Grover block per evaluation
 /// qubit, inverse QFT. Exactly `(n² + 9n - 8)/2` gates.
 pub fn ae(n: u32) -> Circuit {
-    assert!(n >= 2);
+    assert!(n >= AE_MIN);
     let mut rng = seeded_rng("ae", n);
     let mut c = Circuit::named(n, format!("ae_{n}"));
     let a = rng.random_range(0.2..PI - 0.2);
@@ -379,12 +500,15 @@ pub fn qaoa(n: u32) -> Circuit {
     qaoa_layers(n, 2)
 }
 
+/// Smallest `n` [`qaoa_layers`] accepts.
+const QAOA_MIN: u32 = 3;
+
 /// QAOA for MaxCut on an `n`-node ring graph with `p` alternating
 /// cost/mixer layers: per layer, `RZZ(2γ)` on every ring edge then
 /// `RX(2β)` on every qubit, with seeded `(γ, β)`. Exactly `n + 2pn`
 /// gates.
 pub fn qaoa_layers(n: u32, p: u32) -> Circuit {
-    assert!(n >= 3, "ring graph needs at least 3 nodes");
+    assert!(n >= QAOA_MIN, "ring graph needs at least 3 nodes");
     let mut rng = seeded_rng("qaoa", n);
     let mut c = Circuit::named(n, format!("qaoa_{n}"));
     for q in 0..n {
@@ -403,6 +527,9 @@ pub fn qaoa_layers(n: u32, p: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`clifford`] accepts.
+const CLIFFORD_MIN: u32 = 2;
+
 /// A fixed-seed random Clifford circuit: four rounds of [one random
 /// single-qubit Clifford per qubit, then `n` random two-qubit Clifford
 /// gates on random distinct pairs]. Exactly `8n` gates, all drawn from
@@ -410,7 +537,7 @@ pub fn qaoa_layers(n: u32, p: u32) -> Circuit {
 /// backend — and re-runs on the statevector engine bit-for-bit
 /// identically, which is what the backend differential suite diffs.
 pub fn clifford(n: u32) -> Circuit {
-    assert!(n >= 2, "clifford family needs at least 2 qubits");
+    assert!(n >= CLIFFORD_MIN, "clifford family needs at least 2 qubits");
     let mut rng = seeded_rng("clifford", n);
     let mut c = Circuit::named(n, format!("clifford_{n}"));
     let singles = [
@@ -439,13 +566,16 @@ pub fn clifford(n: u32) -> Circuit {
     c
 }
 
+/// Smallest `n` [`grover`] accepts.
+const GROVER_MIN: u32 = 2;
+
 /// Grover search over `n` total qubits: the largest data register `d`
 /// whose multi-controlled-Z fits in `n` (a Toffoli V-chain needs `d - 2`
 /// ancillas for `d ≥ 4`; `d ≤ 3` uses CZ/CCZ directly), a seeded marked
 /// item, and `⌊π/4·√2^d⌋` amplification rounds. Leftover qubits idle in
 /// `|0⟩`, which exercises the planner's insular-qubit handling.
 pub fn grover(n: u32) -> Circuit {
-    assert!(n >= 2, "grover needs at least 2 qubits");
+    assert!(n >= GROVER_MIN, "grover needs at least 2 qubits");
     // Largest d with d + ancillas(d) ≤ n, where ancillas(d) = max(d-2, 0)
     // for d ≥ 4 and 0 otherwise.
     let d = if n < 6 { n.min(3) } else { (n + 2) / 2 };
@@ -522,9 +652,12 @@ pub fn hhl(nq: u32) -> Circuit {
     hhl_padded(nq, 28)
 }
 
+/// Smallest `nq` [`hhl_padded`] accepts.
+const HHL_MIN: u32 = 4;
+
 /// [`hhl`] with an explicit pad width.
 pub fn hhl_padded(nq: u32, pad_to: u32) -> Circuit {
-    assert!(nq >= 4);
+    assert!(nq >= HHL_MIN);
     let n = nq.max(pad_to);
     let mut rng = seeded_rng("hhl", nq);
     let mut c = Circuit::named(n, format!("hhl_{nq}"));
@@ -646,6 +779,30 @@ mod tests {
             let b = fam.generate(8);
             assert_eq!(a.gates(), b.gates(), "{fam:?} not deterministic");
         }
+    }
+
+    #[test]
+    fn the_door_answers_every_size_without_panicking() {
+        let names = Family::table1()
+            .into_iter()
+            .map(Family::name)
+            .chain(["hhl", "qaoa", "grover", "clifford"]);
+        for name in names {
+            let min = match generate(name, 0) {
+                Err(GenerateError::OutOfDomain { min, max, .. }) => {
+                    assert_eq!(max, Circuit::MAX_QUBITS);
+                    min
+                }
+                other => panic!("{name} n=0: {other:?}"),
+            };
+            assert!(generate(name, min - 1).is_err(), "{name}");
+            assert!(generate(name, min).is_ok(), "{name} at its minimum {min}");
+            assert!(generate(name, Circuit::MAX_QUBITS + 1).is_err(), "{name}");
+        }
+        assert_eq!(
+            generate("nope", 8),
+            Err(GenerateError::UnknownFamily("nope".into()))
+        );
     }
 
     #[test]

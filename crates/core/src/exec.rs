@@ -28,7 +28,7 @@ use crate::staging::{self, StagingOutcome};
 use atlas_circuit::{insular, Circuit, Gate};
 use atlas_error::AtlasError;
 use atlas_machine::{Clock, CostModel, Machine, ShardOp, ShardProgram};
-use atlas_qmath::{Complex64, Matrix, QubitPermutation};
+use atlas_qmath::{deposit_bits, extract_bits, Complex64, Matrix, QubitPermutation};
 use atlas_statevec::{classify_kernel, fuse_gate_into, FastKernel, Pool};
 use atlas_telemetry::{secs_to_ns, Recorder};
 use std::sync::Arc;
@@ -527,6 +527,7 @@ fn run_stage(
             ("kernels", counts.kernels),
             ("fused", counts.fused),
             ("gate_apps", counts.gate_apps),
+            ("coalesced", counts.coalesced),
         ],
     );
     machine.run_shard_programs(&programs, step, pool);
@@ -534,8 +535,10 @@ fn run_stage(
 
 /// Compiles one stage into a per-shard instruction sequence: insular
 /// specialization per shard pattern, fused-matrix structure classification
-/// ([`classify_kernel`]) shared across shards with equal patterns, and the
-/// per-shard scalar folded into the first kernel that accepts it.
+/// ([`classify_kernel`]) shared across shards with equal patterns, the
+/// per-shard scalar folded into the first kernel that accepts it, and each
+/// run of adjacent unit-phase permutation kernels coalesced into one
+/// [`FastKernel::Relabel`] pass (see `coalesce_permutation_runs`).
 ///
 /// A fusion kernel is fused once per *gate prefix* its shard patterns
 /// share, not once per pattern (see `PrefixFuser`), and each gate is
@@ -572,6 +575,9 @@ struct BuildCounts {
     fused: u64,
     /// Gates applied to an accumulator ([`fuse_gate_into`] calls).
     gate_apps: u64,
+    /// Shard ops folded into coalesced permutation runs, summed over
+    /// shards.
+    coalesced: u64,
 }
 
 /// [`build_stage_programs`] plus its work counts.
@@ -666,7 +672,149 @@ fn build_programs(
             prog.push(ShardOp::Scale(shard_scalars[s]));
         }
     }
-    (programs, fuser.counts)
+    let mut counts = fuser.counts;
+    counts.coalesced = coalesce_permutation_runs(&mut programs, coalesce_cap(l));
+    (programs, counts)
+}
+
+/// The widest qubit union a coalesced permutation run may span. A wider
+/// run is cut greedily into runs within it. The sweep behind the value is
+/// in `docs/PERFORMANCE.md` ("Coalesced permutation runs"): past it the
+/// passes saved come slowly, while every distinct union costs each worker
+/// a `2^k`-entry offset table, and wider tables would fall out of the
+/// scratch arena's memo.
+const COALESCE_MAX_QUBITS: u32 = 11;
+
+/// The widest union a coalesced run may span on shards of `2^l`
+/// amplitudes: [`COALESCE_MAX_QUBITS`], and at most `l − 3`. Composing a
+/// run costs `2^|union|` index updates per kernel, once per distinct run;
+/// it saves one pass over `2^l` amplitudes per kernel on every shard that
+/// holds the run. Keeping the union 3 qubits narrower than the shard
+/// holds the composition under an eighth of the passes it saves even
+/// when every shard has a run of its own.
+fn coalesce_cap(l: u32) -> u32 {
+    COALESCE_MAX_QUBITS.min(l.saturating_sub(3))
+}
+
+/// Coalesces, in every shard program, each maximal run of two or more
+/// adjacent unscaled [`ShardOp::Fusion`] ops whose kernel is a unit-phase
+/// permutation ([`FastKernel::is_unit_permutation`]) into one
+/// [`FastKernel::Relabel`] op over the ascending union of their qubits,
+/// cutting a run greedily where the union would pass `cap` qubits.
+/// Returns the number of ops folded.
+///
+/// The relabel moves each amplitude where the run's passes would, and its
+/// `ONE · (ONE · a)` step is what two or more unit-phase passes leave of
+/// the amplitude's bits, so the programs' results are unchanged to the
+/// bit. A run is keyed by its kernels' `Arc` identities: each distinct run
+/// is composed once per stage and every shard holding it shares the
+/// result.
+fn coalesce_permutation_runs(programs: &mut [ShardProgram], cap: u32) -> u64 {
+    let mut composed: DetMap<Vec<*const FastKernel>, ShardOp> = DetMap::default();
+    let mut key: Vec<*const FastKernel> = Vec::new();
+    let mut folded = 0;
+    for prog in programs.iter_mut() {
+        let (mut read, mut write) = (0, 0);
+        while read < prog.len() {
+            let mut end = read;
+            let mut union = 0u64;
+            while let Some(mask) = prog.get(end).and_then(unit_permutation_mask) {
+                if end > read && (union | mask).count_ones() > cap {
+                    break;
+                }
+                union |= mask;
+                end += 1;
+            }
+            if end - read < 2 {
+                prog.swap(write, read);
+                (read, write) = (read + 1, write + 1);
+                continue;
+            }
+            let run = &prog[read..end];
+            key.clear();
+            key.extend(run.iter().map(|op| match op {
+                ShardOp::Fusion { kernel, .. } => Arc::as_ptr(kernel),
+                _ => unreachable!("runs hold fusion ops only"),
+            }));
+            let op = match composed.get(key.as_slice()) {
+                Some(op) => op.clone(),
+                None => {
+                    let op = compose_run(run, union);
+                    composed.insert(key.clone(), op.clone());
+                    op
+                }
+            };
+            folded += run.len() as u64;
+            prog[write] = op;
+            (read, write) = (end, write + 1);
+        }
+        prog.truncate(write);
+    }
+    folded
+}
+
+/// The qubit mask of `op` if it is an unscaled fusion op whose kernel is
+/// a unit-phase permutation — a member of a coalescible run.
+fn unit_permutation_mask(op: &ShardOp) -> Option<u64> {
+    match op {
+        ShardOp::Fusion {
+            qubits,
+            kernel,
+            scale,
+        } if scale.bit_eq(Complex64::ONE) && kernel.is_unit_permutation() => {
+            Some(qubits.iter().fold(0, |m, &q| m | 1 << q))
+        }
+        _ => None,
+    }
+}
+
+/// Composes a run of unit-phase permutation ops over the qubit mask
+/// `union` into one relabel op: basis index `x` of the union goes where
+/// the run's permutations, applied in program order, send it.
+fn compose_run(run: &[ShardOp], union: u64) -> ShardOp {
+    let qubits: Vec<u32> = (0..u64::BITS).filter(|&q| union >> q & 1 == 1).collect();
+    let mut dst: Vec<u32> = (0..1u32 << qubits.len()).collect();
+    // A kernel's bits of a union index are the OR of what its low byte
+    // and its high bits hold, so extraction is two lookups per entry.
+    let mut low = [0u32; 256];
+    let mut high = vec![0u32; 1 << qubits.len().saturating_sub(8)];
+    let mut moved: Vec<u32> = Vec::new();
+    let mut pos: Vec<u32> = Vec::new();
+    for op in run {
+        let ShardOp::Fusion {
+            qubits: kq, kernel, ..
+        } = op
+        else {
+            unreachable!("runs hold fusion ops only")
+        };
+        let FastKernel::Permutation { dst: step, .. } = &**kernel else {
+            unreachable!("runs hold permutation kernels only")
+        };
+        // Kernel bit `t` sits at bit `pos[t]` of the union index.
+        pos.clear();
+        pos.extend(kq.iter().map(|&q| (union & ((1 << q) - 1)).count_ones()));
+        let mask = deposit_bits((1 << pos.len()) - 1, &pos) as u32;
+        for (b, e) in low.iter_mut().enumerate() {
+            *e = extract_bits(b as u64, &pos) as u32;
+        }
+        for (b, e) in high.iter_mut().enumerate() {
+            *e = extract_bits((b as u64) << 8, &pos) as u32;
+        }
+        moved.clear();
+        moved.extend(
+            step.iter()
+                .map(|&d| deposit_bits(u64::from(d), &pos) as u32),
+        );
+        for d in dst.iter_mut() {
+            let bits = low[*d as usize & 0xff] | high[*d as usize >> 8];
+            *d = (*d & !mask) | moved[bits as usize];
+        }
+    }
+    ShardOp::Fusion {
+        qubits: Arc::new(qubits),
+        kernel: Arc::new(FastKernel::Relabel { dst }),
+        scale: Complex64::ONE,
+    }
 }
 
 /// The pattern key of a kernel for one shard: the raw shard bits of every

@@ -268,6 +268,18 @@ impl Planner {
                  stabilizer backend (backend = auto or stabilizer)"
             )));
         }
+        // The shard-to-GPU arithmetic splits shard indices into node and
+        // GPU bits, so both counts must be powers of two.
+        for (what, count) in [
+            ("nodes", self.spec.nodes),
+            ("gpus_per_node", self.spec.gpus_per_node),
+        ] {
+            if !count.is_power_of_two() {
+                return Err(AtlasError::invalid_config(format!(
+                    "machine {what} = {count} is not a power of two"
+                )));
+            }
+        }
         let l = self.spec.local_qubits;
         let g = self.spec.global_qubits();
         if n < l + g {

@@ -81,6 +81,13 @@ impl Complex64 {
         }
     }
 
+    /// `true` if both components have exactly the bits of `other`'s —
+    /// unlike `==`, `+0.0` and `-0.0` differ.
+    #[inline]
+    pub fn bit_eq(self, other: Complex64) -> bool {
+        self.re.to_bits() == other.re.to_bits() && self.im.to_bits() == other.im.to_bits()
+    }
+
     /// Multiplication by a real scalar.
     #[inline(always)]
     pub fn scale(self, s: f64) -> Complex64 {

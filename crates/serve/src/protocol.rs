@@ -54,7 +54,7 @@
 
 use crate::json::{self, Json};
 use crate::pool::{JobOutcome, JobOutput, JobRequest};
-use atlas_circuit::generators::{self, Family};
+use atlas_circuit::generators;
 use atlas_circuit::{qasm, Circuit};
 use atlas_error::AtlasError;
 use atlas_sampler::PauliString;
@@ -129,14 +129,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, String> {
                     .ok_or("'n' must be a non-negative integer")?,
                 None => 10,
             };
-            match name {
-                "qaoa" => generators::qaoa(n),
-                "grover" => generators::grover(n),
-                "clifford" => generators::clifford(n),
-                _ => Family::from_name(name)
-                    .ok_or_else(|| format!("unknown family '{name}'"))?
-                    .generate(n),
-            }
+            generators::generate(name, n).map_err(|e| e.to_string())?
         }
     };
     if let Some(shift) = v.get("shift") {
@@ -374,6 +367,24 @@ mod tests {
             (
                 r#"{"id":"x","tenant":"t","op":"plan","family":"ghz","deadline_ms":-5}"#,
                 "'deadline_ms'",
+            ),
+            // Sizes outside a generator's domain answer in-band instead
+            // of panicking the reader.
+            (
+                r#"{"id":"x","tenant":"t","op":"plan","family":"ghz","n":0}"#,
+                "got n = 0",
+            ),
+            (
+                r#"{"id":"x","tenant":"t","op":"plan","family":"qft","n":5000}"#,
+                "n <= 4096",
+            ),
+            (
+                r#"{"id":"x","tenant":"t","op":"plan","family":"su2random","n":1}"#,
+                "'su2random' needs 2 <= n",
+            ),
+            (
+                r#"{"id":"x","tenant":"t","op":"plan","family":"qaoa","n":2}"#,
+                "'qaoa' needs 3 <= n",
             ),
         ] {
             let err = parse_job(line).unwrap_err();

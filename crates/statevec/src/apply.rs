@@ -18,7 +18,7 @@
 //! | unrolled `k = 1` (`q = 0` contiguous pairs, else strided) | ✓ | | |
 //! | unrolled `k = 2` (`{0,1}` in order contiguous, else strided) | ✓ | | |
 //! | `low_window` (qubit *set* `{0..k)`): gather/scatter inside each contiguous chunk | | ✓ | |
-//! | strided runs of adjacent groups with a memoized offset table | | ✓ | |
+//! | strided blocks of nearby groups with a memoized offset table | | ✓ | |
 //! | the lane-blocked sweep, `k ≥ 3` (below) | ✓ | | ✓ |
 //!
 //! — and writes that layout's loop once, as the body of a split from the
@@ -401,10 +401,42 @@ pub fn apply_permutation(
     phase: &[Complex64],
     pool: &Pool,
 ) {
+    assert_eq!(phase.len(), dst.len());
+    permute(scratch, amps, qubits, dst, pool, |x, a| phase[x] * a);
+}
+
+/// Applies a phase-free relabel over `qubits` on `pool`: for every group,
+/// `out[dst[x]] = ONE · (ONE · in[x])` — bit for bit what two or more
+/// sequential [`apply_permutation`] passes whose phases are all exactly
+/// `Complex64::ONE` leave, composed into one `dst` (see
+/// [`crate::FastKernel::Relabel`] for why two multiplies, not one or
+/// none). Same layouts and sweep as [`apply_permutation`].
+pub(crate) fn apply_relabel(
+    scratch: &mut Scratch,
+    amps: &mut [Complex64],
+    qubits: &[u32],
+    dst: &[u32],
+    pool: &Pool,
+) {
+    permute(scratch, amps, qubits, dst, pool, |_, a| {
+        Complex64::ONE * (Complex64::ONE * a)
+    });
+}
+
+/// The permutation sweep shared by [`apply_permutation`] and
+/// [`apply_relabel`]: basis index `x` of every group moves to `dst[x]`,
+/// its amplitude `a` rewritten as `step(x, a)`.
+fn permute(
+    scratch: &mut Scratch,
+    amps: &mut [Complex64],
+    qubits: &[u32],
+    dst: &[u32],
+    pool: &Pool,
+    step: impl Fn(usize, Complex64) -> Complex64 + Sync + Copy,
+) {
     let k = qubits.len();
     let dim = 1usize << k;
     assert_eq!(dst.len(), dim);
-    assert_eq!(phase.len(), dim);
     let table = scratch.tables.lookup(qubits);
     let bufs = &mut scratch.bufs;
     if table.low_window {
@@ -422,7 +454,7 @@ pub fn apply_permutation(
                         bufs.inbuf[x] = chunk[off as usize];
                     }
                     for (x, &d) in dst.iter().enumerate() {
-                        chunk[table.offsets[d as usize] as usize] = phase[x] * bufs.inbuf[x];
+                        chunk[table.offsets[d as usize] as usize] = step(x, bufs.inbuf[x]);
                     }
                 }
             },
@@ -435,66 +467,112 @@ pub fn apply_permutation(
     out_off.extend(dst.iter().map(|&d| table.offsets[d as usize]));
     let out_off = &*out_off;
     let groups = amps.len() >> k;
-    // Groups that differ only below the lowest kernel qubit are adjacent in
-    // memory: move them as contiguous runs, not amplitude by amplitude.
-    let sweep = match table.sorted[0] {
-        0 => permutation_sweep::<1>,
-        1 => permutation_sweep::<2>,
-        2 => permutation_sweep::<4>,
-        3 => permutation_sweep::<8>,
-        _ => permutation_sweep::<16>,
+    // Groups are moved a block at a time. The groups of a block differ only
+    // in the lowest non-kernel bits, so they sit close together in memory:
+    // in runs of `2^min(lowest kernel qubit, 4)` adjacent groups, one run
+    // per entry of `starts`. Wide kernels move fewer groups per block, so
+    // a block never gathers more than `PERM_BLOCK_AMPS`, nor more groups
+    // than the slice has.
+    let block = (PERM_BLOCK_AMPS >> k)
+        .clamp(1, PERM_BLOCK_GROUPS)
+        .min(groups);
+    let run = (1 << table.sorted[0].min(4)).min(block);
+    let mut starts = [0; PERM_BLOCK_GROUPS];
+    let starts = &mut starts[..block / run];
+    for (c, start) in starts.iter_mut().enumerate() {
+        *start = insert_bits((c * run) as u64, &table.sorted) as usize;
+    }
+    let blocks = Blocks {
+        table,
+        out_off,
+        starts,
+    };
+    let sweep = match run {
+        1 => permutation_sweep::<1, _>,
+        2 => permutation_sweep::<2, _>,
+        4 => permutation_sweep::<4, _>,
+        8 => permutation_sweep::<8, _>,
+        _ => permutation_sweep::<16, _>,
     };
     for_group_ranges(amps, groups, pool, bufs, |view, lo, hi, bufs| {
-        sweep(view, lo, hi, table, out_off, phase, bufs)
+        sweep(view, lo, hi, &blocks, step, bufs)
     });
 }
 
-/// The strided permutation sweep over the groups `lo..hi`, `RUN` adjacent
-/// groups at a time where the range holds a whole aligned run of them and
-/// one at a time at its ragged ends.
-fn permutation_sweep<const RUN: usize>(
+/// Most groups one strided permutation block moves together.
+const PERM_BLOCK_GROUPS: usize = 16;
+
+/// Most amplitudes one strided permutation block gathers — the size of the
+/// per-worker gather buffer (128 KiB).
+const PERM_BLOCK_AMPS: usize = 1 << 13;
+
+/// How a strided permutation sweep addresses its blocks.
+struct Blocks<'a> {
+    /// The kernel's offset table: `offsets[x]` is where basis index `x`
+    /// of a group is read.
+    table: &'a OffsetTable,
+    /// `out_off[x]`: where basis index `x` of a group is written.
+    out_off: &'a [u64],
+    /// `starts[c]`: the offset of a block's run `c` of adjacent groups
+    /// from the block's first group.
+    starts: &'a [usize],
+}
+
+/// The strided permutation sweep over the groups `lo..hi`: a block of
+/// `RUN × starts.len()` groups at a time where the range holds a whole
+/// aligned block, one group at a time at its ragged ends.
+fn permutation_sweep<const RUN: usize, F: Fn(usize, Complex64) -> Complex64>(
     view: &AmpCell<'_>,
     lo: u64,
     hi: u64,
-    table: &OffsetTable,
-    out_off: &[u64],
-    phase: &[Complex64],
+    b: &Blocks<'_>,
+    step: F,
     bufs: &mut Bufs,
 ) {
-    bufs.resize(table.offsets.len() * RUN);
+    let block = RUN * b.starts.len();
+    bufs.resize(b.table.offsets.len() * block);
     let inbuf = &mut bufs.inbuf;
     let mut g = lo;
     while g < hi {
-        let base = insert_bits(g, &table.sorted) as usize;
-        if g.is_multiple_of(RUN as u64) && g + RUN as u64 <= hi {
-            permute_run::<RUN>(view, base, &table.offsets, out_off, phase, inbuf);
-            g += RUN as u64;
+        let base = insert_bits(g, &b.table.sorted) as usize;
+        if g.is_multiple_of(block as u64) && g + block as u64 <= hi {
+            permute_block::<RUN, _>(view, base, b, b.starts, &step, inbuf);
+            g += block as u64;
         } else {
-            permute_run::<1>(view, base, &table.offsets, out_off, phase, inbuf);
+            permute_block::<1, _>(view, base, b, &[0], &step, inbuf);
             g += 1;
         }
     }
 }
 
-/// Gathers the `RUN` adjacent groups starting at `base` — contiguous in
-/// memory at every offset — and scatters them back permuted and scaled.
+/// Gathers the block of groups starting at `base` — at every offset, runs
+/// of `RUN` amplitudes contiguous in memory, run `c` at `starts[c]` from
+/// the block's first group — and scatters them back permuted, each
+/// through `step`.
 #[inline(always)]
-fn permute_run<const RUN: usize>(
+fn permute_block<const RUN: usize, F: Fn(usize, Complex64) -> Complex64>(
     view: &AmpCell<'_>,
     base: usize,
-    offsets: &[u64],
-    out_off: &[u64],
-    phase: &[Complex64],
+    b: &Blocks<'_>,
+    starts: &[usize],
+    step: &F,
     inbuf: &mut [Complex64],
 ) {
-    for (buf, off) in inbuf.chunks_exact_mut(RUN).zip(offsets) {
-        for (b, a) in buf.iter_mut().zip(view.run(base | *off as usize, RUN)) {
-            *b = a.get();
+    let block = RUN * starts.len();
+    for (buf, off) in inbuf.chunks_exact_mut(block).zip(&b.table.offsets) {
+        let at = base | *off as usize;
+        for (chunk, start) in buf.chunks_exact_mut(RUN).zip(starts) {
+            for (b, a) in chunk.iter_mut().zip(view.run(at | start, RUN)) {
+                *b = a.get();
+            }
         }
     }
-    for ((buf, off), &p) in inbuf.chunks_exact(RUN).zip(out_off).zip(phase) {
-        for (a, &b) in view.run(base | *off as usize, RUN).iter().zip(buf) {
-            a.set(p * b);
+    for (x, (buf, off)) in inbuf.chunks_exact(block).zip(b.out_off).enumerate() {
+        let at = base | *off as usize;
+        for (chunk, start) in buf.chunks_exact(RUN).zip(starts) {
+            for (a, &b) in view.run(at | start, RUN).iter().zip(chunk) {
+                a.set(step(x, b));
+            }
         }
     }
 }

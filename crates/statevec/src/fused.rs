@@ -20,7 +20,9 @@
 //!   matching family in [`crate::apply`]; [`apply_reduced`] does the same,
 //!   cheaply, for the small per-shard parts of shared-memory kernels.
 
-use crate::apply::{self, apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation};
+use crate::apply::{
+    self, apply_controlled_matrix, apply_diag, apply_matrix, apply_permutation, apply_relabel,
+};
 use crate::pool::Pool;
 use crate::scratch::Scratch;
 use atlas_circuit::Gate;
@@ -154,6 +156,26 @@ pub enum FastKernel {
         /// Phase factor applied to each source basis index.
         phase: Vec<Complex64>,
     },
+    /// A phase-free relabel: basis state `x` maps to `dst[x]`, and every
+    /// moved amplitude `a` becomes `ONE · (ONE · a)`. It is never
+    /// classified from a matrix: the executor coalesces a run of two or
+    /// more adjacent [`FastKernel::Permutation`] kernels whose phases are
+    /// all bitwise `Complex64::ONE` into one of these over the union of
+    /// their qubits, `dst` the composition of their permutations.
+    ///
+    /// **Why two multiplies.** `ONE · a` is `(1·re − 0·im, 1·im + 0·re)`,
+    /// which returns every nonzero component unchanged but can flip the
+    /// sign of a zero one: `(+0, −0)` becomes `(+0, +0)`, and `(−0, −0)`
+    /// becomes `(+0, −0)`, then `(+0, +0)` on a second pass. Over all
+    /// sixteen sign classes of `(re, im)` in `{+0, −0, +1, −1}²`, the map
+    /// `a ↦ ONE · a` reaches its fixed point after exactly two
+    /// applications, so `r ≥ 2` unit-phase passes leave `ONE · (ONE · a)`
+    /// at the composed destination, bit for bit — which one pass, or a
+    /// plain move, would not.
+    Relabel {
+        /// Destination basis index for each source basis index.
+        dst: Vec<u32>,
+    },
     /// Identity unless every control bit is set; then `matrix` acts on the
     /// target bits. Skips a `2^|controls|` fraction of the state.
     Controlled {
@@ -174,9 +196,22 @@ pub enum FastKernel {
 impl FastKernel {
     /// `true` if a per-shard scalar can be folded into this kernel's
     /// entries for free (everything but `Controlled`, whose untouched
-    /// subspace must not be scaled).
+    /// subspace must not be scaled, and the entry-free `Relabel`).
     pub fn can_fold_scale(&self) -> bool {
-        !matches!(self, FastKernel::Controlled { .. })
+        !matches!(
+            self,
+            FastKernel::Controlled { .. } | FastKernel::Relabel { .. }
+        )
+    }
+
+    /// `true` for a [`FastKernel::Permutation`] whose every phase is
+    /// bitwise `Complex64::ONE` — `+1.0 + 0.0i`, not `−0.0i` — the kernels
+    /// a [`FastKernel::Relabel`] may stand in for.
+    pub fn is_unit_permutation(&self) -> bool {
+        match self {
+            FastKernel::Permutation { phase, .. } => phase.iter().all(|p| p.bit_eq(Complex64::ONE)),
+            _ => false,
+        }
     }
 }
 
@@ -290,8 +325,9 @@ pub fn classify_kernel(m: &Matrix) -> FastKernel {
 /// phases and matrices go into `scratch`'s pooled buffers instead of
 /// per-call allocations, and the sub-kernels reuse its offset tables.
 ///
-/// A `scale != ONE` on a [`FastKernel::Controlled`] kernel costs a real
-/// extra pass; callers that can emit a shared scale op elsewhere check
+/// A `scale != ONE` on a [`FastKernel::Controlled`] or
+/// [`FastKernel::Relabel`] kernel costs a real extra pass; callers that
+/// can emit a shared scale op elsewhere check
 /// [`FastKernel::can_fold_scale`] first.
 pub fn apply_kernel(
     scratch: &mut Scratch,
@@ -326,6 +362,13 @@ pub fn apply_kernel(
                 scratch.put_amps(scaled);
             } else {
                 apply_permutation(scratch, amps, qubits, dst, phase, pool);
+            }
+        }
+        FastKernel::Relabel { dst } => {
+            apply_relabel(scratch, amps, qubits, dst, pool);
+            if fold {
+                // No entries to fold into: a real extra pass.
+                apply::scale(amps, scale, pool);
             }
         }
         FastKernel::Controlled {
@@ -540,6 +583,121 @@ mod tests {
                 "{fast:?} diverged from dense apply: {}",
                 a.max_abs_diff(&b)
             );
+        }
+    }
+
+    /// The sign classes of one amplitude component: `+0, −0, +1, −1`.
+    const SIGN_CLASSES: [f64; 4] = [0.0, -0.0, 1.0, -1.0];
+
+    fn bits(z: Complex64) -> (u64, u64) {
+        (z.re.to_bits(), z.im.to_bits())
+    }
+
+    #[test]
+    fn one_times_x_reaches_its_fixed_point_after_two_multiplies() {
+        let one = |z: Complex64| Complex64::ONE * z;
+        let mut one_is_not_enough = false;
+        for re in SIGN_CLASSES {
+            for im in SIGN_CLASSES {
+                let x = Complex64::new(re, im);
+                let twice = one(one(x));
+                assert_eq!(bits(one(twice)), bits(twice), "{x:?}");
+                one_is_not_enough |= bits(one(x)) != bits(twice);
+            }
+        }
+        // (−0, −0) → (+0, −0) → (+0, +0): the relabel's second multiply
+        // is load-bearing.
+        assert!(one_is_not_enough);
+    }
+
+    /// A state whose amplitudes cycle through all sixteen sign classes of
+    /// `(re, im)`, every fourth one a generic value instead.
+    fn sign_class_state(n: u32) -> StateVector {
+        let amps = (0..1usize << n)
+            .map(|i| {
+                if i % 4 == 3 {
+                    return Complex64::new(0.1 + i as f64 * 1e-3, -0.7 / (1 + i) as f64);
+                }
+                let c = (i * 7 + i / 64) % 16;
+                Complex64::new(SIGN_CLASSES[c & 3], SIGN_CLASSES[c >> 2])
+            })
+            .collect();
+        StateVector::from_amplitudes(amps)
+    }
+
+    /// A seeded permutation of the `2^k` kernel basis states.
+    fn seeded_dst(k: usize, seed: u64) -> Vec<u32> {
+        let mut dst: Vec<u32> = (0..1u32 << k).collect();
+        let mut s = seed | 1;
+        for i in (1..dst.len()).rev() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            dst.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        dst
+    }
+
+    #[test]
+    fn relabel_equals_two_and_three_unit_phase_permutation_passes_bitwise() {
+        // Runs whose union is a permuted low window, strided with qubit 0,
+        // strided with a lowest qubit of 2 (blocks of non-adjacent
+        // groups) and strided above qubit 4 (contiguous blocks).
+        let cases: [(u32, [&[u32]; 3]); 4] = [
+            (14, [&[2, 0, 1], &[3, 1], &[0, 3, 2]]),
+            (15, [&[0, 6], &[6, 3, 0], &[3, 9]]),
+            (16, [&[5, 2], &[9, 2, 12], &[12, 5]]),
+            (17, [&[4, 7], &[11, 7, 4], &[6, 11]]),
+        ];
+        for (n, kernels) in cases {
+            let start = sign_class_state(n);
+            let dsts: Vec<Vec<u32>> = kernels
+                .iter()
+                .enumerate()
+                .map(|(i, qs)| seeded_dst(qs.len(), n as u64 * 10 + i as u64))
+                .collect();
+            for r in [2, 3] {
+                let mut union: Vec<u32> = kernels[..r].concat();
+                union.sort_unstable();
+                union.dedup();
+                // Where the run sends each basis state of the union, one
+                // kernel and one qubit at a time.
+                let dst: Vec<u32> = (0..1u64 << union.len())
+                    .map(|x| {
+                        let mut full = deposit_bits(x, &union);
+                        for (qs, d) in kernels[..r].iter().zip(&dsts) {
+                            let to = u64::from(d[extract_bits(full, qs) as usize]);
+                            for (t, &q) in qs.iter().enumerate() {
+                                full = full & !(1 << q) | (to >> t & 1) << q;
+                            }
+                        }
+                        extract_bits(full, &union) as u32
+                    })
+                    .collect();
+                let relabel = FastKernel::Relabel { dst };
+                for threads in [1, 2, 3] {
+                    crate::with_pool(threads, |pool| {
+                        let scratch = &mut Scratch::new();
+                        let mut want = start.clone();
+                        for (qs, d) in kernels[..r].iter().zip(&dsts) {
+                            let phase = vec![Complex64::ONE; d.len()];
+                            apply_permutation(scratch, want.amplitudes_mut(), qs, d, &phase, pool);
+                        }
+                        let mut got = start.clone();
+                        let amps = got.amplitudes_mut();
+                        apply_kernel(scratch, amps, &union, &relabel, Complex64::ONE, pool);
+                        for (i, (a, b)) in
+                            got.amplitudes().iter().zip(want.amplitudes()).enumerate()
+                        {
+                            assert_eq!(
+                                bits(*a),
+                                bits(*b),
+                                "n={n} r={r} threads={threads} amp {i}: {a:?} vs {b:?}"
+                            );
+                        }
+                    });
+                }
+            }
         }
     }
 

@@ -29,6 +29,7 @@
 //! panicked, `10` resource budget exceeded.
 
 use atlas::baselines;
+use atlas::circuit::generators::{self, GenerateError};
 use atlas::circuit::qasm;
 use atlas::core::config::BackendKind;
 use atlas::core::session::Planner;
@@ -389,6 +390,14 @@ fn check_flag_conflicts(args: &Args) -> Result<(), String> {
     if args.trace_format_set && args.trace.is_none() {
         return Err("--trace-format selects the --trace file format; it needs --trace".to_string());
     }
+    // Shard indices split into node and GPU bits (`Planner::plan` rejects
+    // any other shape too; checking here keeps it from reaching serve's
+    // pool or a dry run's banner).
+    for (flag, count) in [("--nodes", args.nodes), ("--gpus", args.gpus_per_node)] {
+        if !count.is_power_of_two() {
+            return Err(format!("{flag} {count} is not a power of two"));
+        }
+    }
     if args.serve {
         if args.family.is_some() || args.qasm_path.is_some() {
             return Err("serve reads its circuits from NDJSON job lines; \
@@ -538,25 +547,23 @@ fn error_exit(e: &atlas::core::AtlasError) -> ExitCode {
     })
 }
 
-fn build_circuit(args: &Args) -> Result<Circuit, String> {
+/// The circuit `args` ask for. A failure is a usage error (an `-n` the
+/// family's generator does not accept) or a plain one (an unreadable or
+/// malformed QASM file, an unknown family).
+fn build_circuit(args: &Args) -> Result<Circuit, (ExitCode, String)> {
+    let failure = |e: String| (ExitCode::FAILURE, e);
     if let Some(path) = &args.qasm_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return qasm::from_qasm(&text).map_err(|e| format!("{path}: {e}"));
+        let text = std::fs::read_to_string(path).map_err(|e| failure(format!("{path}: {e}")))?;
+        return qasm::from_qasm(&text).map_err(|e| failure(format!("{path}: {e}")));
     }
     let name = args
         .family
         .as_deref()
-        .ok_or("need --family or --qasm (try --help)")?;
-    // The regression-circuit generators ride alongside the Table I
-    // families.
-    match name {
-        "qaoa" => return Ok(atlas::circuit::generators::qaoa(args.n)),
-        "grover" => return Ok(atlas::circuit::generators::grover(args.n)),
-        "clifford" => return Ok(atlas::circuit::generators::clifford(args.n)),
-        _ => {}
-    }
-    let fam = Family::from_name(name).ok_or_else(|| format!("unknown family '{name}'"))?;
-    Ok(fam.generate(args.n))
+        .ok_or_else(|| failure("need --family or --qasm (try --help)".into()))?;
+    generators::generate(name, args.n).map_err(|e| match e {
+        GenerateError::UnknownFamily(_) => failure(e.to_string()),
+        GenerateError::OutOfDomain { .. } => (ExitCode::from(2), format!("-n: {e}")),
+    })
 }
 
 /// Exit code 2: usage error.
@@ -728,9 +735,9 @@ fn main() -> ExitCode {
     }
     let circuit = match build_circuit(&args) {
         Ok(c) => c,
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return code;
         }
     };
     let n = circuit.num_qubits();

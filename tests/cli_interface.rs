@@ -175,6 +175,26 @@ fn contradictory_flags_are_rejected_with_exit_2() {
             ],
             "noise",
         ),
+        // Sizes outside a generator's domain are usage errors, not
+        // panics.
+        (
+            vec!["--family", "su2random", "-n", "1"],
+            "'su2random' needs 2",
+        ),
+        (vec!["--family", "vqc", "-n", "3", "--dry"], "'vqc' needs 4"),
+        (vec!["--family", "qft", "-n", "0"], "got n = 0"),
+        (vec!["--family", "qaoa", "-n", "5000", "--plan"], "4096"),
+        // Shards split into node and GPU bits: both counts are powers of
+        // two, functional, dry and serve alike.
+        (
+            vec!["--family", "qft", "-n", "8", "--nodes", "3"],
+            "--nodes",
+        ),
+        (
+            vec!["--family", "qft", "-n", "8", "--gpus", "3", "--dry"],
+            "--gpus",
+        ),
+        (vec!["serve", "-L", "5", "--nodes", "3"], "--nodes"),
         // The session-pool flags belong to serve even at their defaults.
         (vec!["--family", "qft", "-n", "6", "--queue", "64"], "serve"),
         (vec!["--family", "qft", "-n", "6", "--cache", "32"], "serve"),

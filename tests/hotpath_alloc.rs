@@ -551,6 +551,87 @@ fn warm_pooled_kernels_and_reduction_allocate_nothing() {
 }
 
 #[test]
+fn warm_coalesced_programs_allocate_nothing() {
+    // su2random's CX ladders: every stage's programs coalesce permutation
+    // runs into relabel passes over unions of up to 9 local qubits. Warm,
+    // they run with zero allocations, serially and on a two-worker pool
+    // (8 shards: one pool item per shard, each on its worker's arena).
+    let n = 12u32;
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 9,
+    };
+    let circuit = Family::Su2Random.generate(n);
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let compiled = planner.plan(&circuit).expect("su2random plans");
+    let plan = compiled.plan();
+    let shards = spec.num_shards(n);
+    let stages: Vec<Vec<ShardProgram>> = plan
+        .stages
+        .iter()
+        .map(|sp| build_stage_programs(&circuit, sp, plan.l, shards))
+        .collect();
+    let relabels = stages
+        .iter()
+        .flatten()
+        .flatten()
+        .filter(|op| {
+            matches!(op, ShardOp::Fusion { kernel, .. }
+                if matches!(**kernel, FastKernel::Relabel { .. }))
+        })
+        .count();
+    assert!(relabels > 0, "su2random n={n} coalesced nothing");
+    let reference = dense_state(n);
+    let mut machine = Machine::with_state(spec, &reference);
+    let run_all = |machine: &mut Machine, pool: &Pool| {
+        for programs in &stages {
+            machine.run_shard_programs(programs, 0, pool);
+        }
+    };
+
+    run_all(&mut machine, &Pool::SERIAL);
+    let before = allocs();
+    run_all(&mut machine, &Pool::SERIAL);
+    let serial = allocs() - before;
+    assert_eq!(serial, 0, "warm serial coalesced programs allocated");
+
+    let _turn = take_turn();
+    with_pool(2, |pool| {
+        mark_pool_workers(pool);
+        // Warm every worker's arena on every program, whichever shards it
+        // draws later.
+        on_each_worker(pool, &|| {
+            let mut shard = vec![Complex64::ZERO; 1 << spec.local_qubits];
+            scratch::with_thread(|s| {
+                for op in stages.iter().flatten().flatten() {
+                    if let ShardOp::Fusion {
+                        qubits,
+                        kernel,
+                        scale,
+                    } = op
+                    {
+                        apply_kernel(s, &mut shard, qubits, kernel, *scale, &Pool::SERIAL);
+                    }
+                }
+            });
+        });
+        run_all(&mut machine, pool);
+        let before = (allocs(), WORKER_ALLOCS.load(Ordering::Relaxed));
+        run_all(&mut machine, pool);
+        let pooled = (
+            allocs() - before.0,
+            WORKER_ALLOCS.load(Ordering::Relaxed) - before.1,
+        );
+        assert_eq!(
+            pooled,
+            (0, 0),
+            "warm pooled coalesced programs: allocations on the (submitting thread, workers)"
+        );
+    });
+}
+
+#[test]
 fn planning_allocates_less_than_once_per_two_dp_children() {
     // The KERNELIZE DP dominates PARTITION and builds its child states in
     // reused buffers; what it costs is then hashing and copying, not

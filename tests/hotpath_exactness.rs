@@ -28,7 +28,7 @@
 #[path = "common/build_oracle.rs"]
 mod build_oracle;
 
-use atlas::core::exec::build_stage_programs;
+use atlas::core::exec::{build_stage_programs, FullPlan};
 use atlas::machine::cost::AMP_BYTES;
 use atlas::machine::{Clock, CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
@@ -43,7 +43,7 @@ use atlas::statevec::{
     fuse_gate_into, fuse_gates, scale, simulate_reference, with_pool, FastKernel, Pool, Scratch,
     StateVector,
 };
-use build_oracle::oracle_stage_programs;
+use build_oracle::{coalesce_cap, oracle_coalesced_programs, oracle_stage_programs};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -297,6 +297,31 @@ fn permutation_runs_match_generic_at_run_edges() {
     }
 }
 
+/// Kernels of 10 and 11 qubits — the width of coalesced permutation runs —
+/// gather fewer groups per block (8 and 4) to bound the gather buffer:
+/// those blocks, made of runs of 1 or 2 adjacent groups or of one run,
+/// on slices of 8 and 32 groups and of 1024 that three threads cut
+/// mid-block, against the oracle.
+#[test]
+fn wide_permutation_blocks_match_generic() {
+    for k in [10u32, 11] {
+        for q in [0u32, 1, 5] {
+            for n in [k + q + 3, k + q + 5] {
+                let qs: Vec<u32> = (q..q + k - 1).chain([n - 1]).collect();
+                let base = dense_state(n, u64::from(k * q + n));
+                let dst: Vec<u32> = qubit_subset(1 << k, 1 << k, u64::from(k + q));
+                let phase = seeded_phases(1 << k, u64::from(q));
+                assert_matches_oracle(
+                    &base,
+                    &format!("perm n={n} qs={qs:?}"),
+                    |amps| apply_permutation_generic(amps, &qs, &dst, &phase),
+                    |scratch, amps, pool| apply_permutation(scratch, amps, &qs, &dst, &phase, pool),
+                );
+            }
+        }
+    }
+}
+
 /// The `(n, spec)` shapes every relayout property runs on: the general
 /// one; L = 2 and L = 1, where runs and tiles are narrower than a cache
 /// line (the L = 1 one offloads 8 shards onto each GPU); and 2 shards,
@@ -432,6 +457,10 @@ fn op_bits(op: &ShardOp) -> Vec<u64> {
                     list(&mut v, dst);
                     amps(&mut v, phase);
                 }
+                FastKernel::Relabel { dst } => {
+                    v.push(15);
+                    list(&mut v, dst);
+                }
                 FastKernel::Controlled {
                     controls,
                     targets,
@@ -546,13 +575,11 @@ fn insular_heavy(n: u32, seed: u64) -> Circuit {
     c
 }
 
-/// `build_stage_programs` — prefix-shared, row-update fusion — emits the
-/// per-pattern expand-and-multiply oracle's programs op by op and bit for
-/// bit, with the same `Arc` sharing, on every stage of: the 18 `serve16`
-/// structures (n = 14/16/18 on 2×2, L = 11), shrunk `dense22` and
-/// `shuffle22` shapes, and an insular-heavy circuit at several L.
-#[test]
-fn build_stage_programs_matches_the_per_pattern_oracle_bitwise() {
+/// The program-build corpus: the 18 `serve16` structures (n = 14/16/18 on
+/// 2×2, L = 11), shrunk `dense22` (one at L = 14) and `shuffle22` shapes, and an
+/// insular-heavy circuit at several L — each planned, as `(label, circuit,
+/// spec, plan)`.
+fn build_corpus() -> Vec<(String, Circuit, MachineSpec, FullPlan)> {
     use atlas::circuit::generators;
     let spec = |nodes, gpus_per_node, local_qubits| MachineSpec {
         nodes,
@@ -578,6 +605,13 @@ fn build_stage_programs_matches_the_per_pattern_oracle_bitwise() {
         generators::su2random(14),
         spec(2, 2, 11),
     ));
+    // L = 14 allows the widest coalesced unions (11 qubits), so long
+    // permutation runs are cut at the cap.
+    cases.push((
+        "dense22 n=16 L=14".into(),
+        generators::su2random(16),
+        spec(2, 2, 14),
+    ));
     for (n, l) in [(12, 4), (14, 6)] {
         cases.push((
             format!("shuffle22 n={n}"),
@@ -589,17 +623,91 @@ fn build_stage_programs_matches_the_per_pattern_oracle_bitwise() {
         let name = format!("insular-heavy L={l}");
         cases.push((name, insular_heavy(10, u64::from(l)), spec(2, 2, l)));
     }
-    for (label, circuit, spec) in cases {
-        let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
-        let compiled = planner.plan(&circuit).expect("plans");
-        let plan = compiled.plan();
+    cases
+        .into_iter()
+        .map(|(label, circuit, spec)| {
+            let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+            let plan = planner.plan(&circuit).expect("plans").plan().clone();
+            (label, circuit, spec, plan)
+        })
+        .collect()
+}
+
+/// `build_stage_programs` — prefix-shared, row-update fusion, then
+/// permutation-run coalescing — emits the per-pattern expand-and-multiply
+/// oracle's programs, coalesced one basis index at a time, op by op and
+/// bit for bit, with the same `Arc` sharing, on every stage of
+/// [`build_corpus`]. The corpus must actually coalesce.
+#[test]
+fn build_stage_programs_matches_the_per_pattern_oracle_bitwise() {
+    let mut relabels = 0;
+    for (label, circuit, spec, plan) in build_corpus() {
         let shards = spec.num_shards(circuit.num_qubits());
         for (i, sp) in plan.stages.iter().enumerate() {
+            let got = build_stage_programs(&circuit, sp, plan.l, shards);
+            relabels += got
+                .iter()
+                .flatten()
+                .filter(|op| {
+                    matches!(op, ShardOp::Fusion { kernel, .. }
+                        if matches!(**kernel, FastKernel::Relabel { .. }))
+                })
+                .count();
+            let per_kernel = oracle_stage_programs(&circuit, sp, plan.l, shards);
             assert_same_programs(
-                &build_stage_programs(&circuit, sp, plan.l, shards),
-                &oracle_stage_programs(&circuit, sp, plan.l, shards),
+                &got,
+                &oracle_coalesced_programs(&per_kernel, coalesce_cap(plan.l)),
                 &format!("{label} stage {i}"),
             );
+        }
+    }
+    assert!(relabels > 0, "the corpus coalesces no permutation run");
+}
+
+/// A state that holds every sign class of `(re, im)` in
+/// `{+0, −0, +1, −1}²`, interleaved with seeded dense amplitudes, so a
+/// zero's sign that a coalesced pass got wrong shows up as a bit.
+fn signed_zero_state(n: u32, seed: u64) -> StateVector {
+    const CLASS: [f64; 4] = [0.0, -0.0, 1.0, -1.0];
+    let mut amps = dense_state(n, seed).into_amplitudes();
+    for (i, a) in amps.iter_mut().enumerate() {
+        if i % 3 != 2 {
+            let c = i / 3 % 16;
+            *a = Complex64::new(CLASS[c & 3], CLASS[c >> 2]);
+        }
+    }
+    StateVector::from_amplitudes(amps)
+}
+
+/// On every stage of [`build_corpus`], the coalesced programs leave every
+/// shard bit for bit where the oracle's per-kernel programs do, starting
+/// from a state that holds every signed-zero class, at pools of 1 and 2.
+#[test]
+fn coalesced_programs_run_bitwise_like_per_kernel_programs() {
+    for (label, circuit, spec, plan) in build_corpus() {
+        let n = circuit.num_qubits();
+        let shards = spec.num_shards(n);
+        let start = signed_zero_state(n, u64::from(n));
+        for (i, sp) in plan.stages.iter().enumerate() {
+            let coalesced = build_stage_programs(&circuit, sp, plan.l, shards);
+            let per_kernel = oracle_stage_programs(&circuit, sp, plan.l, shards);
+            for threads in [1, 2] {
+                let run = |programs: &[ShardProgram]| {
+                    let mut m = Machine::with_state(spec, &start);
+                    with_pool(threads, |pool| m.run_shard_programs(programs, 0, pool));
+                    m
+                };
+                let (got, want) = (run(&coalesced), run(&per_kernel));
+                for s in 0..shards {
+                    for (j, (a, b)) in got.shard(s).iter().zip(want.shard(s)).enumerate() {
+                        assert!(
+                            cbits(a) == cbits(b),
+                            "{label} stage {i} threads={threads} shard {s} amp {j}: \
+                             {a:?} vs {b:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

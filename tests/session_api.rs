@@ -182,6 +182,19 @@ fn planner_surfaces_typed_errors() {
         }) => {}
         other => panic!("expected CircuitTooSmall, got {other:?}"),
     }
+    // Shards split into node and GPU bits: a machine with 3 nodes or 3
+    // GPUs per node has no such split.
+    for (nodes, gpus_per_node) in [(3, 2), (2, 3)] {
+        let odd = MachineSpec {
+            nodes,
+            gpus_per_node,
+            local_qubits: 4,
+        };
+        match Planner::new(odd, CostModel::default(), AtlasConfig::default()).plan(&small) {
+            Err(AtlasError::InvalidConfig { .. }) => {}
+            other => panic!("expected InvalidConfig for {odd:?}, got {other:?}"),
+        }
+    }
     // An invalid config is caught by plan() even when built by hand.
     let bad = AtlasConfig {
         seed: 3,
