@@ -16,14 +16,16 @@
 //!   `tests/common/build_oracle.rs` (`generic_secs`) and as the program
 //!   `build_stage_programs` emits, its permutation runs coalesced
 //!   (`fast_secs`);
-//! * **reshuffle** — `Machine` stage transitions: the table-driven
-//!   ping-pong relayout (`permute_state`) vs. the per-amplitude scatter
-//!   oracle (`permute_state_scatter`) for a cross-shard permutation with
-//!   long runs (swap of a mid local bit with a global bit), one with
-//!   short runs (low local bit ↔ global bit), a pure shard relabel
-//!   (handle shuffle, no amplitude traffic at all), and a field swap that
-//!   trades every local bit for a shard bit (runs of one amplitude, the
-//!   tiled case) on one and on two pool threads;
+//! * **reshuffle** — `Machine` stage transitions: the in-place exchange
+//!   (`permute_state`) vs. the per-amplitude scatter oracle
+//!   (`permute_state_scatter`) for a cross-shard permutation with long
+//!   runs (swap of a mid local bit with a global bit), one with short runs
+//!   (low local bit ↔ global bit, tiled), a pure shard relabel (handle
+//!   shuffle, no amplitude traffic at all), and a field swap that trades
+//!   every local bit for a shard bit (tiles of eight blocks) on one and on
+//!   two pool threads. Each transition has a `_cold` row — a fresh
+//!   machine's first transition — and a `_warm` row — a repeat on the same
+//!   machine;
 //! * **build** — one execution's shard programs, every stage of a planned
 //!   `serve16` structure (vqc n = 16 and qft n = 18 on 2×2 GPUs, L = 11):
 //!   `build_stage_programs` (prefix-shared row-update fusion) vs. the
@@ -36,7 +38,7 @@
 //! extensions the dense sweep is compiled for that this CPU has — are
 //! recorded because the dense rows depend on the latter and a reader
 //! should know both; every number here is a *single-thread* one except
-//! `field_swap_t0_threads2`'s `fast_secs`.
+//! the `field_swap_t0_threads2_*` rows' `fast_secs`.
 
 // The coalescing oracle serves the exactness tests only.
 #[allow(dead_code)]
@@ -259,34 +261,46 @@ fn perm_run_case(reps: usize) -> Case {
 }
 
 /// Times `permute_state` on a pool of `threads` against the serial
-/// scatter oracle. `perm` must be self-inverse: applying it repeatedly
-/// round-trips the layout, so repetitions measure the steady state.
+/// scatter oracle, twice: `names.0` as a fresh machine's first transition
+/// (each repetition on a new machine), `names.1` warm (repeated on one
+/// machine). `perm` must be self-inverse: applying it repeatedly
+/// round-trips the layout.
 fn reshuffle_case(
-    name: &'static str,
+    names: (&'static str, &'static str),
     spec: MachineSpec,
     state: &StateVector,
     perm: &QubitPermutation,
     threads: usize,
     reps: usize,
-) -> Case {
-    let mut machine = Machine::with_state(spec, state);
-    let fast_secs = atlas_statevec::with_pool(threads, |pool| {
-        machine.permute_state(perm, 0, 0, pool); // warm the ping-pong spare
-        best_of(reps, || machine.permute_state(perm, 0, 0, pool))
+) -> [Case; 2] {
+    let (cold_secs, warm_secs) = atlas_statevec::with_pool(threads, |pool| {
+        let mut cold = f64::INFINITY;
+        for _ in 0..reps {
+            let mut machine = Machine::with_state(spec, state);
+            cold = cold.min(best_of(1, || machine.permute_state(perm, 0, 0, pool)));
+        }
+        let mut machine = Machine::with_state(spec, state);
+        machine.permute_state(perm, 0, 0, pool);
+        (
+            cold,
+            best_of(reps, || machine.permute_state(perm, 0, 0, pool)),
+        )
     });
     let mut machine = Machine::with_state(spec, state);
     let generic_secs = best_of(reps, || machine.permute_state_scatter(perm, 0));
-    let case = Case {
-        name,
-        generic_secs,
-        fast_secs,
-    };
-    println!(
-        "reshuffle/{name:<30} scatter {generic_secs:.4}s  blocks {fast_secs:.4}s  \
-         speedup {:.2}x",
-        case.speedup()
-    );
-    case
+    [(names.0, cold_secs), (names.1, warm_secs)].map(|(name, fast_secs)| {
+        let case = Case {
+            name,
+            generic_secs,
+            fast_secs,
+        };
+        println!(
+            "reshuffle/{name:<30} scatter {generic_secs:.4}s  exchange {fast_secs:.4}s  \
+             speedup {:.2}x",
+            case.speedup()
+        );
+        case
+    })
 }
 
 fn reshuffle_cases(n: u32, l: u32, field: (u32, u32), reps: usize) -> Vec<Case> {
@@ -296,19 +310,37 @@ fn reshuffle_cases(n: u32, l: u32, field: (u32, u32), reps: usize) -> Vec<Case> 
         local_qubits: l,
     };
     let reference = simulate_reference(&atlas_circuit::generators::ghz(n));
-    let shapes: Vec<(&'static str, u32, u32)> = vec![
-        // (name, qubit a, qubit b) — a ↔ b swap.
-        ("long_runs_mid_local_x_global", l / 2, n - 1),
-        ("short_runs_low_local_x_global", 1, n - 1),
-        ("relabel_global_only", n - 2, n - 1),
+    let shapes: Vec<((&'static str, &'static str), u32, u32)> = vec![
+        // (names, qubit a, qubit b) — a ↔ b swap.
+        (
+            (
+                "long_runs_mid_local_x_global_cold",
+                "long_runs_mid_local_x_global_warm",
+            ),
+            l / 2,
+            n - 1,
+        ),
+        (
+            (
+                "short_runs_low_local_x_global_cold",
+                "short_runs_low_local_x_global_warm",
+            ),
+            1,
+            n - 1,
+        ),
+        (
+            ("relabel_global_only_cold", "relabel_global_only_warm"),
+            n - 2,
+            n - 1,
+        ),
     ];
     let mut cases: Vec<Case> = shapes
         .into_iter()
-        .map(|(name, a, b)| {
+        .flat_map(|(names, a, b)| {
             let mut map: Vec<u32> = (0..n).collect();
             map.swap(a as usize, b as usize);
             let perm = QubitPermutation::from_map(map);
-            reshuffle_case(name, spec, &reference, &perm, 1, reps)
+            reshuffle_case(names, spec, &reference, &perm, 1, reps)
         })
         .collect();
 
@@ -327,8 +359,17 @@ fn reshuffle_cases(n: u32, l: u32, field: (u32, u32), reps: usize) -> Vec<Case> 
         map.swap(b as usize, (b + l) as usize);
     }
     let perm = QubitPermutation::from_map(map);
-    for (name, threads) in [("field_swap_t0_threads1", 1), ("field_swap_t0_threads2", 2)] {
-        cases.push(reshuffle_case(name, spec, &state, &perm, threads, reps));
+    for (names, threads) in [
+        (
+            ("field_swap_t0_threads1_cold", "field_swap_t0_threads1_warm"),
+            1,
+        ),
+        (
+            ("field_swap_t0_threads2_cold", "field_swap_t0_threads2_warm"),
+            2,
+        ),
+    ] {
+        cases.extend(reshuffle_case(names, spec, &state, &perm, threads, reps));
     }
     cases
 }

@@ -65,9 +65,10 @@ impl std::str::FromStr for BackendKind {
 /// A peak-memory admission budget for functional EXECUTE requests.
 ///
 /// A functional run of an `n`-qubit circuit allocates, at peak, the
-/// sharded state (`2^n` amplitudes × 16 bytes), the ping-pong spare used
-/// by state reshuffles (a full second copy), and one shard of local
-/// scratch (`2^L` amplitudes × 16 bytes). The budget computes that peak
+/// sharded state (`2^n` amplitudes × 16 bytes) — once: stage transitions
+/// exchange amplitudes in place — plus one shard (`2^L` amplitudes × 16
+/// bytes) of headroom for kernel scratch, whose buffers never exceed a
+/// shard. The budget computes that peak
 /// **before** any allocation and rejects the request with a typed
 /// [`AtlasError::ResourceExhausted`] instead of letting the allocator
 /// abort the process — the admission gate of the session API, the serve
@@ -81,16 +82,16 @@ pub struct MemoryBudget {
 
 impl MemoryBudget {
     /// The sharded engine's own functional ceiling: 30 qubits at any
-    /// shard layout (state + spare + one full-width scratch shard =
-    /// 3 × 2^30 × 16 bytes = 48 GiB). Budgets above this are clamped —
+    /// shard layout (state + one full-width scratch shard =
+    /// 2 × 2^30 × 16 bytes = 32 GiB). Budgets above this are clamped —
     /// the engine cannot index wider functional states regardless of
     /// available RAM.
-    pub const ENGINE_CEILING: u64 = 3 * 16 * (1 << 30);
+    pub const ENGINE_CEILING: u64 = 2 * 16 * (1 << 30);
 
-    /// The single-host default used by the `atlas-sim` CLI: 3 GiB of
+    /// The single-host default used by the `atlas-sim` CLI: 2 GiB of
     /// peak state, which admits exactly the circuits the historical
     /// `n > 26` auto-dry heuristic admitted (26 qubits at any `L ≤ 26`).
-    pub const SINGLE_HOST: u64 = 3 * 16 * (1 << 26);
+    pub const SINGLE_HOST: u64 = 2 * 16 * (1 << 26);
 
     /// A budget of `bytes` peak bytes per functional request.
     pub fn bytes(bytes: u64) -> Self {
@@ -103,11 +104,11 @@ impl MemoryBudget {
     }
 
     /// Peak bytes a functional `n`-qubit run allocates under `L` local
-    /// qubits per device: state + ping-pong spare + one scratch shard.
+    /// qubits per device: the state + one scratch shard.
     /// Saturates at `u64::MAX` for unrepresentable widths.
     pub fn peak_bytes(n: u32, local_qubits: u32) -> u64 {
         let amp = |q: u32| -> u128 { 16u128 << q.min(63) };
-        let peak = 2 * amp(n) + amp(local_qubits.min(n));
+        let peak = amp(n) + amp(local_qubits.min(n));
         u64::try_from(peak).unwrap_or(u64::MAX)
     }
 
@@ -229,7 +230,7 @@ pub struct AtlasConfig {
     /// Checked *before* any amplitude allocation by the session API, the
     /// serve pool's submission path and the CLI; an over-budget request
     /// returns [`AtlasError::ResourceExhausted`] instead of aborting.
-    /// Defaults to the engine's own functional ceiling (48 GiB ≙ 30
+    /// Defaults to the engine's own functional ceiling (32 GiB ≙ 30
     /// qubits), which preserves the historical behavior for every
     /// admissible width.
     pub memory_budget: MemoryBudget,
@@ -466,13 +467,13 @@ mod tests {
     }
 
     /// The budget formula is the machine's actual allocation profile:
-    /// state + ping-pong spare (two full copies) + one scratch shard.
+    /// the state, held once, + one scratch shard.
     #[test]
     fn memory_budget_peak_formula_and_admission() {
-        // n = 10, L = 5: 2·2^10·16 + 2^5·16 bytes.
-        assert_eq!(MemoryBudget::peak_bytes(10, 5), 2 * 16 * 1024 + 16 * 32);
+        // n = 10, L = 5: 2^10·16 + 2^5·16 bytes.
+        assert_eq!(MemoryBudget::peak_bytes(10, 5), 16 * 1024 + 16 * 32);
         // Scratch is one shard, never wider than the state itself.
-        assert_eq!(MemoryBudget::peak_bytes(10, 30), 3 * 16 * 1024);
+        assert_eq!(MemoryBudget::peak_bytes(10, 30), 2 * 16 * 1024);
         // The single-host default admits exactly the historical 26-qubit
         // functional limit, at any shard layout.
         let single = MemoryBudget::bytes(MemoryBudget::SINGLE_HOST);
@@ -496,6 +497,38 @@ mod tests {
         assert!(!MemoryBudget::bytes(u64::MAX).admits(31, 5));
         // Saturating peak for very wide requests.
         assert_eq!(MemoryBudget::peak_bytes(63, 63), u64::MAX);
+    }
+
+    /// Dropping the relayout's twin from the formula moved no admission:
+    /// the rescaled constants admit exactly the `(n, L)` the twin-charging
+    /// formula `2·2^n·16 + 2^min(L,n)·16` admitted under the old
+    /// constants (48 GiB engine ceiling, 3 GiB single host).
+    #[test]
+    fn rescaled_budgets_admit_what_the_twin_charging_formula_admitted() {
+        let old_peak = |n: u32, l: u32| -> u64 {
+            let amp = |q: u32| -> u128 { 16u128 << q.min(63) };
+            u64::try_from(2 * amp(n) + amp(l.min(n))).unwrap_or(u64::MAX)
+        };
+        let budgets = [
+            (MemoryBudget::ENGINE_CEILING, 3 * 16 * (1u64 << 30)),
+            (MemoryBudget::SINGLE_HOST, 3 * 16 * (1u64 << 26)),
+        ];
+        for (new, old) in budgets {
+            let budget = MemoryBudget::bytes(new);
+            for n in 0..=63 {
+                for l in 0..=n {
+                    assert_eq!(
+                        budget.admits(n, l),
+                        old_peak(n, l) <= old,
+                        "n={n} L={l} under {new} bytes (was {old})"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            MemoryBudget::default().enforced(),
+            MemoryBudget::ENGINE_CEILING
+        );
     }
 
     #[test]

@@ -382,8 +382,8 @@ impl CompiledPlan {
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<Execution>, AtlasError> {
         self.fingerprint.check(circuit)?;
-        // Admission control: compute the run's peak bytes (state +
-        // ping-pong spare + scratch) *before* allocating anything.
+        // Admission control: compute the run's peak bytes (the state + one
+        // scratch shard) *before* allocating anything.
         self.cfg
             .memory_budget
             .admit(self.plan.n, self.spec.local_qubits)?;

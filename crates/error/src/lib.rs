@@ -100,8 +100,8 @@ pub enum AtlasError {
         /// message when the payload carries one).
         payload_summary: String,
     },
-    /// A request's peak memory demand (state + ping-pong spare +
-    /// scratch) exceeds the configured [`MemoryBudget`] — rejected
+    /// A request's peak memory demand (the state + one scratch shard)
+    /// exceeds the configured [`MemoryBudget`] — rejected
     /// *before* any amplitude allocation instead of aborting on OOM.
     /// Shrink the circuit, raise the budget, or use a dry run.
     ///

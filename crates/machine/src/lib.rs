@@ -17,8 +17,9 @@
 //! * the [`Machine`] holds the shards of a **functional run** as real
 //!   `Vec<Complex64>` buffers: kernels genuinely transform amplitudes
 //!   (validated against the reference simulator), and the all-to-all
-//!   itself runs on the executor's worker pool, each worker filling whole
-//!   destination shards ([`Machine::permute_state`]). It charges nothing.
+//!   itself runs in place on the executor's worker pool, as pairwise swaps
+//!   that each worker owns whole classes of ([`Machine::permute_state`]).
+//!   It charges nothing.
 //!
 //! The executor charges the clock by one walk over the plan whether or not
 //! a machine runs beside it, so a dry run and a functional run of the same

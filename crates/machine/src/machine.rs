@@ -6,7 +6,7 @@ use crate::topology::MachineSpec;
 use atlas_qmath::{Complex64, IndexPermuter, Matrix, QubitPermutation};
 use atlas_statevec::{measure, scratch, FastKernel, Pool, Scratch, StateVector};
 use atlas_telemetry::Recorder;
-use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// The (local qubit positions, reduced unitary) part list of a
@@ -56,276 +56,392 @@ pub enum ShardOp {
 pub type ShardProgram = Vec<ShardOp>;
 
 /// Amplitudes per 128-byte block — the pair of 64-byte cache lines the L2
-/// prefetcher fetches together — as a power of two. A relayout tile
-/// consumes one such source block whole per step: on a `n = 22, L = 10`
-/// field swap (every local bit trades places with a shard bit), one
-/// thread of a 2-vCPU AMD EPYC host moves the state in 5.9 ms with tiles
-/// of 8 shards, 9.2 ms with tiles of 4, and no faster with 16.
+/// prefetcher fetches together — as a power of two. A round that moves a
+/// bit below the block exchanges whole tiles of blocks, so each block is
+/// consumed whole.
 const BLOCK_BITS: u32 = 3;
-/// The most shards one [`ShardGroups`] group holds: a relayout tile writes
-/// one destination shard per amplitude of a source block.
-const MAX_GROUP: usize = 1 << BLOCK_BITS;
+/// The most blocks one tile holds: one per value of the bits a block's own
+/// moved bits trade places with.
+const MAX_TILE_BLOCKS: usize = 1 << BLOCK_BITS;
+/// The most bit pairs one round swaps: every pair holds a local bit, and a
+/// machine has at most 30 qubits.
+const MAX_PAIRS: usize = 32;
 
-/// A partition of the shard indices into equal groups whose members differ
-/// only in the `members` bits: group `g` holds `first(g) | member(m)` for
-/// every `m` below `size()`. With no member bits every group is one shard.
-#[derive(Clone, Copy)]
-struct ShardGroups {
-    num_shards: usize,
-    members: usize,
+/// Bits of `v`, lowest first, deposited into the set bits of `mask`.
+fn deposit(mut v: u64, mut mask: u64) -> u64 {
+    let mut out = 0;
+    while mask != 0 && v != 0 {
+        let low = mask & mask.wrapping_neg();
+        if v & 1 != 0 {
+            out |= low;
+        }
+        v >>= 1;
+        mask &= mask - 1;
+    }
+    out
 }
 
-impl ShardGroups {
-    fn count(&self) -> usize {
-        self.num_shards >> self.members.count_ones()
-    }
-
-    fn size(&self) -> usize {
-        1 << self.members.count_ones()
-    }
-
-    /// Group `g`'s lowest shard: `g` with a zero inserted at every member
-    /// bit, lowest first.
-    fn first(&self, g: usize) -> usize {
-        let mut s = g;
-        let mut bits = self.members;
-        while bits != 0 {
-            let below = (bits & bits.wrapping_neg()) - 1;
-            s = (s & below) | ((s & !below) << 1);
-            bits &= bits - 1;
+/// The set bits of `mask` in `x`, packed down, lowest first.
+fn extract(x: u64, mut mask: u64) -> u64 {
+    let mut out = 0;
+    let mut k = 0;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        if x & low != 0 {
+            out |= 1 << k;
         }
-        s
+        mask &= mask - 1;
+        k += 1;
     }
-
-    /// The shard-index offset of member `m`: `m`'s bits deposited into
-    /// the member bits, lowest first.
-    fn member(&self, m: usize) -> usize {
-        let mut out = 0;
-        let mut bits = self.members;
-        let mut k = 0;
-        while bits != 0 {
-            out |= ((m >> k) & 1) * (bits & bits.wrapping_neg());
-            bits &= bits - 1;
-            k += 1;
-        }
-        out
-    }
+    out
 }
 
-/// One group's exclusive shard views, in member order; slots past the
-/// group's size are empty.
-type GroupViews<'a> = (usize, [&'a mut [Complex64]; MAX_GROUP]);
-
-/// Shared mutable view of the shard buffers for provably disjoint writes:
-/// every pool item owns a contiguous range of [`ShardGroups`] groups, and
-/// the groups partition the shards (see [`ShardCell::run_groups`]).
-struct ShardCell<'a>(&'a [UnsafeCell<Vec<Complex64>>]);
-// SAFETY: sharing is sound because every access goes through `shard_mut`,
-// whose contract confines each pool item to the shards of its own groups —
-// per-item write sets are pairwise disjoint. `atlas-analyze` discharges
-// that argument statically for shard programs: `verify_stage_programs`
-// effect-types every `ShardOp` and proves the programs' footprints never
-// cross a shard boundary.
-unsafe impl Sync for ShardCell<'_> {}
-
-impl<'a> ShardCell<'a> {
-    fn new(shards: &'a mut [Vec<Complex64>]) -> Self {
-        // SAFETY: Vec<Complex64> and UnsafeCell<Vec<Complex64>> have
-        // identical layout, and the exclusive borrow keeps every other
-        // access to the buffers out for `'a`.
-        ShardCell(unsafe {
-            std::slice::from_raw_parts(
-                shards.as_mut_ptr() as *const UnsafeCell<Vec<Complex64>>,
-                shards.len(),
-            )
-        })
-    }
-
-    /// Shard `s`, first zero-filled to `len` amplitudes if it holds
-    /// another length: a ping-pong twin's first use, whose buffers the
-    /// owner reserved, so their pages are faulted in by the worker that
-    /// fills them.
-    ///
-    /// # Safety
-    /// Caller must guarantee shard `s` is not accessed concurrently.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn shard_mut(&self, s: usize, len: usize) -> &mut [Complex64] {
-        // SAFETY: caller contract — no concurrent access to shard `s` —
-        // makes this the only live reference to the buffer.
-        let shard = unsafe { &mut *self.0[s].get() };
-        shard.resize(len, Complex64::ZERO);
-        shard
-    }
-
-    /// Runs `items` pool items; item `i` walks its contiguous share of
-    /// `groups`' groups in order, each yielded once as `(first shard,
-    /// views)` of `shard_len` amplitudes per shard. The views cannot
-    /// outlive the item.
-    fn run_groups(
-        &self,
-        pool: &Pool,
-        items: usize,
-        groups: ShardGroups,
-        shard_len: usize,
-        body: &(dyn for<'v> Fn(&mut dyn Iterator<Item = GroupViews<'v>>) + Sync),
-    ) {
-        let count = groups.count();
-        pool.run(items, &|item| {
-            let mut views = (item * count / items..(item + 1) * count / items).map(|g| {
-                let first = groups.first(g);
-                let mut views: [&mut [Complex64]; MAX_GROUP] = Default::default();
-                for (m, view) in views[..groups.size()].iter_mut().enumerate() {
-                    // SAFETY: `(g, m) ↦ first(g) | member(m)` is a bijection
-                    // onto the shard indices and the items' group ranges
-                    // are disjoint, so no other item — and no other view of
-                    // this one — reaches this shard.
-                    *view = unsafe { self.shard_mut(first | groups.member(m), shard_len) };
-                }
-                (first, views)
-            });
-            body(&mut views);
-        });
-    }
+/// The next subset of `mask` after `x`, in increasing order (`0` after the
+/// last one).
+fn next_subset(x: u64, mask: u64) -> u64 {
+    x.wrapping_sub(mask) & mask
 }
 
-/// The lookup tables of one relayout `new = perm(old) ^ flip`, rebuilt in
-/// place per transition (machine-owned, so a warm transition allocates
-/// nothing).
-///
-/// Destination index `(D << L) | (r << t) | i` — shard `D`, run `r`,
-/// offset `i` inside a run of `2^t` — reads its source at
-/// `base(D) ^ run_src(r) ^ i`, where `base` and `run_src` are the inverse
-/// permutation applied to the shard and run bits (plus the flip's
-/// preimage): linear over GF(2), so each is a XOR of table entries.
-#[derive(Default)]
-struct RelayoutTables {
-    /// `t`: the low bits the transition leaves in place (the run length is
-    /// `2^t`).
-    run_bits: u32,
-    /// `shard_bytes[k][v]`: preimage of destination shard bits `8k..8k+8`
-    /// holding `v`.
-    shard_bytes: Vec<[u64; 256]>,
-    /// Preimage of `flip`, folded into every base.
-    flip_src: u64,
-    /// Preimages of the low / high half of a run index (at most
-    /// `2^⌈L/2⌉` entries each).
-    runs_lo: Vec<u64>,
-    runs_hi: Vec<u64>,
-    /// The tile: destination shard bits fed by the source bits `t..3` of
-    /// one 128-byte source block — the group members written together.
-    tile: usize,
-    /// Preimage of each tile member's shard offset (an offset inside the
-    /// source block).
-    tile_src: [u64; MAX_GROUP],
+/// `x` with bits `a` and `b` exchanged.
+fn swap_bits(x: u64, a: u8, b: u8) -> u64 {
+    let d = ((x >> a) ^ (x >> b)) & 1;
+    x ^ ((d << a) | (d << b))
 }
 
-impl RelayoutTables {
-    fn build(&mut self, perm: &QubitPermutation, flip: u64, n: u32, l: u32) {
-        let mut inv = [0u32; 64];
-        for b in 0..n {
-            inv[perm.dst(b) as usize] = b;
-        }
-        let preimage = |bits: u64| -> u64 {
-            let mut out = 0;
-            let mut rest = bits;
-            while rest != 0 {
-                out |= 1 << inv[rest.trailing_zeros() as usize];
-                rest &= rest - 1;
-            }
-            out
-        };
-        // Table of the preimages of the `len` index bits starting at bit
-        // `at`, every entry one lookup from a smaller one.
-        let fill = |table: &mut [u64], at: u32| {
-            table[0] = 0;
-            for v in 1..table.len() {
-                table[v] = table[v & (v - 1)] | preimage(1 << (at + v.trailing_zeros()));
-            }
-        };
+/// One in-place round of a relayout: the involution `x ↦ τ(x) ⊕ flip` on
+/// state indices, where `τ` exchanges disjoint bit pairs, each holding a
+/// local bit, and `τ(flip) = flip`. Every amplitude therefore trades places
+/// with exactly one partner, or is a fixed point and is never touched.
+#[derive(Clone, Copy, Default)]
+struct Round {
+    pairs: [(u8, u8); MAX_PAIRS],
+    len: usize,
+    flip: u64,
+}
 
-        let mut t = 0u32;
-        while t < l && perm.dst(t) == t && (flip >> t) & 1 == 0 {
-            t += 1;
-        }
-        self.run_bits = t;
-        self.flip_src = preimage(flip);
-
-        let shard_bits = n - l;
-        self.shard_bytes
-            .resize(shard_bits.div_ceil(8) as usize, [0; 256]);
-        for (k, table) in self.shard_bytes.iter_mut().enumerate() {
-            let len = 1 << (shard_bits - 8 * k as u32).min(8);
-            fill(&mut table[..len], l + 8 * k as u32);
-        }
-
-        let lo_bits = (l - t).div_ceil(2);
-        let hi_bits = l - t - lo_bits;
-        self.runs_lo.resize(1 << lo_bits, 0);
-        fill(&mut self.runs_lo, t);
-        self.runs_hi.resize(1 << hi_bits, 0);
-        fill(&mut self.runs_hi, t + lo_bits);
-
-        self.tile = (t..BLOCK_BITS.min(l))
-            .map(|b| perm.dst(b))
-            .filter(|&d| d >= l)
-            .fold(0, |tile, d| tile | 1 << (d - l));
-        let groups = ShardGroups {
-            num_shards: 1 << shard_bits,
-            members: self.tile,
-        };
-        for m in 0..groups.size() {
-            self.tile_src[m] = preimage((groups.member(m) as u64) << l);
-        }
+impl Round {
+    fn pairs(&self) -> &[(u8, u8)] {
+        &self.pairs[..self.len]
     }
 
-    /// Source index of destination shard `d`'s first amplitude.
-    fn base(&self, d: usize) -> u64 {
-        self.shard_bytes
+    fn push(&mut self, a: u32, b: u32) {
+        self.pairs[self.len] = (a as u8, b as u8);
+        self.len += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.flip == 0
+    }
+
+    /// The bits the round moves or flips.
+    fn touched(&self) -> u64 {
+        self.pairs()
             .iter()
-            .enumerate()
-            .fold(self.flip_src, |acc, (k, table)| {
-                acc ^ table[(d >> (8 * k)) & 0xFF]
-            })
+            .fold(self.flip, |m, &(a, b)| m | (1 << a) | (1 << b))
     }
 
-    /// Fills the destination shards `dst` — one tile, in member order —
-    /// from `src`, the first member's first amplitude reading source
-    /// index `base`. Each step reads one run of every member from the same
-    /// source block.
-    fn gather(&self, dst: &mut [&mut [Complex64]], src: &[Vec<Complex64>], base: u64, l: u32) {
-        // Single amplitudes are assigned, not `memcpy`ed.
-        match 1usize << self.run_bits {
-            1 => self.gather_runs(dst, src, base, l, 1, |d, at, s, o| d[at] = s[o]),
-            run => self.gather_runs(dst, src, base, l, run, |d, at, s, o| {
-                d[at..at + run].copy_from_slice(&s[o..o + run])
-            }),
+    /// The index `x` trades places with (`x` itself at a fixed point).
+    fn partner(&self, x: u64) -> u64 {
+        self.pairs()
+            .iter()
+            .fold(x ^ self.flip, |y, &(a, b)| swap_bits(y, a, b))
+    }
+}
+
+/// One transition `new = perm(old) ^ flip`, split into in-place rounds and a
+/// shard relabel (rebuilt in place per transition: a warm transition
+/// allocates nothing).
+///
+/// The rounds realise a bit permutation `σ` that puts every bit bound for a
+/// local position where `perm` puts it, and every other bit on some shard
+/// bit. `σ` follows each local position back along `perm` to a shard bit
+/// `y` and closes the path into a cycle `(y, perm(y), …)`; local cycles stay
+/// as they are. A cycle is the product of two reflections, so `σ` is at
+/// most two rounds: the first holds local pairs only, the second one pair
+/// `(y, perm(y))` per shard bit that enters plus local pairs. An Atlas
+/// transition — `k` local bits traded for `k` shard bits, every other local
+/// bit in place — is the second round alone: shard `m` of a group of `2^k`
+/// swaps offset `c` with shard `c ⊕ f`, offset `m ⊕ f`. Local flips at the
+/// entering bits ride in that round (the shard side of its flip is undone by
+/// the relabel); any other local flip is one more round, `i ↔ i ⊕ f`. What
+/// remains — shard bits moving between shard positions, shard flips, that
+/// compensation — is the same map for every offset of a shard: the relabel
+/// swaps buffer handles and moves no amplitude.
+#[derive(Default)]
+struct Exchange {
+    rounds: [Round; 3],
+    count: usize,
+}
+
+impl Exchange {
+    fn plan(&mut self, perm: &QubitPermutation, flip: u64, n: u32, l: u32) {
+        let (mut first, mut second, mut rest) = <(Round, Round, Round)>::default();
+        // Reflections `i ↔ −i` and `i ↔ 1 − i` (mod the length) of a cycle
+        // `c` with `σ(c[i]) = c[i + 1]`: `σ = second ∘ first`.
+        let mut split = |c: &[u32]| {
+            let s = c.len();
+            for i in 1..s {
+                if i < s - i {
+                    first.push(c[i], c[s - i]);
+                }
+            }
+            for i in 0..s {
+                if i < (s + 1 - i) % s {
+                    second.push(c[i], c[(s + 1 - i) % s]);
+                }
+            }
+        };
+        let mut cycle = [0u32; 64];
+        let mut placed = 0u64;
+        // A flip at an entering bit `x = perm(y)` rides in the second round
+        // as the symmetric flip of the pair `(y, x)`.
+        let mut entering_flip = 0u64;
+        for y in l..n {
+            let mut len = 0;
+            let mut b = y;
+            while len == 0 || b < l {
+                cycle[len] = b;
+                len += 1;
+                placed |= 1 << b;
+                b = perm.dst(b);
+            }
+            if len > 1 && (flip >> cycle[1]) & 1 != 0 {
+                entering_flip |= (1 << y) | (1 << cycle[1]);
+            }
+            split(&cycle[..len]);
+        }
+        for c in 0..l {
+            if (placed >> c) & 1 != 0 || perm.dst(c) == c {
+                continue;
+            }
+            let mut len = 0;
+            let mut b = c;
+            while len == 0 || b != c {
+                cycle[len] = b;
+                len += 1;
+                placed |= 1 << b;
+                b = perm.dst(b);
+            }
+            split(&cycle[..len]);
+        }
+        second.flip = entering_flip;
+        rest.flip = flip & ((1 << l) - 1) & !entering_flip;
+        self.count = 0;
+        for round in [first, second, rest] {
+            if !round.is_empty() {
+                self.rounds[self.count] = round;
+                self.count += 1;
+            }
         }
     }
 
-    #[inline(always)]
-    fn gather_runs(
-        &self,
-        dst: &mut [&mut [Complex64]],
-        src: &[Vec<Complex64>],
-        base: u64,
-        l: u32,
-        run: usize,
-        copy: impl Fn(&mut [Complex64], usize, &[Complex64], usize),
-    ) {
-        let low_mask = (1u64 << l) - 1;
-        let tile_src = &self.tile_src[..dst.len()];
-        let mut at = 0;
-        for &hi in &self.runs_hi {
-            let hi = base ^ hi;
-            for &lo in &self.runs_lo {
-                let from = hi ^ lo;
-                let shard = &src[(from >> l) as usize];
-                let off = from & low_mask;
-                for (d, &m) in dst.iter_mut().zip(tile_src) {
-                    copy(d, at, shard, (off ^ m) as usize);
-                }
-                at += run;
+    fn rounds(&self) -> &[Round] {
+        &self.rounds[..self.count]
+    }
+
+    /// The index whose amplitude the rounds leave at `x`.
+    fn source(&self, x: u64) -> u64 {
+        self.rounds().iter().rev().fold(x, |y, r| r.partner(y))
+    }
+}
+
+/// Where a round's walk moves amplitudes: the shard buffers
+/// ([`ShardPtrs`]), or, in the tests, a record of the positions touched.
+trait Swapper {
+    /// A position, as handed back by [`Swapper::at`].
+    type At: Copy;
+    /// Offset `offset` of shard `shard`.
+    fn at(&self, shard: usize, offset: usize) -> Self::At;
+    /// The position `by` amplitudes past `at`, in the same shard.
+    fn add(at: Self::At, by: usize) -> Self::At;
+    /// Exchanges the `len` amplitudes at `a` with the `len` at `b`.
+    fn swap(&self, a: Self::At, b: Self::At, len: usize);
+}
+
+/// The shard buffers' base pointers, shared by one round's pool items.
+struct ShardPtrs<'a> {
+    ptrs: &'a [AtomicPtr<Complex64>],
+    shard_len: usize,
+}
+
+impl Swapper for ShardPtrs<'_> {
+    type At = *mut Complex64;
+
+    fn at(&self, shard: usize, offset: usize) -> *mut Complex64 {
+        debug_assert!(offset < self.shard_len);
+        self.ptrs[shard]
+            .load(Ordering::Relaxed)
+            .wrapping_add(offset)
+    }
+
+    fn add(at: *mut Complex64, by: usize) -> *mut Complex64 {
+        at.wrapping_add(by)
+    }
+
+    fn swap(&self, a: *mut Complex64, b: *mut Complex64, len: usize) {
+        // The walk forms only indices below `2^n`, a unit never crosses a
+        // shard, and `a`'s unit is not `b`'s; `permute_state` holds
+        // `&mut self`, so the buffers stay put. Items walk disjoint class
+        // ranges and a pair never leaves its class, so no two items reach
+        // one amplitude (`walks_partition_the_non_fixed_positions`).
+        // SAFETY: in bounds, unaliased and race-free, as above.
+        unsafe { std::ptr::swap_nonoverlapping(a, b, len) }
+    }
+}
+
+/// How one [`Round`] is walked: which pairs each pool item owns, and which
+/// amplitudes move together.
+///
+/// * A *unit* is `2^unit` consecutive amplitudes of one shard: a run the
+///   round leaves intact when it moves no bit below [`BLOCK_BITS`], else one
+///   128-byte block.
+/// * A *tile* is the units that differ only in the bits their own moved
+///   bits trade places with. The round maps a tile onto one *mirror* tile
+///   (a tile may be its own mirror), element `j` onto `partner[j]`, so a
+///   tile pair is exchanged whole, block after block.
+/// * A *class* is one value of the bits the round leaves alone outside the
+///   unit. A pair never leaves its class, so pool items own contiguous class
+///   ranges; inside a class, the tile with the lower index owns each pair.
+struct Walk {
+    l: u32,
+    unit: u32,
+    /// Whether the round moves bits inside a unit (`partner` is in use).
+    tiled: bool,
+    /// Index offsets of a tile's units.
+    blocks: [u64; MAX_TILE_BLOCKS],
+    num_blocks: usize,
+    /// Element `j` of a tile (unit `j >> unit`, offset `j & (2^unit − 1)`)
+    /// trades places with element `partner[j]` of the mirror tile.
+    partner: [u8; MAX_TILE_BLOCKS << BLOCK_BITS],
+    /// Moved bits outside the tiles: one tile per value.
+    outer: u64,
+    /// The round restricted to the `outer` bits.
+    outer_round: Round,
+    /// Bits the round leaves alone above the unit: one class per value.
+    class_bits: u64,
+    /// Shard bits moved by the round: a class's shards form one group.
+    group_bits: u32,
+}
+
+impl Walk {
+    fn new(round: &Round, n: u32, l: u32) -> Self {
+        let touched = round.touched();
+        let run = (touched & ((1 << l) - 1)).trailing_zeros().min(l);
+        let tiled = run < BLOCK_BITS;
+        let unit = if tiled { BLOCK_BITS.min(l) } else { run };
+        let unit_mask = (1u64 << unit) - 1;
+        // The bits above the unit that trade places with bits inside it.
+        let mut tile_bits = 0u64;
+        let mut outer_round = Round::default();
+        for &(a, b) in round.pairs() {
+            match (u32::from(a) < unit, u32::from(b) < unit) {
+                (true, false) => tile_bits |= 1 << b,
+                (false, true) => tile_bits |= 1 << a,
+                (false, false) => outer_round.push(a.into(), b.into()),
+                (true, true) => {}
             }
+        }
+        let tile_mask = tile_bits | unit_mask;
+        outer_round.flip = round.flip & !tile_mask;
+        let num_blocks = 1 << tile_bits.count_ones();
+        let mut blocks = [0; MAX_TILE_BLOCKS];
+        for (h, at) in blocks[..num_blocks].iter_mut().enumerate() {
+            *at = deposit(h as u64, tile_bits);
+        }
+        let mut partner = [0; MAX_TILE_BLOCKS << BLOCK_BITS];
+        if tiled {
+            for (j, p) in partner[..num_blocks << unit].iter_mut().enumerate() {
+                let x = blocks[j >> unit] | (j as u64 & unit_mask);
+                let y = round.partner(x) & tile_mask;
+                *p = ((extract(y, tile_bits) << unit) | (y & unit_mask)) as u8;
+            }
+        }
+        let all = (1u64 << n) - 1;
+        Walk {
+            l,
+            unit,
+            tiled,
+            blocks,
+            num_blocks,
+            partner,
+            outer: touched & !tile_mask,
+            outer_round,
+            class_bits: all & !(touched | tile_mask),
+            group_bits: (touched >> l).count_ones(),
+        }
+    }
+
+    fn classes(&self) -> usize {
+        1 << self.class_bits.count_ones()
+    }
+
+    /// Pool items for a pool of `threads`: one contiguous class range per
+    /// thread (every class is the same work).
+    fn items(&self, threads: usize) -> usize {
+        self.classes().min(threads)
+    }
+
+    /// Item `item`'s classes, of `items` items.
+    fn item_classes(&self, item: usize, items: usize) -> std::ops::Range<usize> {
+        let classes = self.classes();
+        item * classes / items..(item + 1) * classes / items
+    }
+
+    /// The shards `classes` reach: each group of `2^group_bits` shards once.
+    fn shards(&self, classes: std::ops::Range<usize>) -> u64 {
+        if classes.is_empty() {
+            return 0;
+        }
+        let local = (self.class_bits & ((1 << self.l) - 1)).count_ones();
+        let groups = ((classes.end - 1) >> local) - (classes.start >> local) + 1;
+        (groups as u64) << self.group_bits
+    }
+
+    /// Exchanges every pair of `classes` through `mem`.
+    fn walk<S: Swapper>(&self, classes: std::ops::Range<usize>, mem: &S) {
+        let mut class = deposit(classes.start as u64, self.class_bits);
+        for _ in classes {
+            let mut tile = 0u64;
+            loop {
+                let mirror = self.outer_round.partner(tile);
+                if tile < mirror || (tile == mirror && self.tiled) {
+                    self.exchange(class | tile, class | mirror, mem);
+                }
+                tile = next_subset(tile, self.outer);
+                if tile == 0 {
+                    break;
+                }
+            }
+            class = next_subset(class, self.class_bits);
+        }
+    }
+
+    /// Exchanges the tile at index `a` with its mirror at `b` (`a == b`:
+    /// the pairs inside one tile).
+    fn exchange<S: Swapper>(&self, a: u64, b: u64, mem: &S) {
+        let low = (1u64 << self.l) - 1;
+        let at = |x: u64| mem.at((x >> self.l) as usize, (x & low) as usize);
+        if !self.tiled {
+            mem.swap(at(a), at(b), 1 << self.unit);
+            return;
+        }
+        let mut ua = [at(a); MAX_TILE_BLOCKS];
+        let mut ub = ua;
+        for h in 0..self.num_blocks {
+            ua[h] = at(a | self.blocks[h]);
+            ub[h] = at(b | self.blocks[h]);
+        }
+        let unit_mask = (1 << self.unit) - 1;
+        for j in 0..self.num_blocks << self.unit {
+            let k = usize::from(self.partner[j]);
+            if a == b && k <= j {
+                continue;
+            }
+            mem.swap(
+                S::add(ua[j >> self.unit], j & unit_mask),
+                S::add(ub[k >> self.unit], k & unit_mask),
+                1,
+            );
         }
     }
 }
@@ -345,26 +461,23 @@ fn publish_scratch_counters(rec: &Recorder, scr: &Scratch) {
 /// one functional run, split into `2^{n-L}` shards.
 ///
 /// It holds amplitudes only — simulated time is charged on a
-/// [`Clock`](crate::Clock), which a dry run uses without any machine.
+/// [`Clock`](crate::Clock), which a dry run uses without any machine — and
+/// it holds them once: stage transitions exchange amplitudes in place
+/// ([`Machine::permute_state`]), so no second copy of the state exists.
 pub struct Machine {
     spec: MachineSpec,
     n: u32,
     /// Shard buffers.
     shards: Vec<Vec<Complex64>>,
-    /// Ping-pong twin of `shards` for cross-shard relayouts: allocated
-    /// lazily on the first general permutation and swapped with `shards`
-    /// afterwards, so stage transitions never allocate (or zero-fill)
-    /// fresh amplitude buffers in steady state.
-    spare: Vec<Vec<Complex64>>,
-    /// Single-shard scratch for shard-local (low-bit-closed) permutations,
-    /// allocated lazily and reused.
-    local_scratch: Vec<Complex64>,
-    /// Persistent outer vector of empty shard handles for the pure-relabel
-    /// transition (its buffers are never filled — only `mem::swap`ped),
-    /// so even the handle shuffle allocates nothing in steady state.
+    /// Base pointers of `shards`, refreshed before every pooled pass over
+    /// them (machine-owned, so a warm pass allocates nothing).
+    ptrs: Vec<AtomicPtr<Complex64>>,
+    /// Persistent outer vector of empty shard handles for the shard
+    /// relabel (its buffers are never filled — only `mem::swap`ped), so
+    /// even the handle shuffle allocates nothing in steady state.
     handles: Vec<Vec<Complex64>>,
-    /// The current transition's relayout tables, rebuilt in place.
-    relayout: RelayoutTables,
+    /// The current transition's rounds, rebuilt in place.
+    exchange: Exchange,
     /// Telemetry handle: disabled by default (every recording call is a
     /// single-branch no-op); [`Machine::set_recorder`] attaches one.
     recorder: Recorder,
@@ -385,10 +498,9 @@ impl Machine {
             spec,
             n,
             shards,
-            spare: Vec::new(),
-            local_scratch: Vec::new(),
+            ptrs: Vec::new(),
             handles: Vec::new(),
-            relayout: RelayoutTables::default(),
+            exchange: Exchange::default(),
             recorder: Recorder::default(),
         }
     }
@@ -489,39 +601,40 @@ impl Machine {
                 }
             });
         } else {
+            let ptrs = shard_ptrs(&mut self.ptrs, &mut self.shards);
             let rec = &self.recorder;
             // One pool item per shard, each owning just that shard.
-            let groups = ShardGroups {
-                num_shards,
-                members: 0,
-            };
-            let cell = ShardCell::new(&mut self.shards);
-            cell.run_groups(pool, num_shards, groups, shard_len, &|shards| {
-                for (s, [amps, ..]) in shards {
-                    // Per-worker idle gap since the previous stage (barrier +
-                    // reshuffle wait) — scheduling detail, never deterministic.
-                    rec.wait_span("worker.wait", step);
-                    let t = rec.start();
-                    // One scratch arena per pool worker; workers persist
-                    // across stages, so the arenas stay warm for the whole
-                    // EXECUTE and kernel execution allocates nothing.
-                    scratch::with_thread(|scr| {
-                        run_program(amps, &programs[s], scr, &Pool::SERIAL);
-                        publish_scratch_counters(rec, scr);
-                    });
-                    rec.span(
-                        "kernel.apply",
-                        t,
-                        true,
-                        step,
-                        s as u32,
-                        0,
-                        &[("ops", programs[s].len() as u64), ("amps", shard_amps)],
-                    );
-                    // Workers only live for the enclosing `with_pool` scope:
-                    // drain their fixed-capacity buffers while they exist.
-                    rec.flush();
-                }
+            pool.run(num_shards, &|s| {
+                // SAFETY: the pool runs item `s` once, and only item `s`
+                // reaches shard `s`, whose `shard_len` amplitudes stay
+                // allocated and unmoved for the whole job (`self` is
+                // borrowed mutably for the call).
+                let amps = unsafe {
+                    std::slice::from_raw_parts_mut(ptrs[s].load(Ordering::Relaxed), shard_len)
+                };
+                // Per-worker idle gap since the previous stage (barrier +
+                // reshuffle wait) — scheduling detail, never deterministic.
+                rec.wait_span("worker.wait", step);
+                let t = rec.start();
+                // One scratch arena per pool worker; workers persist
+                // across stages, so the arenas stay warm for the whole
+                // EXECUTE and kernel execution allocates nothing.
+                scratch::with_thread(|scr| {
+                    run_program(amps, &programs[s], scr, &Pool::SERIAL);
+                    publish_scratch_counters(rec, scr);
+                });
+                rec.span(
+                    "kernel.apply",
+                    t,
+                    true,
+                    step,
+                    s as u32,
+                    0,
+                    &[("ops", programs[s].len() as u64), ("amps", shard_amps)],
+                );
+                // Workers only live for the enclosing `with_pool` scope:
+                // drain their fixed-capacity buffers while they exist.
+                rec.flush();
             });
         }
     }
@@ -536,27 +649,23 @@ impl Machine {
     /// telemetry. The identity transition (identity `perm`, zero `flip`)
     /// moves nothing.
     ///
-    /// The functional relayout is a table-driven gather, owned by the
-    /// destination:
+    /// The move is in place — no second copy of the state, no shard-sized
+    /// scratch (see `Exchange`):
     ///
-    /// * every destination amplitude reads its source at
-    ///   `base(shard) ^ run_src(run)`, both parts XORs of entries of tables
-    ///   built once per transition (see `RelayoutTables`); when the
-    ///   permutation fixes (and `flip` spares) the low `t` bits, whole runs
-    ///   of `2^t` amplitudes move per lookup;
-    /// * cross-boundary transitions fill the lazily allocated `spare` twin
-    ///   on `pool`: each item owns whole destination shards (a contiguous
-    ///   range of tiles, below), so writes are disjoint by construction,
-    ///   and the spare is swapped in afterwards — steady-state transitions
-    ///   allocate and zero-fill nothing. When runs are shorter than 128 bytes, the
-    ///   destination shards fed by one 128-byte source block (two cache
-    ///   lines) are filled together — a tile — so each source block is
-    ///   consumed whole;
-    /// * shard-local permutations (low bits closed under `perm`) run in
-    ///   place through a single reusable shard-sized scratch on the
-    ///   calling thread — and a pure shard-*relabel* (only bits `≥ L`
-    ///   move) degenerates to swapping buffer handles without touching any
-    ///   amplitude.
+    /// * the transition splits into at most three *rounds*, each an
+    ///   involution on indices, so every amplitude swaps with exactly one
+    ///   partner or stays. An Atlas transition — local bits traded for as
+    ///   many shard bits, inside groups of shards that exchange only among
+    ///   themselves — is one round; any other permutation is at most two,
+    ///   plus one `i ↔ i ⊕ f` round for local flips the others cannot carry;
+    /// * each round runs on `pool`: items own disjoint ranges of the classes
+    ///   a pair never leaves, so their swaps are disjoint by construction.
+    ///   When the round moves bits inside a 128-byte block, it exchanges
+    ///   tiles of whole blocks with their mirror tiles; otherwise whole runs,
+    ///   as slices;
+    /// * a shard *relabel* finishes the move by swapping buffer handles: the
+    ///   shard-bit moves and flips, and the rounds' compensation. A pure
+    ///   relabel (only bits `≥ L` move) touches no amplitude.
     ///
     /// Byte-identical to [`Machine::permute_state_scatter`] for every pool
     /// (pinned by `tests/hotpath_exactness.rs`).
@@ -564,100 +673,59 @@ impl Machine {
         if perm.is_identity() && flip == 0 {
             return;
         }
-        let l = self.spec.local_qubits;
-        let n = self.n;
+        let (n, l) = (self.n, self.spec.local_qubits);
         let shard_len = self.shard_len();
-        let low_mask = (shard_len as u64) - 1;
-        let low_closed = (0..l).all(|b| perm.dst(b) < l);
-        let local_identity = (0..l).all(|b| perm.dst(b) == b) && flip & low_mask == 0;
-        if !local_identity {
-            self.relayout.build(perm, flip, n, l);
-        }
-        if low_closed {
-            // Shard-local content change (if any), in place per shard: the
-            // preimage of a local index is local, so each shard is its own
-            // (only) source.
-            if !local_identity {
-                if self.local_scratch.len() != shard_len {
-                    self.local_scratch = vec![Complex64::ZERO; shard_len];
-                }
-                let base = self.relayout.flip_src & low_mask;
-                for shard in &mut self.shards {
-                    self.relayout.gather(
-                        &mut [&mut self.local_scratch[..]],
-                        std::slice::from_ref(shard),
-                        base,
-                        l,
-                    );
-                    std::mem::swap(shard, &mut self.local_scratch);
-                }
-            }
-            // Shard relocation from the high bits: pure handle shuffle.
-            let high_identity = (l..n).all(|b| perm.dst(b) == b) && (flip >> l) == 0;
-            if !high_identity {
-                let num_shards = self.shards.len();
-                // `handles` always re-ends as all-empty after the double
-                // swap below, so it is reusable as-is next transition.
-                if self.handles.len() != num_shards {
-                    self.handles = vec![Vec::new(); num_shards];
-                }
-                for s in 0..num_shards {
-                    let new_s = ((perm.apply_index((s as u64) << l) ^ flip) >> l) as usize;
-                    std::mem::swap(&mut self.handles[new_s], &mut self.shards[s]);
-                }
-                std::mem::swap(&mut self.shards, &mut self.handles);
-            }
-            return;
+        self.exchange.plan(perm, flip, n, l);
+        let mem = ShardPtrs {
+            ptrs: shard_ptrs(&mut self.ptrs, &mut self.shards),
+            shard_len,
+        };
+        let rec = &self.recorder;
+        for walk in self.exchange.rounds().iter().map(|r| Walk::new(r, n, l)) {
+            let items = walk.items(pool.threads());
+            pool.run(items, &|item| {
+                // Idle time since this worker's previous event, then the
+                // round's share itself on the same lane: neither is
+                // deterministic, and with both recorded `worker.wait` stays
+                // idle time only.
+                rec.wait_span("worker.wait", step);
+                let t = rec.start();
+                let classes = walk.item_classes(item, items);
+                walk.walk(classes.clone(), &mem);
+                rec.span(
+                    "machine.relayout",
+                    t,
+                    false,
+                    step,
+                    0,
+                    0,
+                    &[("shards", walk.shards(classes))],
+                );
+                rec.flush();
+            });
         }
 
-        // General cross-boundary relayout: gather into the spare twin, each
-        // pool item filling its own destination tiles. Every destination
-        // index is written exactly once (the transition is a bijection), so
-        // the spare is never zero-filled after its one-time allocation.
-        let num_shards = self.shards.len();
-        if self.spare.len() != num_shards {
-            // First use: reserve the twin on this thread, as the state's own
-            // buffers were (allocated from the workers' heaps instead, the
-            // peak RSS of a run came to depend on the schedule); the items
-            // zero-fill it as they reach each shard.
-            self.spare = (0..num_shards)
-                .map(|_| Vec::with_capacity(shard_len))
-                .collect();
-        }
-        let groups = ShardGroups {
-            num_shards,
-            members: self.relayout.tile,
+        // The relabel: the buffer at shard `s` becomes shard `dst(s)`.
+        let low_mask = (shard_len as u64) - 1;
+        let exchange = &self.exchange;
+        let dst = |s: usize| {
+            let new = perm.apply_index(exchange.source((s as u64) << l)) ^ flip;
+            debug_assert_eq!(new & low_mask, 0, "the rounds left shard {s} unsorted");
+            (new >> l) as usize
         };
-        // One contiguous range per thread: every group is the same work.
-        // (Four items per thread measured no faster on the traced shuffle22
-        // and dense22 reshuffles at 2 threads, within run-to-run spread.)
-        let items = groups.count().min(pool.threads());
-        let (src, tables, rec) = (&self.shards, &self.relayout, &self.recorder);
-        let cell = ShardCell::new(&mut self.spare);
-        cell.run_groups(pool, items, groups, shard_len, &|tiles| {
-            // Idle time since this worker's previous event, then the move
-            // itself on the same lane: neither is deterministic, and with
-            // both recorded `worker.wait` stays idle time only.
-            rec.wait_span("worker.wait", step);
-            let t = rec.start();
-            let mut shards = 0;
-            for (first, mut tile) in tiles {
-                let tile = &mut tile[..groups.size()];
-                tables.gather(tile, src, tables.base(first), l);
-                shards += tile.len() as u64;
-            }
-            rec.span(
-                "machine.relayout",
-                t,
-                false,
-                step,
-                0,
-                0,
-                &[("shards", shards)],
-            );
-            rec.flush();
-        });
-        std::mem::swap(&mut self.shards, &mut self.spare);
+        let num_shards = self.shards.len();
+        if (0..num_shards).all(|s| dst(s) == s) {
+            return;
+        }
+        // `handles` always re-ends as all-empty after the double swap
+        // below, so it is reusable as-is next transition.
+        if self.handles.len() != num_shards {
+            self.handles = vec![Vec::new(); num_shards];
+        }
+        for s in 0..num_shards {
+            std::mem::swap(&mut self.handles[dst(s)], &mut self.shards[s]);
+        }
+        std::mem::swap(&mut self.shards, &mut self.handles);
     }
 
     /// The per-amplitude scatter oracle for [`Machine::permute_state`]:
@@ -940,6 +1008,20 @@ impl Machine {
     }
 }
 
+/// Refills `ptrs` with the base pointers of `shards`.
+fn shard_ptrs<'a>(
+    ptrs: &'a mut Vec<AtomicPtr<Complex64>>,
+    shards: &mut [Vec<Complex64>],
+) -> &'a [AtomicPtr<Complex64>] {
+    ptrs.clear();
+    ptrs.extend(
+        shards
+            .iter_mut()
+            .map(|shard| AtomicPtr::new(shard.as_mut_ptr())),
+    );
+    ptrs
+}
+
 /// Applies one shard's program to its amplitude buffer, splitting each
 /// kernel over `pool` and reusing `scratch` for every kernel.
 /// Bit-identical for any pool (see [`atlas_statevec::apply`]).
@@ -969,6 +1051,7 @@ mod tests {
     use super::*;
     use atlas_circuit::{Circuit, Gate, GateKind};
     use atlas_statevec::simulate_reference;
+    use std::cell::Cell;
 
     fn small_spec() -> MachineSpec {
         MachineSpec {
@@ -998,6 +1081,160 @@ mod tests {
             "distributed diverged: {}",
             got.max_abs_diff(&want)
         );
+    }
+
+    /// The plan corpus's stage transitions `(label, n, L, perm, flip)`,
+    /// from the copy `tests/hotpath_exactness.rs` keeps equal to the corpus.
+    fn plan_corpus() -> Vec<(String, u32, u32, QubitPermutation, u64)> {
+        include_str!("../testdata/plan_corpus_transitions.txt")
+            .lines()
+            .map(|line| {
+                let (fields, label) = line.split_once(" # ").expect("`… # label`");
+                let f: Vec<&str> = fields.split(' ').collect();
+                let map = f[3].split(',').map(|b| b.parse().unwrap()).collect();
+                (
+                    label.to_string(),
+                    f[0].parse().unwrap(),
+                    f[1].parse().unwrap(),
+                    QubitPermutation::from_map(map),
+                    u64::from_str_radix(f[2].trim_start_matches("0x"), 16).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_corpus_transition_is_one_exchange_round() {
+        let corpus = plan_corpus();
+        assert_eq!(corpus.len(), 55);
+        for (label, n, l, perm, flip) in corpus {
+            let mut exchange = Exchange::default();
+            exchange.plan(&perm, flip, n, l);
+            let [round] = exchange.rounds() else {
+                panic!("{label}: {} rounds", exchange.rounds().len());
+            };
+            // Local bit `x` trades places with the shard bit `perm` sends
+            // to it, and any flip rides on those pairs.
+            let mut pair_bits = 0u64;
+            for &(a, b) in round.pairs() {
+                let (x, y) = if a < b { (a, b) } else { (b, a) };
+                assert!(
+                    u32::from(x) < l && u32::from(y) >= l,
+                    "{label}: pair {a}, {b}"
+                );
+                assert_eq!(perm.dst(y.into()), u32::from(x), "{label}");
+                pair_bits |= (1 << a) | (1 << b);
+            }
+            assert_eq!(round.flip & !pair_bits, 0, "{label}: a flip round");
+        }
+    }
+
+    /// Records which pool item touched each position, and its partner.
+    struct Touched {
+        l: u32,
+        item: u8,
+        owner: Vec<Cell<u8>>,
+        mate: Vec<Cell<u32>>,
+    }
+
+    impl Touched {
+        const NONE: u8 = u8::MAX;
+
+        fn mark(&self, x: usize, mate: usize) {
+            assert_eq!(
+                self.owner[x].get(),
+                Self::NONE,
+                "position {x} touched twice"
+            );
+            self.owner[x].set(self.item);
+            self.mate[x].set(mate as u32);
+        }
+    }
+
+    impl Swapper for Touched {
+        type At = usize;
+
+        fn at(&self, shard: usize, offset: usize) -> usize {
+            assert!(offset < 1 << self.l);
+            (shard << self.l) | offset
+        }
+
+        fn add(at: usize, by: usize) -> usize {
+            at + by
+        }
+
+        fn swap(&self, a: usize, b: usize, len: usize) {
+            for i in 0..len {
+                self.mark(a + i, b + i);
+                self.mark(b + i, a + i);
+            }
+        }
+    }
+
+    /// The `unsafe` swap's partition argument, enumerated: over every round
+    /// of the plan corpus, the positions each pool item touches are
+    /// pairwise disjoint across items, their union is exactly the round's
+    /// non-fixed positions, and each is swapped with its partner.
+    #[test]
+    fn walks_partition_the_non_fixed_positions() {
+        for (label, n, l, perm, flip) in plan_corpus() {
+            let mut exchange = Exchange::default();
+            exchange.plan(&perm, flip, n, l);
+            for round in exchange.rounds() {
+                let walk = Walk::new(round, n, l);
+                let partner: Vec<u32> = (0..1u64 << n).map(|x| round.partner(x) as u32).collect();
+                for threads in [1, 2, 3, 7] {
+                    let mut touched = Touched {
+                        l,
+                        item: 0,
+                        owner: vec![Cell::new(Touched::NONE); 1 << n],
+                        mate: vec![Cell::new(0); 1 << n],
+                    };
+                    let items = walk.items(threads);
+                    for item in 0..items {
+                        touched.item = item as u8;
+                        walk.walk(walk.item_classes(item, items), &touched);
+                    }
+                    for (x, &p) in partner.iter().enumerate() {
+                        let (owner, mate) = (touched.owner[x].get(), touched.mate[x].get());
+                        assert!(
+                            if p as usize == x {
+                                owner == Touched::NONE
+                            } else {
+                                owner != Touched::NONE && mate == p
+                            },
+                            "{label} threads={threads}: position {x} (partner {p}) \
+                             touched by item {owner}, swapped with {mate}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rounds_split_cycles_into_two_reflections() {
+        // 3-cycle across the boundary on n = 4, L = 2: 0 → 1 → 3 → 0. The
+        // path 3 → 0 → 1 closes into the cycle (3, 0, 1): the first round
+        // swaps the local bits 0 and 1, the second 3 with 0.
+        let perm = QubitPermutation::from_map(vec![1, 3, 2, 0]);
+        let mut exchange = Exchange::default();
+        exchange.plan(&perm, 0, 4, 2);
+        let pairs: Vec<_> = exchange
+            .rounds()
+            .iter()
+            .map(|r| r.pairs().to_vec())
+            .collect();
+        assert_eq!(pairs, vec![vec![(0, 1)], vec![(3, 0)]]);
+        // A flip on a local bit no pair enters is a round of its own.
+        exchange.plan(&QubitPermutation::identity(4), 0b0110, 4, 2);
+        let [round] = exchange.rounds() else {
+            panic!("one flip round");
+        };
+        assert_eq!((round.pairs().len(), round.flip), (0, 0b0010));
+        // Shard bits alone: no round at all, only the relabel.
+        exchange.plan(&QubitPermutation::from_map(vec![0, 1, 3, 2]), 0b0100, 4, 2);
+        assert!(exchange.rounds().is_empty());
     }
 
     #[test]

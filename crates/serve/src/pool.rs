@@ -25,8 +25,8 @@
 //!   [`SessionPool::submit_blocking`] waits for space instead, and
 //!   [`SessionPool::submit_timeout`] waits a bounded time before
 //!   failing typed.
-//! * **Admission** — a job whose peak memory demand (state + ping-pong
-//!   spare + scratch) exceeds [`AtlasConfig::memory_budget`] is
+//! * **Admission** — a job whose peak memory demand (the state + one
+//!   scratch shard) exceeds [`AtlasConfig::memory_budget`] is
 //!   rejected at submission with [`AtlasError::ResourceExhausted`],
 //!   before it holds a queue slot and long before any amplitude
 //!   allocation could abort the process.

@@ -754,7 +754,7 @@ fn main() -> ExitCode {
         Recorder::default()
     };
     // The CLI is the single-host entry point: functional requests are
-    // admitted against a 3 GiB peak-state budget (which admits exactly
+    // admitted against a 2 GiB peak-state budget (which admits exactly
     // the n ≤ 26 circuits the historical heuristic did) and rejected
     // with a typed ResourceExhausted instead of an allocator abort.
     let budget = MemoryBudget::bytes(MemoryBudget::SINGLE_HOST);

@@ -13,6 +13,10 @@
 //! stage's shard programs, which allocates its output: a warm build may
 //! allocate at most half as often as the per-pattern fusion it replaced.
 //!
+//! No stage transition allocates a block of a shard's size or more, cold
+//! or warm: the counting allocator also records each thread's largest
+//! request, and a fresh machine's first all-to-all is held under one shard.
+//!
 //! The counters are **per thread**: the harness runs this binary's tests
 //! concurrently, and a measured region on `Pool::SERIAL` executes on the
 //! test's own thread, so a test counts exactly its own allocations however
@@ -31,7 +35,7 @@ use atlas::statevec::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
@@ -41,11 +45,15 @@ thread_local! {
     // from inside the allocator never allocates and never touches
     // torn-down thread-local state.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
     static MARKED_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Allocations made by threads marked with [`mark_pool_workers`].
 static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The largest request a marked thread made since it was last reset.
+static WORKER_LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 /// Held by a test while it counts [`WORKER_ALLOCS`].
 static POOLED: Mutex<()> = Mutex::new(());
@@ -56,11 +64,13 @@ fn take_turn() -> MutexGuard<'static, ()> {
     POOLED.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Counts one allocation against the calling thread.
-fn count() {
+/// Counts one allocation of `size` bytes against the calling thread.
+fn count(size: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|m| m.set(m.get().max(size)));
     if MARKED_WORKER.with(Cell::get) {
         WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        WORKER_LARGEST.fetch_max(size, Ordering::Relaxed);
     }
 }
 
@@ -68,7 +78,7 @@ fn count() {
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's `alloc` contract, forwarded as is.
         unsafe { System.alloc(layout) }
     }
@@ -79,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller's `realloc` contract, forwarded as is.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -91,6 +101,11 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// The calling thread's largest request since the previous call.
+fn take_largest() -> usize {
+    LARGEST.with(|m| m.replace(0))
 }
 
 /// Runs `f` once on each worker of a two-thread `pool`: its two items wait
@@ -246,11 +261,12 @@ fn warm_scratch_apply_layer_allocates_nothing() {
     assert!(scratch.table_hits() > 0);
 }
 
-/// Self-inverse transitions on a 10-qubit, L = 7 machine, one per relayout
-/// path: cross-boundary with runs of 4, cross-boundary with single
-/// amplitudes (tiled), shard-local (in place), and a pure shard relabel.
+/// Self-inverse transitions on a 10-qubit, L = 7 machine, one per mover
+/// path: an exchange of a local bit with a shard bit in runs of 16, two
+/// in tiles (local bit 2, local bit 0), a shard-local round, and a pure
+/// shard relabel.
 fn relayout_perms(n: u32) -> Vec<QubitPermutation> {
-    [(2, 8), (0, 8), (0, 3), (8, 9)]
+    [(4, 8), (2, 8), (0, 8), (0, 3), (8, 9)]
         .into_iter()
         .map(|(a, b)| {
             let mut map: Vec<u32> = (0..n).collect();
@@ -340,10 +356,10 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
     // per-GPU shard count runs.
     assert!(spec.offloading(n));
     // Warm-up: the first program run builds the thread-local arena, the
-    // first rounds allocate the ping-pong spare, the shard scratch, the
-    // handle vector and the relayout tables at their largest. Four rounds
-    // of 8 transitions and a barrier leave 36 steps in the clock ledger
-    // (capacity 64), so the measured round's 9 fit without growing it.
+    // first rounds allocate the shard-pointer and handle vectors. Four
+    // rounds of 10 transitions and a barrier leave 44 steps in the clock
+    // ledger (capacity 64), so the measured round's 11 fit without growing
+    // it.
     charge_programs(&mut clock, &programs);
     machine.run_shard_programs(&programs, 0, &Pool::SERIAL);
     for _ in 0..4 {
@@ -406,8 +422,9 @@ fn enabled_recorder_steady_state_records_without_allocating() {
     let perms = relayout_perms(n);
 
     // Warm-up: builds the scratch arena, the recorder's thread-local
-    // event buffer, the metric registry's counter slots, the relayout
-    // buffers, and a clock ledger with room for the measured round.
+    // event buffer, the metric registry's counter slots, the shard-pointer
+    // and handle vectors, and a clock ledger with room for the measured
+    // round.
     machine.run_shard_programs(&programs, 0, &Pool::SERIAL);
     for _ in 0..4 {
         relayout_round(&mut clock, &mut machine, &perms, &Pool::SERIAL);
@@ -451,7 +468,9 @@ fn warm_pooled_relayout_allocates_nothing() {
     let _turn = take_turn();
     with_pool(2, |pool| {
         mark_pool_workers(pool);
-        for _ in 0..3 {
+        // Four rounds of 10 transitions leave the clock ledger at 40 steps
+        // (capacity 64): the measured round's 10 fit without growing it.
+        for _ in 0..4 {
             relayout_round(&mut clock, &mut machine, &perms, pool);
         }
         let before = (allocs(), WORKER_ALLOCS.load(Ordering::Relaxed));
@@ -466,6 +485,54 @@ fn warm_pooled_relayout_allocates_nothing() {
     });
     let want = Machine::with_state(spec, &reference);
     assert_eq!(machine.gather_state(), want.gather_state());
+}
+
+#[test]
+fn first_cross_shard_transition_allocates_no_amplitude_sized_block() {
+    // A fresh machine's first all-to-all, serially and on a two-worker
+    // pool: the exchange moves the state in place, so no thread asks for
+    // a block of a shard's size — where a twin of the state would be one
+    // such block per shard.
+    let n = 14u32;
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 11,
+    };
+    let shard_bytes = std::mem::size_of::<Complex64>() << spec.local_qubits;
+    let reference = dense_state(n);
+    // Local bits 0 and 5 trade places with shard bits 13 and 11.
+    let mut map: Vec<u32> = (0..n).collect();
+    map.swap(0, 13);
+    map.swap(5, 11);
+    let perm = QubitPermutation::from_map(map);
+
+    let mut machine = Machine::with_state(spec, &reference);
+    take_largest();
+    machine.permute_state(&perm, 0, 0, &Pool::SERIAL);
+    let serial = take_largest();
+    assert!(
+        serial < shard_bytes,
+        "the first serial transition asked for {serial} bytes at once (a shard is {shard_bytes})"
+    );
+
+    let _turn = take_turn();
+    let mut machine = Machine::with_state(spec, &reference);
+    with_pool(2, |pool| {
+        mark_pool_workers(pool);
+        WORKER_LARGEST.store(0, Ordering::Relaxed);
+        take_largest();
+        machine.permute_state(&perm, 0, 0, pool);
+        let largest = (take_largest(), WORKER_LARGEST.load(Ordering::Relaxed));
+        assert!(
+            largest.0.max(largest.1) < shard_bytes,
+            "the first pooled transition's largest requests (submitting thread, workers): \
+             {largest:?} bytes (a shard is {shard_bytes})"
+        );
+    });
+    let mut scatter = Machine::with_state(spec, &reference);
+    scatter.permute_state_scatter(&perm, 0);
+    assert_eq!(machine.gather_state(), scatter.gather_state());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! dispatching over layouts — unrolled `k ≤ 2`, the lane-blocked dense
 //! sweep, contiguous low-window chunks, strided runs — and running the
 //! chosen layout's loop on one thread or split over several) and the
-//! table-driven relayout in `atlas_machine` are *replacements* for generic
+//! in-place relayout in `atlas_machine` are *replacements* for generic
 //! code on the innermost `2^n` sweep — they are only admissible because
 //! they perform the identical floating-point operations in the identical
 //! order. These properties pin that down to the bit: any rounding
@@ -14,9 +14,11 @@
 //! slices on both sides of the work cutoffs below which a kernel stays on
 //! one thread — which is also what keeps thread-count determinism intact —
 //! and the kernels that block adjacent groups at the edges of their blocks.
-//! The relayout runs through pools of 1, 2 and 3 threads too, and its
-//! closed-form interconnect charge is checked against a walk over every
-//! amplitude.
+//! The relayout runs through pools of 1, 2 and 3 threads too — Atlas
+//! exchanges for every `k`, tiled and in runs, flip rounds, two-round
+//! permutations and relabels — every plan-corpus transition is one
+//! exchange round, and its closed-form interconnect charge is checked
+//! against a walk over every amplitude.
 //!
 //! Gate fusion is held to the same standard one level up: the row-update
 //! primitive (`fuse_gate_into`, behind `fuse_gates`) against the
@@ -27,6 +29,8 @@
 
 #[path = "common/build_oracle.rs"]
 mod build_oracle;
+#[path = "common/plan_corpus.rs"]
+mod plan_corpus;
 
 use atlas::core::exec::{build_stage_programs, FullPlan};
 use atlas::machine::cost::AMP_BYTES;
@@ -46,6 +50,7 @@ use atlas::statevec::{
 use build_oracle::{coalesce_cap, oracle_coalesced_programs, oracle_stage_programs};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -347,6 +352,154 @@ fn shuffle(items: &mut [u32], s: &mut u64) {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         items.swap(i, (*s >> 33) as usize % (i + 1));
+    }
+}
+
+/// Asserts that `permute_state` moves `reference` on `spec` exactly as the
+/// scatter oracle does, on a pool of every size.
+fn assert_relayout_matches_scatter(
+    spec: MachineSpec,
+    reference: &StateVector,
+    perm: &QubitPermutation,
+    flip: u64,
+    label: &str,
+) {
+    let mut scatter = Machine::with_state(spec, reference);
+    scatter.permute_state_scatter(perm, flip);
+    let want = scatter.gather_state();
+    for threads in THREADS {
+        let mut moved = Machine::with_state(spec, reference);
+        with_pool(threads, |pool| moved.permute_state(perm, flip, 0, pool));
+        assert_bits_eq(
+            &moved.gather_state(),
+            &want,
+            &format!(
+                "{label} n={} L={} threads={threads}",
+                reference.num_qubits(),
+                spec.local_qubits
+            ),
+        );
+    }
+}
+
+/// Exchange shapes: the relayout shapes, one wide enough for runs and
+/// tiles of eight blocks, and one single 8-shard group of 8-amplitude
+/// shards (one class: fewer groups, and classes, than threads).
+fn exchange_shapes() -> Vec<(u32, MachineSpec)> {
+    let mut shapes = relayout_shapes().to_vec();
+    shapes.push((
+        13,
+        MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 7,
+        },
+    ));
+    shapes.push((
+        6,
+        MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 3,
+        },
+    ));
+    shapes
+}
+
+/// An Atlas transition on `n` qubits with `l` local: `k` local bits `X`
+/// trade places with `k` shard bits `Y` (`perm(Y) = X`), every other local
+/// bit stays, and `X` plus the shard bits outside `Y` land on the shard
+/// bits in a seeded order (a shard relabel on top). With `low`, `X` holds
+/// bits `0..min(k, 3)` (the tiled case); otherwise only bits `≥ 3` (runs),
+/// when `l − 3 ≥ k`. Returns the permutation and `X`'s mask.
+fn atlas_transition(
+    n: u32,
+    l: u32,
+    k: u32,
+    low: bool,
+    s: &mut u64,
+) -> Option<(QubitPermutation, u64)> {
+    // `X` is `locals[first..first + k]`; the bits below `pinned` stay put.
+    let (first, pinned) = if low { (0, k.min(3)) } else { (3, 3) };
+    if first + k > l {
+        return None;
+    }
+    let mut locals: Vec<u32> = (0..l).collect();
+    shuffle(&mut locals[pinned as usize..], s);
+    let x = locals[first as usize..(first + k) as usize].to_vec();
+    let mut shard: Vec<u32> = (l..n).collect();
+    shuffle(&mut shard, s);
+    let (y, kept) = shard.split_at(k as usize);
+    let mut map: Vec<u32> = (0..n).collect();
+    for (&yj, &xj) in y.iter().zip(&x) {
+        map[yj as usize] = xj;
+    }
+    let mut targets: Vec<u32> = (l..n).collect();
+    shuffle(&mut targets, s);
+    for (&src, &dst) in x.iter().chain(kept).zip(&targets) {
+        map[src as usize] = dst;
+    }
+    let x_mask = x.iter().fold(0u64, |m, &b| m | (1 << b));
+    Some((QubitPermutation::from_map(map), x_mask))
+}
+
+/// The plan corpus's stage transitions as the machine crate's exchange
+/// tests read them: `n L flip map # case Tt`, one per line.
+fn render_corpus_transitions() -> String {
+    let mut out = String::new();
+    for case in plan_corpus::cases() {
+        for (t, (perm, flip)) in plan_corpus::transitions(&case.plan()).iter().enumerate() {
+            let map: Vec<String> = perm.as_map().iter().map(u32::to_string).collect();
+            writeln!(
+                out,
+                "{} {} {flip:#x} {} # {} T{t}",
+                case.n,
+                case.l,
+                map.join(","),
+                case.label()
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+/// The machine crate's relayout unit tests walk the plan corpus's
+/// transitions from a checked-in copy; it must stay the corpus.
+#[test]
+fn machine_fixture_holds_the_plan_corpus_transitions() {
+    let want = render_corpus_transitions();
+    let got = include_str!("../crates/machine/testdata/plan_corpus_transitions.txt");
+    assert!(
+        got == want,
+        "crates/machine/testdata/plan_corpus_transitions.txt is stale; the corpus now reads:\n{want}"
+    );
+}
+
+/// Every stage transition of the plan corpus trades local bits for shard
+/// bits and moves in exactly one exchange round — one `machine.relayout`
+/// item on a serial pool, so no second round and no flip round.
+#[test]
+fn every_plan_corpus_transition_is_one_exchange_round() {
+    for case in plan_corpus::cases() {
+        let (n, l) = (case.n, case.l);
+        for (t, (perm, flip)) in plan_corpus::transitions(&case.plan()).iter().enumerate() {
+            let label = format!("{} T{t}", case.label());
+            assert!(
+                (0..l).any(|b| perm.dst(b) >= l),
+                "{label}: no local bit leaves"
+            );
+            let recorder = Recorder::enabled();
+            let mut machine = Machine::new(case.spec(), n);
+            machine.set_recorder(recorder.clone());
+            machine.permute_state(perm, *flip, 0, &Pool::SERIAL);
+            let rounds = recorder
+                .drain()
+                .iter()
+                .filter(|e| e.name == "machine.relayout")
+                .count();
+            assert_eq!(rounds, 1, "{label}: rounds");
+        }
     }
 }
 
@@ -940,10 +1093,9 @@ proptest! {
     }
 
     /// The relayout engine is byte-identical to the per-amplitude scatter
-    /// oracle for arbitrary permutations and flips — covering the
-    /// shard-local in-place path, the pure relabel (handle-shuffle) path
-    /// and the general pooled path — on every relayout shape, through
-    /// pools of 1, 2 and 3 threads.
+    /// oracle for arbitrary permutations and flips — up to two exchange
+    /// rounds, a flip round and a relabel each — on every relayout shape,
+    /// through pools of 1, 2 and 3 threads.
     #[test]
     fn permute_state_blocks_match_scatter_bitwise(
         seed in any::<u64>(),
@@ -952,8 +1104,8 @@ proptest! {
     ) {
         for (n, spec) in relayout_shapes() {
             let reference = dense_state(n, seed);
-            // Chain several transitions so ping-pong reuse (not just the
-            // first, freshly-allocated pass) is exercised.
+            // Chain several transitions, so later rounds start from the
+            // shard order an earlier relabel left (not just the first pass).
             let mut s = seed | 1;
             let transitions: Vec<(QubitPermutation, u64)> = (0..steps)
                 .map(|step| {
@@ -980,8 +1132,8 @@ proptest! {
         }
     }
 
-    /// Shard-local and relabel-only transitions (the in-place and
-    /// handle-shuffle fast paths) also match the scatter oracle, on every
+    /// Shard-local and relabel-only transitions (local-pair rounds, and
+    /// the handle shuffle alone) also match the scatter oracle, on every
     /// relayout shape and pool size.
     #[test]
     fn local_and_relabel_permutations_match_scatter_bitwise(
@@ -1019,6 +1171,103 @@ proptest! {
                         &format!("{name} n={n} L={l} threads={threads}"),
                     );
                 }
+            }
+        }
+    }
+
+    /// Atlas transitions — `k` local bits traded for `k` shard bits, for
+    /// every `k` the shape allows, tiled (low bits move) and in runs —
+    /// match the scatter oracle, with local flips inside `X` (carried by the
+    /// exchange) and outside it (one more flip round), on top of shard
+    /// flips.
+    #[test]
+    fn exchange_rounds_match_scatter_bitwise(
+        seed in any::<u64>(),
+        flip_seed in any::<u64>(),
+    ) {
+        for (n, spec) in exchange_shapes() {
+            let l = spec.local_qubits;
+            let reference = dense_state(n, seed);
+            let mut s = seed | 1;
+            for k in 1..=l.min(n - l) {
+                for low in [true, false] {
+                    let Some((perm, x)) = atlas_transition(n, l, k, low, &mut s) else {
+                        continue;
+                    };
+                    let local = (1u64 << l) - 1;
+                    let shard_flip = flip_seed & ((1u64 << n) - 1) & !local;
+                    let flips = [
+                        ("no flip", 0),
+                        ("shard flips", shard_flip),
+                        ("flips inside X", shard_flip | (flip_seed.rotate_left(7) & x)),
+                        ("flips outside X", shard_flip | (flip_seed.rotate_left(19) & local & !x)),
+                    ];
+                    for (name, flip) in flips {
+                        let label = format!("k={k} low={low} {name}");
+                        assert_relayout_matches_scatter(spec, &reference, &perm, flip, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Permutations that are not one exchange — a local cycle, a 3-cycle
+    /// across the boundary (two rounds) and the final unpermute of a chain
+    /// of exchanges — and relabels — shard bits only, and the identity with
+    /// a shard flip — match the scatter oracle.
+    #[test]
+    fn general_permutations_and_relabels_match_scatter_bitwise(
+        seed in any::<u64>(),
+        flip_seed in any::<u64>(),
+    ) {
+        for (n, spec) in exchange_shapes() {
+            let l = spec.local_qubits;
+            let reference = dense_state(n, seed);
+            let mut s = seed | 1;
+            let local = (1u64 << l) - 1;
+            let all = (1u64 << n) - 1;
+            let mut cases: Vec<(&str, QubitPermutation, u64)> = Vec::new();
+
+            let mut locals: Vec<u32> = (0..l).collect();
+            shuffle(&mut locals, &mut s);
+            let mut map: Vec<u32> = (0..n).collect();
+            for (i, &b) in locals.iter().enumerate() {
+                map[b as usize] = locals[(i + 1) % locals.len()];
+            }
+            cases.push(("local cycle", QubitPermutation::from_map(map), flip_seed & all));
+
+            if l >= 2 {
+                let (a, b, sh) = (locals[0], locals[1], l + (seed % u64::from(n - l)) as u32);
+                let mut map: Vec<u32> = (0..n).collect();
+                map[a as usize] = b;
+                map[b as usize] = sh;
+                map[sh as usize] = a;
+                cases.push(("3-cycle across", QubitPermutation::from_map(map), flip_seed & all));
+            }
+
+            let mut layout = QubitPermutation::identity(n as usize);
+            for k in 1..=l.min(n - l) {
+                if let Some((perm, _)) = atlas_transition(n, l, k, k % 2 == 1, &mut s) {
+                    layout = layout.then(&perm);
+                }
+            }
+            cases.push(("final unpermute", layout.inverse(), flip_seed & all));
+
+            let mut shard: Vec<u32> = (l..n).collect();
+            shuffle(&mut shard, &mut s);
+            let mut map: Vec<u32> = (0..n).collect();
+            for (i, &b) in shard.iter().enumerate() {
+                map[(l + i as u32) as usize] = b;
+            }
+            cases.push(("relabel", QubitPermutation::from_map(map), flip_seed & all & !local));
+            cases.push((
+                "identity with a shard flip",
+                QubitPermutation::identity(n as usize),
+                (flip_seed | (1 << l)) & all & !local,
+            ));
+
+            for (name, perm, flip) in &cases {
+                assert_relayout_matches_scatter(spec, &reference, perm, *flip, name);
             }
         }
     }

@@ -11,17 +11,21 @@
 //! `kernel_cost`, and compares against constants recorded at commit
 //! 436d4ed (the last one before `dp.rs`'s loop was rewritten).
 //!
-//! The cases are the e2e benchmark's shapes, shrunk to test size: the
-//! eleven Table I families at two (n, L) rungs on 4×4 GPUs (`plan36`),
-//! `su2random` / `wstate` on the `dense22` / `shuffle22` splits, and
-//! three of the `serve16` structures.
+//! The cases are the plan corpus (`tests/common/plan_corpus.rs`): the e2e
+//! benchmark's shapes, shrunk to test size — the eleven Table I families
+//! at two (n, L) rungs on 4×4 GPUs (`plan36`), `su2random` / `wstate` on
+//! the `dense22` / `shuffle22` splits, and three of the `serve16`
+//! structures.
 //!
 //! On a mismatch the panic names the family and the stage and prints the
 //! complete actual table, so an *intended* plan change is re-recorded by
 //! pasting that table over `GOLDEN` — and saying so in the PR.
 
+#[path = "common/plan_corpus.rs"]
+mod plan_corpus;
+
 use atlas::core::plan::Kernel;
-use atlas::prelude::*;
+use plan_corpus::{cases, Case};
 
 /// FNV-1a over the stage's kernels (`Debug`) and its cost bits.
 fn stage_digest(kernels: &[Kernel], kernel_cost: f64) -> u64 {
@@ -36,86 +40,13 @@ fn stage_digest(kernels: &[Kernel], kernel_cost: f64) -> u64 {
     h
 }
 
-/// One golden case: `family` at `n` qubits on `nodes × gpus` GPUs with
-/// `l` local qubits.
-struct Case {
-    family: Family,
-    n: u32,
-    l: u32,
-    nodes: usize,
-    gpus: usize,
-}
-
-impl Case {
-    fn label(&self) -> String {
-        format!(
-            "{} n={} L={} {}x{}",
-            self.family.name(),
-            self.n,
-            self.l,
-            self.nodes,
-            self.gpus
-        )
-    }
-
-    fn stage_digests(&self) -> Vec<u64> {
-        let spec = MachineSpec {
-            nodes: self.nodes,
-            gpus_per_node: self.gpus,
-            local_qubits: self.l,
-        };
-        let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
-        let plan = planner
-            .plan(&self.family.generate(self.n))
-            .unwrap_or_else(|e| panic!("{}: planning failed: {e}", self.label()));
-        plan.plan()
-            .stages
-            .iter()
-            .map(|sp| stage_digest(&sp.kernels, sp.kernel_cost))
-            .collect()
-    }
-}
-
-fn cases() -> Vec<Case> {
-    let mut cases = Vec::new();
-    // plan36, shrunk: every Table I family at two rungs on 4×4 GPUs.
-    for (n, l) in [(20, 12), (12, 6)] {
-        for family in Family::table1() {
-            cases.push(Case {
-                family,
-                n,
-                l,
-                nodes: 4,
-                gpus: 4,
-            });
-        }
-    }
-    // dense22 / shuffle22, shrunk.
-    cases.push(Case {
-        family: Family::Su2Random,
-        n: 16,
-        l: 13,
-        nodes: 2,
-        gpus: 2,
-    });
-    cases.push(Case {
-        family: Family::WState,
-        n: 16,
-        l: 6,
-        nodes: 4,
-        gpus: 4,
-    });
-    // serve16 structures.
-    for family in [Family::Vqc, Family::Qft, Family::Ae] {
-        cases.push(Case {
-            family,
-            n: 14,
-            l: 11,
-            nodes: 2,
-            gpus: 2,
-        });
-    }
-    cases
+/// Digest per stage of `case`'s plan.
+fn stage_digests(case: &Case) -> Vec<u64> {
+    case.plan()
+        .stages
+        .iter()
+        .map(|sp| stage_digest(&sp.kernels, sp.kernel_cost))
+        .collect()
 }
 
 /// `(case label, digest per stage)`, recorded at commit 436d4ed.
@@ -164,7 +95,7 @@ fn render(actual: &[(String, Vec<u64>)]) -> String {
 fn plans_match_the_recorded_digests() {
     let actual: Vec<(String, Vec<u64>)> = cases()
         .iter()
-        .map(|c| (c.label(), c.stage_digests()))
+        .map(|c| (c.label(), stage_digests(c)))
         .collect();
     let mut wrong = Vec::new();
     if actual.len() != GOLDEN.len() {
