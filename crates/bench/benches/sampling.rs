@@ -2,7 +2,8 @@
 //! and a diagonal (`Z…Z`) Pauli-string expectation on a 16-qubit
 //! functional run distributed over 8 shards (2 nodes × 2 GPUs, L = 13).
 //!
-//! Neither path gathers or unpermutes the state. The end-to-end view of
+//! Neither path gathers the state, and neither translates an index: the
+//! run ends in the logical layout. The end-to-end view of
 //! sampling is `e2ebench`'s `sampler.*` layers, measured on every
 //! workload that samples.
 
@@ -19,11 +20,7 @@ fn measurements_for(n: u32, l: u32) -> Measurements {
         gpus_per_node: 2,
         local_qubits: l,
     };
-    let cfg = AtlasConfig {
-        final_unpermute: false,
-        ..AtlasConfig::default()
-    };
-    let compiled = Planner::new(spec, CostModel::default(), cfg)
+    let compiled = Planner::new(spec, CostModel::default(), AtlasConfig::default())
         .plan(&circuit)
         .expect("plan");
     compiled.execute(&circuit).expect("execute").measurements

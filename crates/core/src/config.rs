@@ -187,10 +187,15 @@ pub struct AtlasConfig {
     pub staging: StagingAlgo,
     /// Kernelization algorithm.
     pub kernelizer: KernelAlgo,
-    /// Unpermute the final state back to the identity qubit layout after
-    /// the last stage (needed when reading amplitudes out; benchmarks that
-    /// reproduce the paper's timing leave it off, as the paper reports the
-    /// simulation time with the final layout in place).
+    /// Charge the final move back to the identity qubit layout on the
+    /// model clock, and gather the state into
+    /// [`Execution::state`](crate::session::Execution::state).
+    ///
+    /// Every functional run ends in the identity layout whatever this
+    /// says; the knob selects only the charge and the gather. Benchmarks
+    /// that reproduce the paper's timing leave it off, as the paper reports
+    /// the simulation time with the final layout in place; validation runs
+    /// that read amplitudes out turn it on.
     pub final_unpermute: bool,
     /// Host threads the functional executor may use: above `1`, one
     /// worker pool of this many threads runs the whole execution — shard
@@ -345,8 +350,8 @@ impl AtlasConfig {
     }
 
     /// Configuration for functional-correctness runs: the defaults plus a
-    /// final unpermute so amplitudes are directly comparable to the
-    /// reference simulator.
+    /// final unpermute, so the run gathers its amplitudes for comparison
+    /// with the reference simulator.
     pub fn for_validation() -> Self {
         AtlasConfig {
             final_unpermute: true,

@@ -9,6 +9,9 @@
 //! Between stages the state is re-laid-out with one all-to-all
 //! (charged by `Clock::charge_permute`, moved by `Machine::permute_state`),
 //! the only communication in the whole run — the paper's central property.
+//! After the last stage one more in-place move returns a functional run's
+//! state to the identity layout, so everything downstream reads logical
+//! indices as they are.
 //!
 //! ## Insular specialization (Appendix B-a)
 //!
@@ -105,26 +108,6 @@ pub struct FullPlan {
     pub g: u32,
     /// Number of circuit qubits the plan was compiled for.
     pub n: u32,
-}
-
-impl FullPlan {
-    /// The logical→physical qubit layout the machine is left in after
-    /// EXECUTE: the identity when the run unpermutes at the end
-    /// (`final_unpermute`), otherwise the last stage's mapping
-    /// (outstanding X/Y relabel flips are already applied by `execute`).
-    ///
-    /// The single source of truth for the post-EXECUTE layout — the
-    /// session API's [`Execution`](crate::session::Execution) hands this
-    /// to the measurement engine.
-    pub fn final_mapping(&self, final_unpermute: bool) -> Vec<u32> {
-        if final_unpermute {
-            return (0..self.n).collect();
-        }
-        self.stages
-            .last()
-            .map(|sp| sp.mapping.clone())
-            .unwrap_or_else(|| (0..self.n).collect())
-    }
 }
 
 /// Builds the logical→physical mapping for a stage, keeping qubits at
@@ -356,9 +339,15 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
 /// splits its index groups across them), and so does the all-to-all
 /// reshuffle between stages (each worker filling whole destination
 /// shards); both end in a barrier. Amplitudes are bit-identical for every
-/// thread count. X/Y relabel flips still pending after the last stage are
-/// applied to the amplitudes but charged nothing: the model folds flips
-/// into the next all-to-all for free, and there is none.
+/// thread count.
+///
+/// A completed functional run ends in the logical layout (physical index
+/// = logical index): one more in-place relayout moves the state from the
+/// last stage's mapping to the identity and applies the X/Y relabel flips
+/// still pending, in one pass. The clock charges that move only with
+/// `cfg.final_unpermute`; otherwise it is uncharged, as the model times
+/// the run with the final layout in place (and folds flips into an
+/// all-to-all for free).
 ///
 /// `should_stop` is a cooperative interruption probe, polled at every
 /// stage barrier — the natural deterministic preemption point: a stage's
@@ -378,7 +367,6 @@ pub(crate) fn execute(
     // Dry runs never touch amplitudes, so the pool would only idle.
     let threads = if run.is_some() { cfg.threads.max(1) } else { 1 };
     atlas_statevec::with_pool(threads, |pool| {
-        let n = plan.n;
         let mut carried_flips = 0u64;
         let mut prev_mapping: Option<&[u32]> = None;
 
@@ -408,19 +396,18 @@ pub(crate) fn execute(
             prev_mapping = Some(&sp.mapping);
         }
 
-        // Final unpermute to the identity layout (validation runs).
-        if cfg.final_unpermute {
-            if let Some(pm) = prev_mapping {
-                let perm = transition(pm, |q| q as u32);
-                let f = permute_mask(&perm, carried_flips);
-                let machine = run.as_mut().map(|(m, _)| &mut **m);
+        // End in the logical layout: one move from the last stage's
+        // mapping to the identity that applies the pending relabel flips
+        // in the same pass. Only `final_unpermute` charges it.
+        if let Some(pm) = prev_mapping {
+            let perm = transition(pm, |q| q as u32);
+            let f = permute_mask(&perm, carried_flips);
+            let machine = run.as_mut().map(|(m, _)| &mut **m);
+            if cfg.final_unpermute {
                 reshuffle(clock, machine, &perm, f, &cfg.recorder, pool);
+            } else if let Some(machine) = machine {
+                machine.permute_state(&perm, f, clock.num_steps(), pool);
             }
-        } else if let Some((machine, _)) = run.as_mut() {
-            // Apply outstanding relabels so the gathered state is consistent
-            // with the final mapping (a no-op without any).
-            let identity = QubitPermutation::identity(n as usize);
-            machine.permute_state(&identity, carried_flips, clock.num_steps(), pool);
         }
         true
     })

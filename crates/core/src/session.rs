@@ -448,8 +448,7 @@ impl CompiledPlan {
         }
         let state = self.cfg.final_unpermute.then(|| machine.gather_state());
         let report = clock.report();
-        let mapping = self.plan.final_mapping(self.cfg.final_unpermute);
-        let measurements = Measurements::new(machine, mapping, self.cfg.threads.max(1));
+        let measurements = Measurements::new(machine, self.cfg.threads.max(1));
         let samples = (self.cfg.shots > 0).then(|| {
             let rec = &self.cfg.recorder;
             let t = rec.start();
@@ -505,9 +504,11 @@ impl CompiledPlan {
 pub struct Execution {
     /// Machine clock and traffic report for this run.
     pub report: MachineReport,
-    /// The gathered final state in the identity qubit layout (only with
+    /// The gathered final state (only with
     /// [`AtlasConfig::final_unpermute`]; sweeps leave it off and read
-    /// through `measurements`).
+    /// through `measurements`). Its layout does not depend on the knob:
+    /// every run ends in the identity qubit layout, which is also the
+    /// layout `measurements` reads.
     pub state: Option<StateVector>,
     /// Measurement engine over the sharded final state: shots,
     /// marginals, Pauli expectations and top outcomes, all in place.
@@ -736,9 +737,9 @@ mod tests {
 
     #[test]
     fn functional_run_hands_out_measurements_without_unpermute() {
-        // No final unpermute: the state stays in the last stage's layout,
-        // yet the measurement handle reports logical-order results that
-        // match the dense reference.
+        // No final unpermute: nothing is gathered or charged, yet the
+        // measurement handle reports results that match the dense
+        // reference.
         let circuit = Family::Qft.generate(9);
         let spec = MachineSpec {
             nodes: 2,

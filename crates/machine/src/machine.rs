@@ -3,7 +3,7 @@
 //! costs is charged on the [`Clock`](crate::Clock), not here.
 
 use crate::topology::MachineSpec;
-use atlas_qmath::{Complex64, IndexPermuter, Matrix, QubitPermutation};
+use atlas_qmath::{Complex64, Matrix, QubitPermutation};
 use atlas_statevec::{measure, scratch, FastKernel, Pool, Scratch, StateVector};
 use atlas_telemetry::Recorder;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -753,8 +753,8 @@ impl Machine {
     // ------------------------------------------------------------------
     //
     // Read-only entry points for the `atlas-sampler` measurement engine:
-    // every reduction runs on the sharded, still-permuted buffers — the
-    // full 2^n vector is never materialized. Parallelism mirrors
+    // every reduction runs on the sharded buffers — the full 2^n vector
+    // is never materialized. Parallelism mirrors
     // `run_shard_programs`: one pool item per shard when shards cover the
     // workers, the shard's chunks as pool items otherwise, and results are
     // combined in shard/chunk order so every value is bit-identical for
@@ -825,69 +825,67 @@ impl Machine {
         self.shards[(idx >> l) as usize][(idx & ((1u64 << l) - 1)) as usize]
     }
 
+    /// The shard slices holding the indices `[j·2^c, (j+1)·2^c)`, in index
+    /// order: part of one shard when `c ≤ L`, else `2^{c−L}` whole shards.
+    fn chunk_slices(&self, j: usize, c: u32) -> impl Iterator<Item = &[Complex64]> {
+        let (l, start) = (self.spec.local_qubits, j << c);
+        let (first, lo, len) = (start >> l, start & (self.shard_len() - 1), 1 << c.min(l));
+        let shards = &self.shards[first..first + (1 << c.saturating_sub(l))];
+        shards.iter().map(move |shard| &shard[lo..lo + len])
+    }
+
     /// Probability masses of fixed `2^chunk_bits`-index chunks of the
-    /// **logical** index space: entry `j` is
-    /// `Σ_{x ∈ [j·2^c, (j+1)·2^c)} |α_{l2p(x)}|²`, accumulated in logical
-    /// index order (`l2p` maps logical → physical indices).
+    /// index space: entry `j` is `Σ_{x ∈ [j·2^c, (j+1)·2^c)} |α_x|²`, one
+    /// sum from `0.0` in index order, across shard boundaries when `c > L`
+    /// (never per-shard partials added up).
     ///
-    /// This is the coarse row of the sampling CDF. Because the iteration
-    /// order and chunk boundaries are defined in logical space, the
-    /// result — and everything downstream, including sampled bitstrings —
-    /// is independent of the shard layout's bit permutation, not just of
-    /// the thread count.
-    pub fn logical_chunk_norms(
-        &self,
-        l2p: &IndexPermuter,
-        chunk_bits: u32,
-        pool: &Pool,
-    ) -> Vec<f64> {
+    /// This is the coarse row of the sampling CDF. Its summation order and
+    /// chunk boundaries depend only on the index space, so the result —
+    /// and every sampled bitstring — is the same for every shard and
+    /// thread count.
+    pub fn logical_chunk_norms(&self, chunk_bits: u32, pool: &Pool) -> Vec<f64> {
         let c = chunk_bits.min(self.n);
-        let chunk_len = 1u64 << c;
         pool.map(1 << (self.n - c), &|j| {
-            let base = (j as u64) << c;
-            let mut acc = 0.0;
-            for t in 0..chunk_len {
-                acc += self.amp_at_physical(l2p.apply(base | t)).norm_sqr();
-            }
-            acc
+            let sum = |acc, part: &[Complex64]| part.iter().fold(acc, |acc, a| acc + a.norm_sqr());
+            self.chunk_slices(j, c).fold(0.0, sum)
         })
     }
 
     /// Shard-aware inverse-CDF resolution: maps ascending cumulative
-    /// `targets` (each in `[0, Σ chunk_norms)`) to **logical** basis-state
-    /// indices, using `chunk_norms` (from [`Machine::logical_chunk_norms`]
-    /// with the same `l2p` and `chunk_bits`) as the coarse CDF and a
-    /// serial logical-order scan within each hit chunk.
+    /// `targets` (each in `[0, Σ chunk_norms)`) to basis-state indices,
+    /// using `chunk_norms` (from [`Machine::logical_chunk_norms`] with the
+    /// same `chunk_bits`) as the coarse CDF and a serial index-order scan
+    /// within each hit chunk.
     ///
     /// Chunks with at least one target resolve concurrently on `pool`;
-    /// within a chunk the scan accumulates in logical index order, so the
+    /// within a chunk the scan accumulates in index order, so the
     /// assignment is deterministic for every thread count and shard
-    /// layout. Targets at or past the total mass clamp to the last index.
+    /// count. A target the scan leaves unresolved (float slack at the
+    /// chunk's end, or a target past the total mass) clamps to the chunk's
+    /// last index of nonzero probability, in the last chunk of nonzero mass
+    /// at the latest: no outcome of probability zero is drawn.
     pub fn resolve_targets(
         &self,
-        l2p: &IndexPermuter,
         chunk_bits: u32,
         chunk_norms: &[f64],
         targets: &[f64],
         pool: &Pool,
     ) -> Vec<u64> {
         let c = chunk_bits.min(self.n);
-        let chunk_len = 1u64 << c;
         assert_eq!(chunk_norms.len(), 1usize << (self.n - c));
         debug_assert!(targets.windows(2).all(|w| w[0] <= w[1]), "targets sorted");
         // Chunk-level CDF.
-        let mut prefix = Vec::with_capacity(chunk_norms.len() + 1);
-        let mut acc = 0.0;
-        prefix.push(0.0);
-        for &m in chunk_norms {
-            acc += m;
-            prefix.push(acc);
-        }
+        let mut prefix = vec![0.0];
+        prefix.extend(chunk_norms.iter().scan(0.0, |acc, &m| {
+            *acc += m;
+            Some(*acc)
+        }));
         // Group consecutive targets by the chunk their CDF interval hits.
+        let last_chunk = chunk_norms.iter().rposition(|&m| m > 0.0).unwrap_or(0);
         let mut groups: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
         let mut j = 0usize;
         for (ti, &t) in targets.iter().enumerate() {
-            while j + 1 < chunk_norms.len() && prefix[j + 1] <= t {
+            while j < last_chunk && prefix[j + 1] <= t {
                 j += 1;
             }
             match groups.last_mut() {
@@ -897,21 +895,25 @@ impl Machine {
         }
         let resolved = pool.map(groups.len(), &|g| {
             let (j, ref range) = groups[g];
+            let targets = &targets[range.clone()];
             let base = (j as u64) << c;
             let mut acc = prefix[j];
-            let mut out = Vec::with_capacity(range.len());
-            for t in 0..chunk_len {
-                acc += self.amp_at_physical(l2p.apply(base | t)).norm_sqr();
-                while out.len() < range.len() && targets[range.start + out.len()] < acc {
+            let mut out = Vec::with_capacity(targets.len());
+            // The last offset of nonzero probability scanned so far (the
+            // chunk's last offset while there is none).
+            let mut last = (1u64 << c) - 1;
+            for (t, a) in (0u64..).zip(self.chunk_slices(j, c).flatten()) {
+                let p = a.norm_sqr();
+                last = if p > 0.0 { t } else { last };
+                acc += p;
+                while out.len() < targets.len() && targets[out.len()] < acc {
                     out.push(base | t);
                 }
-                if out.len() == range.len() {
+                if out.len() == targets.len() {
                     break;
                 }
             }
-            // Floating-point slack at the chunk boundary: clamp to the
-            // chunk's last index.
-            out.resize(range.len(), base | (chunk_len - 1));
+            out.resize(targets.len(), base | last);
             out
         });
         resolved.concat()
@@ -962,17 +964,12 @@ impl Machine {
         }
     }
 
-    /// The `k` most probable outcomes as `(remap(physical index),
-    /// probability)`, descending, selected with one bounded-heap pass per
-    /// shard and a shard-order merge — never a full sort, never a
-    /// gathered vector.
-    ///
-    /// Indices are pushed through `remap` *before* entering the heaps, so
-    /// ties order by the **remapped** index — callers that pass the
-    /// physical→logical permuter get exactly the logical-order selection
-    /// (strict total order, stable across shard layouts); pass the
-    /// identity to stay in physical indices.
-    pub fn top_outcomes(&self, k: usize, remap: &IndexPermuter, pool: &Pool) -> Vec<(u64, f64)> {
+    /// The `k` most probable outcomes as `(index, probability)`,
+    /// descending with ties by ascending index, selected with one
+    /// bounded-heap pass per shard and a shard-order merge — never a full
+    /// sort, never a gathered vector. The order is strict and total, so
+    /// the selection does not depend on the shard count.
+    pub fn top_outcomes(&self, k: usize, pool: &Pool) -> Vec<(u64, f64)> {
         let l = self.spec.local_qubits;
         let partials = self.map_shards(pool, &|s, amps, _| {
             let base = (s as u64) << l;
@@ -980,7 +977,7 @@ impl Machine {
             for (i, a) in amps.iter().enumerate() {
                 let p = a.norm_sqr();
                 if p > atlas_qmath::EPS {
-                    top.push(remap.apply(base | i as u64), p);
+                    top.push(base | i as u64, p);
                 }
             }
             top
@@ -1342,7 +1339,6 @@ mod tests {
 
     #[test]
     fn measurement_reductions_match_dense_reference() {
-        use atlas_qmath::IndexPermuter;
         // A dense, phase-rich 5-qubit state on 4 shards.
         let mut prep = Circuit::new(5);
         for q in 0..5 {
@@ -1393,24 +1389,19 @@ mod tests {
         let got = m.signed_pair_sum(flip, sign_mask, &pool);
         assert!((got - want).norm() < 1e-12);
 
-        // Logical chunk norms under a non-trivial layout permutation sum
-        // to the per-chunk dense masses.
-        let mut map: Vec<u32> = (0..5).collect();
-        map.swap(0, 4);
-        map.swap(1, 3);
-        let perm = atlas_qmath::QubitPermutation::from_map(map);
-        let mut permuted = Machine::with_state(small_spec(), &reference);
-        permuted.permute_state(&perm, 0, 0, &pool);
-        // State now holds logical x at physical perm(x): l2p = perm.
-        let l2p = IndexPermuter::new(&perm);
-        let chunks = permuted.logical_chunk_norms(&l2p, 2, &pool);
-        assert_eq!(chunks.len(), 8);
-        for (j, &got) in chunks.iter().enumerate() {
-            let want: f64 = (0..4)
-                .map(|t| reference.amplitudes()[j * 4 + t].norm_sqr())
-                .sum();
-            assert!((got - want).abs() < 1e-12, "chunk {j}");
+        // Chunk norms sum to the per-chunk dense masses, within a shard
+        // (c = 2 < L) and across two shards (c = 4 > L).
+        for c in [2u32, 4] {
+            let chunks = m.logical_chunk_norms(c, &pool);
+            assert_eq!(chunks.len(), 32 >> c);
+            for (j, &got) in chunks.iter().enumerate() {
+                let want: f64 = (0..1 << c)
+                    .map(|t| reference.amplitudes()[(j << c) + t].norm_sqr())
+                    .sum();
+                assert!((got - want).abs() < 1e-12, "c={c} chunk {j}");
+            }
         }
+        let chunks = m.logical_chunk_norms(2, &pool);
 
         // Inverse-CDF: targets placed inside known probability intervals
         // resolve to the matching logical indices.
@@ -1430,7 +1421,7 @@ mod tests {
         ];
         let mut sorted = targets.clone();
         sorted.sort_by(f64::total_cmp);
-        let got = permuted.resolve_targets(&l2p, 2, &chunks, &sorted, &pool);
+        let got = m.resolve_targets(2, &chunks, &sorted, &pool);
         assert_eq!(got, vec![3, 17, 30]);
 
         // Marginal over physical bits {0, 4} matches the dense sum.
@@ -1448,8 +1439,7 @@ mod tests {
 
         // Top outcomes agree with the dense selector.
         let want = reference.top_probabilities(5);
-        let identity = IndexPermuter::new(&atlas_qmath::QubitPermutation::identity(5));
-        let got = m.top_outcomes(5, &identity, &pool);
+        let got = m.top_outcomes(5, &pool);
         assert_eq!(got.len(), 5);
         for ((gi, gp), (wi, wp)) in got.iter().zip(&want) {
             assert_eq!(gi, wi);

@@ -21,7 +21,7 @@ pub mod perm;
 pub use bits::{clear_bit, deposit_bits, extract_bits, insert_bit, insert_bits, set_bit, test_bit};
 pub use complex::Complex64;
 pub use matrix::Matrix;
-pub use perm::{IndexPermuter, QubitPermutation};
+pub use perm::QubitPermutation;
 
 /// Default absolute tolerance used by approximate comparisons throughout the
 /// workspace (amplitudes, unitarity checks, fidelity assertions).

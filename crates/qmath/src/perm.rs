@@ -76,10 +76,8 @@ impl QubitPermutation {
     }
 
     /// Applies the permutation to an amplitude index, one bit at a time
-    /// (`O(n)`): for bulk index work compile the permutation into tables
-    /// instead, as [`IndexPermuter`] and the machine's relayout do. The
-    /// per-amplitude scatter oracle of the relayout still calls this once
-    /// per amplitude.
+    /// (`O(n)`). The per-amplitude scatter oracle of the relayout calls
+    /// this once per amplitude.
     ///
     /// Branch-free on purpose: with a data-dependent branch per index bit
     /// the cost of a per-amplitude loop follows the branch predictor's luck
@@ -107,63 +105,6 @@ impl QubitPermutation {
             .filter(|(i, &d)| *i as u32 != d)
             .map(|(i, _)| i as u32)
             .collect()
-    }
-}
-
-/// A byte-table-compiled form of a [`QubitPermutation`] for bulk
-/// index-space application.
-///
-/// [`QubitPermutation::apply_index`] walks every bit (`O(n)` per index);
-/// measurement paths that unpermute *indices* instead of amplitude arrays
-/// apply the permutation to millions of indices, so this compiles the
-/// permutation into one 256-entry scatter table per input byte:
-/// `apply` is then `⌈n/8⌉` table lookups OR-ed together.
-#[derive(Clone, Debug)]
-pub struct IndexPermuter {
-    /// `tables[t][v]` = the destination-bit image of byte value `v` at
-    /// input bits `8t..8t+8`.
-    tables: Vec<[u64; 256]>,
-    identity: bool,
-}
-
-impl IndexPermuter {
-    /// Compiles `perm` into byte scatter tables.
-    pub fn new(perm: &QubitPermutation) -> Self {
-        let n = perm.len();
-        let mut tables = vec![[0u64; 256]; n.div_ceil(8)];
-        for (t, table) in tables.iter_mut().enumerate() {
-            let bits_here = (n - 8 * t).min(8);
-            for (v, entry) in table.iter_mut().enumerate() {
-                let mut out = 0u64;
-                for b in 0..bits_here {
-                    if (v >> b) & 1 == 1 {
-                        out |= 1u64 << perm.dst((8 * t + b) as u32);
-                    }
-                }
-                *entry = out;
-            }
-        }
-        IndexPermuter {
-            tables,
-            identity: perm.is_identity(),
-        }
-    }
-
-    /// `true` if the compiled permutation is the identity.
-    #[inline]
-    pub fn is_identity(&self) -> bool {
-        self.identity
-    }
-
-    /// Applies the permutation to an amplitude index. Equal to
-    /// [`QubitPermutation::apply_index`] for indices below `2^n`.
-    #[inline]
-    pub fn apply(&self, idx: u64) -> u64 {
-        let mut out = 0u64;
-        for (t, table) in self.tables.iter().enumerate() {
-            out |= table[((idx >> (8 * t)) & 0xFF) as usize];
-        }
-        out
     }
 }
 
@@ -266,24 +207,6 @@ mod tests {
             assert!(!seen[out], "index {out} hit twice");
             seen[out] = true;
         }
-    }
-
-    #[test]
-    fn index_permuter_matches_apply_index() {
-        for seed in 0..8u64 {
-            // 10 bits (two partial tables) and 17 bits (three tables).
-            for n in [10usize, 17] {
-                let p = random_perm(n, seed);
-                let lut = IndexPermuter::new(&p);
-                assert_eq!(lut.is_identity(), p.is_identity());
-                for idx in (0..1u64 << n).step_by(97) {
-                    assert_eq!(lut.apply(idx), p.apply_index(idx), "n={n} idx={idx}");
-                }
-            }
-        }
-        let id = IndexPermuter::new(&QubitPermutation::identity(12));
-        assert!(id.is_identity());
-        assert_eq!(id.apply(0xABC), 0xABC);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The [`Measurements`] handle: post-execution workloads on the sharded,
-//! still-permuted state.
+//! The [`Measurements`] handle: post-execution workloads on the sharded
+//! state.
 
 use crate::pauli::PauliString;
 use crate::rng::CounterRng;
 use atlas_machine::Machine;
-use atlas_qmath::{IndexPermuter, QubitPermutation};
 use atlas_statevec::with_pool;
 
 /// Logical chunk granularity of the sampling CDF (`2^12` basis states
@@ -19,30 +18,23 @@ pub const SAMPLE_CHUNK_BITS: u32 = 12;
 
 /// Measurement engine over a finished functional run.
 ///
-/// Owns the [`Machine`] with its sharded amplitude buffers and the final
-/// stage's logical→physical qubit mapping, and evaluates the
-/// post-execution workload family — shot samples, marginal
+/// Owns the [`Machine`] with its sharded amplitude buffers and evaluates
+/// the post-execution workload family — shot samples, marginal
 /// distributions, Pauli-string expectations, top outcomes — **directly
-/// on the shards**. The final qubit permutation is undone in index space
-/// (a byte-LUT [`IndexPermuter`] per accessed index), never by
-/// materializing the unpermuted `2^n` vector: there is no
-/// `gather_state` on any path through this type.
+/// on the shards**. EXECUTE leaves every functional run in the logical
+/// layout (physical index = logical index), so every index and qubit
+/// mask here is read as is: there is no `gather_state` on any path
+/// through this type, and no index translation either.
 ///
 /// ## Determinism
 ///
 /// All results are bit-identical for every thread count (reductions
 /// combine fixed-size chunks in a fixed order — see
 /// [`atlas_statevec::measure`]), and a seeded [`Measurements::sample`]
-/// additionally orders its CDF in *logical* index space, so the sampled
-/// bitstrings do not depend on the shard layout either.
+/// additionally orders its CDF in index space, so the sampled bitstrings
+/// do not depend on the shard count either.
 pub struct Measurements {
     machine: Machine,
-    /// Logical qubit `q` lives at physical bit `mapping[q]`.
-    mapping: Vec<u32>,
-    /// Logical index → physical index.
-    l2p: IndexPermuter,
-    /// Physical index → logical index.
-    p2l: IndexPermuter,
     /// Host threads measurement reductions may use.
     threads: usize,
 }
@@ -52,27 +44,18 @@ impl std::fmt::Debug for Measurements {
         f.debug_struct("Measurements")
             .field("num_qubits", &self.machine.num_qubits())
             .field("num_shards", &self.machine.num_shards())
-            .field("mapping", &self.mapping)
             .field("threads", &self.threads)
             .finish()
     }
 }
 
 impl Measurements {
-    /// Wraps a finished functional run. `mapping[q]` is the physical bit
-    /// holding logical qubit `q` in the machine's final layout (the last
-    /// stage's mapping, or the identity after a final unpermute); any
-    /// pending X/Y relabel flips must already be applied.
-    pub fn new(machine: Machine, mapping: Vec<u32>, threads: usize) -> Self {
-        assert_eq!(mapping.len() as u32, machine.num_qubits());
-        let perm = QubitPermutation::from_map(mapping.clone());
-        let l2p = IndexPermuter::new(&perm);
-        let p2l = IndexPermuter::new(&perm.inverse());
+    /// Wraps a finished functional run. The machine must hold the state
+    /// in the logical layout (index bit `q` = qubit `q`), with every
+    /// pending X/Y relabel flip applied — as EXECUTE leaves it.
+    pub fn new(machine: Machine, threads: usize) -> Self {
         Measurements {
             machine,
-            mapping,
-            l2p,
-            p2l,
             threads: threads.max(1),
         }
     }
@@ -87,24 +70,15 @@ impl Measurements {
         &self.machine
     }
 
-    /// The final logical→physical qubit mapping.
-    pub fn mapping(&self) -> &[u32] {
-        &self.mapping
-    }
-
-    /// Probability of the **logical** basis state `index` (one index-space
-    /// unpermutation, one shard read).
+    /// Probability of the basis state `index` (one shard read).
     pub fn probability(&self, index: u64) -> f64 {
-        // The byte LUT would silently drop bits ≥ n and alias the index
-        // into range; fail loudly instead, like a dense state would.
+        // Fail loudly on an out-of-range index, like a dense state would.
         assert!(
             index < 1u64 << self.num_qubits(),
             "basis state {index} out of range for {} qubits",
             self.num_qubits()
         );
-        self.machine
-            .amp_at_physical(self.l2p.apply(index))
-            .norm_sqr()
+        self.machine.amp_at_physical(index).norm_sqr()
     }
 
     /// Total probability mass `Σ|α|²` (≈ 1 for a physical state).
@@ -113,23 +87,21 @@ impl Measurements {
     }
 
     /// Draws `shots` basis-state samples from the measurement
-    /// distribution, returned as **logical** bitstrings in shot order.
+    /// distribution, returned as bitstrings in shot order.
     ///
-    /// Inverse-CDF over logical chunks: shot `i`'s variate is the pure
+    /// Inverse-CDF over fixed index chunks: shot `i`'s variate is the pure
     /// function [`CounterRng::f64_at`]`(i)` of the seed, the coarse CDF
     /// comes from [`Machine::logical_chunk_norms`], and each shot scans
     /// only its hit chunk ([`Machine::resolve_targets`]). With a fixed
     /// seed the output is byte-identical across thread counts and shard
-    /// layouts; the cost is `O(2^n + shots·(log(2^{n-c}) + 2^c))` with no
+    /// counts; the cost is `O(2^n + shots·(log(2^{n-c}) + 2^c))` with no
     /// `2^n` allocation.
     pub fn sample(&self, shots: usize, seed: u64) -> Vec<u64> {
         if shots == 0 {
             return Vec::new();
         }
         with_pool(self.threads, |pool| {
-            let chunk_norms = self
-                .machine
-                .logical_chunk_norms(&self.l2p, SAMPLE_CHUNK_BITS, pool);
+            let chunk_norms = self.machine.logical_chunk_norms(SAMPLE_CHUNK_BITS, pool);
             let total: f64 = chunk_norms.iter().sum();
             let rng = CounterRng::new(seed);
             let targets: Vec<f64> = (0..shots).map(|i| rng.f64_at(i as u64) * total).collect();
@@ -138,13 +110,9 @@ impl Measurements {
             let mut order: Vec<usize> = (0..shots).collect();
             order.sort_by(|&a, &b| targets[a].total_cmp(&targets[b]).then(a.cmp(&b)));
             let sorted: Vec<f64> = order.iter().map(|&i| targets[i]).collect();
-            let resolved = self.machine.resolve_targets(
-                &self.l2p,
-                SAMPLE_CHUNK_BITS,
-                &chunk_norms,
-                &sorted,
-                pool,
-            );
+            let resolved =
+                self.machine
+                    .resolve_targets(SAMPLE_CHUNK_BITS, &chunk_norms, &sorted, pool);
             let mut out = vec![0u64; shots];
             for (pos, &shot) in order.iter().enumerate() {
                 out[shot] = resolved[pos];
@@ -159,18 +127,17 @@ impl Measurements {
         count_samples(self.sample(shots, seed))
     }
 
-    /// The expectation value `⟨ψ|P|ψ⟩` of a Pauli string over **logical**
-    /// qubits, reduced per shard on the permuted state (the string's
-    /// masks are pushed through the qubit mapping; no amplitude moves,
-    /// no matrix is built). Exact up to floating-point rounding.
+    /// The expectation value `⟨ψ|P|ψ⟩` of a Pauli string, reduced per
+    /// shard with the string's own masks (no amplitude moves, no matrix
+    /// is built). Exact up to floating-point rounding.
     pub fn expectation(&self, p: &PauliString) -> f64 {
         assert_eq!(
             p.num_qubits(),
             self.num_qubits(),
             "Pauli string width must match the circuit"
         );
-        let flip = self.phys_mask(p.x_mask() | p.y_mask());
-        let sign = self.phys_mask(p.z_mask() | p.y_mask());
+        let flip = p.x_mask() | p.y_mask();
+        let sign = p.z_mask() | p.y_mask();
         with_pool(self.threads, |pool| {
             if flip == 0 {
                 // Diagonal string (I/Z only): a real signed norm.
@@ -188,48 +155,28 @@ impl Measurements {
         })
     }
 
-    /// Marginal probability distribution over the given **logical**
-    /// qubits: entry `v` is the probability that measuring `qubits[t]`
+    /// Marginal probability distribution over the given qubits: entry `v` is the probability that measuring `qubits[t]`
     /// yields bit `t` of `v`. Qubits must be distinct; order defines the
     /// result's bit order.
     pub fn marginal(&self, qubits: &[u32]) -> Vec<f64> {
         let n = self.num_qubits();
         let mut seen = 0u64;
-        let phys: Vec<u32> = qubits
-            .iter()
-            .map(|&q| {
-                assert!(q < n, "qubit {q} out of range");
-                assert!(seen & (1 << q) == 0, "duplicate qubit {q}");
-                seen |= 1 << q;
-                self.mapping[q as usize]
-            })
-            .collect();
-        with_pool(self.threads, |pool| {
-            self.machine.marginal_distribution(&phys, pool)
-        })
-    }
-
-    /// The `k` most probable outcomes as `(logical bitstring,
-    /// probability)`, descending with ties by ascending bitstring,
-    /// computed with per-shard bounded heaps; each candidate's index is
-    /// unpermuted before selection, so the result matches
-    /// `StateVector::top_probabilities` on the unpermuted state exactly.
-    pub fn top(&self, k: usize) -> Vec<(u64, f64)> {
-        with_pool(self.threads, |pool| {
-            self.machine.top_outcomes(k, &self.p2l, pool)
-        })
-    }
-
-    /// Deposits a logical qubit mask onto physical bits.
-    fn phys_mask(&self, logical: u64) -> u64 {
-        let mut out = 0u64;
-        let mut m = logical;
-        while m != 0 {
-            let q = m.trailing_zeros();
-            m &= m - 1;
-            out |= 1u64 << self.mapping[q as usize];
+        for &q in qubits {
+            assert!(q < n, "qubit {q} out of range");
+            assert!(seen & (1 << q) == 0, "duplicate qubit {q}");
+            seen |= 1 << q;
         }
-        out
+        with_pool(self.threads, |pool| {
+            self.machine.marginal_distribution(qubits, pool)
+        })
+    }
+
+    /// The `k` most probable outcomes as `(bitstring, probability)`,
+    /// descending with ties by ascending bitstring, computed with
+    /// per-shard bounded heaps; the result matches
+    /// `StateVector::top_probabilities` on the gathered state exactly.
+    pub fn top(&self, k: usize) -> Vec<(u64, f64)> {
+        with_pool(self.threads, |pool| self.machine.top_outcomes(k, pool))
     }
 }
 

@@ -2,8 +2,7 @@
 //!
 //! The sharded measurement engine: shot sampling, marginal probability
 //! distributions, and Pauli-string expectation values computed **directly
-//! on the distributed, still-permuted state** — the full `2^n` vector is
-//! never gathered or unpermuted.
+//! on the distributed state** — the full `2^n` vector is never gathered.
 //!
 //! Atlas partitions the state across device shards precisely so that the
 //! whole vector never has to live in one place; this crate extends that
@@ -11,21 +10,21 @@
 //! (QAOA energies, Grover success probabilities, sampled bitstrings),
 //! and each of them reduces over the shards in place:
 //!
-//! * **shots** — inverse-CDF sampling over a logical-order chunked CDF
+//! * **shots** — inverse-CDF sampling over an index-order chunked CDF
 //!   ([`Machine::logical_chunk_norms`] / [`Machine::resolve_targets`]),
 //!   seeded by a counter-based, schedule-independent [`CounterRng`]:
 //!   with a fixed seed the sampled bitstrings are byte-identical across
-//!   thread counts and shard layouts;
+//!   thread counts and shard counts;
 //! * **Pauli expectations** — `⟨ψ|P|ψ⟩` via one flip mask, one sign mask
 //!   and an `i^{#Y}` prefactor ([`PauliString`]), reduced per shard with
 //!   cross-shard partner reads and no data movement;
 //! * **marginals / top outcomes** — per-shard accumulation and bounded
 //!   top-`k` heaps, merged in shard order.
 //!
-//! The final qubit permutation left behind by staged execution is undone
-//! **in index space**, per sampled bitstring / per Pauli term, through a
-//! byte-LUT [`atlas_qmath::IndexPermuter`] — not by re-laying-out
-//! amplitudes.
+//! Staged execution ends every functional run in the logical layout —
+//! one in-place relayout from the last stage's qubit mapping to the
+//! identity — so every index, qubit and Pauli mask here is the logical
+//! one, read as is.
 //!
 //! Entry point: [`Measurements`], handed out as
 //! `atlas_core::session::Execution::measurements` by every functional run.
@@ -60,29 +59,21 @@ mod tests {
     }
 
     /// A dense 5-qubit state distributed over 4 shards, plus its dense
-    /// reference, under a non-trivial final layout.
-    fn permuted_fixture() -> (Measurements, atlas_statevec::StateVector, Vec<u32>) {
+    /// reference.
+    fn fixture() -> (Measurements, atlas_statevec::StateVector) {
         let mut prep = Circuit::new(5);
         for q in 0..5 {
             prep.h(q).rz(0.11 * (q + 2) as f64, q);
         }
         prep.cx(0, 4).cp(0.8, 2, 3).cx(1, 3);
         let reference = simulate_reference(&prep);
-        let mut machine = Machine::with_state(spec(), &reference);
-        // Final layout: logical q at physical mapping[q].
-        let mapping: Vec<u32> = vec![2, 4, 0, 3, 1];
-        let perm = atlas_qmath::QubitPermutation::from_map(mapping.clone());
-        machine.permute_state(&perm, 0, 0, &atlas_statevec::Pool::SERIAL);
-        (
-            Measurements::new(machine, mapping.clone(), 1),
-            reference,
-            mapping,
-        )
+        let machine = Machine::with_state(spec(), &reference);
+        (Measurements::new(machine, 1), reference)
     }
 
     #[test]
-    fn probability_and_top_undo_the_permutation() {
-        let (m, reference, _) = permuted_fixture();
+    fn probability_and_top_match_dense() {
+        let (m, reference) = fixture();
         for x in 0..32u64 {
             assert!((m.probability(x) - reference.probability(x)).abs() < 1e-12);
         }
@@ -95,8 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn expectation_matches_dense_on_permuted_state() {
-        let (m, reference, _) = permuted_fixture();
+    fn expectation_matches_dense() {
+        let (m, reference) = fixture();
         for s in ["ZIIIZ", "IXIXI", "YZXIY", "XXXXX", "IIIII", "ZYIXZ"] {
             let p: PauliString = s.parse().unwrap();
             let want = dense_expectation(&reference, &p);
@@ -107,7 +98,7 @@ mod tests {
 
     #[test]
     fn marginal_matches_dense() {
-        let (m, reference, _) = permuted_fixture();
+        let (m, reference) = fixture();
         let dist = m.marginal(&[4, 1]);
         for (v, &got) in dist.iter().enumerate() {
             let want: f64 = (0..32usize)
@@ -121,7 +112,7 @@ mod tests {
 
     #[test]
     fn sampling_is_seed_deterministic_and_distribution_shaped() {
-        let (m, reference, _) = permuted_fixture();
+        let (m, reference) = fixture();
         let a = m.sample(512, 7);
         let b = m.sample(512, 7);
         assert_eq!(a, b);
@@ -152,7 +143,7 @@ mod tests {
         let beta = atlas_qmath::Complex64::new(0.2, -0.7);
         let sv = atlas_statevec::StateVector::from_amplitudes(vec![alpha, beta]);
         let machine = Machine::with_state(MachineSpec::single_gpu(1), &sv);
-        let m = Measurements::new(machine, vec![0], 1);
+        let m = Measurements::new(machine, 1);
         for (s, kind) in [("X", GateKind::X), ("Y", GateKind::Y), ("Z", GateKind::Z)] {
             let mat = Gate::new(kind, &[0]).matrix();
             let p_psi = [

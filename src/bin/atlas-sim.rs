@@ -867,7 +867,8 @@ fn main() -> ExitCode {
 
     // The Atlas path below never gathers the state: `--top`, `--shots`
     // and `--expect` all read through the sharded measurement engine,
-    // so no final unpermute pass is needed either.
+    // which EXECUTE leaves in the logical layout without charging the
+    // move.
     if let Some(b) = args.baseline.as_deref() {
         let r = match b {
             "hyquas" => baselines::hyquas(&circuit, spec, cost, dry),

@@ -16,6 +16,8 @@
 //! No stage transition allocates a block of a shard's size or more, cold
 //! or warm: the counting allocator also records each thread's largest
 //! request, and a fresh machine's first all-to-all is held under one shard.
+//! A whole functional run with its measurements asks for no block of that
+//! size beyond the machine's own shards.
 //!
 //! The counters are **per thread**: the harness runs this binary's tests
 //! concurrently, and a measured region on `Pool::SERIAL` executes on the
@@ -46,6 +48,8 @@ thread_local! {
     // torn-down thread-local state.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// `(floor, count)`: requests of at least `floor` bytes.
+    static BLOCKS: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
     static MARKED_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -68,6 +72,12 @@ fn take_turn() -> MutexGuard<'static, ()> {
 fn count(size: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
     LARGEST.with(|m| m.set(m.get().max(size)));
+    BLOCKS.with(|b| {
+        let (floor, n) = b.get();
+        if size >= floor {
+            b.set((floor, n + 1));
+        }
+    });
     if MARKED_WORKER.with(Cell::get) {
         WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
         WORKER_LARGEST.fetch_max(size, Ordering::Relaxed);
@@ -106,6 +116,18 @@ fn allocs() -> u64 {
 /// The calling thread's largest request since the previous call.
 fn take_largest() -> usize {
     LARGEST.with(|m| m.replace(0))
+}
+
+/// Restarts the calling thread's count of requests of at least `floor`
+/// bytes.
+fn count_blocks_from(floor: usize) {
+    BLOCKS.with(|b| b.set((floor, 0)));
+}
+
+/// The calling thread's requests of at least the floor since
+/// [`count_blocks_from`].
+fn blocks() -> u64 {
+    BLOCKS.with(|b| b.get().1)
 }
 
 /// Runs `f` once on each worker of a two-thread `pool`: its two items wait
@@ -533,6 +555,51 @@ fn first_cross_shard_transition_allocates_no_amplitude_sized_block() {
     let mut scatter = Machine::with_state(spec, &reference);
     scatter.permute_state_scatter(&perm, 0);
     assert_eq!(machine.gather_state(), scatter.gather_state());
+}
+
+#[test]
+fn functional_run_and_measurements_allocate_no_block_beyond_the_shards() {
+    // A whole serial EXECUTE — its transitions and the final move back to
+    // the logical layout — then `sample`, `top` and `expectation`. The
+    // machine's own shards are its only requests of a shard's size: the
+    // end move stays in place and nothing gathers the state.
+    let circuit = Family::Su2Random.generate(17);
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 15,
+    };
+    let shard_bytes = std::mem::size_of::<Complex64>() << spec.local_qubits;
+    let compiled = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+        .plan(&circuit)
+        .unwrap();
+    let last = &compiled.plan().stages.last().unwrap().mapping;
+    assert!(
+        last.iter()
+            .enumerate()
+            .any(|(q, &p)| (q as u32 >= spec.local_qubits) != (p >= spec.local_qubits)),
+        "the final move must exchange shard bits"
+    );
+    let zz: PauliString = "ZIIIIIIIIIIIIIIIZ".parse().unwrap();
+    let xy: PauliString = "XIIIIIIIYIIIIIIIZ".parse().unwrap();
+
+    take_largest();
+    count_blocks_from(shard_bytes);
+    let run = compiled.execute(&circuit).unwrap();
+    let samples = run.measurements.sample(64, 7);
+    let top = run.measurements.top(8);
+    let expect = [&zz, &xy].map(|p| run.measurements.expectation(p));
+    let (largest, blocks) = (take_largest(), blocks());
+
+    let shards = run.measurements.machine().num_shards() as u64;
+    assert_eq!(
+        (largest, blocks),
+        (shard_bytes, shards),
+        "(largest request, requests of a shard's size or more) of a run and its \
+         measurements; a shard is {shard_bytes} bytes and the machine has {shards}"
+    );
+    assert_eq!((samples.len(), top.len()), (64, 8));
+    assert!(expect.iter().all(|e| e.abs() <= 1.0 + 1e-9));
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Property tests for `atlas_qmath::perm` and `atlas_qmath::bits` — the
-//! index-space algebra the sampler's unpermutation leans on: every
-//! sampled bitstring and every Pauli mask goes through `apply_index` /
-//! `IndexPermuter::apply`, `extract_bits` and `deposit_bits`, so their
+//! index-space algebra the relayout and the kernels lean on: stage
+//! transitions go through `apply_index`, and strided amplitude
+//! addressing through `extract_bits` and `deposit_bits`, so their
 //! round-trip laws (compose / invert / apply) are load-bearing.
 
-use atlas::qmath::{deposit_bits, extract_bits, insert_bits, IndexPermuter, QubitPermutation};
+use atlas::qmath::{deposit_bits, extract_bits, insert_bits, QubitPermutation};
 use proptest::prelude::*;
 
 /// Deterministic Fisher–Yates permutation of `0..n` from a seed.
@@ -65,22 +65,6 @@ proptest! {
         prop_assert_eq!(a.apply_index(idx).count_ones(), idx.count_ones());
     }
 
-    /// The byte-LUT `IndexPermuter` is extensionally equal to
-    /// `apply_index`, including through inversion.
-    #[test]
-    fn index_permuter_equals_apply_index(
-        p in arb_perm(),
-        raw in any::<u64>(),
-    ) {
-        let n = p.len() as u32;
-        let idx = raw & ((1u64 << n) - 1);
-        let lut = IndexPermuter::new(&p);
-        prop_assert_eq!(lut.apply(idx), p.apply_index(idx));
-        let back = IndexPermuter::new(&p.inverse());
-        prop_assert_eq!(back.apply(lut.apply(idx)), idx);
-        prop_assert_eq!(lut.is_identity(), p.is_identity());
-    }
-
     /// `extract_bits` inverts `deposit_bits` on its range, and
     /// `deposit_bits ∘ extract_bits` masks to the selected positions.
     #[test]
@@ -114,7 +98,8 @@ proptest! {
     }
 
     /// A permutation applied to a single-bit index lands exactly on the
-    /// mapped destination — the law `phys_mask` depends on.
+    /// mapped destination — the law that moving relabel flips through a
+    /// transition depends on.
     #[test]
     fn single_bits_map_to_dst(p in arb_perm(), bit in 0u32..24) {
         let n = p.len() as u32;

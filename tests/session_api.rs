@@ -242,42 +242,54 @@ fn every_door_rejects_an_invalid_config_literal() {
     }
 }
 
-/// `FullPlan::final_mapping` is the single source of truth for the
-/// post-EXECUTE layout: identity after a final unpermute, the last
-/// stage's mapping otherwise — and the measurement engine actually sits
-/// on that layout.
+/// Every functional run ends in the identity layout, whatever
+/// `final_unpermute` says: the shards both runs leave behind hold, bit
+/// for bit, the state the `true` run gathers. The knob selects only the
+/// charge of that last move (the `false` run still reports exactly its
+/// dry run) and the gather.
 #[test]
-fn final_mapping_is_consistent_with_measurements() {
+fn execution_ends_in_the_identity_layout() {
     let circuit = atlas::circuit::generators::qaoa(8);
     let spec = MachineSpec {
         nodes: 2,
         gpus_per_node: 2,
         local_qubits: 5,
     };
-    for unpermute in [false, true] {
+    let compile = |final_unpermute| {
         let cfg = AtlasConfig {
-            final_unpermute: unpermute,
+            final_unpermute,
             ..AtlasConfig::default()
         };
-        let compiled = Planner::new(spec, CostModel::default(), cfg)
+        Planner::new(spec, CostModel::default(), cfg)
             .plan(&circuit)
-            .unwrap();
-        let mapping = compiled.plan().final_mapping(unpermute);
-        if unpermute {
-            assert_eq!(mapping, (0..8).collect::<Vec<u32>>());
-        } else {
-            assert_eq!(
-                mapping,
-                compiled.plan().stages.last().unwrap().mapping,
-                "without unpermute the layout is the last stage's mapping"
-            );
-        }
+            .unwrap()
+    };
+    let charged = compile(true);
+    let last = &charged.plan().stages.last().unwrap().mapping;
+    assert!(
+        last.iter().enumerate().any(|(q, &p)| q as u32 != p),
+        "the last stage must permute the layout"
+    );
+    let want = charged.execute(&circuit).unwrap().state.unwrap();
+    for final_unpermute in [false, true] {
+        let compiled = compile(final_unpermute);
         let run = compiled.execute(&circuit).unwrap();
-        assert_eq!(run.measurements.mapping(), &mapping[..]);
-        // And the engine reads correct logical-order results through it.
-        let want = simulate_reference(&circuit);
-        for x in [0u64, 1, 100, 255] {
-            assert!((run.measurements.probability(x) - want.probability(x)).abs() < 1e-9);
+        assert_eq!(run.state.is_some(), final_unpermute);
+        let got = run.measurements.machine().gather_state();
+        assert!(
+            got.amplitudes()
+                .iter()
+                .zip(want.amplitudes())
+                .all(|(a, b)| a.bit_eq(*b)),
+            "final_unpermute={final_unpermute}: the shards are not in the identity layout"
+        );
+        if !final_unpermute {
+            // `{:?}` prints every f64 in its round-trip form.
+            assert_eq!(
+                format!("{:?}", run.report),
+                format!("{:?}", compiled.dry_run()),
+                "an uncharged run reports its dry run"
+            );
         }
     }
 }
