@@ -2,112 +2,29 @@
 //!
 //! Simulate a benchmark family or a QASM file on a configurable simulated
 //! cluster, functionally (exact amplitudes) or as a dry-run clock model at
-//! paper scale. Functional runs read their results out through the
-//! sharded measurement engine (`atlas-sampler`): top outcomes, seeded
-//! shot samples and Pauli expectations are all computed in place on the
-//! distributed state — the full `2^n` vector is never gathered.
+//! paper scale; `atlas-sim serve` runs the multi-tenant session pool over
+//! NDJSON (`docs/SERVE.md`). Functional runs read top outcomes, seeded
+//! shots and Pauli expectations through the sharded measurement engine
+//! (`atlas-sampler`): the full `2^n` vector is never gathered.
 //!
-//! ```text
-//! atlas-sim --family qft -n 12 --nodes 2 --gpus 2 -L 9
-//! atlas-sim --family qaoa -n 8 --shots 256 --seed 7
-//! atlas-sim --family qaoa -n 8 --sweep 16 --shots 64 --seed 7
-//! atlas-sim --family ghz -n 10 --expect ZIIIIIIIIZ
-//! atlas-sim --qasm circuit.qasm --nodes 1 --gpus 4 -L 24 --dry
-//! atlas-sim serve --nodes 2 --gpus 2 -L 5 < jobs.ndjson
-//! ```
-//!
-//! The `serve` subcommand runs the multi-tenant session pool
-//! (`atlas-serve`): NDJSON job lines on stdin, one deterministic
-//! response line per job on stdout (submission order), aggregate pool
-//! statistics on stderr. See `docs/SERVE.md` for the wire format.
-//!
-//! Exit codes map [`AtlasError`] variants so scripts can dispatch on the
-//! failure family: `0` success, `1` generic runtime failure, `2` usage
-//! error / invalid configuration, `3` circuit too small for the machine,
-//! `4` staging failed, `5` retired (never reused), `6` invalid plan / plan
-//! mismatch, `7` parse error, `8` session pool overloaded, `9` job
-//! panicked, `10` resource budget exceeded.
+//! The flags are data: [`FLAGS`] says which take a value, [`CONFLICTS`]
+//! and [`REQUIRES`] which combinations are rejected, and [`resolve_mode`]
+//! picks the one [`Mode`] a run executes. [`USAGE`] documents them and the
+//! exit codes, which map [`AtlasError`] variants to failure families.
 
 use atlas::baselines;
 use atlas::circuit::generators::{self, GenerateError};
 use atlas::circuit::qasm;
 use atlas::core::config::BackendKind;
-use atlas::core::session::Planner;
+use atlas::core::session::{Execution, Planner};
 use atlas::core::{noise, BackendRun};
+use atlas::machine::MachineReport;
 use atlas::prelude::*;
+use std::fmt::Display;
+use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
-use std::time::Instant;
-
-struct Args {
-    family: Option<String>,
-    qasm_path: Option<String>,
-    n: u32,
-    nodes: usize,
-    gpus_per_node: usize,
-    local_qubits: u32,
-    dry: bool,
-    baseline: Option<String>,
-    top: usize,
-    /// `--top` appeared explicitly (conflict checks distinguish the
-    /// default from a user request).
-    top_set: bool,
-    plan_only: bool,
-    threads: usize,
-    shots: usize,
-    seed: u64,
-    seed_set: bool,
-    expect: Vec<String>,
-    /// `--sweep N`: plan once, execute N re-parameterized points.
-    sweep: usize,
-    /// `--profile`: emit the per-stage `StageTiming` breakdown as JSON
-    /// lines on stderr.
-    profile: bool,
-    /// `serve` subcommand: run the multi-tenant session pool over
-    /// NDJSON stdin/stdout.
-    serve: bool,
-    /// `--workers` (serve): pool worker threads (default: all cores).
-    workers: usize,
-    /// `--queue` (serve): bounded queue capacity.
-    queue: usize,
-    /// `--cache` (serve): plan-cache capacity.
-    cache: usize,
-    /// `--workers`, `--queue` or `--cache` appeared explicitly (conflict
-    /// checks).
-    pool_set: bool,
-    /// `--fault-seed` (serve): arm the deterministic fault-injection
-    /// harness with this RNG seed.
-    fault_seed: Option<u64>,
-    /// `--fault-rate` (serve): per-site firing rate in ppm.
-    fault_rate: u32,
-    /// `--fault-rate` appeared explicitly (conflict checks).
-    fault_rate_set: bool,
-    /// `--threads` appeared explicitly (serve defaults to 1 thread per
-    /// job and parallelizes across workers instead).
-    threads_set: bool,
-    /// `-L` appeared explicitly (serve has no circuit to default from).
-    l_set: bool,
-    /// `--backend`: which engine runs the circuit (default auto).
-    backend: BackendKind,
-    /// `--backend` appeared explicitly (conflict checks).
-    backend_set: bool,
-    /// `--noise p`: depolarizing strength; > 0 switches to the
-    /// Pauli-twirled stochastic-trajectory path.
-    noise: f64,
-    /// `--trajectories k`: trajectory count for `--noise` runs.
-    trajectories: usize,
-    /// `--trajectories` appeared explicitly (conflict checks).
-    trajectories_set: bool,
-    /// `--trace FILE`: write a telemetry trace of the run.
-    trace: Option<String>,
-    /// `--trace-format`: trace file format (default ndjson).
-    trace_format: TraceFormat,
-    /// `--trace-format` appeared explicitly (conflict checks).
-    trace_format_set: bool,
-    /// `--analyze`: run the atlas-analyze static plan verifier on the
-    /// compiled plan (debug builds always verify; this forces it in
-    /// release builds and prints the verification report).
-    analyze: bool,
-}
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "atlas-sim — distributed quantum circuit simulation (Atlas, SC'24)
 
@@ -204,13 +121,15 @@ SERVE (multi-tenant session pool; NDJSON stdin -> stdout):
     --fault-rate <ppm>  per-site firing rate in parts per million for
                         --fault-seed (default 250000)
 
---dry and --plan contradict --top/--shots/--seed/--expect, --baseline
-contradicts --shots/--seed/--expect/--backend/--trace, --sweep
-contradicts --dry/--plan/--baseline, --backend stabilizer and --noise
-contradict the clock-model flags (--dry/--plan/--sweep/--profile),
---trace-format needs --trace; serve contradicts every circuit, mode
-and measurement flag (but keeps --trace); such combinations are
-rejected with exit code 2.
+--qasm contradicts --family and -n. --dry and --plan contradict
+--top/--shots/--seed/--expect; --plan also contradicts --baseline
+and --profile. --baseline contradicts
+--shots/--seed/--expect/--backend/--trace. --sweep contradicts
+--dry/--plan/--baseline. --backend stabilizer and --noise contradict
+the clock-model flags (--dry/--plan/--sweep/--profile). --trace-format
+needs --trace. serve contradicts every circuit, mode and measurement
+flag (but keeps --trace). Such combinations are rejected with exit
+code 2.
 
 EXIT CODES:
     0 success                 4 staging failed    8 pool overloaded
@@ -219,483 +138,514 @@ EXIT CODES:
     3 circuit too small       7 parse error         exceeded
 ";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        family: None,
-        qasm_path: None,
-        n: 10,
-        nodes: 1,
-        gpus_per_node: 1,
-        local_qubits: 0,
-        dry: false,
-        baseline: None,
-        top: 8,
-        top_set: false,
-        plan_only: false,
-        threads: host_cpus(),
-        shots: 0,
-        seed: 0,
-        seed_set: false,
-        expect: Vec::new(),
-        sweep: 0,
-        profile: false,
-        serve: false,
-        workers: host_cpus(),
-        queue: 64,
-        cache: 32,
-        pool_set: false,
-        fault_seed: None,
-        fault_rate: 250_000,
-        fault_rate_set: false,
-        threads_set: false,
-        l_set: false,
-        backend: BackendKind::Auto,
-        backend_set: false,
-        noise: 0.0,
-        trajectories: 8,
-        trajectories_set: false,
-        trace: None,
-        trace_format: TraceFormat::Ndjson,
-        trace_format_set: false,
-        analyze: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let mut l_set = false;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--family" => args.family = Some(take(&mut i)?),
-            "--qasm" => args.qasm_path = Some(take(&mut i)?),
-            "-n" => args.n = take(&mut i)?.parse().map_err(|e| format!("-n: {e}"))?,
-            "--nodes" => args.nodes = take(&mut i)?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--gpus" => {
-                args.gpus_per_node = take(&mut i)?.parse().map_err(|e| format!("--gpus: {e}"))?
-            }
-            "-L" => {
-                args.local_qubits = take(&mut i)?.parse().map_err(|e| format!("-L: {e}"))?;
-                l_set = true;
-            }
-            "--dry" => args.dry = true,
-            "--plan" => args.plan_only = true,
-            "--baseline" => args.baseline = Some(take(&mut i)?),
-            "--top" => {
-                args.top = take(&mut i)?.parse().map_err(|e| format!("--top: {e}"))?;
-                args.top_set = true;
-            }
-            "--threads" => {
-                args.threads = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                args.threads_set = true;
-            }
-            "serve" => args.serve = true,
-            "--workers" => {
-                args.workers = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                args.pool_set = true;
-            }
-            "--queue" => {
-                args.queue = take(&mut i)?.parse().map_err(|e| format!("--queue: {e}"))?;
-                args.pool_set = true;
-            }
-            "--cache" => {
-                args.cache = take(&mut i)?.parse().map_err(|e| format!("--cache: {e}"))?;
-                args.pool_set = true;
-            }
-            "--fault-seed" => {
-                args.fault_seed = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--fault-seed: {e}"))?,
-                )
-            }
-            "--fault-rate" => {
-                args.fault_rate = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--fault-rate: {e}"))?;
-                args.fault_rate_set = true;
-            }
-            "--shots" => args.shots = take(&mut i)?.parse().map_err(|e| format!("--shots: {e}"))?,
-            "--seed" => {
-                args.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                args.seed_set = true;
-            }
-            "--expect" => args.expect.push(take(&mut i)?),
-            "--backend" => {
-                args.backend = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--backend: {e}"))?;
-                args.backend_set = true;
-            }
-            "--noise" => args.noise = take(&mut i)?.parse().map_err(|e| format!("--noise: {e}"))?,
-            "--trajectories" => {
-                args.trajectories = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--trajectories: {e}"))?;
-                args.trajectories_set = true;
-            }
-            "--sweep" => args.sweep = take(&mut i)?.parse().map_err(|e| format!("--sweep: {e}"))?,
-            "--analyze" => args.analyze = true,
-            "--profile" => args.profile = true,
-            "--trace" => args.trace = Some(take(&mut i)?),
-            "--trace-format" => {
-                args.trace_format = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--trace-format: {e}"))?;
-                args.trace_format_set = true;
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}' (try --help)")),
-        }
-        i += 1;
-    }
-    if !l_set {
-        args.local_qubits = args.n;
-    }
-    args.l_set = l_set;
-    Ok(args)
+/// Every flag `atlas-sim` accepts, and whether it takes a value. `serve`
+/// is the subcommand word; like the flags, it may appear anywhere.
+#[rustfmt::skip]
+const FLAGS: &[(&str, bool)] = &[
+    ("serve", false), ("--family", true), ("-n", true), ("--qasm", true),
+    ("--backend", true), ("--noise", true), ("--trajectories", true),
+    ("--nodes", true), ("--gpus", true), ("-L", true),
+    ("--dry", false), ("--plan", false), ("--baseline", true), ("--threads", true),
+    ("--sweep", true), ("--analyze", false), ("--profile", false),
+    ("--trace", true), ("--trace-format", true),
+    ("--top", true), ("--shots", true), ("--seed", true), ("--expect", true),
+    ("--workers", true), ("--queue", true), ("--cache", true),
+    ("--fault-seed", true), ("--fault-rate", true),
+];
+
+/// Flags that contradict each other: `(flag, why, the flags it
+/// contradicts)`, read through [`Args::on`]. The first row that meets its
+/// flag and any flag it contradicts rejects the run with exit code 2,
+/// naming both sides.
+#[rustfmt::skip]
+const CONFLICTS: &[(&str, &str, &[&str])] = &[
+    ("serve", "reads its circuits from NDJSON job lines", &["--family", "--qasm", "-n"]),
+    ("serve", "answers each job line with its own run",
+        &["--dry", "--plan", "--baseline", "--sweep", "--profile"]),
+    ("serve", "jobs carry their own measurement requests", MEASUREMENTS),
+    ("serve", "jobs run on the pool's own plans", &["--backend", "--noise", "--trajectories"]),
+    ("--qasm", "reads its circuit, and its width, from the file", &["--family", "-n"]),
+    ("--dry", "runs the clock model only (no amplitudes)", MEASUREMENTS),
+    ("--plan", "stops before execution",
+        &["--top", "--shots", "--seed", "--expect", "--sweep", "--profile", "--baseline"]),
+    ("--baseline", "comparators have no sharded measurement engine",
+        &["--shots", "--seed", "--expect"]),
+    ("--baseline", "comparators bypass the instrumented Atlas path", &["--trace"]),
+    ("--baseline", "comparators bypass the backend dispatch", &["--backend"]),
+    ("--baseline", "comparators have no plan-once/run-many path", &["--sweep"]),
+    ("--sweep", "re-executes amplitudes", &["--dry"]),
+    ("--backend stabilizer", "runs functionally on the tableau",
+        &["--dry", "--plan", "--sweep", "--profile"]),
+    ("--noise", "draws stochastic trajectories",
+        &["--dry", "--plan", "--baseline", "--sweep", "--profile"]),
+    ("--noise", "reports aggregated shot counts, not exact amplitudes", &["--top"]),
+];
+
+const MEASUREMENTS: &[&str] = &["--top", "--shots", "--seed", "--expect"];
+
+/// Flags that need another: `(flag, the flags it needs one of, the
+/// message)`, checked in order after [`CONFLICTS`].
+#[rustfmt::skip]
+const REQUIRES: &[(&str, &[&str], &str)] = &[
+    ("--workers", &["serve"], "--workers/--queue/--cache apply to the serve subcommand only"),
+    ("--queue", &["serve"], "--workers/--queue/--cache apply to the serve subcommand only"),
+    ("--cache", &["serve"], "--workers/--queue/--cache apply to the serve subcommand only"),
+    ("--fault-seed", &["serve"], "--fault-seed/--fault-rate apply to the serve subcommand only"),
+    ("--fault-rate", &["serve"], "--fault-seed/--fault-rate apply to the serve subcommand only"),
+    ("--trace-format", &["--trace"],
+        "--trace-format selects the --trace file format; it needs --trace"),
+    ("serve", &["-L"], "serve needs an explicit -L (each job line carries its own circuit, \
+        so there is no -n to default from)"),
+    ("--fault-rate", &["--fault-seed"],
+        "--fault-rate tunes the fault-injection harness; it needs --fault-seed"),
+    ("--noise", &["--shots", "--expect"],
+        "--noise has nothing to report without --shots or --expect"),
+    ("--trajectories", &["--noise"], "--trajectories applies to --noise runs only"),
+    // Checked here rather than by `AtlasConfig::validate`, which cannot
+    // tell an explicit `--seed 0` from the default.
+    ("--seed", &["--shots", "--noise"], "--seed only affects shot sampling and \
+        noise-trajectory draws; it needs --shots or --noise"),
+];
+
+/// A failed run: its exit code and the message printed after `error: `.
+struct Fail(ExitCode, String);
+
+/// What a mode returns: the backend it ran on (for the trace).
+type Ran = Result<&'static str, Fail>;
+
+/// Shot counts per bit-packed outcome, most frequent first.
+type Counts = Vec<(Vec<u64>, u64)>;
+
+/// Exit code 2: usage error.
+fn usage(msg: impl Into<String>) -> Fail {
+    Fail(ExitCode::from(2), msg.into())
 }
 
-/// Rejects contradictory flag combinations (the measurement flags only
-/// make sense on a functional Atlas run). Returns a usage-error message.
-fn check_flag_conflicts(args: &Args) -> Result<(), String> {
-    let wants_measurements =
-        args.shots > 0 || args.seed_set || args.top_set || !args.expect.is_empty();
-    let measurement_flags = |a: &Args| -> String {
-        let mut f = Vec::new();
-        if a.top_set {
-            f.push("--top");
-        }
-        if a.shots > 0 {
-            f.push("--shots");
-        }
-        if a.seed_set {
-            f.push("--seed");
-        }
-        if !a.expect.is_empty() {
-            f.push("--expect");
-        }
-        f.join("/")
-    };
-    if args.trace_format_set && args.trace.is_none() {
-        return Err("--trace-format selects the --trace file format; it needs --trace".to_string());
+/// Exit code 1: runtime failure.
+fn failure(msg: String) -> Fail {
+    Fail(ExitCode::FAILURE, msg)
+}
+
+/// The documented exit codes: distinct failure families get distinct
+/// codes so scripts (and the CI smoke step) can dispatch without parsing
+/// stderr.
+impl From<AtlasError> for Fail {
+    fn from(e: AtlasError) -> Fail {
+        use atlas::core::AtlasError::*;
+        let code = match e {
+            InvalidConfig { .. } => 2,
+            CircuitTooSmall { .. } => 3,
+            StagingFailed { .. } => 4,
+            // 5 is retired with the solver budget it reported; never reuse it.
+            InvalidPlan { .. } | PlanMismatch { .. } => 6,
+            ParseError { .. } => 7,
+            Overloaded { .. } => 8,
+            JobPanicked { .. } => 9,
+            ResourceExhausted { .. } => 10,
+            // Future variants (the enum is non_exhaustive): generic failure.
+            _ => 1,
+        };
+        Fail(ExitCode::from(code), e.to_string())
     }
+}
+
+/// A stdout write that fails (`atlas-sim … | head -1`) ends the run with
+/// exit code 1 instead of a panic.
+impl From<io::Error> for Fail {
+    fn from(e: io::Error) -> Fail {
+        failure(format!("stdout: {e}"))
+    }
+}
+
+/// The command line: the flags present, in order, with their raw values.
+struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    /// `Ok(None)` when `-h`/`--help` asks for the usage text.
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Flags>, Fail> {
+        let mut argv = argv.into_iter();
+        let mut given = Vec::new();
+        while let Some(arg) = argv.next() {
+            if arg == "-h" || arg == "--help" {
+                return Ok(None);
+            }
+            let Some(&(flag, takes_value)) = FLAGS.iter().find(|(f, _)| *f == arg) else {
+                return Err(usage(format!("unknown argument '{arg}' (try --help)")));
+            };
+            let missing = || usage(format!("missing value after {flag}"));
+            let value = takes_value.then(|| argv.next().ok_or_else(missing));
+            given.push((flag, value.transpose()?));
+        }
+        Ok(Some(Flags(given)))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Every value given to `flag`, in command-line order.
+    fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        let given = self.0.iter().filter(move |(f, _)| *f == flag);
+        given.filter_map(|(_, v)| v.as_deref())
+    }
+
+    fn last<'a>(&'a self, flag: &'a str) -> Option<&'a str> {
+        self.values(flag).last()
+    }
+
+    /// The last value given to `flag`, parsed (`None` when absent).
+    fn get<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<Option<T>, Fail> {
+        let parse = |v: &str| v.parse().map_err(|e| usage(format!("{flag}: {e}")));
+        self.last(flag).map(parse).transpose()
+    }
+}
+
+/// The flags' typed values, parsed once before anything runs.
+struct Args {
+    flags: Flags,
+    n: u32,
+    nodes: usize,
+    gpus: usize,
+    /// `-L`; without it, the circuit's size (see [`Job::new`]).
+    local: Option<u32>,
+    top: usize,
+    sweep: usize,
+    trace_format: TraceFormat,
+    /// Threads, shots, seed, backend, noise and trajectories, with the
+    /// memory budget and the recorder.
+    cfg: AtlasConfig,
+}
+
+impl Args {
+    fn new(flags: Flags) -> Result<Args, Fail> {
+        let f = &flags;
+        // Serve parallelizes across workers, not inside a job: one
+        // thread per job unless `--threads` says otherwise.
+        let threads = if f.has("serve") { 1 } else { host_cpus() };
+        let cfg = AtlasConfig {
+            threads: f.get("--threads")?.unwrap_or(threads),
+            shots: f.get("--shots")?.unwrap_or(0),
+            seed: f.get("--seed")?.unwrap_or(0),
+            backend: f.get("--backend")?.unwrap_or(BackendKind::Auto),
+            noise: f.get("--noise")?.unwrap_or(0.0),
+            trajectories: f.get("--trajectories")?.unwrap_or(8),
+            // The single-host budget: 2 GiB of peak state (the n ≤ 26
+            // circuits the historical heuristic admitted); beyond it, a typed
+            // ResourceExhausted instead of an allocator abort.
+            memory_budget: MemoryBudget::bytes(MemoryBudget::SINGLE_HOST),
+            // Enabled iff `--trace` asks for it: disabled, every
+            // instrumentation site is one branch; enabled, wall-clock rides
+            // the trace channel only, so stdout stays byte-identical.
+            recorder: f.has("--trace").then(Recorder::enabled).unwrap_or_default(),
+            ..AtlasConfig::default()
+        };
+        Ok(Args {
+            n: f.get("-n")?.unwrap_or(10),
+            nodes: f.get("--nodes")?.unwrap_or(1),
+            gpus: f.get("--gpus")?.unwrap_or(1),
+            local: f.get("-L")?,
+            top: f.get("--top")?.unwrap_or(8),
+            sweep: f.get("--sweep")?.unwrap_or(0),
+            trace_format: f.get("--trace-format")?.unwrap_or_default(),
+            cfg,
+            flags,
+        })
+    }
+
+    /// Whether `flag` is in effect: given, and for `--shots`, `--sweep`
+    /// and `--noise` not at its zero "off" value. `--backend stabilizer`
+    /// is on when that backend is chosen.
+    fn on(&self, flag: &str) -> bool {
+        match flag {
+            "--shots" => self.cfg.shots > 0,
+            "--sweep" => self.sweep > 0,
+            "--noise" => self.cfg.noise > 0.0,
+            "--backend stabilizer" => self.cfg.backend == BackendKind::Stabilizer,
+            _ => self.flags.has(flag),
+        }
+    }
+
+    /// Top outcomes are the default readout; once the user asked for
+    /// shots or expectations they appear only on explicit request.
+    fn wants_top(&self) -> bool {
+        self.on("--top") || !(self.on("--shots") || self.on("--expect"))
+    }
+}
+
+/// Rejects a flag the chosen mode would ignore: the machine shape, then
+/// every [`CONFLICTS`] and [`REQUIRES`] row.
+fn check_flags(args: &Args) -> Result<(), Fail> {
     // Shard indices split into node and GPU bits (`Planner::plan` rejects
     // any other shape too; checking here keeps it from reaching serve's
     // pool or a dry run's banner).
-    for (flag, count) in [("--nodes", args.nodes), ("--gpus", args.gpus_per_node)] {
+    for (flag, count) in [("--nodes", args.nodes), ("--gpus", args.gpus)] {
         if !count.is_power_of_two() {
-            return Err(format!("{flag} {count} is not a power of two"));
+            return Err(usage(format!("{flag} {count} is not a power of two")));
         }
     }
-    if args.serve {
-        if args.family.is_some() || args.qasm_path.is_some() {
-            return Err("serve reads its circuits from NDJSON job lines; \
-                 it contradicts --family/--qasm"
-                .to_string());
-        }
-        if args.dry || args.plan_only || args.baseline.is_some() || args.sweep > 0 || args.profile {
-            return Err(
-                "serve contradicts the run-mode flags --dry/--plan/--baseline/--sweep/--profile"
-                    .to_string(),
-            );
-        }
-        if wants_measurements {
-            return Err(format!(
-                "serve jobs carry their own measurement requests; serve contradicts {}",
-                measurement_flags(args)
-            ));
-        }
-        if args.backend_set || args.noise > 0.0 || args.trajectories_set {
-            return Err("serve jobs run on the pool's own plans; serve contradicts \
-                 --backend/--noise/--trajectories"
-                .to_string());
-        }
-        if !args.l_set {
-            return Err("serve needs an explicit -L (each job line carries its own \
-                 circuit, so there is no -n to default from)"
-                .to_string());
-        }
-        if args.fault_rate_set && args.fault_seed.is_none() {
-            return Err("--fault-rate tunes the fault-injection harness; it needs \
-                 --fault-seed"
-                .to_string());
-        }
-        return Ok(());
-    }
-    // `--workers/--queue/--cache` (and the fault harness) shape the
-    // session pool only.
-    if args.pool_set {
-        return Err("--workers/--queue/--cache apply to the serve subcommand only".to_string());
-    }
-    if args.fault_seed.is_some() || args.fault_rate_set {
-        return Err("--fault-seed/--fault-rate apply to the serve subcommand only".to_string());
-    }
-    if args.dry && wants_measurements {
-        return Err(format!(
-            "--dry runs the clock model only (no amplitudes); it contradicts {}",
-            measurement_flags(args)
-        ));
-    }
-    if args.plan_only && wants_measurements {
-        return Err(format!(
-            "--plan stops before execution; it contradicts {}",
-            measurement_flags(args)
-        ));
-    }
-    if args.baseline.is_some() && (args.shots > 0 || args.seed_set || !args.expect.is_empty()) {
-        return Err(
-            "--baseline comparators have no sharded measurement engine; \
-             --shots/--seed/--expect need the Atlas path"
-                .to_string(),
-        );
-    }
-    if args.baseline.is_some() && args.trace.is_some() {
-        return Err(
-            "--baseline comparators bypass the instrumented Atlas path; it contradicts --trace"
-                .to_string(),
-        );
-    }
-    if args.sweep > 0 {
-        if args.dry {
-            return Err("--sweep re-executes amplitudes; it contradicts --dry".to_string());
-        }
-        if args.plan_only {
-            return Err("--plan stops before execution; it contradicts --sweep".to_string());
-        }
-        if args.baseline.is_some() {
-            return Err("--baseline comparators have no plan-once/run-many path; \
-                 --sweep needs the Atlas session API"
-                .to_string());
+    let on = |flag| args.on(flag);
+    for &(flag, why, against) in CONFLICTS {
+        let met: Vec<&str> = against.iter().copied().filter(|f| on(f)).collect();
+        if on(flag) && !met.is_empty() {
+            let met = met.join("/");
+            return Err(usage(format!("{flag} {why}; it contradicts {met}")));
         }
     }
-    if args.profile && args.plan_only {
-        return Err("--plan stops before execution; it contradicts --profile".to_string());
-    }
-    if args.backend_set && args.baseline.is_some() {
-        return Err(
-            "--baseline comparators bypass the backend dispatch; it contradicts --backend"
-                .to_string(),
-        );
-    }
-    if args.backend == BackendKind::Stabilizer
-        && (args.dry || args.plan_only || args.sweep > 0 || args.profile)
-    {
-        return Err("--backend stabilizer runs functionally on the tableau; it \
-             contradicts --dry/--plan/--sweep/--profile"
-            .to_string());
-    }
-    if args.noise > 0.0 {
-        if args.dry || args.plan_only || args.baseline.is_some() || args.sweep > 0 || args.profile {
-            return Err("--noise draws stochastic trajectories; it contradicts \
-                 --dry/--plan/--baseline/--sweep/--profile"
-                .to_string());
+    for &(flag, needs, msg) in REQUIRES {
+        if on(flag) && !needs.iter().any(|f| on(f)) {
+            return Err(usage(msg));
         }
-        if args.top_set {
-            return Err(
-                "--noise reports aggregated shot counts, not exact amplitudes; \
-                 it contradicts --top"
-                    .to_string(),
-            );
-        }
-        if args.shots == 0 && args.expect.is_empty() {
-            return Err("--noise has nothing to report without --shots or --expect".to_string());
-        }
-    } else if args.trajectories_set {
-        return Err("--trajectories applies to --noise runs only".to_string());
-    }
-    // Checked here rather than by `AtlasConfig::validate`, which cannot
-    // tell an explicit `--seed 0` from the default.
-    if args.seed_set && args.shots == 0 && args.noise == 0.0 {
-        return Err(
-            "--seed only affects shot sampling and noise-trajectory draws; \
-             it needs --shots or --noise"
-                .to_string(),
-        );
     }
     Ok(())
 }
 
-/// Maps an [`AtlasError`] to this binary's documented exit codes, after
-/// printing it. Distinct failure families get distinct codes so scripts
-/// (and the CI smoke step) can dispatch without parsing stderr.
-fn error_exit(e: &atlas::core::AtlasError) -> ExitCode {
-    use atlas::core::AtlasError::*;
-    eprintln!("error: {e}");
-    ExitCode::from(match e {
-        InvalidConfig { .. } => 2,
-        CircuitTooSmall { .. } => 3,
-        StagingFailed { .. } => 4,
-        // 5 is retired with the solver budget it reported; never reuse it.
-        InvalidPlan { .. } | PlanMismatch { .. } => 6,
-        ParseError { .. } => 7,
-        Overloaded { .. } => 8,
-        JobPanicked { .. } => 9,
-        ResourceExhausted { .. } => 10,
-        // Future variants (the enum is non_exhaustive): generic failure.
-        _ => 1,
-    })
+/// A circuit to run, with the machine and Pauli strings it runs under.
+struct Job {
+    circuit: Circuit,
+    n: u32,
+    spec: MachineSpec,
+    paulis: Vec<PauliString>,
 }
 
-/// The circuit `args` ask for. A failure is a usage error (an `-n` the
-/// family's generator does not accept) or a plain one (an unreadable or
-/// malformed QASM file, an unknown family).
-fn build_circuit(args: &Args) -> Result<Circuit, (ExitCode, String)> {
-    let failure = |e: String| (ExitCode::FAILURE, e);
-    if let Some(path) = &args.qasm_path {
-        let text = std::fs::read_to_string(path).map_err(|e| failure(format!("{path}: {e}")))?;
-        return qasm::from_qasm(&text).map_err(|e| failure(format!("{path}: {e}")));
+impl Job {
+    /// Builds the circuit, then checks the config and the `--expect`
+    /// strings against it before any banner reaches stdout. A bad
+    /// generator size is a usage error; an unreadable or malformed QASM
+    /// file, or an unknown family, a runtime failure.
+    fn new(args: &Args) -> Result<Job, Fail> {
+        let circuit = if let Some(path) = args.flags.last("--qasm") {
+            let failed = |e: &dyn Display| failure(format!("{path}: {e}"));
+            let text = std::fs::read_to_string(path).map_err(|e| failed(&e))?;
+            qasm::from_qasm(&text).map_err(|e| failed(&e))?
+        } else {
+            let needed = || failure("need --family or --qasm (try --help)".into());
+            let name = args.flags.last("--family").ok_or_else(needed)?;
+            generators::generate(name, args.n).map_err(|e| match e {
+                GenerateError::UnknownFamily(_) => failure(e.to_string()),
+                GenerateError::OutOfDomain { .. } => usage(format!("-n: {e}")),
+            })?
+        };
+        let n = circuit.num_qubits();
+        // Coherence rules live in `AtlasConfig::validate`, not here.
+        args.cfg.validate()?;
+        let mut paulis = Vec::new();
+        for s in args.flags.values("--expect") {
+            let p: PauliString = s.parse().inspect_err(|_| eprintln!("in --expect {s}:"))?;
+            let width = p.num_qubits();
+            if width != n {
+                let msg = format!("Pauli string spans {width} qubits, circuit has {n}");
+                return Err(usage(format!("--expect {s}: {msg}")));
+            }
+            paulis.push(p);
+        }
+        // `-L` defaults to the circuit's size: `-n` for a family (hhl adds
+        // ancillas beyond it), the file's width for `--qasm`.
+        let size = if args.on("--qasm") { n } else { args.n };
+        let spec = MachineSpec {
+            nodes: args.nodes,
+            gpus_per_node: args.gpus,
+            local_qubits: args.local.unwrap_or(size).min(n),
+        };
+        Ok(Job {
+            circuit,
+            n,
+            spec,
+            paulis,
+        })
     }
-    let name = args
-        .family
-        .as_deref()
-        .ok_or_else(|| failure("need --family or --qasm (try --help)".into()))?;
-    generators::generate(name, args.n).map_err(|e| match e {
-        GenerateError::UnknownFamily(_) => failure(e.to_string()),
-        GenerateError::OutOfDomain { .. } => (ExitCode::from(2), format!("-n: {e}")),
+}
+
+/// What one invocation does.
+enum Mode {
+    Serve,
+    Plan,
+    Dry,
+    Baseline { dry: bool },
+    Sweep,
+    Noisy,
+    Stabilizer,
+    Run,
+}
+
+/// Picks the one mode an invocation runs (`job` is `None` exactly for
+/// serve). In order: `--noise`; the stabilizer tableau, forced or
+/// automatic for an all-Clifford circuit beyond the functional memory
+/// budget; then `--baseline`, `--plan`, `--dry` (also switched on
+/// automatically over the budget), `--sweep` and a plain run.
+fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
+    let Some(job) = job else {
+        return Ok(Mode::Serve);
+    };
+    let (n, local, budget) = (job.n, job.spec.local_qubits, args.cfg.memory_budget);
+    let over_budget = !budget.admits(n, local);
+    let exhausted = || -> Fail {
+        let (needed, budget) = (MemoryBudget::peak_bytes(n, local), budget.enforced());
+        AtlasError::ResourceExhausted { needed, budget }.into()
+    };
+    let clifford = job.circuit.is_clifford();
+    // Noise needs a functional engine: a non-Clifford circuit over the
+    // memory budget cannot run at all.
+    if args.on("--noise") && !clifford && over_budget {
+        return Err(exhausted());
+    } else if args.on("--noise") {
+        return Ok(Mode::Noisy);
+    }
+    // Auto dispatch leaves the statevector path only where it would have
+    // forced --dry.
+    let clock_flags = ["--dry", "--plan", "--baseline", "--sweep", "--profile"];
+    let auto_tableau = args.cfg.backend == BackendKind::Auto
+        && clifford
+        && over_budget
+        && !clock_flags.iter().any(|f| args.on(f));
+    if args.on("--backend stabilizer") || auto_tableau {
+        return Ok(Mode::Stabilizer);
+    }
+    // Typed up-front check: the machine banner (shard counts,
+    // offloading) would otherwise assert inside MachineSpec first.
+    let global = job.spec.global_qubits();
+    if n < local + global {
+        let qubits = n;
+        return Err(AtlasError::CircuitTooSmall {
+            qubits,
+            local,
+            global,
+        }
+        .into());
+    }
+    if over_budget && !args.on("--dry") {
+        // Measurement flags need a functional run; the budget rejection
+        // is typed (exit 10), never an allocator abort.
+        let functional = ["--shots", "--expect", "--top", "--sweep"];
+        if functional.iter().any(|f| args.on(f)) {
+            return Err(exhausted());
+        }
+        let max = budget.max_functional_qubits(local);
+        eprintln!(
+            "note: n = {n} exceeds the functional memory budget \
+             (max {max} qubits at L={local}); switching to --dry"
+        );
+    }
+    let dry = over_budget || args.on("--dry");
+    Ok(match () {
+        _ if args.on("--baseline") => Mode::Baseline { dry },
+        _ if args.on("--plan") => Mode::Plan,
+        _ if dry => Mode::Dry,
+        _ if args.on("--sweep") => Mode::Sweep,
+        _ => Mode::Run,
     })
 }
 
-/// Exit code 2: usage error.
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::from(2)
+fn main() -> ExitCode {
+    match run(&mut io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Fail(code, msg)) => {
+            eprintln!("error: {msg}");
+            code
+        }
+    }
+}
+
+/// Parses the flags, rejects contradictions, runs the one mode they ask
+/// for and, on success, writes the `--trace` file.
+fn run(out: &mut dyn Write) -> Result<(), Fail> {
+    let Some(flags) = Flags::parse(std::env::args().skip(1))? else {
+        return Ok(out.write_all(USAGE.as_bytes())?);
+    };
+    let args = Args::new(flags)?;
+    check_flags(&args)?;
+    let job = (!args.on("serve")).then(|| Job::new(&args)).transpose()?;
+    let backend = match (resolve_mode(&args, job.as_ref())?, job) {
+        (Mode::Serve, _) | (_, None) => run_serve(&args, out)?,
+        (Mode::Noisy, Some(job)) => run_noisy(&args, job, out)?,
+        (Mode::Stabilizer, Some(job)) => run_stabilizer(&args, job, out)?,
+        (Mode::Baseline { dry }, Some(job)) => run_baseline(&args, job, dry, out)?,
+        (mode, Some(job)) => run_atlas(&args, job, mode, out)?,
+    };
+    write_trace(&args, backend)
 }
 
 /// The `serve` subcommand: NDJSON job lines on stdin, one response line
-/// per job on stdout in **submission order** (so a fixed job stream
-/// yields byte-identical output for any worker count or cache state),
-/// aggregate pool statistics on stderr.
-///
-/// Unparseable lines produce an in-band `"kind":"parse-error"` response
-/// at their position instead of aborting the stream; job-level failures
-/// likewise answer in-band. The process exits 0 as long as the stream
-/// itself was served.
-fn run_serve(args: &Args) -> ExitCode {
-    use atlas::serve::{
-        json, parse_line, render_response, render_stats, FaultPlan, JobLine, ServeConfig,
-        SessionPool,
-    };
-    use std::io::BufRead;
-    use std::time::Duration;
+/// per job on stdout in **submission order** (byte-identical for any
+/// worker count or cache state), pool statistics on stderr. Malformed
+/// lines and failed jobs answer in-band at their position; the process
+/// exits 0 as long as the stream itself was served.
+fn run_serve(args: &Args, out: &mut dyn Write) -> Ran {
+    use atlas::serve::{json, parse_line, render_response, render_stats, JobLine};
+    use atlas::serve::{FaultPlan, ServeConfig, SessionPool};
 
-    // One thread per job by default: serve parallelizes across workers,
-    // not inside a job (results are identical either way).
-    let threads = if args.threads_set { args.threads } else { 1 };
-    let recorder = if args.trace.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::default()
-    };
+    let f = &args.flags;
+    let workers = f.get("--workers")?.unwrap_or_else(host_cpus);
+    let queue = f.get("--queue")?.unwrap_or(64);
+    let cache = f.get("--cache")?.unwrap_or(32);
+    let fault_seed = f.get("--fault-seed")?;
+    let fault_rate = f.get("--fault-rate")?.unwrap_or(250_000);
     // `SessionPool::new` validates the config.
     let cfg = AtlasConfig {
-        threads,
-        recorder: recorder.clone(),
-        memory_budget: MemoryBudget::bytes(MemoryBudget::SINGLE_HOST),
+        threads: args.cfg.threads,
+        recorder: args.cfg.recorder.clone(),
+        memory_budget: args.cfg.memory_budget,
         ..AtlasConfig::default()
     };
+    let (nodes, gpus_per_node) = (args.nodes, args.gpus);
+    let local_qubits = args.local.unwrap_or_default();
     let spec = MachineSpec {
-        nodes: args.nodes,
-        gpus_per_node: args.gpus_per_node,
-        local_qubits: args.local_qubits,
-    };
-    let fault_plan = match args.fault_seed {
-        Some(seed) => FaultPlan::seeded(seed, args.fault_rate),
-        None => FaultPlan::disabled(),
+        nodes,
+        gpus_per_node,
+        local_qubits,
     };
     let serve_cfg = ServeConfig {
-        workers: args.workers,
-        queue_capacity: args.queue,
-        cache_capacity: args.cache,
-        fault_plan,
+        workers,
+        queue_capacity: queue,
+        cache_capacity: cache,
+        fault_plan: fault_seed
+            .map_or_else(FaultPlan::disabled, |s| FaultPlan::seeded(s, fault_rate)),
     };
-    let pool = match SessionPool::new(spec, CostModel::default(), cfg, serve_cfg) {
-        Ok(p) => p,
-        Err(e) => return error_exit(&e),
-    };
+    let pool = SessionPool::new(spec, CostModel::default(), cfg, serve_cfg)?;
     eprintln!(
-        "serve   : {} node(s) x {} GPU(s), L={}; {} worker(s), queue {}, plan cache {}",
-        args.nodes, args.gpus_per_node, args.local_qubits, args.workers, args.queue, args.cache
+        "serve   : {nodes} node(s) x {gpus_per_node} GPU(s), L={local_qubits}; \
+         {workers} worker(s), queue {queue}, plan cache {cache}"
     );
-    if let Some(seed) = args.fault_seed {
-        eprintln!(
-            "serve   : fault injection armed (seed {seed}, rate {} ppm/site)",
-            args.fault_rate
-        );
+    if let Some(seed) = fault_seed {
+        eprintln!("serve   : fault injection armed (seed {seed}, rate {fault_rate} ppm/site)");
     }
-
-    /// A response slot, in submission order.
-    enum Pending {
-        /// Answered at parse time (malformed line).
-        Ready(String),
-        /// Waiting on the pool.
-        Waiting(String, atlas::serve::JobHandle),
-    }
-    let mut pending: Vec<Pending> = Vec::new();
-    for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: stdin: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    // One response slot per line, in submission order: `Ok` when answered
+    // at parse time, `Err` while a job waits on the pool.
+    let mut slots = Vec::new();
+    for line in io::stdin().lock().lines() {
+        let line = line.map_err(|e| failure(format!("stdin: {e}")))?;
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(&line) {
-            Err(e) => pending.push(Pending::Ready(format!(
+        slots.push(match parse_line(&line) {
+            Err(e) => Ok(format!(
                 r#"{{"id":null,"ok":false,"kind":"parse-error","error":"{}"}}"#,
                 json::escape(&e)
-            ))),
-            // A stats line is a synchronous barrier: stdin is processed
-            // serially, so draining the pool here makes the snapshot a
-            // pure function of the preceding job lines — deterministic
-            // for any --workers.
+            )),
+            // A stats line is a synchronous barrier: draining the pool makes
+            // the snapshot a pure function of the preceding job lines.
             Ok(JobLine::Stats { id }) => {
                 pool.wait_idle();
-                pending.push(Pending::Ready(render_stats(&id, &pool.stats())));
+                Ok(render_stats(&id, &pool.stats()))
             }
             // Backpressure: block for queue space rather than dropping
-            // jobs read from a pipe; a `deadline_ms` bounds both the
-            // queue wait and the job itself. Submission failures
-            // (admission, deadline expiry while queued) answer in-band
-            // at the job's position — one bad job never aborts the
-            // stream.
+            // jobs read from a pipe; a `deadline_ms` bounds both the queue
+            // wait and the job. A failed submission answers in-band.
             Ok(JobLine::Job(job)) => {
-                let submitted = match job.deadline_ms {
-                    Some(ms) => pool.submit_with_deadline(
-                        &job.tenant,
-                        job.circuit,
-                        job.request,
-                        Duration::from_millis(ms),
-                    ),
-                    None => pool.submit_blocking(&job.tenant, job.circuit, job.request),
+                let (tenant, circuit, request) = (&job.tenant, job.circuit, job.request);
+                let submitted = match job.deadline_ms.map(Duration::from_millis) {
+                    Some(d) => pool.submit_with_deadline(tenant, circuit, request, d),
+                    None => pool.submit_blocking(tenant, circuit, request),
                 };
                 match submitted {
-                    Ok(handle) => pending.push(Pending::Waiting(job.id, handle)),
-                    Err(e) => pending.push(Pending::Ready(render_response(&job.id, &Err(e)))),
+                    Ok(handle) => Err((job.id, handle)),
+                    Err(e) => Ok(render_response(&job.id, &Err(e))),
                 }
             }
-        }
+        });
     }
-    for slot in pending {
-        match slot {
-            Pending::Ready(line) => println!("{line}"),
-            Pending::Waiting(id, handle) => {
-                println!("{}", render_response(&id, &handle.wait()));
-            }
-        }
+    for slot in slots {
+        let line = slot.unwrap_or_else(|(id, handle)| render_response(&id, &handle.wait()));
+        writeln!(out, "{line}")?;
     }
     let stats = pool.shutdown();
     eprintln!(
@@ -719,476 +669,234 @@ fn run_serve(args: &Args) -> ExitCode {
         "scratch : offset-table memo {} hit(s) / {} miss(es), {} eviction(s)",
         stats.scratch_table_hits, stats.scratch_table_misses, stats.scratch_table_evictions
     );
-    finish_with_trace(args, &recorder, "statevec", threads)
+    Ok("statevec")
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => return usage_error(&e),
-    };
-    if let Err(e) = check_flag_conflicts(&args) {
-        return usage_error(&e);
+/// A `--baseline` comparator on the Atlas machine shape. Baselines
+/// gather a dense state, so `--top` stays available.
+fn run_baseline(args: &Args, job: Job, dry: bool, out: &mut dyn Write) -> Ran {
+    let (circuit, spec, cost) = (&job.circuit, job.spec, CostModel::default());
+    print_machine(out, circuit, spec)?;
+    let name = args.flags.last("--baseline").unwrap_or_default();
+    let run = match name {
+        "hyquas" => baselines::hyquas(circuit, spec, cost, dry),
+        "cuquantum" => baselines::cuquantum(circuit, spec, cost, dry),
+        "qiskit" => baselines::qiskit(circuit, spec, cost, dry),
+        "qdao" => baselines::qdao_run(circuit, spec, cost, spec.local_qubits, 19),
+        other => return Err(failure(format!("unknown baseline '{other}'"))),
+    }?;
+    print_report(out, &run.report)?;
+    print_profile(args, &run.report, name);
+    if let Some(state) = run.state {
+        print_top(out, state.top_probabilities(args.top), job.n)?;
     }
-    if args.serve {
-        return run_serve(&args);
-    }
-    let circuit = match build_circuit(&args) {
-        Ok(c) => c,
-        Err((code, e)) => {
-            eprintln!("error: {e}");
-            return code;
-        }
-    };
-    let n = circuit.num_qubits();
-    // Build the config first: like the flag-conflict checks above, an
-    // incoherent configuration (seed without shots, zero threads, …) is
-    // a usage error that must reject before any banner reaches stdout.
-    // Coherence rules live in `AtlasConfig::validate`, not here.
-    // The recorder is enabled iff `--trace` asked for it: disabled, every
-    // instrumentation site is one branch; enabled, wall-clock rides the
-    // trace channel only, so stdout stays byte-identical either way.
-    let recorder = if args.trace.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::default()
-    };
-    // The CLI is the single-host entry point: functional requests are
-    // admitted against a 2 GiB peak-state budget (which admits exactly
-    // the n ≤ 26 circuits the historical heuristic did) and rejected
-    // with a typed ResourceExhausted instead of an allocator abort.
-    let budget = MemoryBudget::bytes(MemoryBudget::SINGLE_HOST);
-    let cfg = AtlasConfig {
-        threads: args.threads,
-        shots: args.shots,
-        seed: args.seed,
-        backend: args.backend,
-        noise: args.noise,
-        trajectories: args.trajectories,
-        memory_budget: budget,
-        recorder: recorder.clone(),
-        ..AtlasConfig::default()
-    };
-    if let Err(e) = cfg.validate() {
-        return error_exit(&e);
-    }
-    // Validate --expect widths before spending any simulation time.
-    let mut paulis: Vec<PauliString> = Vec::new();
-    for s in &args.expect {
-        match s.parse::<PauliString>() {
-            Ok(p) if p.num_qubits() == n => paulis.push(p),
-            Ok(p) => {
-                return usage_error(&format!(
-                    "--expect {s}: Pauli string spans {} qubits, circuit has {n}",
-                    p.num_qubits()
-                ))
-            }
-            Err(e) => {
-                eprintln!("in --expect {s}:");
-                return error_exit(&e);
-            }
-        }
-    }
-    // Engine dispatch. The statevector path below stays the default and
-    // is byte-identical to previous releases; the tableau path takes
-    // over when `--backend stabilizer` forces it, or when auto dispatch
-    // meets an all-Clifford circuit too wide for a functional
-    // statevector run (where the only legacy option was --dry).
-    let clifford = circuit.is_clifford();
-    if args.noise > 0.0 {
-        // Noise needs a functional engine: a non-Clifford circuit over
-        // the memory budget cannot run at all.
-        if !clifford && !budget.admits(n, args.local_qubits.min(n)) {
-            return error_exit(&AtlasError::ResourceExhausted {
-                needed: MemoryBudget::peak_bytes(n, args.local_qubits.min(n)),
-                budget: budget.enforced(),
-            });
-        }
-        return run_noisy_path(&args, &circuit, cfg, &paulis);
-    }
-    let use_stabilizer = args.backend == BackendKind::Stabilizer
-        || (args.backend == BackendKind::Auto
-            && clifford
-            && !budget.admits(n, args.local_qubits.min(n))
-            && !args.dry
-            && !args.plan_only
-            && args.baseline.is_none()
-            && args.sweep == 0
-            && !args.profile);
-    if use_stabilizer {
-        return run_stabilizer_path(&args, &circuit, cfg, &paulis);
-    }
-    let spec = MachineSpec {
-        nodes: args.nodes,
-        gpus_per_node: args.gpus_per_node,
-        local_qubits: args.local_qubits.min(n),
-    };
-    let cost = CostModel::default();
-    // Typed up-front check: the machine banner below (shard counts,
-    // offloading) would otherwise assert inside MachineSpec first.
-    if n < spec.local_qubits + spec.global_qubits() {
-        return error_exit(&AtlasError::CircuitTooSmall {
-            qubits: n,
-            local: spec.local_qubits,
-            global: spec.global_qubits(),
-        });
-    }
-    let dry = args.dry || !budget.admits(n, spec.local_qubits);
-    if dry && !args.dry {
-        // Measurement flags need a functional run; the budget rejection
-        // is typed (exit 10), never an allocator abort.
-        if args.shots > 0 || !paulis.is_empty() || args.top_set || args.sweep > 0 {
-            return error_exit(&AtlasError::ResourceExhausted {
-                needed: MemoryBudget::peak_bytes(n, spec.local_qubits),
-                budget: budget.enforced(),
-            });
-        }
-        eprintln!(
-            "note: n = {n} exceeds the functional memory budget \
-             (max {} qubits at L={}); switching to --dry",
-            budget.max_functional_qubits(spec.local_qubits),
-            spec.local_qubits
-        );
-    }
+    Ok("statevec")
+}
 
-    print_circuit_banner(&circuit, n);
-    println!(
-        "machine : {} node(s) x {} GPU(s), L={} ({} shard(s)){}",
-        spec.nodes,
-        spec.gpus_per_node,
-        spec.local_qubits,
-        spec.num_shards(n),
-        if spec.offloading(n) {
-            ", DRAM offloading"
-        } else {
-            ""
-        }
-    );
-
-    // The Atlas path below never gathers the state: `--top`, `--shots`
-    // and `--expect` all read through the sharded measurement engine,
-    // which EXECUTE leaves in the logical layout without charging the
-    // move.
-    if let Some(b) = args.baseline.as_deref() {
-        let r = match b {
-            "hyquas" => baselines::hyquas(&circuit, spec, cost, dry),
-            "cuquantum" => baselines::cuquantum(&circuit, spec, cost, dry),
-            "qiskit" => baselines::qiskit(&circuit, spec, cost, dry),
-            "qdao" => baselines::qdao_run(&circuit, spec, cost, spec.local_qubits, 19),
-            other => {
-                eprintln!("error: unknown baseline '{other}'");
-                return ExitCode::FAILURE;
-            }
-        };
-        let o = match r {
-            Ok(o) => o,
-            Err(e) => return error_exit(&e),
-        };
-        print_report(&o.report);
-        if args.profile {
-            print_profile(&o.report, b);
-        }
-        // Baselines gather a dense state; `--top` stays available.
-        if let Some(state) = o.state {
-            println!("top outcomes:");
-            for (idx, p) in state.top_probabilities(args.top) {
-                println!("  |{idx:0width$b}>  p = {p:.6}", width = n as usize);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // The Atlas path: one Planner, one CompiledPlan — executed zero
-    // (--plan), one (default), or N (--sweep) times.
-    let planner = Planner::new(spec, cost, cfg);
+/// The Atlas path: one Planner, one CompiledPlan — executed zero
+/// (`--plan`, `--dry`), one (default) or N (`--sweep`) times. It never
+/// gathers the state: `--top`, `--shots` and `--expect` all read
+/// through the sharded measurement engine, which EXECUTE leaves in the
+/// logical layout without charging the move.
+fn run_atlas(args: &Args, job: Job, mode: Mode, out: &mut dyn Write) -> Ran {
+    let circuit = &job.circuit;
+    print_machine(out, circuit, job.spec)?;
     let t_plan = Instant::now();
-    let compiled = match planner.plan(&circuit) {
-        Ok(c) => c,
-        Err(e) => return error_exit(&e),
-    };
+    let compiled = Planner::new(job.spec, CostModel::default(), args.cfg.clone()).plan(circuit)?;
     let plan_secs = t_plan.elapsed().as_secs_f64();
     // Static plan verification (atlas-analyze): always in debug builds,
     // on demand (--analyze) in release builds. A plan the verifier
     // rejects never reaches execution.
-    if cfg!(debug_assertions) || args.analyze {
-        match atlas::analyze::verify_plan(&circuit, compiled.plan(), compiled.cost()) {
-            Ok(report) => {
-                if args.analyze {
-                    eprintln!("analyze : ok — {report}");
-                }
-            }
-            Err(violation) => return error_exit(&violation.into()),
+    if cfg!(debug_assertions) || args.on("--analyze") {
+        let verified = atlas::analyze::verify_plan(circuit, compiled.plan(), compiled.cost());
+        let report = verified.map_err(AtlasError::from)?;
+        if args.on("--analyze") {
+            eprintln!("analyze : ok — {report}");
         }
     }
     let plan = compiled.plan();
-
-    if args.plan_only {
-        println!(
-            "plan    : {} stage(s), staging cost {}, kernel cost {:.4} ns/amp",
-            plan.stages.len(),
-            plan.staging_cost,
-            plan.kernel_cost
-        );
+    let (stages, cost) = (plan.stages.len(), plan.staging_cost);
+    if let Mode::Plan = mode {
+        let kernel_cost = plan.kernel_cost;
+        let line = format!("{stages} stage(s), staging cost {cost}, kernel cost {kernel_cost:.4}");
+        writeln!(out, "plan    : {line} ns/amp")?;
         for (k, sp) in plan.stages.iter().enumerate() {
-            println!(
-                "  stage {k}: {} gates, {} kernels, local={:?}",
-                sp.stage.gates.len(),
-                sp.kernels.len(),
-                sp.stage.partition.local
-            );
+            let (gates, kernels) = (sp.stage.gates.len(), sp.kernels.len());
+            let size = format!("{gates} gates, {kernels} kernels");
+            let local = &sp.stage.partition.local;
+            writeln!(out, "  stage {k}: {size}, local={local:?}")?;
         }
-        return finish_with_trace(&args, &recorder, "statevec", args.threads);
+        return Ok("statevec");
     }
-
-    println!(
-        "plan    : {} stage(s), staging cost {}",
-        plan.stages.len(),
-        plan.staging_cost
-    );
-
-    if dry {
-        let report = compiled.dry_run();
-        print_report(&report);
-        if args.profile {
-            print_profile(&report, "statevec");
+    writeln!(out, "plan    : {stages} stage(s), staging cost {cost}")?;
+    match mode {
+        Mode::Dry => {
+            let report = compiled.dry_run();
+            print_report(out, &report)?;
+            print_profile(args, &report, "statevec");
         }
-        return finish_with_trace(&args, &recorder, "statevec", args.threads);
-    }
-
-    if args.sweep > 0 {
         // Plan-once/run-many: the CompiledPlan above is reused for every
         // point; only gate parameters change. Wall-clock timings go to
         // stderr so stdout stays byte-deterministic.
-        eprintln!(
-            "sweep   : planned once in {plan_secs:.3} s; executing {} point(s)",
-            args.sweep
-        );
-        for i in 0..args.sweep {
-            let point = circuit.map_params(|_, _, p| p + 0.1 * i as f64);
-            let t_exec = Instant::now();
-            let run = match compiled.execute(&point) {
-                Ok(r) => r,
-                Err(e) => return error_exit(&e),
-            };
-            eprintln!(
-                "point {i} : execute {:.3} s",
-                t_exec.elapsed().as_secs_f64()
-            );
-            if args.profile {
-                print_profile(&run.report, "statevec");
+        Mode::Sweep => {
+            let points = args.sweep;
+            eprintln!("sweep   : planned once in {plan_secs:.3} s; executing {points} point(s)");
+            for i in 0..points {
+                let point = circuit.map_params(|_, _, p| p + 0.1 * i as f64);
+                let t_exec = Instant::now();
+                let run = compiled.execute(&point)?;
+                let secs = t_exec.elapsed().as_secs_f64();
+                eprintln!("point {i} : execute {secs:.3} s");
+                print_profile(args, &run.report, "statevec");
+                writeln!(out, "point {i} :")?;
+                print_readout(out, args, &job, run)?;
             }
-            println!("point {i} :");
-            print_measurements(&run.measurements, run.samples, &args, &paulis, n);
         }
-        return finish_with_trace(&args, &recorder, "statevec", args.threads);
+        _ => {
+            let run = compiled.execute(circuit)?;
+            print_report(out, &run.report)?;
+            print_profile(args, &run.report, "statevec");
+            print_readout(out, args, &job, run)?;
+        }
     }
-
-    let run = match compiled.execute(&circuit) {
-        Ok(r) => r,
-        Err(e) => return error_exit(&e),
-    };
-    print_report(&run.report);
-    if args.profile {
-        print_profile(&run.report, "statevec");
-    }
-    print_measurements(&run.measurements, run.samples, &args, &paulis, n);
-    finish_with_trace(&args, &recorder, "statevec", args.threads)
+    Ok("statevec")
 }
 
 /// The stabilizer (CHP tableau) functional path: no machine shape, no
 /// staging — `plan_backend` fingerprints the circuit and `run` replays
-/// it on the tableau in polynomial time. Reached when `--backend
-/// stabilizer` forces it or when auto dispatch meets an all-Clifford
-/// circuit beyond the statevector functional limit.
-fn run_stabilizer_path(
-    args: &Args,
-    circuit: &Circuit,
-    cfg: AtlasConfig,
-    paulis: &[PauliString],
-) -> ExitCode {
-    let recorder = cfg.recorder.clone();
-    let n = circuit.num_qubits();
-    if args.top_set && n > 30 {
-        return usage_error(&format!(
+/// it on the tableau in polynomial time.
+fn run_stabilizer(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
+    let (circuit, n) = (&job.circuit, job.n);
+    if args.on("--top") && n > 30 {
+        return Err(usage(format!(
             "--top enumerates amplitudes through the tableau->statevector \
              conversion (n <= 30); n = {n} supports --shots/--expect only"
-        ));
+        )));
     }
     // The tableau needs no machine, but the Planner does: a minimal
     // single-GPU spec keeps MachineSpec invariants satisfied at any n.
-    let planner = Planner::new(
-        MachineSpec::single_gpu(n.min(26)),
-        CostModel::default(),
-        cfg,
-    );
-    let plan = match planner.plan_backend(circuit) {
-        Ok(p) => p,
-        Err(e) => return error_exit(&e),
-    };
-    print_circuit_banner(circuit, n);
-    println!(
-        "backend : stabilizer (CHP tableau, {} word(s)/row; no machine shape)",
-        (n as usize).div_ceil(64)
-    );
+    let spec = MachineSpec::single_gpu(n.min(26));
+    let plan = Planner::new(spec, CostModel::default(), args.cfg.clone()).plan_backend(circuit)?;
+    print_banner(out, circuit)?;
+    let words = (n as usize).div_ceil(64);
+    let shape = format!("CHP tableau, {words} word(s)/row; no machine shape");
+    writeln!(out, "backend : stabilizer ({shape})")?;
     let t_run = Instant::now();
-    let run = match plan.run(circuit) {
-        Ok(r) => r,
-        Err(e) => return error_exit(&e),
-    };
-    eprintln!(
-        "tableau : replayed {} gate(s) in {:.3} s",
-        circuit.num_gates(),
-        t_run.elapsed().as_secs_f64()
-    );
-    for p in paulis {
-        println!("expect  : <{p}> = {:.9}", run.expectation(p));
+    let run = plan.run(circuit)?;
+    let (gates, secs) = (circuit.num_gates(), t_run.elapsed().as_secs_f64());
+    eprintln!("tableau : replayed {gates} gate(s) in {secs:.3} s");
+    for p in &job.paulis {
+        print_expectation(out, p, run.expectation(p), "")?;
     }
     if let Some(samples) = run.samples_words() {
-        let shots = samples.len();
-        println!("shots   : {shots} (seed {})", args.seed);
-        print_word_counts(&count_word_samples(samples), shots, n);
+        let header = format!("{} (seed {})", samples.len(), args.cfg.seed);
+        print_shots(out, &header, count_word_samples(samples), n)?;
     }
-    // Same default-readout rule as the statevector path: top outcomes
-    // unless shots/expectations were explicitly requested.
-    if args.top_set || (args.shots == 0 && paulis.is_empty()) {
-        let BackendRun::Stabilizer(ref srun) = run else {
-            unreachable!("stabilizer path produced a statevector run");
-        };
-        if n <= 30 {
-            let state = match srun.tableau.to_statevector() {
-                Ok(s) => s,
-                Err(e) => return error_exit(&e),
-            };
-            println!("top outcomes:");
-            for (idx, p) in state.top_probabilities(args.top) {
-                println!("  |{idx:0width$b}>  p = {p:.6}", width = n as usize);
-            }
-        } else {
-            // Too wide to enumerate amplitudes: report the support size
-            // (2^k for k X-pivots in the canonical stabilizer set).
-            let pivots = srun
-                .tableau
-                .canonical_stabilizers()
-                .iter()
-                .filter(|(x, _, _)| x.iter().any(|&w| w != 0))
-                .count();
-            println!("support : 2^{pivots} basis state(s) with nonzero amplitude");
-        }
+    let BackendRun::Stabilizer(srun) = &run else {
+        unreachable!("stabilizer path produced a statevector run");
+    };
+    if args.wants_top() && n <= 30 {
+        let state = srun.tableau.to_statevector()?;
+        print_top(out, state.top_probabilities(args.top), n)?;
+    } else if args.wants_top() {
+        // Too wide to enumerate amplitudes: report the support size
+        // (2^k for k X-pivots in the canonical stabilizer set).
+        let rows = srun.tableau.canonical_stabilizers();
+        let pivots = rows.iter().filter(|(x, ..)| x.iter().any(|&w| w != 0));
+        let support = format!("2^{} basis state(s)", pivots.count());
+        writeln!(out, "support : {support} with nonzero amplitude")?;
     }
-    finish_with_trace(args, &recorder, "stabilizer", args.threads)
+    Ok("stabilizer")
 }
 
 /// The Pauli-twirled stochastic-trajectory path (`--noise p`): one
 /// noisy template, ONE compiled plan on whichever engine dispatch
 /// picks, `--trajectories` re-parameterizations of the noise slots.
 /// Output is deterministic for a fixed `--seed` on any `--threads`.
-fn run_noisy_path(
-    args: &Args,
-    circuit: &Circuit,
-    cfg: AtlasConfig,
-    paulis: &[PauliString],
-) -> ExitCode {
-    let recorder = cfg.recorder.clone();
-    let n = circuit.num_qubits();
-    let spec = MachineSpec {
-        nodes: args.nodes,
-        gpus_per_node: args.gpus_per_node,
-        local_qubits: args.local_qubits.min(n),
-    };
+fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
+    let (circuit, paulis) = (&job.circuit, &job.paulis);
     let template = noise::noisy_template(circuit);
-    let planner = Planner::new(spec, CostModel::default(), cfg);
     let t_plan = Instant::now();
-    let plan = match planner.plan_backend(&template) {
-        Ok(p) => p,
-        Err(e) => return error_exit(&e),
-    };
+    let plan =
+        Planner::new(job.spec, CostModel::default(), args.cfg.clone()).plan_backend(&template)?;
     let cfg = plan.config();
-    print_circuit_banner(circuit, n);
-    println!(
-        "backend : {} (noise p = {}, {} trajectorie(s), seed {})",
-        plan.backend_name(),
-        cfg.noise,
-        cfg.trajectories,
-        cfg.seed
-    );
-    eprintln!(
-        "noise   : planned the template once in {:.3} s ({} noise slot(s))",
-        t_plan.elapsed().as_secs_f64(),
-        template.num_gates() - circuit.num_gates()
-    );
+    print_banner(out, circuit)?;
+    let (backend, noise, k, seed) = (plan.backend_name(), cfg.noise, cfg.trajectories, cfg.seed);
+    let draws = format!("{k} trajectorie(s), seed {seed}");
+    writeln!(out, "backend : {backend} (noise p = {noise}, {draws})")?;
+    let secs = t_plan.elapsed().as_secs_f64();
+    let slots = template.num_gates() - circuit.num_gates();
+    eprintln!("noise   : planned the template once in {secs:.3} s ({slots} noise slot(s))");
     if !paulis.is_empty() {
         // Channel expectations: the mean over trajectories converges to
         // the depolarizing channel's output expectation.
-        let k = cfg.trajectories.max(1);
+        let k = k.max(1);
         let mut sums = vec![0.0; paulis.len()];
         for t in 0..k {
-            let point = noise::trajectory(&template, cfg.noise, cfg.seed, t as u64);
-            let run = match plan.run(&point) {
-                Ok(r) => r,
-                Err(e) => return error_exit(&e),
-            };
+            let run = plan.run(&noise::trajectory(&template, noise, seed, t as u64))?;
             for (s, p) in sums.iter_mut().zip(paulis) {
                 *s += run.expectation(p);
             }
         }
+        let suffix = format!(" (mean over {k} trajectorie(s))");
         for (s, p) in sums.iter().zip(paulis) {
-            println!(
-                "expect  : <{p}> = {:.9} (mean over {k} trajectorie(s))",
-                s / k as f64
-            );
+            print_expectation(out, p, s / k as f64, &suffix)?;
         }
     }
-    if args.shots > 0 {
-        let out = match noise::run_noisy(&plan, &template, args.shots) {
-            Ok(o) => o,
-            Err(e) => return error_exit(&e),
-        };
-        println!(
-            "shots   : {} over {} trajectorie(s) (seed {})",
-            out.shots, out.trajectories, args.seed
-        );
-        let mut counts = out.counts;
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        print_word_counts(&counts, out.shots, n);
+    if args.on("--shots") {
+        let mut run = noise::run_noisy(&plan, &template, args.cfg.shots)?;
+        let (shots, k, seed) = (run.shots, run.trajectories, args.cfg.seed);
+        run.counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let header = format!("{shots} over {k} trajectorie(s) (seed {seed})");
+        print_shots(out, &header, run.counts, job.n)?;
     }
-    let backend = plan.backend_name();
-    finish_with_trace(args, &recorder, backend, args.threads)
+    Ok(backend)
 }
 
-fn print_circuit_banner(circuit: &Circuit, n: u32) {
-    println!(
-        "circuit {} : {} qubits, {} gates, depth {}",
-        if circuit.name().is_empty() {
-            "<qasm>"
-        } else {
-            circuit.name()
-        },
-        n,
-        circuit.num_gates(),
-        circuit.depth()
-    );
+fn print_banner(out: &mut dyn Write, c: &Circuit) -> io::Result<()> {
+    let name = Some(c.name()).filter(|s| !s.is_empty()).unwrap_or("<qasm>");
+    let (n, gates, depth) = (c.num_qubits(), c.num_gates(), c.depth());
+    let size = format!("{n} qubits, {gates} gates, depth {depth}");
+    writeln!(out, "circuit {name} : {size}")
 }
 
-/// Renders a bit-packed outcome (bit `q % 64` of word `q / 64` is qubit
-/// `q`) as an `n`-bit binary string, highest qubit leftmost — matching
-/// the single-word `|{bits:0n$b}>` format at any width.
-fn format_bits(words: &[u64], n: u32) -> String {
-    (0..n)
-        .rev()
-        .map(|q| {
-            if words[q as usize / 64] >> (q % 64) & 1 == 1 {
-                '1'
-            } else {
-                '0'
-            }
-        })
-        .collect()
+/// The banner, then the simulated machine the Atlas and baseline paths
+/// run on.
+fn print_machine(out: &mut dyn Write, circuit: &Circuit, spec: MachineSpec) -> io::Result<()> {
+    print_banner(out, circuit)?;
+    let n = circuit.num_qubits();
+    let (nodes, gpus, l) = (spec.nodes, spec.gpus_per_node, spec.local_qubits);
+    let (shards, offloading) = (spec.num_shards(n), spec.offloading(n));
+    let dram = if offloading { ", DRAM offloading" } else { "" };
+    let shards = format!("L={l} ({shards} shard(s)){dram}");
+    writeln!(out, "machine : {nodes} node(s) x {gpus} GPU(s), {shards}")
+}
+
+fn print_report(out: &mut dyn Write, r: &MachineReport) -> io::Result<()> {
+    let (total, compute, comm, swap) = (r.total_secs, r.compute_secs, r.comm_secs, r.swap_secs);
+    let kernels = r.kernels;
+    let split = format!("compute {compute:.6}, comm {comm:.6}, swap {swap:.6}; {kernels} kernels");
+    writeln!(out, "model   : total {total:.6} s  ({split})")
+}
+
+/// `suffix` follows the value (the noisy path's trajectory mean).
+fn print_expectation(out: &mut dyn Write, p: &PauliString, v: f64, suffix: &str) -> io::Result<()> {
+    writeln!(out, "expect  : <{p}> = {v:.9}{suffix}")
+}
+
+/// The one top-outcome printer.
+fn print_top(out: &mut dyn Write, outcomes: Vec<(u64, f64)>, n: u32) -> io::Result<()> {
+    writeln!(out, "top outcomes:")?;
+    for (idx, p) in outcomes {
+        writeln!(out, "  |{idx:0width$b}>  p = {p:.6}", width = n as usize)?;
+    }
+    Ok(())
 }
 
 /// Counts multi-word samples in `count_samples` order: descending
 /// count, ties ascending.
-fn count_word_samples(samples: Vec<Vec<u64>>) -> Vec<(Vec<u64>, u64)> {
-    let mut map: std::collections::BTreeMap<Vec<u64>, u64> = std::collections::BTreeMap::new();
+fn count_word_samples(samples: Vec<Vec<u64>>) -> Counts {
+    let mut map = std::collections::BTreeMap::new();
     for s in samples {
         *map.entry(s).or_insert(0) += 1;
     }
@@ -1197,32 +905,42 @@ fn count_word_samples(samples: Vec<Vec<u64>>) -> Vec<(Vec<u64>, u64)> {
     counts
 }
 
-/// The one shot-table printer: word-packed counts, capped at 32 lines
-/// with a summary of the rest.
-fn print_word_counts(counts: &[(Vec<u64>, u64)], shots: usize, n: u32) {
+/// The one shot-table printer: a `shots   :` header, then word-packed
+/// counts (bit `q % 64` of word `q / 64` is qubit `q`, printed highest
+/// qubit leftmost at any width), capped at 32 lines with a summary of the
+/// rest.
+fn print_shots(out: &mut dyn Write, header: &str, counts: Counts, n: u32) -> io::Result<()> {
     const MAX_LINES: usize = 32;
-    for (bits, count) in counts.iter().take(MAX_LINES) {
-        println!(
-            "  |{}>  x {count}  (p^ = {:.6})",
-            format_bits(bits, n),
-            *count as f64 / shots as f64
-        );
+    writeln!(out, "shots   : {header}")?;
+    let shots: u64 = counts.iter().map(|&(_, c)| c).sum();
+    for (words, count) in counts.iter().take(MAX_LINES) {
+        let bit = |q: u32| char::from(b'0' + (words[q as usize / 64] >> (q % 64) & 1) as u8);
+        let bits: String = (0..n).rev().map(bit).collect();
+        let p = *count as f64 / shots as f64;
+        writeln!(out, "  |{bits}>  x {count}  (p^ = {p:.6})")?;
     }
-    if counts.len() > MAX_LINES {
-        let rest: u64 = counts[MAX_LINES..].iter().map(|&(_, c)| c).sum();
-        println!(
-            "  ... {} more outcomes ({} shots)",
-            counts.len() - MAX_LINES,
-            rest
-        );
+    if let Some(rest) = counts.get(MAX_LINES..).filter(|rest| !rest.is_empty()) {
+        let (more, shots) = (rest.len(), rest.iter().map(|&(_, c)| c).sum::<u64>());
+        writeln!(out, "  ... {more} more outcomes ({shots} shots)")?;
     }
+    Ok(())
 }
 
-fn print_report(report: &atlas::machine::MachineReport) {
-    println!(
-        "model   : total {:.6} s  (compute {:.6}, comm {:.6}, swap {:.6}; {} kernels)",
-        report.total_secs, report.compute_secs, report.comm_secs, report.swap_secs, report.kernels
-    );
+/// A functional Atlas run's readout through the sharded measurement
+/// engine; its shots were drawn during the run from `cfg.shots`/`cfg.seed`.
+fn print_readout(out: &mut dyn Write, args: &Args, job: &Job, run: Execution) -> io::Result<()> {
+    for p in &job.paulis {
+        print_expectation(out, p, run.measurements.expectation(p), "")?;
+    }
+    if let Some(samples) = run.samples {
+        let header = format!("{} (seed {})", samples.len(), args.cfg.seed);
+        let words = samples.into_iter().map(|bits| vec![bits]).collect();
+        print_shots(out, &header, count_word_samples(words), job.n)?;
+    }
+    if args.wants_top() {
+        print_top(out, run.measurements.top(args.top), job.n)?;
+    }
+    Ok(())
 }
 
 /// Host CPU count (the `--threads`/`--workers` default).
@@ -1230,67 +948,43 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// `--trace FILE`: drains the recorder and writes the trace (no-op
-/// without the flag). The same `StageTiming` charge sites feed both this
-/// trace's `machine.step` counters and `--profile`'s per-step lines, so
-/// the two views can never disagree.
-fn write_trace(
-    args: &Args,
-    recorder: &Recorder,
-    backend: &str,
-    threads: usize,
-) -> Result<(), String> {
-    let Some(path) = args.trace.as_deref() else {
+/// `--trace FILE`: drains the recorder into the trace file once the run
+/// succeeded (no-op without the flag); an I/O failure downgrades the run
+/// to a runtime failure.
+fn write_trace(args: &Args, backend: &str) -> Result<(), Fail> {
+    let Some(path) = args.flags.last("--trace") else {
         return Ok(());
     };
+    let serve = args.on("serve");
+    let source = if serve { "atlas-serve" } else { "atlas-sim" };
     let meta = TraceMeta {
-        source: if args.serve {
-            "atlas-serve"
-        } else {
-            "atlas-sim"
-        }
-        .to_string(),
+        source: source.to_string(),
         backend: backend.to_string(),
         host_cpus: host_cpus(),
-        threads,
+        threads: args.cfg.threads,
     };
-    let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    atlas::telemetry::export(recorder, &mut w, args.trace_format, &meta)
-        .map_err(|e| format!("--trace {path}: {e}"))?;
-    eprintln!(
-        "trace   : wrote {} trace to {path} ({} event(s) dropped)",
-        args.trace_format.name(),
-        recorder.dropped()
-    );
+    let failed = |e: io::Error| failure(format!("--trace {path}: {e}"));
+    let mut file = io::BufWriter::new(std::fs::File::create(path).map_err(failed)?);
+    let (recorder, format) = (&args.cfg.recorder, args.trace_format);
+    atlas::telemetry::export(recorder, &mut file, format, &meta).map_err(failed)?;
+    let (name, dropped) = (format.name(), recorder.dropped());
+    eprintln!("trace   : wrote {name} trace to {path} ({dropped} event(s) dropped)");
     Ok(())
 }
 
-/// [`write_trace`] at a success exit: any I/O failure downgrades the
-/// run to a generic runtime failure.
-fn finish_with_trace(args: &Args, recorder: &Recorder, backend: &str, threads: usize) -> ExitCode {
-    match write_trace(args, recorder, backend, threads) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `--profile`: a schema header, then one JSON object per
-/// bulk-synchronous step on stderr, in execution order — compute steps
-/// alternate with all-to-all transitions. Stderr keeps stdout
-/// byte-deterministic for diffing across thread counts; JSON lines make
-/// the breakdown machine-consumable (`jq -s`). The per-step values are
-/// the same `StageTiming`s the telemetry layer's `machine.step` counters
-/// carry — one charge site feeds both.
-fn print_profile(report: &atlas::machine::MachineReport, backend: &str) {
+/// bulk-synchronous step on stderr, in execution order (compute steps
+/// alternate with all-to-all transitions), so stdout stays
+/// byte-deterministic. The values are the `StageTiming`s the trace's
+/// `machine.step` counters carry — one charge site feeds both.
+fn print_profile(args: &Args, report: &MachineReport, backend: &str) {
+    if !args.on("--profile") {
+        return;
+    }
+    let (cpus, steps) = (host_cpus(), report.per_step.len());
     eprintln!(
         "{{\"schema\":\"atlas-stage-timing/2\",\"backend\":\"{backend}\",\
-         \"host_cpus\":{},\"steps\":{}}}",
-        host_cpus(),
-        report.per_step.len()
+         \"host_cpus\":{cpus},\"steps\":{steps}}}"
     );
     for (i, st) in report.per_step.iter().enumerate() {
         eprintln!(
@@ -1298,34 +992,5 @@ fn print_profile(report: &atlas::machine::MachineReport, backend: &str) {
              \"bytes_intra\":{},\"bytes_inter\":{}}}",
             st.compute, st.comm, st.swap, st.bytes_intra, st.bytes_inter
         );
-    }
-}
-
-/// Functional-run output through the sharded measurement engine.
-/// `samples` are the shots the run already drew from
-/// `cfg.shots`/`cfg.seed`.
-fn print_measurements(
-    m: &Measurements,
-    samples: Option<Vec<u64>>,
-    args: &Args,
-    paulis: &[PauliString],
-    n: u32,
-) {
-    let width = n as usize;
-    for p in paulis {
-        println!("expect  : <{p}> = {:.9}", m.expectation(p));
-    }
-    if let Some(samples) = samples {
-        println!("shots   : {} (seed {})", samples.len(), args.seed);
-        let words = samples.into_iter().map(|bits| vec![bits]).collect();
-        print_word_counts(&count_word_samples(words), args.shots, n);
-    }
-    // Top outcomes stay the default readout; once the user asked for
-    // shots or expectations they appear only on explicit request.
-    if args.top_set || (args.shots == 0 && paulis.is_empty()) {
-        println!("top outcomes:");
-        for (idx, p) in m.top(args.top) {
-            println!("  |{idx:0width$b}>  p = {p:.6}");
-        }
     }
 }

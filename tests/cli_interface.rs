@@ -202,6 +202,30 @@ fn contradictory_flags_are_rejected_with_exit_2() {
             vec!["--family", "qft", "-n", "6", "--workers", &host_cpus],
             "serve",
         ),
+        // Flags the chosen mode would ignore: a plan with a comparator, a
+        // QASM file with a family or size (rejected before the file is
+        // read), and serve with a circuit size.
+        (
+            vec![
+                "--family",
+                "qft",
+                "-n",
+                "8",
+                "--plan",
+                "--baseline",
+                "hyquas",
+            ],
+            "contradicts --baseline",
+        ),
+        (
+            vec!["--qasm", "/nonexistent/file.qasm", "--family", "qft"],
+            "contradicts --family",
+        ),
+        (
+            vec!["--qasm", "/nonexistent/file.qasm", "-n", "8"],
+            "contradicts -n",
+        ),
+        (vec!["serve", "-n", "8", "-L", "5"], "contradicts -n"),
     ];
     for (args, needle) in cases {
         let out = atlas_sim(&args);
@@ -781,4 +805,42 @@ fn cli_stdout_matches_the_golden_corpus() {
             path.display()
         );
     }
+}
+
+/// A 14-qubit GHZ circuit in QASM, written to a fresh temporary file.
+fn ghz14_qasm(tag: &str) -> std::path::PathBuf {
+    let mut text = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[14];\nh q[0];\n");
+    for q in 1..14 {
+        text += &format!("cx q[{}],q[{q}];\n", q - 1);
+    }
+    let path = std::env::temp_dir().join(format!("atlas-sim-{tag}-{}.qasm", std::process::id()));
+    std::fs::write(&path, text).expect("write QASM file");
+    path
+}
+
+#[test]
+fn qasm_without_l_runs_at_the_circuit_width() {
+    let path = ghz14_qasm("width");
+    let out = atlas_sim(&["--qasm", path.to_str().unwrap(), "--threads", "1"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("machine : 1 node(s) x 1 GPU(s), L=14 (1 shard(s))\n"),
+        "{text}"
+    );
+    assert!(text.contains("|11111111111111>  p = 0.500000"), "{text}");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_with_exit_1() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_atlas-sim"))
+        .args(["--family", "qft", "-n", "12", "--threads", "1"])
+        .stdout(writer)
+        .output()
+        .expect("failed to launch atlas-sim");
+    assert_eq!(exit_code(&out), 1, "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
