@@ -50,11 +50,6 @@ impl WriteSet {
         }
     }
 
-    /// Largest index in the set.
-    pub fn max_index(&self) -> u64 {
-        self.base | self.mask
-    }
-
     /// Whether two symbolic sets share at least one concrete index.
     ///
     /// Per bit: a member of `self` has value `base-bit OR x` with `x`

@@ -192,11 +192,6 @@ impl Circuit {
         self.gates.iter().map(insular::staging_mask).collect()
     }
 
-    /// Per-gate masks of all touched qubits.
-    pub fn qubit_masks(&self) -> Vec<u64> {
-        self.gates.iter().map(|g| g.qubit_mask()).collect()
-    }
-
     /// Histogram of gate names → count (for reports).
     pub fn gate_histogram(&self) -> Vec<(&'static str, usize)> {
         let mut counts: std::collections::BTreeMap<&'static str, usize> =
@@ -252,15 +247,6 @@ impl Circuit {
     /// the stabilizer tableau backend).
     pub fn is_clifford(&self) -> bool {
         self.clifford_prefix_len() == self.num_gates()
-    }
-
-    /// Returns a new circuit containing the gates at `indices`, in order.
-    pub fn subcircuit(&self, indices: &[usize]) -> Circuit {
-        let mut c = Circuit::named(self.n, self.name.clone());
-        for &i in indices {
-            c.push(self.gates[i]);
-        }
-        c
     }
 
     /// Checks that `other` is a topologically equivalent reordering of this

@@ -96,17 +96,6 @@ impl GateKind {
         }
     }
 
-    /// Number of leading control qubits in the `[controls..., targets...]`
-    /// convention. `Swap`/`RZZ`/`RXX` have none.
-    pub fn num_controls(self) -> usize {
-        use GateKind::*;
-        match self {
-            CX | CY | CZ | CH | CP(_) | CRX(_) | CRY(_) | CRZ(_) | CSwap => 1,
-            CCX | CCZ => 2,
-            _ => 0,
-        }
-    }
-
     /// QASM-style lowercase mnemonic.
     pub fn name(self) -> &'static str {
         use GateKind::*;

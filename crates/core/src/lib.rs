@@ -49,5 +49,5 @@ pub mod staging;
 pub use atlas_error::AtlasError;
 pub use backend::{BackendPlan, BackendRun, HybridPlan, StabilizerPlan};
 pub use config::{AtlasConfig, BackendKind, MemoryBudget};
-pub use plan::{Kernel, KernelKind, QubitPartition, Stage, StagedKernels};
+pub use plan::{Kernel, KernelKind, QubitPartition, Stage};
 pub use session::{CircuitFingerprint, CompiledPlan, Execution, Planner};

@@ -27,11 +27,6 @@ impl QubitPartition {
         self.local.iter().fold(0u64, |m, &q| m | (1 << q))
     }
 
-    /// Bitmask of global qubits.
-    pub fn global_mask(&self) -> u64 {
-        self.global.iter().fold(0u64, |m, &q| m | (1 << q))
-    }
-
     /// Checks the partition covers `0..n` exactly once with the required
     /// class sizes.
     pub fn validate(&self, n: u32, l: u32, g: u32) -> Result<(), AtlasError> {
@@ -96,20 +91,6 @@ pub struct Kernel {
     /// The kernel's qubit set (local physical bit positions at execution
     /// time; logical ids during planning), ascending.
     pub qubits: Vec<u32>,
-}
-
-/// The full execution plan: kernelized stages (the output of the paper's
-/// `PARTITION`, Algorithm 1 lines 1–8).
-#[derive(Clone, Debug)]
-pub struct StagedKernels {
-    /// Per-stage: the stage metadata and its kernel sequence.
-    pub stages: Vec<(Stage, Vec<Kernel>)>,
-    /// Total staging communication cost (Eq. 2 value).
-    pub staging_cost: i64,
-    /// Whether the staging solver proved optimality.
-    pub staging_optimal: bool,
-    /// Total kernel cost in model units (Eq. 12 value, summed over stages).
-    pub kernel_cost: f64,
 }
 
 /// Validates a staging result against the staging problem's constraints:

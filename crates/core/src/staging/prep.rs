@@ -144,12 +144,6 @@ impl StagingProblem {
         }
     }
 
-    /// The union of all non-insular qubits (qubits that must become local
-    /// at some point).
-    pub fn demanded_qubits(&self) -> u64 {
-        self.items.iter().fold(0u64, |m, it| m | it.mask)
-    }
-
     /// Computes the maximal closure: starting from `done` (a bitset over
     /// items), marks every item executable with `local_mask` as done,
     /// honouring dependencies. `succs` must come from

@@ -5,7 +5,6 @@
 //! contiguous, cache-friendly, no blocking needed at these sizes.
 
 use crate::complex::Complex64;
-use crate::EPS;
 use std::fmt;
 use std::ops::{Index, IndexMut, Mul};
 
@@ -277,12 +276,6 @@ pub fn equal_up_to_global_phase(a: &Matrix, b: &Matrix, eps: f64) -> bool {
         }
     }
     true
-}
-
-/// Returns `true` when the matrix is unitary within the crate default
-/// tolerance — convenience for assertions.
-pub fn assert_unitary(m: &Matrix) -> bool {
-    m.is_unitary(EPS.max(1e-9) * m.rows() as f64)
 }
 
 #[cfg(test)]
