@@ -213,7 +213,7 @@ struct Fail(ExitCode, String);
 /// What a mode returns: the backend it ran on (for the trace).
 type Ran = Result<&'static str, Fail>;
 
-/// Shot counts per bit-packed outcome, most frequent first.
+/// Shot counts per bit-packed outcome.
 type Counts = Vec<(Vec<u64>, u64)>;
 
 /// Exit code 2: usage error.
@@ -526,12 +526,16 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
         );
     }
     let dry = over_budget || args.on("--dry");
-    Ok(match () {
-        _ if args.on("--baseline") => Mode::Baseline { dry },
-        _ if args.on("--plan") => Mode::Plan,
-        _ if dry => Mode::Dry,
-        _ if args.on("--sweep") => Mode::Sweep,
-        _ => Mode::Run,
+    Ok(if args.on("--baseline") {
+        Mode::Baseline { dry }
+    } else if args.on("--plan") {
+        Mode::Plan
+    } else if dry {
+        Mode::Dry
+    } else if args.on("--sweep") {
+        Mode::Sweep
+    } else {
+        Mode::Run
     })
 }
 
@@ -844,9 +848,8 @@ fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
         }
     }
     if args.on("--shots") {
-        let mut run = noise::run_noisy(&plan, &template, args.cfg.shots)?;
+        let run = noise::run_noisy(&plan, &template, args.cfg.shots)?;
         let (shots, k, seed) = (run.shots, run.trajectories, args.cfg.seed);
-        run.counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let header = format!("{shots} over {k} trajectorie(s) (seed {seed})");
         print_shots(out, &header, run.counts, job.n)?;
     }
@@ -893,25 +896,22 @@ fn print_top(out: &mut dyn Write, outcomes: Vec<(u64, f64)>, n: u32) -> io::Resu
     Ok(())
 }
 
-/// Counts multi-word samples in `count_samples` order: descending
-/// count, ties ascending.
 fn count_word_samples(samples: Vec<Vec<u64>>) -> Counts {
     let mut map = std::collections::BTreeMap::new();
     for s in samples {
         *map.entry(s).or_insert(0) += 1;
     }
-    let mut counts: Vec<_> = map.into_iter().collect();
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    counts
+    map.into_iter().collect()
 }
 
 /// The one shot-table printer: a `shots   :` header, then word-packed
 /// counts (bit `q % 64` of word `q / 64` is qubit `q`, printed highest
-/// qubit leftmost at any width), capped at 32 lines with a summary of the
-/// rest.
-fn print_shots(out: &mut dyn Write, header: &str, counts: Counts, n: u32) -> io::Result<()> {
+/// qubit leftmost at any width) in `count_samples` order — descending
+/// count, ties ascending — capped at 32 lines with a summary of the rest.
+fn print_shots(out: &mut dyn Write, header: &str, mut counts: Counts, n: u32) -> io::Result<()> {
     const MAX_LINES: usize = 32;
     writeln!(out, "shots   : {header}")?;
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let shots: u64 = counts.iter().map(|&(_, c)| c).sum();
     for (words, count) in counts.iter().take(MAX_LINES) {
         let bit = |q: u32| char::from(b'0' + (words[q as usize / 64] >> (q % 64) & 1) as u8);
@@ -967,6 +967,8 @@ fn write_trace(args: &Args, backend: &str) -> Result<(), Fail> {
     let mut file = io::BufWriter::new(std::fs::File::create(path).map_err(failed)?);
     let (recorder, format) = (&args.cfg.recorder, args.trace_format);
     atlas::telemetry::export(recorder, &mut file, format, &meta).map_err(failed)?;
+    // Dropping a `BufWriter` would discard this error.
+    file.flush().map_err(failed)?;
     let (name, dropped) = (format.name(), recorder.dropped());
     eprintln!("trace   : wrote {name} trace to {path} ({dropped} event(s) dropped)");
     Ok(())
