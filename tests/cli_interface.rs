@@ -661,142 +661,49 @@ fn serve_survives_injected_panics() {
 /// deliberate output change edits its file in the same commit.
 #[test]
 fn cli_stdout_matches_the_golden_corpus() {
-    let corpus: [(&str, &[&str]); 9] = [
+    let corpus = [
         (
             "qft12_functional",
-            &[
-                "--family",
-                "qft",
-                "-n",
-                "12",
-                "--nodes",
-                "2",
-                "--gpus",
-                "2",
-                "-L",
-                "9",
-                "--threads",
-                "1",
-            ],
+            "--family qft -n 12 --nodes 2 --gpus 2 -L 9 --threads 1",
         ),
         (
             "qaoa8_shots_expect",
-            &[
-                "--family",
-                "qaoa",
-                "-n",
-                "8",
-                "--nodes",
-                "2",
-                "--gpus",
-                "2",
-                "-L",
-                "5",
-                "--shots",
-                "256",
-                "--seed",
-                "7",
-                "--expect",
-                "ZIIIIIIZ",
-                "--top",
-                "4",
-                "--threads",
-                "1",
-            ],
+            "--family qaoa -n 8 --nodes 2 --gpus 2 -L 5 --shots 256 --seed 7 --expect ZIIIIIIZ \
+             --top 4 --threads 1",
         ),
         (
             "qaoa8_sweep",
-            &[
-                "--family",
-                "qaoa",
-                "-n",
-                "8",
-                "--nodes",
-                "2",
-                "--gpus",
-                "2",
-                "-L",
-                "5",
-                "--sweep",
-                "2",
-                "--shots",
-                "16",
-                "--seed",
-                "7",
-                "--threads",
-                "1",
-            ],
+            "--family qaoa -n 8 --nodes 2 --gpus 2 -L 5 --sweep 2 --shots 16 --seed 7 --threads 1",
         ),
-        (
-            "qft10_plan",
-            &["--family", "qft", "-n", "10", "-L", "6", "--plan"],
-        ),
+        ("qft10_plan", "--family qft -n 10 -L 6 --plan"),
         (
             "ising24_dry",
-            &[
-                "--family", "ising", "-n", "24", "-L", "20", "--nodes", "2", "--gpus", "2", "--dry",
-            ],
+            "--family ising -n 24 -L 20 --nodes 2 --gpus 2 --dry",
         ),
         (
             "qft10_baseline_cuquantum",
-            &[
-                "--family",
-                "qft",
-                "-n",
-                "10",
-                "-L",
-                "7",
-                "--baseline",
-                "cuquantum",
-                "--threads",
-                "1",
-            ],
+            "--family qft -n 10 -L 7 --baseline cuquantum --threads 1",
         ),
         (
             "ghz10_stabilizer",
-            &[
-                "--family",
-                "ghz",
-                "-n",
-                "10",
-                "--backend",
-                "stabilizer",
-                "--expect",
-                "ZIIIIIIIIZ",
-                "--top",
-                "2",
-            ],
+            "--family ghz -n 10 --backend stabilizer --expect ZIIIIIIIIZ --top 2",
         ),
         (
             "ghz8_noise",
-            &[
-                "--family",
-                "ghz",
-                "-n",
-                "8",
-                "--noise",
-                "0.05",
-                "--shots",
-                "40",
-                "--seed",
-                "11",
-                "--threads",
-                "1",
-            ],
+            "--family ghz -n 8 --noise 0.05 --shots 40 --seed 11 --threads 1",
         ),
         (
             "ghz200_auto_stabilizer",
-            &[
-                "--family", "ghz", "-n", "200", "--shots", "8", "--seed", "7",
-            ],
+            "--family ghz -n 200 --shots 8 --seed 7",
         ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cli");
     for (name, args) in corpus {
+        let args: Vec<&str> = args.split_whitespace().collect();
         let path = dir.join(format!("{name}.stdout"));
         let golden =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let out = atlas_sim(args);
+        let out = atlas_sim(&args);
         assert_eq!(exit_code(&out), 0, "{name} {args:?}: {}", stderr(&out));
         assert_eq!(
             stdout(&out),
