@@ -1,126 +1,162 @@
 //! # atlas-bench
 //!
-//! The experiment harness: every table and figure of the paper's
-//! evaluation (and appendix) has a bench target that regenerates it on the
-//! simulated machine. Absolute numbers come from the calibrated cost model
-//! (the substrate is a simulator, not Perlmutter); the *shape* — who wins,
-//! by what factor, where crossovers fall — is the reproduction target.
-//! Measured host time — end to end and per layer — comes from the separate
-//! `e2ebench` package; `e2ebench/README.md` describes its workloads and
-//! metrics.
+//! The paper's evaluation (arXiv 2408.09055: Table I/II, Fig. 5/6, 7/8,
+//! 9/12, 10/14/25 and 13, §VII-E, and two ablations), reproduced on the
+//! model clock as one [`Table`] per figure, plus the host-clock benches
+//! under `benches/`.
 //!
-//! Grids default to a reduced-but-representative subset so `cargo bench`
-//! completes in minutes; set `ATLAS_BENCH_FULL=1` for the complete paper
-//! grid.
+//! [`SECTIONS`] lists the tables. `cargo run --release -p atlas-bench
+//! --bin experiments` renders them into the checked-in `EXPERIMENTS.md`,
+//! and the root test `tests/experiments.rs` fails, naming the section and
+//! line, when a table no longer matches its checked-in copy.
+//!
+//! Only model-clock values and exact counts enter the file: a dry run is
+//! a pure function of the plan and the cost model, so the file is the
+//! same on every host and changes only with a plan or the model. Absolute
+//! numbers come from the calibrated cost model (the substrate is a
+//! simulator, not Perlmutter); the *shape* — who wins, by what factor,
+//! where crossovers fall — is the reproduction target, written down as
+//! claims that pass or fail. Measured host time, end to end and per
+//! layer, comes from the separate `e2ebench` package.
 
-use atlas_circuit::generators::Family;
-use atlas_machine::MachineSpec;
-use std::io::Write as _;
+mod figures;
 
-/// `true` when the full paper grid was requested.
-pub fn full_grid() -> bool {
-    std::env::var("ATLAS_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+pub use figures::*;
+
+/// The command that rewrites `EXPERIMENTS.md`.
+pub const REGENERATE: &str = "cargo run --release -p atlas-bench --bin experiments";
+
+/// A section of `EXPERIMENTS.md`: the key its heading carries and the
+/// function that builds its table.
+pub type Section = (&'static str, fn() -> Table);
+
+/// Every section of `EXPERIMENTS.md`, in file order.
+pub const SECTIONS: [Section; 8] = [
+    ("table1_table2", table1_table2),
+    ("fig5_weak_scaling", fig5_weak_scaling),
+    ("fig7_fig8_offload", fig7_fig8_offload),
+    ("fig9_fig12_staging", fig9_fig12_staging),
+    ("fig10_kernelization", fig10_kernelization),
+    ("fig13_pruning", fig13_pruning),
+    ("best_fusion_size", best_fusion_size),
+    ("ablations", ablations),
+];
+
+/// One reproduced figure: rows of cells formatted at a fixed precision,
+/// and the figure's shape claims, each a sentence that passes or fails.
+pub struct Table {
+    /// Heading text (the section key is appended when rendering).
+    pub title: &'static str,
+    /// What the rows are, in a sentence or two.
+    pub note: &'static str,
+    /// Column names, `" | "`-separated.
+    pub columns: &'static str,
+    /// Rows, their cells `" | "`-separated.
+    pub rows: Vec<String>,
+    /// `(sentence, pass)` per shape claim.
+    pub claims: Vec<(String, bool)>,
+    /// Host wall-clock seconds of named steps. The `experiments` binary
+    /// prints them; they never enter the file.
+    pub host_secs: Vec<(String, f64)>,
 }
 
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// The Fig. 5 GPU ladder: (#GPUs, machine spec, circuit qubits) with 28
-/// local qubits, ≤4 GPUs per node — exactly the paper's weak-scaling
-/// setup (G grows 0→8, R ≤ 2).
-pub fn weak_scaling_ladder(local_qubits: u32) -> Vec<(usize, MachineSpec, u32)> {
-    let gpu_counts: &[usize] = if full_grid() {
-        &[1, 2, 4, 8, 16, 32, 64, 128, 256]
-    } else {
-        &[1, 4, 16, 64, 256]
-    };
-    gpu_counts
-        .iter()
-        .map(|&gpus| {
-            let gpus_per_node = gpus.min(4);
-            let nodes = gpus / gpus_per_node;
-            let spec = MachineSpec {
-                nodes,
-                gpus_per_node,
-                local_qubits,
-            };
-            let n = local_qubits + (gpus.trailing_zeros());
-            (gpus, spec, n)
-        })
-        .collect()
-}
-
-/// The benchmark families in the paper's Fig. 5 order.
-pub fn families() -> [Family; 11] {
-    Family::table1()
-}
-
-/// Circuit sizes for per-family sweeps (Table I columns).
-pub fn size_range() -> Vec<u32> {
-    if full_grid() {
-        (28..=36).collect()
-    } else {
-        vec![28, 31, 34, 36]
-    }
-}
-
-/// Writes a CSV file under `bench_results/` (created on demand) and
-/// returns its path. Failures to write are reported but non-fatal — the
-/// stdout tables are the primary artifact.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> Option<String> {
-    let dir = std::path::Path::new("bench_results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("warning: cannot write {path:?}: {e}");
-            return None;
+impl Table {
+    /// An empty table.
+    pub fn new(title: &'static str, note: &'static str, columns: &'static str) -> Self {
+        Table {
+            title,
+            note,
+            columns,
+            rows: Vec::new(),
+            claims: Vec::new(),
+            host_secs: Vec::new(),
         }
+    }
+
+    /// Appends a row; it must have one cell per column.
+    pub fn row(&mut self, cells: String) {
+        let width = |s: &str| s.matches(" | ").count();
+        assert_eq!(
+            width(&cells),
+            width(self.columns),
+            "{}: {cells}",
+            self.title
+        );
+        self.rows.push(cells);
+    }
+
+    /// Records a shape claim.
+    pub fn claim(&mut self, text: &str, pass: bool) {
+        self.claims.push((text.to_string(), pass));
+    }
+
+    /// The markdown section: heading, note, table, claims. Starts with
+    /// `## ` and ends with a newline.
+    pub fn render(&self, key: &str) -> String {
+        let (title, note, columns) = (self.title, self.note, self.columns);
+        let rule = "---|".repeat(columns.matches(" | ").count() + 1);
+        let mut s = format!("## {title} (`{key}`)\n\n{note}\n\n| {columns} |\n|{rule}\n");
+        for row in &self.rows {
+            s += &format!("| {row} |\n");
+        }
+        s += "\n";
+        for (text, pass) in &self.claims {
+            s += &format!("- **{}** {text}\n", if *pass { "PASS" } else { "FAIL" });
+        }
+        s
+    }
+}
+
+/// The key a rendered section's heading carries.
+pub fn key_of(section: &str) -> &str {
+    let heading = section.lines().next().and_then(|h| h.strip_suffix("`)"));
+    heading
+        .and_then(|h| h.rsplit_once("(`"))
+        .map_or("", |(_, key)| key)
+}
+
+/// `EXPERIMENTS.md` from its rendered sections: a header with the claim
+/// summary, then the sections, one blank line apart.
+pub fn document(sections: &[String]) -> String {
+    let lines = || {
+        sections
+            .iter()
+            .flat_map(|s| s.lines().map(move |l| (key_of(s), l)))
     };
-    let _ = writeln!(f, "{header}");
-    for r in rows {
-        let _ = writeln!(f, "{r}");
+    let passing = lines()
+        .filter(|(_, l)| l.starts_with("- **PASS** "))
+        .count();
+    let failing: Vec<String> = lines()
+        .filter_map(|(key, l)| Some(format!("- `{key}`: {}\n", l.strip_prefix("- **FAIL** ")?)))
+        .collect();
+    let mut doc = format!(
+        "# Experiments\n\n\
+         The evaluation of arXiv 2408.09055, reproduced on the model clock. \
+         Generated by `{REGENERATE}`; `cargo test --test experiments` fails \
+         when a section no longer matches. Do not edit by hand.\n\n\
+         Every value is a model-clock time or an exact count, so this file \
+         is the same on every host. A change that moves a plan or the cost \
+         model shows up here as a diff.\n\n\
+         **{passing} of {} claims pass.**\n",
+        passing + failing.len(),
+    );
+    if !failing.is_empty() {
+        doc += &format!("\nFailing:\n\n{}", failing.concat());
     }
-    Some(path.display().to_string())
+    for s in sections {
+        doc += &format!("\n{s}");
+    }
+    doc
 }
 
-/// Prints a separator-heavy section header so bench output is scannable.
-pub fn section(title: &str) {
-    println!("\n{}", "=".repeat(72));
-    println!("{title}");
-    println!("{}", "=".repeat(72));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn ladder_shapes_match_paper() {
-        let ladder = weak_scaling_ladder(28);
-        let (gpus, spec, n) = ladder[ladder.len() - 1];
-        assert_eq!(gpus, 256);
-        assert_eq!(spec.nodes, 64);
-        assert_eq!(spec.gpus_per_node, 4);
-        assert_eq!(n, 36);
-        let (g1, s1, n1) = ladder[0];
-        assert_eq!((g1, n1), (1, 28));
-        assert_eq!(s1.num_gpus(), 1);
-    }
+/// Splits `EXPERIMENTS.md` into `(first line number, section)`, the
+/// inverse of [`document`] for the sections.
+pub fn split(doc: &str) -> Vec<(usize, &str)> {
+    let starts: Vec<usize> = doc.match_indices("\n## ").map(|(i, _)| i + 1).collect();
+    let ends = starts.iter().skip(1).map(|&e| e - 1).chain([doc.len()]);
+    starts
+        .iter()
+        .zip(ends)
+        .map(|(&a, b)| (doc[..a].lines().count() + 1, &doc[a..b]))
+        .collect()
 }

@@ -8,6 +8,9 @@
 use atlas_error::AtlasError;
 use atlas_telemetry::Recorder;
 
+/// The widest state the sharded engine indexes, in qubits.
+const ENGINE_QUBITS: u32 = 30;
+
 /// Which algorithm picks the stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StagingAlgo {
@@ -68,7 +71,8 @@ impl std::str::FromStr for BackendKind {
 /// sharded state (`2^n` amplitudes × 16 bytes) — once: stage transitions
 /// exchange amplitudes in place — plus one shard (`2^L` amplitudes × 16
 /// bytes) of headroom for kernel scratch, whose buffers never exceed a
-/// shard. The budget computes that peak
+/// shard; under [`AtlasConfig::final_unpermute`] the gathered copy of the
+/// state comes on top. [`AtlasConfig::admit`] computes that peak
 /// **before** any allocation and rejects the request with a typed
 /// [`AtlasError::ResourceExhausted`] instead of letting the allocator
 /// abort the process — the admission gate of the session API, the serve
@@ -81,11 +85,11 @@ pub struct MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// The sharded engine's own functional ceiling: 30 qubits at any
-    /// shard layout (state + one full-width scratch shard =
-    /// 2 × 2^30 × 16 bytes = 32 GiB). Budgets above this are clamped —
-    /// the engine cannot index wider functional states regardless of
-    /// available RAM.
+    /// The default budget: the peak of the widest run the sharded engine
+    /// indexes without gathering its state — 30 qubits with a full-width
+    /// scratch shard (2 × 2^30 × 16 bytes = 32 GiB). Whatever the budget,
+    /// [`AtlasConfig::admit`] admits no more than the config's own
+    /// 30-qubit peak: RAM cannot buy qubits the engine cannot index.
     pub const ENGINE_CEILING: u64 = 2 * 16 * (1 << 30);
 
     /// The single-host default used by the `atlas-sim` CLI: 2 GiB of
@@ -98,7 +102,7 @@ impl MemoryBudget {
         MemoryBudget { bytes }
     }
 
-    /// The configured limit in bytes (before the engine-ceiling clamp).
+    /// The configured limit in bytes (before admission's 30-qubit clamp).
     pub fn limit(&self) -> u64 {
         self.bytes
     }
@@ -111,47 +115,12 @@ impl MemoryBudget {
         let peak = amp(n) + amp(local_qubits.min(n));
         u64::try_from(peak).unwrap_or(u64::MAX)
     }
-
-    /// The budget actually enforced: the configured limit clamped to
-    /// [`ENGINE_CEILING`](MemoryBudget::ENGINE_CEILING).
-    pub fn enforced(&self) -> u64 {
-        self.bytes.min(Self::ENGINE_CEILING)
-    }
-
-    /// Whether an `n`-qubit functional run fits the budget.
-    pub fn admits(&self, n: u32, local_qubits: u32) -> bool {
-        Self::peak_bytes(n, local_qubits) <= self.enforced()
-    }
-
-    /// Gates an `n`-qubit functional run: `Ok(())` when it fits,
-    /// [`AtlasError::ResourceExhausted`] with the exact peak and budget
-    /// otherwise.
-    pub fn admit(&self, n: u32, local_qubits: u32) -> Result<(), AtlasError> {
-        if self.admits(n, local_qubits) {
-            Ok(())
-        } else {
-            Err(AtlasError::ResourceExhausted {
-                needed: Self::peak_bytes(n, local_qubits),
-                budget: self.enforced(),
-            })
-        }
-    }
-
-    /// The widest circuit the budget admits under `L` local qubits per
-    /// device (`0` when even one qubit is over budget) — what the CLI
-    /// reports as "the functional limit".
-    pub fn max_functional_qubits(&self, local_qubits: u32) -> u32 {
-        (1..=63u32)
-            .take_while(|&n| self.admits(n, local_qubits))
-            .last()
-            .unwrap_or(0)
-    }
 }
 
 impl Default for MemoryBudget {
-    /// Defaults to the engine ceiling — the session API behaves exactly
-    /// as before (any `n ≤ 30` runs), except that wider requests now
-    /// return a typed error instead of asserting.
+    /// Defaults to the engine ceiling — any `n ≤ 30` run that does not
+    /// gather its state fits, and wider requests return a typed error
+    /// instead of asserting.
     fn default() -> Self {
         MemoryBudget {
             bytes: Self::ENGINE_CEILING,
@@ -349,6 +318,47 @@ impl AtlasConfig {
         Ok(())
     }
 
+    /// Peak bytes a functional `n`-qubit run of this config allocates
+    /// under `L` local qubits: [`MemoryBudget::peak_bytes`], plus one more
+    /// copy of the state under [`final_unpermute`](AtlasConfig::final_unpermute),
+    /// whose gather runs while the machine still holds its shards.
+    pub fn peak_bytes(&self, n: u32, local_qubits: u32) -> u64 {
+        let peak = MemoryBudget::peak_bytes(n, local_qubits);
+        let state = u64::try_from(16u128 << n.min(63)).unwrap_or(u64::MAX);
+        if self.final_unpermute {
+            peak.saturating_add(state)
+        } else {
+            peak
+        }
+    }
+
+    /// The admission gate of every functional run — the session API's
+    /// `execute*`, the serve pool's submission and the CLI: `Ok(())` when
+    /// [`peak_bytes`](AtlasConfig::peak_bytes) fits the memory budget,
+    /// [`AtlasError::ResourceExhausted`] with that peak and the budget
+    /// otherwise. The engine indexes at most 30 qubits, so the budget
+    /// enforced is clamped to this config's own 30-qubit peak.
+    pub fn admit(&self, n: u32, local_qubits: u32) -> Result<(), AtlasError> {
+        let widest = self.peak_bytes(ENGINE_QUBITS, ENGINE_QUBITS);
+        let budget = self.memory_budget.limit().min(widest);
+        let needed = self.peak_bytes(n, local_qubits);
+        if needed <= budget {
+            Ok(())
+        } else {
+            Err(AtlasError::ResourceExhausted { needed, budget })
+        }
+    }
+
+    /// The widest circuit [`admit`](AtlasConfig::admit) lets through under
+    /// `L` local qubits per device (`0` when even one qubit is over
+    /// budget) — what the CLI reports as "the functional limit".
+    pub fn max_functional_qubits(&self, local_qubits: u32) -> u32 {
+        (1..=63u32)
+            .take_while(|&n| self.admit(n, local_qubits).is_ok())
+            .last()
+            .unwrap_or(0)
+    }
+
     /// Configuration for functional-correctness runs: the defaults plus a
     /// final unpermute, so the run gathers its amplitudes for comparison
     /// with the reference simulator.
@@ -479,17 +489,24 @@ mod tests {
         assert_eq!(MemoryBudget::peak_bytes(10, 5), 16 * 1024 + 16 * 32);
         // Scratch is one shard, never wider than the state itself.
         assert_eq!(MemoryBudget::peak_bytes(10, 30), 2 * 16 * 1024);
+        let with = |bytes, final_unpermute| AtlasConfig {
+            memory_budget: MemoryBudget::bytes(bytes),
+            final_unpermute,
+            ..AtlasConfig::default()
+        };
         // The single-host default admits exactly the historical 26-qubit
         // functional limit, at any shard layout.
-        let single = MemoryBudget::bytes(MemoryBudget::SINGLE_HOST);
-        assert!(single.admits(26, 26));
-        assert!(single.admits(26, 5));
-        assert!(!single.admits(27, 5));
+        let single = with(MemoryBudget::SINGLE_HOST, false);
+        assert!(single.admit(26, 26).is_ok());
+        assert!(single.admit(26, 5).is_ok());
+        assert!(single.admit(27, 5).is_err());
         assert_eq!(single.max_functional_qubits(5), 26);
         // The default budget is the engine ceiling: 30 qubits, typed
         // rejection (not an assert) beyond it.
-        let default = MemoryBudget::default();
-        assert!(default.admits(30, 30));
+        let default = AtlasConfig::default();
+        assert_eq!(default.peak_bytes(30, 30), MemoryBudget::ENGINE_CEILING);
+        assert!(default.admit(30, 30).is_ok());
+        assert_eq!(default.max_functional_qubits(5), 30);
         match default.admit(31, 5) {
             Err(AtlasError::ResourceExhausted { needed, budget }) => {
                 assert_eq!(needed, MemoryBudget::peak_bytes(31, 5));
@@ -497,9 +514,27 @@ mod tests {
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
-        // Budgets above the ceiling are clamped: RAM cannot buy qubits
-        // the engine cannot index.
-        assert!(!MemoryBudget::bytes(u64::MAX).admits(31, 5));
+        // A gathered run holds the state twice at its end, so the default
+        // budget admits it up to 29 qubits.
+        let gathered = AtlasConfig::for_validation();
+        assert_eq!(gathered.peak_bytes(10, 5), 2 * 16 * 1024 + 16 * 32);
+        assert!(gathered.admit(29, 29).is_ok());
+        assert!(gathered.admit(30, 30).is_err());
+        assert_eq!(gathered.max_functional_qubits(5), 29);
+        // Budgets above a config's 30-qubit peak are clamped to it: RAM
+        // buys every qubit the engine indexes, gathered or not, and no
+        // more.
+        for final_unpermute in [false, true] {
+            let unbounded = with(u64::MAX, final_unpermute);
+            assert!(unbounded.admit(30, 30).is_ok());
+            assert_eq!(unbounded.max_functional_qubits(5), 30);
+            match unbounded.admit(31, 5) {
+                Err(AtlasError::ResourceExhausted { budget, .. }) => {
+                    assert_eq!(budget, unbounded.peak_bytes(30, 30));
+                }
+                other => panic!("expected ResourceExhausted, got {other:?}"),
+            }
+        }
         // Saturating peak for very wide requests.
         assert_eq!(MemoryBudget::peak_bytes(63, 63), u64::MAX);
     }
@@ -519,11 +554,14 @@ mod tests {
             (MemoryBudget::SINGLE_HOST, 3 * 16 * (1u64 << 26)),
         ];
         for (new, old) in budgets {
-            let budget = MemoryBudget::bytes(new);
+            let cfg = AtlasConfig {
+                memory_budget: MemoryBudget::bytes(new),
+                ..AtlasConfig::default()
+            };
             for n in 0..=63 {
                 for l in 0..=n {
                     assert_eq!(
-                        budget.admits(n, l),
+                        cfg.admit(n, l).is_ok(),
                         old_peak(n, l) <= old,
                         "n={n} L={l} under {new} bytes (was {old})"
                     );
@@ -531,7 +569,7 @@ mod tests {
             }
         }
         assert_eq!(
-            MemoryBudget::default().enforced(),
+            MemoryBudget::default().limit(),
             MemoryBudget::ENGINE_CEILING
         );
     }

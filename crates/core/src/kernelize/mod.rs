@@ -40,7 +40,8 @@ pub struct Kernelization {
     pub kernels: Vec<Kernel>,
     /// Total cost (Eq. 12) in per-amplitude nanoseconds.
     pub cost: f64,
-    /// What the DP search spent to get here (all zero off the DP).
+    /// What the search spent to get here (all zero off the DP and
+    /// ORDERED KERNELIZE).
     pub search: SearchEffort,
 }
 
@@ -54,7 +55,8 @@ pub struct Kernelization {
 pub struct SearchEffort {
     /// DP items processed (multi-qubit hosts with their attachments).
     pub items: u64,
-    /// Child states generated, i.e. keys offered to the next population.
+    /// Child states generated, i.e. keys offered to the next population;
+    /// under ORDERED KERNELIZE, the segments examined.
     pub children: u64,
     /// States alive after pruning, summed over items.
     pub kept: u64,

@@ -4,7 +4,7 @@
 //! ordering (and therefore an upper bound certificate for KERNELIZE,
 //! Theorem 6).
 
-use super::{mask_to_qubits, KGate, KernelCost, Kernelization};
+use super::{mask_to_qubits, KGate, KernelCost, Kernelization, SearchEffort};
 use crate::plan::{Kernel, KernelKind};
 
 /// Cheapest realization (kind, cost) of the segment summary, if any.
@@ -19,7 +19,8 @@ fn segment_cost(cost: &KernelCost, qubits: u32, shm_sum: f64) -> Option<(KernelK
     }
 }
 
-/// Runs Algorithm 5.
+/// Runs Algorithm 5. Its search effort counts, as `children`, the
+/// segments examined.
 pub fn run(gates: &[KGate], cost: &KernelCost) -> Kernelization {
     let n = gates.len();
     if n == 0 {
@@ -32,11 +33,13 @@ pub fn run(gates: &[KGate], cost: &KernelCost) -> Kernelization {
     let mut dp = vec![f64::INFINITY; n + 1];
     let mut choice: Vec<(usize, KernelKind)> = vec![(0, KernelKind::Fusion); n + 1];
     dp[0] = 0.0;
+    let mut search = SearchEffort::default();
     for i in 1..=n {
         // Extend the segment [j, i) backwards from j = i-1.
         let mut mask = 0u64;
         let mut shm = 0.0;
         for j in (0..i).rev() {
+            search.children += 1;
             mask |= gates[j].mask;
             shm += gates[j].shm_ns;
             let q = mask.count_ones();
@@ -67,7 +70,7 @@ pub fn run(gates: &[KGate], cost: &KernelCost) -> Kernelization {
     Kernelization {
         kernels,
         cost: dp[n],
-        search: Default::default(),
+        search,
     }
 }
 
@@ -91,6 +94,7 @@ mod tests {
         let out = run(&[g(0b1)], &kc());
         assert_eq!(out.kernels.len(), 1);
         assert!(out.cost > 0.0);
+        assert_eq!(out.search.children, 1);
     }
 
     #[test]
@@ -100,6 +104,8 @@ mod tests {
         let gates: Vec<KGate> = (0..5).map(|q| g(1 << q)).collect();
         let out = run(&gates, &kc());
         assert_eq!(out.kernels.len(), 1);
+        // Every segment fits a kernel, so all 1 + 2 + … + 5 are examined.
+        assert_eq!(out.search.children, 15);
         let single: f64 = gates.iter().map(|_| kc().fusion(1)).sum();
         assert!(out.cost < single);
     }

@@ -382,11 +382,9 @@ impl CompiledPlan {
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<Execution>, AtlasError> {
         self.fingerprint.check(circuit)?;
-        // Admission control: compute the run's peak bytes (the state + one
-        // scratch shard) *before* allocating anything.
-        self.cfg
-            .memory_budget
-            .admit(self.plan.n, self.spec.local_qubits)?;
+        // Admission control: compute the run's peak bytes (the state, one
+        // scratch shard, and any gathered copy) *before* allocating anything.
+        self.cfg.admit(self.plan.n, self.spec.local_qubits)?;
         let machine = Machine::new(self.spec, self.plan.n);
         self.run_on(machine, circuit, false, should_stop)
     }
@@ -411,9 +409,7 @@ impl CompiledPlan {
                 self.plan.n
             )));
         }
-        self.cfg
-            .memory_budget
-            .admit(self.plan.n, self.spec.local_qubits)?;
+        self.cfg.admit(self.plan.n, self.spec.local_qubits)?;
         let machine = Machine::with_state(self.spec, initial);
         let run = self.run_on(machine, circuit, true, &|| false)?;
         Ok(run.expect("a never-stop probe cannot interrupt EXECUTE"))

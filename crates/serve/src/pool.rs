@@ -25,8 +25,10 @@
 //!   [`SessionPool::submit_blocking`] waits for space instead, and
 //!   [`SessionPool::submit_timeout`] waits a bounded time before
 //!   failing typed.
-//! * **Admission** — a job whose peak memory demand (the state + one
-//!   scratch shard) exceeds [`AtlasConfig::memory_budget`] is
+//! * **Admission** — a job whose peak memory demand (the state, one
+//!   scratch shard, and the gathered copy under
+//!   [`AtlasConfig::final_unpermute`]) exceeds
+//!   [`AtlasConfig::memory_budget`] ([`AtlasConfig::admit`]) is
 //!   rejected at submission with [`AtlasError::ResourceExhausted`],
 //!   before it holds a queue slot and long before any amplitude
 //!   allocation could abort the process.
@@ -64,7 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atlas_circuit::Circuit;
-use atlas_core::config::{AtlasConfig, MemoryBudget};
+use atlas_core::config::AtlasConfig;
 use atlas_core::session::{CircuitFingerprint, CompiledPlan, Planner};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineSpec};
@@ -615,7 +617,6 @@ impl SessionPool {
         if let Err(e) = shared
             .planner
             .config()
-            .memory_budget
             .admit(circuit.num_qubits(), shared.planner.spec().local_qubits)
         {
             shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1002,10 +1003,10 @@ fn process_job_inner(shared: &Shared, job: &QueuedJob) -> Result<JobOutcome, Atl
         // Model an admission-layer miss: the allocation this job would
         // have made is refused as if the budget were zero.
         return Err(AtlasError::ResourceExhausted {
-            needed: MemoryBudget::peak_bytes(
-                job.circuit.num_qubits(),
-                shared.planner.spec().local_qubits,
-            ),
+            needed: shared
+                .planner
+                .config()
+                .peak_bytes(job.circuit.num_qubits(), shared.planner.spec().local_qubits),
             budget: 0,
         });
     }

@@ -476,12 +476,10 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     let Some(job) = job else {
         return Ok(Mode::Serve);
     };
-    let (n, local, budget) = (job.n, job.spec.local_qubits, args.cfg.memory_budget);
-    let over_budget = !budget.admits(n, local);
-    let exhausted = || -> Fail {
-        let (needed, budget) = (MemoryBudget::peak_bytes(n, local), budget.enforced());
-        AtlasError::ResourceExhausted { needed, budget }.into()
-    };
+    let (n, local) = (job.n, job.spec.local_qubits);
+    let admission = args.cfg.admit(n, local);
+    let over_budget = admission.is_err();
+    let exhausted = || -> Fail { admission.clone().expect_err("over budget").into() };
     let clifford = job.circuit.is_clifford();
     // Noise needs a functional engine: a non-Clifford circuit over the
     // memory budget cannot run at all.
@@ -519,7 +517,7 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
         if functional.iter().any(|f| args.on(f)) {
             return Err(exhausted());
         }
-        let max = budget.max_functional_qubits(local);
+        let max = args.cfg.max_functional_qubits(local);
         eprintln!(
             "note: n = {n} exceeds the functional memory budget \
              (max {max} qubits at L={local}); switching to --dry"

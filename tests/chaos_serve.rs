@@ -290,15 +290,38 @@ fn plan_cache_lock_poison_recovers() {
 fn oversized_request_rejected_at_admission() {
     // Default budget = the engine ceiling: 40 qubits is over it by
     // three orders of magnitude. Building the Circuit is cheap; only
-    // EXECUTE would allocate.
+    // EXECUTE would allocate. The pool gathers states
+    // (`final_unpermute`), so the peak counts the gathered copy too.
     let pool = pool_with(FaultPlan::disabled(), 1);
     let big = atlas::circuit::generators::ghz(40);
     match pool.submit("alice", big, JobRequest::Execute) {
         Err(AtlasError::ResourceExhausted { needed, budget }) => {
-            assert_eq!(needed, MemoryBudget::peak_bytes(40, 5));
+            assert_eq!(needed, MemoryBudget::peak_bytes(40, 5) + (16 << 40));
             assert_eq!(budget, MemoryBudget::ENGINE_CEILING);
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
+
+    // A budget of one state plus one shard admits the job only when the
+    // pool does not gather the state.
+    for (final_unpermute, admitted) in [(true, false), (false, true)] {
+        let cfg = AtlasConfig {
+            final_unpermute,
+            memory_budget: MemoryBudget::bytes(MemoryBudget::peak_bytes(8, 5)),
+            ..cfg()
+        };
+        let pool = SessionPool::new(spec(), CostModel::default(), cfg, ServeConfig::default());
+        let pool = pool.unwrap();
+        let job = pool.submit(
+            "alice",
+            atlas::circuit::generators::qaoa(8),
+            JobRequest::Execute,
+        );
+        assert_eq!(job.is_ok(), admitted, "final_unpermute = {final_unpermute}");
+        if let Ok(handle) = job {
+            assert!(handle.wait().is_ok());
+        }
+        pool.shutdown();
     }
 
     // A pool-accepted job is a budget decision, not a hardcoded width:

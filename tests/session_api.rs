@@ -323,6 +323,53 @@ fn over_budget_execute_is_rejected_typed() {
     }
 }
 
+/// A run that gathers its state (`final_unpermute`) holds it twice at
+/// its end — the machine's shards live on inside `Measurements` — so
+/// admission counts both copies. A budget of exactly one copy plus one
+/// scratch shard refuses the gathering run at both session doors, and
+/// still admits the same plan without the gather.
+#[test]
+fn a_gathering_run_is_admitted_at_its_full_footprint() {
+    let (n, l) = (8, 5);
+    let circuit = atlas::circuit::generators::qaoa(n);
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: l,
+    };
+    let one_copy = MemoryBudget::peak_bytes(n, l);
+    let plan = |final_unpermute| {
+        let cfg = AtlasConfig {
+            final_unpermute,
+            memory_budget: MemoryBudget::bytes(one_copy),
+            ..AtlasConfig::default()
+        };
+        Planner::new(spec, CostModel::default(), cfg)
+            .plan(&circuit)
+            .expect("planning is not gated by the budget")
+    };
+    let gathering = plan(true);
+    let zero = StateVector::zero_state(n);
+    for result in [
+        gathering.execute(&circuit).map(|_| ()),
+        gathering.execute_from(&circuit, &zero).map(|_| ()),
+    ] {
+        match result {
+            Err(AtlasError::ResourceExhausted { needed, budget }) => {
+                assert_eq!(
+                    needed,
+                    one_copy + (16 << n),
+                    "state + shard + gathered copy"
+                );
+                assert_eq!(budget, one_copy);
+            }
+            other => panic!("expected ResourceExhausted, got: {other:?}"),
+        }
+    }
+    let run = plan(false).execute(&circuit).expect("one copy fits");
+    assert!(run.state.is_none());
+}
+
 /// The cooperative-interruption contract of
 /// [`CompiledPlan::execute_with`]: a probe that never fires leaves the
 /// run byte-identical to plain [`CompiledPlan::execute`]; a probe that
