@@ -1,13 +1,15 @@
-//! Hot-path benchmarks + the `BENCH_hotpath.json` emitter: the production
-//! kernels vs. the in-tree generic oracles, measured in the same process on
-//! one thread so the comparison is apples-to-apples.
+//! Hot-path benchmark; writes `BENCH_hotpath.json`: the production kernels
+//! vs. the in-tree generic oracles, measured in the same process on one
+//! thread so the comparison is apples-to-apples, each side the best of
+//! `reps` runs.
 //!
-//! Two layers:
+//! Three layers, and the pool's dispatch cost:
 //!
 //! * **apply** — kernels over a `2^N`-amplitude state, production (warm
 //!   scratch arena, `threads = 1`) vs. the family's `reference` oracle:
 //!   dense unrolled contiguous k=1/k=2 and a strided k=1; the lane-blocked
-//!   dense sweep on a contiguous k=5 window and strided at k=3..6; a
+//!   dense sweep on a contiguous k=5 window and strided at k=3..7, and the
+//!   strided k=5 split over a two-thread pool (`k5_strided_threads2`); a
 //!   controlled kernel (2 controls, 3 targets); a strided k=5 permutation;
 //!   and a k=5 diagonal against the per-amplitude `extract_bits` loop
 //!   written out below; and `perm_run_dense22`, the stage-0 shard-0
@@ -30,7 +32,10 @@
 //!   `serve16` structure (vqc n = 16 and qft n = 18 on 2×2 GPUs, L = 11):
 //!   `build_stage_programs` (prefix-shared row-update fusion) vs. the
 //!   per-pattern expand-and-multiply oracle in
-//!   `tests/common/build_oracle.rs`.
+//!   `tests/common/build_oracle.rs`;
+//! * **`pool_dispatch_t2_us`** — one `Pool::run` of two empty items on a
+//!   two-thread pool, the cost that `atlas_statevec::split`'s work cutoffs
+//!   weigh a split against.
 //!
 //! `ATLAS_BENCH_QUICK=1` shrinks the state and repetition counts for the
 //! CI perf-smoke step (the JSON schema is identical and gains
@@ -38,7 +43,8 @@
 //! extensions the dense sweep is compiled for that this CPU has — are
 //! recorded because the dense rows depend on the latter and a reader
 //! should know both; every number here is a *single-thread* one except
-//! the `field_swap_t0_threads2_*` rows' `fast_secs`.
+//! `pool_dispatch_t2_us` and the `fast_secs` of `k5_strided_threads2`
+//! and the `field_swap_t0_threads2_*` rows.
 
 // The coalescing oracle serves the exactness tests only.
 #[allow(dead_code)]
@@ -56,9 +62,8 @@ use atlas_statevec::reference::{
 };
 use atlas_statevec::{
     apply_controlled_matrix, apply_diag, apply_gate, apply_matrix, apply_permutation, fuse_gates,
-    scratch, simulate_reference, Pool, Scratch, StateVector,
+    simulate_reference, with_pool, Pool, Scratch, StateVector,
 };
-use criterion::{criterion_group, Criterion};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -139,7 +144,7 @@ fn apply_case(
         fast_secs,
     };
     println!(
-        "apply/{name:<16} generic {generic_secs:.4}s  fast {fast_secs:.4}s  speedup {:.2}x",
+        "apply/{name:<19} generic {generic_secs:.4}s  fast {fast_secs:.4}s  speedup {:.2}x",
         case.speedup()
     );
     case
@@ -160,6 +165,7 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         ("k4_strided", strided(4)),
         ("k5_strided", strided(5)),
         ("k6_strided", strided(6)),
+        ("k7_strided", strided(7)),
     ];
     let mut cases: Vec<Case> = dense
         .into_iter()
@@ -176,6 +182,16 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         .collect();
 
     let qs = strided(5);
+    let m = dense_unitary(n, &qs);
+    cases.push(with_pool(2, |pool| {
+        apply_case(
+            "k5_strided_threads2",
+            reps,
+            amps,
+            |amps| apply_matrix(scratch, amps, &qs, &m, pool),
+            |amps| apply_matrix_generic(amps, &qs, &m),
+        )
+    }));
     let (controls, targets) = qs.split_at(2);
     let m = dense_unitary(n, targets);
     cases.push(apply_case(
@@ -249,7 +265,7 @@ fn perm_run_case(reps: usize) -> Case {
         fast_secs: time(&coalesced),
     };
     println!(
-        "apply/{:<16} per-kernel {:.4}s ({} ops)  coalesced {:.4}s ({} ops)  speedup {:.2}x",
+        "apply/{:<19} per-kernel {:.4}s ({} ops)  coalesced {:.4}s ({} ops)  speedup {:.2}x",
         case.name,
         case.generic_secs,
         per_kernel[0].len(),
@@ -418,31 +434,6 @@ fn build_cases(reps: usize) -> Vec<Case> {
     ]
 }
 
-fn bench_hotpath(c: &mut Criterion) {
-    let n = if quick() { 16 } else { 20 };
-    let mut g = c.benchmark_group("hotpath");
-    g.sample_size(3)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(200));
-    let base = dense_state(n);
-    for (name, qs) in [("k1_contiguous", vec![0u32]), ("k2_contiguous", vec![0, 1])] {
-        let m = dense_unitary(n, &qs);
-        g.bench_function(format!("fast_{name}_{n}q"), |b| {
-            let mut sv = base.clone();
-            b.iter(|| {
-                scratch::with_thread(|s| {
-                    apply_matrix(s, sv.amplitudes_mut(), &qs, &m, &Pool::SERIAL)
-                })
-            })
-        });
-        g.bench_function(format!("generic_{name}_{n}q"), |b| {
-            let mut sv = base.clone();
-            b.iter(|| apply_matrix_generic(sv.amplitudes_mut(), &qs, &m))
-        });
-    }
-    g.finish();
-}
-
 /// The widest vector extension this CPU has among those the lane-blocked
 /// dense sweep is compiled for — the copy `atlas-statevec` selects.
 fn isa() -> &'static str {
@@ -458,7 +449,18 @@ fn isa() -> &'static str {
     "portable"
 }
 
-fn emit_json() {
+/// Best-of-`reps` time of one `run` of two empty items on a two-thread
+/// pool, in microseconds (each repetition times 1 000 runs).
+fn pool_dispatch_t2_us(reps: usize) -> f64 {
+    let secs = with_pool(2, |pool| {
+        best_of(reps, || (0..1000).for_each(|_| pool.run(2, &|_| {})))
+    });
+    let us = secs / 1000.0 * 1e6;
+    println!("pool/dispatch_t2 {us:.2}µs per run");
+    us
+}
+
+fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let (n_apply, n_shuffle, l_shuffle, (n_field, l_field), reps) = if quick() {
         (16u32, 16u32, 14u32, (16u32, 8u32), 2usize)
@@ -469,6 +471,7 @@ fn emit_json() {
     apply.push(perm_run_case(reps));
     let shuffle = reshuffle_cases(n_shuffle, l_shuffle, (n_field, l_field), reps);
     let build = build_cases(reps);
+    let dispatch_us = pool_dispatch_t2_us(reps);
 
     let fmt_cases = |cases: &[Case]| -> String {
         let mut s = String::new();
@@ -490,6 +493,7 @@ fn emit_json() {
          \"host_cpus\": {host_cpus},\n  \"isa\": \"{}\",\n  \"apply_qubits\": {n_apply},\n  \
          \"reshuffle_qubits\": {n_shuffle},\n  \"reshuffle_local_qubits\": {l_shuffle},\n  \
          \"field_swap_qubits\": {n_field},\n  \"field_swap_local_qubits\": {l_field},\n  \
+         \"pool_dispatch_t2_us\": {dispatch_us:.3},\n  \
          \"apply\": {{\n{}  }},\n  \"reshuffle\": {{\n{}  }},\n  \"build\": {{\n{}  }}\n}}\n",
         quick(),
         isa(),
@@ -500,11 +504,4 @@ fn emit_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     std::fs::write(path, &json).expect("write BENCH_hotpath.json");
     println!("\nwrote {path}:\n{json}");
-}
-
-criterion_group!(benches, bench_hotpath);
-
-fn main() {
-    benches();
-    emit_json();
 }

@@ -1,8 +1,8 @@
-//! Stabilizer-vs-statevector backend benchmarks + the
-//! `BENCH_stabilizer.json` emitter.
+//! Stabilizer-vs-statevector backend benchmark; writes
+//! `BENCH_stabilizer.json`.
 //!
-//! Times the same end-to-end query — plan, execute, draw 64 seeded
-//! shots — through both engines on the seeded `clifford` family
+//! Times, once each, the same end-to-end query — plan, execute, draw 64
+//! seeded shots — through both engines on the seeded `clifford` family
 //! (8·n gates) at n ∈ {12, 24, 200}. The statevector engine stores
 //! 2^n amplitudes, so it only runs where that fits (n ≤ 24; quick mode
 //! stops at 12); the tableau is O(n²) bits and covers all three sizes,
@@ -19,7 +19,6 @@ use atlas_circuit::{generators, Circuit};
 use atlas_core::config::{AtlasConfig, BackendKind};
 use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
-use criterion::{criterion_group, Criterion};
 use std::time::Instant;
 
 const SHOTS: usize = 64;
@@ -57,19 +56,7 @@ fn time_backend(circuit: &Circuit, backend: BackendKind) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-fn bench_stabilizer(c: &mut Criterion) {
-    let mut g = c.benchmark_group("stabilizer");
-    g.sample_size(3)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(200));
-    let wide = generators::clifford(200);
-    g.bench_function("tableau_plan_run_sample_n200", |b| {
-        b.iter(|| time_backend(&wide, BackendKind::Stabilizer))
-    });
-    g.finish();
-}
-
-fn emit_json() {
+fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let statevec_max = if quick() { 12 } else { 24 };
     let mut cases = Vec::new();
@@ -95,11 +82,4 @@ fn emit_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stabilizer.json");
     std::fs::write(path, &json).expect("write BENCH_stabilizer.json");
     println!("\nwrote {path}:\n{json}");
-}
-
-criterion_group!(benches, bench_stabilizer);
-
-fn main() {
-    benches();
-    emit_json();
 }

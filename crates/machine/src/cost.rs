@@ -4,10 +4,11 @@
 //! TFLOP/s fp64), NVLink3 intra-node links, a 200 Gb/s Slingshot NIC per
 //! node, and PCIe 4.0 ×16 host links — the paper's testbed (§VII-A). The
 //! paper derives the same constants by microbenchmarking (§VI-B /
-//! §VII-A); here they are first-principles estimates, and the criterion
-//! micro-benches in `atlas-bench` measure this host's CPU analogues to
-//! show the *structure* (memory-bound below ~5 fused qubits, compute-bound
-//! above) is preserved.
+//! §VII-A); here they are first-principles estimates, and the `hotpath`
+//! bench in `atlas-bench` (the dense `k*_strided` rows of
+//! `BENCH_hotpath.json`) measures this host's CPU analogues to show the
+//! *structure* (memory-bound below ~5 fused qubits, compute-bound above)
+//! is preserved.
 //!
 //! All kernel constants are **per amplitude, in nanoseconds**; multiply by
 //! the shard's amplitude count for wall time. The kernelization DP uses the

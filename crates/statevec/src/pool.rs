@@ -11,9 +11,9 @@
 //! The pool spawns its workers **once** per scope (inside [`with_pool`];
 //! for `EXECUTE`, once per run) and keeps them parked on a condition
 //! variable between jobs, so each `run` call is a dispatch + barrier:
-//! about 18 µs for two workers on a 2-vCPU AMD EPYC host (the `parallel`
-//! bench's `pool_dispatch_x1000_t2` row), against about 33 µs there to
-//! spawn and join two scoped threads.
+//! about 18 µs for two workers on a 2-vCPU AMD EPYC host
+//! (`pool_dispatch_t2_us` in `BENCH_hotpath.json`), against about 33 µs
+//! there to spawn and join two scoped threads.
 //!
 //! No dependencies beyond `std`: the registry is offline, so this is a
 //! deliberately small `Mutex` + `Condvar` work queue rather than a rayon

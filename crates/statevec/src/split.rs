@@ -42,7 +42,7 @@ use std::sync::Mutex;
 ///
 /// Rationale: one [`Pool::run`] — waking the parked workers of a pool and
 /// waiting for the last one — costs about 18 µs (two workers on a 2-vCPU
-/// AMD EPYC host; the `parallel` bench's `pool_dispatch_x1000_t2` row),
+/// AMD EPYC host; `pool_dispatch_t2_us` in `BENCH_hotpath.json`),
 /// while a group of a small-`k` kernel costs tens of nanoseconds; at fewer
 /// than ~2^10 groups the dispatch rivals the whole serial kernel, so
 /// small problems stay on one thread. The constant is deliberately
