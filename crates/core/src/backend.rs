@@ -28,6 +28,7 @@ use atlas_circuit::Circuit;
 use atlas_error::AtlasError;
 use atlas_sampler::{CounterRng, PauliString};
 use atlas_stabilizer::Tableau;
+use atlas_telemetry::Recorder;
 
 /// Minimum Clifford-prefix length (in gates) for [`BackendKind::Auto`]
 /// to choose the hybrid path: shorter prefixes are not worth the
@@ -60,11 +61,6 @@ impl StabilizerPlan {
         }
     }
 
-    /// The configuration the plan runs under.
-    pub fn config(&self) -> &AtlasConfig {
-        &self.cfg
-    }
-
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
         self.fingerprint.check(circuit)?;
         let rec = &self.cfg.recorder;
@@ -82,25 +78,9 @@ impl StabilizerPlan {
                 ("gates", circuit.num_gates() as u64),
             ],
         );
-        let samples = (self.cfg.shots > 0).then(|| {
-            let t = rec.start();
-            let rng = CounterRng::new(self.cfg.seed);
-            let samples = (0..self.cfg.shots as u64)
-                .map(|shot| tableau.sample_words(&rng, shot))
-                .collect();
-            rec.span(
-                "sample.draw",
-                t,
-                true,
-                0,
-                0,
-                0,
-                &[("shots", self.cfg.shots as u64), ("seed", self.cfg.seed)],
-            );
-            samples
-        });
         rec.flush();
-        Ok(BackendRun::Stabilizer(StabilizerRun { tableau, samples }))
+        let recorder = rec.clone();
+        Ok(BackendRun::Stabilizer(StabilizerRun { tableau, recorder }))
     }
 }
 
@@ -138,15 +118,6 @@ pub enum BackendPlan {
 }
 
 impl BackendPlan {
-    /// The configuration the plan runs under.
-    pub fn config(&self) -> &AtlasConfig {
-        match self {
-            BackendPlan::Statevec(p) => p.config(),
-            BackendPlan::Stabilizer(p) => p.config(),
-            BackendPlan::Hybrid(p) => p.suffix.config(),
-        }
-    }
-
     /// The structural fingerprint this plan was compiled from.
     pub fn fingerprint(&self) -> &CircuitFingerprint {
         match self {
@@ -184,14 +155,13 @@ impl BackendPlan {
     }
 }
 
-/// A finished stabilizer-backend execution: the final tableau plus any
-/// pre-drawn shots.
+/// A finished stabilizer-backend execution: the final tableau, and the
+/// plan's recorder, which its shot draws record through.
 #[derive(Clone, Debug)]
 pub struct StabilizerRun {
     /// The post-circuit tableau — every exact query runs against it.
     pub tableau: Tableau,
-    /// Pre-drawn bit-packed shots when the config requested them.
-    pub samples: Option<Vec<Vec<u64>>>,
+    recorder: Recorder,
 }
 
 /// One finished backend execution, queryable the same way regardless of
@@ -226,19 +196,11 @@ impl BackendRun {
         }
     }
 
-    /// The pre-drawn shots from the run's config, as bit-packed words.
-    pub fn samples_words(&self) -> Option<Vec<Vec<u64>>> {
-        match self {
-            BackendRun::Statevec(e) => e
-                .samples
-                .as_ref()
-                .map(|s| s.iter().map(|&v| vec![v]).collect()),
-            BackendRun::Stabilizer(r) => r.samples.clone(),
-        }
-    }
-
-    /// Draws `shots` fresh samples with `seed` (shot `i` is a pure
-    /// function of `(seed, i)` on both engines).
+    /// Draws `shots` samples with `seed` (shot `i` is a pure function of
+    /// `(seed, i)` on both engines), as bit-packed words. Each call is one
+    /// det `sample.draw` span on the run's recorder, as
+    /// [`Measurements::sample`](atlas_sampler::Measurements::sample)
+    /// records on the statevector side.
     pub fn sample_words(&self, shots: usize, seed: u64) -> Vec<Vec<u64>> {
         match self {
             BackendRun::Statevec(e) => e
@@ -248,10 +210,14 @@ impl BackendRun {
                 .map(|v| vec![v])
                 .collect(),
             BackendRun::Stabilizer(r) => {
+                let t = r.recorder.start();
                 let rng = CounterRng::new(seed);
-                (0..shots as u64)
-                    .map(|shot| r.tableau.sample_words(&rng, shot))
-                    .collect()
+                let draw = (0..shots as u64).map(|shot| r.tableau.sample_words(&rng, shot));
+                let words = draw.collect();
+                let args = [("shots", shots as u64), ("seed", seed)];
+                r.recorder.span("sample.draw", t, true, 0, 0, 0, &args);
+                r.recorder.flush();
+                words
             }
         }
     }
@@ -455,19 +421,16 @@ mod tests {
         // The acceptance bar: a 200-qubit all-Clifford circuit plans and
         // samples through Planner::plan_backend.
         let c = generators::ghz(200);
-        let planner = {
-            let cfg = AtlasConfig {
-                shots: 32,
-                seed: 9,
-                ..AtlasConfig::default()
-            };
-            Planner::new(MachineSpec::single_gpu(5), CostModel::default(), cfg)
-        };
+        let planner = Planner::new(
+            MachineSpec::single_gpu(5),
+            CostModel::default(),
+            AtlasConfig::default(),
+        );
         let plan = planner.plan_backend(&c).unwrap();
         assert_eq!(plan.backend_name(), "stabilizer");
         let run = plan.run(&c).unwrap();
         assert_eq!(run.num_qubits(), 200);
-        let samples = run.samples_words().unwrap();
+        let samples = run.sample_words(32, 9);
         assert_eq!(samples.len(), 32);
         let zeros = vec![0u64; run.num_words()];
         let ones = {
@@ -480,6 +443,28 @@ mod tests {
         }
         let zz = PauliString::from_ops(200, &[(0, PauliOp::Z), (199, PauliOp::Z)]);
         assert_eq!(run.expectation(&zz), 1.0);
+    }
+
+    #[test]
+    fn stabilizer_draw_is_one_sample_draw_span() {
+        let recorder = Recorder::enabled();
+        let cfg = AtlasConfig {
+            recorder: recorder.clone(),
+            ..AtlasConfig::default()
+        };
+        let c = generators::clifford(6);
+        let planner = Planner::new(MachineSpec::single_gpu(5), CostModel::default(), cfg);
+        let run = planner.plan_backend(&c).unwrap().run(&c).unwrap();
+        assert!(matches!(run, BackendRun::Stabilizer(_)));
+        assert_eq!(run.sample_words(24, 5).len(), 24);
+        let draws: Vec<_> = recorder
+            .drain()
+            .into_iter()
+            .filter(|e| e.name == "sample.draw")
+            .collect();
+        assert_eq!(draws.len(), 1);
+        assert!(draws[0].det);
+        assert_eq!(draws[0].args(), [("shots", 24), ("seed", 5)]);
     }
 
     #[test]

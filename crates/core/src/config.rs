@@ -3,7 +3,10 @@
 //! An [`AtlasConfig`] is a plain struct literal over [`Default`];
 //! [`AtlasConfig::validate`] is the one rule set, enforced at every door
 //! into the engine (`Planner::plan`, `Planner::plan_backend`, the serve
-//! pool's constructor).
+//! pool's constructor). It holds what decides a plan and what runs it —
+//! not the workloads on the finished state: shots and seeds are
+//! arguments of the calls that draw them (`Measurements::sample`,
+//! `BackendRun::sample_words`), noise those of `noise::Trajectories`.
 
 use atlas_error::AtlasError;
 use atlas_telemetry::Recorder;
@@ -115,6 +118,18 @@ impl MemoryBudget {
         let peak = amp(n) + amp(local_qubits.min(n));
         u64::try_from(peak).unwrap_or(u64::MAX)
     }
+
+    /// Peak bytes a draw of `shots` bitstrings of `words` 64-bit words
+    /// holds, whichever engine draws it: `Measurements::sample` keeps five
+    /// shot-length 8-byte buffers live at once (variates, their order, the
+    /// sorted variates, resolved indices, the output — `sample_counts`
+    /// aggregates after the first four are freed), the tableau's
+    /// `sample_words` one `Vec` of `words` words per shot (24 + 8·`words`
+    /// bytes). Saturates at `u64::MAX`.
+    pub fn sample_bytes(shots: usize, words: usize) -> u64 {
+        let per_shot = (24 + 8 * words as u128).max(40);
+        u64::try_from(shots as u128 * per_shot).unwrap_or(u64::MAX)
+    }
 }
 
 impl Default for MemoryBudget {
@@ -175,29 +190,6 @@ pub struct AtlasConfig {
     /// Amplitudes are bit-identical for every value — only wall-clock
     /// changes. Dry-run mode ignores it (the clock model is not threaded).
     pub threads: usize,
-    /// Measurement shots to draw after a functional run (`0` = none).
-    /// Sampling runs on the sharded state and the bitstrings land in
-    /// `Execution::samples`; with a fixed [`seed`] they are
-    /// byte-identical for every thread count and machine shape. (More
-    /// shots can always be drawn later through
-    /// `Execution::measurements`.)
-    ///
-    /// [`seed`]: AtlasConfig::seed
-    pub shots: usize,
-    /// Seed of the counter-based measurement RNG (shot `i` draws a pure
-    /// function of `(seed, i)`). With [`noise`](AtlasConfig::noise) it
-    /// additionally seeds the trajectory selector draws.
-    pub seed: u64,
-    /// Depolarizing error probability per gate-touched qubit (`0.0` =
-    /// noiseless). Each noisy run is a Pauli-twirled stochastic
-    /// trajectory: with probability `noise` a uniformly random X/Y/Z is
-    /// injected after the gate on each qubit it touches. Trajectory `i`
-    /// is a pure function of ([`seed`](AtlasConfig::seed)`, i`), so
-    /// results are byte-identical across thread and worker counts.
-    pub noise: f64,
-    /// Number of stochastic trajectories to average when
-    /// [`noise`](AtlasConfig::noise)` > 0` (ignored when noiseless).
-    pub trajectories: usize,
     /// Which simulation engine runs the circuit.
     pub backend: BackendKind,
     /// Peak-memory admission budget for functional EXECUTE requests.
@@ -225,10 +217,6 @@ impl Default for AtlasConfig {
             kernelizer: KernelAlgo::Dp,
             final_unpermute: false,
             threads: 1,
-            shots: 0,
-            seed: 0,
-            noise: 0.0,
-            trajectories: 1,
             backend: BackendKind::Auto,
             memory_budget: MemoryBudget::default(),
             recorder: Recorder::default(),
@@ -244,9 +232,7 @@ impl AtlasConfig {
     /// this; nothing reaches the engine unvalidated.
     ///
     /// Rejected (each with a message naming the offending field): zero
-    /// `threads`; a non-zero `seed` without `shots` or `noise`; a `noise`
-    /// probability outside `[0, 1]`; zero `trajectories` under noise;
-    /// a negative Eq. 2 cost factor (zero stays legal as the
+    /// `threads`; a negative Eq. 2 cost factor (zero stays legal as the
     /// communication-cost-blind ablation); a zero memory budget; and a
     /// degenerate kernelizer (`Dp` with `pruning_threshold = 0`, greedy
     /// packers with `max_qubits = 0`). Only the final combination counts
@@ -255,7 +241,7 @@ impl AtlasConfig {
     ///
     /// ```
     /// use atlas_core::AtlasConfig;
-    /// let cfg = AtlasConfig { threads: 8, shots: 1024, ..AtlasConfig::default() };
+    /// let cfg = AtlasConfig { threads: 8, ..AtlasConfig::default() };
     /// assert!(cfg.validate().is_ok());
     /// let bad = AtlasConfig { threads: 0, ..AtlasConfig::default() };
     /// assert!(bad.validate().is_err());
@@ -264,25 +250,6 @@ impl AtlasConfig {
         if self.threads == 0 {
             return Err(AtlasError::invalid_config(
                 "threads = 0: the executor needs at least one host thread",
-            ));
-        }
-        if self.seed != 0 && self.shots == 0 && self.noise == 0.0 {
-            return Err(AtlasError::invalid_config(format!(
-                "seed {} set without shots or noise: the seed only affects \
-                 shot sampling and noise-trajectory draws",
-                self.seed
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.noise) || self.noise.is_nan() {
-            return Err(AtlasError::invalid_config(format!(
-                "noise = {}: the per-qubit error probability must lie in [0, 1]",
-                self.noise
-            )));
-        }
-        if self.noise > 0.0 && self.trajectories == 0 {
-            return Err(AtlasError::invalid_config(
-                "trajectories = 0 with noise > 0: a noisy run needs at least \
-                 one stochastic trajectory",
             ));
         }
         // `inter_node_cost_factor = 0` is a legitimate ablation
@@ -336,12 +303,18 @@ impl AtlasConfig {
     /// `execute*`, the serve pool's submission and the CLI: `Ok(())` when
     /// [`peak_bytes`](AtlasConfig::peak_bytes) fits the memory budget,
     /// [`AtlasError::ResourceExhausted`] with that peak and the budget
-    /// otherwise. The engine indexes at most 30 qubits, so the budget
-    /// enforced is clamped to this config's own 30-qubit peak.
+    /// otherwise.
     pub fn admit(&self, n: u32, local_qubits: u32) -> Result<(), AtlasError> {
+        self.admit_bytes(self.peak_bytes(n, local_qubits))
+    }
+
+    /// [`admit`](AtlasConfig::admit) for a peak of `needed` bytes — a
+    /// state plus a shot draw ([`MemoryBudget::sample_bytes`]), say. The
+    /// engine indexes at most 30 qubits, so the budget enforced is clamped
+    /// to this config's own 30-qubit peak.
+    pub fn admit_bytes(&self, needed: u64) -> Result<(), AtlasError> {
         let widest = self.peak_bytes(ENGINE_QUBITS, ENGINE_QUBITS);
         let budget = self.memory_budget.limit().min(widest);
-        let needed = self.peak_bytes(n, local_qubits);
         if needed <= budget {
             Ok(())
         } else {
@@ -392,13 +365,8 @@ mod tests {
     fn validate_rejects_incoherent_combinations() {
         use KernelAlgo::{Dp, Greedy, GreedyHybrid};
         type Spoil = fn(&mut AtlasConfig);
-        let cases: [(Spoil, &str); 11] = [
+        let cases: [(Spoil, &str); 6] = [
             (|c| c.threads = 0, "threads"),
-            (|c| c.seed = 3, "seed"),
-            (|c| c.noise = -0.1, "noise"),
-            (|c| c.noise = 1.5, "noise"),
-            (|c| c.noise = f64::NAN, "noise"),
-            (|c| (c.noise, c.trajectories) = (0.05, 0), "trajectories"),
             (|c| c.inter_node_cost_factor = -1, "inter_node_cost_factor"),
             (
                 |c| c.memory_budget = MemoryBudget::bytes(0),
@@ -425,28 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_is_coherent_with_noise_alone() {
-        // A noisy run draws trajectory selectors from the seed even with
-        // zero shots, so seed + noise (no shots) must validate.
-        let d = AtlasConfig::default;
-        let cfg = AtlasConfig {
-            seed: 11,
-            noise: 0.02,
-            trajectories: 4,
-            ..d()
-        };
-        assert!(cfg.validate().is_ok());
-        // Boundary probabilities are legal.
-        assert!(AtlasConfig { noise: 0.0, ..d() }.validate().is_ok());
-        let certain = AtlasConfig {
-            noise: 1.0,
-            shots: 1,
-            ..d()
-        };
-        assert!(certain.validate().is_ok());
-    }
-
-    #[test]
     fn backend_kind_parses_and_round_trips() {
         use std::str::FromStr;
         for kind in [
@@ -465,18 +411,11 @@ mod tests {
 
     #[test]
     fn only_the_knobs_the_chosen_algorithms_read_are_judged() {
-        let d = AtlasConfig::default;
-        let seeded = AtlasConfig {
-            seed: 9,
-            shots: 16,
-            ..d()
-        };
-        assert!(seeded.validate().is_ok());
         // Zero pruning threshold is fine off the DP kernelizer.
         let ordered = AtlasConfig {
             kernelizer: KernelAlgo::Ordered,
             pruning_threshold: 0,
-            ..d()
+            ..AtlasConfig::default()
         };
         assert!(ordered.validate().is_ok());
     }
@@ -537,6 +476,13 @@ mod tests {
         }
         // Saturating peak for very wide requests.
         assert_eq!(MemoryBudget::peak_bytes(63, 63), u64::MAX);
+        // A draw: five 8-byte buffers per shot, or one 24-byte Vec header
+        // plus its words when the bitstrings are wider.
+        assert_eq!(MemoryBudget::sample_bytes(0, 1), 0);
+        assert_eq!(MemoryBudget::sample_bytes(10, 1), 400);
+        assert_eq!(MemoryBudget::sample_bytes(10, 4), 560);
+        assert_eq!(MemoryBudget::sample_bytes(1 << 53, 1), 40 << 53);
+        assert_eq!(MemoryBudget::sample_bytes(usize::MAX, 1), u64::MAX);
     }
 
     /// Dropping the relayout's twin from the formula moved no admission:
@@ -575,12 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn struct_level_validate_catches_nonzero_seed_without_shots() {
-        let cfg = AtlasConfig {
-            seed: 5,
-            ..AtlasConfig::default()
-        };
-        assert!(cfg.validate().is_err());
+    fn the_preset_configs_validate() {
         assert!(AtlasConfig::default().validate().is_ok());
         assert!(AtlasConfig::for_validation().validate().is_ok());
         assert!(AtlasConfig::hyquas_like().validate().is_ok());

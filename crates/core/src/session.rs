@@ -15,9 +15,10 @@
 //!    like** — against any circuit whose structural fingerprint matches
 //!    (same gate graph, different gate parameters), returning an
 //!    [`Execution`] with the clock report, the sharded
-//!    [`Measurements`] engine, pre-drawn samples, and (optionally) the
-//!    gathered state. [`CompiledPlan::dry_run`] replays the clock model
-//!    alone at any scale.
+//!    [`Measurements`] engine, and (optionally) the gathered state; shots
+//!    are drawn from it afterwards ([`Measurements::sample`]).
+//!    [`CompiledPlan::dry_run`] replays the clock model alone at any
+//!    scale.
 //!
 //! An N-point VQC/QAOA parameter sweep therefore pays for staging and
 //! kernelization exactly once (`atlas_core::staging::staging_invocations`
@@ -445,27 +446,10 @@ impl CompiledPlan {
         let state = self.cfg.final_unpermute.then(|| machine.gather_state());
         let report = clock.report();
         let measurements = Measurements::new(machine, self.cfg.threads.max(1));
-        let samples = (self.cfg.shots > 0).then(|| {
-            let rec = &self.cfg.recorder;
-            let t = rec.start();
-            let samples = measurements.sample(self.cfg.shots, self.cfg.seed);
-            rec.span(
-                "sample.draw",
-                t,
-                true,
-                0,
-                0,
-                0,
-                &[("shots", self.cfg.shots as u64), ("seed", self.cfg.seed)],
-            );
-            rec.flush();
-            samples
-        });
         Ok(Some(Execution {
             report,
             state,
             measurements,
-            samples,
         }))
     }
 
@@ -494,8 +478,7 @@ impl CompiledPlan {
 /// Carries the clock/traffic report and the sharded [`Measurements`]
 /// engine (which owns the machine's shard buffers); `state` is only
 /// populated when the run's config set
-/// [`final_unpermute`](AtlasConfig::final_unpermute), and `samples` only
-/// when it set [`shots`](AtlasConfig::shots)` > 0`.
+/// [`final_unpermute`](AtlasConfig::final_unpermute).
 #[derive(Debug)]
 pub struct Execution {
     /// Machine clock and traffic report for this run.
@@ -509,9 +492,6 @@ pub struct Execution {
     /// Measurement engine over the sharded final state: shots,
     /// marginals, Pauli expectations and top outcomes, all in place.
     pub measurements: Measurements,
-    /// Pre-drawn shots when the config requested them (equal to
-    /// `measurements.sample(cfg.shots, cfg.seed)`).
-    pub samples: Option<Vec<u64>>,
 }
 
 #[cfg(test)]
@@ -742,11 +722,7 @@ mod tests {
             gpus_per_node: 2,
             local_qubits: 6,
         };
-        let cfg = AtlasConfig {
-            shots: 32,
-            seed: 11,
-            ..AtlasConfig::default() // final_unpermute = false
-        };
+        let cfg = AtlasConfig::default(); // final_unpermute = false
         let run = Planner::new(spec, CostModel::default(), cfg)
             .plan(&circuit)
             .unwrap()
@@ -754,10 +730,7 @@ mod tests {
             .unwrap();
         assert!(run.state.is_none(), "no gather without final_unpermute");
         let m = run.measurements;
-        // cfg.shots/cfg.seed drew the samples already.
-        let samples = run.samples.expect("cfg.shots > 0 pre-draws samples");
-        assert_eq!(samples.len(), 32);
-        assert_eq!(samples, m.sample(32, 11));
+        assert_eq!(m.sample(32, 11).len(), 32);
         let want = simulate_reference(&circuit);
         for x in [0u64, 1, 100, 511] {
             assert!((m.probability(x) - want.probability(x)).abs() < 1e-9);

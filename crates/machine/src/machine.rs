@@ -512,6 +512,13 @@ impl Machine {
         self.recorder = recorder;
     }
 
+    /// The attached telemetry recorder (disabled unless
+    /// [`Machine::set_recorder`] attached one): reads of the finished
+    /// state, such as the sampler's shot draws, record through it too.
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     /// Creates a machine seeded with an arbitrary state.
     pub fn with_state(spec: MachineSpec, state: &StateVector) -> Self {
         let mut m = Machine::new(spec, state.num_qubits());

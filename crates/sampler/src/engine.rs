@@ -96,29 +96,39 @@ impl Measurements {
     /// seed the output is byte-identical across thread counts and shard
     /// counts; the cost is `O(2^n + shots·(log(2^{n-c}) + 2^c))` with no
     /// `2^n` allocation.
+    ///
+    /// Each call is one det `sample.draw` span (args `shots`, `seed`) on
+    /// the machine's recorder.
     pub fn sample(&self, shots: usize, seed: u64) -> Vec<u64> {
-        if shots == 0 {
-            return Vec::new();
-        }
-        with_pool(self.threads, |pool| {
-            let chunk_norms = self.machine.logical_chunk_norms(SAMPLE_CHUNK_BITS, pool);
-            let total: f64 = chunk_norms.iter().sum();
-            let rng = CounterRng::new(seed);
-            let targets: Vec<f64> = (0..shots).map(|i| rng.f64_at(i as u64) * total).collect();
-            // Resolve in ascending-target order (one monotone CDF walk),
-            // then restore shot order.
-            let mut order: Vec<usize> = (0..shots).collect();
-            order.sort_by(|&a, &b| targets[a].total_cmp(&targets[b]).then(a.cmp(&b)));
-            let sorted: Vec<f64> = order.iter().map(|&i| targets[i]).collect();
-            let resolved =
-                self.machine
-                    .resolve_targets(SAMPLE_CHUNK_BITS, &chunk_norms, &sorted, pool);
-            let mut out = vec![0u64; shots];
-            for (pos, &shot) in order.iter().enumerate() {
-                out[shot] = resolved[pos];
-            }
-            out
-        })
+        let rec = self.machine.recorder();
+        let t = rec.start();
+        let out = if shots == 0 {
+            Vec::new()
+        } else {
+            with_pool(self.threads, |pool| {
+                let chunk_norms = self.machine.logical_chunk_norms(SAMPLE_CHUNK_BITS, pool);
+                let total: f64 = chunk_norms.iter().sum();
+                let rng = CounterRng::new(seed);
+                let targets: Vec<f64> = (0..shots).map(|i| rng.f64_at(i as u64) * total).collect();
+                // Resolve in ascending-target order (one monotone CDF walk),
+                // then restore shot order.
+                let mut order: Vec<usize> = (0..shots).collect();
+                order.sort_by(|&a, &b| targets[a].total_cmp(&targets[b]).then(a.cmp(&b)));
+                let sorted: Vec<f64> = order.iter().map(|&i| targets[i]).collect();
+                let resolved =
+                    self.machine
+                        .resolve_targets(SAMPLE_CHUNK_BITS, &chunk_norms, &sorted, pool);
+                let mut out = vec![0u64; shots];
+                for (pos, &shot) in order.iter().enumerate() {
+                    out[shot] = resolved[pos];
+                }
+                out
+            })
+        };
+        let args = [("shots", shots as u64), ("seed", seed)];
+        rec.span("sample.draw", t, true, 0, 0, 0, &args);
+        rec.flush();
+        out
     }
 
     /// [`Measurements::sample`] aggregated into `(bitstring, count)`

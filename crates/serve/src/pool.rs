@@ -26,8 +26,9 @@
 //!   [`SessionPool::submit_timeout`] waits a bounded time before
 //!   failing typed.
 //! * **Admission** — a job whose peak memory demand (the state, one
-//!   scratch shard, and the gathered copy under
-//!   [`AtlasConfig::final_unpermute`]) exceeds
+//!   scratch shard, the gathered copy under
+//!   [`AtlasConfig::final_unpermute`], and a sample job's shots,
+//!   [`MemoryBudget::sample_bytes`]) exceeds
 //!   [`AtlasConfig::memory_budget`] ([`AtlasConfig::admit`]) is
 //!   rejected at submission with [`AtlasError::ResourceExhausted`],
 //!   before it holds a queue slot and long before any amplitude
@@ -66,7 +67,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atlas_circuit::Circuit;
-use atlas_core::config::AtlasConfig;
+use atlas_core::config::{AtlasConfig, MemoryBudget};
 use atlas_core::session::{CircuitFingerprint, CompiledPlan, Planner};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineSpec};
@@ -609,16 +610,19 @@ impl SessionPool {
         deadline: Option<Duration>,
     ) -> Result<JobHandle, AtlasError> {
         let shared = &self.shared;
-        // Resource admission: reject a request whose peak bytes exceed
-        // the budget before it holds a queue slot — and long before
-        // EXECUTE would attempt the allocation. Rejected jobs never
+        // Resource admission: reject a request whose peak bytes (the
+        // state, plus the shots a sample job draws beside it) exceed the
+        // budget before it holds a queue slot — and long before EXECUTE
+        // or the draw would attempt the allocation. Rejected jobs never
         // consume a job id, so accepted ids stay dense in submission
         // order regardless of rejections.
-        if let Err(e) = shared
-            .planner
-            .config()
-            .admit(circuit.num_qubits(), shared.planner.spec().local_qubits)
-        {
+        let cfg = shared.planner.config();
+        let state = cfg.peak_bytes(circuit.num_qubits(), shared.planner.spec().local_qubits);
+        let draw = match request {
+            JobRequest::Sample { shots, .. } => MemoryBudget::sample_bytes(shots, 1),
+            _ => 0,
+        };
+        if let Err(e) = cfg.admit_bytes(state.saturating_add(draw)) {
             shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }

@@ -15,9 +15,8 @@
 use atlas::baselines;
 use atlas::circuit::generators::{self, GenerateError};
 use atlas::circuit::qasm;
-use atlas::core::config::BackendKind;
+use atlas::core::noise::{self, Trajectories};
 use atlas::core::session::{Execution, Planner};
-use atlas::core::{noise, BackendRun};
 use atlas::machine::MachineReport;
 use atlas::prelude::*;
 use std::fmt::Display;
@@ -201,8 +200,6 @@ const REQUIRES: &[(&str, &[&str], &str)] = &[
     ("--noise", &["--shots", "--expect"],
         "--noise has nothing to report without --shots or --expect"),
     ("--trajectories", &["--noise"], "--trajectories applies to --noise runs only"),
-    // Checked here rather than by `AtlasConfig::validate`, which cannot
-    // tell an explicit `--seed 0` from the default.
     ("--seed", &["--shots", "--noise"], "--seed only affects shot sampling and \
         noise-trajectory draws; it needs --shots or --noise"),
 ];
@@ -310,9 +307,13 @@ struct Args {
     local: Option<u32>,
     top: usize,
     sweep: usize,
+    shots: usize,
+    seed: u64,
+    /// `--noise` with `--trajectories` and `--seed`, validated whenever
+    /// `--noise` is given.
+    noise: Option<Trajectories>,
     trace_format: TraceFormat,
-    /// Threads, shots, seed, backend, noise and trajectories, with the
-    /// memory budget and the recorder.
+    /// Threads and backend, with the memory budget and the recorder.
     cfg: AtlasConfig,
 }
 
@@ -322,13 +323,13 @@ impl Args {
         // Serve parallelizes across workers, not inside a job: one
         // thread per job unless `--threads` says otherwise.
         let threads = if f.has("serve") { 1 } else { host_cpus() };
+        let (seed, trajectories) = (f.get("--seed")?.unwrap_or(0), f.get("--trajectories")?);
+        let noise = f
+            .get("--noise")?
+            .map(|p| Trajectories::new(p, trajectories.unwrap_or(8), seed));
         let cfg = AtlasConfig {
             threads: f.get("--threads")?.unwrap_or(threads),
-            shots: f.get("--shots")?.unwrap_or(0),
-            seed: f.get("--seed")?.unwrap_or(0),
             backend: f.get("--backend")?.unwrap_or(BackendKind::Auto),
-            noise: f.get("--noise")?.unwrap_or(0.0),
-            trajectories: f.get("--trajectories")?.unwrap_or(8),
             // The single-host budget: 2 GiB of peak state (the n ≤ 26
             // circuits the historical heuristic admitted); beyond it, a typed
             // ResourceExhausted instead of an allocator abort.
@@ -346,6 +347,9 @@ impl Args {
             local: f.get("-L")?,
             top: f.get("--top")?.unwrap_or(8),
             sweep: f.get("--sweep")?.unwrap_or(0),
+            shots: f.get("--shots")?.unwrap_or(0),
+            seed,
+            noise: noise.transpose()?,
             trace_format: f.get("--trace-format")?.unwrap_or_default(),
             cfg,
             flags,
@@ -357,9 +361,9 @@ impl Args {
     /// is on when that backend is chosen.
     fn on(&self, flag: &str) -> bool {
         match flag {
-            "--shots" => self.cfg.shots > 0,
+            "--shots" => self.shots > 0,
             "--sweep" => self.sweep > 0,
-            "--noise" => self.cfg.noise > 0.0,
+            "--noise" => self.noise.is_some_and(|t| t.p() > 0.0),
             "--backend stabilizer" => self.cfg.backend == BackendKind::Stabilizer,
             _ => self.flags.has(flag),
         }
@@ -472,6 +476,10 @@ enum Mode {
 /// automatic for an all-Clifford circuit beyond the functional memory
 /// budget; then `--baseline`, `--plan`, `--dry` (also switched on
 /// automatically over the budget), `--sweep` and a plain run.
+///
+/// A functional mode that draws `--shots` holds them all at once, beside
+/// the state unless the tableau draws them: over the budget, that is a
+/// typed rejection (exit 10) before anything runs.
 fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     let Some(job) = job else {
         return Ok(Mode::Serve);
@@ -480,12 +488,17 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     let admission = args.cfg.admit(n, local);
     let over_budget = admission.is_err();
     let exhausted = || -> Fail { admission.clone().expect_err("over budget").into() };
+    let draw = MemoryBudget::sample_bytes(args.shots, n.div_ceil(64) as usize);
+    let state = args.cfg.peak_bytes(n, local);
+    let admit_draw = |state: u64| args.cfg.admit_bytes(state.saturating_add(draw));
     let clifford = job.circuit.is_clifford();
     // Noise needs a functional engine: a non-Clifford circuit over the
     // memory budget cannot run at all.
     if args.on("--noise") && !clifford && over_budget {
         return Err(exhausted());
     } else if args.on("--noise") {
+        let tableau = clifford && args.cfg.backend != BackendKind::Statevec;
+        admit_draw(if tableau { 0 } else { state })?;
         return Ok(Mode::Noisy);
     }
     // Auto dispatch leaves the statevector path only where it would have
@@ -496,6 +509,7 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
         && over_budget
         && !clock_flags.iter().any(|f| args.on(f));
     if args.on("--backend stabilizer") || auto_tableau {
+        admit_draw(0)?;
         return Ok(Mode::Stabilizer);
     }
     // Typed up-front check: the machine banner (shard counts,
@@ -530,10 +544,13 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
         Mode::Plan
     } else if dry {
         Mode::Dry
-    } else if args.on("--sweep") {
-        Mode::Sweep
     } else {
-        Mode::Run
+        admit_draw(state)?;
+        if args.on("--sweep") {
+            Mode::Sweep
+        } else {
+            Mode::Run
+        }
     })
 }
 
@@ -790,9 +807,8 @@ fn run_stabilizer(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
     for p in &job.paulis {
         print_expectation(out, p, run.expectation(p), "")?;
     }
-    if let Some(samples) = run.samples_words() {
-        let header = format!("{} (seed {})", samples.len(), args.cfg.seed);
-        print_shots(out, &header, count_word_samples(samples), n)?;
+    if args.on("--shots") {
+        print_draw(out, args, run.sample_words(args.shots, args.seed), n)?;
     }
     let BackendRun::Stabilizer(srun) = &run else {
         unreachable!("stabilizer path produced a statevector run");
@@ -817,13 +833,13 @@ fn run_stabilizer(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
 /// Output is deterministic for a fixed `--seed` on any `--threads`.
 fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
     let (circuit, paulis) = (&job.circuit, &job.paulis);
+    let sweep = args.noise.expect("a noisy run has --noise");
     let template = noise::noisy_template(circuit);
     let t_plan = Instant::now();
     let plan =
         Planner::new(job.spec, CostModel::default(), args.cfg.clone()).plan_backend(&template)?;
-    let cfg = plan.config();
     print_banner(out, circuit)?;
-    let (backend, noise, k, seed) = (plan.backend_name(), cfg.noise, cfg.trajectories, cfg.seed);
+    let (backend, noise, k, seed) = (plan.backend_name(), sweep.p(), sweep.count(), args.seed);
     let draws = format!("{k} trajectorie(s), seed {seed}");
     writeln!(out, "backend : {backend} (noise p = {noise}, {draws})")?;
     let secs = t_plan.elapsed().as_secs_f64();
@@ -832,10 +848,9 @@ fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
     if !paulis.is_empty() {
         // Channel expectations: the mean over trajectories converges to
         // the depolarizing channel's output expectation.
-        let k = k.max(1);
         let mut sums = vec![0.0; paulis.len()];
         for t in 0..k {
-            let run = plan.run(&noise::trajectory(&template, noise, seed, t as u64))?;
+            let run = plan.run(&sweep.circuit(&template, t as u64))?;
             for (s, p) in sums.iter_mut().zip(paulis) {
                 *s += run.expectation(p);
             }
@@ -846,8 +861,8 @@ fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
         }
     }
     if args.on("--shots") {
-        let run = noise::run_noisy(&plan, &template, args.cfg.shots)?;
-        let (shots, k, seed) = (run.shots, run.trajectories, args.cfg.seed);
+        let run = sweep.run(&plan, &template, args.shots)?;
+        let (shots, k) = (run.shots, run.trajectories);
         let header = format!("{shots} over {k} trajectorie(s) (seed {seed})");
         print_shots(out, &header, run.counts, job.n)?;
     }
@@ -894,12 +909,14 @@ fn print_top(out: &mut dyn Write, outcomes: Vec<(u64, f64)>, n: u32) -> io::Resu
     Ok(())
 }
 
-fn count_word_samples(samples: Vec<Vec<u64>>) -> Counts {
-    let mut map = std::collections::BTreeMap::new();
+/// `--shots`: the counts of one seeded draw of bit-packed bitstrings.
+fn print_draw(out: &mut dyn Write, args: &Args, samples: Vec<Vec<u64>>, n: u32) -> io::Result<()> {
+    let mut counts = std::collections::BTreeMap::new();
     for s in samples {
-        *map.entry(s).or_insert(0) += 1;
+        *counts.entry(s).or_insert(0) += 1;
     }
-    map.into_iter().collect()
+    let header = format!("{} (seed {})", args.shots, args.seed);
+    print_shots(out, &header, counts.into_iter().collect(), n)
 }
 
 /// The one shot-table printer: a `shots   :` header, then word-packed
@@ -925,18 +942,23 @@ fn print_shots(out: &mut dyn Write, header: &str, mut counts: Counts, n: u32) ->
 }
 
 /// A functional Atlas run's readout through the sharded measurement
-/// engine; its shots were drawn during the run from `cfg.shots`/`cfg.seed`.
+/// engine.
 fn print_readout(out: &mut dyn Write, args: &Args, job: &Job, run: Execution) -> io::Result<()> {
+    let m = &run.measurements;
     for p in &job.paulis {
-        print_expectation(out, p, run.measurements.expectation(p), "")?;
+        print_expectation(out, p, m.expectation(p), "")?;
     }
-    if let Some(samples) = run.samples {
-        let header = format!("{} (seed {})", samples.len(), args.cfg.seed);
-        let words = samples.into_iter().map(|bits| vec![bits]).collect();
-        print_shots(out, &header, count_word_samples(words), job.n)?;
+    if args.on("--shots") {
+        let bits = m.sample(args.shots, args.seed);
+        print_draw(
+            out,
+            args,
+            bits.into_iter().map(|b| vec![b]).collect(),
+            job.n,
+        )?;
     }
     if args.wants_top() {
-        print_top(out, run.measurements.top(args.top), job.n)?;
+        print_top(out, m.top(args.top), job.n)?;
     }
     Ok(())
 }

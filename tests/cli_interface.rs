@@ -247,6 +247,54 @@ fn over_budget_functional_requests_exit_ten() {
         vec!["--family", "qft", "-n", "30", "--shots", "4"],
         vec!["--family", "qft", "-n", "30", "--sweep", "2"],
         vec!["--family", "qft", "-n", "30", "--top", "4"],
+        // A draw of 2^53 shots cannot be held beside any state, on the
+        // statevector, stabilizer and noisy paths alike.
+        vec![
+            "--family",
+            "ghz",
+            "-n",
+            "8",
+            "--shots",
+            "9007199254740992",
+            "--seed",
+            "1",
+        ],
+        vec![
+            "--family",
+            "ghz",
+            "-n",
+            "8",
+            "--shots",
+            "9007199254740992",
+            "--seed",
+            "1",
+            "--backend",
+            "statevec",
+        ],
+        vec![
+            "--family",
+            "ghz",
+            "-n",
+            "8",
+            "--shots",
+            "9007199254740992",
+            "--seed",
+            "1",
+            "--backend",
+            "stabilizer",
+        ],
+        vec![
+            "--family",
+            "ghz",
+            "-n",
+            "8",
+            "--shots",
+            "9007199254740992",
+            "--seed",
+            "1",
+            "--noise",
+            "0.05",
+        ],
     ] {
         let out = atlas_sim(&args);
         assert_eq!(

@@ -55,15 +55,13 @@ fn one_and_eight_threads_are_byte_identical_on_regression_circuits() {
 fn run_noisy_with(circuit: &Circuit, spec: MachineSpec, threads: usize) -> NoisyOutcome {
     let cfg = AtlasConfig {
         threads,
-        seed: 41,
-        noise: 0.05,
-        trajectories: 7,
         ..AtlasConfig::for_validation()
     };
     let planner = Planner::new(spec, CostModel::default(), cfg);
     let template = noise::noisy_template(circuit);
     let plan = planner.plan_backend(&template).expect("noisy plan");
-    noise::run_noisy(&plan, &template, 96).expect("noisy sweep")
+    let sweep = noise::Trajectories::new(0.05, 7, 41).expect("valid sweep");
+    sweep.run(&plan, &template, 96).expect("noisy sweep")
 }
 
 /// Noise trajectories are drawn from the splittable counter RNG, keyed

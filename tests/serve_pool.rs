@@ -310,6 +310,43 @@ fn typed_errors_are_answered_in_band() {
     assert_eq!(stats.jobs_completed, 1);
 }
 
+/// A shot count read off a job line is admitted like the state: a draw
+/// the memory budget cannot hold (2^53 shots, 40 bytes each) answers
+/// in-band as `resource-exhausted` at submission, consumes no job id, and
+/// the next job still answers.
+#[test]
+fn oversized_shot_draw_is_rejected_in_band() {
+    use atlas::serve::{parse_job, render_response};
+    let p = pool(ServeConfig::default());
+    let huge = parse_job(
+        r#"{"id":"huge","tenant":"a","op":"sample","family":"ghz","n":8,"shots":9007199254740992,"seed":1}"#,
+    )
+    .unwrap();
+    let rejected = p.submit(&huge.tenant, huge.circuit, huge.request);
+    let Err(e) = rejected else {
+        panic!("2^53 shots admitted");
+    };
+    assert!(matches!(e, AtlasError::ResourceExhausted { .. }), "{e:?}");
+    let line = render_response(&huge.id, &Err(e));
+    assert!(
+        line.starts_with(r#"{"id":"huge","ok":false,"kind":"resource-exhausted""#),
+        "{line}"
+    );
+    let ghz = atlas::circuit::generators::ghz(8);
+    let next = p
+        .submit("a", ghz, JobRequest::Sample { shots: 16, seed: 1 })
+        .unwrap();
+    assert_eq!(next.id(), 0, "the rejected draw consumed a job id");
+    match executed(next.wait()) {
+        JobOutput::Sampled { counts } => {
+            assert_eq!(counts.iter().map(|&(_, c)| c).sum::<u64>(), 16)
+        }
+        other => panic!("expected Sampled, got {other:?}"),
+    }
+    let stats = p.shutdown();
+    assert_eq!((stats.jobs_rejected, stats.jobs_completed), (1, 1));
+}
+
 /// The LRU plan cache is bounded: distinct fingerprints beyond the
 /// capacity evict the coldest plan, and the counters stay consistent.
 #[test]

@@ -197,8 +197,8 @@ fn planner_surfaces_typed_errors() {
     }
     // An invalid config is caught by plan() even when built by hand.
     let bad = AtlasConfig {
-        seed: 3,
-        shots: 0,
+        kernelizer: KernelAlgo::Dp,
+        pruning_threshold: 0,
         ..AtlasConfig::default()
     };
     let ok_circuit = atlas::circuit::generators::ghz(8);

@@ -27,23 +27,23 @@ fn spec() -> MachineSpec {
     }
 }
 
-/// Runs `circuit` with a live recorder at the given thread count and
-/// returns the canonical det signature plus the model-level outputs.
+/// Runs `circuit` with a live recorder at the given thread count, draws
+/// 64 shots at seed 11, and returns the canonical det signature plus the
+/// model-level outputs.
 fn traced_run(circuit: &Circuit, threads: usize) -> (String, StateVector, Vec<u64>) {
     let recorder = Recorder::enabled();
     let cfg = AtlasConfig {
         threads,
-        shots: 64,
-        seed: 11,
         recorder: recorder.clone(),
         ..AtlasConfig::for_validation()
     };
     let out = run_session(circuit, spec(), &cfg);
+    let samples = out.measurements.sample(64, 11);
     assert_eq!(recorder.dropped(), 0, "trace overflowed its sink");
     (
         det_signature(&recorder.drain()),
         out.state.expect("final_unpermute gathers the state"),
-        out.samples.expect("shots > 0 returns samples"),
+        samples,
     )
 }
 
@@ -92,8 +92,6 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
     let circuit = atlas::circuit::generators::grover(7);
     let untraced_cfg = AtlasConfig {
         threads: 2,
-        shots: 64,
-        seed: 11,
         ..AtlasConfig::for_validation()
     };
     let untraced = run_session(&circuit, spec(), &untraced_cfg);
@@ -104,7 +102,7 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
         "tracing on vs off",
     );
     assert_eq!(
-        untraced.samples.expect("samples"),
+        untraced.measurements.sample(64, 11),
         traced_samples,
         "samples differ with tracing enabled"
     );
@@ -186,10 +184,53 @@ fn serve_det_signature_is_identical_across_worker_counts() {
         !base_sig.contains("serve.queue_wait"),
         "wall-clock queue wait leaked into the det signature"
     );
+    // The round's `Sample` job draws through `Measurements::sample`,
+    // which records the draw at every worker count.
+    assert!(
+        base_sig.contains("sample.draw"),
+        "no sample.draw in serve trace"
+    );
     let (sig, out, stats) = serve_round(4);
     assert_eq!(base_sig, sig, "det signature drifted at workers=4");
     assert_eq!(base_out, out, "job outputs drifted at workers=4");
     assert_eq!(base_stats.jobs_submitted, stats.jobs_submitted);
     assert_eq!(base_stats.jobs_completed, stats.jobs_completed);
     assert_eq!(base_stats.cache_misses, stats.cache_misses);
+}
+
+/// A noisy sweep draws each trajectory's share of the shots through
+/// `BackendRun::sample_words`, so 8 trajectories and 40 shots record 8
+/// `sample.draw` spans whose shots sum to 40 — and no draw the output
+/// did not use.
+#[test]
+fn noisy_sweep_records_one_draw_per_trajectory() {
+    use atlas::core::noise::{self, Trajectories};
+    let recorder = Recorder::enabled();
+    let cfg = AtlasConfig {
+        threads: 1,
+        recorder: recorder.clone(),
+        ..AtlasConfig::default()
+    };
+    let template = noise::noisy_template(&atlas::circuit::generators::qaoa(8));
+    let planner = Planner::new(MachineSpec::single_gpu(8), CostModel::default(), cfg);
+    let plan = planner.plan_backend(&template).expect("noisy plan");
+    let sweep = Trajectories::new(0.05, 8, 11).expect("valid sweep");
+    let outcome = sweep.run(&plan, &template, 40).expect("noisy sweep");
+    assert_eq!(outcome.shots, 40);
+    let draws: Vec<_> = recorder
+        .drain()
+        .into_iter()
+        .filter(|e| e.name == "sample.draw")
+        .collect();
+    assert_eq!(draws.len(), 8, "one draw per trajectory");
+    assert!(draws.iter().all(|e| e.det));
+    let shots: u64 = draws
+        .iter()
+        .map(|e| e.args()[0])
+        .map(|(k, v)| {
+            assert_eq!(k, "shots");
+            v
+        })
+        .sum();
+    assert_eq!(shots, 40);
 }
