@@ -274,30 +274,25 @@ impl Planner {
     ///   offending gate.
     pub fn plan_backend(&self, circuit: &Circuit) -> Result<BackendPlan, AtlasError> {
         self.config().validate()?;
-        match self.config().backend {
+        let backend = self.config().backend;
+        if backend.runs_on_tableau(circuit.is_clifford()) {
+            return Ok(BackendPlan::Stabilizer(StabilizerPlan::new(
+                circuit,
+                self.config().clone(),
+            )));
+        }
+        match backend {
             BackendKind::Statevec => Ok(BackendPlan::Statevec(self.plan(circuit)?)),
             BackendKind::Stabilizer => {
-                if !circuit.is_clifford() {
-                    let at = circuit.clifford_prefix_len();
-                    return Err(AtlasError::invalid_config(format!(
-                        "backend = stabilizer requires an all-Clifford circuit, \
-                         but gate {at} is '{}'; use backend = auto to dispatch \
-                         mixed circuits",
-                        circuit.gates()[at].kind.name()
-                    )));
-                }
-                Ok(BackendPlan::Stabilizer(StabilizerPlan::new(
-                    circuit,
-                    self.config().clone(),
+                let at = circuit.clifford_prefix_len();
+                Err(AtlasError::invalid_config(format!(
+                    "backend = stabilizer requires an all-Clifford circuit, \
+                     but gate {at} is '{}'; use backend = auto to dispatch \
+                     mixed circuits",
+                    circuit.gates()[at].kind.name()
                 )))
             }
             BackendKind::Auto => {
-                if circuit.is_clifford() {
-                    return Ok(BackendPlan::Stabilizer(StabilizerPlan::new(
-                        circuit,
-                        self.config().clone(),
-                    )));
-                }
                 let prefix_len = circuit.clifford_prefix_len();
                 if prefix_len >= HYBRID_MIN_PREFIX && circuit.num_qubits() <= HYBRID_MAX_QUBITS {
                     let (_, suffix) = split_circuit(circuit, prefix_len);

@@ -14,6 +14,11 @@ use atlas_telemetry::Recorder;
 /// The widest state the sharded engine indexes, in qubits.
 const ENGINE_QUBITS: u32 = 30;
 
+/// Bytes of an `n`-qubit state (`2^n` amplitudes × 16), saturating.
+fn state_bytes(n: u32) -> u64 {
+    u64::try_from(16u128 << n.min(63)).unwrap_or(u64::MAX)
+}
+
 /// Which algorithm picks the stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StagingAlgo {
@@ -50,6 +55,12 @@ impl BackendKind {
             BackendKind::Statevec => "statevec",
             BackendKind::Stabilizer => "stabilizer",
         }
+    }
+
+    /// Whether `Planner::plan_backend` runs a circuit on the tableau alone
+    /// under this backend: an all-Clifford one on any but `Statevec`.
+    pub fn runs_on_tableau(self, clifford: bool) -> bool {
+        clifford && self != BackendKind::Statevec
     }
 }
 
@@ -114,9 +125,7 @@ impl MemoryBudget {
     /// qubits per device: the state + one scratch shard.
     /// Saturates at `u64::MAX` for unrepresentable widths.
     pub fn peak_bytes(n: u32, local_qubits: u32) -> u64 {
-        let amp = |q: u32| -> u128 { 16u128 << q.min(63) };
-        let peak = amp(n) + amp(local_qubits.min(n));
-        u64::try_from(peak).unwrap_or(u64::MAX)
+        state_bytes(n).saturating_add(state_bytes(local_qubits.min(n)))
     }
 
     /// Peak bytes a draw of `shots` bitstrings of `words` 64-bit words
@@ -290,13 +299,13 @@ impl AtlasConfig {
     /// copy of the state under [`final_unpermute`](AtlasConfig::final_unpermute),
     /// whose gather runs while the machine still holds its shards.
     pub fn peak_bytes(&self, n: u32, local_qubits: u32) -> u64 {
-        let peak = MemoryBudget::peak_bytes(n, local_qubits);
-        let state = u64::try_from(16u128 << n.min(63)).unwrap_or(u64::MAX);
-        if self.final_unpermute {
-            peak.saturating_add(state)
-        } else {
-            peak
-        }
+        self.resident_bytes(n)
+            .saturating_add(state_bytes(local_qubits.min(n)))
+    }
+
+    /// Bytes that outlive EXECUTE: the state, and its gathered copy.
+    fn resident_bytes(&self, n: u32) -> u64 {
+        state_bytes(n).saturating_mul(1 + u64::from(self.final_unpermute))
     }
 
     /// The admission gate of every functional run — the session API's
@@ -308,11 +317,10 @@ impl AtlasConfig {
         self.admit_bytes(self.peak_bytes(n, local_qubits))
     }
 
-    /// [`admit`](AtlasConfig::admit) for a peak of `needed` bytes — a
-    /// state plus a shot draw ([`MemoryBudget::sample_bytes`]), say. The
-    /// engine indexes at most 30 qubits, so the budget enforced is clamped
-    /// to this config's own 30-qubit peak.
-    pub fn admit_bytes(&self, needed: u64) -> Result<(), AtlasError> {
+    /// The gate of [`admit`](AtlasConfig::admit) and [`admit_draw`](AtlasConfig::admit_draw):
+    /// `needed` bytes against the budget, clamped to this config's own
+    /// 30-qubit peak (the engine indexes at most 30 qubits).
+    fn admit_bytes(&self, needed: u64) -> Result<(), AtlasError> {
         let widest = self.peak_bytes(ENGINE_QUBITS, ENGINE_QUBITS);
         let budget = self.memory_budget.limit().min(widest);
         if needed <= budget {
@@ -320,6 +328,25 @@ impl AtlasConfig {
         } else {
             Err(AtlasError::ResourceExhausted { needed, budget })
         }
+    }
+
+    /// [`admit`](AtlasConfig::admit) for a run that then draws `shots`
+    /// ([`MemoryBudget::sample_bytes`]) in place of its freed scratch
+    /// shard, beside the resident state — or, `on_tableau`
+    /// ([`BackendKind::runs_on_tableau`]), beside nothing sizeable.
+    pub fn admit_draw(
+        &self,
+        n: u32,
+        local_qubits: u32,
+        shots: usize,
+        on_tableau: bool,
+    ) -> Result<(), AtlasError> {
+        if on_tableau {
+            return self.admit_bytes(MemoryBudget::sample_bytes(shots, n.div_ceil(64) as usize));
+        }
+        let shard_or_draw =
+            state_bytes(local_qubits.min(n)).max(MemoryBudget::sample_bytes(shots, 1));
+        self.admit_bytes(self.resident_bytes(n).saturating_add(shard_or_draw))
     }
 
     /// The widest circuit [`admit`](AtlasConfig::admit) lets through under
@@ -483,6 +510,32 @@ mod tests {
         assert_eq!(MemoryBudget::sample_bytes(10, 4), 560);
         assert_eq!(MemoryBudget::sample_bytes(1 << 53, 1), 40 << 53);
         assert_eq!(MemoryBudget::sample_bytes(usize::MAX, 1), u64::MAX);
+        // A draw shares the budget with what outlives EXECUTE, not with
+        // its scratch shard: the 26-qubit boundary still admits a modest
+        // draw — up to the freed shard — and no draw can hold 2^53 shots.
+        let shard_shots = (16usize << 26) / 40;
+        for l in [5, 26] {
+            assert!(single.admit_draw(26, l, 4, false).is_ok());
+        }
+        assert!(single.admit_draw(26, 26, shard_shots, false).is_ok());
+        assert!(single.admit_draw(26, 26, shard_shots + 1, false).is_err());
+        match single.admit_draw(26, 26, 1 << 53, false) {
+            Err(AtlasError::ResourceExhausted { needed, budget }) => {
+                assert_eq!(needed, (16 << 26) + (40 << 53));
+                assert_eq!(budget, MemoryBudget::SINGLE_HOST);
+            }
+            other => panic!("expected ResourceExhausted, got {other:?}"),
+        }
+        assert!(single.admit_draw(8, 8, 1 << 53, false).is_err());
+        assert!(single.admit_draw(27, 5, 4, false).is_err());
+        // The gathered copy outlives EXECUTE too.
+        let gathered = with(2 * (16 << 20) + (16 << 10), true);
+        let shard_shots = (16 << 10) / 40;
+        assert!(gathered.admit_draw(20, 10, shard_shots, false).is_ok());
+        assert!(gathered.admit_draw(20, 10, shard_shots + 1, false).is_err());
+        // On the tableau the draw is all there is, at any width.
+        assert!(single.admit_draw(1000, 1000, 1 << 20, true).is_ok());
+        assert!(single.admit_draw(8, 8, 1 << 53, true).is_err());
     }
 
     /// Dropping the relayout's twin from the formula moved no admission:

@@ -26,10 +26,12 @@
 //!   [`SessionPool::submit_timeout`] waits a bounded time before
 //!   failing typed.
 //! * **Admission** — a job whose peak memory demand (the state, one
-//!   scratch shard, the gathered copy under
-//!   [`AtlasConfig::final_unpermute`], and a sample job's shots,
-//!   [`MemoryBudget::sample_bytes`]) exceeds
-//!   [`AtlasConfig::memory_budget`] ([`AtlasConfig::admit`]) is
+//!   scratch shard and the gathered copy under
+//!   [`AtlasConfig::final_unpermute`]; for a sample job, the larger of
+//!   that and the state and gathered copy beside its shots,
+//!   [`MemoryBudget::sample_bytes`](atlas_core::config::MemoryBudget::sample_bytes))
+//!   exceeds
+//!   [`AtlasConfig::memory_budget`] ([`AtlasConfig::admit_draw`]) is
 //!   rejected at submission with [`AtlasError::ResourceExhausted`],
 //!   before it holds a queue slot and long before any amplitude
 //!   allocation could abort the process.
@@ -67,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atlas_circuit::Circuit;
-use atlas_core::config::{AtlasConfig, MemoryBudget};
+use atlas_core::config::AtlasConfig;
 use atlas_core::session::{CircuitFingerprint, CompiledPlan, Planner};
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineSpec};
@@ -610,19 +612,19 @@ impl SessionPool {
         deadline: Option<Duration>,
     ) -> Result<JobHandle, AtlasError> {
         let shared = &self.shared;
-        // Resource admission: reject a request whose peak bytes (the
-        // state, plus the shots a sample job draws beside it) exceed the
+        // Resource admission: reject a request whose peak bytes (EXECUTE's,
+        // or the shots a sample job draws beside its result) exceed the
         // budget before it holds a queue slot — and long before EXECUTE
         // or the draw would attempt the allocation. Rejected jobs never
         // consume a job id, so accepted ids stay dense in submission
         // order regardless of rejections.
         let cfg = shared.planner.config();
-        let state = cfg.peak_bytes(circuit.num_qubits(), shared.planner.spec().local_qubits);
-        let draw = match request {
-            JobRequest::Sample { shots, .. } => MemoryBudget::sample_bytes(shots, 1),
+        let shots = match request {
+            JobRequest::Sample { shots, .. } => shots,
             _ => 0,
         };
-        if let Err(e) = cfg.admit_bytes(state.saturating_add(draw)) {
+        let (n, local) = (circuit.num_qubits(), shared.planner.spec().local_qubits);
+        if let Err(e) = cfg.admit_draw(n, local, shots, false) {
             shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }

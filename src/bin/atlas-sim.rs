@@ -478,8 +478,8 @@ enum Mode {
 /// automatically over the budget), `--sweep` and a plain run.
 ///
 /// A functional mode that draws `--shots` holds them all at once, beside
-/// the state unless the tableau draws them: over the budget, that is a
-/// typed rejection (exit 10) before anything runs.
+/// what outlives EXECUTE (`AtlasConfig::admit_draw`): over the budget,
+/// that is a typed rejection (exit 10) before anything runs.
 fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     let Some(job) = job else {
         return Ok(Mode::Serve);
@@ -488,17 +488,14 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     let admission = args.cfg.admit(n, local);
     let over_budget = admission.is_err();
     let exhausted = || -> Fail { admission.clone().expect_err("over budget").into() };
-    let draw = MemoryBudget::sample_bytes(args.shots, n.div_ceil(64) as usize);
-    let state = args.cfg.peak_bytes(n, local);
-    let admit_draw = |state: u64| args.cfg.admit_bytes(state.saturating_add(draw));
+    let admit_draw = |on_tableau| args.cfg.admit_draw(n, local, args.shots, on_tableau);
     let clifford = job.circuit.is_clifford();
     // Noise needs a functional engine: a non-Clifford circuit over the
     // memory budget cannot run at all.
     if args.on("--noise") && !clifford && over_budget {
         return Err(exhausted());
     } else if args.on("--noise") {
-        let tableau = clifford && args.cfg.backend != BackendKind::Statevec;
-        admit_draw(if tableau { 0 } else { state })?;
+        admit_draw(args.cfg.backend.runs_on_tableau(clifford))?;
         return Ok(Mode::Noisy);
     }
     // Auto dispatch leaves the statevector path only where it would have
@@ -509,7 +506,7 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
         && over_budget
         && !clock_flags.iter().any(|f| args.on(f));
     if args.on("--backend stabilizer") || auto_tableau {
-        admit_draw(0)?;
+        admit_draw(true)?;
         return Ok(Mode::Stabilizer);
     }
     // Typed up-front check: the machine banner (shard counts,
@@ -545,7 +542,7 @@ fn resolve_mode(args: &Args, job: Option<&Job>) -> Result<Mode, Fail> {
     } else if dry {
         Mode::Dry
     } else {
-        admit_draw(state)?;
+        admit_draw(false)?;
         if args.on("--sweep") {
             Mode::Sweep
         } else {
