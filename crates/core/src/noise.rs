@@ -111,22 +111,52 @@ impl Trajectories {
     /// Runs the sweep through one compiled plan of `template`: each
     /// trajectory executed under `plan` and sampled for its share of
     /// `shots` (trajectory `t` gets `shots / count` plus one of the
-    /// remainder).
+    /// remainder). A trajectory with no shots is not executed.
     pub fn run(
         &self,
         plan: &BackendPlan,
         template: &Circuit,
         shots: usize,
     ) -> Result<NoisyOutcome, AtlasError> {
+        self.sweep(plan, template, shots, None)
+    }
+
+    /// [`run`](Self::run), also handing every trajectory's run to
+    /// `observe` before its shots are drawn — so a caller that reads
+    /// more than shots off each trajectory (expectations) executes it
+    /// once. Every trajectory is executed here, with or without shots.
+    pub fn run_observed(
+        &self,
+        plan: &BackendPlan,
+        template: &Circuit,
+        shots: usize,
+        observe: &mut dyn FnMut(&BackendRun),
+    ) -> Result<NoisyOutcome, AtlasError> {
+        self.sweep(plan, template, shots, Some(observe))
+    }
+
+    fn sweep(
+        &self,
+        plan: &BackendPlan,
+        template: &Circuit,
+        shots: usize,
+        mut observe: Option<&mut dyn FnMut(&BackendRun)>,
+    ) -> Result<NoisyOutcome, AtlasError> {
         let k = self.count;
         let sample_seeds = CounterRng::new(self.seed).split(SAMPLE_STREAM);
         let mut counts: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
         for t in 0..k {
             let traj_shots = shots / k + usize::from(t < shots % k);
-            if traj_shots == 0 {
+            if traj_shots == 0 && observe.is_none() {
                 continue;
             }
             let run: BackendRun = plan.run(&self.circuit(template, t as u64))?;
+            if let Some(observe) = observe.as_mut() {
+                observe(&run);
+            }
+            if traj_shots == 0 {
+                continue;
+            }
             for s in run.sample_words(traj_shots, sample_seeds.u64_at(t as u64)) {
                 *counts.entry(s).or_insert(0) += 1;
             }

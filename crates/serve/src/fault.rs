@@ -32,8 +32,10 @@ pub enum FaultSite {
     /// dispatch, before planning) — exercises the `catch_unwind`
     /// isolation boundary.
     WorkerPanic,
-    /// Panic *while holding the plan-cache lock* (on the miss path) —
-    /// exercises lock-poison recovery.
+    /// Panic *while planning* on the miss path: after the job reserved
+    /// the fingerprint, outside the plan-cache lock — exercises the
+    /// reservation's drop guard, which frees the slot on unwind and
+    /// wakes the jobs parked on it.
     PlanPanic,
     /// Trip the job's own [`CancelToken`](crate::pool::CancelToken) at dispatch — a forced
     /// mid-stream cancellation.

@@ -12,10 +12,12 @@
 //! job with a given structural fingerprint plans, everyone else reuses
 //! the cached [`CompiledPlan`].
 //!
-//! * **Plan-exactly-once** — the cache miss path plans *while holding
-//!   the cache lock*, so two concurrent jobs with the same fingerprint
-//!   can never both invoke PARTITION. Planning is thereby serialized;
-//!   EXECUTE (the hot path) runs outside every lock.
+//! * **Plan-exactly-once** — a cache miss reserves its fingerprint
+//!   (single-flight) and plans *outside* the cache lock; a job arriving
+//!   for a key that is being planned parks until the plan is published,
+//!   so two concurrent jobs with the same fingerprint can never both
+//!   invoke PARTITION, while hits on other keys (and misses on other
+//!   keys) never wait behind it. EXECUTE runs outside every lock.
 //! * **Fairness** — tenants are scheduled round-robin: the dispatcher
 //!   cycles through tenants with queued work and takes one job per
 //!   visit, so a tenant that floods the queue cannot starve the others
@@ -90,10 +92,10 @@ fn wall_now() -> Instant {
 /// Locks a mutex, recovering from poison instead of propagating it.
 ///
 /// Every critical section in this module leaves its data consistent at
-/// every panic point (counters are monotonic, the cache map is mutated
-/// insert-last), so the poison flag carries no information the pool
-/// needs — a panicked job must not wedge the shared locks for everyone
-/// else.
+/// every panic point (counters are monotonic, the cache map changes by
+/// single inserts and removes), so the poison flag carries no
+/// information the pool needs — a panicked job must not wedge the shared
+/// locks for everyone else.
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -322,7 +324,8 @@ pub struct PoolStats {
     /// Offset-table memo LRU evictions.
     pub scratch_table_evictions: u64,
     /// Plans run through the `atlas-analyze` cache admission gate (once
-    /// per cache miss, under the cache lock — worker-count-invariant).
+    /// per cache miss that planned, counted when its result is
+    /// published — worker-count-invariant).
     pub analyze_plans_checked: u64,
     /// Plans the verifier rejected (never cached, job fails typed).
     pub analyze_plans_rejected: u64,
@@ -393,26 +396,55 @@ impl SchedState {
     }
 }
 
-/// The LRU plan cache. Misses plan under this lock — that is the
-/// plan-exactly-once guarantee, and it intentionally serializes
-/// PARTITION (EXECUTE never holds it).
+/// One plan-cache entry: a published plan with its last-use tick, or the
+/// reservation of the one job planning that fingerprint.
+enum Slot {
+    Ready(u64, Arc<CompiledPlan>),
+    Planning,
+}
+
+/// The LRU plan cache. Its lock covers the map and the counters only:
+/// no plan is built or verified while it is held.
 ///
-/// Poison-safety: the map is only mutated by a final insert after all
-/// fallible work, and the counters are monotonic, so a panic under this
-/// lock (e.g. an injected [`FaultSite::PlanPanic`]) leaves the cache
-/// consistent — [`lock_clean`] then clears the poison flag.
+/// A miss counts itself, reserves [`Slot::Planning`] and plans with the
+/// lock dropped (see [`plan_for`]); it re-takes the lock only to publish.
+/// A job that finds its key `Planning` parks on [`Shared::plan_ready`]
+/// and counts a hit only when it wakes to `Ready`; if the planner failed,
+/// was rejected or panicked, the reservation is gone and the parked job
+/// re-enters the lookup from the top (a miss of its own). So `hits`,
+/// `misses` and the `analyze_*` counters are what one serial lock around
+/// the whole miss path would count — plan-exactly-once per residency.
+///
+/// Poison-safety: no code panics while holding this lock (an injected
+/// [`FaultSite::PlanPanic`] fires in the planning section, where the
+/// [`Reservation`] drop guard frees the slot on unwind), and
+/// [`lock_clean`] would clear a poison flag regardless.
 struct PlanCache {
-    map: HashMap<CircuitFingerprint, (u64, Arc<CompiledPlan>)>,
+    map: HashMap<CircuitFingerprint, Slot>,
     tick: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
     /// Admission-gate outcomes (see [`plan_for`]): every freshly planned
-    /// circuit is verified before insertion, so a malformed plan can
-    /// never be cached — let alone replayed into another tenant's job.
+    /// circuit is verified before it is published, so a malformed plan
+    /// can never be cached — let alone replayed into another tenant's job.
     analyze_checked: u64,
     analyze_rejected: u64,
+    /// Jobs parked on [`Shared::plan_ready`]; a publish with none parked
+    /// skips the wake-up.
+    parked: usize,
+}
+
+impl PlanCache {
+    /// Published plans (reservations hold no plan and are not counted
+    /// against `capacity`).
+    fn ready_len(&self) -> usize {
+        self.map
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(..)))
+            .count()
+    }
 }
 
 /// How long a submission is willing to wait for queue space.
@@ -443,6 +475,9 @@ struct Shared {
     /// Wakes `wait_idle` when the pool drains.
     idle: Condvar,
     cache: Mutex<PlanCache>,
+    /// Wakes jobs parked on a `Planning` slot when a reservation is
+    /// published or freed.
+    plan_ready: Condvar,
     next_id: AtomicU64,
     jobs_submitted: AtomicU64,
     jobs_completed: AtomicU64,
@@ -500,7 +535,9 @@ impl SessionPool {
                 evictions: 0,
                 analyze_checked: 0,
                 analyze_rejected: 0,
+                parked: 0,
             }),
+            plan_ready: Condvar::new(),
             next_id: AtomicU64::new(0),
             jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
@@ -749,7 +786,7 @@ impl SessionPool {
                 c.hits,
                 c.misses,
                 c.evictions,
-                c.map.len(),
+                c.ready_len(),
                 c.analyze_checked,
                 c.analyze_rejected,
             )
@@ -832,57 +869,167 @@ impl Drop for SessionPool {
     }
 }
 
-/// Looks up (or computes) the plan for `circuit`. Planning happens
-/// under the cache lock — see [`PlanCache`].
+/// Looks up (or computes) the plan for `circuit`. PARTITION and the
+/// admission gate run outside the cache lock, under a single-flight
+/// reservation of the fingerprint — see [`PlanCache`].
 fn plan_for(
     shared: &Shared,
     circuit: &Circuit,
     job_id: u64,
 ) -> Result<Arc<CompiledPlan>, AtlasError> {
-    let rec = &shared.planner.config().recorder;
-    let fp = CircuitFingerprint::of(circuit);
-    let mut cache = lock_clean(&shared.cache);
-    cache.tick += 1;
-    let tick = cache.tick;
-    if let Some(entry) = cache.map.get_mut(&fp) {
-        entry.0 = tick;
-        let plan = Arc::clone(&entry.1);
-        cache.hits += 1;
-        rec.metric_add("serve.plan_cache.hits", 1);
-        return Ok(plan);
-    }
-    cache.misses += 1;
-    rec.metric_add("serve.plan_cache.misses", 1);
+    let reservation = match lookup(shared, CircuitFingerprint::of(circuit), job_id) {
+        Lookup::Hit(plan) => return Ok(plan),
+        Lookup::Miss(reservation) => reservation,
+    };
     if shared.fault.should_inject(FaultSite::PlanPanic, job_id) {
-        // Deliberately under the cache lock, after the miss accounting:
-        // this is the genuine poison-the-lock case the recovery tests
-        // need (the cache state at this point is already consistent).
-        panic!("injected fault: panic under the plan-cache lock at job {job_id}");
+        // In the planning section, after the reservation and outside the
+        // lock: the unwind must free the reservation and wake the jobs
+        // parked on it.
+        panic!("injected fault: panic while planning at job {job_id}");
     }
     let plan = Arc::new(shared.planner.plan(circuit)?);
     // Cache admission gate: verify the freshly compiled plan before it
     // becomes shared state. A plan that fails static analysis is never
-    // inserted, so it cannot be replayed into another tenant's job; the
+    // published, so it cannot be replayed into another tenant's job; the
     // submitting job fails with the verifier's typed diagnostic.
-    cache.analyze_checked += 1;
-    if let Err(violation) = atlas_analyze::verify_plan(circuit, plan.plan(), plan.cost()) {
-        cache.analyze_rejected += 1;
-        rec.metric_add("analyze.plans_rejected", 1);
-        return Err(violation.into());
+    let verdict = atlas_analyze::verify_plan(circuit, plan.plan(), plan.cost())
+        .map(drop)
+        .map_err(AtlasError::from);
+    reservation.publish(plan, verdict)
+}
+
+/// What a cache lookup found: a published plan, or the reservation this
+/// job now holds and must publish (or drop) after planning.
+enum Lookup<'a> {
+    Hit(Arc<CompiledPlan>),
+    Miss(Reservation<'a>),
+}
+
+/// Finds `fp` in the cache, parking while another job plans it. A wait
+/// is recorded as a non-det `serve.plan_wait` span (`ord` = job id).
+fn lookup(shared: &Shared, fp: CircuitFingerprint, job_id: u64) -> Lookup<'_> {
+    let rec = &shared.planner.config().recorder;
+    let mut parked_at = None;
+    let mut cache = lock_clean(&shared.cache);
+    let found = loop {
+        let c = &mut *cache;
+        match c.map.get_mut(&fp) {
+            Some(Slot::Ready(tick, plan)) => {
+                c.tick += 1;
+                *tick = c.tick;
+                c.hits += 1;
+                rec.metric_add("serve.plan_cache.hits", 1);
+                break Lookup::Hit(Arc::clone(plan));
+            }
+            Some(Slot::Planning) => {
+                parked_at.get_or_insert_with(|| rec.start());
+                c.parked += 1;
+                cache = shared
+                    .plan_ready
+                    .wait(cache)
+                    .unwrap_or_else(PoisonError::into_inner);
+                cache.parked -= 1;
+            }
+            None => {
+                c.misses += 1;
+                c.map.insert(fp, Slot::Planning);
+                rec.metric_add("serve.plan_cache.misses", 1);
+                break Lookup::Miss(Reservation {
+                    shared,
+                    fp,
+                    open: true,
+                });
+            }
+        }
+    };
+    drop(cache);
+    if let Some(start) = parked_at {
+        rec.span("serve.plan_wait", start, false, 0, 0, job_id as u32, &[]);
     }
-    if cache.map.len() >= cache.capacity {
-        let coldest = cache
-            .map
-            .iter()
-            .min_by_key(|(_, (t, _))| *t)
-            .map(|(k, _)| *k)
-            .expect("cache at capacity is non-empty");
-        cache.map.remove(&coldest);
-        cache.evictions += 1;
-        rec.metric_add("serve.plan_cache.evictions", 1);
+    found
+}
+
+/// A job's [`Slot::Planning`] reservation of one fingerprint. Dropped
+/// unpublished — the planner returned an error or the job unwound — it
+/// removes the slot and wakes the parked jobs, which then re-enter the
+/// lookup from the top.
+struct Reservation<'a> {
+    shared: &'a Shared,
+    fp: CircuitFingerprint,
+    /// Whether the slot is still this reservation's to free.
+    open: bool,
+}
+
+impl Reservation<'_> {
+    /// Publishes `plan` under the admission gate's `verdict`: an admitted
+    /// plan replaces the reservation (evicting the least recently used
+    /// published plan when full); a rejected one frees the slot and fails
+    /// the job with the verifier's diagnostic.
+    fn publish(
+        mut self,
+        plan: Arc<CompiledPlan>,
+        verdict: Result<(), AtlasError>,
+    ) -> Result<Arc<CompiledPlan>, AtlasError> {
+        let rec = &self.shared.planner.config().recorder;
+        let mut cache = lock_clean(&self.shared.cache);
+        cache.analyze_checked += 1;
+        let result = match verdict {
+            Err(violation) => {
+                cache.analyze_rejected += 1;
+                rec.metric_add("analyze.plans_rejected", 1);
+                cache.map.remove(&self.fp);
+                Err(violation)
+            }
+            Ok(()) => {
+                if cache.ready_len() >= cache.capacity {
+                    let coldest = cache
+                        .map
+                        .iter()
+                        .filter_map(|(k, slot)| match slot {
+                            Slot::Ready(t, _) => Some((*t, *k)),
+                            Slot::Planning => None,
+                        })
+                        .min_by_key(|(t, _)| *t)
+                        .map(|(_, k)| k)
+                        .expect("cache at capacity holds a published plan");
+                    cache.map.remove(&coldest);
+                    cache.evictions += 1;
+                    rec.metric_add("serve.plan_cache.evictions", 1);
+                }
+                cache.tick += 1;
+                let tick = cache.tick;
+                cache
+                    .map
+                    .insert(self.fp, Slot::Ready(tick, Arc::clone(&plan)));
+                Ok(plan)
+            }
+        };
+        self.open = false;
+        self.shared.wake_parked(cache);
+        result
     }
-    cache.map.insert(fp, (tick, plan.clone()));
-    Ok(plan)
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            let mut cache = lock_clean(&self.shared.cache);
+            cache.map.remove(&self.fp);
+            self.shared.wake_parked(cache);
+        }
+    }
+}
+
+impl Shared {
+    /// Releases the cache lock and wakes every parked job (each re-checks
+    /// its own key).
+    fn wake_parked(&self, cache: MutexGuard<'_, PlanCache>) {
+        let any = cache.parked > 0;
+        drop(cache);
+        if any {
+            self.plan_ready.notify_all();
+        }
+    }
 }
 
 /// Runs one job to its output, polling cancellation and the deadline at
@@ -1107,5 +1254,70 @@ fn worker_loop(shared: &Shared, slot: usize) {
         if sched.queued == 0 && sched.in_flight == 0 {
             shared.idle.notify_all();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use atlas_circuit::generators;
+
+    /// A pool whose one worker never gets a job: the tests drive
+    /// `lookup`/`plan_for` on its shared state directly.
+    fn idle_pool() -> SessionPool {
+        let spec = MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 5,
+        };
+        let cfg = AtlasConfig {
+            threads: 1,
+            ..AtlasConfig::default()
+        };
+        SessionPool::new(spec, CostModel::default(), cfg, ServeConfig::default()).unwrap()
+    }
+
+    /// `(hits, misses, parked)`.
+    fn counts(shared: &Shared) -> (u64, u64, usize) {
+        let c = lock_clean(&shared.cache);
+        (c.hits, c.misses, c.parked)
+    }
+
+    #[test]
+    fn a_reservation_parks_only_its_own_key_and_a_freed_one_is_replanned() {
+        let pool = idle_pool();
+        let shared = &*pool.shared;
+        let (a, b) = (generators::qaoa(8), generators::ghz(8));
+        plan_for(shared, &b, 0).unwrap();
+        let Lookup::Miss(reservation) = lookup(shared, CircuitFingerprint::of(&a), 1) else {
+            panic!("A was never planned, so its lookup must miss");
+        };
+        // A cached key is served while A's plan is in flight.
+        plan_for(shared, &b, 2).unwrap();
+        assert_eq!(counts(shared), (1, 2, 0));
+
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| plan_for(shared, &a, 3));
+            // `parked` is raised under the lock the wait releases, so
+            // once it reads 1 the waiter is asleep on `plan_ready`.
+            let mut polls = 0;
+            while counts(shared).2 == 0 {
+                polls += 1;
+                assert!(polls < 60_000, "the lookup of A never parked");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Freed without a plan: the parked job re-enters from the top
+            // and plans A itself.
+            drop(reservation);
+            let plan = waiter.join().unwrap().expect("the woken job plans A");
+            assert_eq!(plan.plan().n, 8);
+        });
+        assert_eq!(counts(shared), (1, 3, 0), "one more miss, and no hit");
+        let cache = lock_clean(&shared.cache);
+        assert_eq!(cache.ready_len(), 2);
+        assert!(matches!(
+            cache.map.get(&CircuitFingerprint::of(&a)),
+            Some(Slot::Ready(..))
+        ));
     }
 }

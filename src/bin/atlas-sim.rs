@@ -842,26 +842,29 @@ fn run_noisy(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
     let secs = t_plan.elapsed().as_secs_f64();
     let slots = template.num_gates() - circuit.num_gates();
     eprintln!("noise   : planned the template once in {secs:.3} s ({slots} noise slot(s))");
-    if !paulis.is_empty() {
-        // Channel expectations: the mean over trajectories converges to
-        // the depolarizing channel's output expectation.
-        let mut sums = vec![0.0; paulis.len()];
-        for t in 0..k {
-            let run = plan.run(&sweep.circuit(&template, t as u64))?;
+    // One execution per trajectory feeds both the expectation sums and
+    // that trajectory's share of the shots (`args.shots` is 0 without
+    // `--shots`).
+    let mut sums = vec![0.0; paulis.len()];
+    let draw = if paulis.is_empty() {
+        sweep.run(&plan, &template, args.shots)?
+    } else {
+        sweep.run_observed(&plan, &template, args.shots, &mut |run| {
             for (s, p) in sums.iter_mut().zip(paulis) {
                 *s += run.expectation(p);
             }
-        }
-        let suffix = format!(" (mean over {k} trajectorie(s))");
-        for (s, p) in sums.iter().zip(paulis) {
-            print_expectation(out, p, s / k as f64, &suffix)?;
-        }
+        })?
+    };
+    // Channel expectations: the mean over trajectories converges to the
+    // depolarizing channel's output expectation.
+    let suffix = format!(" (mean over {k} trajectorie(s))");
+    for (s, p) in sums.iter().zip(paulis) {
+        print_expectation(out, p, s / k as f64, &suffix)?;
     }
     if args.on("--shots") {
-        let run = sweep.run(&plan, &template, args.shots)?;
-        let (shots, k) = (run.shots, run.trajectories);
+        let (shots, k) = (draw.shots, draw.trajectories);
         let header = format!("{shots} over {k} trajectorie(s) (seed {seed})");
-        print_shots(out, &header, run.counts, job.n)?;
+        print_shots(out, &header, draw.counts, job.n)?;
     }
     Ok(backend)
 }

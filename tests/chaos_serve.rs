@@ -12,8 +12,9 @@
 //!   byte-identical to a fault-free run;
 //! * **scheduling-invariance** — the same seed produces the same
 //!   per-job outcomes for any worker count;
-//! * **poison recovery** — a panic under the plan-cache lock never
-//!   wedges the pool for later jobs.
+//! * **reservation recovery** — a panic while planning frees the
+//!   fingerprint's single-flight reservation, so it never wedges the
+//!   pool (or a job parked on that fingerprint) for later jobs.
 
 use std::time::{Duration, Instant};
 
@@ -225,12 +226,13 @@ fn seeded_storm_accounting_blast_radius_and_worker_invariance() {
     assert_eq!(stats4.jobs_failed, stats1.jobs_failed);
 }
 
-/// A panic *under the plan-cache lock* (the poison case) must not wedge
-/// the pool: the next job with the same circuit plans normally, and the
-/// stats/dequeue-log accessors (which take the same locks) keep
+/// A panic *while planning* (after the miss reserved the fingerprint,
+/// outside the cache lock) must free the reservation: the next job with
+/// the same circuit plans it afresh and completes, and the
+/// stats/dequeue-log accessors (which take the shared locks) keep
 /// working.
 #[test]
-fn plan_cache_lock_poison_recovers() {
+fn plan_panic_frees_the_reservation() {
     // Find a seed whose PlanPanic stream claims job 0 but not job 1 —
     // self-documenting, and independent of the RNG's internals.
     let seed = (0u64..)
@@ -243,7 +245,7 @@ fn plan_cache_lock_poison_recovers() {
     let pool = pool_with(fault, 1);
     let circuit = atlas::circuit::generators::qaoa(8);
 
-    // Job 0 panics while holding the cache lock.
+    // Job 0 panics while planning, holding the fingerprint's reservation.
     let h0 = pool
         .submit_blocking("alice", circuit.clone(), JobRequest::Plan)
         .unwrap();
@@ -254,15 +256,15 @@ fn plan_cache_lock_poison_recovers() {
         }) => {
             assert_eq!(job, 0);
             assert!(
-                payload_summary.contains("plan-cache lock"),
+                payload_summary.contains("while planning"),
                 "summary should carry the panic message, got: {payload_summary}"
             );
         }
         other => panic!("expected JobPanicked, got {other:?}"),
     }
 
-    // The poisoned lock recovers: same fingerprint plans cleanly now
-    // (job 0 died before inserting, so this is a second miss).
+    // The unwind freed the reservation: the same fingerprint plans
+    // cleanly now (job 0 never published, so this is a second miss).
     let h1 = pool
         .submit_blocking("bob", circuit.clone(), JobRequest::Execute)
         .unwrap();
@@ -279,7 +281,7 @@ fn plan_cache_lock_poison_recovers() {
     assert_eq!(stats.jobs_submitted, 2);
     assert_eq!(stats.jobs_panicked, 1);
     assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.cache_misses, 2, "the panicked miss never inserted");
+    assert_eq!(stats.cache_misses, 2, "the panicked miss never published");
     assert_eq!(stats.cache_entries, 1);
 }
 

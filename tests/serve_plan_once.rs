@@ -12,8 +12,11 @@ use atlas::core::staging::staging_invocations;
 use atlas::prelude::*;
 use atlas::serve::{JobOutcome, JobOutput, JobRequest, ServeConfig, SessionPool};
 
-#[test]
-fn many_tenants_same_structure_plan_exactly_once() {
+/// Runs the 3 × 4 same-structure jobs on a pool of `workers` and
+/// checks the plan-once books. The pool is paused while the jobs queue
+/// up, so at `workers > 1` several same-fingerprint jobs are dispatched
+/// together and arrive while the first one's plan is in flight.
+fn run_same_structure(workers: usize) {
     const TENANTS: usize = 3;
     const JOBS_PER_TENANT: usize = 4;
     let base = atlas::circuit::generators::qaoa(8);
@@ -26,9 +29,14 @@ fn many_tenants_same_structure_plan_exactly_once() {
         threads: 1,
         ..AtlasConfig::default()
     };
-    let pool = SessionPool::new(spec, CostModel::default(), cfg, ServeConfig::default()).unwrap();
+    let serve = ServeConfig {
+        workers,
+        ..ServeConfig::default()
+    };
+    let pool = SessionPool::new(spec, CostModel::default(), cfg, serve).unwrap();
 
     let before = staging_invocations();
+    pool.pause();
     let mut handles = Vec::new();
     for t in 0..TENANTS {
         for j in 0..JOBS_PER_TENANT {
@@ -41,6 +49,7 @@ fn many_tenants_same_structure_plan_exactly_once() {
             );
         }
     }
+    pool.resume();
     for h in handles {
         match h.wait().unwrap() {
             JobOutcome::Output(JobOutput::Executed { norm, .. }) => {
@@ -52,10 +61,25 @@ fn many_tenants_same_structure_plan_exactly_once() {
     assert_eq!(
         staging_invocations() - before,
         1,
-        "{TENANTS} tenants x {JOBS_PER_TENANT} jobs must invoke PARTITION exactly once"
+        "{TENANTS} tenants x {JOBS_PER_TENANT} jobs on {workers} worker(s) must invoke \
+         PARTITION exactly once"
     );
     let stats = pool.shutdown();
-    assert_eq!(stats.cache_misses, 1);
-    assert_eq!(stats.cache_hits, (TENANTS * JOBS_PER_TENANT - 1) as u64);
+    assert_eq!(stats.cache_misses, 1, "workers = {workers}");
+    assert_eq!(
+        stats.cache_hits,
+        (TENANTS * JOBS_PER_TENANT - 1) as u64,
+        "workers = {workers}"
+    );
     assert_eq!(stats.jobs_completed, (TENANTS * JOBS_PER_TENANT) as u64);
+    assert_eq!(stats.analyze_plans_checked, 1, "workers = {workers}");
+}
+
+/// One test, so the worker counts run one after another: the staging
+/// counter is process-global.
+#[test]
+fn many_tenants_same_structure_plan_exactly_once() {
+    for workers in [1, 2, 4] {
+        run_same_structure(workers);
+    }
 }
