@@ -744,6 +744,11 @@ fn cli_stdout_matches_the_golden_corpus() {
             "ghz200_auto_stabilizer",
             "--family ghz -n 200 --shots 8 --seed 7",
         ),
+        (
+            "qaoa8_noise",
+            "--family qaoa -n 8 --nodes 2 --gpus 2 -L 5 --noise 0.05 --shots 64 --seed 11 \
+             --expect ZIIIIIIZ --threads 1",
+        ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cli");
     for (name, args) in corpus {
