@@ -233,9 +233,8 @@ impl Circuit {
 
     /// Number of leading gates that are Clifford (see
     /// [`GateKind::is_clifford`]): `num_gates()` for an all-Clifford
-    /// circuit, 0 when the very first gate is already non-Clifford.
-    /// This is the backend-dispatch split point — the prefix runs on
-    /// the tableau, the suffix (if any) on the statevector engine.
+    /// circuit, 0 when the very first gate is already non-Clifford —
+    /// the index of the gate a forced stabilizer backend rejects.
     pub fn clifford_prefix_len(&self) -> usize {
         self.gates
             .iter()

@@ -1,28 +1,23 @@
 //! Backend dispatch: one planning entry point
 //! ([`Planner::plan_backend`]) returning a [`BackendPlan`] — a closed
-//! enum over three engines, dispatched by `match` — whose
+//! enum over two engines, dispatched by `match` — whose
 //! [`BackendPlan::run`] yields a [`BackendRun`].
 //!
 //! The session flow (plan once → execute many → sample/expect) is
 //! engine-agnostic: what varies is *how* a circuit runs, not how plans
 //! are keyed (the [`CircuitFingerprint`]) or how results are queried
-//! (shots, Pauli expectations, basis-state probabilities). This module
-//! adds two engines next to the sharded statevector:
+//! (shots, Pauli expectations, basis-state probabilities). Next to the
+//! sharded statevector, all-Clifford circuits replay on the CHP tableau
+//! ([`StabilizerPlan`]) in polynomial time — thousands of qubits where
+//! the statevector engine caps at 63. One circuit runs on one engine
+//! end to end.
 //!
-//! * **Stabilizer** ([`StabilizerPlan`]): all-Clifford circuits replay
-//!   on the CHP tableau in polynomial time — thousands of qubits where
-//!   the statevector engine caps at 63.
-//! * **Hybrid** ([`HybridPlan`]): a circuit with a Clifford *prefix*
-//!   fast-forwards the prefix on the tableau, converts the stabilizer
-//!   state to amplitudes, and hands off to the statevector engine for
-//!   the non-Clifford suffix — PARTITION only ever sees (and pays for)
-//!   the suffix.
-//!
-//! [`BackendKind::Auto`] picks among them structurally; `Statevec` and
+//! [`BackendKind::Auto`] sends all-Clifford circuits to the tableau and
+//! everything else to the statevector engine; `Statevec` and
 //! `Stabilizer` force an engine and fail with a typed
 //! [`AtlasError::InvalidConfig`] when the circuit does not fit it.
 
-use crate::config::{AtlasConfig, BackendKind};
+use crate::config::BackendKind;
 use crate::session::{CircuitFingerprint, CompiledPlan, Execution, Planner};
 use atlas_circuit::Circuit;
 use atlas_error::AtlasError;
@@ -30,40 +25,31 @@ use atlas_sampler::{CounterRng, PauliString};
 use atlas_stabilizer::Tableau;
 use atlas_telemetry::Recorder;
 
-/// Minimum Clifford-prefix length (in gates) for [`BackendKind::Auto`]
-/// to choose the hybrid path: shorter prefixes are not worth the
-/// tableau→statevector conversion.
-pub const HYBRID_MIN_PREFIX: usize = 4;
-
-/// Widest circuit the hybrid handoff accepts: the tableau→statevector
-/// conversion materializes `2^n` amplitudes.
-pub const HYBRID_MAX_QUBITS: u32 = 30;
-
-/// A compiled stabilizer-backend plan: the fingerprint plus the run
-/// configuration. There is no PARTITION stage — tableau replay needs no
-/// staging, kernelization or machine shape — so "planning" is
+/// A compiled stabilizer-backend plan: the fingerprint plus the recorder
+/// its runs record through. There is no PARTITION stage — tableau replay
+/// needs no staging, kernelization or machine shape — so "planning" is
 /// fingerprinting, and `run` replays the (structure-matching) circuit
 /// on a fresh tableau.
 #[derive(Clone, Debug)]
 pub struct StabilizerPlan {
     fingerprint: CircuitFingerprint,
-    cfg: AtlasConfig,
+    recorder: Recorder,
 }
 
 impl StabilizerPlan {
     /// Compiles a plan for `circuit` (which must be all-Clifford when
     /// later executed — checked at `run`, not here, since only the
     /// structure is captured).
-    pub fn new(circuit: &Circuit, cfg: AtlasConfig) -> Self {
+    pub(crate) fn new(circuit: &Circuit, recorder: Recorder) -> Self {
         StabilizerPlan {
             fingerprint: CircuitFingerprint::of(circuit),
-            cfg,
+            recorder,
         }
     }
 
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
         self.fingerprint.check(circuit)?;
-        let rec = &self.cfg.recorder;
+        let rec = &self.recorder;
         let t = rec.start();
         let tableau = Tableau::from_circuit(circuit)?;
         rec.span(
@@ -84,37 +70,15 @@ impl StabilizerPlan {
     }
 }
 
-/// A hybrid plan: the circuit's Clifford prefix replays on the tableau,
-/// its suffix runs under a statevector [`CompiledPlan`] seeded with the
-/// converted prefix state. PARTITION ran on the suffix only.
-#[derive(Clone, Debug)]
-pub struct HybridPlan {
-    fingerprint: CircuitFingerprint,
-    prefix_len: usize,
-    suffix: CompiledPlan,
-}
-
-impl HybridPlan {
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        self.fingerprint.check(circuit)?;
-        let (prefix, suffix) = split_circuit(circuit, self.prefix_len);
-        let tableau = Tableau::from_circuit(&prefix)?;
-        let state = tableau.to_statevector()?;
-        self.suffix
-            .execute_from(&suffix, &state)
-            .map(|e| BackendRun::Statevec(Box::new(e)))
-    }
-}
-
 /// The dispatcher: whichever plan [`Planner::plan_backend`] chose.
 #[derive(Clone, Debug)]
 pub enum BackendPlan {
-    /// The sharded statevector engine end to end.
-    Statevec(CompiledPlan),
+    /// The sharded statevector engine end to end. Boxed: a
+    /// `CompiledPlan` is hundreds of bytes, a `StabilizerPlan` a
+    /// fingerprint and a recorder handle.
+    Statevec(Box<CompiledPlan>),
     /// The CHP tableau end to end.
     Stabilizer(StabilizerPlan),
-    /// Tableau prefix, statevector suffix.
-    Hybrid(HybridPlan),
 }
 
 impl BackendPlan {
@@ -123,7 +87,6 @@ impl BackendPlan {
         match self {
             BackendPlan::Statevec(p) => p.fingerprint(),
             BackendPlan::Stabilizer(p) => &p.fingerprint,
-            BackendPlan::Hybrid(p) => &p.fingerprint,
         }
     }
 
@@ -132,7 +95,6 @@ impl BackendPlan {
         match self {
             BackendPlan::Statevec(_) => "statevec",
             BackendPlan::Stabilizer(_) => "stabilizer",
-            BackendPlan::Hybrid(_) => "hybrid",
         }
     }
 
@@ -150,7 +112,6 @@ impl BackendPlan {
                 .execute(circuit)
                 .map(|e| BackendRun::Statevec(Box::new(e))),
             BackendPlan::Stabilizer(p) => p.run(circuit),
-            BackendPlan::Hybrid(p) => p.run(circuit),
         }
     }
 }
@@ -247,42 +208,28 @@ impl BackendRun {
     }
 }
 
-/// Splits a circuit at gate index `k` into (prefix, suffix) circuits on
-/// the same qubit count.
-fn split_circuit(c: &Circuit, k: usize) -> (Circuit, Circuit) {
-    let mut prefix = Circuit::named(c.num_qubits(), format!("{}_prefix", c.name()));
-    let mut suffix = Circuit::named(c.num_qubits(), format!("{}_suffix", c.name()));
-    for (i, g) in c.gates().iter().enumerate() {
-        if i < k { &mut prefix } else { &mut suffix }.push(*g);
-    }
-    (prefix, suffix)
-}
-
 impl Planner {
     /// PARTITION with backend dispatch: compiles `circuit` for the
-    /// engine selected by [`AtlasConfig::backend`].
+    /// engine selected by [`AtlasConfig::backend`](crate::AtlasConfig::backend).
     ///
     /// * `Auto` — all-Clifford circuits get a [`StabilizerPlan`];
-    ///   circuits with a Clifford prefix of at least
-    ///   [`HYBRID_MIN_PREFIX`] gates (and at most [`HYBRID_MAX_QUBITS`]
-    ///   qubits) get a [`HybridPlan`] whose PARTITION covers only the
-    ///   suffix; everything else gets the statevector [`CompiledPlan`].
+    ///   everything else gets the statevector [`CompiledPlan`].
     /// * `Statevec` — always the statevector plan; circuits wider than
     ///   63 qubits are rejected with [`AtlasError::InvalidConfig`].
     /// * `Stabilizer` — always the tableau; non-Clifford circuits are
     ///   rejected with [`AtlasError::InvalidConfig`] naming the first
     ///   offending gate.
     pub fn plan_backend(&self, circuit: &Circuit) -> Result<BackendPlan, AtlasError> {
-        self.config().validate()?;
-        let backend = self.config().backend;
-        if backend.runs_on_tableau(circuit.is_clifford()) {
-            return Ok(BackendPlan::Stabilizer(StabilizerPlan::new(
-                circuit,
-                self.config().clone(),
-            )));
+        let cfg = self.config();
+        cfg.validate()?;
+        if cfg.backend.runs_on_tableau(circuit.is_clifford()) {
+            let plan = StabilizerPlan::new(circuit, cfg.recorder.clone());
+            return Ok(BackendPlan::Stabilizer(plan));
         }
-        match backend {
-            BackendKind::Statevec => Ok(BackendPlan::Statevec(self.plan(circuit)?)),
+        match cfg.backend {
+            BackendKind::Statevec | BackendKind::Auto => {
+                Ok(BackendPlan::Statevec(Box::new(self.plan(circuit)?)))
+            }
             BackendKind::Stabilizer => {
                 let at = circuit.clifford_prefix_len();
                 Err(AtlasError::invalid_config(format!(
@@ -292,19 +239,6 @@ impl Planner {
                     circuit.gates()[at].kind.name()
                 )))
             }
-            BackendKind::Auto => {
-                let prefix_len = circuit.clifford_prefix_len();
-                if prefix_len >= HYBRID_MIN_PREFIX && circuit.num_qubits() <= HYBRID_MAX_QUBITS {
-                    let (_, suffix) = split_circuit(circuit, prefix_len);
-                    let suffix_plan = self.plan(&suffix)?;
-                    return Ok(BackendPlan::Hybrid(HybridPlan {
-                        fingerprint: CircuitFingerprint::of(circuit),
-                        prefix_len,
-                        suffix: suffix_plan,
-                    }));
-                }
-                Ok(BackendPlan::Statevec(self.plan(circuit)?))
-            }
         }
     }
 }
@@ -312,6 +246,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AtlasConfig;
     use atlas_circuit::generators;
     use atlas_machine::{CostModel, MachineSpec};
     use atlas_sampler::PauliOp;
@@ -340,57 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_nonclifford_to_statevec_or_hybrid() {
-        // QAOA opens with a wall of H gates — a Clifford prefix — so it
-        // dispatches to the hybrid plan.
+    fn auto_routes_qaoa_to_statevec() {
+        // QAOA opens with a wall of H gates — a Clifford prefix — but one
+        // circuit runs on one engine: any non-Clifford gate means statevec.
         let qaoa = generators::qaoa(8);
-        assert!(qaoa.clifford_prefix_len() >= HYBRID_MIN_PREFIX);
+        assert!(qaoa.clifford_prefix_len() > 0);
         let plan = planner(BackendKind::Auto).plan_backend(&qaoa).unwrap();
-        assert!(
-            matches!(plan, BackendPlan::Hybrid(_)),
-            "{}",
-            plan.backend_name()
-        );
-        // A circuit that opens non-Clifford goes straight to statevec.
-        let mut c = Circuit::new(8);
-        c.t(0);
-        for q in 0..8 {
-            c.h(q);
-        }
-        let plan = planner(BackendKind::Auto).plan_backend(&c).unwrap();
         assert!(matches!(plan, BackendPlan::Statevec(_)));
-    }
-
-    #[test]
-    fn hybrid_run_matches_pure_statevec() {
-        let c = generators::qaoa(8);
-        let auto = planner(BackendKind::Auto).plan_backend(&c).unwrap();
-        let sv = planner(BackendKind::Statevec).plan_backend(&c).unwrap();
-        assert!(matches!(auto, BackendPlan::Hybrid(_)));
-        let (ra, rs) = (auto.run(&c).unwrap(), sv.run(&c).unwrap());
-        for q in 0..8 {
-            assert!(
-                (ra.marginal_one(q) - rs.marginal_one(q)).abs() < 1e-9,
-                "marginal({q}) differs"
-            );
-        }
-        for ops in [
-            vec![(0u32, PauliOp::Z), (5, PauliOp::Z)],
-            vec![(1, PauliOp::X), (2, PauliOp::X)],
-            vec![(3, PauliOp::Y), (7, PauliOp::Z)],
-        ] {
-            let p = PauliString::from_ops(8, &ops);
-            assert!(
-                (ra.expectation(&p) - rs.expectation(&p)).abs() < 1e-9,
-                "⟨{ops:?}⟩ differs"
-            );
-        }
-        for idx in 0..(1u64 << 8) {
-            assert!(
-                (ra.probability_of_bits(&[idx]) - rs.probability_of_bits(&[idx])).abs() < 1e-9,
-                "p({idx}) differs"
-            );
-        }
+        assert_eq!(plan.backend_name(), "statevec");
     }
 
     #[test]
@@ -474,6 +366,4 @@ mod tests {
             Err(AtlasError::PlanMismatch { .. })
         ));
     }
-
-    use atlas_circuit::Circuit;
 }

@@ -35,9 +35,8 @@ pub enum StagingAlgo {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
     /// Dispatch on circuit structure: all-Clifford circuits run on the
-    /// stabilizer tableau, circuits with a long Clifford prefix
-    /// fast-forward on the tableau and hand off to the statevector
-    /// engine, everything else runs on the statevector engine (default).
+    /// stabilizer tableau, everything else on the statevector engine
+    /// (default). One circuit runs on one engine end to end.
     #[default]
     Auto,
     /// Force the sharded statevector engine (≤ 63 qubits).

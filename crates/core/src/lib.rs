@@ -23,10 +23,8 @@
 //!   SIMULATE (Alg. 1 l.18–20) is `planner.plan(&c)?.execute(&c)?`.
 //! * [`backend`] — engine dispatch one layer above: [`BackendPlan`] is a
 //!   closed enum — all-Clifford circuits route to the
-//!   `atlas-stabilizer` tableau, Clifford prefixes fast-forward on the
-//!   tableau and hand off to the statevector engine, everything else
-//!   runs the sharded statevector path — and [`BackendRun`] the unified
-//!   query surface.
+//!   `atlas-stabilizer` tableau, everything else runs the sharded
+//!   statevector path — and [`BackendRun`] the unified query surface.
 //! * [`noise`] — depolarizing noise as Pauli-twirled stochastic
 //!   trajectories that share one fingerprint (plan-once sweeps).
 //!
@@ -47,7 +45,7 @@ pub mod session;
 pub mod staging;
 
 pub use atlas_error::AtlasError;
-pub use backend::{BackendPlan, BackendRun, HybridPlan, StabilizerPlan};
+pub use backend::{BackendPlan, BackendRun, StabilizerPlan};
 pub use config::{AtlasConfig, BackendKind, MemoryBudget};
 pub use plan::{Kernel, KernelKind, QubitPartition, Stage};
 pub use session::{CircuitFingerprint, CompiledPlan, Execution, Planner};

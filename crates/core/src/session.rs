@@ -46,7 +46,7 @@ use atlas_circuit::{insular, Circuit};
 use atlas_error::AtlasError;
 use atlas_machine::{Clock, CostModel, Machine, MachineReport, MachineSpec};
 use atlas_sampler::Measurements;
-use atlas_statevec::{Pool, StateVector};
+use atlas_statevec::StateVector;
 
 /// Structural fingerprint of a circuit: everything PARTITION's output
 /// depends on, and nothing it doesn't.
@@ -386,57 +386,9 @@ impl CompiledPlan {
         // Admission control: compute the run's peak bytes (the state, one
         // scratch shard, and any gathered copy) *before* allocating anything.
         self.cfg.admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::new(self.spec, self.plan.n);
-        self.run_on(machine, circuit, false, should_stop)
-    }
-
-    /// EXECUTE starting from a caller-supplied state instead of
-    /// `|0…0⟩` — the stabilizer→statevector hybrid handoff. `initial`
-    /// is given in the identity qubit layout (index bit `q` = qubit
-    /// `q`); it is loaded into the sharded machine and pre-permuted into
-    /// the plan's stage-0 layout before the kernels run (a fresh
-    /// `|0…0⟩` machine can skip that because the all-zero state is
-    /// layout-invariant).
-    pub fn execute_from(
-        &self,
-        circuit: &Circuit,
-        initial: &StateVector,
-    ) -> Result<Execution, AtlasError> {
-        self.fingerprint.check(circuit)?;
-        if initial.num_qubits() != self.plan.n {
-            return Err(AtlasError::invalid_plan(format!(
-                "initial state has {} qubits, plan expects {}",
-                initial.num_qubits(),
-                self.plan.n
-            )));
-        }
-        self.cfg.admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::with_state(self.spec, initial);
-        let run = self.run_on(machine, circuit, true, &|| false)?;
-        Ok(run.expect("a never-stop probe cannot interrupt EXECUTE"))
-    }
-
-    /// Shared EXECUTE body of [`execute`](CompiledPlan::execute) and
-    /// [`execute_from`](CompiledPlan::execute_from). `Ok(None)` means
-    /// `should_stop` interrupted the run at a stage barrier.
-    fn run_on(
-        &self,
-        mut machine: Machine,
-        circuit: &Circuit,
-        permute_in: bool,
-        should_stop: &dyn Fn() -> bool,
-    ) -> Result<Option<Execution>, AtlasError> {
-        let rec = &self.cfg.recorder;
-        machine.set_recorder(rec.clone());
+        let mut machine = Machine::new(self.spec, self.plan.n);
+        machine.set_recorder(self.cfg.recorder.clone());
         let mut clock = self.clock();
-        if permute_in {
-            if let Some(sp0) = self.plan.stages.first() {
-                let perm = atlas_qmath::QubitPermutation::from_map(sp0.mapping.clone());
-                if !perm.is_identity() {
-                    exec::reshuffle(&mut clock, Some(&mut machine), &perm, 0, rec, &Pool::SERIAL);
-                }
-            }
-        }
         let run = Some((&mut machine, circuit));
         if !exec::execute(&mut clock, run, &self.plan, &self.cfg, should_stop) {
             // Interrupted at a stage barrier: the state is partial —

@@ -36,8 +36,8 @@
 //!   any width.
 //! * **Statevector conversion** ([`Tableau::to_statevector`]): Gaussian
 //!   elimination + Gray-code coset enumeration yields the exact `2^n`
-//!   amplitude vector (n ≤ 30) with a canonical global phase — the
-//!   Clifford-prefix handoff into the sharded engine.
+//!   amplitude vector (n ≤ 30) with a canonical global phase — what
+//!   the CLI's `--top` enumerates on this backend.
 
 #![forbid(unsafe_code)]
 

@@ -27,7 +27,9 @@
 //! marked threads feed; they take turns on [`POOLED`], so that counter
 //! holds one test's workers at a time.
 
+use atlas::circuit::generators;
 use atlas::core::exec::build_stage_programs;
+use atlas::core::noise::{self, Trajectories};
 use atlas::machine::{Clock, CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
@@ -559,10 +561,13 @@ fn first_cross_shard_transition_allocates_no_amplitude_sized_block() {
 
 #[test]
 fn functional_run_and_measurements_allocate_no_block_beyond_the_shards() {
-    // A whole serial EXECUTE — its transitions and the final move back to
-    // the logical layout — then `sample`, `top` and `expectation`. The
+    // Two serial workloads on one 2 × 2, L = 15 machine: a whole EXECUTE —
+    // its transitions and the final move back to the logical layout — then
+    // `sample`, `top` and `expectation`; and a noisy non-Clifford
+    // trajectory sweep dispatched by `plan_backend` under `Auto`. Each
     // machine's own shards are its only requests of a shard's size: the
-    // end move stays in place and nothing gathers the state.
+    // end move stays in place, nothing gathers the state, and no dense
+    // state is built outside the sharded engine.
     let circuit = Family::Su2Random.generate(17);
     let spec = MachineSpec {
         nodes: 2,
@@ -570,9 +575,9 @@ fn functional_run_and_measurements_allocate_no_block_beyond_the_shards() {
         local_qubits: 15,
     };
     let shard_bytes = std::mem::size_of::<Complex64>() << spec.local_qubits;
-    let compiled = Planner::new(spec, CostModel::default(), AtlasConfig::default())
-        .plan(&circuit)
-        .unwrap();
+    let shards = spec.num_shards(circuit.num_qubits()) as u64;
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let compiled = planner.plan(&circuit).unwrap();
     let last = &compiled.plan().stages.last().unwrap().mapping;
     assert!(
         last.iter()
@@ -582,24 +587,41 @@ fn functional_run_and_measurements_allocate_no_block_beyond_the_shards() {
     );
     let zz: PauliString = "ZIIIIIIIIIIIIIIIZ".parse().unwrap();
     let xy: PauliString = "XIIIIIIIYIIIIIIIZ".parse().unwrap();
+    let template = noise::noisy_template(&generators::qaoa(17));
+    let noisy = planner.plan_backend(&template).unwrap();
+    let sweep = Trajectories::new(0.05, 2, 3).unwrap();
 
-    take_largest();
-    count_blocks_from(shard_bytes);
-    let run = compiled.execute(&circuit).unwrap();
-    let samples = run.measurements.sample(64, 7);
-    let top = run.measurements.top(8);
-    let expect = [&zz, &xy].map(|p| run.measurements.expectation(p));
-    let (largest, blocks) = (take_largest(), blocks());
-
-    let shards = run.measurements.machine().num_shards() as u64;
-    assert_eq!(
-        (largest, blocks),
-        (shard_bytes, shards),
-        "(largest request, requests of a shard's size or more) of a run and its \
-         measurements; a shard is {shard_bytes} bytes and the machine has {shards}"
-    );
-    assert_eq!((samples.len(), top.len()), (64, 8));
-    assert!(expect.iter().all(|e| e.abs() <= 1.0 + 1e-9));
+    // Each case returns how many machines it filled.
+    let execute = || {
+        let run = compiled.execute(&circuit).unwrap();
+        let samples = run.measurements.sample(64, 7);
+        let top = run.measurements.top(8);
+        let expect = [&zz, &xy].map(|p| run.measurements.expectation(p));
+        assert_eq!((samples.len(), top.len()), (64, 8));
+        assert!(expect.iter().all(|e| e.abs() <= 1.0 + 1e-9));
+        assert_eq!(run.measurements.machine().num_shards() as u64, shards);
+        1
+    };
+    let noisy_sweep = || {
+        let outcome = sweep.run(&noisy, &template, 32).unwrap();
+        assert_eq!(outcome.counts.iter().map(|(_, c)| c).sum::<u64>(), 32);
+        outcome.trajectories as u64
+    };
+    let cases: [(&str, &dyn Fn() -> u64); 2] =
+        [("execute", &execute), ("noisy auto sweep", &noisy_sweep)];
+    for (name, case) in cases {
+        take_largest();
+        count_blocks_from(shard_bytes);
+        let machines = case();
+        let (largest, blocks) = (take_largest(), blocks());
+        assert_eq!(
+            (largest, blocks),
+            (shard_bytes, machines * shards),
+            "{name}: (largest request, requests of a shard's size or more) of its \
+             {machines} run(s) and their measurements; a shard is {shard_bytes} bytes \
+             and a machine has {shards}"
+        );
+    }
 }
 
 #[test]

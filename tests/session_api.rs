@@ -326,8 +326,8 @@ fn over_budget_execute_is_rejected_typed() {
 /// A run that gathers its state (`final_unpermute`) holds it twice at
 /// its end — the machine's shards live on inside `Measurements` — so
 /// admission counts both copies. A budget of exactly one copy plus one
-/// scratch shard refuses the gathering run at both session doors, and
-/// still admits the same plan without the gather.
+/// scratch shard refuses the gathering run at the session's one door,
+/// `execute`, and still admits the same plan without the gather.
 #[test]
 fn a_gathering_run_is_admitted_at_its_full_footprint() {
     let (n, l) = (8, 5);
@@ -348,23 +348,16 @@ fn a_gathering_run_is_admitted_at_its_full_footprint() {
             .plan(&circuit)
             .expect("planning is not gated by the budget")
     };
-    let gathering = plan(true);
-    let zero = StateVector::zero_state(n);
-    for result in [
-        gathering.execute(&circuit).map(|_| ()),
-        gathering.execute_from(&circuit, &zero).map(|_| ()),
-    ] {
-        match result {
-            Err(AtlasError::ResourceExhausted { needed, budget }) => {
-                assert_eq!(
-                    needed,
-                    one_copy + (16 << n),
-                    "state + shard + gathered copy"
-                );
-                assert_eq!(budget, one_copy);
-            }
-            other => panic!("expected ResourceExhausted, got: {other:?}"),
+    match plan(true).execute(&circuit) {
+        Err(AtlasError::ResourceExhausted { needed, budget }) => {
+            assert_eq!(
+                needed,
+                one_copy + (16 << n),
+                "state + shard + gathered copy"
+            );
+            assert_eq!(budget, one_copy);
         }
+        other => panic!("expected ResourceExhausted, got: {other:?}"),
     }
     let run = plan(false).execute(&circuit).expect("one copy fits");
     assert!(run.state.is_none());
