@@ -1,4 +1,5 @@
-//! Tableau → statevector conversion: the Clifford-prefix handoff.
+//! Tableau → statevector conversion: dense amplitudes of a stabilizer
+//! state, for reading outcomes and for checking against the reference.
 //!
 //! A stabilizer state on `n` qubits is an equal-magnitude superposition
 //! over an affine subspace of basis states: `|ψ⟩ = 2^{-k/2} Σ_{v ∈ V}
@@ -31,8 +32,8 @@ impl Tableau {
     /// nonzero amplitude in basis order is real and positive. That
     /// makes the output directly comparable to
     /// [`atlas_statevec::simulate_reference`] up to the reference's own
-    /// global phase, and is the input format for the hybrid
-    /// Clifford-prefix handoff into the sharded engine.
+    /// global phase. The vector is `16·2^n` bytes: a caller gates it on
+    /// a memory budget first (the CLI's `--top` admits it as a state).
     pub fn to_statevector(&self) -> Result<StateVector, AtlasError> {
         let n = self.num_qubits();
         if n > 30 {

@@ -789,6 +789,12 @@ fn run_stabilizer(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
              conversion (n <= 30); n = {n} supports --shots/--expect only"
         )));
     }
+    // The conversion's 2^n amplitudes are admitted like a state with no
+    // scratch shard, before anything reaches stdout.
+    let enumerate = args.wants_top() && n <= 30;
+    if enumerate {
+        args.cfg.admit(n, 0)?;
+    }
     // The tableau needs no machine, but the Planner does: a minimal
     // single-GPU spec keeps MachineSpec invariants satisfied at any n.
     let spec = MachineSpec::single_gpu(n.min(26));
@@ -810,7 +816,7 @@ fn run_stabilizer(args: &Args, job: Job, out: &mut dyn Write) -> Ran {
     let BackendRun::Stabilizer(srun) = &run else {
         unreachable!("stabilizer path produced a statevector run");
     };
-    if args.wants_top() && n <= 30 {
+    if enumerate {
         let state = srun.tableau.to_statevector()?;
         print_top(out, state.top_probabilities(args.top), n)?;
     } else if args.wants_top() {

@@ -295,6 +295,17 @@ fn over_budget_functional_requests_exit_ten() {
             "--noise",
             "0.05",
         ],
+        // `--top` on the tableau converts to 2^n amplitudes: 4 GiB at n = 28.
+        vec![
+            "--family",
+            "ghz",
+            "-n",
+            "28",
+            "--backend",
+            "stabilizer",
+            "--top",
+            "2",
+        ],
     ] {
         let out = atlas_sim(&args);
         assert_eq!(

@@ -16,8 +16,9 @@
 //! No stage transition allocates a block of a shard's size or more, cold
 //! or warm: the counting allocator also records each thread's largest
 //! request, and a fresh machine's first all-to-all is held under one shard.
-//! A whole functional run with its measurements asks for no block of that
-//! size beyond the machine's own shards.
+//! A whole functional run with its measurements, and a noisy trajectory
+//! sweep dispatched under `BackendKind::Auto`, ask for no block of that
+//! size beyond their machines' own shards.
 //!
 //! The counters are **per thread**: the harness runs this binary's tests
 //! concurrently, and a measured region on `Pool::SERIAL` executes on the
